@@ -318,14 +318,17 @@ class QueryScheduler:
                 task.stream = started
             stream = task.stream
             buffer = task.buffer
-            solutions = stream.solutions
+            batches = stream.batches
+            # Every batch boundary (at most 256 id rows) is a suspension
+            # point; the rows stay ids until someone reads the ResultSet.
             while not context.quantum_expired():
-                row = next(solutions, _DONE)
-                if row is _DONE:
+                batch = next(batches, None)
+                if batch is None:
                     stream.finish(len(buffer))
-                    self._finish(task, ResultSet(stream.variables, buffer))
+                    self._finish(task, ResultSet.from_ids(
+                        stream.variables, buffer, stream.terms))
                     return
-                buffer.append(row)
+                buffer.extend(batch)
         except BaseException as exc:  # noqa: BLE001 — delivered to the caller
             self._fail(task, exc)
             return
@@ -391,7 +394,3 @@ class QueryScheduler:
         return (f"<QueryScheduler workers={self._pool.max_workers} "
                 f"started={self.queries_started} "
                 f"preempted={self.queries_preempted}>")
-
-
-#: Sentinel distinguishing "iterator exhausted" from a None row.
-_DONE = object()

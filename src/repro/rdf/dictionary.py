@@ -32,7 +32,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.rdf.terms import Term
 
-__all__ = ["TermDictionary"]
+__all__ = ["TermDictionary", "DictionaryOverlay"]
 
 #: Number of encode-lock stripes (power of two; indexed by ``hash & mask``).
 _NUM_STRIPES = 16
@@ -42,7 +42,10 @@ _STRIPE_MASK = _NUM_STRIPES - 1
 class TermDictionary:
     """A bidirectional, append-only term <-> dense-int-id interning table."""
 
-    __slots__ = ("_term_to_id", "_id_to_term", "_stripes", "_alloc_lock")
+    # ``__weakref__`` lets the result serializers key their id -> fragment
+    # memos on the dictionary without keeping a dropped dataset alive.
+    __slots__ = ("_term_to_id", "_id_to_term", "_stripes", "_alloc_lock",
+                 "__weakref__")
 
     def __init__(self) -> None:
         self._term_to_id: Dict[Term, int] = {}
@@ -121,3 +124,48 @@ class TermDictionary:
 
     def __repr__(self) -> str:
         return f"<TermDictionary {len(self)} terms>"
+
+
+class DictionaryOverlay:
+    """Per-query ids for terms the store has never seen.
+
+    The SPARQL evaluator keeps every binding as a term id, including values
+    a query *computes* (BIND / aggregate / VALUES / UDF results).  A computed
+    term that is stored resolves to its dictionary id, so it joins and
+    compares against stored data as an integer; one that is not gets a
+    private **negative** id from this overlay — never interned into the
+    append-only dictionary, so reads cannot grow it.  Private ids live as
+    long as the query and mean nothing outside it.
+
+    The overlay is consulted before the dictionary: once a term has a private
+    id it keeps it for the whole query, even if a concurrent writer interns
+    the same term meanwhile (the query's pinned snapshot cannot contain it).
+    """
+
+    __slots__ = ("dictionary", "_lookup", "_decode", "_ids", "_terms")
+
+    def __init__(self, dictionary: TermDictionary) -> None:
+        self.dictionary = dictionary
+        self._lookup = dictionary.lookup
+        self._decode = dictionary.decode
+        self._ids: Dict[Term, int] = {}
+        self._terms: List[Term] = []
+
+    def encode(self, term: Term) -> int:
+        """The dictionary id of ``term``, or its private negative id."""
+        if self._ids:
+            term_id = self._ids.get(term)
+            if term_id is not None:
+                return term_id
+        term_id = self._lookup(term)
+        if term_id is None:
+            self._terms.append(term)
+            term_id = self._ids[term] = -len(self._terms)
+        return term_id
+
+    def decode(self, term_id: int) -> Term:
+        return self._decode(term_id) if term_id >= 0 else self._terms[~term_id]
+
+    def __len__(self) -> int:
+        """Number of private (negative) ids handed out so far."""
+        return len(self._terms)

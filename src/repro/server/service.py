@@ -495,14 +495,18 @@ class ServiceHandler:
         # In-process dispatch rides the rich result along as the attachment:
         # serialization streams straight off the result without the JSON
         # projection the envelope transport would pay for.  With `stream`
-        # set the attachment may be a lazy StreamingResult, so the query's
-        # deadline/cancellation stay live for the whole transfer.
+        # set the attachment may be a lazy StreamingResult — id-row batches
+        # the writers turn into one fragment each without decoding a term —
+        # so the query's deadline/cancellation stay live for the whole
+        # transfer.
         result = response.attachment
         media_type = negotiate_media_type(accept, result)
         fragments = serialize_result(result, media_type)
-        # Pull the header fragment AND the first row eagerly: an
-        # interruption *before any output* must surface as the typed error
-        # envelope (504/499), not as a 200 that is cut immediately.
+        # Pull the header fragment AND the first batch eagerly (the
+        # evaluator's first batch is a single row, so this costs no extra
+        # latency): an interruption *before any output* must surface as the
+        # typed error envelope (504/499), not as a 200 that is cut
+        # immediately.
         prefix: List[bytes] = []
         for fragment in fragments:
             prefix.append(fragment)

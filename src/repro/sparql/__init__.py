@@ -21,18 +21,16 @@ from repro.sparql.paths import (
     rewrite_path_pattern,
 )
 from repro.sparql.serializer import serialize_path, serialize_query
-from repro.sparql.evaluator import (
-    QueryEvaluator,
-    QueryPlan,
-    estimate_pattern_cardinality,
-    reorder_patterns,
-)
+from repro.sparql.evaluator import QueryEvaluator, QueryPlan
+from repro.sparql.optimizer import estimate_pattern_cardinality, reorder_patterns
 from repro.sparql.execution import ExecutionContext, StreamingResult
 from repro.sparql.reference import ReferenceQueryEvaluator
 from repro.sparql.functions import (
     EvaluationContext,
     OpaqueValue,
     UDFRegistry,
+    compile_expression,
+    compile_filter,
     effective_boolean_value,
     evaluate_expression,
 )
@@ -78,6 +76,8 @@ __all__ = [
     "EvaluationContext",
     "OpaqueValue",
     "UDFRegistry",
+    "compile_expression",
+    "compile_filter",
     "effective_boolean_value",
     "evaluate_expression",
     "ResultSet",

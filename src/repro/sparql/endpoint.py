@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import QueryError
 from repro.rdf.dataset import Dataset
@@ -75,7 +75,7 @@ from repro.sparql.optimizer import (
 )
 from repro.sparql.parser import SPARQLParser
 from repro.sparql.paths import rewrite_path_pattern
-from repro.sparql.results import ResultSet, Solution
+from repro.sparql.results import ResultSet
 from repro.sparql.serializer import (
     serialize_expression,
     serialize_path,
@@ -442,6 +442,11 @@ class ResultCache:
 class SPARQLEndpoint:
     """In-process SPARQL endpoint over an RDF dataset."""
 
+    #: Most recent request records kept in :attr:`history`; older ones fall
+    #: off (each holds its full query text — unbounded, a long-lived server
+    #: would leak one per request).  The running totals keep counting.
+    HISTORY_LIMIT = 1024
+
     def __init__(self, dataset: Optional[Dataset] = None,
                  namespaces: Optional[NamespaceManager] = None,
                  optimize_joins: bool = True) -> None:
@@ -452,7 +457,7 @@ class SPARQLEndpoint:
         self.namespaces = self.dataset.namespaces
         self.udfs = UDFRegistry()
         self.optimize_joins = optimize_joins
-        self.history: List[QueryStatistics] = []
+        self.history: Deque[QueryStatistics] = deque(maxlen=self.HISTORY_LIMIT)
         self.plan_cache = PlanCache()
         self.result_cache = ResultCache()
         #: Total triple-pattern index lookups across all executed queries.
@@ -625,10 +630,12 @@ class SPARQLEndpoint:
         """Evaluate a protocol *query* request lazily.
 
         SELECT queries return a :class:`~repro.sparql.execution.StreamingResult`
-        whose row iterator is unconsumed — the scheduler's suspension point
-        for time-sliced execution.  Query statistics are recorded when the
-        consumer finishes the iterator and calls ``finish(rows)``; since
-        that may happen on a different thread than this call,
+        — id-row batches plus the decoder for them — whose iterator is
+        unconsumed: the scheduler's suspension point for time-sliced
+        execution, and what the result writers serialize without decoding.
+        Query statistics are recorded when the consumer finishes the
+        iterator and calls ``finish(rows)``; since that may happen on a
+        different thread than this call,
         ``on_stats`` delivers the record to the caller explicitly (the
         thread-local :meth:`thread_statistics` is also set on the finishing
         thread).
@@ -642,43 +649,18 @@ class SPARQLEndpoint:
             raise QueryError(
                 "the request is a SPARQL update, not a query; "
                 "updates cannot be streamed")
-        if default_graph_iris or named_graph_iris:
-            graph = self._protocol_graph(default_graph_iris, named_graph_iris)
-        else:
-            graph = self._evaluation_graph(parsed)
-        evaluator = QueryEvaluator(graph, udfs=self.udfs,
-                                   optimize_joins=self.optimize_joins,
-                                   plan=plan, execution=context)
-        udf_calls_before = self.udfs.total_calls()
-        started = time.perf_counter()
+        return self._start_query(parsed, text, plan=plan, cache_hit=cache_hit,
+                                 default_graph_iris=default_graph_iris,
+                                 named_graph_iris=named_graph_iris,
+                                 context=context, on_stats=on_stats)
 
-        def record(kind: str, count: int) -> QueryStatistics:
-            statistics = QueryStatistics(
-                query=text, kind=kind,
-                elapsed_seconds=time.perf_counter() - started,
-                num_results=count,
-                pattern_lookups=evaluator.pattern_lookups,
-                udf_calls=self.udfs.total_calls() - udf_calls_before,
-                plan_cache_hit=cache_hit,
-            )
-            with self._stats_lock:
-                self.total_pattern_lookups += evaluator.pattern_lookups
-                self.history.append(statistics)
-            self._thread_stats.last = statistics
-            if on_stats is not None:
-                on_stats(statistics)
-            return statistics
-
-        if not isinstance(parsed, SelectQuery):
-            result = evaluator.evaluate(parsed)
-            if isinstance(result, Graph):
-                record("CONSTRUCT", len(result))
-            else:
-                record("ASK", int(bool(result)))
-            return result
-        variables, solutions = evaluator.stream_select(parsed)
-        return StreamingResult(variables, solutions,
-                               lambda rows: record("SELECT", rows))
+    def _record(self, statistics: QueryStatistics) -> QueryStatistics:
+        """File one request's statistics: history, totals, this thread's last."""
+        with self._stats_lock:
+            self.total_pattern_lookups += statistics.pattern_lookups
+            self.history.append(statistics)
+        self._thread_stats.last = statistics
+        return statistics
 
     def query(self, text: str, graph_iri: Optional[Union[str, IRI]] = None):
         """Parse and evaluate a SELECT / ASK / CONSTRUCT query.
@@ -720,14 +702,19 @@ class SPARQLEndpoint:
                     for g in (named_graph_iris or ()))
         return self.dataset.snapshot().union_of(tuple(dict.fromkeys(iris)))
 
-    def _run_query(self, query: Query, text: str,
-                   graph_iri: Optional[Union[str, IRI]] = None,
-                   plan: Optional[QueryPlan] = None,
-                   cache_hit: bool = False,
-                   default_graph_iris: Optional[List[Union[str, IRI]]] = None,
-                   context: Optional[ExecutionContext] = None,
-                   named_graph_iris: Optional[List[Union[str, IRI]]] = None):
-        """Evaluate an already-parsed query, recording statistics."""
+    def _start_query(self, query: Query, text: str,
+                     graph_iri: Optional[Union[str, IRI]] = None,
+                     plan: Optional[QueryPlan] = None,
+                     cache_hit: bool = False,
+                     default_graph_iris: Optional[List[Union[str, IRI]]] = None,
+                     context: Optional[ExecutionContext] = None,
+                     named_graph_iris: Optional[List[Union[str, IRI]]] = None,
+                     on_stats: Optional[Callable[[QueryStatistics], None]] = None):
+        """Evaluate an already-parsed query; a SELECT comes back unconsumed.
+
+        Statistics are recorded once the result is complete: at once for ASK
+        and CONSTRUCT, from ``StreamingResult.finish`` for SELECT.
+        """
         if default_graph_iris or named_graph_iris:
             graph = self._protocol_graph(default_graph_iris, named_graph_iris)
         elif graph_iri is not None:
@@ -741,27 +728,34 @@ class SPARQLEndpoint:
                                    plan=plan, execution=context)
         udf_calls_before = self.udfs.total_calls()
         started = time.perf_counter()
+
+        def record(kind: str, count: int) -> None:
+            statistics = self._record(QueryStatistics(
+                query=text, kind=kind,
+                elapsed_seconds=time.perf_counter() - started,
+                num_results=count,
+                pattern_lookups=evaluator.pattern_lookups,
+                udf_calls=self.udfs.total_calls() - udf_calls_before,
+                plan_cache_hit=cache_hit))
+            if on_stats is not None:
+                on_stats(statistics)
+
+        if isinstance(query, SelectQuery):
+            variables, batches = evaluator.stream_select(query)
+            return StreamingResult(variables, batches, evaluator.terms,
+                                   lambda rows: record("SELECT", rows))
         result = evaluator.evaluate(query)
-        elapsed = time.perf_counter() - started
-        if isinstance(result, ResultSet):
-            count = len(result)
-            kind = "SELECT"
-        elif isinstance(result, Graph):
-            count = len(result)
-            kind = "CONSTRUCT"
+        if isinstance(result, Graph):
+            record("CONSTRUCT", len(result))
         else:
-            count = int(bool(result))
-            kind = "ASK"
-        statistics = QueryStatistics(
-            query=text, kind=kind, elapsed_seconds=elapsed, num_results=count,
-            pattern_lookups=evaluator.pattern_lookups,
-            udf_calls=self.udfs.total_calls() - udf_calls_before,
-            plan_cache_hit=cache_hit,
-        )
-        with self._stats_lock:
-            self.total_pattern_lookups += evaluator.pattern_lookups
-            self.history.append(statistics)
-        self._thread_stats.last = statistics
+            record("ASK", int(bool(result)))
+        return result
+
+    def _run_query(self, query: Query, text: str, **kwargs):
+        """Evaluate an already-parsed query to completion."""
+        result = self._start_query(query, text, **kwargs)
+        if isinstance(result, StreamingResult):
+            return result.materialize()
         return result
 
     def select(self, text: str, **kwargs) -> ResultSet:
@@ -805,14 +799,10 @@ class SPARQLEndpoint:
             for update in updates:
                 affected += self.apply_update(update, context=context)
         elapsed = time.perf_counter() - started
-        statistics = QueryStatistics(
+        self._record(QueryStatistics(
             query=text, kind="UPDATE", elapsed_seconds=elapsed,
             num_results=affected, pattern_lookups=0,
-            plan_cache_hit=cache_hit,
-        )
-        with self._stats_lock:
-            self.history.append(statistics)
-        self._thread_stats.last = statistics
+            plan_cache_hit=cache_hit))
         return affected
 
     def apply_update(self, update: Update,
@@ -879,8 +869,7 @@ class SPARQLEndpoint:
                 evaluator = QueryEvaluator(graph, udfs=self.udfs,
                                            optimize_joins=False)
                 prefix = GroupPattern([BGP(triples=list(patterns))])
-                return sum(1 for _ in evaluator._evaluate_group(
-                    prefix, iter((Solution(),))))
+                return sum(map(len, evaluator.stream_group(prefix)))
         return {
             "kind": kind,
             "optimize_joins": self.optimize_joins,

@@ -1,33 +1,43 @@
 """SPARQL query and update evaluation over :class:`repro.rdf.graph.Graph`.
 
-The evaluator runs basic graph patterns as a *streaming, dictionary-encoded
-pipeline*: every BGP is compiled once (constants interned to integer ids,
-variables assigned dense slots, patterns greedily reordered by maintained
-cardinality statistics) and then evaluated as a chain of index-nested-loop
-scan/join generators over id-space bindings — the shape of the Sage engine's
-``ScanIterator`` / ``IndexJoinIterator`` pipeline.  Ids are decoded back to
-:class:`~repro.rdf.terms.Term` objects only when a fully-joined row leaves
-the BGP, so intermediate results are integer slot arrays instead of per-row
-``Solution`` dictionaries.
+**Row representation.**  Term ids are the only thing that flows through this
+module.  A query gets one *layout* — every variable it can bind owns a slot —
+and every operator (BGP join, closure, negated set, FILTER, OPTIONAL, UNION,
+MINUS, BIND, VALUES, sub-SELECT, grouping, ORDER BY, DISTINCT, slice)
+consumes and produces fixed-width *id rows*: lists of dictionary ids indexed
+by slot, ``None`` for unbound.  Terms a query computes and the store has
+never seen (BIND / aggregate / VALUES / UDF results) get private negative
+ids from a per-query :class:`~repro.rdf.dictionary.DictionaryOverlay`, so
+equality, joins and DISTINCT stay integer compares.  Expressions run as
+closures compiled by :mod:`repro.sparql.functions` that read cells by list
+index and decode on demand.  Nothing is decoded here on behalf of a consumer:
+``stream_select`` hands out id rows plus the overlay, and the edge that needs
+a ``Term`` — a result writer, a ``ResultSet`` reader, a CONSTRUCT template, a
+UDF argument — decodes exactly what it uses.
 
-Group-level operators (FILTER / OPTIONAL / UNION / MINUS / BIND / VALUES /
-sub-SELECT) are lazy generators as well, which lets LIMIT, ASK and EXISTS
-stop consuming the pipeline as soon as they have what they need.  Grouping
-and ORDER BY materialize, as they must.
+**Batches.**  Operators are generators of *batches* (lists of at most
+:data:`~repro.sparql.execution.BATCH_ROWS` rows, ramping up from one row so
+LIMIT, ASK and EXISTS stop after minimal work): row-producing operators are
+plain row generators cut into batches by :meth:`QueryEvaluator._batches`,
+row-filtering ones are a list comprehension per batch.  A row crosses one
+generator frame per producing operator instead of one per operator per row.
+Rows are owned by whoever receives them, but variable cells are never
+written in place: binding copies the row.
 
-Compiled BGPs can be cached across executions through a :class:`QueryPlan`
-(the endpoint's plan cache stores one per query text); a plan transparently
-recompiles itself when the graph object or its mutation epoch changes.
+Every BGP is compiled once (constants interned to ids, variables resolved to
+slots, patterns reordered by cost) and evaluated as an iterative index-
+nested-loop join that binds directly into the row; compiled BGPs, layouts and
+expression closures are cached across executions through a
+:class:`QueryPlan`, which recompiles itself when the graph object or its
+mutation epoch changes.
 
 Every operator cooperates with an optional per-query
 :class:`~repro.sparql.execution.ExecutionContext`: the hot join loops tick an
-amortised checkpoint (one call per 256 iterations, so preemptability costs
-the happy path almost nothing) and every other operator checkpoints per row,
-letting a deadline, cancellation event, or work budget stop a hostile query
-with a typed :class:`~repro.exceptions.QueryInterrupted` subclass.
-:meth:`QueryEvaluator.stream_select` exposes the SELECT pipeline *lazily*
-(variables + unconsumed row iterator) so the scheduler can suspend and resume
-consumption mid-query without losing cursor state.
+amortised checkpoint (one call per 256 iterations) and every batch handed on
+checkpoints once with its row count, letting a deadline, cancellation event,
+or work budget stop a hostile query with a typed
+:class:`~repro.exceptions.QueryInterrupted` subclass.  Every batch boundary
+is also the scheduler's suspension point.
 """
 
 from __future__ import annotations
@@ -36,14 +46,15 @@ import threading
 import weakref
 from collections import OrderedDict
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import QueryError, UpdateError
 from repro.rdf.dataset import Dataset
+from repro.rdf.dictionary import DictionaryOverlay
 from repro.rdf.graph import Graph
 from repro.rdf.terms import (
     IRI,
-    BNode,
     Literal,
     Term,
     Triple,
@@ -56,14 +67,18 @@ from repro.sparql.ast import (
     AlternativePath,
     AskQuery,
     BGP,
+    BinaryOp,
     BindPattern,
     ClearUpdate,
     ClosurePattern,
     ConstructQuery,
     DeleteDataUpdate,
+    ExistsExpr,
     Expression,
     FilterPattern,
+    FunctionCall,
     GroupPattern,
+    InExpr,
     InsertDataUpdate,
     InversePath,
     LinkPath,
@@ -80,64 +95,154 @@ from repro.sparql.ast import (
     SequencePath,
     SubSelectPattern,
     TriplePattern,
+    UnaryOp,
     UnionPattern,
     Update,
     ValuesPattern,
     VariableExpr,
 )
-from repro.sparql.execution import ExecutionContext
-from repro.sparql.optimizer import (
-    estimate_pattern_cardinality,
-    reorder_group_elements,
-    reorder_patterns,
-)
+from repro.sparql.execution import BATCH_ROWS, ExecutionContext
+from repro.sparql.optimizer import reorder_group_elements, reorder_patterns
 from repro.sparql.paths import invert_path, normalize_path, rewrite_path_pattern
 from repro.sparql.functions import (
     EvaluationContext,
     UDFRegistry,
-    effective_boolean_value,
-    evaluate_expression,
+    compile_expression,
+    compile_filter,
 )
-from repro.sparql.results import ResultSet, Solution
+from repro.sparql.results import ResultSet
 
-# ``reorder_patterns`` / ``estimate_pattern_cardinality`` grew up here and
-# moved to :mod:`repro.sparql.optimizer`; they stay re-exported for the
-# existing import sites.
-__all__ = ["QueryEvaluator", "QueryPlan", "reorder_patterns",
-           "estimate_pattern_cardinality"]
+__all__ = ["QueryEvaluator", "QueryPlan"]
+
+#: One id row: term ids by slot, ``None`` = unbound, negative = overlay id.
+Row = List[Optional[int]]
 
 
 # ---------------------------------------------------------------------------
-# Compiled BGPs and cached plans
+# Layouts, compiled BGPs and cached plans
 # ---------------------------------------------------------------------------
+
+class _Layout(dict):
+    """``Variable -> slot`` for every variable one query can bind.
+
+    Slots are query-wide: a row that leaves any operator has the same width
+    and the same meaning per position, so joins, OPTIONAL and UNION need no
+    re-mapping.  ``tags`` holds one extra scratch slot per OPTIONAL (keyed
+    by the AST node's identity) in which the left join numbers its input
+    rows.  A sub-SELECT has a layout of its own — its variables are a
+    different scope — and meets the outer one through its projection.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.width = 0
+        self.tags: Dict[int, int] = {}
+
+    def slot(self, variable: Variable) -> int:
+        index = self.get(variable)
+        if index is None:
+            index = self[variable] = self.width
+            self.width += 1
+        return index
+
+    def blank(self) -> Row:
+        return [None] * self.width
+
+    def add_group(self, group: GroupPattern) -> None:
+        for element in group.elements:
+            if isinstance(element, BGP):
+                for pattern in element.triples:
+                    for term in pattern:
+                        if isinstance(term, Variable):
+                            self.slot(term)
+            elif isinstance(element, (ClosurePattern, NegatedPathPattern)):
+                for term in (element.subject, element.object):
+                    if isinstance(term, Variable):
+                        self.slot(term)
+            elif isinstance(element, PathPattern):
+                self.add_group(rewrite_path_pattern(element)[0])
+            elif isinstance(element, FilterPattern):
+                self.add_expression(element.expression)
+            elif isinstance(element, OptionalPattern):
+                self.tags[id(element)] = self.width
+                self.width += 1
+                self.add_group(element.pattern)
+            elif isinstance(element, MinusPattern):
+                self.add_group(element.pattern)
+            elif isinstance(element, UnionPattern):
+                for alternative in element.alternatives:
+                    self.add_group(alternative)
+            elif isinstance(element, BindPattern):
+                self.slot(element.variable)
+                self.add_expression(element.expression)
+            elif isinstance(element, ValuesPattern):
+                for variable in element.variables:
+                    self.slot(variable)
+            elif isinstance(element, SubSelectPattern):
+                for variable in _output_variables(element.query):
+                    self.slot(variable)
+
+    def add_expression(self, expression: Optional[Expression]) -> None:
+        """Give the patterns inside ``EXISTS { ... }`` their slots."""
+        stack = [expression]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ExistsExpr):
+                self.add_group(node.pattern)
+            elif isinstance(node, BinaryOp):
+                stack += (node.left, node.right)
+            elif isinstance(node, UnaryOp):
+                stack.append(node.operand)
+            elif isinstance(node, FunctionCall):
+                stack.extend(node.args)
+            elif isinstance(node, InExpr):
+                stack.append(node.operand)
+                stack.extend(node.choices)
+            elif isinstance(node, Aggregate):
+                stack.append(node.expr)
+
+
+def _output_variable(item: SelectItem, index: int) -> Variable:
+    if item.alias is not None:
+        return item.alias
+    if isinstance(item.expression, VariableExpr):
+        return item.expression.variable
+    return Variable(f"expr{index}")
+
+
+def _output_variables(query: SelectQuery) -> List[Variable]:
+    """The columns of a SELECT, in order (``*``: the syntactic candidates)."""
+    if query.select_all:
+        return query.projected_variables()
+    return [_output_variable(item, index)
+            for index, item in enumerate(query.select_items)]
+
 
 class _CompiledBGP:
     """A BGP compiled to id space.
 
     ``specs`` holds one ``((s_const, s_slot), (p_const, p_slot),
     (o_const, o_slot))`` entry per kept (reordered) triple pattern, where
-    exactly one of ``const`` (an interned term id) and ``slot`` (a variable
-    slot index) is set per component.  ``empty`` marks a BGP containing a
-    constant the dictionary has never interned — it cannot match anything.
+    exactly one of ``const`` (an interned term id) and ``slot`` (the
+    variable's position in the query layout) is set per component.
+    ``empty`` marks a BGP containing a constant the dictionary has never
+    interned — it cannot match anything.
 
     ``intersectors`` runs parallel to ``specs``: each entry is a tuple of
     ``(spec, unbound_position)`` pairs for patterns *folded out* of the
     backtracking join by :func:`_fold_intersectors` — enforced batch-at-a-
     time as id-set intersections at the level that binds their join
-    variable, instead of one nested-loop level per pattern.  ``var_slots``
-    still covers every variable of the original BGP (folded patterns never
-    introduce new variables), so emitted rows are unchanged.
+    variable, instead of one nested-loop level per pattern.  ``slots``
+    covers every variable of the original BGP (folded patterns never
+    introduce new variables).
     """
 
-    __slots__ = ("specs", "var_slots", "slot_vars", "num_slots", "empty",
-                 "intersectors")
+    __slots__ = ("specs", "slots", "empty", "intersectors")
 
-    def __init__(self, specs, var_slots: Dict[Variable, int], empty: bool,
+    def __init__(self, specs, slots: Tuple[int, ...], empty: bool,
                  intersectors=None) -> None:
         self.specs = specs
-        self.var_slots = var_slots
-        self.slot_vars = tuple(var_slots)  # slot index -> Variable
-        self.num_slots = len(var_slots)
+        self.slots = slots
         self.empty = empty
         self.intersectors = (intersectors if intersectors is not None
                              else ((),) * len(specs))
@@ -208,49 +313,24 @@ def _compile_step(graph: Graph, path):
     loops so even a nested closure stays preemptable.  Constants the
     dictionary has never interned simply yield no successors.
     """
-    lookup = graph.dictionary.lookup
-    if isinstance(path, LinkPath):
-        pid = lookup(path.iri)
+    inverse = isinstance(path, InversePath)
+    link = path.path if inverse else path
+    if isinstance(link, LinkPath):
+        pid = graph.dictionary.lookup(link.iri)
         if pid is None:
             return lambda node, tick: ()
+        if inverse:
+            subject_ids = graph.subject_ids
+            return lambda node, tick: subject_ids(pid, node)
         object_ids = graph.object_ids
         return lambda node, tick: object_ids(node, pid)
-    if isinstance(path, InversePath):
-        inner = path.path
-        if isinstance(inner, NegatedPath):
-            # ^!(...) traverses the negated set's matching edges in reverse;
-            # member-set swapping cannot express this (``!()`` matches every
-            # forward edge, so ``^!()`` must match every reversed edge).
-            forward_ids = {lookup(iri) for iri in inner.forward}
-            forward_ids.discard(None)
-            inverse_ids = {lookup(iri) for iri in inner.inverse}
-            inverse_ids.discard(None)
-            match_forward = inner.match_forward
-            match_inverse = inner.match_inverse
-            triples_ids = graph.triples_ids
-
-            def inverse_negated_step(node, tick):
-                out = set()
-                if match_forward:
-                    for subject, predicate, _ in triples_ids(None, None, node):
-                        tick()
-                        if predicate not in forward_ids:
-                            out.add(subject)
-                if match_inverse:
-                    for _, predicate, obj in triples_ids(node, None, None):
-                        tick()
-                        if predicate not in inverse_ids:
-                            out.add(obj)
-                return out
-
-            return inverse_negated_step
-        if not isinstance(inner, LinkPath):  # pragma: no cover - normalize_path
-            return _compile_step(graph, normalize_path(path))
-        pid = lookup(inner.iri)
-        if pid is None:
-            return lambda node, tick: ()
-        subject_ids = graph.subject_ids
-        return lambda node, tick: subject_ids(pid, node)
+    if isinstance(link, NegatedPath):
+        # ^!(...) traverses the negated set's matching edges in reverse;
+        # member-set swapping cannot express this (``!()`` matches every
+        # forward edge, so ``^!()`` must match every reversed edge).
+        return _CompiledNegated(graph, link, reverse=inverse).step(graph)
+    if inverse:  # pragma: no cover - normalize_path pushes ^ down to links
+        return _compile_step(graph, normalize_path(path))
     if isinstance(path, SequencePath):
         steps = [_compile_step(graph, step) for step in path.steps]
 
@@ -282,52 +362,31 @@ def _compile_step(graph: Graph, path):
         modifier = path.modifier
 
         def mul_step(node, tick):
-            out = set()
-            if modifier in ("*", "?"):
+            out = set(_reachable(inner, node, modifier, tick))
+            if modifier != "+":
                 out.add(node)
-            if modifier == "?":
-                out.update(inner(node, tick))
-                return out
-            seen = set()
-            frontier = [node]
-            while frontier:
-                next_frontier = []
-                for member in frontier:
-                    tick()
-                    for successor in inner(member, tick):
-                        if successor not in seen:
-                            seen.add(successor)
-                            next_frontier.append(successor)
-                frontier = next_frontier
-            out.update(seen)
             return out
 
         return mul_step
-    if isinstance(path, NegatedPath):
-        forward_ids = {lookup(iri) for iri in path.forward}
-        forward_ids.discard(None)
-        inverse_ids = {lookup(iri) for iri in path.inverse}
-        inverse_ids.discard(None)
-        match_forward = path.match_forward
-        match_inverse = path.match_inverse
-        triples_ids = graph.triples_ids
-
-        def negated_step(node, tick):
-            out = set()
-            if match_forward:
-                for _, predicate, obj in triples_ids(node, None, None):
-                    tick()
-                    if predicate not in forward_ids:
-                        out.add(obj)
-            if match_inverse:
-                for subject, predicate, _ in triples_ids(None, None, node):
-                    tick()
-                    if predicate not in inverse_ids:
-                        out.add(subject)
-            return out
-
-        return negated_step
     raise QueryError(f"unsupported path expression {type(path).__name__}")
+
+
+def _reachable(step, start: int, modifier: str, tick) -> Iterator[int]:
+    """BFS from ``start``: each distinct node one or more (``?``: exactly
+    one) applications of ``step`` away, as it is discovered."""
+    seen = set()
+    frontier = [start]
+    while frontier:
+        next_frontier = []
+        for node in frontier:
+            tick()
+            for successor in step(node, tick):
+                tick()
+                if successor not in seen:
+                    seen.add(successor)
+                    next_frontier.append(successor)
+                    yield successor
+        frontier = () if modifier == "?" else next_frontier
 
 
 class _CompiledClosure:
@@ -348,19 +407,46 @@ class _CompiledClosure:
 
 
 class _CompiledNegated:
-    """A negated property set compiled to excluded-predicate id sets."""
+    """A negated property set compiled to the directions it matches in.
 
-    __slots__ = ("forward_ids", "inverse_ids", "match_forward", "match_inverse")
+    ``directions`` holds ``(excluded predicate ids, subject position,
+    object position)``: the set matches (s, o) forward when a triple
+    (s, p, o) exists with p outside the forward exclusions, and inversely
+    when a triple (o, p, s) exists with p outside the inverse ones.
+    ``reverse`` swaps the endpoints (``^!(...)``).
+    """
 
-    def __init__(self, graph: Graph, element: NegatedPathPattern) -> None:
+    __slots__ = ("directions",)
+
+    def __init__(self, graph: Graph, path: NegatedPath,
+                 reverse: bool = False) -> None:
         lookup = graph.dictionary.lookup
-        path = element.path
-        self.forward_ids = {lookup(iri) for iri in path.forward}
-        self.forward_ids.discard(None)
-        self.inverse_ids = {lookup(iri) for iri in path.inverse}
-        self.inverse_ids.discard(None)
-        self.match_forward = path.match_forward
-        self.match_inverse = path.match_inverse
+        self.directions = []
+        for iris, matches, ends in ((path.forward, path.match_forward, (0, 2)),
+                                    (path.inverse, path.match_inverse, (2, 0))):
+            if matches:
+                excluded = {lookup(iri) for iri in iris}
+                excluded.discard(None)
+                self.directions.append(
+                    (excluded, *(ends[::-1] if reverse else ends)))
+
+    def step(self, graph: Graph):
+        """The set as a successor function (one edge from ``node``)."""
+        triples_ids = graph.triples_ids
+        directions = self.directions
+
+        def negated_step(node, tick):
+            out = set()
+            for excluded, s_position, o_position in directions:
+                pattern = [None, None, None]
+                pattern[s_position] = node
+                for triple in triples_ids(*pattern):
+                    tick()
+                    if triple[1] not in excluded:
+                        out.add(triple[o_position])
+            return out
+
+        return negated_step
 
 
 class _PlanState:
@@ -442,14 +528,20 @@ class QueryEvaluator:
         self.udfs = udfs or UDFRegistry()
         self.optimize_joins = optimize_joins
         self.plan = plan
-        #: Cooperative-interruption state; ``None`` runs unguarded (the
-        #: legacy embedded path pays zero per-row overhead).
+        #: Cooperative-interruption state; ``None`` runs unguarded.
         self.execution = execution
-        #: Resolved lazily on first BGP: the plan's compiled store for this
-        #: exact (graph, epoch) target.
-        self._plan_state: Optional[Dict[int, _CompiledBGP]] = None
+        self._checkpoint = execution.checkpoint if execution is not None else None
+        #: id <-> term for this query: the dictionary plus private ids for
+        #: computed terms.  Consumers of id rows decode through it.
+        self.terms = DictionaryOverlay(graph.dictionary)
         self.context = EvaluationContext(udfs=self.udfs,
-                                         exists_evaluator=self._evaluate_exists)
+                                         exists_evaluator=self._exists,
+                                         terms=self.terms)
+        #: Compiled artifacts by AST-node identity: the plan's store for this
+        #: exact (graph, epoch) target, or a private one without a plan.
+        self._store: Dict[object, object] = (
+            plan.state_for(graph, optimize_joins).compiled
+            if plan is not None else {})
         #: Number of triple-pattern index lookups performed (for benchmarks).
         self.pattern_lookups = 0
 
@@ -464,109 +556,163 @@ class QueryEvaluator:
         raise QueryError(f"unsupported query type {type(query).__name__}")
 
     def evaluate_select(self, query: SelectQuery) -> ResultSet:
-        variables, solutions = self.stream_select(query)
-        return ResultSet(variables, solutions)
+        variables, batches = self.stream_select(query)
+        return ResultSet.from_ids(
+            variables, [row for batch in batches for row in batch], self.terms)
 
     def stream_select(self, query: SelectQuery
-                      ) -> Tuple[List[Variable], Iterator[Solution]]:
-        """Evaluate a SELECT lazily: ``(variables, unconsumed row iterator)``.
+                      ) -> Tuple[List[Variable], Iterator[List[Sequence]]]:
+        """Evaluate a SELECT lazily: ``(variables, unconsumed row batches)``.
 
-        The returned iterator is the suspension point for time-sliced
-        scheduling: the consumer can stop pulling rows mid-query and resume
-        later with all generator cursor state intact.  Materialising
-        operators (GROUP BY / aggregates / ORDER BY / SELECT ``*``) cannot
-        be sliced — they drain their input eagerly when the iterator is
-        first pulled, under the execution context's deadline/cancellation
-        checkpoints.
+        Rows are tuples of term ids aligned with ``variables``; decode them
+        through :attr:`terms`.  The returned iterator is the suspension
+        point for time-sliced scheduling: the consumer can stop pulling
+        batches mid-query and resume later with all generator cursor state
+        intact.  Materialising operators (GROUP BY / aggregates / ORDER BY /
+        SELECT ``*``) cannot be sliced — they drain their input eagerly,
+        inside this call, under the execution context's checkpoints.
         """
-        project_hint = self._projection_hint(query)
-        if project_hint is not None:
-            # Single-BGP bare-variable SELECT: the join emits rows that
-            # already carry exactly the projected variables, so the
-            # projection step below reduces to an identity pass.
-            solutions: Iterable[Solution] = self._stream_bgp(
-                query.where.elements[0], iter((Solution(),)),
-                project=project_hint)
+        layout = self._layout(query)
+        batches = self.stream_group(query.where, layout)
+        rows: Optional[List[Row]] = None
+        if query.group_by or any(isinstance(item.expression, Aggregate)
+                                 for item in query.select_items):
+            rows = self._group(query, batches, layout)
+        if query.order_by:
+            rows = self._order(query, _flatten(batches) if rows is None
+                               else rows, layout)
+        if query.select_all:
+            if rows is None:
+                rows = _flatten(batches)
+            variables = self._bound_variables(query, rows, layout)
+            project = _projector([layout[variable] for variable in variables])
         else:
-            solutions = self._evaluate_group(query.where, iter((Solution(),)))
-        # One guarded checkpoint per row leaving the lazy pattern pipeline:
-        # everything downstream (grouping, sort, projection) inherits
-        # interruptibility from it while it drains.
-        solutions = self._guard(solutions)
-        solutions = self._apply_grouping(query, solutions)
-        solutions = self._apply_order(query, solutions)
-        variables, solutions = self._apply_projection(query, solutions)
+            variables = _output_variables(query)
+            project = self._projection(query, layout)
+        if rows is not None:
+            batches = (rows[start:start + BATCH_ROWS]
+                       for start in range(0, len(rows), BATCH_ROWS))
+        batches = ([project(row) for row in batch] for batch in batches)
         if query.distinct or query.reduced:
-            solutions = self._distinct(solutions, variables)
-        solutions = self._apply_slice(query, solutions)
-        return variables, self._count_rows(solutions)
+            batches = _distinct(batches)
+        if query.limit is not None or query.offset:
+            start = query.offset or 0
+            batches = _slice(batches, start, None if query.limit is None
+                             else start + query.limit)
+        if self.execution is not None:
+            batches = self._counted(batches)
+        return variables, batches
 
-    def _guard(self, solutions: Iterable[Solution]) -> Iterable[Solution]:
-        """Checkpoint the execution context once per row pulled."""
-        context = self.execution
-        if context is None:
-            return solutions
-        checkpoint = context.checkpoint
-
-        def guarded() -> Iterator[Solution]:
-            for solution in solutions:
-                checkpoint()
-                yield solution
-
-        return guarded()
-
-    def _count_rows(self, solutions: Iterable[Solution]) -> Iterable[Solution]:
-        """Account final result rows on the execution context."""
-        context = self.execution
-        if context is None:
-            return solutions
-        count_row = context.count_row
-
-        def counted() -> Iterator[Solution]:
-            for solution in solutions:
-                count_row()
-                yield solution
-
-        return counted()
-
-    @staticmethod
-    def _projection_hint(query: SelectQuery) -> Optional[frozenset]:
-        """The set of variables a single-BGP bare SELECT actually needs.
-
-        Safe only when nothing downstream of the BGP (ORDER BY, GROUP BY,
-        HAVING, other group elements, expression projections) could read a
-        variable the projection drops.
-        """
-        if (query.select_all or query.order_by or query.group_by
-                or query.having):
-            return None
-        if len(query.where.elements) != 1 or not isinstance(
-                query.where.elements[0], BGP):
-            return None
-        for item in query.select_items:
-            if not isinstance(item.expression, VariableExpr) or item.alias is not None:
-                return None
-        return frozenset(item.expression.variable for item in query.select_items)
+    def stream_group(self, group: GroupPattern,
+                     layout: Optional[_Layout] = None) -> Iterator[List[Row]]:
+        """The id rows matching ``group`` from one empty seed row, batched."""
+        if layout is None:
+            layout = self._layout(group)
+        return self._evaluate_group(group, iter(([layout.blank()],)), layout)
 
     def evaluate_ask(self, query: AskQuery) -> bool:
-        # Consume a single solution from the pipeline, then stop.
-        for _ in self._guard(self._evaluate_group(query.where,
-                                                  iter((Solution(),)))):
+        # The first batch holds a single row: one witness, then stop.
+        for _ in self.stream_group(query.where):
             return True
         return False
 
     def evaluate_construct(self, query: ConstructQuery) -> Graph:
-        solutions = self._guard(
-            self._evaluate_group(query.where, iter((Solution(),))))
+        layout = self._layout(query.where)
+        rows = (row for batch in self.stream_group(query.where, layout)
+                for row in batch)
         if query.limit is not None:
-            solutions = islice(solutions, query.limit)
+            rows = islice(rows, query.limit)
         result = Graph(namespaces=self.graph.namespaces.copy())
-        for solution in solutions:
+        for row in rows:
             for template in query.template:
-                triple = _instantiate(template, solution)
+                triple = self._instantiate(template, row, layout)
                 if triple is not None and triple.is_ground():
                     result.add(triple)
         return result
+
+    # -- plumbing ------------------------------------------------------------
+    def _compiled(self, key, build: Callable, *args):
+        """Fetch or build a compiled artifact of this (graph, epoch) target.
+
+        Concurrent evaluators may both build the same artifact; either
+        result is correct for the target and the dict write is atomic, so
+        last-writer-wins is benign.
+        """
+        compiled = self._store.get(key)
+        if compiled is None:
+            compiled = self._store[key] = build(*args)
+        return compiled
+
+    def _layout(self, scope) -> _Layout:
+        """The row layout of a SELECT query or of a bare WHERE group."""
+        return self._compiled(("layout", id(scope)), _layout_of, scope)
+
+    def _term_fn(self, expression: Expression, layout: _Layout) -> Callable:
+        return self._compiled((id(expression), "term"), compile_expression,
+                              expression, layout, self.graph.dictionary)
+
+    def _id_fn(self, expression: Expression,
+               layout: _Layout) -> Callable[[Row], Optional[int]]:
+        """``row -> id`` of the expression's value (``None`` = unbound)."""
+        if isinstance(expression, VariableExpr):
+            slot = layout.get(expression.variable)
+            return (lambda row: None) if slot is None else itemgetter(slot)
+        fn = self._term_fn(expression, layout)
+        context = self.context
+        encode = self.terms.encode
+
+        def value_id(row: Row) -> Optional[int]:
+            term = fn(row, context)
+            return None if term is None else encode(term)
+
+        return value_id
+
+    def _batches(self, rows: Iterator[Row]) -> Iterator[List[Row]]:
+        """Cut a row generator into batches of 1, 2, 4 ... BATCH_ROWS rows.
+
+        The ramp keeps LIMIT / ASK / EXISTS lazy (the first batch is one
+        row); each batch handed on is one checkpoint carrying its row count.
+        """
+        checkpoint = self._checkpoint
+        size = 1
+        while True:
+            batch = list(islice(rows, size))
+            if not batch:
+                return
+            if checkpoint is not None:
+                checkpoint(len(batch))
+            yield batch
+            if size < BATCH_ROWS:
+                size *= 2
+
+    def _counted(self, batches: Iterable[List[Sequence]]
+                 ) -> Iterator[List[Sequence]]:
+        """Account final result rows on the execution context."""
+        count_row = self.execution.count_row
+        for batch in batches:
+            count_row(len(batch))
+            yield batch
+
+    def _ticker(self) -> Callable[[], None]:
+        """An amortised per-iteration checkpoint for frontier loops."""
+        checkpoint = self._checkpoint
+        if checkpoint is None:
+            return lambda: None
+        ticks = 0
+
+        def tick() -> None:
+            nonlocal ticks
+            ticks += 1
+            if not ticks & 255:
+                checkpoint(256)
+
+        return tick
+
+    def _endpoint(self, term, layout: _Layout) -> Tuple[Optional[int], Optional[int]]:
+        """A path endpoint as ``(slot, None)`` or ``(None, constant id)``."""
+        if isinstance(term, Variable):
+            return layout[term], None
+        return None, self.terms.encode(term)
 
     # -- group pattern evaluation -------------------------------------------
     def _group_elements(self, group: GroupPattern) -> Sequence:
@@ -577,120 +723,65 @@ class QueryEvaluator:
         cardinality-first with bound-variable propagation, so e.g. an
         unanchored transitive closure runs after the patterns that bind one
         of its endpoints.  FILTER / OPTIONAL / MINUS / BIND / VALUES / UNION
-        / sub-SELECT elements never move.  The ordering is cached in the
-        plan store under the *group's* identity (disjoint from the BGP /
-        closure entries, which key their own AST nodes).
+        / sub-SELECT elements never move.
         """
         elements = group.elements
         if not self.optimize_joins or len(elements) < 2:
             return elements
-        store = self._plan_store()
-        if store is not None:
-            ordered = store.get(id(group))
-            if ordered is not None:
-                return ordered
-        ordered = reorder_group_elements(self.graph, elements)
-        if store is not None:
-            store[id(group)] = ordered
-        return ordered
+        return self._compiled(id(group), reorder_group_elements,
+                              self.graph, elements)
 
     def _evaluate_group(self, group: GroupPattern,
-                        solutions: Iterator[Solution]) -> Iterator[Solution]:
-        """Chain one lazy operator per group element over ``solutions``."""
-        stream = solutions
+                        batches: Iterator[List[Row]],
+                        layout: _Layout) -> Iterator[List[Row]]:
+        """Chain one lazy operator per group element over ``batches``."""
         for element in self._group_elements(group):
             if isinstance(element, BGP):
-                stream = self._stream_bgp(element, stream)
+                batches = self._batches(self._bgp(element, batches, layout))
             elif isinstance(element, PathPattern):
-                stream = self._stream_path(element, stream)
+                # seq/alt/inv lower to BGPs and unions over fresh join
+                # variables (which own slots no projection ever names),
+                # */+/? to closures, !(...) to a negated-set scan.
+                batches = self._evaluate_group(
+                    rewrite_path_pattern(element)[0], batches, layout)
             elif isinstance(element, ClosurePattern):
-                stream = self._stream_closure(element, stream)
+                batches = self._batches(self._closure(element, batches, layout))
             elif isinstance(element, NegatedPathPattern):
-                stream = self._stream_negated(element, stream)
+                batches = self._batches(self._negated(element, batches, layout))
             elif isinstance(element, FilterPattern):
-                stream = self._stream_filter(element.expression, stream)
+                batches = self._filter(element, batches, layout)
             elif isinstance(element, OptionalPattern):
-                stream = self._stream_optional(element, stream)
+                batches = self._optional(element, batches, layout)
             elif isinstance(element, UnionPattern):
-                stream = self._stream_union(element, stream)
+                batches = self._union(element, batches, layout)
             elif isinstance(element, MinusPattern):
-                stream = self._stream_minus(element, stream)
+                batches = self._minus(element, batches, layout)
             elif isinstance(element, BindPattern):
-                stream = self._stream_bind(element, stream)
+                batches = self._bind(element, batches, layout)
             elif isinstance(element, ValuesPattern):
-                stream = self._stream_values(element, stream)
+                batches = self._batches(self._values(element, batches, layout))
             elif isinstance(element, SubSelectPattern):
-                stream = self._stream_subselect(element, stream)
+                batches = self._batches(self._subselect(element, batches, layout))
             else:  # pragma: no cover - defensive
                 raise QueryError(f"unsupported pattern element {type(element).__name__}")
-        return stream
+        return batches
 
-    # -- BGP compilation ----------------------------------------------------
-    def _plan_store(self) -> Optional[Dict[int, object]]:
-        """The plan's compiled-pattern store for this (graph, epoch) target.
-
-        Shared by BGPs, closures and negated-set patterns: entries are keyed
-        by AST-node identity, and the store itself is keyed by (graph object,
-        mutation epoch), so every compiled artifact is epoch-invalidated the
-        same way.
-        """
-        store = self._plan_state
-        if store is None and self.plan is not None:
-            store = self._plan_state = self.plan.state_for(
-                self.graph, self.optimize_joins).compiled
-        return store
-
-    def _compiled_bgp(self, bgp: BGP) -> _CompiledBGP:
-        store = self._plan_store()
-        if store is not None:
-            compiled = store.get(id(bgp))
-            if compiled is not None:
-                return compiled
-        compiled = self._compile_bgp(bgp)
-        if store is not None:
-            # Concurrent evaluators may both compile the same BGP; either
-            # result is correct for this (graph, epoch) and the dict write
-            # is atomic, so last-writer-wins is benign.
-            store[id(bgp)] = compiled
-        return compiled
-
-    def _compiled_closure(self, element: ClosurePattern) -> _CompiledClosure:
-        store = self._plan_store()
-        if store is not None:
-            compiled = store.get(id(element))
-            if compiled is not None:
-                return compiled
-        compiled = _CompiledClosure(self.graph, element)
-        if store is not None:
-            store[id(element)] = compiled
-        return compiled
-
-    def _compiled_negated(self, element: NegatedPathPattern) -> _CompiledNegated:
-        store = self._plan_store()
-        if store is not None:
-            compiled = store.get(id(element))
-            if compiled is not None:
-                return compiled
-        compiled = _CompiledNegated(self.graph, element)
-        if store is not None:
-            store[id(element)] = compiled
-        return compiled
-
-    def _compile_bgp(self, bgp: BGP) -> _CompiledBGP:
+    # -- BGP join -------------------------------------------------------------
+    def _compile_bgp(self, bgp: BGP, layout: _Layout) -> _CompiledBGP:
         graph = self.graph
         patterns = list(bgp.triples)
         if self.optimize_joins and len(patterns) > 1:
             patterns = reorder_patterns(graph, patterns)
         lookup = graph.dictionary.lookup
-        var_slots: Dict[Variable, int] = {}
+        slots: Dict[int, None] = {}
         specs = []
         empty = False
         for pattern in patterns:
             spec = []
             for term in pattern:
                 if isinstance(term, Variable):
-                    slot = var_slots.setdefault(term, len(var_slots))
-                    spec.append((None, slot))
+                    slots[layout[term]] = None
+                    spec.append((None, layout[term]))
                 else:
                     term_id = lookup(term)
                     if term_id is None:
@@ -700,58 +791,48 @@ class QueryEvaluator:
             specs.append(tuple(spec))
         if self.optimize_joins and not empty and len(specs) > 1:
             kept, intersectors = _fold_intersectors(specs)
-            return _CompiledBGP(tuple(kept), var_slots, empty,
+            return _CompiledBGP(tuple(kept), tuple(slots), empty,
                                 tuple(intersectors))
-        return _CompiledBGP(tuple(specs), var_slots, empty)
+        return _CompiledBGP(tuple(specs), tuple(slots), empty)
 
-    # -- streaming operators -------------------------------------------------
-    def _stream_bgp(self, bgp: BGP, solutions: Iterator[Solution],
-                    project: Optional[frozenset] = None) -> Iterator[Solution]:
-        compiled = self._compiled_bgp(bgp)
+    def _bgp(self, bgp: BGP, batches: Iterator[List[Row]],
+             layout: _Layout) -> Iterator[Row]:
+        """Index-nested-loop join: one output row per match per input row.
+
+        Iterative backtracking (one frame, no recursion) that binds straight
+        into ``env``, a copy of the input row: per level it keeps the
+        running scan and the slots bound by the element being explored.
+        Levels with exactly one unbound slot iterate the completing index
+        set directly (ids, no triple tuples); the innermost level emits one
+        row copy per match.
+        """
+        compiled = self._compiled(id(bgp), self._compile_bgp, bgp, layout)
         if compiled.empty:
             return
         graph = self.graph
-        dictionary = graph.dictionary
-        lookup = dictionary.lookup
-        decode = dictionary.decode
         triples_ids = graph.triples_ids
+        contains_ids = graph.contains_ids
+        object_ids, subject_ids = graph.object_ids, graph.subject_ids
+        predicate_ids = graph.predicate_ids
         specs = compiled.specs
-        num_patterns = len(specs)
-        last_level = num_patterns - 1
-        seed_items = tuple(compiled.var_slots.items())
-        # Emitted rows carry every BGP variable unless a projection hint
-        # restricts them (single-BGP SELECT fast path).
-        slot_items = seed_items if project is None else tuple(
-            item for item in seed_items if item[0] in project)
-        slot_vars = compiled.slot_vars
-        lookups = 0
-        execution = self.execution
-        checkpoint = execution.checkpoint if execution is not None else None
-        # Amortised interruption ticks shared by both hot loops (the
-        # backtracking join and the generic leaf scan): one checkpoint call
-        # per 256 iterations keeps the per-iteration cost to an increment
-        # and a bitmask test.
+        intersectors = compiled.intersectors
+        bgp_slots = compiled.slots
+        last = len(specs) - 1
+        checkpoint = self._checkpoint
+        terms = self.terms
+        # Amortised interruption ticks: one checkpoint call per 256 join-loop
+        # iterations keeps the per-iteration cost to an increment and a
+        # bitmask test.
         ticks = 0
+        env: Row = []
+        scans = [None] * len(specs)
+        unbound = [()] * len(specs)
+        pending = [()] * len(specs)
+        single_slot = [None] * len(specs)
 
-        # Iterative index-nested-loop join (one frame, no recursion): per
-        # level we keep the running scan, the slots that were unbound when
-        # the scan started, and the slots bound by the scan element being
-        # explored.  The per-level state and the closures below are shared
-        # across input solutions; the backtracking loop leaves every
-        # `pending` entry cleared on exit, so no reset between solutions is
-        # needed beyond re-seeding `env`.
-        env: List[Optional[int]] = [None] * compiled.num_slots
-        scans = [None] * num_patterns
-        unbound = [()] * num_patterns
-        pending = [()] * num_patterns
-        # For levels with exactly one unbound slot the scan iterates the
-        # completing index set directly (ids, no triple tuples);
-        # single_slot[level] records which slot those ids bind.
-        single_slot = [None] * num_patterns
-
-        def resolve(level: int):
-            """Resolve pattern ``level`` under ``env``: (s, p, o, unbound)."""
-            (s_const, s_slot), (p_const, p_slot), (o_const, o_slot) = specs[level]
+        def resolve(spec):
+            """Resolve a pattern spec under ``env``: (s, p, o, unbound)."""
+            (s_const, s_slot), (p_const, p_slot), (o_const, o_slot) = spec
             s = s_const if s_slot is None else env[s_slot]
             p = p_const if p_slot is None else env[p_slot]
             o = o_const if o_slot is None else env[o_slot]
@@ -767,37 +848,26 @@ class QueryEvaluator:
         def direct_values(s, p, o, position: int):
             """The index set completing a pattern with one unbound position."""
             if position == 2:
-                return graph.object_ids(s, p)
+                return object_ids(s, p)
             if position == 0:
-                return graph.subject_ids(p, o)
-            return graph.predicate_ids(s, o)
+                return subject_ids(p, o)
+            return predicate_ids(s, o)
 
-        intersectors = compiled.intersectors
-        contains_ids = graph.contains_ids
-
-        def resolve_ground(ispec):
-            """Resolve a folded spec under ``env`` (join component → None)."""
-            (s_const, s_slot), (p_const, p_slot), (o_const, o_slot) = ispec
-            return (s_const if s_slot is None else env[s_slot],
-                    p_const if p_slot is None else env[p_slot],
-                    o_const if o_slot is None else env[o_slot])
-
-        def intersect_values(level: int, values):
-            """Narrow a level's candidate id set by its folded patterns.
+        def candidates(level: int, s, p, o, position: int):
+            """A level's single-slot candidate ids, narrowed by its folds.
 
             One ``set & set`` per folded pattern replaces one index probe
             per candidate per pattern inside the join loop.  Intersection
             allocates a fresh set every time — the stored index sets the
             graph hands out are never mutated.  Interruption cost is
             charged batch-at-a-time: one checkpoint call carries the whole
-            intersection's work amount, keeping deadline/cancel latency
-            bounded by a single batch instead of ticking per element.
+            intersection's work amount.
             """
-            for ispec, position in intersectors[level]:
+            values = direct_values(s, p, o, position)
+            for ispec, iposition in intersectors[level]:
                 if not values:
                     break
-                s, p, o = resolve_ground(ispec)
-                probe = direct_values(s, p, o, position)
+                probe = direct_values(*resolve(ispec)[:3], iposition)
                 if not probe:
                     return ()
                 if checkpoint is not None:
@@ -805,774 +875,447 @@ class QueryEvaluator:
                 values = values & probe
             return values
 
-        def intersectors_hold(level: int) -> bool:
+        def folds_hold(level: int) -> bool:
             """Folded patterns as ground containment probes.
 
             Taken when the level's join variable arrived pre-bound at
-            runtime (seeded by the input solution), so there is no
-            candidate set to intersect — each folded pattern is fully
-            ground and holds iff the store contains its triple.
+            runtime (seeded by the input row), so there is no candidate set
+            to intersect — each folded pattern is fully ground and holds
+            iff the store contains its triple.
             """
             for ispec, _ in intersectors[level]:
-                s, p, o = resolve_ground(ispec)
                 if checkpoint is not None:
                     checkpoint(1)
-                if not contains_ids(s, p, o):
+                if not contains_ids(*resolve(ispec)[:3]):
                     return False
             return True
 
-        def start_scan(level: int) -> None:
-            s, p, o, unb = resolve(level)
-            if len(unb) == 1:
-                position, slot = unb[0]
-                single_slot[level] = slot
-                values = direct_values(s, p, o, position)
-                if intersectors[level]:
-                    values = intersect_values(level, values)
-                scans[level] = iter(values)
-                return
-            single_slot[level] = None
-            unbound[level] = unb
-            if intersectors[level] and not unb \
-                    and not intersectors_hold(level):
-                scans[level] = iter(())
-                return
-            scans[level] = triples_ids(s, p, o)
-
-        def emit_leaf(solution: Solution) -> Iterator[Solution]:
-            """Resolve the innermost pattern under ``env`` and emit one
-            decoded row per match.
-
-            With a single unbound slot the completing ids come straight off
-            an index set (no triple tuples), and the invariant part of each
-            row is prebuilt once — the per-id work is one dict copy (which
-            reuses cached key hashes) plus one insert.
-            """
-            s, p, o, unb = resolve(last_level)
-            if len(unb) == 1:
-                position, leaf_slot = unb[0]
-                values = direct_values(s, p, o, position)
-                if intersectors[last_level]:
-                    values = intersect_values(last_level, values)
-                if not values:
-                    return
-                base = Solution(solution)
-                for var, slot in slot_items:
-                    if slot != leaf_slot:
-                        base[var] = decode(env[slot])
-                leaf_var = slot_vars[leaf_slot]
-                if project is not None and leaf_var not in project:
-                    # Projection drops the leaf variable: emit one
-                    # (duplicate) row per match, multiset semantics.
-                    yield base
-                    for _ in range(len(values) - 1):
-                        yield Solution(base)
-                    return
-                if len(values) == 1:
-                    # base is not reused: bind in place, skip the copy.
-                    for value in values:
-                        base[leaf_var] = decode(value)
-                    yield base
-                    return
-                for value in values:
-                    row = Solution(base)
-                    row[leaf_var] = decode(value)
-                    yield row
-                return
-            # Zero unbound slots (containment probe) or two/three unbound
-            # slots (possibly a repeated variable): generic scan, binding
-            # and undoing slots per element.  This is where a cross-product
-            # adversary spends its life, so it ticks the amortised
-            # checkpoint.  A leaf with folded patterns can only land here
-            # fully ground (its join variable was seeded): the folds become
-            # containment probes.
-            nonlocal ticks
-            if intersectors[last_level] and not intersectors_hold(last_level):
-                return
-            for triple_ids_row in triples_ids(s, p, o):
-                ticks += 1
-                if checkpoint is not None and not ticks & 255:
-                    checkpoint(256)
-                bound_here = []
-                compatible = True
-                for position, slot in unb:
-                    value = triple_ids_row[position]
-                    current = env[slot]
-                    if current is None:
-                        env[slot] = value
-                        bound_here.append(slot)
-                    elif current != value:
-                        compatible = False
-                        break
-                if compatible:
-                    row = Solution(solution)
-                    for var, slot in slot_items:
-                        row[var] = decode(env[slot])
-                    yield row
-                for slot in bound_here:
-                    env[slot] = None
-
-        try:
-            for solution in solutions:
-                for index in range(compiled.num_slots):
-                    env[index] = None
-                dead = False
-                for var, slot in seed_items:
-                    term = solution.get(var)
-                    if term is not None:
-                        term_id = lookup(term)
-                        if term_id is None:
-                            # Bound to a term the store has never seen: the
-                            # conjunction cannot match for this solution.
-                            dead = True
-                            break
-                        env[slot] = term_id
-                if dead:
+        for batch in batches:
+            for seed in batch:
+                if len(terms) and any(seed[slot] is not None and seed[slot] < 0
+                                      for slot in bgp_slots):
+                    # Bound to a term the store has never seen: the
+                    # conjunction cannot match for this row.
                     continue
-                if num_patterns == 0:
-                    yield Solution(solution)
+                env = seed[:]
+                if last < 0:
+                    yield env
                     continue
-                if num_patterns == 1:
-                    lookups += 1
-                    yield from emit_leaf(solution)
-                    continue
-
-                lookups += 1
-                start_scan(0)
                 level = 0
-                while level >= 0:
-                    ticks += 1
-                    if checkpoint is not None and not ticks & 255:
-                        checkpoint(256)
-                    # Undo bindings from the element previously explored at
-                    # this level before pulling the next one.
-                    for slot in pending[level]:
-                        env[slot] = None
-                    pending[level] = ()
-                    item = next(scans[level], None)
-                    if item is None:
+                while True:
+                    # Descend: resolve pattern `level` under the bindings
+                    # made so far.
+                    self.pattern_lookups += 1
+                    s, p, o, unb = resolve(specs[level])
+                    if level == last:
+                        if len(unb) == 1:
+                            position, slot = unb[0]
+                            for value in candidates(level, s, p, o, position):
+                                row = env[:]
+                                row[slot] = value
+                                yield row
+                        elif not intersectors[level] or folds_hold(level):
+                            # Zero unbound slots (containment probe) or two /
+                            # three (possibly one variable twice): this is
+                            # where a cross-product adversary spends its life.
+                            for triple in triples_ids(s, p, o):
+                                ticks += 1
+                                if checkpoint is not None and not ticks & 255:
+                                    checkpoint(256)
+                                row = env[:]
+                                for position, slot in unb:
+                                    if row[slot] is None:
+                                        row[slot] = triple[position]
+                                    elif row[slot] != triple[position]:
+                                        break
+                                else:
+                                    yield row
                         level -= 1
-                        continue
-                    slot = single_slot[level]
-                    if slot is not None:
-                        # Direct index-set scan: item is the completing id.
-                        env[slot] = item
-                        pending[level] = (slot,)
+                    elif len(unb) == 1:
+                        position, single_slot[level] = unb[0]
+                        scans[level] = iter(candidates(level, s, p, o, position))
                     else:
-                        compatible = True
-                        unb = unbound[level]
-                        if unb:
-                            bound_here = []
-                            for position, bind_slot in unb:
-                                value = item[position]
-                                current = env[bind_slot]
-                                if current is None:
-                                    env[bind_slot] = value
-                                    bound_here.append(bind_slot)
-                                elif current != value:
-                                    # Same variable twice in one pattern bound
-                                    # to two different values by this triple.
-                                    compatible = False
-                                    break
-                            pending[level] = bound_here
-                        if not compatible:
+                        single_slot[level] = None
+                        unbound[level] = unb
+                        scans[level] = (
+                            triples_ids(s, p, o)
+                            if not intersectors[level] or unb or folds_hold(level)
+                            else iter(()))
+                    # Advance: pull the next compatible element at `level`,
+                    # backtracking while scans run dry.
+                    while level >= 0:
+                        ticks += 1
+                        if checkpoint is not None and not ticks & 255:
+                            checkpoint(256)
+                        for slot in pending[level]:
+                            env[slot] = None
+                        pending[level] = ()
+                        item = next(scans[level], None)
+                        if item is None:
+                            level -= 1
                             continue
-                    lookups += 1
-                    if level == last_level - 1:
-                        yield from emit_leaf(solution)
+                        slot = single_slot[level]
+                        if slot is not None:
+                            env[slot] = item
+                            pending[level] = (slot,)
+                            break
+                        bound_here = []
+                        for position, slot in unbound[level]:
+                            if env[slot] is None:
+                                env[slot] = item[position]
+                                bound_here.append(slot)
+                            elif env[slot] != item[position]:
+                                # One variable twice in the pattern, bound to
+                                # two different values by this triple.
+                                break
+                        else:
+                            pending[level] = bound_here
+                            break
+                        for slot in bound_here:
+                            env[slot] = None
                     else:
-                        level += 1
-                        start_scan(level)
-        finally:
-            self.pattern_lookups += lookups
+                        break
+                    level += 1
 
     # -- property paths ------------------------------------------------------
-    def _stream_path(self, element: PathPattern,
-                     solutions: Iterator[Solution]) -> Iterator[Solution]:
-        """Evaluate a property-path pattern by lowering it to plain algebra.
-
-        ``seq``/``alt``/``inv`` become BGPs and unions (compiled and cached
-        like any other), ``*``/``+``/``?`` become closure iterators and
-        ``!(...)`` a negated-set scan.  Fresh join variables introduced by
-        the rewrite are stripped from emitted rows so they can never leak
-        into projections (``SELECT *`` discovers variables from rows).
-        """
-        group, fresh = rewrite_path_pattern(element)
-        stream = self._evaluate_group(group, solutions)
-        if not fresh:
-            return stream
-
-        def stripped() -> Iterator[Solution]:
-            for row in stream:
-                present = [var for var in fresh if var in row]
-                if present:
-                    row = Solution(row)
-                    for var in present:
-                        del row[var]
-                yield row
-
-        return stripped()
-
-    def _stream_closure(self, element: ClosurePattern,
-                        solutions: Iterator[Solution]) -> Iterator[Solution]:
+    def _closure(self, element: ClosurePattern, batches: Iterator[List[Row]],
+                 layout: _Layout) -> Iterator[Row]:
         """Streaming id-space BFS closure (``path*`` / ``path+`` / ``path?``).
 
-        Per the SPARQL 1.1 ALP semantics each input solution contributes
-        every *distinct* endpoint pair once; a bound subject runs a forward
-        BFS over the SPO index, a bound object a backward BFS over POS via
-        the inverted path, and two unbound endpoints enumerate the node
+        Per the SPARQL 1.1 ALP semantics each input row contributes every
+        *distinct* endpoint pair once; a bound subject runs a forward BFS
+        over the SPO index, a bound object a backward BFS over POS via the
+        inverted path, and two unbound endpoints enumerate the node
         universe.  Zero-length paths (``*``/``?``) match a bound endpoint
-        even when the term is absent from the graph.  The frontier loop
-        ticks the execution context's amortised checkpoint, so closures over
-        cycle-heavy graphs honor deadline/cancel/budget and can be sliced by
-        the scheduler.
+        even when the term is absent from the graph (it then carries a
+        private overlay id, which no index holds).  The frontier loop ticks
+        the execution context's amortised checkpoint, so closures over
+        cycle-heavy graphs honor deadline/cancel/budget.
         """
-        compiled = self._compiled_closure(element)
-        graph = self.graph
-        dictionary = graph.dictionary
-        lookup = dictionary.lookup
-        decode = dictionary.decode
-        execution = self.execution
-        checkpoint = execution.checkpoint if execution is not None else None
-        ticks = 0
-
-        def tick() -> None:
-            nonlocal ticks
-            ticks += 1
-            if checkpoint is not None and not ticks & 255:
-                checkpoint(256)
-
+        compiled = self._compiled(id(element), _CompiledClosure,
+                                  self.graph, element)
+        tick = self._ticker()
         modifier = element.modifier
-        subject = element.subject
-        object_ = element.object
-        s_is_var = isinstance(subject, Variable)
-        o_is_var = isinstance(object_, Variable)
-        same_var = s_is_var and o_is_var and subject is object_
+        zero_length = modifier in ("*", "?")
+        s_slot, s_const = self._endpoint(element.subject, layout)
+        o_slot, o_const = self._endpoint(element.object, layout)
+        same_var = s_slot is not None and s_slot == o_slot
 
-        def directed(step, solution: Solution, start_term: Term,
-                     end_term: Optional[Term],
-                     bind_var: Optional[Variable]) -> Iterator[Solution]:
-            """Emit pairs from a closure anchored at ``start_term``."""
-            start_id = lookup(start_term)
-            end_id = None
-            if modifier in ("*", "?"):
-                # Zero-length path: the bound endpoint matches itself even
-                # when the term does not occur in the graph.
-                if end_term is not None:
-                    if end_term == start_term:
-                        yield Solution(solution)
-                else:
-                    row = Solution(solution)
-                    row[bind_var] = start_term
+        def directed(step, seed: Row, start: int, end: Optional[int],
+                     bind_slot: Optional[int]) -> Iterator[Row]:
+            """Emit pairs from a closure anchored at ``start``."""
+            if zero_length:
+                if end is None:
+                    row = seed[:]
+                    row[bind_slot] = start
                     yield row
-            if start_id is None:
+                elif end == start:
+                    yield seed[:]
+            if start < 0 or (end is not None and end < 0):
                 return  # unknown term: no edges, zero-length handled above
-            if end_term is not None:
-                end_id = lookup(end_term)
-                if end_id is None:
-                    return
-            if modifier == "?":
-                seen = set()
-                for successor in step(start_id, tick):
-                    tick()
-                    if successor in seen:
-                        continue
-                    seen.add(successor)
-                    if successor == start_id:
-                        continue  # (x, x) already emitted as zero-length
-                    if end_id is not None:
-                        if successor == end_id:
-                            yield Solution(solution)
-                            return
-                    else:
-                        row = Solution(solution)
-                        row[bind_var] = decode(successor)
-                        yield row
-                return
-            skip_start = modifier == "*"
-            seen = set()
-            frontier = [start_id]
-            while frontier:
-                next_frontier = []
-                for node in frontier:
-                    tick()
-                    for successor in step(node, tick):
-                        tick()
-                        if successor in seen:
-                            continue
-                        seen.add(successor)
-                        next_frontier.append(successor)
-                        if skip_start and successor == start_id:
-                            continue  # zero-length pair already emitted
-                        if end_id is not None:
-                            if successor == end_id:
-                                yield Solution(solution)
-                                return
-                        else:
-                            row = Solution(solution)
-                            row[bind_var] = decode(successor)
-                            yield row
-                frontier = next_frontier
-
-        def unbound_pairs(solution: Solution) -> Iterator[Solution]:
-            """Both endpoints unbound: every node of the graph is a start."""
-            step = compiled.forward
-            for node in self._node_ids(graph):
-                tick()
-                if modifier in ("*", "?"):
-                    term = decode(node)
-                    row = Solution(solution)
-                    row[subject] = term
-                    if not same_var:
-                        row[object_] = term
+            for node in _reachable(step, start, modifier, tick):
+                if zero_length and node == start:
+                    continue  # (x, x) already emitted as zero-length
+                if end is None:
+                    row = seed[:]
+                    row[bind_slot] = node
                     yield row
-                if modifier == "?":
-                    seen = set()
-                    for successor in step(node, tick):
-                        tick()
-                        if successor in seen or successor == node:
-                            continue
-                        seen.add(successor)
-                        if same_var:
-                            continue  # needs successor == node, emitted above
-                        row = Solution(solution)
-                        row[subject] = decode(node)
-                        row[object_] = decode(successor)
-                        yield row
-                    continue
-                seen = set()
-                frontier = [node]
-                while frontier:
-                    next_frontier = []
-                    for member in frontier:
-                        tick()
-                        for successor in step(member, tick):
-                            tick()
-                            if successor in seen:
-                                continue
-                            seen.add(successor)
-                            next_frontier.append(successor)
-                            if modifier == "*" and successor == node:
-                                continue  # zero-length pair already emitted
-                            if same_var:
-                                if successor == node:
-                                    row = Solution(solution)
-                                    row[subject] = decode(node)
-                                    yield row
-                                continue
-                            row = Solution(solution)
-                            row[subject] = decode(node)
-                            row[object_] = decode(successor)
-                            yield row
-                    frontier = next_frontier
+                elif node == end:
+                    yield seed[:]
+                    return
 
-        for solution in solutions:
-            if checkpoint is not None:
-                checkpoint()
-            s_term = solution.get(subject) if s_is_var else subject
-            o_term = solution.get(object_) if o_is_var else object_
-            if s_term is not None:
-                yield from directed(compiled.forward, solution, s_term, o_term,
-                                    object_ if o_term is None else None)
-            elif o_term is not None:
-                yield from directed(compiled.backward, solution, o_term, None,
-                                    subject)
-            else:
-                yield from unbound_pairs(solution)
+        for batch in batches:
+            for seed in batch:
+                s = s_const if s_slot is None else seed[s_slot]
+                o = o_const if o_slot is None else seed[o_slot]
+                if s is not None:
+                    yield from directed(compiled.forward, seed, s, o,
+                                        o_slot if o is None else None)
+                elif o is not None:
+                    yield from directed(compiled.backward, seed, o, None, s_slot)
+                else:
+                    # Both endpoints unbound: every node of the graph is a
+                    # start (one variable twice: and must end there too).
+                    for start in self.graph.node_ids():
+                        row = seed[:]
+                        row[s_slot] = start
+                        yield from directed(compiled.forward, row, start,
+                                            start if same_var else None, o_slot)
 
-    def _stream_negated(self, element: NegatedPathPattern,
-                        solutions: Iterator[Solution]) -> Iterator[Solution]:
+    def _negated(self, element: NegatedPathPattern,
+                 batches: Iterator[List[Row]], layout: _Layout) -> Iterator[Row]:
         """Negated property set: scan edges whose predicate is not excluded.
 
         Bag semantics (one row per matching triple per direction), matching
         the SPARQL 1.1 definition where ``!(...)`` is an edge step, not a
         closure.
         """
-        compiled = self._compiled_negated(element)
-        graph = self.graph
-        dictionary = graph.dictionary
-        lookup = dictionary.lookup
-        decode = dictionary.decode
-        triples_ids = graph.triples_ids
-        execution = self.execution
-        checkpoint = execution.checkpoint if execution is not None else None
-        ticks = 0
-        subject = element.subject
-        object_ = element.object
-        s_is_var = isinstance(subject, Variable)
-        o_is_var = isinstance(object_, Variable)
-        same_var = s_is_var and o_is_var and subject is object_
-        forward_ids = compiled.forward_ids
-        inverse_ids = compiled.inverse_ids
+        directions = self._compiled(id(element), _CompiledNegated,
+                                    self.graph, element.path).directions
+        triples_ids = self.graph.triples_ids
+        tick = self._ticker()
+        s_slot, s_const = self._endpoint(element.subject, layout)
+        o_slot, o_const = self._endpoint(element.object, layout)
+        same_var = s_slot is not None and s_slot == o_slot
+        for batch in batches:
+            for seed in batch:
+                s = s_const if s_slot is None else seed[s_slot]
+                o = o_const if o_slot is None else seed[o_slot]
+                for excluded, s_position, o_position in directions:
+                    pattern = [None, None, None]
+                    pattern[s_position], pattern[o_position] = s, o
+                    for triple in triples_ids(*pattern):
+                        tick()
+                        if triple[1] in excluded or (
+                                same_var and triple[0] != triple[2]):
+                            continue
+                        row = seed[:]
+                        if s is None:
+                            row[s_slot] = triple[s_position]
+                        if o is None:
+                            row[o_slot] = triple[o_position]
+                        yield row
 
-        for solution in solutions:
+    # -- batch operators ------------------------------------------------------
+    def _filter(self, element: FilterPattern, batches: Iterator[List[Row]],
+                layout: _Layout) -> Iterator[List[Row]]:
+        expression = element.expression
+        test = self._compiled((id(expression), "test"), compile_filter,
+                              expression, layout, self.graph.dictionary)
+        context = self.context
+        checkpoint = self._checkpoint
+        for batch in batches:
             if checkpoint is not None:
-                checkpoint()
-            s_term = solution.get(subject) if s_is_var else subject
-            o_term = solution.get(object_) if o_is_var else object_
-            s_id = lookup(s_term) if s_term is not None else None
-            o_id = lookup(o_term) if o_term is not None else None
-            if (s_term is not None and s_id is None) or \
-                    (o_term is not None and o_id is None):
-                continue  # bound to a term the store has never seen
-            if compiled.match_forward:
-                for s, predicate, o in triples_ids(s_id, None, o_id):
-                    ticks += 1
-                    if checkpoint is not None and not ticks & 255:
-                        checkpoint(256)
-                    if predicate in forward_ids:
-                        continue
-                    if same_var and s != o:
-                        continue
-                    row = Solution(solution)
-                    if s_term is None:
-                        row[subject] = decode(s)
-                    if o_term is None and not same_var:
-                        row[object_] = decode(o)
-                    yield row
-            if compiled.match_inverse:
-                # The path matches (s, o) when a triple (o, p, s) exists
-                # with p outside the inverse exclusion set.
-                for o, predicate, s in triples_ids(o_id, None, s_id):
-                    ticks += 1
-                    if checkpoint is not None and not ticks & 255:
-                        checkpoint(256)
-                    if predicate in inverse_ids:
-                        continue
-                    if same_var and s != o:
-                        continue
-                    row = Solution(solution)
-                    if s_term is None:
-                        row[subject] = decode(s)
-                    if o_term is None and not same_var:
-                        row[object_] = decode(o)
-                    yield row
+                checkpoint(len(batch))
+            kept = [row for row in batch if test(row, context)]
+            if kept:
+                yield kept
 
-    @staticmethod
-    def _node_ids(graph: Graph):
-        """All subject/object ids of the graph (the RDF 'node' universe)."""
-        node_ids = getattr(graph, "node_ids", None)
-        if node_ids is not None:
-            return node_ids()
-        out = set()
-        for s, _, o in graph.triples_ids(None, None, None):
-            out.add(s)
-            out.add(o)
-        return out
+    def _optional(self, element: OptionalPattern, batches: Iterator[List[Row]],
+                  layout: _Layout) -> Iterator[List[Row]]:
+        """Left join, a batch at a time.
 
-    def _stream_filter(self, expression: Expression,
-                       solutions: Iterator[Solution]) -> Iterator[Solution]:
-        execution = self.execution
-        for solution in solutions:
-            if execution is not None:
-                execution.checkpoint()
-            if effective_boolean_value(
-                    evaluate_expression(expression, solution, self.context)):
-                yield solution
-
-    def _stream_optional(self, element: OptionalPattern,
-                         solutions: Iterator[Solution]) -> Iterator[Solution]:
-        execution = self.execution
-        for solution in solutions:
-            if execution is not None:
-                execution.checkpoint()
-            matched = False
-            for extended in self._evaluate_group(element.pattern, iter((solution,))):
-                matched = True
+        Each input row is numbered in the element's scratch slot; the inner
+        group runs once over the whole batch (its rows are copies, so they
+        carry the number along), and the inputs whose number never came out
+        are handed on unextended after it.
+        """
+        tag = layout.tags[id(element)]
+        for batch in batches:
+            for index, row in enumerate(batch):
+                row[tag] = index
+            matched = set()
+            for extended in self._evaluate_group(element.pattern,
+                                                 iter((batch,)), layout):
+                matched.update([row[tag] for row in extended])
                 yield extended
-            if not matched:
-                yield solution
+            if len(matched) < len(batch):
+                yield [row for row in batch if row[tag] not in matched]
 
-    def _stream_union(self, element: UnionPattern,
-                      solutions: Iterator[Solution]) -> Iterator[Solution]:
-        base = list(self._guard(solutions))
-        for alternative in element.alternatives:
-            yield from self._guard(
-                self._evaluate_group(alternative, iter(base)))
+    def _union(self, element: UnionPattern, batches: Iterator[List[Row]],
+               layout: _Layout) -> Iterator[List[Row]]:
+        for batch in batches:
+            for alternative in element.alternatives:
+                # Each branch owns its input rows (OPTIONAL numbers them).
+                yield from self._evaluate_group(
+                    alternative, iter(([row[:] for row in batch],)), layout)
 
-    def _stream_minus(self, element: MinusPattern,
-                      solutions: Iterator[Solution]) -> Iterator[Solution]:
-        execution = self.execution
+    def _minus(self, element: MinusPattern, batches: Iterator[List[Row]],
+               layout: _Layout) -> Iterator[List[Row]]:
+        checkpoint = self._checkpoint
+        domain = [layout[variable] for variable in self._layout(element.pattern)]
         excluded = None
-        for solution in solutions:
-            if execution is not None:
-                execution.checkpoint()
-            if excluded is None:
-                excluded = list(self._guard(
-                    self._evaluate_group(element.pattern,
-                                         iter((Solution(),)))))
-            remove = False
+
+        def removed(row: Row) -> bool:
+            """Compatible with an excluded row on at least one shared slot."""
             for other in excluded:
-                shared = set(solution) & set(other)
-                if shared and all(solution[v] == other[v] for v in shared):
-                    remove = True
-                    break
-            if not remove:
-                yield solution
+                shared = False
+                for slot in domain:
+                    if row[slot] is not None and other[slot] is not None:
+                        if row[slot] != other[slot]:
+                            break
+                        shared = True
+                else:
+                    if shared:
+                        return True
+            return False
 
-    def _stream_bind(self, element: BindPattern,
-                     solutions: Iterator[Solution]) -> Iterator[Solution]:
-        execution = self.execution
-        for solution in solutions:
-            if execution is not None:
-                execution.checkpoint()
-            value = evaluate_expression(element.expression, solution, self.context)
-            extended = Solution(solution)
-            if value is not None:
-                if element.variable in extended and extended[element.variable] != value:
-                    continue
-                extended[element.variable] = value
-            yield extended
+        for batch in batches:
+            if checkpoint is not None:
+                checkpoint(len(batch))
+            if excluded is None:
+                excluded = _flatten(self.stream_group(element.pattern, layout))
+            kept = [row for row in batch if not removed(row)]
+            if kept:
+                yield kept
 
-    def _stream_values(self, element: ValuesPattern,
-                       solutions: Iterator[Solution]) -> Iterator[Solution]:
-        value_solutions: List[Solution] = []
-        for row in element.rows:
-            sol = Solution()
-            for var, term in zip(element.variables, row):
-                if term is not None:
-                    sol[var] = term
-            value_solutions.append(sol)
-        execution = self.execution
-        for solution in solutions:
-            if execution is not None:
-                execution.checkpoint()
-            for value_sol in value_solutions:
-                merged = solution.merged(value_sol)
-                if merged is not None:
-                    yield merged
+    def _bind(self, element: BindPattern, batches: Iterator[List[Row]],
+              layout: _Layout) -> Iterator[List[Row]]:
+        value_id = self._id_fn(element.expression, layout)
+        slot = layout[element.variable]
+        checkpoint = self._checkpoint
+        for batch in batches:
+            if checkpoint is not None:
+                checkpoint(len(batch))
+            bound = []
+            for row in batch:
+                value = value_id(row)
+                if value is not None:
+                    row = _merge(row, ((slot, value),))
+                    if row is None:  # already bound to something else
+                        continue
+                bound.append(row)
+            if bound:
+                yield bound
 
-    def _stream_subselect(self, element: SubSelectPattern,
-                          solutions: Iterator[Solution]) -> Iterator[Solution]:
-        execution = self.execution
-        sub_result = None
-        for solution in solutions:
-            if execution is not None:
-                execution.checkpoint()
-            if sub_result is None:
-                sub_result = self.evaluate_select(element.query)
-            for sub_sol in sub_result.solutions:
-                merged_sol = solution.merged(sub_sol)
-                if merged_sol is not None:
-                    yield merged_sol
+    def _values(self, element: ValuesPattern, batches: Iterator[List[Row]],
+                layout: _Layout) -> Iterator[Row]:
+        encode = self.terms.encode
+        bindings = [[(layout[variable], encode(term))
+                     for variable, term in zip(element.variables, values)
+                     if term is not None] for values in element.rows]
+        for batch in batches:
+            for row in batch:
+                for binding in bindings:
+                    merged = _merge(row, binding)
+                    if merged is not None:
+                        yield merged
 
-    def _evaluate_exists(self, pattern: GroupPattern, solution: Solution) -> bool:
+    def _subselect(self, element: SubSelectPattern, batches: Iterator[List[Row]],
+                   layout: _Layout) -> Iterator[Row]:
+        result = None
+        for batch in batches:
+            for row in batch:
+                if result is None:
+                    variables, inner = self.stream_select(element.query)
+                    slots = [layout[variable] for variable in variables]
+                    result = [[(slot, value) for slot, value in zip(slots, found)
+                               if value is not None]
+                              for found in _flatten(inner)]
+                for binding in result:
+                    merged = _merge(row, binding)
+                    if merged is not None:
+                        yield merged
+
+    def _exists(self, pattern: GroupPattern, row: Row, layout: _Layout) -> bool:
         # Stop at the first witness instead of materialising every match.
-        for _ in self._guard(self._evaluate_group(pattern,
-                                                  iter((Solution(solution),)))):
+        for _ in self._evaluate_group(pattern, iter(([row[:]],)), layout):
             return True
         return False
 
     # -- grouping / aggregation ----------------------------------------------
-    def _apply_grouping(self, query: SelectQuery,
-                        solutions: Iterable[Solution]) -> Iterable[Solution]:
-        has_aggregate = any(
-            isinstance(item.expression, Aggregate) for item in query.select_items
-        )
-        if not query.group_by and not has_aggregate:
-            return solutions  # passthrough: keep the pipeline lazy
-        groups: Dict[Tuple, List[Solution]] = {}
-        empty = True
-        for solution in solutions:
-            empty = False
-            key = tuple(
-                evaluate_expression(expr, solution, self.context)
-                for expr in query.group_by
-            )
-            groups.setdefault(key, []).append(solution)
-        if empty and not query.group_by:
-            groups[()] = []
-        aggregated: List[Solution] = []
-        for key, members in groups.items():
-            row = Solution()
-            for expr, value in zip(query.group_by, key):
-                if isinstance(expr, VariableExpr) and value is not None:
-                    row[expr.variable] = value
-            for item in query.select_items:
-                if isinstance(item.expression, Aggregate):
-                    target = item.alias or Variable(f"agg_{len(row)}")
-                    value = self._compute_aggregate(item.expression, members)
-                    if value is not None:
-                        row[target] = value
-            aggregated.append(row)
-        return aggregated
+    def _group(self, query: SelectQuery, batches: Iterator[List[Row]],
+               layout: _Layout) -> List[Row]:
+        """GROUP BY on id keys; one output row per group, in the query layout.
 
-    def _compute_aggregate(self, aggregate: Aggregate,
-                           members: List[Solution]) -> Optional[Term]:
-        values: List[Term] = []
-        if aggregate.expr is None:
-            values = [Literal(1)] * len(members)
+        A grouped row binds the grouping *variables* and, in their alias
+        slots, the aggregates (an aggregate without an alias has no name to
+        be read by, and is not computed).
+        """
+        key_fns = [self._id_fn(expression, layout)
+                   for expression in query.group_by]
+        groups: Dict[Tuple, List[Row]] = {}
+        for batch in batches:
+            for row in batch:
+                groups.setdefault(tuple([fn(row) for fn in key_fns]),
+                                  []).append(row)
+        if not groups and not query.group_by:
+            groups[()] = []
+        key_slots = [layout.get(expression.variable)
+                     if isinstance(expression, VariableExpr) else None
+                     for expression in query.group_by]
+        aggregates = [
+            (layout[item.alias], item.expression,
+             None if item.expression.expr is None
+             else self._id_fn(item.expression.expr, layout))
+            for item in query.select_items
+            if isinstance(item.expression, Aggregate) and item.alias is not None]
+        grouped = []
+        for key, members in groups.items():
+            row = layout.blank()
+            for slot, value in zip(key_slots, key):
+                if slot is not None:
+                    row[slot] = value
+            for slot, aggregate, value_id in aggregates:
+                row[slot] = self._aggregate(aggregate, value_id, members)
+            grouped.append(row)
+        return grouped
+
+    def _aggregate(self, aggregate: Aggregate, value_id: Optional[Callable],
+                   members: List[Row]) -> Optional[int]:
+        terms = self.terms
+        if value_id is None:  # COUNT(*) and friends see one ``1`` per row
+            ids = [terms.encode(Literal(1))] * len(members)
         else:
-            for member in members:
-                value = evaluate_expression(aggregate.expr, member, self.context)
-                if value is not None:
-                    values.append(value)
+            ids = [cell for cell in map(value_id, members) if cell is not None]
         if aggregate.distinct:
-            unique: List[Term] = []
-            seen = set()
-            for value in values:
-                if value not in seen:
-                    seen.add(value)
-                    unique.append(value)
-            values = unique
-        name = aggregate.name
-        if name == "COUNT":
-            return Literal(len(values), datatype=XSD_INTEGER)
-        if not values:
-            return None
-        if name == "SAMPLE":
-            return values[0]
-        if name == "GROUP_CONCAT":
-            return Literal(aggregate.separator.join(str(v) for v in values))
-        if name in ("MIN", "MAX"):
-            keyed = sorted(values, key=lambda t: (t.sort_key()
-                           if not (isinstance(t, Literal) and t.is_numeric())
-                           else (2, float(t.lexical))))
-            numeric = [v for v in values if isinstance(v, Literal) and v.is_numeric()]
-            if numeric and len(numeric) == len(values):
-                chosen = min(numeric, key=lambda t: float(t.lexical)) if name == "MIN" \
-                    else max(numeric, key=lambda t: float(t.lexical))
-                return chosen
-            return keyed[0] if name == "MIN" else keyed[-1]
-        numbers = [float(v.lexical) for v in values
-                   if isinstance(v, Literal) and v.is_numeric()]
-        if not numbers:
-            return None
-        if name == "SUM":
-            total = sum(numbers)
-            return Literal(int(total)) if float(total).is_integer() else Literal(total)
-        if name == "AVG":
-            return Literal(sum(numbers) / len(numbers), datatype=XSD_DOUBLE)
-        raise QueryError(f"unsupported aggregate {name!r}")
+            ids = list(dict.fromkeys(ids))
+        if aggregate.name == "COUNT":
+            return terms.encode(Literal(len(ids), datatype=XSD_INTEGER))
+        value = _fold_aggregate(aggregate, [terms.decode(cell) for cell in ids])
+        return None if value is None else terms.encode(value)
 
     # -- projection / modifiers ----------------------------------------------
-    def _apply_projection(self, query: SelectQuery,
-                          solutions: Iterable[Solution]) -> Tuple[List[Variable], Iterable[Solution]]:
-        if query.select_all:
-            # Variable discovery needs every solution; materialise.
-            materialized = list(solutions)
-            variables: List[Variable] = []
-            for solution in materialized:
-                for var in solution:
-                    if var not in variables:
-                        variables.append(var)
-            if not variables:
-                variables = query.projected_variables()
-            return variables, materialized
-        has_aggregate = any(isinstance(item.expression, Aggregate)
-                            for item in query.select_items)
-        variables = []
-        for item in query.select_items:
-            try:
-                variables.append(item.output_variable)
-            except ValueError:
-                variables.append(Variable(f"expr{len(variables)}"))
-        if has_aggregate:
-            # Aggregate queries were materialised during grouping already.
-            projected = [self._project_row(variables, query.select_items, solution)
-                         for solution in solutions]
-            if not query.group_by and not projected:
-                projected = [Solution()]
-            return variables, projected
-        if all(isinstance(item.expression, VariableExpr) and item.alias is None
-               for item in query.select_items):
-            # Bare-variable projection (the hot case): plain binding copies,
-            # no per-row expression dispatch.
-            sources = [item.expression.variable for item in query.select_items]
-            return variables, self._project_bare(variables, sources, solutions)
-        return variables, (
-            self._project_row(variables, query.select_items, solution)
-            for solution in solutions)
+    def _projection(self, query: SelectQuery,
+                    layout: _Layout) -> Callable[[Row], Tuple]:
+        """``row -> output tuple`` for an explicit SELECT list."""
+        cells: List[object] = []
+        for index, item in enumerate(query.select_items):
+            expression = item.expression
+            if isinstance(expression, Aggregate):
+                # Folded into its output variable's slot during grouping.
+                cells.append(layout[_output_variable(item, index)])
+            elif isinstance(expression, VariableExpr):
+                cells.append(layout[expression.variable])
+            else:
+                cells.append(self._id_fn(expression, layout))
+        if all(type(cell) is int for cell in cells):
+            return _projector(cells)
+        return lambda row: tuple([row[cell] if type(cell) is int else cell(row)
+                                  for cell in cells])
 
     @staticmethod
-    def _project_bare(variables: List[Variable], sources: List[Variable],
-                      solutions: Iterable[Solution]) -> Iterator[Solution]:
-        pairs = list(zip(variables, sources))
-        unique = set(variables)
-        width = len(unique)
-        for solution in solutions:
-            if len(solution) == width and unique.issubset(solution):
-                # The solution binds exactly the projected variables:
-                # projection is the identity, skip the row rebuild.
-                yield solution
-                continue
-            row = Solution()
-            for variable, source in pairs:
-                value = solution.get(source)
-                if value is not None:
-                    row[variable] = value
-            yield row
+    def _bound_variables(query: SelectQuery, rows: List[Row],
+                         layout: _Layout) -> List[Variable]:
+        """``SELECT *``: the variables some solution binds."""
+        candidates = [variable for variable in query.projected_variables()
+                      if variable in layout]
+        unseen = {layout[variable] for variable in candidates}
+        for row in rows:
+            unseen -= {slot for slot in unseen if row[slot] is not None}
+            if not unseen:
+                break
+        bound = [variable for variable in candidates
+                 if layout[variable] not in unseen]
+        return bound or candidates
 
-    def _project_row(self, variables: List[Variable],
-                     select_items: List[SelectItem],
-                     solution: Solution) -> Solution:
-        row = Solution()
-        for variable, item in zip(variables, select_items):
-            if isinstance(item.expression, Aggregate):
-                # Aggregates were already folded in during grouping.
-                if variable in solution:
-                    row[variable] = solution[variable]
-                continue
-            if isinstance(item.expression, VariableExpr) and item.alias is None:
-                value = solution.get(item.expression.variable)
-            else:
-                value = evaluate_expression(item.expression, solution, self.context)
-            if value is not None:
-                row[variable] = value
-        return row
-
-    def _apply_order(self, query: SelectQuery,
-                     solutions: Iterable[Solution]) -> Iterable[Solution]:
-        if not query.order_by:
-            return solutions
-
-        def order_key(condition, solution: Solution) -> Tuple:
-            value = evaluate_expression(condition.expression, solution, self.context)
-            if value is None:
-                return (0, "")
-            if isinstance(value, Literal) and value.is_numeric():
-                return (1, float(value.lexical))
-            return (2, value.n3())
-
+    def _order(self, query: SelectQuery, rows: List[Row],
+               layout: _Layout) -> List[Row]:
+        keys = [self._term_fn(condition.expression, layout)
+                for condition in query.order_by]
+        context = self.context
         # Decorate-sort-undecorate: every sort key is computed exactly once
-        # per solution, then stable sorts compose from the last condition to
-        # the first (each with its own direction).
-        decorated = [
-            ([order_key(condition, solution) for condition in query.order_by],
-             solution)
-            for solution in solutions
-        ]
-        for index in reversed(range(len(query.order_by))):
-            descending = query.order_by[index].descending
-            decorated.sort(key=lambda entry: entry[0][index], reverse=descending)
-        return [solution for _, solution in decorated]
+        # per row, then stable sorts compose from the last condition to the
+        # first (each with its own direction).
+        decorated = [([_order_key(key(row, context)) for key in keys], row)
+                     for row in rows]
+        for index in reversed(range(len(keys))):
+            decorated.sort(key=lambda entry: entry[0][index],
+                           reverse=query.order_by[index].descending)
+        return [row for _, row in decorated]
 
-    def _distinct(self, solutions: Iterable[Solution],
-                  variables: Optional[List[Variable]] = None) -> Iterator[Solution]:
-        """Lazy hash-based dedup over tuples of projected bindings."""
-        seen = set()
-        if variables:
-            for solution in solutions:
-                key = tuple(solution.get(var) for var in variables)
-                if key not in seen:
-                    seen.add(key)
-                    yield solution
-        else:
-            for solution in solutions:
-                key = frozenset(solution.items())
-                if key not in seen:
-                    seen.add(key)
-                    yield solution
-
-    def _apply_slice(self, query: SelectQuery,
-                     solutions: Iterable[Solution]) -> Iterable[Solution]:
-        start = query.offset or 0
-        if query.limit is None and not start:
-            return solutions
-        end = start + query.limit if query.limit is not None else None
-        # islice stops pulling from the pipeline once the page is full, so
-        # LIMIT short-circuits the whole scan/join chain upstream.
-        return islice(iter(solutions), start, end)
+    def _instantiate(self, pattern: TriplePattern, row: Row,
+                     layout: _Layout) -> Optional[Triple]:
+        """Substitute bindings into a triple template; None when a var is unbound."""
+        terms = []
+        for term in pattern:
+            if isinstance(term, Variable):
+                slot = layout.get(term)
+                if slot is None or row[slot] is None:
+                    return None
+                term = self.terms.decode(row[slot])
+            terms.append(term)
+        return Triple(*terms)
 
     # -- updates --------------------------------------------------------------
     def apply_update(self, update: Update, dataset: Optional[Dataset] = None) -> int:
@@ -1602,10 +1345,10 @@ class QueryEvaluator:
             graph.clear()
             return count
         if isinstance(update, ModifyUpdate):
-            # Materialise the WHERE solutions *before* mutating: the lazy
+            # Materialise the WHERE rows *before* mutating: the lazy
             # pipeline must not keep scanning indexes we are rewriting.
-            solutions = list(self._guard(
-                self._evaluate_group(update.where, iter((Solution(),)))))
+            layout = self._layout(update.where)
+            rows = _flatten(self.stream_group(update.where, layout))
             if self.execution is not None:
                 # Last exit before mutation: a deadline or cancellation that
                 # trips here aborts with the graph untouched; past this point
@@ -1614,13 +1357,13 @@ class QueryEvaluator:
                 self.execution.checkpoint(0)
             graph = target(update.graph)
             affected = 0
-            for solution in solutions:
+            for row in rows:
                 for template in update.delete_template:
-                    triple = _instantiate(template, solution)
+                    triple = self._instantiate(template, row, layout)
                     if triple is not None and triple.is_ground():
                         affected += graph.remove(*triple)
                 for template in update.insert_template:
-                    triple = _instantiate(template, solution)
+                    triple = self._instantiate(template, row, layout)
                     if triple is not None and triple.is_ground():
                         if graph.add(triple):
                             affected += 1
@@ -1632,15 +1375,112 @@ class QueryEvaluator:
 # Helpers
 # ---------------------------------------------------------------------------
 
-def _instantiate(pattern: TriplePattern, solution: Solution) -> Optional[Triple]:
-    """Substitute bindings into a triple template; None when a var is unbound."""
-    terms = []
-    for term in pattern:
-        if isinstance(term, Variable):
-            value = solution.get(term)
-            if value is None:
-                return None
-            terms.append(value)
-        else:
-            terms.append(term)
-    return Triple(*terms)
+def _layout_of(scope) -> _Layout:
+    """Slots for a WHERE group, plus everything a SELECT clause names."""
+    layout = _Layout()
+    if isinstance(scope, GroupPattern):
+        layout.add_group(scope)
+        return layout
+    layout.add_group(scope.where)
+    for index, item in enumerate(scope.select_items):
+        layout.add_expression(item.expression)
+        if isinstance(item.expression, VariableExpr):
+            layout.slot(item.expression.variable)
+        elif isinstance(item.expression, Aggregate):
+            layout.slot(_output_variable(item, index))
+    for expression in scope.group_by:
+        layout.add_expression(expression)
+    for condition in scope.order_by:
+        layout.add_expression(condition.expression)
+    return layout
+
+
+def _flatten(batches: Iterable[List[Sequence]]) -> List[Sequence]:
+    return [row for batch in batches for row in batch]
+
+
+def _projector(slots: List[int]) -> Callable[[Row], Tuple]:
+    """``row -> tuple of the cells at slots`` (itemgetter, but always a tuple)."""
+    if len(slots) == 1:
+        slot = slots[0]
+        return lambda row: (row[slot],)
+    if not slots:
+        return lambda row: ()
+    return itemgetter(*slots)
+
+
+def _merge(row: Row, binding: Iterable[Tuple[int, int]]) -> Optional[Row]:
+    """Join-compatible merge of ``(slot, id)`` pairs into a copy of ``row``."""
+    merged = row[:]
+    for slot, value in binding:
+        if merged[slot] is None:
+            merged[slot] = value
+        elif merged[slot] != value:
+            return None
+    return merged
+
+
+def _distinct(batches: Iterable[List[Tuple]]) -> Iterator[List[Tuple]]:
+    """Lazy hash-based dedup over the projected id tuples."""
+    seen = set()
+    for batch in batches:
+        fresh = []
+        for row in batch:
+            if row not in seen:
+                seen.add(row)
+                fresh.append(row)
+        if fresh:
+            yield fresh
+
+
+def _slice(batches: Iterable[List[Tuple]], start: int,
+           end: Optional[int]) -> Iterator[List[Tuple]]:
+    """OFFSET / LIMIT over batches; stops pulling once the page is full, so
+    LIMIT short-circuits the whole scan/join chain upstream."""
+    position = 0
+    for batch in batches:
+        first = position
+        position += len(batch)
+        if position <= start:
+            continue
+        batch = batch[max(0, start - first):
+                      None if end is None else max(0, end - first)]
+        if batch:
+            yield batch
+        if end is not None and position >= end:
+            return
+
+
+def _order_key(term: Optional[Term]) -> Tuple:
+    if term is None:
+        return (0, "")
+    if isinstance(term, Literal) and term.is_numeric():
+        return (1, float(term.lexical))
+    return (2, term.n3())
+
+
+def _fold_aggregate(aggregate: Aggregate, values: List[Term]) -> Optional[Term]:
+    """SAMPLE / GROUP_CONCAT / MIN / MAX / SUM / AVG over the bound values."""
+    if not values:
+        return None
+    name = aggregate.name
+    if name == "SAMPLE":
+        return values[0]
+    if name == "GROUP_CONCAT":
+        return Literal(aggregate.separator.join(str(v) for v in values))
+    numeric = [v for v in values if isinstance(v, Literal) and v.is_numeric()]
+    if name in ("MIN", "MAX"):
+        pick = min if name == "MIN" else max
+        if len(numeric) == len(values):
+            return pick(numeric, key=lambda t: float(t.lexical))
+        return pick(values, key=lambda t: (2, float(t.lexical))
+                    if isinstance(t, Literal) and t.is_numeric()
+                    else t.sort_key())
+    if not numeric:
+        return None
+    total = sum(float(v.lexical) for v in numeric)
+    if name == "SUM":
+        return Literal(int(total)) if float(total).is_integer() else Literal(total)
+    if name == "AVG":
+        return Literal(total / len(numeric), datatype=XSD_DOUBLE)
+    raise QueryError(f"unsupported aggregate {name!r}")

@@ -21,7 +21,7 @@ got before it was stopped.
 Time-sliced scheduling does **not** use the work budget: raising an exception
 through a running generator destroys its cursor state, so the scheduler in
 :mod:`repro.concurrency.scheduler` instead *suspends consumption* of the lazy
-iterator returned by ``QueryEvaluator.stream_select`` when
+batch iterator returned by ``QueryEvaluator.stream_select`` when
 :meth:`~ExecutionContext.quantum_expired` reports the slice is over — the
 generator stays alive, parked exactly where it was, and resumes on the next
 slice.  ``checkpoint`` stays cheap for that reason too: the hot join loop
@@ -33,11 +33,16 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from repro.exceptions import QueryCancelled, QueryPreempted, QueryTimeout
 
-__all__ = ["ExecutionContext", "StreamingResult"]
+__all__ = ["BATCH_ROWS", "ExecutionContext", "StreamingResult"]
+
+#: Most rows the evaluator hands on (and a writer serializes) at once: every
+#: batch boundary is a checkpoint and a scheduler suspension point, so this
+#: bounds deadline / cancel / preemption latency.
+BATCH_ROWS = 256
 
 
 class ExecutionContext:
@@ -138,9 +143,9 @@ class ExecutionContext:
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
-    def count_row(self) -> None:
-        """Record one emitted result row (called by the consuming layer)."""
-        self.rows_emitted += 1
+    def count_row(self, rows: int = 1) -> None:
+        """Record emitted result rows (called by the consuming layer)."""
+        self.rows_emitted += rows
 
     def cancel(self) -> None:
         """Request cancellation; the next checkpoint raises."""
@@ -165,32 +170,32 @@ class ExecutionContext:
 
 
 class StreamingResult:
-    """A lazily evaluated SELECT: variables plus an unconsumed row iterator.
+    """A lazily evaluated SELECT: variables, unconsumed id-row batches, decoder.
 
-    ``QueryEvaluator.stream_select`` / ``SparqlEndpoint.execute_stream``
-    return one of these instead of a materialised
-    :class:`~repro.sparql.results.ResultSet`.  The consumer (normally the
-    scheduler) pulls ``solutions`` in quanta and calls :meth:`finish` once
-    with the final row count so the endpoint can record query statistics on
-    whatever thread drove the iterator.
+    ``SPARQLEndpoint.execute_stream`` returns one of these instead of a
+    materialised :class:`~repro.sparql.results.ResultSet`.  ``batches``
+    yields lists of at most 256 rows, each row a tuple of term ids aligned
+    with ``variables`` (``None`` = unbound); ``terms.decode(id)`` is the
+    cell's term and ``terms.dictionary`` the dictionary the non-negative ids
+    belong to.  The consumer (the scheduler, a result writer) pulls batches —
+    every batch boundary is a suspension point — and calls :meth:`finish`
+    once with the final row count so the endpoint can record query
+    statistics on whatever thread drove the iterator.
     """
 
-    __slots__ = ("variables", "solutions", "finish")
+    __slots__ = ("variables", "batches", "terms", "finish")
 
-    def __init__(self, variables: List[str], solutions: Iterator,
-                 finish: Optional[Callable[[int], None]] = None) -> None:
+    def __init__(self, variables: List, batches: Iterator[List[Sequence]],
+                 terms, finish: Optional[Callable[[int], None]] = None) -> None:
         self.variables = variables
-        self.solutions = solutions
+        self.batches = batches
+        self.terms = terms
         self.finish = finish if finish is not None else (lambda rows: None)
 
-    def materialize(self, context: Optional[ExecutionContext] = None):
+    def materialize(self):
         """Drain the iterator into a ResultSet (convenience, no slicing)."""
         from repro.sparql.results import ResultSet
 
-        rows = []
-        for solution in self.solutions:
-            rows.append(solution)
-            if context is not None:
-                context.count_row()
+        rows = [row for batch in self.batches for row in batch]
         self.finish(len(rows))
-        return ResultSet(self.variables, rows)
+        return ResultSet.from_ids(self.variables, rows, self.terms)

@@ -1,7 +1,14 @@
 """Expression evaluation: SPARQL built-in functions and operators.
 
-The evaluator delegates every expression node to :func:`evaluate_expression`.
-User-defined functions (the paper's ``sql:UDFS.getNodeClass`` and
+Two evaluators share the operator semantics defined here.
+:func:`compile_expression` / :func:`compile_filter` turn an expression AST
+into a closure over *id rows* (the streaming evaluator's fixed-width lists of
+term ids): constant sub-expressions fold at compile time, ``=`` / ``!=`` /
+``IN`` / ``BOUND`` against IRI or blank-node constants compare ids and never
+decode, and everything else decodes a cell by list index on demand.
+:func:`evaluate_expression` is the tree-walking interpreter over
+``Variable -> Term`` solutions; it stays as the independent oracle the
+reference evaluator and the differential tests run.  User-defined functions (the paper's ``sql:UDFS.getNodeClass`` and
 ``sql:UDFS.getKeyValue``) are resolved through a :class:`UDFRegistry` owned by
 the endpoint, which is how KGNet interfaces trained models with the RDF
 engine (paper §III-B and §IV-B.3).
@@ -9,9 +16,10 @@ engine (paper §III-B and §IV-B.3).
 
 from __future__ import annotations
 
+import operator
 import re
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import QueryError, UDFError
 from repro.rdf.terms import (
@@ -42,6 +50,8 @@ __all__ = [
     "UDFRegistry",
     "EvaluationContext",
     "OpaqueValue",
+    "compile_expression",
+    "compile_filter",
     "evaluate_expression",
     "effective_boolean_value",
     "term_to_number",
@@ -51,6 +61,10 @@ __all__ = [
 
 TRUE = Literal("true", datatype=XSD_BOOLEAN)
 FALSE = Literal("false", datatype=XSD_BOOLEAN)
+
+_COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
 
 
 class OpaqueValue(Term):
@@ -128,10 +142,10 @@ class UDFRegistry:
         return self._normalise(name) in self._functions
 
     def call(self, name: str, *args: object) -> object:
-        function = self.lookup(name)
+        key = self._normalise(name)
+        function = self._functions.get(key)
         if function is None:
             raise UDFError(f"unknown user-defined function {name!r}")
-        key = self._normalise(name)
         with self._counts_lock:
             self.call_counts[key] = self.call_counts.get(key, 0) + 1
         return function(*args)
@@ -150,11 +164,17 @@ class EvaluationContext:
     """Everything an expression may need at evaluation time."""
 
     def __init__(self, udfs: Optional[UDFRegistry] = None,
-                 exists_evaluator: Optional[Callable] = None) -> None:
+                 exists_evaluator: Optional[Callable] = None,
+                 terms=None) -> None:
         self.udfs = udfs or UDFRegistry()
         #: Callback used to evaluate EXISTS { ... } sub-patterns; injected by
-        #: the query evaluator to avoid a circular import.
+        #: the query evaluator to avoid a circular import.  The tree-walker
+        #: calls it with ``(pattern, solution)``, compiled closures with
+        #: ``(pattern, id_row, slots)``.
         self.exists_evaluator = exists_evaluator
+        #: id -> Term for compiled closures: the per-query
+        #: :class:`~repro.rdf.dictionary.DictionaryOverlay`'s ``decode``.
+        self.decode = terms.decode if terms is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +219,24 @@ def _boolean(value: bool) -> Literal:
 
 
 def _compare(op: str, left: Term, right: Term) -> bool:
-    if isinstance(left, Literal) and isinstance(right, Literal) and \
-            left.is_numeric() and right.is_numeric():
+    """Compare two *bound* terms (callers map an unbound operand to FALSE).
+
+    Numeric literals compare by value, so ``"1"^^xsd:integer = "1.0"^^
+    xsd:double``; everything else is equal only as the same term.  Order
+    keys (floats, lexical forms, N3 text) are built for ``< <= > >=`` only.
+    """
+    both_literals = isinstance(left, Literal) and isinstance(right, Literal)
+    numeric = both_literals and left.is_numeric() and right.is_numeric()
+    if op == "=" or op == "!=":
+        equal = (float(left.lexical) == float(right.lexical) if numeric
+                 else left == right)
+        return equal if op == "=" else not equal
+    if numeric:
         lv, rv = float(left.lexical), float(right.lexical)
-    elif isinstance(left, Literal) and isinstance(right, Literal):
+    elif both_literals:
         lv, rv = left.lexical, right.lexical
     else:
-        lv, rv = (left.n3() if left is not None else ""), (right.n3() if right is not None else "")
-    if op == "=":
-        if isinstance(left, Literal) and isinstance(right, Literal) and \
-                left.is_numeric() and right.is_numeric():
-            return float(left.lexical) == float(right.lexical)
-        return left == right
-    if op == "!=":
-        return not _compare("=", left, right)
+        lv, rv = left.n3(), right.n3()
     if op == "<":
         return lv < rv
     if op == "<=":
@@ -222,6 +246,32 @@ def _compare(op: str, left: Term, right: Term) -> bool:
     if op == ">=":
         return lv >= rv
     raise QueryError(f"unknown comparison operator {op!r}")
+
+
+def _arithmetic(op: str, left: Optional[Term], right: Optional[Term]) -> Literal:
+    """``+ - * /`` over two evaluated operands (both evaluators)."""
+    lv, rv = term_to_number(left), term_to_number(right)
+    apply = _ARITHMETIC.get(op)
+    if apply is None:
+        raise QueryError(f"unknown operator {op!r}")
+    if op == "/" and rv == 0:
+        raise QueryError("division by zero in FILTER expression")
+    return _make_numeric_literal(apply(lv, rv))
+
+
+def _in_list(value: Optional[Term], members: List[Optional[Term]]) -> bool:
+    return value is not None and any(
+        member is not None and _compare("=", value, member)
+        for member in members)
+
+
+def _call_udf(name: str, args: List[Optional[Term]],
+              context: "EvaluationContext") -> Optional[Term]:
+    """Apply the user-defined function registered with the endpoint as
+    ``name``; resolved per call, as UDFs register and unregister at run time."""
+    if name in context.udfs:
+        return _coerce_udf_result(context.udfs.call(name, *args))
+    raise UDFError(f"unknown function {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +329,242 @@ _BUILTINS: Dict[str, Callable[[List[Optional[Term]]], Term]] = {
 
 
 # ---------------------------------------------------------------------------
-# Expression evaluation
+# Compiled expressions over id rows
+# ---------------------------------------------------------------------------
+#
+# The compiler maps every AST node to ``(closure, is_constant, returns_bool)``.
+# Closures take ``(row, context)``: ``row`` is a list of term ids indexed by
+# slot (``None`` = unbound, negative = the query's private overlay ids) and
+# ``context`` the per-query :class:`EvaluationContext` (``decode``, UDFs,
+# EXISTS callback) — so one compiled closure serves every execution of a
+# cached plan.  Boolean-valued nodes return plain ``bool`` and are boxed to
+# ``TRUE`` / ``FALSE`` only where a term is needed; FILTER never boxes.
+
+_Node = Tuple[Callable, bool, bool]
+
+def compile_expression(expr: Expression, slots: Mapping[Variable, int],
+                       dictionary) -> Callable[[Sequence, EvaluationContext],
+                                               Optional[Term]]:
+    """Compile ``expr`` to ``(row, context) -> Term | None``.
+
+    ``slots`` maps variables to row positions (a variable without a slot can
+    never be bound); ``dictionary`` resolves constants to ids at compile
+    time.  The closure is equivalent to :func:`evaluate_expression` on the
+    decoded row, including the errors it raises.
+    """
+    return _term_fn(_compile(expr, slots, dictionary))
+
+
+def compile_filter(expr: Expression, slots: Mapping[Variable, int],
+                   dictionary) -> Callable[[Sequence, EvaluationContext], bool]:
+    """Compile ``expr`` to its effective boolean value: ``(row, context) -> bool``."""
+    return _test_fn(_compile(expr, slots, dictionary))
+
+
+def _term_fn(node: _Node) -> Callable:
+    fn, _, boolean = node
+    if not boolean:
+        return fn
+    return lambda row, context: TRUE if fn(row, context) else FALSE
+
+
+def _test_fn(node: _Node) -> Callable:
+    fn, _, boolean = node
+    if boolean:
+        return fn
+    return lambda row, context: effective_boolean_value(fn(row, context))
+
+
+def _constant(value: object, boolean: bool = False) -> _Node:
+    return (lambda row, context: value), True, boolean
+
+
+def _fold(fn: Callable, constant: bool, boolean: bool = False) -> _Node:
+    """Evaluate a node over constant operands once, at compile time."""
+    if not constant:
+        return fn, False, boolean
+    try:
+        return _constant(fn(None, None), boolean)
+    except Exception:  # noqa: BLE001 — whatever it raises, it raises per row
+        return fn, False, boolean
+
+
+def _raiser(error: type, message: str) -> _Node:
+    def fail(row, context):
+        raise error(message)
+    return fail, False, False
+
+
+def _id_membership(variable: Expression, constants: Sequence[Expression],
+                   slots: Mapping[Variable, int], dictionary) -> Optional[Callable]:
+    """``?v`` is one of the IRI constants, by id: ``True`` / ``False`` /
+    ``None`` (unbound); no closure when the operands have another shape.
+
+    Sound for IRI and blank-node constants only: those are equal to nothing
+    but the same term, whereas numeric literals are equal by value across
+    lexical forms.  Private (negative) ids and constants the dictionary
+    does not hold fall back to comparing terms.
+    """
+    if not (isinstance(variable, VariableExpr) and all(
+            isinstance(constant, ConstantExpr)
+            and isinstance(constant.value, (IRI, BNode))
+            for constant in constants)):
+        return None
+    slot = slots.get(variable.variable)
+    if slot is None:
+        return None
+    terms = frozenset(constant.value for constant in constants)
+    ids = frozenset(dictionary.lookup(term) for term in terms)
+    all_stored = None not in ids
+
+    def member(row, context):
+        cell = row[slot]
+        if cell is None:
+            return None
+        if cell >= 0 and all_stored:
+            return cell in ids
+        return context.decode(cell) in terms
+
+    return member
+
+
+def _compile(expr: Expression, slots: Mapping[Variable, int],
+             dictionary) -> _Node:
+    if isinstance(expr, ConstantExpr):
+        return _constant(expr.value)
+    if isinstance(expr, VariableExpr):
+        slot = slots.get(expr.variable)
+        if slot is None:
+            return _constant(None)
+
+        def variable(row, context):
+            cell = row[slot]
+            return None if cell is None else context.decode(cell)
+
+        return variable, False, False
+    if isinstance(expr, UnaryOp):
+        operand = _compile(expr.operand, slots, dictionary)
+        if expr.op == "!":
+            test = _test_fn(operand)
+            return _fold(lambda row, context: not test(row, context),
+                         operand[1], True)
+        value = _term_fn(operand)
+        negate = expr.op == "-"
+
+        def signed(row, context):
+            number = term_to_number(value(row, context))
+            return _make_numeric_literal(-number if negate else number)
+
+        return _fold(signed, operand[1])
+    if isinstance(expr, BinaryOp):
+        return _compile_binary(expr, slots, dictionary)
+    if isinstance(expr, InExpr):
+        return _compile_in(expr, slots, dictionary)
+    if isinstance(expr, ExistsExpr):
+        pattern, negated = expr.pattern, expr.negated
+
+        def exists(row, context):
+            if context.exists_evaluator is None:
+                raise QueryError("EXISTS is not available in this context")
+            return context.exists_evaluator(pattern, row, slots) != negated
+
+        return exists, False, True
+    if isinstance(expr, Aggregate):
+        return _raiser(QueryError, "aggregate used outside GROUP BY evaluation")
+    if isinstance(expr, FunctionCall):
+        return _compile_call(expr, slots, dictionary)
+    return _raiser(QueryError,
+                   f"cannot evaluate expression node {type(expr).__name__}")
+
+
+def _compile_binary(expr: BinaryOp, slots: Mapping[Variable, int],
+                    dictionary) -> _Node:
+    op = expr.op
+    left = _compile(expr.left, slots, dictionary)
+    right = _compile(expr.right, slots, dictionary)
+    constant = left[1] and right[1]
+    if op == "&&" or op == "||":
+        first, second = _test_fn(left), _test_fn(right)
+        if op == "&&":
+            return _fold(lambda row, context: first(row, context)
+                         and second(row, context), constant, True)
+        return _fold(lambda row, context: first(row, context)
+                     or second(row, context), constant, True)
+    if op == "=" or op == "!=":
+        same = (_id_membership(expr.left, (expr.right,), slots, dictionary)
+                or _id_membership(expr.right, (expr.left,), slots, dictionary))
+        if same is not None:
+            wanted = op == "="  # an unbound cell (None) satisfies neither
+            return (lambda row, context: same(row, context) is wanted), False, True
+    lhs, rhs = _term_fn(left), _term_fn(right)
+    if op in _COMPARISONS:
+        def compare(row, context):
+            a, b = lhs(row, context), rhs(row, context)
+            return a is not None and b is not None and _compare(op, a, b)
+
+        return _fold(compare, constant, True)
+    return _fold(lambda row, context: _arithmetic(
+        op, lhs(row, context), rhs(row, context)), constant)
+
+
+def _compile_in(expr: InExpr, slots: Mapping[Variable, int],
+                dictionary) -> _Node:
+    negated = expr.negated
+    listed = _id_membership(expr.operand, expr.choices, slots, dictionary)
+    if listed is not None:
+        # Unbound is in no list: ``NOT IN`` holds for it.
+        return (lambda row, context: bool(listed(row, context)) != negated), False, True
+    operand = _compile(expr.operand, slots, dictionary)
+    choices = [_compile(choice, slots, dictionary) for choice in expr.choices]
+    value = _term_fn(operand)
+    members = [_term_fn(choice) for choice in choices]
+
+    return _fold(lambda row, context: _in_list(
+        value(row, context), [fn(row, context) for fn in members]) != negated,
+        operand[1] and all(c[1] for c in choices), True)
+
+
+def _compile_call(expr: FunctionCall, slots: Mapping[Variable, int],
+                  dictionary) -> _Node:
+    name = expr.name.upper()
+    if name == "BOUND":
+        if not expr.args or not isinstance(expr.args[0], VariableExpr):
+            return _raiser(QueryError, "BOUND expects a variable")
+        slot = slots.get(expr.args[0].variable)
+        if slot is None:
+            return _constant(False, True)
+        return (lambda row, context: row[slot] is not None), False, True
+    args = [_compile(arg, slots, dictionary) for arg in expr.args]
+    constant = all(arg[1] for arg in args)
+    if name == "IF":
+        if len(args) != 3:
+            return _raiser(QueryError, "IF expects three arguments")
+        condition = _test_fn(args[0])
+        then, otherwise = _term_fn(args[1]), _term_fn(args[2])
+        return _fold(lambda row, context: then(row, context)
+                     if condition(row, context) else otherwise(row, context),
+                     constant)
+    fns = [_term_fn(arg) for arg in args]
+    if name == "COALESCE":
+        def coalesce(row, context):
+            for fn in fns:
+                value = fn(row, context)
+                if value is not None:
+                    return value
+            return None
+
+        return _fold(coalesce, constant)
+    builtin = _BUILTINS.get(name)
+    if builtin is not None:
+        return _fold(lambda row, context: builtin(
+            [fn(row, context) for fn in fns]), constant)
+    udf = expr.name  # never folded: it may have effects, and is counted
+    return (lambda row, context: _call_udf(
+        udf, [fn(row, context) for fn in fns], context)), False, False
+
+
+# ---------------------------------------------------------------------------
+# Tree-walking interpreter (the reference oracle)
 # ---------------------------------------------------------------------------
 
 def evaluate_expression(expr: Expression, solution: Solution,
@@ -315,29 +600,16 @@ def evaluate_expression(expr: Expression, solution: Solution,
             return _boolean(effective_boolean_value(right))
         left = evaluate_expression(expr.left, solution, context)
         right = evaluate_expression(expr.right, solution, context)
-        if expr.op in ("=", "!=", "<", "<=", ">", ">="):
+        if expr.op in _COMPARISONS:
             if left is None or right is None:
                 return FALSE
             return _boolean(_compare(expr.op, left, right))
-        lv, rv = term_to_number(left), term_to_number(right)
-        if expr.op == "+":
-            return _make_numeric_literal(lv + rv)
-        if expr.op == "-":
-            return _make_numeric_literal(lv - rv)
-        if expr.op == "*":
-            return _make_numeric_literal(lv * rv)
-        if expr.op == "/":
-            if rv == 0:
-                raise QueryError("division by zero in FILTER expression")
-            return _make_numeric_literal(lv / rv)
-        raise QueryError(f"unknown operator {expr.op!r}")
+        return _arithmetic(expr.op, left, right)
 
     if isinstance(expr, InExpr):
         value = evaluate_expression(expr.operand, solution, context)
         members = [evaluate_expression(choice, solution, context) for choice in expr.choices]
-        found = any(value is not None and member is not None and
-                    _compare("=", value, member) for member in members)
-        return _boolean(found != expr.negated)
+        return _boolean(_in_list(value, members) != expr.negated)
 
     if isinstance(expr, ExistsExpr):
         if context.exists_evaluator is None:
@@ -368,11 +640,7 @@ def evaluate_expression(expr: Expression, solution: Solution,
         args = [evaluate_expression(arg, solution, context) for arg in expr.args]
         if name in _BUILTINS:
             return _BUILTINS[name](args)
-        # Fall back to user-defined functions registered with the endpoint.
-        if expr.name in context.udfs:
-            result = context.udfs.call(expr.name, *args)
-            return _coerce_udf_result(result)
-        raise UDFError(f"unknown function {expr.name!r}")
+        return _call_udf(expr.name, args, context)
 
     raise QueryError(f"cannot evaluate expression node {type(expr).__name__}")
 

@@ -8,7 +8,7 @@ the (variable -> value) dictionaries the KGNet inference manager consumes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.rdf.terms import Term, Variable, python_from_term
 
@@ -42,21 +42,54 @@ class Solution(dict):
 
 
 class ResultSet:
-    """The result of a SELECT query."""
+    """The result of a SELECT query.
+
+    The evaluator hands its results over as *id rows* (:meth:`from_ids`):
+    tuples of term ids aligned with :attr:`variables`, plus the ``decode``
+    that turns an id into its term.  :attr:`solutions` decodes them on first
+    access, so a caller that only counts rows or serializes them (the
+    writers in :mod:`~repro.sparql.results.serialize` work from the ids)
+    never builds a ``Solution``; once decoded, the ids are dropped.
+    """
 
     def __init__(self, variables: Sequence[Variable],
                  solutions: Iterable[Solution]) -> None:
         self.variables: List[Variable] = list(variables)
-        self.solutions: List[Solution] = list(solutions)
+        self._solutions: Optional[List[Solution]] = list(solutions)
+        self.id_rows: Optional[List[Sequence[Optional[int]]]] = None
+        self.terms = None
+
+    @classmethod
+    def from_ids(cls, variables: Sequence[Variable],
+                 id_rows: List[Sequence[Optional[int]]], terms) -> "ResultSet":
+        """Wrap evaluator output: ``terms.decode(id)`` is the cell's term."""
+        result = cls(variables, ())
+        result._solutions = None
+        result.id_rows = id_rows
+        result.terms = terms
+        return result
+
+    @property
+    def solutions(self) -> List[Solution]:
+        if self._solutions is None:
+            decode: Callable[[int], Term] = self.terms.decode
+            variables = self.variables
+            self._solutions = [
+                Solution({var: decode(cell) for var, cell in zip(variables, row)
+                          if cell is not None})
+                for row in self.id_rows]
+            # One source of truth from here on: callers may edit the list.
+            self.id_rows = self.terms = None
+        return self._solutions
 
     def __len__(self) -> int:
-        return len(self.solutions)
+        return len(self.id_rows if self._solutions is None else self._solutions)
 
     def __iter__(self) -> Iterator[Solution]:
         return iter(self.solutions)
 
     def __bool__(self) -> bool:
-        return bool(self.solutions)
+        return len(self) > 0
 
     def __getitem__(self, index: int) -> Solution:
         return self.solutions[index]

@@ -12,16 +12,14 @@ SPARQL 1.1 response formats a stock client understands:
 * ``application/n-triples`` / ``text/turtle`` for CONSTRUCT graphs.
 
 Every writer is a generator yielding **bytes** fragments — header first,
-then one fragment per solution row — so an HTTP transport can stream an
-arbitrarily large result with chunked transfer encoding while holding only
-one row's serialization in memory, and write each fragment to the socket
-without a second str→bytes copy.  Term encodings are memoized on the term
-dictionary: the :class:`~repro.rdf.dictionary.TermDictionary` interns every
-decoded term (one object per id for the dataset's lifetime), so the bounded
-module-level memos below are exactly ids → encoded-fragments tables shared
-by *every* stream — a predicate or subject that appears in ten thousand
-rows across ten thousand requests is escaped and UTF-8-encoded once, not
-once per request.
+then one fragment per batch of at most 256 rows — so an HTTP transport can
+stream an arbitrarily large result with chunked transfer encoding while
+holding only one batch's serialization in memory, and write each fragment to
+the socket without a second str→bytes copy.  SELECT results arrive from the
+evaluator as rows of *term ids*; the writers never decode them: each format
+keeps an id → encoded-fragment table per term dictionary (see "Persistent
+encoding memos" below) and a row is a handful of int-keyed probes plus one
+``bytes.join``.
 :func:`negotiate_media_type` implements ``Accept``-header negotiation
 (q-values, ``type/*`` and ``*/*`` ranges) over the formats applicable to a
 given result kind and raises :class:`NotAcceptable` when the client's
@@ -31,16 +29,18 @@ preferences cannot be met.
 from __future__ import annotations
 
 import json
+import operator
 import re
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+import weakref
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 from xml.sax.saxutils import escape as _xml_escape
 from xml.sax.saxutils import quoteattr as _xml_attr
 
 from repro.exceptions import APIError, QueryError
 from repro.rdf.graph import Graph
 from repro.rdf.terms import BNode, IRI, Literal, Term, Variable, XSD_STRING
-from repro.sparql.execution import StreamingResult
-from repro.sparql.results.core import ResultSet, Solution
+from repro.sparql.execution import BATCH_ROWS, StreamingResult
+from repro.sparql.results.core import ResultSet
 
 __all__ = [
     "MEDIA_JSON",
@@ -265,29 +265,25 @@ def _xml_text(text: str) -> str:
     return _xml_escape(_XML_UNREPRESENTABLE.sub("�", text))
 
 
-def _binding_xml(name: str, term: Term) -> str:
+def _binding_body_xml(term: Term) -> str:
+    """The element inside ``<binding name=...>`` for one term."""
     if isinstance(term, IRI):
-        body = f"<uri>{_xml_text(term.value)}</uri>"
-    elif isinstance(term, BNode):
-        body = f"<bnode>{_xml_text(term.id)}</bnode>"
-    elif isinstance(term, Literal):
+        return f"<uri>{_xml_text(term.value)}</uri>"
+    if isinstance(term, BNode):
+        return f"<bnode>{_xml_text(term.id)}</bnode>"
+    if isinstance(term, Literal):
         text = _xml_text(term.lexical)
         if term.language is not None:
-            body = f"<literal xml:lang={_xml_attr(term.language)}>{text}</literal>"
-        elif term.datatype != XSD_STRING:
-            body = (f"<literal datatype={_xml_attr(term.datatype.value)}>"
+            return f"<literal xml:lang={_xml_attr(term.language)}>{text}</literal>"
+        if term.datatype != XSD_STRING:
+            return (f"<literal datatype={_xml_attr(term.datatype.value)}>"
                     f"{text}</literal>")
-        else:
-            body = f"<literal>{text}</literal>"
-    else:
-        raise QueryError(f"cannot serialize term type {type(term).__name__}")
-    return f"<binding name={_xml_attr(name)}>{body}</binding>"
+        return f"<literal>{text}</literal>"
+    raise QueryError(f"cannot serialize term type {type(term).__name__}")
 
 
-def _csv_value(term: Optional[Term]) -> str:
+def _csv_value(term: Term) -> str:
     """W3C CSV results encoding: raw lexical forms, RFC 4180 quoting."""
-    if term is None:
-        return ""
     if isinstance(term, BNode):
         value = f"_:{term.id}"
     elif isinstance(term, IRI):
@@ -299,62 +295,101 @@ def _csv_value(term: Optional[Term]) -> str:
     return value
 
 
-def _tsv_value(term: Optional[Term]) -> str:
-    """W3C TSV results encoding: full SPARQL term syntax, empty if unbound."""
-    return "" if term is None else term.n3()
-
-
 # ---------------------------------------------------------------------------
 # Persistent encoding memos
 # ---------------------------------------------------------------------------
 #
-# One bounded module-level table per wire encoding, keyed on the (interned)
-# term object.  Encoding is a pure function of the term's value, so entries
-# never go stale across datasets or epochs; on overflow a table is simply
-# cleared and re-fills (worst case: re-encode, never a wrong fragment).
-# Plain dict get/set is atomic under the GIL, so concurrent request threads
-# share the tables without a lock — a race costs one duplicate encode.
+# A SELECT writer is handed rows of *cells* plus an :class:`_Encoder`, the
+# cell -> wire-fragment table of its format.  Evaluator output carries term
+# ids, so its table is indexed by id, one per (dictionary, format): ids are
+# never reused, so an entry never goes stale, and a predicate that appears
+# in ten thousand rows across ten thousand requests is escaped and
+# UTF-8-encoded once per process — found again by an int-keyed probe, with no
+# term hashed and none decoded.  Results built from ``Solution`` objects
+# (parsed responses, hand-made result sets) carry the terms themselves and
+# share one term-keyed table per format.  Tables fill lazily, are bounded
+# (cleared, not evicted, on overflow: worst case a re-encode, never a wrong
+# fragment) and need no lock — dict get/set is atomic under the GIL, a race
+# costs one duplicate encode.
 
 _TERM_MEMO_LIMIT = 1 << 16
 
-_JSON_KEY_MEMO: dict = {}   # Variable -> b'"name":'
-_JSON_TERM_MEMO: dict = {}  # Term -> compact binding-object JSON bytes
-_XML_TERM_MEMO: dict = {}   # (Variable, Term) -> <binding> element bytes
-_CSV_TERM_MEMO: dict = {}   # Term|None -> RFC 4180 field bytes
-_TSV_TERM_MEMO: dict = {}   # Term|None -> SPARQL term syntax bytes
-_N3_TERM_MEMO: dict = {}    # Term -> N-Triples term bytes
+
+class _Encoder:
+    """``cell -> bytes`` for one wire format, over one fragment table."""
+
+    __slots__ = ("memo", "get", "_encode", "_decode")
+
+    def __init__(self, memo: dict, encode: Callable[[Term], str],
+                 decode: Optional[Callable[[int], Term]] = None) -> None:
+        self.memo = memo
+        #: The hot-path probe; ``None`` (or an empty fragment) = :meth:`miss`.
+        self.get = memo.get
+        self._encode = encode
+        self._decode = decode
+
+    def miss(self, cell) -> bytes:
+        term = cell if self._decode is None else self._decode(cell)
+        fragment = self._encode(term).encode("utf-8")
+        if term is cell or cell >= 0:
+            # A negative id is private to one query: never remembered.
+            if len(self.memo) >= _TERM_MEMO_LIMIT:
+                self.memo.clear()
+            self.memo[cell] = fragment
+        return fragment
+
+
+def _json_fragment(term: Term) -> str:
+    return json.dumps(binding_json(term), separators=(",", ":"))
+
+
+#: format -> term-level encoding of one *bound* cell.
+_CELL_ENCODINGS = {"json": _json_fragment, "xml": _binding_body_xml,
+                   "csv": _csv_value, "tsv": operator.methodcaller("n3")}
+
+#: format -> term-keyed table (results that carry terms, not ids).
+_TERM_MEMOS: dict = {form: {} for form in _CELL_ENCODINGS}
+
+#: dictionary -> {format: id-keyed table}; dies with the dictionary.
+_ID_MEMOS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _encoder_for(form: str, terms) -> _Encoder:
+    """The encoder of ``form``: id-keyed when the rows carry ids (``terms``
+    is the query's :class:`~repro.rdf.dictionary.DictionaryOverlay`)."""
+    if terms is None:
+        return _Encoder(_TERM_MEMOS[form], _CELL_ENCODINGS[form])
+    tables = _ID_MEMOS.get(terms.dictionary)
+    if tables is None:
+        tables = _ID_MEMOS.setdefault(terms.dictionary,
+                                      {form: {} for form in _CELL_ENCODINGS})
+    return _Encoder(tables[form], _CELL_ENCODINGS[form], terms.decode)
 
 
 # ---------------------------------------------------------------------------
 # Streaming writers (generators of bytes fragments)
 # ---------------------------------------------------------------------------
+#
+# Each SELECT writer takes the projected variables, an iterator of non-empty
+# row *batches* (rows aligned with the variables, ``None`` = unbound) and the
+# format's encoder, and yields the header, then one fragment per batch.
 
 def write_select_json(variables: Sequence[Variable],
-                      solutions: Iterable[Solution]) -> Iterator[bytes]:
+                      batches: Iterable[Sequence[Sequence]],
+                      encoder: _Encoder) -> Iterator[bytes]:
     head = json.dumps({"head": {"vars": [v.name for v in variables]}},
                       separators=(",", ":"))
     yield (head[:-1] + ',"results":{"bindings":[').encode("utf-8")
-    term_memo = _JSON_TERM_MEMO
-    key_memo = _JSON_KEY_MEMO
-    first = True
-    for solution in solutions:
-        parts = []
-        for var, term in solution.items():
-            key = key_memo.get(var)
-            if key is None:
-                if len(key_memo) >= _TERM_MEMO_LIMIT:
-                    key_memo.clear()
-                key = key_memo[var] = (json.dumps(var.name) + ":").encode("utf-8")
-            encoded = term_memo.get(term)
-            if encoded is None:
-                if len(term_memo) >= _TERM_MEMO_LIMIT:
-                    term_memo.clear()
-                encoded = term_memo[term] = json.dumps(
-                    binding_json(term), separators=(",", ":")).encode("utf-8")
-            parts.append(key + encoded)
-        fragment = b"{" + b",".join(parts) + b"}"
-        yield fragment if first else b"," + fragment
-        first = False
+    keys = [(json.dumps(v.name) + ":").encode("utf-8") for v in variables]
+    get, miss = encoder.get, encoder.miss
+    separator = b""
+    for batch in batches:
+        yield separator + b",".join([
+            b"{" + b",".join([key + (get(cell) or miss(cell))
+                              for key, cell in zip(keys, row)
+                              if cell is not None]) + b"}"
+            for row in batch])
+        separator = b","
     yield b"]}}"
 
 
@@ -364,28 +399,19 @@ def write_ask_json(value: bool) -> Iterator[bytes]:
 
 
 def write_select_xml(variables: Sequence[Variable],
-                     solutions: Iterable[Solution]) -> Iterator[bytes]:
+                     batches: Iterable[Sequence[Sequence]],
+                     encoder: _Encoder) -> Iterator[bytes]:
     head = "".join(f'<variable name={_xml_attr(v.name)}/>' for v in variables)
     yield (f'<?xml version="1.0"?>\n<sparql xmlns="{_XMLNS}">'
            f"<head>{head}</head><results>").encode("utf-8")
-    # Keyed by (variable, term): the XML binding element embeds the name.
-    memo = _XML_TERM_MEMO
-    for solution in solutions:
-        parts = [b"<result>"]
-        for var in variables:
-            term = solution.get(var)
-            if term is None:
-                continue
-            key = (var, term)
-            encoded = memo.get(key)
-            if encoded is None:
-                if len(memo) >= _TERM_MEMO_LIMIT:
-                    memo.clear()
-                encoded = memo[key] = _binding_xml(
-                    var.name, term).encode("utf-8")
-            parts.append(encoded)
-        parts.append(b"</result>")
-        yield b"".join(parts)
+    opens = [f"<binding name={_xml_attr(v.name)}>".encode("utf-8")
+             for v in variables]
+    get, miss = encoder.get, encoder.miss
+    for batch in batches:
+        yield b"".join([b"<result>" + b"".join([
+            tag + (get(cell) or miss(cell)) + b"</binding>"
+            for tag, cell in zip(opens, row) if cell is not None]) + b"</result>"
+            for row in batch])
     yield b"</results></sparql>"
 
 
@@ -395,52 +421,38 @@ def write_ask_xml(value: bool) -> Iterator[bytes]:
            "</sparql>").encode("utf-8")
 
 
+def _write_delimited(header: str, delimiter: bytes, newline: bytes,
+                     batches: Iterable[Sequence[Sequence]],
+                     encoder: _Encoder) -> Iterator[bytes]:
+    yield header.encode("utf-8")
+    get, miss = encoder.get, encoder.miss
+    for batch in batches:
+        yield newline.join([
+            delimiter.join([b"" if cell is None else get(cell) or miss(cell)
+                            for cell in row])
+            for row in batch]) + newline
+
+
 def write_select_csv(variables: Sequence[Variable],
-                     solutions: Iterable[Solution]) -> Iterator[bytes]:
-    yield (",".join(v.name for v in variables) + "\r\n").encode("utf-8")
-    memo = _CSV_TERM_MEMO
-    for solution in solutions:
-        parts = []
-        for var in variables:
-            term = solution.get(var)
-            encoded = memo.get(term)
-            if encoded is None:
-                if len(memo) >= _TERM_MEMO_LIMIT:
-                    memo.clear()
-                encoded = memo[term] = _csv_value(term).encode("utf-8")
-            parts.append(encoded)
-        yield b",".join(parts) + b"\r\n"
+                     batches: Iterable[Sequence[Sequence]],
+                     encoder: _Encoder) -> Iterator[bytes]:
+    return _write_delimited(",".join(v.name for v in variables) + "\r\n",
+                            b",", b"\r\n", batches, encoder)
 
 
 def write_select_tsv(variables: Sequence[Variable],
-                     solutions: Iterable[Solution]) -> Iterator[bytes]:
-    yield ("\t".join(f"?{v.name}" for v in variables) + "\n").encode("utf-8")
-    memo = _TSV_TERM_MEMO
-    for solution in solutions:
-        parts = []
-        for var in variables:
-            term = solution.get(var)
-            encoded = memo.get(term)
-            if encoded is None:
-                if len(memo) >= _TERM_MEMO_LIMIT:
-                    memo.clear()
-                encoded = memo[term] = _tsv_value(term).encode("utf-8")
-            parts.append(encoded)
-        yield b"\t".join(parts) + b"\n"
+                     batches: Iterable[Sequence[Sequence]],
+                     encoder: _Encoder) -> Iterator[bytes]:
+    return _write_delimited("\t".join(f"?{v.name}" for v in variables) + "\n",
+                            b"\t", b"\n", batches, encoder)
 
 
 def write_graph_ntriples(graph: Graph) -> Iterator[bytes]:
-    memo = _N3_TERM_MEMO
+    # N-Triples terms are spelled like TSV cells: one table serves both.
+    encoder = _encoder_for("tsv", None)
+    get, miss = encoder.get, encoder.miss
     for triple in graph:
-        parts = []
-        for term in triple:
-            encoded = memo.get(term)
-            if encoded is None:
-                if len(memo) >= _TERM_MEMO_LIMIT:
-                    memo.clear()
-                encoded = memo[term] = term.n3().encode("utf-8")
-            parts.append(encoded)
-        yield b" ".join(parts) + b" .\n"
+        yield b" ".join([get(term) or miss(term) for term in triple]) + b" .\n"
 
 
 def write_graph_turtle(graph: Graph) -> Iterator[bytes]:
@@ -451,11 +463,11 @@ def write_graph_turtle(graph: Graph) -> Iterator[bytes]:
 
 
 _SELECT_WRITERS = {
-    MEDIA_JSON: write_select_json,
-    "application/json": write_select_json,
-    MEDIA_XML: write_select_xml,
-    MEDIA_CSV: write_select_csv,
-    MEDIA_TSV: write_select_tsv,
+    MEDIA_JSON: (write_select_json, "json"),
+    "application/json": (write_select_json, "json"),
+    MEDIA_XML: (write_select_xml, "xml"),
+    MEDIA_CSV: (write_select_csv, "csv"),
+    MEDIA_TSV: (write_select_tsv, "tsv"),
 }
 
 _BOOLEAN_WRITERS = {
@@ -471,7 +483,7 @@ _GRAPH_WRITERS = {
 }
 
 
-def _finishing_rows(result: StreamingResult) -> Iterator[Solution]:
+def _finishing_batches(result: StreamingResult) -> Iterator[Sequence]:
     """Drain a lazy SELECT, reporting the row count on clean exhaustion.
 
     A mid-stream :class:`~repro.exceptions.QueryInterrupted` propagates out
@@ -480,10 +492,23 @@ def _finishing_rows(result: StreamingResult) -> Iterator[Solution]:
     drain as a full one.
     """
     rows = 0
-    for solution in result.solutions:
-        rows += 1
-        yield solution
+    for batch in result.batches:
+        rows += len(batch)
+        yield batch
     result.finish(rows)
+
+
+def _select_batches(result) -> Tuple[Iterator[Sequence], object]:
+    """``(row batches, id decoder or None)`` of a SELECT result."""
+    if isinstance(result, StreamingResult):
+        return _finishing_batches(result), result.terms
+    rows = result.id_rows
+    terms = result.terms
+    if rows is None:
+        variables = result.variables
+        rows = [[solution.get(var) for var in variables] for solution in result]
+    return (rows[start:start + BATCH_ROWS]
+            for start in range(0, len(rows), BATCH_ROWS)), terms
 
 
 def serialize_result(result: object, media_type: str) -> Iterator[bytes]:
@@ -492,18 +517,15 @@ def serialize_result(result: object, media_type: str) -> Iterator[bytes]:
     ``media_type`` must have come from :func:`negotiate_media_type` (or be
     one of the constants above); an inapplicable combination — CSV for an
     ASK, JSON for a graph — raises :class:`~repro.exceptions.QueryError`.
-    A :class:`~repro.sparql.execution.StreamingResult` serializes row by row
-    as the lazy pipeline produces them, which keeps the execution context's
-    deadline and cancellation live for the whole transfer.
+    A :class:`~repro.sparql.execution.StreamingResult` serializes batch by
+    batch as the lazy pipeline produces them, which keeps the execution
+    context's deadline and cancellation live for the whole transfer.
     """
-    if isinstance(result, ResultSet):
-        writer = _SELECT_WRITERS.get(media_type)
+    if isinstance(result, (ResultSet, StreamingResult)):
+        writer, form = _SELECT_WRITERS.get(media_type, (None, None))
         if writer is not None:
-            return writer(result.variables, iter(result))
-    elif isinstance(result, StreamingResult):
-        writer = _SELECT_WRITERS.get(media_type)
-        if writer is not None:
-            return writer(result.variables, _finishing_rows(result))
+            batches, terms = _select_batches(result)
+            return writer(result.variables, batches, _encoder_for(form, terms))
     elif isinstance(result, bool):
         writer = _BOOLEAN_WRITERS.get(media_type)
         if writer is not None:

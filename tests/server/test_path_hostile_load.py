@@ -131,6 +131,37 @@ class TestClosureDeadline:
         assert len(body["results"]["bindings"]) == 50
 
 
+class TestJoinDeadline:
+    """The same contract for the id-row join pipeline: rows move in batches
+    now, and a batch must not carry a query past its deadline."""
+
+    @pytest.mark.parametrize("query", [
+        # cross product: RING_SIZE**2 rows out of the generic leaf scan
+        f"SELECT ?a ?d WHERE {{ ?a <{RING}> ?b . ?c <{RING}> ?d }}",
+        # wide-style: a scan whose every row fans out through a closure
+        f"SELECT ?s ?o ?far WHERE {{ ?s <{RING}> ?o . ?o <{RING}>* ?far }}",
+    ], ids=["cross-product", "wide-scan"])
+    def test_join_adversary_returns_typed_504(self, path_server, query):
+        platform, server = path_server
+        deadline = 0.25
+        t0 = time.perf_counter()
+        status, _, body = http_get(server.base_url, query,
+                                   timeout=str(deadline))
+        elapsed = time.perf_counter() - t0
+        assert status == 504
+        assert body["error"]["code"] == "QUERY_TIMEOUT"
+        details = body["error"]["details"]
+        assert details["work_units"] > 0
+        assert details["rows_emitted"] > 0
+        # Cut within 2x the deadline (the scheduler's own clock), plus the
+        # same socket/JSON slack the closure test allows.
+        assert deadline <= details["elapsed_seconds"] < 2 * deadline
+        assert elapsed < max(2 * deadline + 1.0, 5.0)
+        # The lane is free again.
+        status, _, body = http_get(server.base_url, CHEAP_QUERY)
+        assert status == 200 and len(body["results"]["bindings"]) == 10
+
+
 @pytest.mark.concurrency
 class TestPathFairness:
     def test_cheap_latency_bounded_under_closure_adversary(self):

@@ -170,6 +170,37 @@ class TestStreamCut:
         finally:
             client.close()
 
+    @pytest.mark.parametrize("query", [SCAN, CROSS_PRODUCT],
+                             ids=["wide-scan", "cross-product"])
+    def test_batched_stream_is_cut_within_twice_the_deadline(self, query):
+        # Rows leave the evaluator in batches of up to 256, one fragment
+        # per batch; every batch boundary is still a checkpoint, so a slow
+        # reader cannot carry a query far past its deadline.
+        from repro.server.service import ServiceHandler, ServiceRequest
+        platform = build_platform(triples=20_000)
+        handler = ServiceHandler(platform.api)
+        deadline = 0.4
+        started = time.perf_counter()
+        response = handler.handle(ServiceRequest(
+            method="GET",
+            target=f"/sparql?query={quote(query, safe='')}&timeout={deadline}",
+            headers={"accept": MEDIA_JSON, "cache-control": "no-store"}))
+        assert response.status == 200 and response.is_streaming
+        fragments = 0
+        for fragment in response.body:
+            assert fragment.count(b"}},{") < 256          # at most one batch
+            fragments += 1
+            time.sleep(0.01)                              # a slow socket
+        elapsed = time.perf_counter() - started
+        error = response.stream_error
+        assert isinstance(error, QueryTimeout)
+        assert error.work_units > 0 and error.rows_emitted > 0
+        assert fragments > 2
+        assert deadline <= elapsed < 2 * deadline
+        metrics = platform.api_metrics()["sparql"]
+        assert metrics["streams_cut"] == 1
+        assert metrics["queries_timed_out"] == 1
+
     def test_cancel_mid_stream_cuts_and_records(self, served):
         # Service-level: a disconnect-driven cancel event firing mid-body
         # follows the same contract as a deadline.

@@ -4,7 +4,7 @@ import pytest
 
 from repro.rdf import DBLP, Graph, IRI, Literal, Variable
 from repro.sparql import SPARQLEndpoint
-from repro.sparql.evaluator import estimate_pattern_cardinality, reorder_patterns
+from repro.sparql.optimizer import estimate_pattern_cardinality, reorder_patterns
 from repro.sparql.ast import TriplePattern
 from repro.rdf.terms import RDF_TYPE
 

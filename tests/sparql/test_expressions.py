@@ -237,3 +237,51 @@ class TestAggregates:
         result = numbers_endpoint.select(PREFIXES + """
             SELECT (COUNT(?p) AS ?n) WHERE { ?p dblp:missing ?x . }""")
         assert result[0].get_value("n").to_python() == 0
+
+
+class TestCompareSemantics:
+    """``_compare`` is shared by the tree-walker and the compiled closures."""
+
+    X = "<http://example.org/x>"
+    INT01 = '"01"^^<http://www.w3.org/2001/XMLSchema#integer>'
+    TABLE = [
+        # numeric literals in different lexical forms compare by value
+        ("1 = 1.0", TRUE), ("1 != 1.0", FALSE), (f"{INT01} = 1", TRUE),
+        (f"{INT01} != 1.0", FALSE), ("1 < 1.0", FALSE), ("1 <= 1.0", TRUE),
+        ("2 > 1.5", TRUE), (f"{INT01} >= 2", FALSE),
+        # a language tag makes a different term; order is by lexical form
+        ('"chat"@fr = "chat"', FALSE), ('"chat"@fr != "chat"', TRUE),
+        ('"chat"@fr = "chat"@fr', TRUE), ('"chat"@fr <= "chat"', TRUE),
+        # a numeric literal and a string never compare by value
+        ('"1" = 1', FALSE), ('"1" != 1', TRUE),
+        # IRI vs literal: never equal, ordered by surface form
+        (f'{X} = "http://example.org/x"', FALSE),
+        (f'{X} != "http://example.org/x"', TRUE),
+        (f"{X} = {X}", TRUE), (f"{X} != {X}", FALSE),
+        (f'{X} > "http://example.org/x"', TRUE),
+        # an unbound operand satisfies no comparison at all
+        ("?u = 1", FALSE), ("?u != 1", FALSE), ("?u < 1", FALSE),
+        (f"{X} != ?u", FALSE), ("?u = ?u", FALSE),
+    ]
+
+    @pytest.mark.parametrize("text,expected", TABLE)
+    def test_table(self, text, expected):
+        from repro.rdf.dictionary import DictionaryOverlay, TermDictionary
+        from repro.sparql.functions import compile_expression
+        assert _eval(text) == expected
+        dictionary = TermDictionary()
+        context = EvaluationContext(terms=DictionaryOverlay(dictionary))
+        compiled = compile_expression(_expr(text), {}, dictionary)
+        assert compiled([], context) == expected
+
+    def test_equality_builds_no_order_keys(self, monkeypatch):
+        from repro.sparql.functions import _compare
+        def no_keys(self):
+            raise AssertionError("an order key was built for an equality test")
+        monkeypatch.setattr(IRI, "n3", no_keys)
+        monkeypatch.setattr(Literal, "n3", no_keys)
+        assert _compare("!=", IRI("http://example.org/a"), IRI("http://example.org/b"))
+        assert not _compare("=", IRI("http://example.org/a"), Literal("a"))
+        assert _compare("=", Literal(1), Literal(1.0))
+        with pytest.raises(AssertionError):
+            _compare("<", IRI("http://example.org/a"), Literal("a"))

@@ -101,6 +101,29 @@ class TestPlanCache:
         assert info["pattern_lookups"] == endpoint.total_pattern_lookups
 
 
+class TestBoundedHistory:
+    def test_history_keeps_the_last_records_while_totals_keep_counting(self):
+        endpoint = build_endpoint()
+        bound = SPARQLEndpoint.HISTORY_LIMIT
+        for i in range(10 * bound):
+            # Alternate the three recording paths: query, stream, update.
+            if i % 3 == 0:
+                endpoint.select(QUERY)
+            elif i % 3 == 1:
+                endpoint.execute_stream(QUERY).materialize()
+            else:
+                endpoint.update(f"INSERT DATA {{ <{EX}h{i}> <{EX}q> {i} . }}")
+        assert len(endpoint.history) == bound
+        queries = 10 * bound - 10 * bound // 3
+        assert endpoint.total_pattern_lookups == queries  # one scan each
+        # The newest record is the last request's, per thread and globally.
+        assert endpoint.last_statistics() is endpoint.history[-1]
+        assert endpoint.thread_statistics() is endpoint.history[-1]
+        assert endpoint.last_statistics().kind == "SELECT"
+        endpoint.reset_counters()
+        assert len(endpoint.history) == 0 and endpoint.last_statistics() is None
+
+
 class TestShortCircuit:
     def test_limit_stops_consuming_the_pipeline(self):
         endpoint = build_endpoint(rows=200)

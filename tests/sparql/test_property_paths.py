@@ -306,7 +306,7 @@ class TestExplain:
         endpoint = self.endpoint()
         plan = endpoint.explain(f"SELECT * WHERE {{ ?s <{EX}p>* ?o . }}")
         json.dumps(plan)
-        assert endpoint.history == []  # no statistics recorded
+        assert len(endpoint.history) == 0  # no statistics recorded
 
 
 # ---------------------------------------------------------------------------
