@@ -21,7 +21,8 @@ from repro.sparql.paths import (
     rewrite_path_pattern,
 )
 from repro.sparql.serializer import serialize_path, serialize_query
-from repro.sparql.evaluator import QueryEvaluator, QueryPlan
+from repro.sparql.evaluator import QueryEvaluator
+from repro.sparql.plan import QueryPlan
 from repro.sparql.optimizer import estimate_pattern_cardinality, reorder_patterns
 from repro.sparql.execution import ExecutionContext, StreamingResult
 from repro.sparql.reference import ReferenceQueryEvaluator
@@ -35,12 +36,7 @@ from repro.sparql.functions import (
     evaluate_expression,
 )
 from repro.sparql.results import ResultSet, Solution
-from repro.sparql.endpoint import (
-    PlanCache,
-    QueryStatistics,
-    SPARQLEndpoint,
-    explain_group,
-)
+from repro.sparql.endpoint import PlanCache, QueryStatistics, SPARQLEndpoint
 
 __all__ = [
     "Token",
@@ -65,7 +61,6 @@ __all__ = [
     "is_fresh_path_variable",
     "serialize_path",
     "serialize_query",
-    "explain_group",
     "QueryEvaluator",
     "QueryPlan",
     "ExecutionContext",

@@ -36,205 +36,25 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.exceptions import QueryError
 from repro.rdf.dataset import Dataset
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import NamespaceManager
 from repro.rdf.terms import IRI, Triple
-from repro.sparql.ast import (
-    AskQuery,
-    BGP,
-    BindPattern,
-    ClosurePattern,
-    ConstructQuery,
-    FilterPattern,
-    GroupPattern,
-    MinusPattern,
-    NegatedPathPattern,
-    OptionalPattern,
-    PathPattern,
-    Query,
-    SelectQuery,
-    SubSelectPattern,
-    UnionPattern,
-    Update,
-    ValuesPattern,
-)
-from repro.sparql.evaluator import QueryEvaluator, QueryPlan
+from repro.sparql.ast import AskQuery, ConstructQuery, Query, SelectQuery, Update
+from repro.sparql.cache import EpochLRU
+from repro.sparql.evaluator import QueryEvaluator
 from repro.sparql.execution import ExecutionContext, StreamingResult
 from repro.sparql.functions import UDFRegistry
-from repro.sparql.optimizer import (
-    element_variables,
-    estimate_element_cardinality,
-    explain_bgp_levels,
-    reorder_group_elements,
-)
 from repro.sparql.parser import SPARQLParser
-from repro.sparql.paths import rewrite_path_pattern
+from repro.sparql.plan import QueryPlan, render
 from repro.sparql.results import ResultSet
-from repro.sparql.serializer import (
-    serialize_expression,
-    serialize_path,
-    serialize_term,
-)
 
-__all__ = ["QueryStatistics", "PlanCache", "SPARQLEndpoint", "explain_group"]
-
-
-def _explain_triple(pattern) -> str:
-    return (f"{serialize_term(pattern.subject)} "
-            f"{serialize_term(pattern.predicate)} "
-            f"{serialize_term(pattern.object)}")
-
-
-def _explain_path_endpoints(pattern) -> Dict[str, str]:
-    return {
-        "subject": serialize_term(pattern.subject),
-        "object": serialize_term(pattern.object),
-    }
-
-
-def explain_group(group: GroupPattern, graph: Optional[Graph] = None,
-                  optimize_joins: bool = True,
-                  bound: Optional[set] = None,
-                  analyze: Optional[Callable[[List], int]] = None
-                  ) -> List[Dict[str, object]]:
-    """Render a WHERE group as a list of explain-plan nodes.
-
-    Each node is a plain dict (JSON-serialisable).  When ``graph`` is given
-    and ``optimize_joins`` is set, the nodes appear in the *cost-based*
-    order the evaluator runs them (contiguous join runs reordered, barriers
-    in place), BGPs show their triple patterns in the chosen join order
-    with per-level estimated cardinalities (``levels``), and every join
-    element carries its ``estimated_cardinality`` under the variables bound
-    so far.  Property-path patterns show both the original path expression
-    and the lowered plan it rewrites to — including the streaming closure /
-    negated-property-set iterator nodes, which is how callers see that
-    ``p+`` became a BFS closure rather than a join.
-
-    ``bound`` seeds the variables considered already bound (nested calls).
-    ``analyze`` is an optional callback mapping a triple-pattern prefix to
-    its *actual* row count; when provided, each BGP level also reports
-    ``actual`` — the measured cardinality after joining the levels so far —
-    next to its estimate (``EXPLAIN ANALYZE``).
-    """
-    nodes: List[Dict[str, object]] = []
-    bound = set(bound or ())
-    elements = list(group.elements)
-    costed = graph is not None and optimize_joins
-    if costed and len(elements) > 1:
-        elements = reorder_group_elements(graph, elements)
-    for element in elements:
-        if isinstance(element, BGP):
-            patterns = list(element.triples)
-            optimized = costed and len(patterns) > 1
-            node: Dict[str, object] = {"node": "bgp"}
-            if costed:
-                levels = explain_bgp_levels(graph, patterns, bound)
-                patterns = [pattern for pattern, _ in levels]
-                level_nodes: List[Dict[str, object]] = []
-                for depth, (pattern, estimate) in enumerate(levels):
-                    level: Dict[str, object] = {
-                        "pattern": _explain_triple(pattern),
-                        "estimated": round(estimate, 3),
-                    }
-                    if analyze is not None:
-                        level["actual"] = analyze(patterns[:depth + 1])
-                    level_nodes.append(level)
-                node["levels"] = level_nodes
-                node["estimated_cardinality"] = round(
-                    estimate_element_cardinality(graph, element, bound), 3)
-            node["patterns"] = [_explain_triple(p) for p in patterns]
-            node["join_order_optimized"] = optimized
-            nodes.append(node)
-        elif isinstance(element, PathPattern):
-            rewritten, fresh = rewrite_path_pattern(element)
-            node = {
-                "node": "path",
-                "path": serialize_path(element.path),
-            }
-            node.update(_explain_path_endpoints(element))
-            if costed:
-                node["estimated_cardinality"] = round(
-                    estimate_element_cardinality(graph, element, bound), 3)
-            node["fresh_variables"] = sorted(v.name for v in fresh)
-            node["rewritten"] = explain_group(rewritten, graph, optimize_joins,
-                                              bound=bound, analyze=analyze)
-            nodes.append(node)
-        elif isinstance(element, ClosurePattern):
-            node = {
-                "node": "closure",
-                "iterator": "bfs-closure",
-                "modifier": element.modifier,
-                "path": serialize_path(element.path),
-            }
-            node.update(_explain_path_endpoints(element))
-            if costed:
-                node["estimated_cardinality"] = round(
-                    estimate_element_cardinality(graph, element, bound), 3)
-            nodes.append(node)
-        elif isinstance(element, NegatedPathPattern):
-            node = {
-                "node": "negated-property-set",
-                "path": serialize_path(element.path),
-            }
-            node.update(_explain_path_endpoints(element))
-            if costed:
-                node["estimated_cardinality"] = round(
-                    estimate_element_cardinality(graph, element, bound), 3)
-            nodes.append(node)
-        elif isinstance(element, FilterPattern):
-            nodes.append({
-                "node": "filter",
-                "expression": serialize_expression(element.expression),
-            })
-        elif isinstance(element, OptionalPattern):
-            nodes.append({
-                "node": "optional",
-                "children": explain_group(element.pattern, graph,
-                                          optimize_joins, bound=bound,
-                                          analyze=analyze),
-            })
-        elif isinstance(element, MinusPattern):
-            nodes.append({
-                "node": "minus",
-                "children": explain_group(element.pattern, graph,
-                                          optimize_joins, bound=bound,
-                                          analyze=analyze),
-            })
-        elif isinstance(element, UnionPattern):
-            nodes.append({
-                "node": "union",
-                "branches": [explain_group(branch, graph, optimize_joins,
-                                           bound=bound, analyze=analyze)
-                             for branch in element.alternatives],
-            })
-        elif isinstance(element, BindPattern):
-            nodes.append({
-                "node": "bind",
-                "variable": element.variable.n3(),
-                "expression": serialize_expression(element.expression),
-            })
-        elif isinstance(element, ValuesPattern):
-            nodes.append({
-                "node": "values",
-                "variables": [v.n3() for v in element.variables],
-                "rows": len(element.rows),
-            })
-        elif isinstance(element, SubSelectPattern):
-            nodes.append({
-                "node": "subselect",
-                "children": explain_group(element.query.where, graph,
-                                          optimize_joins),
-            })
-        else:  # pragma: no cover - defensive
-            nodes.append({"node": type(element).__name__})
-        bound.update(element_variables(element))
-    return nodes
+__all__ = ["QueryStatistics", "PlanCache", "ResultCache", "SPARQLEndpoint"]
 
 
 @dataclass
@@ -250,193 +70,70 @@ class QueryStatistics:
     plan_cache_hit: bool = False
 
 
-class _CacheEntry:
-    __slots__ = ("parsed", "plan", "epoch")
-
-    def __init__(self, parsed, plan: Optional[QueryPlan], epoch) -> None:
-        self.parsed = parsed
-        self.plan = plan
-        self.epoch = epoch
+class _CacheEntry(NamedTuple):
+    parsed: object
+    plan: Optional[QueryPlan]
 
 
-class PlanCache:
-    """An LRU cache of parsed queries and their compiled join plans.
+class PlanCache(EpochLRU):
+    """An LRU cache of parsed queries and their plan trees.
 
     Keys are ``(query text, namespace fingerprint)``; values hold the parsed
-    AST plus a :class:`~repro.sparql.evaluator.QueryPlan`.  A lookup whose
+    AST plus a :class:`~repro.sparql.plan.QueryPlan`.  A lookup whose
     stored epoch no longer matches the dataset's counts as an *invalidation*:
     the parse is still reused (parsing does not depend on graph content) but
-    the plan recompiles against the current graph, so a cache hit can never
+    the plan rebuilds against the current graph, so a cache hit can never
     serve stale ids, join orders or results after a mutation.
     """
 
     def __init__(self, maxsize: int = 128) -> None:
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[Tuple, _CacheEntry]" = OrderedDict()
-        #: One lock covers the LRU order and every counter: lookups/stores
-        #: from serving threads interleave, and both the ``move_to_end``
-        #: bookkeeping and the ``hits += 1`` increments are read-modify-write.
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.evictions = 0
+        super().__init__(maxsize, restamp=True)
 
     def lookup(self, key: Tuple, epoch) -> Tuple[Optional[_CacheEntry], bool]:
         """Return ``(entry, fresh)``; entry is None on a miss.
 
         ``fresh`` is False when the entry predates the current epoch (its
-        plan will recompile; only the parse is reused).
+        plan will rebuild; only the parse is reused).
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None, False
-            self._entries.move_to_end(key)
-            if entry.epoch != epoch:
-                entry.epoch = epoch
-                self.invalidations += 1
-                return entry, False
-            self.hits += 1
-            return entry, True
+        return self.get(key, epoch)
 
     def store(self, key: Tuple, parsed, plan: Optional[QueryPlan], epoch) -> _CacheEntry:
-        entry = _CacheEntry(parsed, plan, epoch)
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+        entry = _CacheEntry(parsed, plan)
+        self.put(key, epoch, entry)
         return entry
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
-    def reset_counters(self) -> None:
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-            self.invalidations = 0
-            self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def stats(self) -> Dict[str, object]:
-        with self._lock:
-            total = self.hits + self.misses + self.invalidations
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "invalidations": self.invalidations,
-                "evictions": self.evictions,
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-                "hit_rate": round(self.hits / total, 6) if total else 0.0,
-            }
+class _ResultCacheEntry(NamedTuple):
+    media_type: str
+    body: bytes
 
 
-class _ResultCacheEntry:
-    __slots__ = ("epoch", "media_type", "body")
-
-    def __init__(self, epoch, media_type: str, body: bytes) -> None:
-        self.epoch = epoch
-        self.media_type = media_type
-        self.body = body
-
-
-class ResultCache:
+class ResultCache(EpochLRU):
     """An epoch-invalidated LRU of fully serialized query responses.
 
     Sits *above* the plan cache: where a plan-cache hit skips parsing and
     compilation, a result-cache hit skips evaluation **and** serialization —
     the stored value is the complete pre-encoded response body, ready to
     write to a socket in one call.  Keys are
-    ``(query text, default-graph set, media type)``; each entry remembers
-    the dataset epoch it was computed under, and a lookup at any other epoch
-    counts as an *invalidation* and evicts the entry, so a mutation can
-    never leak a stale body.  Entries above ``max_entry_bytes`` are not
-    cached (a giant dump would evict the whole working set for one client);
-    ``max_bytes`` bounds the total held memory.
+    ``(query text, default-graph set, media type)``; a lookup at any epoch
+    other than the one the body was computed under evicts the entry, so a
+    mutation can never leak a stale body.  Entries above
+    ``max_entry_bytes`` are not cached (a giant dump would evict the whole
+    working set for one client); ``max_bytes`` bounds the total held memory.
     """
 
     def __init__(self, maxsize: int = 256,
                  max_entry_bytes: int = 1 << 20,
                  max_bytes: int = 32 << 20) -> None:
-        self.maxsize = maxsize
+        super().__init__(maxsize, max_bytes=max_bytes)
         self.max_entry_bytes = max_entry_bytes
-        self.max_bytes = max_bytes
-        self._entries: "OrderedDict[Tuple, _ResultCacheEntry]" = OrderedDict()
-        self._lock = threading.RLock()
-        self.total_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.evictions = 0
 
     def lookup(self, key: Tuple, epoch) -> Optional[_ResultCacheEntry]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            if entry.epoch != epoch:
-                # The dataset mutated since this body was serialized; drop
-                # the entry so the fresh store replaces it.
-                del self._entries[key]
-                self.total_bytes -= len(entry.body)
-                self.invalidations += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
+        return self.get(key, epoch)[0]
 
     def store(self, key: Tuple, epoch, media_type: str, body: bytes) -> None:
-        if len(body) > self.max_entry_bytes:
-            return
-        with self._lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self.total_bytes -= len(previous.body)
-            self._entries[key] = _ResultCacheEntry(epoch, media_type, body)
-            self.total_bytes += len(body)
-            while (len(self._entries) > self.maxsize
-                   or self.total_bytes > self.max_bytes):
-                _, evicted = self._entries.popitem(last=False)
-                self.total_bytes -= len(evicted.body)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.total_bytes = 0
-
-    def reset_counters(self) -> None:
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-            self.invalidations = 0
-            self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def stats(self) -> Dict[str, object]:
-        with self._lock:
-            total = self.hits + self.misses + self.invalidations
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "invalidations": self.invalidations,
-                "evictions": self.evictions,
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-                "total_bytes": self.total_bytes,
-                "hit_rate": round(self.hits / total, 6) if total else 0.0,
-            }
+        if len(body) <= self.max_entry_bytes:
+            self.put(key, epoch, _ResultCacheEntry(media_type, body), len(body))
 
 
 class SPARQLEndpoint:
@@ -819,58 +516,46 @@ class SPARQLEndpoint:
     # Introspection
     # ------------------------------------------------------------------
     def explain(self, text: str, analyze: bool = False) -> Dict[str, object]:
-        """Describe how a query would execute, without executing it.
+        """Print the plan a query runs as (see :mod:`repro.sparql.plan`).
 
         Returns a JSON-serialisable dict with the query ``kind``, a
-        ``statistics`` block, and a ``plan`` tree of the WHERE group: BGP
-        nodes list their triple patterns in the optimizer's chosen join
-        order together with per-level estimated cardinalities (``levels``),
-        every join element carries its ``estimated_cardinality``, and
-        property-path patterns additionally expose the lowered plan
-        (``rewritten``) the evaluator streams — fresh-variable join chains,
-        union branches for alternatives, and ``closure`` /
-        ``negated-property-set`` iterator nodes for ``*``/``+``/``?`` and
-        ``!(...)``.
+        ``statistics`` block, and ``plan``: the tree the evaluator runs for
+        the WHERE group, rendered node by node in executed order.  BGP nodes
+        list their triple patterns in the join order with per-level
+        estimated cardinalities (``levels``; a pattern enforced as a set
+        intersection at the level before it is marked ``folded``), every
+        join element carries its ``estimated_cardinality``, and
+        property-path patterns expose the lowered plan (``rewritten``) —
+        fresh-variable join chains, union branches for alternatives, and
+        ``closure`` / ``negated-property-set`` iterator nodes for
+        ``*``/``+``/``?`` and ``!(...)``.
 
         ``statistics`` reports how the plan interacts with the caches: the
         parse/plan-cache outcome for this text (``plan_cache_hit``) plus the
         dataset epoch and the evaluation graph's statistics epoch — the keys
-        under which the compiled join orders are cached, so two ``explain``
-        calls with equal epochs are guaranteed to describe the same cached
-        plan.
+        under which the tree is cached, so two ``explain`` calls with equal
+        epochs describe the same tree, the one ``query`` runs.
 
-        With ``analyze=True`` each BGP level also executes its pattern
-        prefix (in the chosen order, reordering disabled) and reports the
-        *actual* cardinality next to the estimate — the plan-quality
-        contract the optimizer tests pin.  Plain ``explain`` touches no
-        data beyond the cardinality counters the optimizer reads.
+        With ``analyze=True`` the WHERE group is executed once, to
+        exhaustion, and the counters of that run are printed: ``rows_out``
+        per node (and for the group as a whole) and, per BGP level,
+        ``actual`` — the rows it handed on — next to its estimate.  Plain
+        ``explain`` touches no data beyond the cardinality counters the
+        optimizer reads.
         """
-        parsed, _plan, cache_hit = self._cached_parse(text)
+        parsed, plan, cache_hit = self._cached_parse(text)
         if isinstance(parsed, list):
             return {
                 "kind": "UPDATE",
                 "operations": [type(op).__name__ for op in parsed],
             }
-        if isinstance(parsed, SelectQuery):
-            kind = "SELECT"
-        elif isinstance(parsed, AskQuery):
-            kind = "ASK"
-        elif isinstance(parsed, ConstructQuery):
-            kind = "CONSTRUCT"
-        else:  # pragma: no cover - defensive
-            kind = type(parsed).__name__
+        kind = {SelectQuery: "SELECT", AskQuery: "ASK",
+                ConstructQuery: "CONSTRUCT"}[type(parsed)]
         graph = self._evaluation_graph(parsed)
-        counter = None
-        if analyze:
-            def counter(patterns: List) -> int:
-                # The prefix arrives already in the optimizer's chosen
-                # order; evaluate it verbatim so the actuals line up with
-                # the per-level estimates.
-                evaluator = QueryEvaluator(graph, udfs=self.udfs,
-                                           optimize_joins=False)
-                prefix = GroupPattern([BGP(triples=list(patterns))])
-                return sum(map(len, evaluator.stream_group(prefix)))
-        return {
+        run = QueryEvaluator(graph, udfs=self.udfs,
+                             optimize_joins=self.optimize_joins, plan=plan)
+        tree, rows = run.analyze(parsed) if analyze else (run.plan_for(parsed), None)
+        explained = {
             "kind": kind,
             "optimize_joins": self.optimize_joins,
             "statistics": {
@@ -879,9 +564,11 @@ class SPARQLEndpoint:
                 "stats_epoch": getattr(graph, "stats_epoch", None),
                 "num_triples": len(graph),
             },
-            "plan": explain_group(parsed.where, graph, self.optimize_joins,
-                                  analyze=counter),
+            "plan": render(tree.where, graph, run if analyze else None),
         }
+        if analyze:
+            explained["rows_out"] = rows
+        return explained
 
     def last_statistics(self) -> Optional[QueryStatistics]:
         return self.history[-1] if self.history else None

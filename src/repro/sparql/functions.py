@@ -53,6 +53,8 @@ __all__ = [
     "compile_expression",
     "compile_filter",
     "evaluate_expression",
+    "walk_expression",
+    "aggregate_variable",
     "effective_boolean_value",
     "term_to_number",
     "TRUE",
@@ -274,6 +276,33 @@ def _call_udf(name: str, args: List[Optional[Term]],
     raise UDFError(f"unknown function {name!r}")
 
 
+def walk_expression(expression: Optional[Expression]):
+    """Every node of an expression tree (``EXISTS`` groups are not entered)."""
+    stack = [expression]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            continue
+        yield node
+        if isinstance(node, BinaryOp):
+            stack += (node.left, node.right)
+        elif isinstance(node, UnaryOp):
+            stack.append(node.operand)
+        elif isinstance(node, FunctionCall):
+            stack.extend(node.args)
+        elif isinstance(node, InExpr):
+            stack.append(node.operand)
+            stack.extend(node.choices)
+        elif isinstance(node, Aggregate):
+            stack.append(node.expr)
+
+
+def aggregate_variable(aggregate: Aggregate) -> Variable:
+    """The hidden variable a grouped row carries ``aggregate`` under when it
+    occurs inside an expression (HAVING) rather than as a select item."""
+    return Variable(f"__agg{id(aggregate)}")
+
+
 # ---------------------------------------------------------------------------
 # Built-in function implementations
 # ---------------------------------------------------------------------------
@@ -325,6 +354,7 @@ _BUILTINS: Dict[str, Callable[[List[Optional[Term]]], Term]] = {
     "IRI": lambda args: IRI(str(args[0])),
     "URI": lambda args: IRI(str(args[0])),
     "XSD_INTEGER_CAST": lambda args: Literal(int(float(str(args[0])))),
+    "SAMETERM": lambda args: _boolean(args[0] is not None and args[0] == args[1]),
 }
 
 
@@ -428,6 +458,18 @@ def _id_membership(variable: Expression, constants: Sequence[Expression],
     return member
 
 
+def _id_reader(expr: Expression, slots: Mapping[Variable, int],
+               dictionary) -> Optional[Callable]:
+    """``row -> id`` for a variable with a slot or a stored constant."""
+    if isinstance(expr, VariableExpr) and expr.variable in slots:
+        return operator.itemgetter(slots[expr.variable])
+    if isinstance(expr, ConstantExpr) and expr.value is not None:
+        term_id = dictionary.lookup(expr.value)
+        if term_id is not None:
+            return lambda row: term_id
+    return None
+
+
 def _compile(expr: Expression, slots: Mapping[Variable, int],
              dictionary) -> _Node:
     if isinstance(expr, ConstantExpr):
@@ -470,6 +512,9 @@ def _compile(expr: Expression, slots: Mapping[Variable, int],
 
         return exists, False, True
     if isinstance(expr, Aggregate):
+        if aggregate_variable(expr) in slots:  # grouping left it in a slot
+            return _compile(VariableExpr(aggregate_variable(expr)), slots,
+                            dictionary)
         return _raiser(QueryError, "aggregate used outside GROUP BY evaluation")
     if isinstance(expr, FunctionCall):
         return _compile_call(expr, slots, dictionary)
@@ -534,6 +579,15 @@ def _compile_call(expr: FunctionCall, slots: Mapping[Variable, int],
         if slot is None:
             return _constant(False, True)
         return (lambda row, context: row[slot] is not None), False, True
+    if name == "SAMETERM" and len(expr.args) == 2:
+        left, right = (_id_reader(arg, slots, dictionary) for arg in expr.args)
+        if left is not None and right is not None:
+            # One term has one id (stored or private) per query: no decode.
+            def same(row, context):
+                cell = left(row)
+                return cell is not None and cell == right(row)
+
+            return same, False, True
     args = [_compile(arg, slots, dictionary) for arg in expr.args]
     constant = all(arg[1] for arg in args)
     if name == "IF":
@@ -618,6 +672,8 @@ def evaluate_expression(expr: Expression, solution: Solution,
         return _boolean(exists != expr.negated)
 
     if isinstance(expr, Aggregate):
+        if aggregate_variable(expr) in solution:  # grouping left it there
+            return solution[aggregate_variable(expr)]
         raise QueryError("aggregate used outside GROUP BY evaluation")
 
     if isinstance(expr, FunctionCall):

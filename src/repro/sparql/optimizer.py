@@ -13,12 +13,12 @@ plans.  The inputs are all O(1) probes:
   counts) when the predicate itself is unknown.  That is the classical
   ``|R| / V(R, a)`` uniform-frequency selectivity.
 
-On top of the estimator sit two greedy orderers implementing the RDF-3X
-heuristic (smallest estimated cardinality first, bound variables
+On top of the estimator sit two orderers over one greedy loop implementing
+the RDF-3X heuristic (smallest estimated cardinality first, bound variables
 propagated, Cartesian products postponed):
 
-* :func:`reorder_patterns` orders the triple patterns *within* one BGP
-  (this is what the compiled join pipeline consumes), and
+* :func:`reorder_patterns` orders the triple patterns *within* one BGP and
+  hands back the estimate each pick was made under, and
 * :func:`reorder_group_elements` orders whole group elements across a
   contiguous run of join-commutative operators — BGPs, property-path
   patterns, closures (``p+``/``p*``/``p?``) and negated property sets — so
@@ -32,27 +32,30 @@ propagated, Cartesian products postponed):
   is result-identical — the differential and Hypothesis suites under
   ``tests/sparql/test_optimizer.py`` enforce exactly that.)
 
-Determinism contract: every tie in the greedy loops is broken by a
+Determinism contract: every tie in the greedy loop is broken by a
 canonical serialization of the candidate, so *any* written order of the
-same patterns converges on the same chosen plan.  ``explain()`` exposes the
-chosen order with per-level estimates (see
-:func:`repro.sparql.endpoint.explain_group`), which is what the plan-quality
-tests pin.
+same patterns converges on the same chosen plan.  The only caller is the
+plan builder (:mod:`repro.sparql.plan`): the order it gets is the order the
+evaluator runs and ``explain()`` prints, with these per-level estimates.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Set
+from functools import partial
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.rdf.terms import Variable
 from repro.sparql.ast import (
     BGP,
+    BindPattern,
     ClosurePattern,
     GraphPattern,
     NegatedPathPattern,
     PathPattern,
     TriplePattern,
     UnionPattern,
+    ValuesPattern,
 )
 from repro.sparql.paths import path_link_iris, rewrite_path_pattern
 from repro.sparql.serializer import serialize_path, serialize_term
@@ -62,8 +65,9 @@ __all__ = [
     "estimate_element_cardinality",
     "reorder_patterns",
     "reorder_group_elements",
-    "explain_bgp_levels",
-    "is_join_element",
+    "joint_estimate",
+    "pattern_text",
+    "element_variables",
 ]
 
 #: Element types whose adjacency forms a commutative join run.
@@ -76,33 +80,13 @@ _MAX_ESTIMATE = 1e30
 #: scaled by this factor to stand in for the expected reachable set.
 _CLOSURE_EXPANSION = 4.0
 
-#: Selectivity divisor used when the graph exposes no distinct-count
-#: statistics (pre-optimizer behaviour: each bound variable divides by 10).
-_LEGACY_DIVISOR = 10.0
-
-
-def is_join_element(element: GraphPattern) -> bool:
-    """True for elements the group-level reorderer may permute."""
-    return isinstance(element, _JOIN_ELEMENTS)
-
 
 # ---------------------------------------------------------------------------
 # Selectivity estimation
 # ---------------------------------------------------------------------------
 
-def _predicate_id(graph, predicate) -> Optional[int]:
-    encode = getattr(graph, "encode_term", None)
-    if encode is None:
-        return None
-    return encode(predicate)
-
-
-def _distinct(graph, method_name: str, pid: Optional[int]) -> float:
-    """A distinct-count divisor, falling back to the legacy heuristic."""
-    method = getattr(graph, method_name, None)
-    if method is None:
-        return _LEGACY_DIVISOR
-    count = method(pid)
+def _distinct(count: int) -> float:
+    """A distinct-count statistic as a divisor (never zero)."""
     return float(count) if count else 1.0
 
 
@@ -128,24 +112,20 @@ def estimate_pattern_cardinality(graph, pattern: TriplePattern,
     estimate = float(graph.estimate_cardinality(s, p, o))
     if estimate == 0.0:
         return 0.0
-    pid = _predicate_id(graph, p) if p is not None else None
+    pid = graph.encode_term(p) if p is not None else None
     if isinstance(subject, Variable) and subject in bound:
-        estimate /= _distinct(graph, "distinct_subjects_ids", pid)
+        estimate /= _distinct(graph.distinct_subjects_ids(pid))
     if isinstance(predicate, Variable) and predicate in bound:
-        method = getattr(graph, "distinct_predicates_ids", None)
-        divisor = float(method()) if method is not None else _LEGACY_DIVISOR
-        estimate /= divisor if divisor else 1.0
+        estimate /= _distinct(graph.distinct_predicates_ids())
     if isinstance(object_, Variable) and object_ in bound:
-        estimate /= _distinct(graph, "distinct_objects_ids", pid)
+        estimate /= _distinct(graph.distinct_objects_ids(pid))
     return min(max(estimate, 1.0), _MAX_ESTIMATE)
 
 
 def _node_universe(graph) -> float:
     """Planning estimate of the graph's node count (subjects + objects)."""
-    distinct = getattr(graph, "distinct_subjects_ids", None)
-    if distinct is not None:
-        return float(distinct(None) + graph.distinct_objects_ids(None))
-    return float(len(graph))
+    return float(graph.distinct_subjects_ids(None)
+                 + graph.distinct_objects_ids(None))
 
 
 def _step_cardinality(graph, path) -> float:
@@ -185,9 +165,9 @@ def estimate_element_cardinality(graph, element: GraphPattern,
         return _estimate_bgp(graph, list(element.triples), bound)
     if isinstance(element, ClosurePattern):
         step = _step_cardinality(graph, element.path)
-        starts = _distinct(graph, "distinct_subjects_ids",
-                           None if path_link_iris(element.path) is None
-                           else _single_link_pid(graph, element.path))
+        links = path_link_iris(element.path)  # one link: its own statistic
+        starts = _distinct(graph.distinct_subjects_ids(
+            graph.encode_term(links[0]) if links and len(links) == 1 else None))
         fan_out = max(step / max(starts, 1.0), 1.0) * _CLOSURE_EXPANSION
         s_bound = _endpoint_bound(element.subject, bound)
         o_bound = _endpoint_bound(element.object, bound)
@@ -203,9 +183,9 @@ def estimate_element_cardinality(graph, element: GraphPattern,
         if estimate == 0.0:
             return 0.0
         if _endpoint_bound(element.subject, bound):
-            estimate /= _distinct(graph, "distinct_subjects_ids", None)
+            estimate /= _distinct(graph.distinct_subjects_ids(None))
         if _endpoint_bound(element.object, bound):
-            estimate /= _distinct(graph, "distinct_objects_ids", None)
+            estimate /= _distinct(graph.distinct_objects_ids(None))
         return min(max(estimate, 1.0), _MAX_ESTIMATE)
     if isinstance(element, PathPattern):
         group, _fresh = rewrite_path_pattern(element)
@@ -213,189 +193,145 @@ def estimate_element_cardinality(graph, element: GraphPattern,
     return 1.0
 
 
-def _single_link_pid(graph, path) -> Optional[int]:
-    """The predicate id when the path traverses exactly one link IRI."""
-    links = path_link_iris(path)
-    if links is not None and len(links) == 1:
-        return _predicate_id(graph, links[0])
-    return None
+def joint_estimate(estimates: Iterable[float]) -> float:
+    """Estimated rows of a join: the capped product of its levels' estimates."""
+    total = 1.0
+    for estimate in estimates:
+        if estimate == 0.0:
+            return 0.0
+        total = min(total * estimate, _MAX_ESTIMATE)
+    return total
 
 
 def _estimate_bgp(graph, patterns: List[TriplePattern],
                   bound: Set[Variable]) -> float:
-    inner = set(bound)
-    total = 1.0
-    for pattern in reorder_patterns(graph, patterns, inner):
-        estimate = estimate_pattern_cardinality(graph, pattern, inner)
-        if estimate == 0.0:
-            return 0.0
-        total = min(total * estimate, _MAX_ESTIMATE)
-        inner.update(term for term in pattern if isinstance(term, Variable))
-    return total
+    return joint_estimate(
+        estimate for _, estimate in reorder_patterns(graph, patterns, bound))
 
 
 def _estimate_elements(graph, elements: Sequence[GraphPattern],
                        bound: Set[Variable]) -> float:
     """Joint estimate of a sequence of elements with binding propagation."""
     inner = set(bound)
-    total = 1.0
+    estimates = []
     for element in elements:
         if isinstance(element, UnionPattern):
-            estimate = sum(
+            estimates.append(sum(
                 _estimate_elements(graph, branch.elements, inner)
-                for branch in element.alternatives)
+                for branch in element.alternatives))
         elif isinstance(element, _JOIN_ELEMENTS):
-            estimate = estimate_element_cardinality(graph, element, inner)
-        else:
-            estimate = 1.0
-        if estimate == 0.0:
-            return 0.0
-        total = min(total * estimate, _MAX_ESTIMATE)
+            estimates.append(
+                estimate_element_cardinality(graph, element, inner))
         inner.update(element_variables(element))
-    return total
+    return joint_estimate(estimates)
 
 
 # ---------------------------------------------------------------------------
 # Greedy ordering
 # ---------------------------------------------------------------------------
 
-def _pattern_key(pattern: TriplePattern) -> str:
-    """Canonical tie-break key: any permutation picks the same winner."""
+def pattern_text(pattern: TriplePattern) -> str:
+    """A pattern's canonical text: the tie-break key (any permutation picks
+    the same winner) and what ``explain`` prints."""
     return (f"{serialize_term(pattern.subject)} "
             f"{serialize_term(pattern.predicate)} "
             f"{serialize_term(pattern.object)}")
 
 
+def _greedy(candidates: Sequence, bound: Iterable[Variable],
+            estimate: Callable, variables: Callable, key: Callable,
+            free_first: bool) -> Iterator[Tuple[object, float]]:
+    """The greedy loop under both orderers: ``(candidate, estimate)`` pairs.
+
+    Repeatedly picks the remaining candidate with the smallest estimated
+    cardinality given the variables bound so far, preferring candidates
+    that connect to those variables (a disconnected pick is a Cartesian
+    product and is postponed); before anything is bound every candidate
+    qualifies, and with ``free_first`` so does the first pick under a seeded
+    bound set.  Ties break on the canonical ``key``.  The estimate handed
+    back is the one the pick was made under.
+    """
+    remaining = [(key(candidate) if len(candidates) > 1 else None, candidate,
+                  tuple(variables(candidate))) for candidate in candidates]
+    bound = set(bound)
+    free = free_first
+    while remaining:
+        best = None
+        for index, (canonical, candidate, names) in enumerate(remaining):
+            connected = free or not bound or any(
+                variable in bound for variable in names)
+            score = (0 if connected else 1, estimate(candidate, bound),
+                     canonical, index)
+            if best is None or score < best:
+                best = score
+        _, chosen, names = remaining.pop(best[3])
+        free = False
+        yield chosen, best[1]
+        bound.update(names)
+
+
 def reorder_patterns(graph, patterns: Sequence[TriplePattern],
                      bound: Optional[Set[Variable]] = None
-                     ) -> List[TriplePattern]:
-    """Greedy smallest-estimated-cardinality-first join ordering.
+                     ) -> List[Tuple[TriplePattern, float]]:
+    """A BGP's join order: ``(pattern, estimated rows at that level)`` pairs.
 
-    Repeatedly picks the remaining pattern with the smallest estimated
-    cardinality given the variables bound so far, preferring patterns that
-    connect to the already-chosen ones (a disconnected pick is a Cartesian
-    product and is postponed).  Ties break on the canonical pattern
-    serialization, so the chosen order is independent of the written order.
+    ``bound`` seeds the variables earlier group elements certainly bind; the
+    written order of ``patterns`` never matters (see :func:`_greedy`).
     """
-    remaining = list(patterns)
-    ordered: List[TriplePattern] = []
-    bound = set(bound or ())
-    seeded = bool(bound)
-    while remaining:
-        best_index = 0
-        best_score = None
-        for index, pattern in enumerate(remaining):
-            cardinality = estimate_pattern_cardinality(graph, pattern, bound)
-            connected = bool(bound) and any(
-                isinstance(t, Variable) and t in bound for t in pattern
-            )
-            # Disconnected patterns are penalised heavily (Cartesian
-            # product); before anything is bound every pattern qualifies.
-            # A seeded bound set (sub-BGP estimation) counts as "something
-            # is bound" only once a chosen pattern actually connects.
-            free_pass = not bound or (seeded and not ordered)
-            score = (0 if connected or free_pass else 1, cardinality,
-                     _pattern_key(pattern))
-            if best_score is None or score < best_score:
-                best_score = score
-                best_index = index
-        chosen = remaining.pop(best_index)
-        ordered.append(chosen)
-        for term in chosen:
-            if isinstance(term, Variable):
-                bound.add(term)
-    return ordered
+    return list(_greedy(patterns, bound or (),
+                        partial(estimate_pattern_cardinality, graph),
+                        TriplePattern.variables, pattern_text, True))
 
 
-def element_variables(element: GraphPattern) -> Iterator[Variable]:
-    if isinstance(element, BGP):
-        for pattern in element.triples:
-            for term in pattern:
-                if isinstance(term, Variable):
-                    yield term
-        return
-    for term in (getattr(element, "subject", None),
-                 getattr(element, "object", None),
-                 getattr(element, "variable", None)):
-        if isinstance(term, Variable):
-            yield term
-    variables = getattr(element, "variables", None)
-    if variables is not None and not callable(variables):
-        for variable in variables:
-            if isinstance(variable, Variable):
-                yield variable
+def element_variables(element: GraphPattern) -> Sequence[Variable]:
+    """The variables an element certainly binds in every row it hands on
+    (none for FILTER / OPTIONAL / UNION / MINUS / sub-SELECT)."""
+    if isinstance(element, _JOIN_ELEMENTS):
+        return element.variables()
+    if isinstance(element, BindPattern):
+        return [element.variable]
+    if isinstance(element, ValuesPattern):
+        return element.variables
+    return ()
 
 
 def _element_key(element: GraphPattern) -> str:
     """Canonical, permutation-invariant tie-break key for a run element."""
+    kind = type(element).__name__
     if isinstance(element, BGP):
-        return "bgp:" + "|".join(sorted(_pattern_key(p)
-                                        for p in element.triples))
-    if isinstance(element, ClosurePattern):
-        return (f"closure:{serialize_path(element.path)}{element.modifier}:"
-                f"{serialize_term(element.subject)}:"
-                f"{serialize_term(element.object)}")
-    if isinstance(element, NegatedPathPattern):
-        return (f"negated:{serialize_path(element.path)}:"
-                f"{serialize_term(element.subject)}:"
-                f"{serialize_term(element.object)}")
-    if isinstance(element, PathPattern):
-        return (f"path:{serialize_path(element.path)}:"
-                f"{serialize_term(element.subject)}:"
-                f"{serialize_term(element.object)}")
-    return type(element).__name__
+        return f"{kind}:" + "|".join(sorted(map(pattern_text, element.triples)))
+    return (f"{kind}:{serialize_path(element.path)}"
+            f"{getattr(element, 'modifier', '')}:"
+            f"{serialize_term(element.subject)}:{serialize_term(element.object)}")
 
 
-def _order_run(graph, run: List[GraphPattern],
-               bound: Set[Variable]) -> List[GraphPattern]:
-    """Order one contiguous run of join-commutative elements."""
-    if len(run) < 2:
-        return run
-    remaining = list(run)
-    ordered: List[GraphPattern] = []
-    inner = set(bound)
-    while remaining:
-        best_index = 0
-        best_score = None
-        for index, element in enumerate(remaining):
-            estimate = estimate_element_cardinality(graph, element, inner)
-            connected = bool(inner) and any(
-                variable in inner for variable in element_variables(element))
-            score = (0 if connected or not inner else 1, estimate,
-                     _element_key(element))
-            if best_score is None or score < best_score:
-                best_score = score
-                best_index = index
-        chosen = remaining.pop(best_index)
-        ordered.append(chosen)
-        inner.update(element_variables(chosen))
-    return ordered
-
-
-def reorder_group_elements(graph,
-                           elements: Sequence[GraphPattern]
+def reorder_group_elements(graph, elements: Sequence[GraphPattern],
+                           bound: Iterable[Variable] = ()
                            ) -> List[GraphPattern]:
     """Cost-order the join runs of a group, leaving barriers in place.
 
     Contiguous runs of BGPs / path patterns / closures / negated sets are
     reordered greedily (smallest estimated cardinality first, bound
-    variables propagated); every other element type is a barrier that keeps
-    its position, and bindings it introduces (BIND, VALUES) still propagate
+    variables propagated, starting from the ``bound`` an enclosing group
+    passes in); every other element type is a barrier that keeps its
+    position, and bindings it introduces (BIND, VALUES) still propagate
     into later runs.
     """
     ordered: List[GraphPattern] = []
     run: List[GraphPattern] = []
-    bound: Set[Variable] = set()
+    bound = set(bound)
 
     def flush() -> None:
-        if run:
-            for element in _order_run(graph, run, bound):
-                ordered.append(element)
-                bound.update(element_variables(element))
-            run.clear()
+        chosen = run if len(run) < 2 else [element for element, _ in _greedy(
+            run, bound, partial(estimate_element_cardinality, graph),
+            element_variables, _element_key, False)]
+        for element in chosen:
+            ordered.append(element)
+            bound.update(element_variables(element))
+        run.clear()
 
     for element in elements:
-        if is_join_element(element):
+        if isinstance(element, _JOIN_ELEMENTS):
             run.append(element)
         else:
             flush()
@@ -403,21 +339,3 @@ def reorder_group_elements(graph,
             bound.update(element_variables(element))
     flush()
     return ordered
-
-
-def explain_bgp_levels(graph, patterns: Sequence[TriplePattern],
-                       bound: Optional[Set[Variable]] = None):
-    """The chosen join order with per-level cardinality estimates.
-
-    Returns ``[(pattern, estimate), ...]`` in the order
-    :func:`reorder_patterns` picks, each estimate computed under the
-    variables bound by the preceding levels — exactly the numbers the
-    greedy loop compared.  This is what ``explain()`` renders.
-    """
-    inner = set(bound or ())
-    levels = []
-    for pattern in reorder_patterns(graph, patterns, inner):
-        levels.append((pattern, estimate_pattern_cardinality(graph, pattern,
-                                                             inner)))
-        inner.update(term for term in pattern if isinstance(term, Variable))
-    return levels

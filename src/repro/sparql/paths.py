@@ -16,10 +16,9 @@ already knows how to run (the sage-engine blueprint in SNIPPETS.md):
   evaluated as id-space BFS closure iterators;
 * ``!(...)`` becomes a :class:`~repro.sparql.ast.NegatedPathPattern`.
 
-Fresh join variables are invisible to the query (they are stripped from
-emitted solutions), and the rewrite is memoized on the AST node so repeated
-evaluations reuse the same lowered objects — which keeps the per-plan
-compiled-pattern caches (keyed by ``id()``) effective.
+Fresh join variables are invisible to the query (no projection ever names
+them), and the rewrite is memoized on the AST node, so the optimizer's
+estimate and the plan builder lower a pattern once between them.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ __all__ = [
 ]
 
 #: Name prefix for generated join variables (``Variable`` strips ``?``/``$``).
-#: They are stripped from emitted solutions by the evaluator so they can never
-#: leak into ``SELECT *`` projections.
+#: ``SELECT *`` projects the variables the *written* patterns name, so they
+#: never leak into a result.
 _FRESH_PREFIX = "__pp"
 
 _fresh_ids = itertools.count()
@@ -214,8 +213,7 @@ def rewrite_path_pattern(
     """Lower ``pattern`` to a group of plain algebra elements.
 
     Returns ``(group, fresh_variables)``; the result is memoized on the AST
-    node, so every evaluation of a cached plan sees the same lowered objects
-    (and therefore hits the same compiled-pattern caches).
+    node.
     """
     cached = getattr(pattern, "_lowered", None)
     if cached is not None:

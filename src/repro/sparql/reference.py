@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exceptions import QueryError
+from repro.exceptions import QueryError, UDFError
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Literal, Term, Triple, Variable, XSD_DOUBLE, XSD_INTEGER
 from repro.sparql.ast import (
@@ -61,8 +61,10 @@ from repro.sparql.ast import (
 from repro.sparql.functions import (
     EvaluationContext,
     UDFRegistry,
+    aggregate_variable,
     effective_boolean_value,
     evaluate_expression,
+    walk_expression,
 )
 from repro.sparql.results import ResultSet, Solution
 
@@ -417,8 +419,24 @@ class ReferenceQueryEvaluator:
                     value = self._compute_aggregate(item.expression, members)
                     if value is not None:
                         row[target] = value
-            aggregated.append(row)
+            if all(self._having_holds(test, row, members)
+                   for test in query.having):
+                aggregated.append(row)
         return aggregated
+
+    def _having_holds(self, test, row: Solution,
+                      members: List[Solution]) -> bool:
+        """HAVING over the group's row plus the aggregates ``test`` names."""
+        scope = Solution(row)
+        for node in walk_expression(test):
+            if isinstance(node, Aggregate):
+                scope[aggregate_variable(node)] = self._compute_aggregate(
+                    node, members)
+        try:
+            return effective_boolean_value(
+                evaluate_expression(test, scope, self.context))
+        except (QueryError, UDFError):
+            return False  # an error in HAVING drops the group
 
     def _compute_aggregate(self, aggregate: Aggregate,
                            members: List[Solution]) -> Optional[Term]:
@@ -480,8 +498,6 @@ class ReferenceQueryEvaluator:
             if not variables:
                 variables = query.projected_variables()
             return variables, solutions
-        has_aggregate = any(isinstance(item.expression, Aggregate)
-                            for item in query.select_items)
         variables = []
         for item in query.select_items:
             try:
@@ -503,8 +519,6 @@ class ReferenceQueryEvaluator:
                 if value is not None:
                     row[variable] = value
             projected.append(row)
-        if has_aggregate and not query.group_by and not projected:
-            projected = [Solution()]
         return variables, projected
 
     def _apply_order(self, query: SelectQuery,

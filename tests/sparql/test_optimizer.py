@@ -42,7 +42,6 @@ from repro.sparql import (
 from repro.sparql.ast import BGP, TriplePattern
 from repro.sparql.optimizer import (
     estimate_pattern_cardinality,
-    explain_bgp_levels,
     reorder_group_elements,
     reorder_patterns,
 )
@@ -61,6 +60,11 @@ def iri(local: str) -> IRI:
 
 def var(name: str) -> Variable:
     return Variable(name)
+
+
+def order_of(graph, patterns):
+    """The join order alone, off ``reorder_patterns``' (pattern, estimate) levels."""
+    return [pattern for pattern, _ in reorder_patterns(graph, patterns)]
 
 
 @pytest.fixture()
@@ -173,7 +177,7 @@ class TestReordering:
     def test_selective_pattern_leads(self, skewed_graph):
         rare = TriplePattern(var("x"), RDF_TYPE, iri("Rare"))
         popular = TriplePattern(var("x"), iri("link"), var("y"))
-        assert reorder_patterns(skewed_graph, [popular, rare])[0] is rare
+        assert order_of(skewed_graph, [popular, rare])[0] is rare
 
     def test_all_permutations_one_plan(self, skewed_graph):
         patterns = [
@@ -183,7 +187,7 @@ class TestReordering:
             TriplePattern(var("x"), iri("score"), var("v")),
         ]
         canonical = {
-            tuple(patterns.index(p) for p in reorder_patterns(
+            tuple(patterns.index(p) for p in order_of(
                 skewed_graph, list(perm)))
             for perm in itertools.permutations(patterns)
         }
@@ -193,7 +197,7 @@ class TestReordering:
         anchor = TriplePattern(var("x"), RDF_TYPE, iri("Rare"))
         joined = TriplePattern(var("x"), iri("link"), var("y"))
         disjoint = TriplePattern(var("a"), iri("score"), var("v"))
-        ordered = reorder_patterns(skewed_graph, [disjoint, joined, anchor])
+        ordered = order_of(skewed_graph, [disjoint, joined, anchor])
         assert ordered[0] is anchor
         assert ordered[1] is joined  # shares ?x; the cartesian product waits
 
@@ -212,15 +216,21 @@ class TestReordering:
         assert kinds.count("FilterPattern") == 1
         assert len(ordered) == len(elements)
 
-    def test_explain_levels_cover_all_patterns(self, skewed_graph):
+    def test_levels_cover_all_patterns_with_their_estimates(self, skewed_graph):
         patterns = [
             TriplePattern(var("x"), iri("link"), var("y")),
             TriplePattern(var("x"), RDF_TYPE, iri("Rare")),
         ]
-        levels = explain_bgp_levels(skewed_graph, patterns)
-        assert [p for p, _ in levels] == reorder_patterns(skewed_graph,
-                                                          patterns)
-        assert all(estimate >= 0.0 for _, estimate in levels)
+        levels = reorder_patterns(skewed_graph, patterns)
+        assert sorted(map(id, order_of(skewed_graph, patterns))) == sorted(
+            map(id, patterns))
+        # Each estimate is the one its pick was made under: the variables
+        # of the levels before it bound.
+        bound = set()
+        for pattern, estimate in levels:
+            assert estimate == estimate_pattern_cardinality(
+                skewed_graph, pattern, bound)
+            bound.update(pattern.variables())
         assert levels[0][1] <= levels[1][1]
 
 
@@ -290,12 +300,12 @@ class TestExplain:
         evaluator = QueryEvaluator(g)
         rare_first = [TriplePattern(var("x"), RDF_TYPE, iri("T")),
                       TriplePattern(var("x"), iri("link"), var("y"))]
-        first = reorder_patterns(g, rare_first)
+        first = order_of(g, rare_first)
         assert first[0].predicate == iri("link")
         # Flip the skew: flood link triples, keep types small.
         for i in range(300):
             g.add(iri(f"e{i}"), iri("link"), iri(f"e{i + 1}"))
-        second = reorder_patterns(g, rare_first)
+        second = order_of(g, rare_first)
         assert second[0].predicate == RDF_TYPE
         # And the evaluator still answers correctly through the flip.
         query = SPARQLParser(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import collections
 import os
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.rdf import Graph, IRI, Triple
@@ -127,6 +127,11 @@ def solution_multiset(result):
 class TestPathDifferential:
     @SETTINGS
     @given(graphs(), paths(), endpoint_shapes())
+    # (p*)+ from a term the graph never mentions still reaches that term.
+    @example(Graph(), MulPath(MulPath(LinkPath(PREDICATES[0]), "*"), "+"),
+             (NODES[0], None, False))
+    @example(Graph(), MulPath(MulPath(LinkPath(PREDICATES[0]), "?"), "+"),
+             (NODES[0], NODES[0], False))
     def test_streaming_matches_reference_oracle(self, graph, path, shape):
         subject, object_, same_var = shape
         query = SPARQLParser(build_query(path, subject, object_, same_var)).parse()
