@@ -334,7 +334,7 @@ class APIRouter:
                                    "meta_sampling", "use_meta_sampling",
                                    "objective", "force_plan"}),
             "sparqlml_select": frozenset({"query", "objective", "force_plan",
-                                          "page_size"}),
+                                          "page_size", "timeout"}),
             "train": frozenset({"query", "task", "budget", "method",
                                 "meta_sampling", "use_meta_sampling", "name"}),
             "infer_node_class": frozenset({"model_uri", "node"}),
@@ -771,10 +771,13 @@ class APIRouter:
     def _handle_sparqlml_select(self, params: Dict[str, object]) -> Tuple[object, object]:
         query = str(_require(params, "query"))
         page_size = self._coerce_page_size(params.get("page_size"))
+        timeout = self._coerce_timeout(params.get("timeout"))
         report = self.sparqlml.execute_select(
             query,
             objective=_as_objective(params.get("objective")),
-            force_plan=params.get("force_plan"))
+            force_plan=params.get("force_plan"),
+            context=None if timeout is None
+            else ExecutionContext(timeout=timeout))
         return (lambda: self._project_report(report, page_size)), report
 
     def _handle_train(self, params: Dict[str, object]) -> Tuple[Dict[str, object], object]:

@@ -92,12 +92,11 @@ class GMLInferenceManager:
         stored = self._stored(model_uri)
         if stored.task_type != TaskType.NODE_CLASSIFICATION:
             raise InferenceError(f"model {key!r} is not a node classifier")
-        prediction_map: Dict[str, str] = dict(stored.artifact("prediction_map", {}))
-        if node_iris is not None:
-            wanted = {str(iri) for iri in node_iris}
-            prediction_map = {node: cls for node, cls in prediction_map.items()
-                              if node in wanted}
-        return prediction_map
+        prediction_map: Dict[str, str] = stored.artifact("prediction_map", {})
+        if node_iris is None:
+            return dict(prediction_map)
+        return {node: prediction_map[node] for node in map(str, node_iris)
+                if node in prediction_map}
 
     # ------------------------------------------------------------------
     # Link prediction
@@ -106,8 +105,8 @@ class GMLInferenceManager:
         """Top-k predicted destination entities for one source node."""
         key = model_uri.value if isinstance(model_uri, IRI) else str(model_uri)
         self._record_call(key)
-        stored = self._stored(model_uri)
-        return self._links_for(stored, key, source_iri, k)
+        source = source_iri.value if isinstance(source_iri, IRI) else str(source_iri)
+        return self._links_for(self._stored(model_uri), key, [source], k)[0]
 
     def get_predicted_links_batch(self, model_uri, source_iris,
                                   k: int = 10) -> Dict[str, List[Dict[str, object]]]:
@@ -118,12 +117,19 @@ class GMLInferenceManager:
         """
         key = model_uri.value if isinstance(model_uri, IRI) else str(model_uri)
         self._record_call(key)
-        stored = self._stored(model_uri)
-        return {str(source): self._links_for(stored, key, source, k)
-                for source in source_iris}
+        sources = [source.value if isinstance(source, IRI) else str(source)
+                   for source in source_iris]
+        return dict(zip(sources, self._links_for(
+            self._stored(model_uri), key, sources, k)))
 
-    def _links_for(self, stored: StoredModel, key: str, source_iri,
-                   k: int) -> List[Dict[str, object]]:
+    def _links_for(self, stored: StoredModel, key: str, sources: List[str],
+                   k: int) -> List[List[Dict[str, object]]]:
+        """Per source, its ``k`` best candidate tails, best first.
+
+        All sources the model knows are scored in one kernel call; equal
+        scores rank by candidate index (a stable sort), and a source's scores
+        do not depend on what it is batched with (:meth:`_score_tails`).
+        """
         if stored.task_type != TaskType.LINK_PREDICTION:
             raise InferenceError(f"model {key!r} is not a link predictor")
         entity_index: Dict[str, int] = stored.artifact("entity_index", {})
@@ -131,33 +137,54 @@ class GMLInferenceManager:
         candidates: np.ndarray = stored.artifact("candidate_tails")
         entity_names: List[str] = stored.artifact("entity_names", [])
         target_relation: int = stored.artifact("target_relation", 0)
-        source_key = source_iri.value if isinstance(source_iri, IRI) else str(source_iri)
-        source_id = entity_index.get(source_key)
-        if source_id is None or embeddings is None or candidates is None:
-            return []
-        scores = self._score_tails(stored, embeddings, source_id, target_relation,
-                                   candidates)
-        order = np.argsort(-scores)[:k]
-        return [{"entity": entity_names[int(candidates[i])],
-                 "score": float(scores[int(i)]),
-                 "rank": rank}
-                for rank, i in enumerate(order)]
+        results: List[List[Dict[str, object]]] = [[] for _ in sources]
+        if embeddings is None or candidates is None:
+            return results
+        source_ids = list(map(entity_index.get, sources))
+        known = [index for index, source_id in enumerate(source_ids)
+                 if source_id is not None]
+        if not known:
+            return results
+        scores = self._score_tails(
+            stored, embeddings, [source_ids[index] for index in known],
+            target_relation, candidates)
+        order = np.argsort(-scores, axis=1, kind="stable")[:, :max(0, k)]
+        best = np.take_along_axis(scores, order, axis=1).tolist()
+        tails = candidates[order].tolist()
+        for index, row_tails, row_scores in zip(known, tails, best):
+            results[index] = [
+                {"entity": entity_names[tail], "score": score, "rank": rank}
+                for rank, (tail, score) in enumerate(zip(row_tails, row_scores))]
+        return results
 
     @staticmethod
-    def _score_tails(stored: StoredModel, embeddings: np.ndarray, source_id: int,
+    def _score_tails(stored: StoredModel, embeddings: np.ndarray, source_ids,
                      relation: int, candidates: np.ndarray) -> np.ndarray:
+        """``(sources, candidates)`` decoder scores.
+
+        Every score is reduced over the embedding dimension on its own
+        (``einsum`` / a last-axis sum — not a BLAS product, whose blocking
+        varies with the batch shape), so a source scores bit for bit the same
+        alone and in a batch of any size.
+        """
         model = stored.model
         relation_matrix = getattr(model, "relation_embeddings", None)
         if relation_matrix is None:
             raise InferenceError("stored link-prediction model has no relation embeddings")
         relation_vector = relation_matrix.weight.data[relation]
-        head = embeddings[source_id]
+        heads = embeddings[source_ids]
         tails = embeddings[candidates]
         decoder = getattr(model, "decoder", "distmult")
         if decoder == "transe" or model.__class__.__name__.lower() == "transe":
             margin = getattr(model, "margin", 6.0)
-            return margin - np.abs(head[None, :] + relation_vector[None, :] - tails).sum(axis=1)
-        return (head * relation_vector) @ tails.T
+            translated = heads + relation_vector
+            # Source blocks bound the (block, candidates, dim) intermediate.
+            block = max(1, (1 << 20) // max(1, tails.size))
+            return np.concatenate([
+                margin - np.abs(translated[start:start + block, None, :]
+                                - tails[None, :, :]).sum(axis=2)
+                for start in range(0, len(translated), block)])
+        return np.einsum("sd,cd->sc", heads * relation_vector, tails)
 
     # ------------------------------------------------------------------
     # Entity similarity

@@ -123,14 +123,18 @@ class MetaSampler:
                                     num_kg_triples=len(graph))
         subgraph = Graph(namespaces=graph.namespaces.copy())
 
+        # Sets of terms are only ever iterated sorted: that keeps the
+        # extraction order (and therefore the downstream node interning /
+        # feature assignment) reproducible across processes regardless of
+        # hash randomisation.
+        def in_order(nodes: Set[Term]) -> List[Term]:
+            return sorted(nodes, key=lambda term: term.sort_key())
+
         visited: Set[Term] = set(targets)
         frontier: Set[Term] = set(targets)
         for hop in range(config.hops):
             next_frontier: Set[Term] = set()
-            # Sorted iteration keeps the extraction order (and therefore the
-            # downstream node interning / feature assignment) reproducible
-            # across processes regardless of hash randomisation.
-            for node in sorted(frontier, key=lambda term: term.sort_key()):
+            for node in in_order(frontier):
                 # Outgoing edges.
                 for s, p, o in graph.triples(node, None, None):
                     if isinstance(o, Literal):
@@ -154,7 +158,7 @@ class MetaSampler:
 
         # Keep rdf:type triples of every visited node so the transformer can
         # still see node types, and keep the task's label/target edges.
-        for node in visited:
+        for node in in_order(visited):
             for s, p, o in graph.triples(node, RDF_TYPE, None):
                 subgraph.add(s, p, o)
         self._keep_task_edges(graph, task, targets, subgraph)

@@ -9,19 +9,25 @@ by UDF calls:
   projection expression ``sql:UDFS.getNodeClass(<model>, ?subject)``; the RDF
   engine ends up issuing one UDF (HTTP) call per result row,
 * **dictionary plan** (Fig 12) — an inner sub-select issues a single UDF call
-  that materialises the full prediction dictionary, and the outer query looks
-  rows up with ``sql:UDFS.getKeyValue(?dict, ?subject)``.
+  that materialises the full prediction dictionary
+  (``sql:UDFS.getNodeClasses(<model>)`` — a function of its own, so which
+  plan a call belongs to is the rewriter's decision, never a guess from its
+  argument), and the outer query looks rows up with
+  ``sql:UDFS.getKeyValue(?dict, ?subject)``.
 
-The rewriter works on the AST and serialises the result back to SPARQL text
-(:mod:`repro.sparql.serializer`), so the output is executable by the plain
-SPARQL engine with the UDFs registered.
+The rewriter works AST to AST: the SPARQL-ML service evaluates
+:attr:`RewrittenQuery.query` as it is.  :attr:`RewrittenQuery.text` is the
+same query as SPARQL text (:mod:`repro.sparql.serializer`), executable by the
+plain SPARQL engine with the UDFs registered; it is rendered when first
+asked for, not by the rewrite.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import List
 
 from repro.exceptions import SPARQLMLError
 from repro.gml.tasks import TaskType
@@ -41,12 +47,14 @@ from repro.sparql.ast import (
 )
 from repro.sparql.serializer import serialize_select
 
-__all__ = ["UDF_GET_NODE_CLASS", "UDF_GET_KEY_VALUE", "UDF_GET_LINK_PRED",
+__all__ = ["UDF_GET_NODE_CLASS", "UDF_GET_NODE_CLASSES", "UDF_GET_KEY_VALUE",
+           "UDF_GET_LINK_PRED",
            "UDF_GET_TOPK_LINKS", "UDF_GET_SIMILAR", "RewrittenQuery",
            "SPARQLMLRewriter"]
 
 # Names of the UDFs as they appear in rewritten queries (Virtuoso-style).
 UDF_GET_NODE_CLASS = "sql:UDFS.getNodeClass"
+UDF_GET_NODE_CLASSES = "sql:UDFS.getNodeClasses"
 UDF_GET_KEY_VALUE = "sql:UDFS.getKeyValue"
 UDF_GET_LINK_PRED = "sql:UDFS.getLinkPred"
 UDF_GET_TOPK_LINKS = "sql:UDFS.getTopKLinks"
@@ -57,11 +65,14 @@ UDF_GET_SIMILAR = "sql:UDFS.getSimilarEntities"
 class RewrittenQuery:
     """A rewritten SPARQL query plus how it was produced."""
 
-    text: str
     query: SelectQuery
     plan: str
     model_uri: IRI
     predicate_variable: str
+
+    @cached_property
+    def text(self) -> str:
+        return serialize_select(self.query)
 
     def as_dict(self) -> dict:
         return {
@@ -76,20 +87,20 @@ class SPARQLMLRewriter:
     """Rewrites SPARQL-ML SELECT queries into plain SPARQL + UDF calls."""
 
     def rewrite(self, query: SelectQuery, predicate: UserDefinedPredicate,
-                model_uri: IRI, plan: PlanChoice,
-                target_node_type: Optional[IRI] = None) -> RewrittenQuery:
+                model_uri: IRI, plan: PlanChoice) -> RewrittenQuery:
         """Produce the rewritten query for one user-defined predicate."""
         if predicate.subject_variable is None:
             raise SPARQLMLError(
                 f"user-defined predicate {predicate.variable.n3()} never appears "
                 f"in a data triple pattern")
-        rewritten = copy.deepcopy(query)
-        rewritten.where = self._strip_predicate_triples(rewritten.where, predicate)
+        # A shallow copy: the rewrite replaces the WHERE group and the SELECT
+        # list and leaves every pattern it keeps as it is.
+        rewritten = copy.copy(query)
+        rewritten.where = self._strip_predicate_triples(query.where, predicate)
 
         if predicate.task_type == TaskType.NODE_CLASSIFICATION:
             if plan.plan == "dictionary":
-                self._apply_dictionary_plan(rewritten, predicate, model_uri,
-                                            target_node_type)
+                self._apply_dictionary_plan(rewritten, predicate, model_uri)
             else:
                 self._apply_per_instance_plan(rewritten, predicate, model_uri)
         elif predicate.task_type == TaskType.LINK_PREDICTION:
@@ -97,8 +108,7 @@ class SPARQLMLRewriter:
         else:
             self._apply_similarity_plan(rewritten, predicate, model_uri)
 
-        text = serialize_select(rewritten)
-        return RewrittenQuery(text=text, query=rewritten, plan=plan.plan,
+        return RewrittenQuery(query=rewritten, plan=plan.plan,
                               model_uri=model_uri,
                               predicate_variable=predicate.variable.n3())
 
@@ -159,17 +169,11 @@ class SPARQLMLRewriter:
 
     def _apply_dictionary_plan(self, query: SelectQuery,
                                predicate: UserDefinedPredicate,
-                               model_uri: IRI,
-                               target_node_type: Optional[IRI]) -> None:
+                               model_uri: IRI) -> None:
         output = predicate.object_variable or Variable("prediction")
         dictionary_variable = Variable(f"{output.name}_dic")
         # Inner sub-select: one UDF call materialising the whole dictionary.
-        target_term = target_node_type or predicate.constraints.get(
-            next((p for p in predicate.constraints), None))
-        inner_call = FunctionCall(UDF_GET_NODE_CLASS, (
-            ConstantExpr(model_uri),
-            ConstantExpr(target_term if isinstance(target_term, IRI) else model_uri),
-        ))
+        inner_call = FunctionCall(UDF_GET_NODE_CLASSES, (ConstantExpr(model_uri),))
         inner = SelectQuery(
             select_items=[SelectItem(expression=inner_call, alias=dictionary_variable)],
             where=GroupPattern([]),

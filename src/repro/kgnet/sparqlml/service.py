@@ -7,17 +7,19 @@ The service receives SPARQL-ML requests and routes them:
 * **DELETE** — remove matching models from GMLaaS and their KGMeta metadata,
 * **SELECT** — find candidate models in KGMeta for every user-defined
   predicate, pick the near-optimal model and execution plan, rewrite the
-  query to plain SPARQL + UDF calls, and execute it on the endpoint,
+  query to plain SPARQL + UDF calls (once per text and dataset epoch: the
+  outcome is cached), and evaluate the rewritten AST on the endpoint,
 * anything else — passed through to the endpoint as plain SPARQL.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import weakref
+from dataclasses import astuple, dataclass, field
+from typing import Dict, List, NamedTuple, Optional
 
-from repro.exceptions import ModelNotFoundError, SPARQLMLError
+from repro.exceptions import ModelNotFoundError
 from repro.gml.tasks import TaskSpec, TaskType
 from repro.gml.train.budget import TaskBudget
 from repro.kgnet.gmlaas.service import GMLaaS, TrainResponse
@@ -39,7 +41,10 @@ from repro.kgnet.sparqlml.rewriter import RewrittenQuery, SPARQLMLRewriter
 from repro.kgnet.sparqlml.udf import register_udfs
 from repro.rdf.terms import IRI, RDF_TYPE
 from repro.sparql.ast import SelectQuery
+from repro.sparql.cache import EpochLRU
 from repro.sparql.endpoint import SPARQLEndpoint
+from repro.sparql.execution import ExecutionContext
+from repro.sparql.plan import QueryPlan
 from repro.sparql.results import ResultSet
 
 __all__ = ["TrainReport", "SelectReport", "DeleteReport", "SPARQLMLService"]
@@ -112,6 +117,17 @@ class DeleteReport:
                 "deleted_triples": self.deleted_triples}
 
 
+class _CompiledSelect(NamedTuple):
+    """What compiling one SPARQL-ML SELECT decided: per user-defined
+    predicate the chosen model, its plan and the rewrite (the last rewrite
+    holds the query that runs), plus that query's plan trees."""
+
+    models: List[ModelMetadata]
+    plans: List[PlanChoice]
+    rewritten: List[RewrittenQuery]
+    plan: QueryPlan
+
+
 class SPARQLMLService:
     """Query Manager + KGMeta Governor + Meta-sampler glued together."""
 
@@ -125,6 +141,12 @@ class SPARQLMLService:
         self.optimizer = optimizer or SPARQLMLOptimizer()
         self.rewriter = SPARQLMLRewriter()
         self.meta_sampler = MetaSampler()
+        #: Compiled SELECTs by (text, forced plan, objective, namespaces),
+        #: good for the dataset (the endpoint's can be swapped) and the epoch
+        #: they were compiled at — KGMeta lives in the dataset, so training
+        #: or deleting a model drops them like any other write does.
+        #: Results are never cached.
+        self._compiled = EpochLRU(endpoint.plan_cache.maxsize)
         register_udfs(endpoint, gmlaas)
 
     # ------------------------------------------------------------------
@@ -228,38 +250,60 @@ class SPARQLMLService:
     # ------------------------------------------------------------------
     def execute_select(self, query_text: str,
                        objective: Optional[ModelSelectionObjective] = None,
-                       force_plan: Optional[str] = None) -> SelectReport:
+                       force_plan: Optional[str] = None,
+                       context: Optional[ExecutionContext] = None) -> SelectReport:
+        """Compile the SELECT (or find it compiled) and evaluate it.
+
+        ``context`` bounds the evaluation, inference calls included: the
+        ``infer`` nodes of the rewritten query checkpoint before every call.
+        """
+        key = (query_text, force_plan,
+               None if objective is None else astuple(objective),
+               self.endpoint.namespaces.version)
+        dataset = self.endpoint.dataset
+        epoch = (weakref.ref(dataset), dataset.epoch())
+        compiled, hit = self._compiled.get(key, epoch)
+        if compiled is None or not all(self.gmlaas.has_model(model.uri)
+                                       for model in compiled.models):
+            # Not compiled at this epoch, or a chosen model has left GMLaaS
+            # behind KGMeta's back: choose again (or fail) rather than serve it.
+            compiled, hit = self._compile_select(query_text, objective,
+                                                 force_plan), False
+            if compiled is None:  # no user-defined predicate: plain SPARQL
+                return SelectReport(results=self.endpoint.execute(
+                    query_text, require="query", context=context))
+            self._compiled.put(key, epoch, compiled)
+        statistics = []
+        started = time.perf_counter()
+        results = self.endpoint.run_query(
+            compiled.rewritten[-1].query, compiled.rewritten[-1].text,
+            plan=compiled.plan, cache_hit=hit, context=context,
+            on_stats=statistics.append)
+        elapsed = time.perf_counter() - started
+        return SelectReport(results=results, rewritten=list(compiled.rewritten),
+                            models=list(compiled.models),
+                            plans=list(compiled.plans),
+                            http_calls=statistics[0].inference_calls,
+                            elapsed_seconds=elapsed)
+
+    def _compile_select(self, query_text: str,
+                        objective: Optional[ModelSelectionObjective],
+                        force_plan: Optional[str]) -> Optional[_CompiledSelect]:
+        """Parse, choose a model and a plan per user-defined predicate and
+        rewrite AST to AST; ``None`` when the query has no such predicate."""
         query, predicates = self.parser.parse_select(query_text)
         if not predicates:
-            # No user-defined predicate: plain SPARQL.
-            result = self.endpoint.query(query_text)
-            return SelectReport(results=result)
-
-        rewritten_queries: List[RewrittenQuery] = []
-        chosen_models: List[ModelMetadata] = []
-        plans: List[PlanChoice] = []
-        current_query = query
+            return None
+        compiled = _CompiledSelect([], [], [], QueryPlan())
         for predicate in predicates:
             model = self._choose_model(predicate, objective)
-            plan = self._choose_plan(current_query, predicate, model, force_plan)
-            rewritten = self.rewriter.rewrite(
-                current_query, predicate, model.uri, plan,
-                target_node_type=model.target_node_type)
-            current_query = rewritten.query
-            rewritten_queries.append(rewritten)
-            chosen_models.append(model)
-            plans.append(plan)
-
-        calls_before = self.gmlaas.http_calls
-        started = time.perf_counter()
-        results = self.endpoint.query(rewritten_queries[-1].text)
-        elapsed = time.perf_counter() - started
-        http_calls = self.gmlaas.http_calls - calls_before
-        if not isinstance(results, ResultSet):
-            raise SPARQLMLError("rewritten SPARQL-ML query did not return a result set")
-        return SelectReport(results=results, rewritten=rewritten_queries,
-                            models=chosen_models, plans=plans,
-                            http_calls=http_calls, elapsed_seconds=elapsed)
+            plan = self._choose_plan(query, predicate, model, force_plan)
+            rewritten = self.rewriter.rewrite(query, predicate, model.uri, plan)
+            query = rewritten.query
+            compiled.models.append(model)
+            compiled.plans.append(plan)
+            compiled.rewritten.append(rewritten)
+        return compiled
 
     # ------------------------------------------------------------------
     # Helpers

@@ -4,22 +4,30 @@ The paper maps each user-defined predicate to a UDF inside the RDF engine;
 at query time the UDF issues an HTTP call to the GML Inference Manager
 (Figs 11-12).  :func:`register_udfs` installs the same functions on a
 :class:`~repro.sparql.endpoint.SPARQLEndpoint`, backed by an in-process
-:class:`~repro.kgnet.gmlaas.service.GMLaaS` instance.  The inference
-manager's call counter therefore reflects exactly the number of "HTTP calls"
-each execution plan makes.
+:class:`~repro.kgnet.gmlaas.service.GMLaaS` instance.
+
+Every function is one :class:`~repro.sparql.functions.BatchResolver`: where
+a rewritten query calls it as a SELECT item or BIND the evaluator's ``infer``
+node hands it the distinct inputs of a whole batch of rows, and anywhere
+else (a hand-written nested call, the reference evaluator) it is the same
+resolver called with one input — one inference code path.  A resolver
+reports the GMLaaS ("HTTP") calls it made, so the count a query reports is
+its own, whatever else the service is serving.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import UDFError
 from repro.kgnet.gmlaas.service import GMLaaS
 from repro.rdf.terms import IRI, Literal, Term
 from repro.sparql.endpoint import SPARQLEndpoint
-from repro.sparql.functions import OpaqueValue
+from repro.sparql.functions import BatchResolver, OpaqueValue
 
 __all__ = ["register_udfs"]
+
+Resolved = Tuple[List[object], int]
 
 
 def _as_string(term) -> str:
@@ -41,80 +49,90 @@ def _as_int(term, default: int = 10) -> int:
         return default
 
 
+def _ranked_route(gmlaas: GMLaaS, mode: str, default_k: int,
+                  pick: Callable[[List[Dict[str, object]]], object]
+                  ) -> Callable[[List[tuple]], Resolved]:
+    """A resolver for ``(model, input[, k])`` calls over a batched GMLaaS
+    route: one HTTP call per distinct ``(model, k)`` — one, for a rewritten
+    query — and ``pick`` of every input's ranked candidates."""
+
+    def resolve(inputs: List[tuple]) -> Resolved:
+        groups: Dict[Tuple[str, int], List[int]] = {}
+        shared = group = None
+        for index, args in enumerate(inputs):
+            if (args[0], args[2:]) != shared:  # model and k: constants, as a rule
+                shared = (args[0], args[2:])
+                k = _as_int(args[2], default_k) if len(args) > 2 else default_k
+                group = groups.setdefault((_as_string(args[0]), k), [])
+            group.append(index)
+        outputs: List[object] = [None] * len(inputs)
+        for (model_uri, k), members in groups.items():
+            records = gmlaas.infer_batch(
+                model_uri, [_as_string(inputs[index][1]) for index in members],
+                k=k, mode=mode)
+            for index, record in zip(members, records):
+                outputs[index] = pick(record["output"])
+        return outputs, len(groups)
+
+    return resolve
+
+
+def _best(ranked: List[Dict[str, object]]) -> Optional[object]:
+    return ranked[0]["entity"] if ranked else None
+
+
+def _joined(ranked: List[Dict[str, object]]) -> Optional[str]:
+    return ", ".join([result["entity"] for result in ranked]) or None
+
+
 def register_udfs(endpoint: SPARQLEndpoint, gmlaas: GMLaaS) -> None:
     """Register the SPARQL-ML UDF suite on ``endpoint`` backed by ``gmlaas``."""
 
-    def get_node_class(model, node) -> Optional[object]:
-        """``sql:UDFS.getNodeClass(model, node_or_type)``.
+    def node_class(inputs: List[tuple]) -> Resolved:
+        """``sql:UDFS.getNodeClass(model, node)`` — the predicted class of
+        one node, one HTTP call per node (the Fig 11 plan); a node the model
+        has no prediction for has no class."""
+        return [gmlaas.infer_node_class(_as_string(model), _as_string(node))
+                for model, node in inputs], len(inputs)
 
-        When the second argument is an individual node IRI the function
-        returns that node's predicted class (one HTTP call per invocation —
-        the Fig 11 plan).  When it is the model's *target node type* (or any
-        non-instance IRI), the function returns the full prediction
-        dictionary in a single call (the inner sub-select of Fig 12).
-        """
-        model_uri = _as_string(model)
-        node_key = _as_string(node)
-        stored = gmlaas.model_store.get(model_uri)
-        prediction_map = stored.artifact("prediction_map", {})
-        if node_key in prediction_map:
-            return gmlaas.infer_node_class(model_uri, node_key)
-        # Not an individual target node: treat as a dictionary request.
-        return gmlaas.infer_node_class_dictionary(model_uri)
+    def node_classes(inputs: List[tuple]) -> Resolved:
+        """``sql:UDFS.getNodeClasses(model[, 'iri1,iri2,...'])`` — the
+        node -> class dictionary of the model (of the listed nodes, when
+        given) in one HTTP call: the inner sub-select of the Fig 12 plan,
+        looked up per row by ``getKeyValue``."""
+        outputs = []
+        for model, *nodes in inputs:
+            wanted = [part.strip() for part in _as_string(nodes[0]).split(",")
+                      if part.strip()] if nodes else None
+            outputs.append(gmlaas.infer_node_class_dictionary(
+                _as_string(model), wanted))
+        return outputs, len(inputs)
 
-    def get_node_classes(model, nodes) -> Optional[object]:
-        """``sql:UDFS.getNodeClasses(model, 'iri1,iri2,...')`` — batched route.
-
-        Classifies a comma-separated list of nodes through the batched
-        inference endpoint: one HTTP call for the whole list, returning a
-        node -> class dictionary that ``getKeyValue`` can look up per row.
-        """
-        model_uri = _as_string(model)
-        wanted = [part.strip() for part in _as_string(nodes).split(",") if part.strip()]
-        records = gmlaas.infer_batch(model_uri, wanted, mode="class")
-        return {record["input"]: record["output"] for record in records}
-
-    def get_key_value(dictionary, key) -> Optional[str]:
+    def key_value(inputs: List[tuple]) -> Resolved:
         """``sql:UDFS.getKeyValue(dict, key)`` — local lookup, no HTTP call."""
-        if isinstance(dictionary, OpaqueValue):
-            dictionary = dictionary.value
-        if not isinstance(dictionary, dict):
-            raise UDFError("getKeyValue expects the dictionary produced by getNodeClass")
-        return dictionary.get(_as_string(key))
+        outputs, held, lookup = [], None, None
+        for dictionary, key in inputs:
+            if dictionary is not held:  # one dictionary per query, as a rule
+                held = dictionary
+                if isinstance(dictionary, OpaqueValue):
+                    dictionary = dictionary.value
+                if not isinstance(dictionary, dict):
+                    raise UDFError("getKeyValue expects the dictionary "
+                                   "produced by getNodeClasses")
+                lookup = dictionary.get
+            outputs.append(lookup(_as_string(key)))
+        return outputs, 0
 
-    def get_link_pred(model, source, k=None) -> Optional[str]:
-        """``sql:UDFS.getLinkPred(model, source[, k])`` — best predicted link."""
-        results = gmlaas.infer_links(_as_string(model), _as_string(source),
-                                     k=_as_int(k, default=1))
-        if not results:
-            return None
-        return results[0]["entity"]
-
-    def get_topk_links(model, source, k=None) -> Optional[object]:
-        """``sql:UDFS.getTopKLinks(model, source, k)`` — top-k predicted links."""
-        results = gmlaas.infer_links(_as_string(model), _as_string(source),
-                                     k=_as_int(k, default=10))
-        if not results:
-            return None
-        return ", ".join(result["entity"] for result in results)
-
-    def get_similar_entities(model, entity, k=None) -> Optional[object]:
-        """``sql:UDFS.getSimilarEntities(model, entity, k)`` — similar entities."""
-        results = gmlaas.infer_similar_entities(_as_string(model), _as_string(entity),
-                                                k=_as_int(k, default=10))
-        if not results:
-            return None
-        return ", ".join(result["entity"] for result in results)
-
-    endpoint.register_udf("sql:UDFS.getNodeClass", get_node_class,
-                          aliases=["UDFS.getNodeClass", "getNodeClass"])
-    endpoint.register_udf("sql:UDFS.getNodeClasses", get_node_classes,
-                          aliases=["UDFS.getNodeClasses", "getNodeClasses"])
-    endpoint.register_udf("sql:UDFS.getKeyValue", get_key_value,
-                          aliases=["UDFS.getKeyValue", "getKeyValue"])
-    endpoint.register_udf("sql:UDFS.getLinkPred", get_link_pred,
-                          aliases=["UDFS.getLinkPred", "getLinkPred"])
-    endpoint.register_udf("sql:UDFS.getTopKLinks", get_topk_links,
-                          aliases=["UDFS.getTopKLinks", "getTopKLinks"])
-    endpoint.register_udf("sql:UDFS.getSimilarEntities", get_similar_entities,
-                          aliases=["UDFS.getSimilarEntities", "getSimilarEntities"])
+    for name, resolve, limit in (
+            ("getNodeClass", node_class, 1),
+            ("getNodeClasses", node_classes, None),
+            ("getKeyValue", key_value, None),
+            # (model, source[, k]): the best / the top-k predicted links, and
+            # (model, entity[, k]): the k most similar entities, each list as
+            # one comma-separated string.
+            ("getLinkPred", _ranked_route(gmlaas, "links", 1, _best), None),
+            ("getTopKLinks", _ranked_route(gmlaas, "links", 10, _joined), None),
+            ("getSimilarEntities",
+             _ranked_route(gmlaas, "similar", 10, _joined), None)):
+        endpoint.register_udf(f"sql:UDFS.{name}", aliases=[f"UDFS.{name}", name],
+                              batch=BatchResolver(resolve, limit))

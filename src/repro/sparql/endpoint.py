@@ -49,7 +49,7 @@ from repro.sparql.ast import AskQuery, ConstructQuery, Query, SelectQuery, Updat
 from repro.sparql.cache import EpochLRU
 from repro.sparql.evaluator import QueryEvaluator
 from repro.sparql.execution import ExecutionContext, StreamingResult
-from repro.sparql.functions import UDFRegistry
+from repro.sparql.functions import BatchResolver, UDFRegistry
 from repro.sparql.parser import SPARQLParser
 from repro.sparql.plan import QueryPlan, render
 from repro.sparql.results import ResultSet
@@ -68,6 +68,8 @@ class QueryStatistics:
     pattern_lookups: int
     udf_calls: int = 0
     plan_cache_hit: bool = False
+    #: Remote inference calls made by this query's own ``infer`` nodes.
+    inference_calls: int = 0
 
 
 class _CacheEntry(NamedTuple):
@@ -197,10 +199,14 @@ class SPARQLEndpoint:
         self.plan_cache.clear()
         self.result_cache.clear()
 
-    def register_udf(self, name: str, function: Callable[..., object],
-                     aliases: Optional[List[str]] = None) -> None:
-        """Register a user-defined function callable from SPARQL expressions."""
-        self.udfs.register(name, function, aliases=aliases)
+    def register_udf(self, name: str,
+                     function: Optional[Callable[..., object]] = None,
+                     aliases: Optional[List[str]] = None,
+                     batch: Optional[BatchResolver] = None) -> None:
+        """Register a user-defined function callable from SPARQL expressions;
+        with ``batch``, one the planner can resolve a batch of rows at a time
+        (``function`` then defaults to the resolver called with one input)."""
+        self.udfs.register(name, function, aliases=aliases, batch=batch)
 
     # ------------------------------------------------------------------
     # Query execution
@@ -301,11 +307,11 @@ class SPARQLEndpoint:
             raise QueryError(
                 "the request is a SPARQL query, not an update; "
                 "send it through the query operation")
-        return self._run_query(parsed, text, graph_iri=None, plan=plan,
-                               cache_hit=cache_hit,
-                               default_graph_iris=default_graph_iris,
-                               named_graph_iris=named_graph_iris,
-                               context=context)
+        return self.run_query(parsed, text, graph_iri=None, plan=plan,
+                              cache_hit=cache_hit,
+                              default_graph_iris=default_graph_iris,
+                              named_graph_iris=named_graph_iris,
+                              context=context)
 
     def is_update(self, text: str) -> bool:
         """Whether ``text`` parses as a SPARQL update (vs a query).
@@ -346,10 +352,10 @@ class SPARQLEndpoint:
             raise QueryError(
                 "the request is a SPARQL update, not a query; "
                 "updates cannot be streamed")
-        return self._start_query(parsed, text, plan=plan, cache_hit=cache_hit,
-                                 default_graph_iris=default_graph_iris,
-                                 named_graph_iris=named_graph_iris,
-                                 context=context, on_stats=on_stats)
+        return self.start_query(parsed, text, plan=plan, cache_hit=cache_hit,
+                                default_graph_iris=default_graph_iris,
+                                named_graph_iris=named_graph_iris,
+                                context=context, on_stats=on_stats)
 
     def _record(self, statistics: QueryStatistics) -> QueryStatistics:
         """File one request's statistics: history, totals, this thread's last."""
@@ -370,8 +376,8 @@ class SPARQLEndpoint:
             # The request is an update; surface the canonical parser error.
             SPARQLParser(text, namespaces=self.namespaces).parse_query()
             raise QueryError("update request passed to query()")
-        return self._run_query(parsed, text, graph_iri=graph_iri, plan=plan,
-                               cache_hit=cache_hit)
+        return self.run_query(parsed, text, graph_iri=graph_iri, plan=plan,
+                              cache_hit=cache_hit)
 
     def _protocol_graph(self, graph_iris: Optional[List[Union[str, IRI]]],
                         named_graph_iris: Optional[List[Union[str, IRI]]] = None):
@@ -399,16 +405,20 @@ class SPARQLEndpoint:
                     for g in (named_graph_iris or ()))
         return self.dataset.snapshot().union_of(tuple(dict.fromkeys(iris)))
 
-    def _start_query(self, query: Query, text: str,
-                     graph_iri: Optional[Union[str, IRI]] = None,
-                     plan: Optional[QueryPlan] = None,
-                     cache_hit: bool = False,
-                     default_graph_iris: Optional[List[Union[str, IRI]]] = None,
-                     context: Optional[ExecutionContext] = None,
-                     named_graph_iris: Optional[List[Union[str, IRI]]] = None,
-                     on_stats: Optional[Callable[[QueryStatistics], None]] = None):
+    def start_query(self, query: Query, text: str,
+                    graph_iri: Optional[Union[str, IRI]] = None,
+                    plan: Optional[QueryPlan] = None,
+                    cache_hit: bool = False,
+                    default_graph_iris: Optional[List[Union[str, IRI]]] = None,
+                    context: Optional[ExecutionContext] = None,
+                    named_graph_iris: Optional[List[Union[str, IRI]]] = None,
+                    on_stats: Optional[Callable[[QueryStatistics], None]] = None):
         """Evaluate an already-parsed query; a SELECT comes back unconsumed.
 
+        The entry for callers that hold an AST rather than a text (the
+        SPARQL-ML service evaluates its rewritten query through it); ``text``
+        only labels the statistics record and ``plan`` is the caller's
+        :class:`~repro.sparql.plan.QueryPlan` for ``query``, if it keeps one.
         Statistics are recorded once the result is complete: at once for ASK
         and CONSTRUCT, from ``StreamingResult.finish`` for SELECT.
         """
@@ -433,7 +443,8 @@ class SPARQLEndpoint:
                 num_results=count,
                 pattern_lookups=evaluator.pattern_lookups,
                 udf_calls=self.udfs.total_calls() - udf_calls_before,
-                plan_cache_hit=cache_hit))
+                plan_cache_hit=cache_hit,
+                inference_calls=evaluator.inference_calls))
             if on_stats is not None:
                 on_stats(statistics)
 
@@ -448,9 +459,9 @@ class SPARQLEndpoint:
             record("ASK", int(bool(result)))
         return result
 
-    def _run_query(self, query: Query, text: str, **kwargs):
+    def run_query(self, query: Query, text: str, **kwargs):
         """Evaluate an already-parsed query to completion."""
-        result = self._start_query(query, text, **kwargs)
+        result = self.start_query(query, text, **kwargs)
         if isinstance(result, StreamingResult):
             return result.materialize()
         return result
@@ -528,7 +539,10 @@ class SPARQLEndpoint:
         property-path patterns expose the lowered plan (``rewritten``) —
         fresh-variable join chains, union branches for alternatives, and
         ``closure`` / ``negated-property-set`` iterator nodes for
-        ``*``/``+``/``?`` and ``!(...)``.
+        ``*``/``+``/``?`` and ``!(...)``.  A SELECT item or BIND that calls a
+        batch-resolved UDF (the SPARQL-ML inference functions) is an
+        ``infer`` node, printed where it runs: a SELECT item's after the
+        WHERE group's nodes.
 
         ``statistics`` reports how the plan interacts with the caches: the
         parse/plan-cache outcome for this text (``plan_cache_hit``) plus the
@@ -538,8 +552,10 @@ class SPARQLEndpoint:
 
         With ``analyze=True`` the WHERE group is executed once, to
         exhaustion, and the counters of that run are printed: ``rows_out``
-        per node (and for the group as a whole) and, per BGP level,
-        ``actual`` — the rows it handed on — next to its estimate.  Plain
+        per node (and for the group as a whole), per BGP level ``actual`` —
+        the rows it handed on — next to its estimate, and per ``infer`` node
+        the remote ``calls`` it made for how many ``distinct_targets`` over
+        how many ``rows``.  Plain
         ``explain`` touches no data beyond the cardinality counters the
         optimizer reads.
         """
@@ -564,7 +580,8 @@ class SPARQLEndpoint:
                 "stats_epoch": getattr(graph, "stats_epoch", None),
                 "num_triples": len(graph),
             },
-            "plan": render(tree.where, graph, run if analyze else None),
+            "plan": render(tree.where + tree.infer, graph,
+                           run if analyze else None),
         }
         if analyze:
             explained["rows_out"] = rows

@@ -3,8 +3,8 @@
 **Row representation.**  Term ids are the only thing that flows through this
 module.  A query gets one *layout* — every variable it can bind owns a slot —
 and every operator (BGP join, closure, negated set, FILTER, OPTIONAL, UNION,
-MINUS, BIND, VALUES, sub-SELECT, grouping, ORDER BY, DISTINCT, slice)
-consumes and produces fixed-width *id rows*: lists of dictionary ids indexed
+MINUS, BIND, batched inference, VALUES, sub-SELECT, grouping, ORDER BY,
+DISTINCT, slice) consumes and produces fixed-width *id rows*: lists of dictionary ids indexed
 by slot, ``None`` for unbound.  Terms a query computes and the store has
 never seen (BIND / aggregate / VALUES / UDF results) get private negative
 ids from a per-query :class:`~repro.rdf.dictionary.DictionaryOverlay`, so
@@ -30,7 +30,8 @@ slots, patterns ordered by cost, expressions compiled) and every operator
 here takes a node — a BGP node runs as an iterative index-nested-loop join
 that binds directly into the row.  Trees are cached per (graph, epoch) by a
 :class:`~repro.sparql.plan.QueryPlan` and shared between readers; what one
-run counts (index lookups per BGP step, rows out per node) lives here.
+run counts (index lookups per BGP step, rows out per node, inference calls
+per ``infer`` node) lives here.
 
 Every operator cooperates with an optional per-query
 :class:`~repro.sparql.execution.ExecutionContext`: the hot join loops tick an
@@ -44,7 +45,7 @@ is also the scheduler's suspension point.
 from __future__ import annotations
 
 import weakref
-from itertools import islice
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -76,7 +77,11 @@ from repro.sparql.ast import (
     Update,
 )
 from repro.sparql.execution import BATCH_ROWS, ExecutionContext
-from repro.sparql.functions import EvaluationContext, UDFRegistry
+from repro.sparql.functions import (
+    EvaluationContext,
+    UDFRegistry,
+    coerce_udf_result,
+)
 from repro.sparql.plan import (
     Layout,
     Node,
@@ -133,6 +138,9 @@ class QueryEvaluator:
         self._narrowed: Dict[int, List[List[int]]] = {}
         #: Rows out per node index; counted only under :meth:`analyze`.
         self.rows_out: Optional[Dict[int, int]] = None
+        #: Per ``infer`` node index: ``[remote calls made, distinct argument
+        #: tuples resolved, rows filled, {argument ids: value id}]``.
+        self.inference: Dict[int, list] = {}
 
     # -- public API ---------------------------------------------------------
     def evaluate(self, query: Query):
@@ -182,6 +190,8 @@ class QueryEvaluator:
         if rows is not None:
             batches = (rows[start:start + BATCH_ROWS]
                        for start in range(0, len(rows), BATCH_ROWS))
+        if plan.infer:
+            batches = self._run(plan.infer, batches, layout)
         batches = ([project(row) for row in batch] for batch in batches)
         if query.distinct or query.reduced:
             batches = _distinct(batches)
@@ -200,15 +210,18 @@ class QueryEvaluator:
         if not isinstance(scope, (SelectQuery, GroupPattern)):
             scope = scope.where
         if self.plan is not None:
-            return self.plan.tree_for(scope, self.graph, self.optimize_joins)
-        return build(scope, self.graph, self.optimize_joins)
+            return self.plan.tree_for(scope, self.graph, self.optimize_joins,
+                                      self.udfs)
+        return build(scope, self.graph, self.optimize_joins, self.udfs)
 
     def analyze(self, query: Query) -> Tuple[Plan, int]:
-        """Run the query's WHERE group once, to exhaustion, counting the rows
-        out of every node: ``(the tree for plan.render, rows the group made)``."""
+        """Run the query's WHERE group (and the ``infer`` nodes its projection
+        reads, over those rows) once, to exhaustion, counting the rows out of
+        every node: ``(the tree for plan.render, rows the group made)``."""
         tree = self.plan_for(query)
         self.rows_out = {}
-        return tree, sum(map(len, self._rows(tree)))
+        return tree, sum(map(len, self._run(tree.infer, self._rows(tree),
+                                            tree.layout)))
 
     def entered(self, node: Node) -> List[int]:
         """Rows that entered each step of a BGP node so far in this run, in
@@ -224,6 +237,11 @@ class QueryEvaluator:
     def pattern_lookups(self) -> int:
         """Triple-pattern index lookups performed: entries into join levels."""
         return sum(map(sum, self._lookups.values()))
+
+    @property
+    def inference_calls(self) -> int:
+        """Remote inference calls this query's ``infer`` nodes made."""
+        return sum([counts[0] for counts in self.inference.values()])
 
     def evaluate_ask(self, query: AskQuery) -> bool:
         # The first batch holds a single row: one witness, then stop.
@@ -712,6 +730,84 @@ class QueryEvaluator:
                 if value is not None:
                     row = _merge(row, ((slot, value),))
                     if row is None:  # already bound to something else
+                        continue
+                bound.append(row)
+            if bound:
+                yield bound
+
+    def _infer(self, node: Node, batches: Iterator[List[Row]],
+               layout: Layout) -> Iterator[List[Row]]:
+        """BIND the value of a batch-resolved UDF, a batch of rows at a time.
+
+        Per batch: the distinct argument-id tuples this query has not
+        resolved yet are decoded once each and handed to the resolver — all
+        at once, or ``limit`` per call, one checkpoint before every call —
+        every distinct output is encoded once, and each row is then a
+        dictionary lookup.  Row for row this is the scalar call in a ``bind``
+        node: no value leaves the row as it is, a value that contradicts an
+        earlier binding of the slot drops it.
+        """
+        slot, name, args = node.compiled
+        resolver = self.udfs.batch(name)
+        if resolver is None:
+            raise UDFError(f"unknown function {name!r}")
+        # One state per node and query: the node may be started once per
+        # input batch (under OPTIONAL, UNION, EXISTS).
+        counts = self.inference.setdefault(node.index, [0, 0, 0, {}])
+        resolved: Dict[object, Optional[int]] = counts[3]
+        variables = [arg for arg in args if type(arg) is int]  # their slots
+        single = len(variables) == 1
+        key_of = itemgetter(variables[0]) if single else _projector(variables)
+        decode, encode = self.terms.decode, self.terms.encode
+        checkpoint = self._checkpoint
+        decoded: Dict[Optional[int], Optional[Term]] = {None: None}
+        encoded: Dict[str, int] = {}                 # output text -> value id
+
+        def inputs_of(keys: list) -> List[tuple]:
+            """The argument tuples ``keys`` stand for, in terms, built a
+            column at a time; an id is decoded the first time it is met."""
+            columns, place = [], 0
+            for arg in args:
+                if type(arg) is not int:
+                    columns.append(repeat(arg, len(keys)))
+                    continue
+                cells = keys if single else [key[place] for key in keys]
+                place += 1
+                for cell in set(cells).difference(decoded):
+                    decoded[cell] = decode(cell)
+                columns.append(map(decoded.__getitem__, cells))
+            return list(zip(*columns)) if columns else [()] * len(keys)
+
+        def value_id(output: object) -> Optional[int]:
+            if output.__class__ is not str:
+                term = coerce_udf_result(output)
+                return None if term is None else encode(term)
+            value = encoded.get(output)
+            if value is None:
+                value = encoded[output] = encode(coerce_udf_result(output))
+            return value
+
+        for batch in batches:
+            keys = [key_of(row) for row in batch]
+            pending = [key for key in dict.fromkeys(keys) if key not in resolved]
+            step = resolver.limit or len(pending) or 1
+            for start in range(0, len(pending), step):
+                chunk = pending[start:start + step]
+                if checkpoint is not None:
+                    checkpoint(len(chunk))
+                outputs, calls = self.udfs.call_batch(name, inputs_of(chunk))
+                counts[0] += calls
+                resolved.update(zip(chunk, map(value_id, outputs)))
+            counts[1] += len(pending)
+            counts[2] += len(batch)
+            bound = []
+            for row, key in zip(batch, keys):
+                value = resolved[key]
+                if value is not None:
+                    if row[slot] is None:
+                        row = row[:]
+                        row[slot] = value
+                    elif row[slot] != value:  # already bound to something else
                         continue
                 bound.append(row)
             if bound:

@@ -19,7 +19,8 @@ from __future__ import annotations
 import operator
 import re
 import threading
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.exceptions import QueryError, UDFError
 from repro.rdf.terms import (
@@ -48,8 +49,10 @@ from repro.sparql.results import Solution
 
 __all__ = [
     "UDFRegistry",
+    "BatchResolver",
     "EvaluationContext",
     "OpaqueValue",
+    "coerce_udf_result",
     "compile_expression",
     "compile_filter",
     "evaluate_expression",
@@ -67,6 +70,10 @@ FALSE = Literal("false", datatype=XSD_BOOLEAN)
 _COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                "/": operator.truediv}
+#: Ordered comparisons, and each as seen from the other operand.
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+              ">=": operator.ge}
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 class OpaqueValue(Term):
@@ -109,6 +116,26 @@ class OpaqueValue(Term):
         return self
 
 
+class BatchResolver(NamedTuple):
+    """A UDF computed for many argument tuples at once (an ``infer`` plan node).
+
+    ``resolve(inputs)`` takes a list of argument tuples — the terms a scalar
+    call would receive, ``None`` for unbound — and returns ``(outputs,
+    calls)``: one result per input, in order, coerced like a scalar UDF's
+    return value, and how many remote (GMLaaS "HTTP") calls computing them
+    took.  ``limit`` caps the inputs handed over per ``resolve`` (1 for a
+    function whose service route takes one instance); ``None`` passes every
+    input an evaluator batch has not seen before at once.
+    """
+
+    resolve: Callable[[List[tuple]], Tuple[List[object], int]]
+    limit: Optional[int] = None
+
+    def scalar(self, *args: object) -> object:
+        """The same function for one argument tuple."""
+        return self.resolve([args])[0][0]
+
+
 class UDFRegistry:
     """Registry of user-defined functions callable from SPARQL expressions.
 
@@ -116,22 +143,41 @@ class UDFRegistry:
     e.g. ``sql:UDFS.getNodeClass``, and optionally a bare local name).  Each
     call is counted so the SPARQL-ML query-plan experiments can report the
     number of UDF/HTTP calls each execution plan makes (paper Figs 11-12).
+    A function registered with a :class:`BatchResolver` is that resolver
+    called with one input, wherever an expression calls it row by row; where
+    a SELECT item or BIND is a direct call to it, the planner makes it an
+    ``infer`` node that resolves whole batches.
     """
 
     def __init__(self) -> None:
         self._functions: Dict[str, Callable[..., object]] = {}
+        self._batch: Dict[str, BatchResolver] = {}
         self.call_counts: Dict[str, int] = {}
         # Concurrent queries share one registry through the endpoint; the
         # count increment is read-modify-write and needs the lock.
         self._counts_lock = threading.Lock()
 
-    def register(self, name: str, function: Callable[..., object],
-                 aliases: Optional[List[str]] = None) -> None:
-        for key in [name] + list(aliases or []):
-            self._functions[self._normalise(key)] = function
+    def register(self, name: str, function: Optional[Callable[..., object]] = None,
+                 aliases: Optional[List[str]] = None,
+                 batch: Optional[BatchResolver] = None) -> None:
+        if function is None:
+            if batch is None:
+                raise UDFError(f"no function given for {name!r}")
+            function = batch.scalar
+        for key in map(self._normalise, [name] + list(aliases or [])):
+            self._functions[key] = function
+            if batch is not None:
+                self._batch[key] = batch
+            else:
+                self._batch.pop(key, None)
 
     def unregister(self, name: str) -> None:
         self._functions.pop(self._normalise(name), None)
+        self._batch.pop(self._normalise(name), None)
+
+    def batch(self, name: str) -> Optional[BatchResolver]:
+        """The batch resolver ``name`` is registered with, if any."""
+        return self._batch.get(self._normalise(name))
 
     @staticmethod
     def _normalise(name: str) -> str:
@@ -151,6 +197,17 @@ class UDFRegistry:
         with self._counts_lock:
             self.call_counts[key] = self.call_counts.get(key, 0) + 1
         return function(*args)
+
+    def call_batch(self, name: str,
+                   inputs: List[tuple]) -> Tuple[List[object], int]:
+        """One (counted) call of ``name``'s batch resolver."""
+        key = self._normalise(name)
+        resolver = self._batch.get(key)
+        if resolver is None:
+            raise UDFError(f"unknown batch-resolved function {name!r}")
+        with self._counts_lock:
+            self.call_counts[key] = self.call_counts.get(key, 0) + 1
+        return resolver.resolve(inputs)
 
     def total_calls(self, name: Optional[str] = None) -> int:
         if name is not None:
@@ -239,15 +296,9 @@ def _compare(op: str, left: Term, right: Term) -> bool:
         lv, rv = left.lexical, right.lexical
     else:
         lv, rv = left.n3(), right.n3()
-    if op == "<":
-        return lv < rv
-    if op == "<=":
-        return lv <= rv
-    if op == ">":
-        return lv > rv
-    if op == ">=":
-        return lv >= rv
-    raise QueryError(f"unknown comparison operator {op!r}")
+    if op not in _ORDERINGS:
+        raise QueryError(f"unknown comparison operator {op!r}")
+    return _ORDERINGS[op](lv, rv)
 
 
 def _arithmetic(op: str, left: Optional[Term], right: Optional[Term]) -> Literal:
@@ -272,7 +323,7 @@ def _call_udf(name: str, args: List[Optional[Term]],
     """Apply the user-defined function registered with the endpoint as
     ``name``; resolved per call, as UDFs register and unregister at run time."""
     if name in context.udfs:
-        return _coerce_udf_result(context.udfs.call(name, *args))
+        return coerce_udf_result(context.udfs.call(name, *args))
     raise UDFError(f"unknown function {name!r}")
 
 
@@ -542,6 +593,11 @@ def _compile_binary(expr: BinaryOp, slots: Mapping[Variable, int],
             wanted = op == "="  # an unbound cell (None) satisfies neither
             return (lambda row, context: same(row, context) is wanted), False, True
     lhs, rhs = _term_fn(left), _term_fn(right)
+    if op in _ORDERINGS and left[1] != right[1]:  # exactly one constant side
+        ordered = (_against_numeric_constant(op, lhs, rhs) if right[1]
+                   else _against_numeric_constant(_MIRRORED[op], rhs, lhs))
+        if ordered is not None:
+            return ordered, False, True
     if op in _COMPARISONS:
         def compare(row, context):
             a, b = lhs(row, context), rhs(row, context)
@@ -550,6 +606,31 @@ def _compile_binary(expr: BinaryOp, slots: Mapping[Variable, int],
         return _fold(compare, constant, True)
     return _fold(lambda row, context: _arithmetic(
         op, lhs(row, context), rhs(row, context)), constant)
+
+
+def _against_numeric_constant(op: str, value: Callable,
+                              constant: Callable) -> Optional[Callable]:
+    """``value <op> constant`` for a numeric constant, its order key (the
+    float :func:`_compare` would re-derive for every row) computed once;
+    no closure when the constant is anything else."""
+    try:
+        bound = constant(None, None)
+        if not (isinstance(bound, Literal) and bound.is_numeric()):
+            return None
+        key = float(bound.lexical)
+    except Exception:  # noqa: BLE001 — whatever it raises, it raises per row
+        return None
+    holds = _ORDERINGS[op]
+
+    def ordered(row, context):
+        term = value(row, context)
+        if term is None:
+            return False
+        if isinstance(term, Literal) and term.is_numeric():
+            return holds(float(term.lexical), key)
+        return _compare(op, term, bound)
+
+    return ordered
 
 
 def _compile_in(expr: InExpr, slots: Mapping[Variable, int],
@@ -701,7 +782,7 @@ def evaluate_expression(expr: Expression, solution: Solution,
     raise QueryError(f"cannot evaluate expression node {type(expr).__name__}")
 
 
-def _coerce_udf_result(result: object) -> Optional[Term]:
+def coerce_udf_result(result: object) -> Optional[Term]:
     """Coerce a UDF return value into an RDF term (dicts become literals)."""
     if result is None:
         return None

@@ -33,9 +33,11 @@ from repro.sparql.ast import (
     BGP,
     BindPattern,
     ClosurePattern,
+    ConstantExpr,
     ExistsExpr,
     Expression,
     FilterPattern,
+    FunctionCall,
     GroupPattern,
     InversePath,
     LinkPath,
@@ -55,6 +57,7 @@ from repro.sparql.ast import (
 )
 from repro.sparql.cache import EpochLRU
 from repro.sparql.functions import (
+    UDFRegistry,
     aggregate_variable,
     compile_expression,
     compile_filter,
@@ -326,6 +329,18 @@ class CompiledNegated(NamedTuple):
     object: object
 
 
+class CompiledInfer(NamedTuple):
+    """A direct call to a batch-resolved UDF: the function's name (resolved
+    when it runs, as UDFs register and unregister at run time), one slot
+    (variable) or term (constant) per argument, and the slot the value is
+    bound in — the variable's for a BIND, a scratch one only the projection
+    reads for a SELECT item."""
+
+    slot: int
+    name: str
+    args: tuple
+
+
 def negated_directions(graph: Graph, path: NegatedPath, reverse: bool = False):
     """``(excluded predicate ids, subject position, object position)`` per
     direction a negated set matches in: (s, o) forward when a triple
@@ -391,7 +406,9 @@ class Plan(NamedTuple):
     is a slot to read or a compiled ``(row, context) -> Term`` closure:
     ``keys`` are the GROUP BY cells, ``aggregates`` the ``(slot, Aggregate,
     argument cell or None)`` triples grouping computes, ``having`` the
-    compiled tests, ``order`` the term closures, ``cells`` the projection.
+    compiled tests, ``order`` the term closures, ``cells`` the projection
+    and ``infer`` the nodes that fill the slots some of its cells read,
+    run over the solutions as they are when the projection sees them.
     """
 
     scope: object
@@ -402,15 +419,18 @@ class Plan(NamedTuple):
     having: tuple = ()
     order: tuple = ()
     cells: tuple = ()
+    infer: Tuple[Node, ...] = ()
 
 
 def _frozen(bound, unseeded=frozenset()) -> frozenset:
     return frozenset(bound) if bound else unseeded
 
 
-def build(scope, graph: Graph, optimize_joins: bool = True) -> Plan:
-    """Plan a SELECT query or a bare WHERE group against ``graph``."""
-    builder = _Builder(graph, optimize_joins)
+def build(scope, graph: Graph, optimize_joins: bool = True,
+          udfs: Optional[UDFRegistry] = None) -> Plan:
+    """Plan a SELECT query or a bare WHERE group against ``graph``; calls to
+    the batch-resolved functions of ``udfs`` become ``infer`` nodes."""
+    builder = _Builder(graph, optimize_joins, udfs)
     if isinstance(scope, SelectQuery):
         return builder.select(scope)
     layout = Layout()
@@ -422,9 +442,11 @@ class _Builder:
     included) against one graph; ``bound`` is always the set of variables
     the elements before a point certainly bind."""
 
-    def __init__(self, graph: Graph, optimize: bool) -> None:
+    def __init__(self, graph: Graph, optimize: bool,
+                 udfs: Optional[UDFRegistry] = None) -> None:
         self.graph = graph
         self.optimize = optimize
+        self.udfs = udfs
         self.indices = count()
 
     def select(self, query: SelectQuery) -> Plan:
@@ -444,12 +466,17 @@ class _Builder:
             (layout.slot(variable), aggregate, None if aggregate.expr is None
              else self._cell(aggregate.expr, layout))
             for variable, aggregate in aggregates])
-        # An aggregate is folded into its output variable's slot by grouping.
-        cells = tuple([
-            layout.slot(_output_variable(item, index))
-            if isinstance(item.expression, Aggregate)
-            else self._cell(item.expression, layout)
-            for index, item in enumerate(query.select_items)])
+        cells, infer = [], []
+        for index, item in enumerate(query.select_items):
+            if isinstance(item.expression, Aggregate):
+                # Folded into its output variable's slot by grouping.
+                cells.append(layout.slot(_output_variable(item, index)))
+            elif self._resolved_in_batches(item.expression):
+                infer.append(self._infer(item.expression, layout.slot(),
+                                         item, layout))
+                cells.append(infer[-1].compiled.slot)
+            else:
+                cells.append(self._cell(item.expression, layout))
         return Plan(
             query, layout, where,
             tuple([self._cell(key, layout) for key in query.group_by]),
@@ -458,7 +485,7 @@ class _Builder:
                    for test in query.having]),
             tuple([self._compile(compile_expression, condition.expression,
                                  layout) for condition in query.order_by]),
-            cells)
+            tuple(cells), tuple(infer))
 
     def group(self, group: GroupPattern, layout: Layout,
               bound) -> Tuple[Node, ...]:
@@ -521,6 +548,10 @@ class _Builder:
                          in dict.fromkeys(element.pattern.variables())
                          if variable in layout], None, (inner,))
         if isinstance(element, BindPattern):
+            if self._resolved_in_batches(element.expression):
+                return self._infer(element.expression,
+                                   layout.slot(element.variable), element,
+                                   layout, index)
             return Node("bind", index,
                         (layout.slot(element.variable),
                          self._cell(element.expression, layout, bound)),
@@ -535,7 +566,8 @@ class _Builder:
             inner = self.select(element.query)
             for variable in output_variables(element.query):
                 layout.slot(variable)
-            return Node("subselect", index, inner, None, (inner.where,))
+            return Node("subselect", index, inner, None,
+                        (inner.where + inner.infer,))
         raise QueryError(  # pragma: no cover - defensive
             f"unsupported pattern element {type(element).__name__}")
 
@@ -583,6 +615,23 @@ class _Builder:
         return Node("bgp", index,
                     CompiledBGP(tuple(specs), tuple(slots), empty, intersectors),
                     (patterns, estimates, steps, _frozen(bound), self.optimize))
+
+    def _resolved_in_batches(self, expression: Expression) -> bool:
+        """A direct call, on variables and constants only, to a function
+        registered with a batch resolver (the registry is asked about
+        function calls only: a plain query pays nothing for the question)."""
+        return (isinstance(expression, FunctionCall) and self.udfs is not None
+                and self.udfs.batch(expression.name) is not None
+                and all(isinstance(arg, (VariableExpr, ConstantExpr))
+                        for arg in expression.args))
+
+    def _infer(self, call: FunctionCall, slot: int, facts, layout: Layout,
+               index: Optional[int] = None) -> Node:
+        args = tuple([layout.slot(arg.variable)
+                      if isinstance(arg, VariableExpr) else arg.value
+                      for arg in call.args])
+        return Node("infer", next(self.indices) if index is None else index,
+                    CompiledInfer(slot, call.name, args), facts)
 
     def _seed(self, element, bound):
         """A path-like element's facts: what its estimate is made from."""
@@ -647,8 +696,10 @@ def _describe(node: Node, graph: Graph) -> Dict[str, object]:
         return out
     if kind == "filter":
         return {"expression": serialize_expression(facts.expression)}
-    if kind == "bind":
-        return {"variable": facts.variable.n3(),
+    if kind in ("bind", "infer"):  # facts: a BindPattern or a SelectItem
+        variable = (facts.variable if isinstance(facts, BindPattern)
+                    else facts.alias)
+        return {"variable": variable.n3() if variable is not None else None,
                 "expression": serialize_expression(facts.expression)}
     if kind == "values":
         return {"variables": [variable.n3() for variable in facts.variables],
@@ -676,6 +727,9 @@ def render(nodes: Tuple[Node, ...], graph: Graph,
                 item["rewritten" if node.kind == "path" else "children"] = groups[0]
         if run is not None:
             item["rows_out"] = run.rows_out.get(node.index, 0)
+            if node.kind == "infer":
+                item.update(zip(("calls", "distinct_targets", "rows"),
+                                run.inference.get(node.index, (0, 0, 0))))
             if "levels" in item:
                 entering = run.entered(node) + [item["rows_out"]]
                 item["levels"] = [dict(level, actual=after) for level, after
@@ -705,13 +759,15 @@ class QueryPlan:
     def __init__(self) -> None:
         self._trees = EpochLRU(self.MAX_TREES)
 
-    def tree_for(self, scope, graph: Graph, optimize_joins: bool) -> Plan:
+    def tree_for(self, scope, graph: Graph, optimize_joins: bool,
+                 udfs: Optional[UDFRegistry] = None) -> Plan:
         key = (id(scope), id(graph), optimize_joins)
         epoch = (graph.epoch, getattr(graph, "stats_epoch", None))
         held, _ = self._trees.get(key, epoch)
         if held is None or held[0]() is not graph or held[1].scope is not scope:
             # Concurrent evaluators may both build the same tree; either is
             # correct for the target, last writer wins.
-            held = (weakref.ref(graph), build(scope, graph, optimize_joins))
+            held = (weakref.ref(graph),
+                    build(scope, graph, optimize_joins, udfs))
             self._trees.put(key, epoch, held)
         return held[1]

@@ -270,8 +270,7 @@ class TestRewriter:
     def test_per_instance_plan_rewrite(self):
         query, predicates = self.parser.parse_select(FIG2_SELECT)
         plan = self.optimizer.choose_plan(3, 100)
-        rewritten = self.rewriter.rewrite(query, predicates[0], self.model_uri, plan,
-                                          target_node_type=DBLP["Publication"])
+        rewritten = self.rewriter.rewrite(query, predicates[0], self.model_uri, plan)
         assert rewritten.plan == "per_instance"
         assert "sql:UDFS.getNodeClass" in rewritten.text
         assert "?NodeClassifier" not in rewritten.text
@@ -282,8 +281,7 @@ class TestRewriter:
     def test_dictionary_plan_rewrite(self):
         query, predicates = self.parser.parse_select(FIG2_SELECT)
         plan = self.optimizer.choose_plan(10_000, 10_000)
-        rewritten = self.rewriter.rewrite(query, predicates[0], self.model_uri, plan,
-                                          target_node_type=DBLP["Publication"])
+        rewritten = self.rewriter.rewrite(query, predicates[0], self.model_uri, plan)
         assert rewritten.plan == "dictionary"
         assert "sql:UDFS.getKeyValue" in rewritten.text
         assert rewritten.text.count("sql:UDFS.getNodeClass") == 1

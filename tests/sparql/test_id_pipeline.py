@@ -183,9 +183,16 @@ def composites(children):
         st.tuples(st.sampled_from(["REGEX", "sameTerm"]),
                   st.tuples(children, children)),
     ).map(lambda call: FunctionCall(call[0], tuple(call[1])))
+    # ``?y >= 2000``: the compiler derives a numeric constant's order key
+    # once, not per row ("abc"^^xsd:integer is numeric by type only).
+    ordered = st.sampled_from(["<", "<=", ">", ">="])
+    numeric = st.sampled_from([term for term in ALL_TERMS if isinstance(
+        term, Literal) and term.is_numeric()]).map(ConstantExpr)
     return st.one_of(
         st.builds(UnaryOp, st.sampled_from(["!", "-", "+"]), children),
         st.builds(BinaryOp, st.sampled_from(binary_ops), children, children),
+        st.builds(BinaryOp, ordered, children, numeric),
+        st.builds(BinaryOp, ordered, numeric, children),
         st.builds(InExpr, children,
                   st.lists(children, min_size=0, max_size=3).map(tuple),
                   st.booleans()),
