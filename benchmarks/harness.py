@@ -30,28 +30,15 @@ from repro.rdf.stats import format_table
 
 __all__ = [
     "bench_scale",
-    "percentile",
     "bench_training_config",
     "build_dblp_graph",
     "build_yago_graph",
     "make_platform",
     "run_training_comparison",
     "save_report",
-    "RESULTS_DIR",
 ]
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-def percentile(ordered: Sequence[float], quantile: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample sequence.
-
-    Delegates to the router's implementation — the SAME definition
-    `RouteMetrics` reports, so benchmark numbers and the server's own
-    `metrics` route can never disagree on what p99 means.
-    """
-    from repro.kgnet.api.router import _percentile
-    return _percentile(list(ordered), quantile)
 
 
 def bench_scale() -> float:

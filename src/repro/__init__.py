@@ -11,8 +11,9 @@ Reproduction of "Towards a GML-Enabled Knowledge Graph Platform"
 * :mod:`repro.kgnet` -- the paper's contribution: meta-sampler, GMLaaS,
   KGMeta governor, SPARQL-ML service, and the KGNet facade,
 * :mod:`repro.concurrency` -- serving-layer primitives: atomic counters,
-  a bounded worker pool, and in-flight inference batching (snapshot
-  isolation itself lives on :class:`repro.rdf.Graph` / ``Dataset``),
+  a bounded worker pool, the time-slicing query scheduler and admission
+  control (snapshot isolation itself lives on :class:`repro.rdf.Graph` /
+  ``Dataset``),
 * :mod:`repro.server` -- the network service layer: a stdlib HTTP server
   speaking the W3C SPARQL 1.1 Protocol and the kgnet/v1 envelope API, with
   streaming content-negotiated results and a pure-stdlib ``RemoteClient``,
@@ -25,7 +26,7 @@ Reproduction of "Towards a GML-Enabled Knowledge Graph Platform"
 
 __version__ = "0.3.0"
 
-from repro.concurrency import AtomicCounter, InflightBatcher, WorkerPool
+from repro.concurrency import AtomicCounter, WorkerPool
 from repro.gml.tasks import TaskSpec, TaskType
 from repro.gml.train.budget import TaskBudget
 from repro.kgnet.api import (
@@ -52,7 +53,6 @@ __all__ = [
     "APIRouter",
     "AtomicCounter",
     "DeleteReport",
-    "InflightBatcher",
     "KGNet",
     "KGNetHTTPServer",
     "RemoteClient",

@@ -7,8 +7,6 @@ and fast:
 
 * :class:`AtomicCounter` — lost-update-free statistics counters,
 * :class:`WorkerPool` — a bounded thread pool with back-pressure,
-* :class:`InflightBatcher` — coalesces concurrent single-item inference
-  calls into one batched "HTTP" call,
 * :class:`QueryScheduler` — time-sliced fair execution of preemptable
   queries (SaGe-style web preemption),
 * :class:`AdmissionController` — sheds load with a typed
@@ -21,9 +19,8 @@ generic pieces the serving layer composes on top.
 """
 
 from repro.concurrency.atomic import AtomicCounter
-from repro.concurrency.batching import InflightBatcher
 from repro.concurrency.pool import WorkerPool
 from repro.concurrency.scheduler import AdmissionController, QueryScheduler
 
-__all__ = ["AdmissionController", "AtomicCounter", "InflightBatcher",
-           "QueryScheduler", "WorkerPool"]
+__all__ = ["AdmissionController", "AtomicCounter", "QueryScheduler",
+           "WorkerPool"]

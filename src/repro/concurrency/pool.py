@@ -4,10 +4,7 @@
 queue: ``submit`` blocks once ``max_pending`` tasks are waiting, so a burst
 of clients exerts back-pressure instead of growing an unbounded queue (the
 failure mode of naive ``Thread``-per-request serving).  Results travel as
-:class:`concurrent.futures.Future` objects, and :meth:`map_ordered` preserves
-input order — :meth:`APIRouter.serve_concurrent
-<repro.kgnet.api.router.APIRouter.serve_concurrent>` relies on that to return
-responses aligned with the request list.
+:class:`concurrent.futures.Future` objects.
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ from __future__ import annotations
 import queue
 import threading
 from concurrent.futures import Future
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 __all__ = ["WorkerPool"]
 
@@ -105,15 +102,6 @@ class WorkerPool:
             except queue.Full:
                 return None
         return future
-
-    def map_ordered(self, fn: Callable, items: Sequence) -> List[object]:
-        """Apply ``fn`` to every item concurrently; results in input order.
-
-        Exceptions propagate: the first failing item re-raises after all
-        tasks have been scheduled (submission itself never loses tasks).
-        """
-        futures = [self.submit(fn, item) for item in items]
-        return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
     def shutdown(self, wait: bool = True,

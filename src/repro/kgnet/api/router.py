@@ -25,9 +25,8 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.concurrency import InflightBatcher, WorkerPool
 from repro.concurrency.scheduler import AdmissionController, QueryScheduler
 from repro.exceptions import (
     BadRequestError,
@@ -289,14 +288,6 @@ class APIRouter:
         self._cursors: "OrderedDict[str, List[object]]" = OrderedDict()
         self._cursors_lock = threading.Lock()
         self._cursor_ids = itertools.count(1)
-        #: Coalesces concurrent single-input infer calls into one
-        #: ``infer_batch`` HTTP call.  Participation is *thread-local*: only
-        #: worker threads of a :meth:`serve_concurrent` drive that opted in
-        #: route through it — a plain ``dispatch`` from any other thread
-        #: never pays the coalescing window or its batch semantics, even
-        #: while drives are active.
-        self._infer_batcher = InflightBatcher(self._execute_infer_batch)
-        self._coalesce_local = threading.local()
         #: op name -> handler(params) -> (json_result_or_thunk, attachment);
         #: a zero-arg callable result is projected lazily on first read.
         self._routes: Dict[str, Callable[[Dict[str, object]],
@@ -402,10 +393,6 @@ class APIRouter:
                 self.admission.release(ticket)
         return self._finish(request, response, started)
 
-    def dispatch_dict(self, payload: Dict[str, object]) -> Dict[str, object]:
-        """Dict-in / dict-out dispatch: the in-process 'HTTP' transport."""
-        return self.dispatch(payload).to_dict()
-
     def _finish(self, request: APIRequest, response: APIResponse,
                 started: float) -> APIResponse:
         elapsed = time.perf_counter() - started
@@ -433,67 +420,6 @@ class APIRouter:
         with self._metrics_lock:
             items = sorted(self._metrics.items())
         return {op: m.as_dict() for op, m in items}
-
-    def coalescing_stats(self) -> Dict[str, int]:
-        """In-flight inference batching counters (round-trips saved)."""
-        return dict(self._infer_batcher.stats())
-
-    # ------------------------------------------------------------------
-    # Concurrent serving
-    # ------------------------------------------------------------------
-    def serve_concurrent(self, requests: Iterable[Union[APIRequest, Dict[str, object]]],
-                         max_workers: int = 8,
-                         coalesce_inference: bool = True) -> List[APIResponse]:
-        """Dispatch many envelopes through a bounded worker pool.
-
-        Responses come back aligned with the request order.  While the drive
-        is active, single-input ``infer_*`` envelopes for the same
-        ``(model_uri, mode, k)`` coalesce through the in-flight batcher into
-        one ``infer_batch`` GMLaaS call, so N concurrent clients asking the
-        same model cost ~1 HTTP round-trip instead of N.  Every response is
-        still an envelope — per-request failures ride back as error
-        envelopes exactly as with :meth:`dispatch`.
-
-        Safe to call from several threads at once (each call brings its own
-        pool; the coalescing batcher is shared, so overlapping opted-in
-        drives batch across each other, which is the point).  One semantic
-        caveat of coalescing: a batched similarity lookup returns an empty
-        result for an unknown entity instead of the error envelope the
-        sequential path produces (one client's bad input must not fail its
-        batch neighbours); pass ``coalesce_inference=False`` to keep exact
-        sequential semantics.
-        """
-        request_list = list(requests)
-        if not request_list:
-            return []
-        worker = self._dispatch_coalescing if coalesce_inference else self.dispatch
-        with WorkerPool(max_workers=max_workers,
-                        max_pending=max(len(request_list), max_workers)) as pool:
-            return pool.map_ordered(worker, request_list)
-
-    def _dispatch_coalescing(self, request) -> APIResponse:
-        """Dispatch with in-flight inference coalescing enabled (this thread)."""
-        self._coalesce_local.active = True
-        try:
-            return self.dispatch(request)
-        finally:
-            self._coalesce_local.active = False
-
-    def _infer_one(self, model_uri: str, value: str, mode: str, k: int):
-        """One single-input inference, coalesced while serving concurrently."""
-        if getattr(self._coalesce_local, "active", False):
-            return self._infer_batcher.submit((model_uri, mode, k), value)
-        if mode == "class":
-            return self.gmlaas.infer_node_class(model_uri, value)
-        if mode == "links":
-            return self.gmlaas.infer_links(model_uri, value, k=k)
-        return self.gmlaas.infer_similar_entities(model_uri, value, k=k)
-
-    def _execute_infer_batch(self, key: Tuple[str, str, int],
-                             inputs: Sequence[str]) -> List[object]:
-        model_uri, mode, k = key
-        records = self.gmlaas.infer_batch(model_uri, list(inputs), k=k, mode=mode)
-        return [record["output"] for record in records]
 
     # ------------------------------------------------------------------
     # Pagination cursors
@@ -526,17 +452,28 @@ class APIRouter:
         return timeout
 
     @staticmethod
-    def _coerce_page_size(page_size: object) -> Optional[int]:
+    def _coerce_positive_int(value: object, name: str) -> int:
+        try:
+            number = int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise BadRequestError(f"{name!r} must be an integer, got {value!r}")
+        if number <= 0:
+            raise BadRequestError(f"{name!r} must be positive")
+        return number
+
+    @classmethod
+    def _coerce_page_size(cls, page_size: object) -> Optional[int]:
         """Validate an optional ``page_size`` parameter (None = no paging)."""
         if page_size is None:
             return None
-        try:
-            size = int(page_size)
-        except (TypeError, ValueError):
-            raise BadRequestError(f"'page_size' must be an integer, got {page_size!r}")
-        if size <= 0:
-            raise BadRequestError("'page_size' must be positive")
-        return size
+        return cls._coerce_positive_int(page_size, "page_size")
+
+    @classmethod
+    def _coerce_k(cls, params: Dict[str, object]) -> int:
+        """The ``k`` of the ``infer_*`` ops: a positive integer, 10 if absent."""
+        if "k" not in params:
+            return 10
+        return cls._coerce_positive_int(params["k"], "k")
 
     def _paginate(self, items: List[object],
                   page_size: object) -> Tuple[List[object], Optional[str]]:
@@ -804,22 +741,22 @@ class APIRouter:
     def _handle_infer_node_class(self, params: Dict[str, object]) -> Tuple[Dict[str, object], object]:
         model_uri = _as_iri_text(_require(params, "model_uri"), "model_uri")
         node = _as_iri_text(_require(params, "node"), "node")
-        predicted = self._infer_one(model_uri, node, "class", 1)
+        predicted = self.gmlaas.infer_node_class(model_uri, node)
         return {"model_uri": model_uri, "node": node, "output": predicted}, predicted
 
     def _handle_infer_links(self, params: Dict[str, object]) -> Tuple[Dict[str, object], object]:
         model_uri = _as_iri_text(_require(params, "model_uri"), "model_uri")
         source = _as_iri_text(_require(params, "source"), "source")
-        k = int(params.get("k", 10))
-        links = self._infer_one(model_uri, source, "links", k)
+        k = self._coerce_k(params)
+        links = self.gmlaas.infer_links(model_uri, source, k=k)
         return {"model_uri": model_uri, "source": source, "k": k,
                 "output": links}, links
 
     def _handle_infer_similar(self, params: Dict[str, object]) -> Tuple[Dict[str, object], object]:
         model_uri = _as_iri_text(_require(params, "model_uri"), "model_uri")
         entity = _as_iri_text(_require(params, "entity"), "entity")
-        k = int(params.get("k", 10))
-        similar = self._infer_one(model_uri, entity, "similar", k)
+        k = self._coerce_k(params)
+        similar = self.gmlaas.infer_similar_entities(model_uri, entity, k=k)
         return {"model_uri": model_uri, "entity": entity, "k": k,
                 "output": similar}, similar
 
@@ -829,7 +766,7 @@ class APIRouter:
         if not isinstance(inputs, (list, tuple)):
             raise BadRequestError("'inputs' must be a list of IRI strings")
         inputs = [_as_iri_text(item, "inputs[]") for item in inputs]
-        k = int(params.get("k", 10))
+        k = self._coerce_k(params)
         mode = params.get("mode")
         calls_before = self.gmlaas.http_calls
         predictions = self.gmlaas.infer_batch(model_uri, inputs, k=k,
@@ -873,7 +810,6 @@ class APIRouter:
             # AND serialization, so watch this one to explain hot-path QPS.
             "result_cache": self.endpoint.result_cache.stats(),
             "api": self.metrics(),
-            "inference_coalescing": self.coalescing_stats(),
         }
         if self.scheduler is not None:
             stats["scheduler"] = self.scheduler.stats()
@@ -910,8 +846,7 @@ class APIRouter:
 
     def _handle_metrics(self, params: Dict[str, object]) -> Tuple[Dict[str, object], object]:
         metrics = self.metrics()
-        payload = {"routes": metrics,
-                   "inference_coalescing": self.coalescing_stats()}
+        payload = {"routes": metrics}
         if self.storage is not None:
             payload["storage"] = self.storage.stats()
         return payload, metrics

@@ -42,10 +42,9 @@ class GMLInferenceManager:
         self.calls_by_model: Dict[str, int] = {}
         self._counters_lock = threading.Lock()
         #: Simulated per-call latency of the HTTP hop between the RDF engine
-        #: and GMLaaS (seconds).  Zero by default; the concurrent-load
-        #: benchmark sets it to model the paper's deployment, where every
-        #: inference call is a real network round-trip — it is exactly what
-        #: the batched routes and in-flight coalescing amortise away.
+        #: and GMLaaS (seconds).  Zero by default; tests set it to model
+        #: the paper's deployment, where every inference call is a real
+        #: network round-trip — exactly what the batched routes amortise.
         self.call_latency_seconds = 0.0
 
     # ------------------------------------------------------------------
@@ -212,9 +211,8 @@ class GMLInferenceManager:
         """Similarity search for many entities in *one* HTTP call.
 
         Per-entity failures (an entity missing from the collection) yield an
-        empty result list instead of aborting the batch: under in-flight
-        coalescing one client's unknown entity must not fail its batch
-        neighbours.  Model-level failures (no embeddings to index) still
+        empty result list instead of aborting the batch: one unknown entity
+        must not fail its batch neighbours.  Model-level failures (no embeddings to index) still
         raise for the whole batch, matching the single-entity route.
         """
         key = model_uri.value if isinstance(model_uri, IRI) else str(model_uri)

@@ -39,7 +39,7 @@ from repro.rdf.namespace import (
     YAGO,
 )
 from repro.rdf.dictionary import TermDictionary
-from repro.rdf.graph import Graph, GraphSnapshot, ReadOnlyGraphView
+from repro.rdf.graph import Graph, GraphSnapshot
 from repro.rdf.dataset import Dataset, DatasetSnapshot
 from repro.rdf.io import (
     dump_graph,
@@ -77,7 +77,6 @@ __all__ = [
     "TermDictionary",
     "Graph",
     "GraphSnapshot",
-    "ReadOnlyGraphView",
     "Dataset",
     "DatasetSnapshot",
     "parse_turtle",

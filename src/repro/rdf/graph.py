@@ -70,7 +70,7 @@ from repro.rdf.terms import (
     term_from_python,
 )
 
-__all__ = ["Graph", "GraphSnapshot", "ReadOnlyGraphView"]
+__all__ = ["Graph", "GraphSnapshot"]
 
 _Pattern = Tuple[Optional[Term], Optional[Term], Optional[Term]]
 
@@ -452,8 +452,6 @@ class Graph:
         re-validating or re-interning any term.
         """
         other = triples
-        if isinstance(other, ReadOnlyGraphView):
-            other = other._graph
         if isinstance(other, Graph):
             # Pin the source first (fully acquiring and releasing its lock)
             # so the merge reads a consistent view even while the source is
@@ -975,50 +973,3 @@ class GraphSnapshot(Graph):
         name = self.identifier.value if self.identifier else "default"
         return (f"<GraphSnapshot {name!r} epoch={self._epoch} "
                 f"with {self._size} triples>")
-
-
-class ReadOnlyGraphView:
-    """A read-only facade over a :class:`Graph`.
-
-    Handed to user-defined functions and to the inference manager so that
-    query-time extensions cannot mutate the knowledge graph behind the
-    engine's back.
-    """
-
-    def __init__(self, graph: Graph) -> None:
-        self._graph = graph
-
-    def __len__(self) -> int:
-        return len(self._graph)
-
-    def __iter__(self) -> Iterator[Triple]:
-        return iter(self._graph)
-
-    def __contains__(self, triple: Triple) -> bool:
-        return triple in self._graph
-
-    def triples(self, *pattern) -> Iterator[Triple]:
-        return self._graph.triples(*pattern)
-
-    def count(self, *pattern) -> int:
-        return self._graph.count(*pattern)
-
-    def subjects(self, *args, **kwargs) -> Iterator[Term]:
-        return self._graph.subjects(*args, **kwargs)
-
-    def predicates(self, *args, **kwargs) -> Iterator[Term]:
-        return self._graph.predicates(*args, **kwargs)
-
-    def objects(self, *args, **kwargs) -> Iterator[Term]:
-        return self._graph.objects(*args, **kwargs)
-
-    def value(self, *args, **kwargs) -> Optional[Term]:
-        return self._graph.value(*args, **kwargs)
-
-    @property
-    def epoch(self) -> int:
-        return self._graph.epoch
-
-    @property
-    def namespaces(self) -> NamespaceManager:
-        return self._graph.namespaces

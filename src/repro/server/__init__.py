@@ -19,8 +19,8 @@ package is that last mile:
   a persistent HTTP connection, plus raw SPARQL-protocol calls.
 
 Everything dispatches through the same router the in-process facade uses, so
-metrics, plan caching, inference coalescing and storage admin routes apply
-to network traffic unchanged.
+metrics, plan caching and storage admin routes apply to network traffic
+unchanged.
 """
 
 from repro.server.client import RemoteClient

@@ -3,13 +3,10 @@
 :class:`ReferenceQueryEvaluator` is the original materialize-per-pattern
 nested-loop evaluator the repository shipped with before the streaming
 id-space pipeline replaced it in :mod:`repro.sparql.evaluator`.  It is kept
-verbatim for two jobs:
-
-* **equivalence testing** — the property suite generates random graphs and
-  queries and asserts the streaming evaluator returns exactly this
-  evaluator's solution multisets,
-* **benchmarking** — ``benchmarks/bench_query_pipeline.py`` reports the
-  streaming pipeline's BGP-join throughput as a speedup over this baseline.
+verbatim for **equivalence testing**: the property suite generates random
+graphs and queries and asserts the streaming evaluator returns exactly this
+evaluator's solution multisets (``benchmarks/e2e`` checks a sample of
+``query_cold`` against it too).
 
 It only touches the public term-level :class:`~repro.rdf.graph.Graph` API
 (``triples`` / ``count`` / ``nodes``), so it keeps working unchanged on top

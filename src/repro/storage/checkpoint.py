@@ -18,8 +18,8 @@ Restoring is the whole point of the format:
   no per-triple insertion, probing or counter maintenance at all,
 
 which is why restoring a checkpoint beats re-parsing the equivalent Turtle
-by the margin ``benchmarks/bench_persistence.py`` records (the ISSUE-4
-acceptance bar is ≥ 5× on a 100k-triple KG).
+(``storage.checkpoint.restore_s`` on the ``update_mix`` workload of
+``benchmarks/e2e`` is the record).
 
 File layout::
 
@@ -29,10 +29,10 @@ File layout::
 ``flags`` bit 0 (v2) marks the pickled sections — the term-table columns and
 each graph's index state — as zlib-framed: the section's varint length then
 counts *compressed* bytes, and the reader inflates before unpickling.  The
-writer emits v2 by default (``compress=False`` produces byte-identical v1
-files); the reader dispatches on the magic, so every old checkpoint on disk
-stays readable.  Compression is per-section, not whole-file, so the restore
-path keeps its shape: one inflate + one C-level unpickle per section.
+writer only emits v2 with that bit set; the reader dispatches on the magic,
+so every old checkpoint on disk stays readable.  Compression is per-section,
+not whole-file, so the restore path keeps its shape: one inflate + one
+C-level unpickle per section.
 
 The file is written to a temp sibling and atomically renamed into place, so
 a crash mid-checkpoint leaves the previous checkpoint untouched; a torn or
@@ -98,7 +98,7 @@ class CheckpointInfo:
     bytes: int
     seconds: float
     #: Section compression accounting (v2 files): raw pickled bytes vs the
-    #: zlib-framed bytes actually stored.  Equal on uncompressed/v1 files.
+    #: zlib-framed bytes actually stored.  Equal on v1 files.
     compressed: bool = False
     section_raw_bytes: int = 0
     section_stored_bytes: int = 0
@@ -118,21 +118,19 @@ class CheckpointInfo:
         }
 
 
-def _frame_section(buffer: bytearray, blob: bytes,
-                   compress: bool) -> Tuple[int, int]:
-    """Append one pickled section, optionally zlib-framed.
+def _frame_section(buffer: bytearray, blob: bytes) -> Tuple[int, int]:
+    """Append one pickled section, zlib-framed.
 
     Returns ``(raw_bytes, stored_bytes)`` for the compression accounting
     the storage engine surfaces through its stats.
     """
-    stored = zlib.compress(blob, _ZLIB_LEVEL) if compress else blob
+    stored = zlib.compress(blob, _ZLIB_LEVEL)
     encode_varint(buffer, len(stored))
     buffer += stored
     return len(blob), len(stored)
 
 
-def _encode_graph(buffer: bytearray, graph: Graph,
-                  compress: bool = False) -> Tuple[int, int, int]:
+def _encode_graph(buffer: bytearray, graph: Graph) -> Tuple[int, int, int]:
     """Append one graph section; returns (triples, raw_bytes, stored_bytes).
 
     The section body is a *data-only* pickle of the graph's three id-space
@@ -151,7 +149,7 @@ def _encode_graph(buffer: bytearray, graph: Graph,
         (graph._spo, graph._pos, graph._osp, graph._s_counts,
          graph._p_counts, graph._o_counts, len(graph)),
         protocol=pickle.HIGHEST_PROTOCOL)
-    raw, stored = _frame_section(buffer, blob, compress)
+    raw, stored = _frame_section(buffer, blob)
     return len(graph), raw, stored
 
 
@@ -206,17 +204,12 @@ def _decode_graph_state(data: bytes, offset: int, compressed: bool = False):
 
 
 def write_checkpoint(dataset: Dataset, path: str,
-                     last_commit_seq: int = 0,
-                     compress: bool = True) -> CheckpointInfo:
+                     last_commit_seq: int = 0) -> CheckpointInfo:
     """Serialise ``dataset`` to ``path`` in one sequential pass.
 
     The caller is expected to hold the dataset's write lock (the storage
     engine does); the dump then observes one consistent commit point, and
     ``last_commit_seq`` records which WAL transactions it already covers.
-
-    ``compress=True`` (the default) writes the v2 format with zlib-framed
-    sections; ``compress=False`` writes a v1 file bit-identical to what
-    pre-compression builds produced.
     """
     started = time.perf_counter()
     payload = bytearray()
@@ -235,13 +228,13 @@ def write_checkpoint(dataset: Dataset, path: str,
     # over the triples serialised below.
     table = list(dataset.dictionary)
     encode_varint(payload, len(table))
-    raw_bytes, stored_bytes = _encode_term_table(payload, table, compress)
+    raw_bytes, stored_bytes = _encode_term_table(payload, table)
 
     graphs = [dataset.default_graph] + list(dataset.named_graphs())
     encode_varint(payload, len(graphs))
     triples = 0
     for graph in graphs:
-        count, raw, stored = _encode_graph(payload, graph, compress)
+        count, raw, stored = _encode_graph(payload, graph)
         triples += count
         raw_bytes += raw
         stored_bytes += stored
@@ -249,11 +242,8 @@ def write_checkpoint(dataset: Dataset, path: str,
     blob = bytes(payload)
     tmp_path = path + ".tmp"
     with open(tmp_path, "wb") as handle:
-        if compress:
-            handle.write(MAGIC_V2)
-            handle.write(bytes([FLAG_ZLIB_SECTIONS]))
-        else:
-            handle.write(MAGIC)
+        handle.write(MAGIC_V2)
+        handle.write(bytes([FLAG_ZLIB_SECTIONS]))
         handle.write(_HEADER.pack(crc32(blob), len(blob)))
         handle.write(blob)
         handle.flush()
@@ -265,13 +255,13 @@ def write_checkpoint(dataset: Dataset, path: str,
     # checkpoint next to an already-empty log.
     fsync_directory(os.path.dirname(os.path.abspath(path)))
     elapsed = time.perf_counter() - started
-    header_bytes = len(MAGIC_V2) + 1 if compress else len(MAGIC)
+    header_bytes = len(MAGIC_V2) + 1
     return CheckpointInfo(path=path, last_commit_seq=last_commit_seq,
                           triples=triples, terms=len(table),
                           named_graphs=len(graphs) - 1,
                           bytes=header_bytes + _HEADER.size + len(blob),
                           seconds=elapsed,
-                          compressed=compress,
+                          compressed=True,
                           section_raw_bytes=raw_bytes,
                           section_stored_bytes=stored_bytes)
 
@@ -302,8 +292,7 @@ def _trusted_literal(lexical: str, datatype: IRI,
     return literal
 
 
-def _encode_term_table(buffer: bytearray, table,
-                       compress: bool = False) -> Tuple[int, int]:
+def _encode_term_table(buffer: bytearray, table) -> Tuple[int, int]:
     """Append the id-ordered term list as three pickled parallel columns.
 
     ``(tags: bytes, texts: list[str], extras: list[str|None])`` — a pure-data
@@ -340,7 +329,7 @@ def _encode_term_table(buffer: bytearray, table,
                 f"cannot checkpoint term type {type(term).__name__}")
     blob = pickle.dumps((bytes(tags), texts, extras),
                         protocol=pickle.HIGHEST_PROTOCOL)
-    return _frame_section(buffer, blob, compress)
+    return _frame_section(buffer, blob)
 
 
 def _decode_term_table(data: bytes, offset: int, n_terms: int,

@@ -159,8 +159,7 @@ class StorageEngine:
 
     def __init__(self, directory: str,
                  namespaces: Optional[NamespaceManager] = None,
-                 fsync: bool = True, compress: bool = True,
-                 retain_segments: int = 8) -> None:
+                 fsync: bool = True, retain_segments: int = 8) -> None:
         self.directory = directory
         self.checkpoint_path = os.path.join(directory, CHECKPOINT_NAME)
         self.wal_path = os.path.join(directory, WAL_NAME)
@@ -173,10 +172,6 @@ class StorageEngine:
         self._lock_file = None
         self._namespaces = namespaces
         self._fsync = fsync
-        #: zlib-frame checkpoint sections and oversized WAL records.  Purely
-        #: a write-side knob: the readers auto-detect per file/record, so an
-        #: engine opened with either setting reads everything ever written.
-        self._compress = compress
         self._dataset: Optional[Dataset] = None
         self._wal: Optional[WriteAheadLog] = None
         self._lock_obj: Optional[JournalledLock] = None
@@ -260,8 +255,7 @@ class StorageEngine:
         self.recovered_truncated_bytes = truncate_torn_tail(
             self.wal_path, replay.committed_offset, fsync=self._fsync)
 
-        wal = WriteAheadLog(self.wal_path, fsync=self._fsync,
-                            compress=self._compress)
+        wal = WriteAheadLog(self.wal_path, fsync=self._fsync)
         wal.attach_dictionary(dataset.dictionary)
         wal.last_seq = last_seq
         wal.first_seq = replay.first_seq
@@ -339,8 +333,7 @@ class StorageEngine:
             wal = self._wal
             with dataset.write_lock:
                 info = write_checkpoint(dataset, self.checkpoint_path,
-                                        last_commit_seq=wal.last_seq,
-                                        compress=self._compress)
+                                        last_commit_seq=wal.last_seq)
                 # Archive the rotated log for replication followers — unless
                 # it is empty (no commits since the last rotation) or
                 # retention is off.  The seq range in the file name is the
@@ -496,7 +489,6 @@ class StorageEngine:
         stats: Dict[str, object] = {
             "directory": self.directory,
             "open": self.is_open,
-            "compress": self._compress,
             "recovered_transactions": self.recovered_transactions,
             "recovered_ops": self.recovered_ops,
             "recovered_truncated_bytes": self.recovered_truncated_bytes,

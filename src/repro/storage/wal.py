@@ -119,15 +119,9 @@ class WriteAheadLog:
     :meth:`close` from an admin route.
     """
 
-    def __init__(self, path: str, fsync: bool = True,
-                 compress: bool = True) -> None:
+    def __init__(self, path: str, fsync: bool = True) -> None:
         self.path = path
         self.fsync = fsync
-        #: Deflate record payloads over :data:`WAL_COMPRESS_MIN_BYTES`.
-        #: Readers do not care about this flag: compressed records announce
-        #: themselves with the ``Z`` kind byte, so logs written with either
-        #: setting (or a mix, across restarts) always replay.
-        self.compress = compress
         self._dictionary: Optional[TermDictionary] = None
         self._buffer = bytearray()
         self._buffered_ops = 0
@@ -179,7 +173,7 @@ class WriteAheadLog:
 
     def _append_record(self, payload: bytes) -> None:
         """Frame one record into the transaction buffer, deflating big ones."""
-        if self.compress and len(payload) >= WAL_COMPRESS_MIN_BYTES:
+        if len(payload) >= WAL_COMPRESS_MIN_BYTES:
             packed = zlib.compress(payload, 1)
             if len(packed) + 1 < len(payload):
                 self.compressed_records += 1

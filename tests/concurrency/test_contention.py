@@ -9,12 +9,11 @@ counters took locks they failed with drift on most runs.
 from __future__ import annotations
 
 import threading
-import time
 from typing import List
 
 import pytest
 
-from repro.concurrency import AtomicCounter, InflightBatcher, WorkerPool
+from repro.concurrency import AtomicCounter, WorkerPool
 from repro.gml.tasks import TaskType
 from repro.kgnet import KGNet
 from repro.kgnet.api.envelopes import APIRequest
@@ -144,11 +143,6 @@ class TestCounterContention:
 
 
 class TestWorkerPool:
-    def test_map_ordered_preserves_order(self):
-        with WorkerPool(max_workers=4) as pool:
-            results = pool.map_ordered(lambda x: x * x, list(range(50)))
-        assert results == [x * x for x in range(50)]
-
     def test_exceptions_propagate(self):
         def explode(value):
             if value == 3:
@@ -156,8 +150,10 @@ class TestWorkerPool:
             return value
 
         with WorkerPool(max_workers=2) as pool:
+            futures = [pool.submit(explode, value) for value in range(6)]
             with pytest.raises(ValueError, match="boom"):
-                pool.map_ordered(explode, list(range(6)))
+                [future.result(timeout=30) for future in futures]
+            assert futures[5].result(timeout=30) == 5
 
     def test_submit_after_shutdown_rejected(self):
         pool = WorkerPool(max_workers=1)
@@ -191,59 +187,8 @@ class TestWorkerPool:
             pool.shutdown()
 
 
-class TestInflightBatcher:
-    def test_concurrent_submits_coalesce(self):
-        calls: List[List[object]] = []
-        lock = threading.Lock()
-
-        def batch_fn(key, items):
-            with lock:
-                calls.append(list(items))
-            time.sleep(0.002)
-            return [f"{key}:{item}" for item in items]
-
-        batcher = InflightBatcher(batch_fn, max_batch=32, max_wait=0.02)
-        results = {}
-
-        def worker(index):
-            results[index] = batcher.submit("m", index)
-
-        workers = [threading.Thread(target=worker, args=(i,)) for i in range(16)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=30)
-        assert results == {i: f"m:{i}" for i in range(16)}
-        stats = batcher.stats()
-        assert stats["items_coalesced"] == 16
-        assert stats["batches_executed"] < 16
-        assert stats["calls_saved"] == 16 - stats["batches_executed"]
-        assert sum(len(call) for call in calls) == 16
-
-    def test_batch_errors_reach_every_member(self):
-        def batch_fn(key, items):
-            raise RuntimeError("model exploded")
-
-        batcher = InflightBatcher(batch_fn, max_wait=0.01)
-        failures = AtomicCounter()
-
-        def worker():
-            try:
-                batcher.submit("m", 1)
-            except RuntimeError:
-                failures.increment()
-
-        _hammer(worker, threads=4)
-        assert failures.value == 4
-
-    def test_misaligned_batch_fn_is_an_error(self):
-        batcher = InflightBatcher(lambda key, items: [], max_wait=0.0)
-        with pytest.raises(RuntimeError, match="results"):
-            batcher.submit("m", 1)
-
-
 @pytest.mark.concurrency
-class TestServeConcurrent:
+class TestConcurrentDispatch:
     def _platform_with_classifier(self):
         platform = KGNet()
         platform.load_graph(self._tiny_graph())
@@ -275,40 +220,28 @@ class TestServeConcurrent:
                 requests.append(APIRequest(op="infer_node_class", params={
                     "model_uri": model_uri.value,
                     "node": EX + f"n{index % 32}"}))
-        responses = platform.api.serve_concurrent(requests, max_workers=6)
-        assert len(responses) == len(requests)
-        assert all(response.ok for response in responses), [
-            r.error for r in responses if not r.ok]
-        for request, response in zip(requests, responses):
-            assert response.op == request.op
+        responses = {}
+        indices = iter(range(len(requests)))
 
-    def test_concurrent_infer_calls_coalesce_into_batches(self):
-        platform, model_uri = self._platform_with_classifier()
-        # A little simulated HTTP latency widens the coalescing window the
-        # way a real network hop does.
-        platform.gmlaas.inference_manager.call_latency_seconds = 0.002
-        requests = [APIRequest(op="infer_node_class", params={
-            "model_uri": model_uri.value, "node": EX + f"n{index % 32}"})
-            for index in range(40)]
-        calls_before = platform.gmlaas.http_calls
-        responses = platform.api.serve_concurrent(requests, max_workers=8)
-        http_calls = platform.gmlaas.http_calls - calls_before
-        assert all(response.ok for response in responses)
-        for index, response in enumerate(responses):
-            expected = "A" if (index % 32) % 2 else "B"
-            assert response.result["output"] == expected
-        # Coalescing must have saved round-trips vs one call per request.
-        assert http_calls < len(requests)
-        stats = platform.api.coalescing_stats()
-        assert stats["items_coalesced"] >= len(requests)
-        assert stats["calls_saved"] > 0
+        def worker() -> None:
+            # next() on a shared range iterator is atomic under the GIL.
+            for index in indices:
+                response = platform.api.dispatch(requests[index])
+                responses[response.request_id] = response
+
+        _hammer(worker, threads=6)
+        assert len(responses) == len(requests)
+        assert all(response.ok for response in responses.values()), [
+            r.error for r in responses.values() if not r.ok]
+        for request in requests:
+            assert responses[request.request_id].op == request.op
 
     def test_one_bad_similarity_input_does_not_poison_the_batch(self):
-        """Regression: a coalesced batch must isolate per-entity failures.
+        """Regression: ``infer_batch`` must isolate per-entity failures.
 
-        One client's unknown entity used to abort the whole
+        One unknown entity used to abort the whole
         ``get_similar_entities_batch`` call, failing every batch neighbour
-        that would have succeeded on the non-coalesced path.
+        that succeeds on the single-input route.
         """
         import numpy as np
         platform = KGNet()
@@ -319,23 +252,13 @@ class TestServeConcurrent:
             method="kge", model=None,
             artifacts={"entity_embeddings": np.eye(4, dtype=float),
                        "entity_names": names}))
-        requests = [APIRequest(op="infer_similar", params={
-            "model_uri": model_uri.value, "entity": entity, "k": 2})
-            for entity in [names[0], EX + "unknown", names[1]]]
-        responses = platform.api.serve_concurrent(requests, max_workers=3)
-        good = [r for r, req in zip(responses, requests)
-                if req.params["entity"] != EX + "unknown"]
-        bad = [r for r, req in zip(responses, requests)
-               if req.params["entity"] == EX + "unknown"]
-        assert all(r.ok and r.result["output"] for r in good), [
-            r.error for r in responses if not r.ok]
+        entities = [names[0], EX + "unknown", names[1]]
+        response = platform.api.dispatch(APIRequest(op="infer_batch", params={
+            "model_uri": model_uri.value, "inputs": entities, "k": 2}))
+        assert response.ok, response.error
+        outputs = {record["input"]: record["output"]
+                   for record in response.result["predictions"]}
+        assert outputs[names[0]] and outputs[names[1]]
         # The unknown entity gets an empty result, not an error for everyone.
-        assert all(r.ok and r.result["output"] == [] for r in bad)
-
-    def test_sequential_dispatch_does_not_pay_the_batching_window(self):
-        platform, model_uri = self._platform_with_classifier()
-        response = platform.api.dispatch(APIRequest(op="infer_node_class", params={
-            "model_uri": model_uri.value, "node": EX + "n1"}))
-        assert response.ok and response.result["output"] == "A"
-        # One direct HTTP call, no coalescing involved.
-        assert platform.api.coalescing_stats()["items_coalesced"] == 0
+        assert outputs[EX + "unknown"] == []
+        assert response.result["http_calls"] == 1

@@ -160,6 +160,19 @@ class TestRouterDispatch:
         assert response.error["code"] == "MODEL_NOT_FOUND"
         assert isinstance(response.attachment, ModelNotFoundError)
 
+    @pytest.mark.parametrize("bad_k", ["abc", None, [1]], ids=repr)
+    @pytest.mark.parametrize("op,params", [
+        ("infer_links", {"source": "http://s"}),
+        ("infer_similar", {"entity": "http://s"}),
+        ("infer_batch", {"inputs": ["http://s"]}),
+    ])
+    def test_malformed_k_is_a_bad_request(self, fresh_platform, op, params, bad_k):
+        response = fresh_platform.api.dispatch(APIRequest(
+            op=op, params={"model_uri": "http://m", "k": bad_k, **params}))
+        assert not response.ok
+        assert response.error["code"] == "BAD_REQUEST"
+        assert "'k'" in response.error["message"]
+
     def test_every_route_result_is_json_serializable(self, trained_platform):
         model_uri = next(m for m in trained_platform.list_models()
                          if m.task_type == "node_classification").uri.value

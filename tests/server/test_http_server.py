@@ -351,6 +351,22 @@ class TestStreaming:
         finally:
             connection.close()
 
+    def test_malformed_k_is_400_not_500(self, served_platform):
+        _, server = served_platform
+        connection = http.client.HTTPConnection(server.server_address[0],
+                                                server.server_address[1],
+                                                timeout=30)
+        try:
+            body = json.dumps({"model_uri": "http://m", "source": "http://s",
+                               "k": "abc"}).encode()
+            connection.request("POST", "/kgnet/v1/infer_links", body=body,
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            assert response.status == 400
+            assert json.loads(response.read())["error"]["code"] == "BAD_REQUEST"
+        finally:
+            connection.close()
+
 
 # ---------------------------------------------------------------------------
 # Concurrent keep-alive clients vs a live writer

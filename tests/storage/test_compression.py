@@ -4,18 +4,22 @@ Contract under test:
 
 * v2 checkpoints (zlib-framed sections) round-trip term-for-term and are
   substantially smaller than v1 on redundant KGs,
-* ``compress=False`` still writes v1 files and the reader dispatches on the
-  magic, so every old checkpoint on disk stays readable,
+* the reader dispatches on the magic, so every old checkpoint on disk stays
+  readable: ``fixtures/v1_store`` is a directory the last build with a v1
+  writer (commit 80b643f, ``StorageEngine(compress=False)``) left behind —
+  a ``KGCKPT01`` checkpoint of ``build_dataset(100)`` plus a WAL suffix
+  holding one raw record over the deflate threshold,
 * corruption of a compressed file is still caught (CRC covers the payload,
   inflate failures raise :class:`CorruptCheckpointError`),
 * big WAL records are deflated behind the ``Z`` envelope kind and replay
-  transparently; logs written with either setting interoperate,
+  transparently; deflated and raw records interoperate in one log,
 * the raw/stored byte accounting surfaces in ``StorageEngine.stats()``.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 
 import pytest
 
@@ -32,6 +36,16 @@ from repro.storage.checkpoint import (
 from repro.storage.wal import WAL_COMPRESS_MIN_BYTES, WriteAheadLog, iter_transactions
 
 EX = "http://example.org/zlib/"
+
+V1_STORE = os.path.join(os.path.dirname(__file__), "fixtures", "v1_store")
+#: The one transaction in the fixture's WAL, committed after its checkpoint.
+V1_WAL_TRIPLE = Triple(IRI(EX + "wal"), IRI(EX + "p0"),
+                       Literal("wal suffix " * 80))
+
+
+def v1_store_copy(tmp_path) -> str:
+    """A scratch copy of the fixture: opening an engine writes to its directory."""
+    return shutil.copytree(V1_STORE, str(tmp_path / "store"))
 
 
 def build_dataset(triples: int = 500) -> Dataset:
@@ -56,7 +70,7 @@ class TestCheckpointCompression:
     def test_v2_roundtrip_and_magic(self, tmp_path):
         dataset = build_dataset()
         path = str(tmp_path / "c.kgck")
-        info = write_checkpoint(dataset, path, compress=True)
+        info = write_checkpoint(dataset, path)
         with open(path, "rb") as handle:
             assert handle.read(8) == MAGIC_V2
         assert info.compressed
@@ -69,31 +83,29 @@ class TestCheckpointCompression:
         assert read_info.section_stored_bytes == info.section_stored_bytes
         assert dataset_triples(restored) == dataset_triples(dataset)
 
-    def test_uncompressed_still_writes_v1(self, tmp_path):
-        dataset = build_dataset(100)
-        path = str(tmp_path / "c.kgck")
-        info = write_checkpoint(dataset, path, compress=False)
+    def test_v1_checkpoint_still_reads(self):
+        path = os.path.join(V1_STORE, "checkpoint.kgck")
         with open(path, "rb") as handle:
             assert handle.read(8) == MAGIC
-        assert not info.compressed
-        assert info.section_stored_bytes == info.section_raw_bytes
         restored, _, read_info = read_checkpoint(path)
         assert not read_info.compressed
-        assert dataset_triples(restored) == dataset_triples(dataset)
+        assert read_info.section_stored_bytes == read_info.section_raw_bytes
+        assert dataset_triples(restored) == dataset_triples(build_dataset(100))
 
     def test_compression_actually_shrinks_the_file(self, tmp_path):
         dataset = build_dataset(2000)
-        small = str(tmp_path / "v2.kgck")
-        large = str(tmp_path / "v1.kgck")
-        write_checkpoint(dataset, small, compress=True)
-        write_checkpoint(dataset, large, compress=False)
-        ratio = os.path.getsize(large) / os.path.getsize(small)
+        path = str(tmp_path / "v2.kgck")
+        info = write_checkpoint(dataset, path)
+        # A v1 file stored its sections raw: everything but the sections is
+        # the same bytes in both formats (plus v2's one flag byte).
+        v1_size = info.bytes - 1 - info.section_stored_bytes + info.section_raw_bytes
+        ratio = v1_size / os.path.getsize(path)
         assert ratio > 2.0, f"compression ratio only {ratio:.2f}x"
 
     def test_every_byte_flip_in_a_v2_file_is_detected_or_equivalent(self, tmp_path):
         dataset = build_dataset(30)
         path = str(tmp_path / "c.kgck")
-        write_checkpoint(dataset, path, compress=True)
+        write_checkpoint(dataset, path)
         with open(path, "rb") as handle:
             raw = bytearray(handle.read())
         baseline = dataset_triples(dataset)
@@ -116,7 +128,7 @@ class TestCheckpointCompression:
     def test_unknown_flag_bits_are_rejected(self, tmp_path):
         dataset = build_dataset(10)
         path = str(tmp_path / "c.kgck")
-        write_checkpoint(dataset, path, compress=True)
+        write_checkpoint(dataset, path)
         with open(path, "r+b") as handle:
             handle.seek(len(MAGIC_V2))
             handle.write(bytes([0x81]))
@@ -130,8 +142,7 @@ class TestWalCompression:
 
     def test_large_records_deflate_and_replay(self, tmp_path):
         dataset = Dataset()
-        wal = WriteAheadLog(str(tmp_path / "wal.log"), fsync=False,
-                            compress=True)
+        wal = WriteAheadLog(str(tmp_path / "wal.log"), fsync=False)
         wal.attach_dictionary(dataset.dictionary)
         triples = [Triple(IRI(f"{EX}s{i}"), IRI(EX + "p"),
                           self._big_literal(i)) for i in range(5)]
@@ -149,8 +160,7 @@ class TestWalCompression:
 
     def test_small_records_stay_raw(self, tmp_path):
         dataset = Dataset()
-        wal = WriteAheadLog(str(tmp_path / "wal.log"), fsync=False,
-                            compress=True)
+        wal = WriteAheadLog(str(tmp_path / "wal.log"), fsync=False)
         wal.attach_dictionary(dataset.dictionary)
         triple = Triple(IRI(EX + "s"), IRI(EX + "p"), Literal("tiny"))
         si, pi, oi = (dataset.dictionary.encode(term) for term in triple)
@@ -159,15 +169,14 @@ class TestWalCompression:
         assert wal.compressed_records == 0
         wal.close()
 
-    def test_mixed_setting_logs_interoperate(self, tmp_path):
+    def test_deflated_and_raw_records_interoperate(self, tmp_path):
         path = str(tmp_path / "wal.log")
         dataset = Dataset()
         triple_big = Triple(IRI(EX + "big"), IRI(EX + "p"),
                             self._big_literal(1))
         triple_small = Triple(IRI(EX + "small"), IRI(EX + "p"), Literal("x"))
-        for seq, (compress, triple) in enumerate(
-                ((True, triple_big), (False, triple_small))):
-            wal = WriteAheadLog(path, fsync=False, compress=compress)
+        for seq, triple in enumerate((triple_big, triple_small)):
+            wal = WriteAheadLog(path, fsync=False)
             wal.attach_dictionary(dataset.dictionary)
             wal.last_seq = seq  # keep sequences increasing across reopens
             si, pi, oi = (dataset.dictionary.encode(term) for term in triple)
@@ -194,37 +203,33 @@ class TestEngineCompression:
                               Literal("the same text " * 30))
             engine.checkpoint()
             stats = engine.stats()
-            assert stats["compress"] is True
             checkpoint = stats["last_checkpoint"]
             assert checkpoint["compressed"] is True
             assert 0 < checkpoint["section_stored_bytes"] < \
                 checkpoint["section_raw_bytes"]
             assert stats["wal"]["compressed_records"] > 0
 
-    def test_compressed_store_reopens_with_either_setting(self, tmp_path):
-        directory = str(tmp_path / "store")
-        triple = Triple(IRI(EX + "s"), IRI(EX + "p"),
-                        Literal("survives " * 60))
-        with StorageEngine(directory, fsync=False, compress=True) as engine:
-            engine.dataset.default_graph.add(*triple)
-            engine.checkpoint()
-        # An engine configured without compression reads the v2 file fine.
-        with StorageEngine(directory, fsync=False, compress=False) as engine:
-            assert set(engine.dataset.default_graph) == {triple}
+    def test_v1_store_reopens_and_is_rewritten_as_v2(self, tmp_path):
+        directory = v1_store_copy(tmp_path)
+        expected = dataset_triples(build_dataset(100)) | {V1_WAL_TRIPLE}
+        with StorageEngine(directory, fsync=False) as engine:
+            assert not engine.last_checkpoint.compressed
+            assert dataset_triples(engine.dataset) == expected
             engine.dataset.default_graph.add(
                 IRI(EX + "s2"), IRI(EX + "p"), Literal("more " * 100))
-            engine.checkpoint()
-        with StorageEngine(directory, fsync=False, compress=True) as engine:
-            assert len(engine.dataset.default_graph) == 2
+            assert engine.checkpoint().compressed
+        with open(os.path.join(directory, "checkpoint.kgck"), "rb") as handle:
+            assert handle.read(8) == MAGIC_V2
+        with StorageEngine(directory, fsync=False) as engine:
+            assert len(dataset_triples(engine.dataset)) == len(expected) + 1
 
-    def test_uncompressed_wal_suffix_replays_into_compressed_engine(self, tmp_path):
-        directory = str(tmp_path / "store")
-        triple = Triple(IRI(EX + "s"), IRI(EX + "p"), self._pad("wal"))
-        with StorageEngine(directory, fsync=False, compress=False) as engine:
-            engine.dataset.default_graph.add(*triple)
-        with StorageEngine(directory, fsync=False, compress=True) as engine:
-            assert set(engine.dataset.default_graph) == {triple}
-
-    @staticmethod
-    def _pad(text: str) -> Literal:
-        return Literal((text + " ") * 80)
+    def test_raw_wal_suffix_replays(self, tmp_path):
+        directory = v1_store_copy(tmp_path)
+        with open(os.path.join(directory, "wal.log"), "rb") as handle:
+            # Stored raw although it is over the deflate threshold.
+            assert V1_WAL_TRIPLE.object.lexical.encode() in handle.read()
+        (_, ops), = iter_transactions(os.path.join(directory, "wal.log"))
+        assert [op.triple for op in ops] == [V1_WAL_TRIPLE]
+        with StorageEngine(directory, fsync=False) as engine:
+            assert engine.recovered_transactions == 1
+            assert V1_WAL_TRIPLE in engine.dataset.default_graph
