@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse as sp
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import AutogradError, ShapeError
 
@@ -80,6 +80,37 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _freed_graph(grad: np.ndarray) -> None:
+    """The backward closure of a node whose graph ``backward`` already walked."""
+    raise AutogradError("backward() through a graph that has already been freed")
+
+
+def _scatter(shape: Tuple[int, ...], index, grad: np.ndarray) -> np.ndarray:
+    """Gradient of ``source[index]``: ``grad`` summed into zeros of ``shape``,
+    repeated positions accumulating in index order.
+
+    A row gather (1-D non-negative integers, the embedding lookup) is one
+    product with the sparse matrix holding a single one per column; a basic
+    index (ints and slices) repeats no position, so it is one assignment; any
+    other index goes through the flat positions it selects.
+    """
+    if isinstance(index, np.ndarray) and index.ndim == 1 and \
+            index.dtype.kind in "iu" and (index.size == 0 or index.min() >= 0):
+        rows = index.shape[0]
+        selector = sp.csc_matrix((np.ones(rows), index, np.arange(rows + 1)),
+                                 shape=(shape[0], rows))
+        return (selector @ grad.reshape(rows, int(np.prod(shape[1:])))).reshape(shape)
+    if all(isinstance(part, (int, np.integer, slice))
+           for part in (index if isinstance(index, tuple) else (index,))):
+        full = np.zeros(shape)
+        full[index] = grad
+        return full
+    size = int(np.prod(shape))
+    positions = np.arange(size).reshape(shape)[index].reshape(-1)
+    return np.bincount(positions, weights=np.asarray(grad).reshape(-1),
+                       minlength=size).reshape(shape)
+
+
 class Tensor:
     """A numpy array with an optional gradient and a backward closure."""
 
@@ -127,41 +158,52 @@ class Tensor:
 
     # -- autograd machinery ----------------------------------------------------
     def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad = self.grad + grad
+        self.grad = grad.copy() if self.grad is None else self.grad + grad
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Run reverse-mode differentiation from this tensor."""
+        """Run reverse-mode differentiation from this tensor.
+
+        The graph is freed as it is walked (``retain_graph=False``): a visited
+        node drops its children and its closure, so a step's activations die
+        by reference count, and a second ``backward()`` through the same
+        graph raises :class:`AutogradError`.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise AutogradError("backward() without a gradient requires a scalar output")
             grad = np.ones_like(self.data)
+        # Post-order depth-first sort on an explicit stack: no recursion limit
+        # on deep graphs and no self-referencing closure for the collector.
         topo: List[Tensor] = []
-        visited = set()
-
-        def build(node: Tensor) -> None:
-            if id(node) in visited:
-                return
-            visited.add(id(node))
-            for child in node._children:
-                build(child)
-            topo.append(node)
-
-        build(self)
+        visited = {id(self)}
+        stack = [(self, iter(self._children))]
+        while stack:
+            node, pending = stack[-1]
+            for child in pending:
+                if id(child) not in visited:
+                    visited.add(id(child))
+                    stack.append((child, iter(child._children)))
+                    break
+            else:
+                topo.append(node)
+                stack.pop()
         grads = {id(self): np.asarray(grad, dtype=np.float64)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             node_grad = grads.pop(id(node), None)
+            backward_fn, children = node._backward_fn, node._children
+            if backward_fn is not None:
+                node._backward_fn, node._children = _freed_graph, ()
             if node_grad is None:
                 continue
             if node.requires_grad:
                 node._accumulate(node_grad)
-            if node._backward_fn is None:
+            if backward_fn is None:
                 continue
-            child_grads = node._backward_fn(node_grad)
+            child_grads = backward_fn(node_grad)
             if child_grads is None:
                 continue
-            for child, child_grad in zip(node._children, child_grads):
+            for child, child_grad in zip(children, child_grads):
                 if child_grad is None:
                     continue
                 if not (child.requires_grad or child._backward_fn is not None or child._children):
@@ -277,9 +319,7 @@ class Tensor:
         out_data = self.data[index]
 
         def backward(grad: np.ndarray):
-            full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
-            return (full,)
+            return (_scatter(self.data.shape, index, grad),)
 
         return Tensor._result(out_data, (self,), backward)
 
@@ -384,7 +424,9 @@ def spmm(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
 
     The sparse matrix carries no gradient; the gradient w.r.t. ``dense`` is
     ``A.T @ grad``.  This is the message-passing primitive used by every GNN
-    layer in the framework.
+    layer in the framework.  The matrix is a constant: its transpose is built
+    by the first backward pass that needs it and kept on the matrix, so a
+    cached adjacency is transposed once, not once per layer per step.
     """
     if not sp.issparse(matrix):
         raise AutogradError("spmm expects a scipy sparse matrix")
@@ -392,22 +434,17 @@ def spmm(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
     out_data = csr @ dense.data
 
     def backward(grad: np.ndarray):
-        return (csr.T @ grad,)
+        transposed = getattr(csr, "_spmm_transpose", None)
+        if transposed is None:
+            transposed = csr._spmm_transpose = csr.T
+        return (transposed @ grad,)
 
     return Tensor._result(out_data, (dense,), backward)
 
 
 def gather_rows(source: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows of ``source`` (gradient scatters back with ``np.add.at``)."""
-    indices = np.asarray(indices, dtype=np.int64)
-    out_data = source.data[indices]
-
-    def backward(grad: np.ndarray):
-        full = np.zeros_like(source.data)
-        np.add.at(full, indices, grad)
-        return (full,)
-
-    return Tensor._result(out_data, (source,), backward)
+    """Select rows of ``source`` (the gradient scatters back, repeats summed)."""
+    return source[np.asarray(indices, dtype=np.int64)]
 
 
 def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:

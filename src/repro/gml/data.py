@@ -9,7 +9,7 @@ view (:class:`TriplesData`) for KGE-based link prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse as sp
@@ -60,6 +60,9 @@ class GraphData:
             raise DatasetError("edge_index and edge_type disagree on the number of edges")
         if self.edge_index.size and self.edge_index.max() >= self.num_nodes:
             raise DatasetError("edge_index references a node id >= num_nodes")
+        if self.edge_type.size and not 0 <= self.edge_type.min() <= \
+                self.edge_type.max() < self.num_relations:
+            raise DatasetError("edge_type references a relation id outside num_relations")
         if self.features.shape[0] != self.num_nodes:
             raise DatasetError("feature matrix has the wrong number of rows")
         if self.labels.shape[0] != self.num_nodes:
@@ -93,34 +96,52 @@ class GraphData:
         the usual practice for RDF graphs where most predicates have an
         implicit inverse (``authoredBy`` vs ``authorOf``).
         """
-        if relation is None:
-            mask = np.ones(self.num_edges, dtype=bool)
-        else:
-            mask = self.edge_type == relation
-        src = self.edge_index[0, mask]
-        dst = self.edge_index[1, mask]
-        if symmetric:
-            src, dst = (np.concatenate([src, dst]), np.concatenate([dst, src]))
-        values = np.ones(src.shape[0], dtype=np.float64)
-        adj = sp.coo_matrix((values, (dst, src)),
-                            shape=(self.num_nodes, self.num_nodes))
-        adj = adj.tocsr()
-        if add_self_loops:
-            adj = adj + sp.eye(self.num_nodes, format="csr")
-        if normalize:
-            degree = np.asarray(adj.sum(axis=1)).reshape(-1)
-            degree[degree == 0] = 1.0
-            inv = sp.diags(1.0 / degree)
-            adj = inv @ adj
-        return adj.tocsr()
+        edges = slice(None) if relation is None else self.edge_type == relation
+        src, dst = self.edge_index[:, edges]
+        return self._adjacencies(src, dst, np.zeros(src.shape[0], dtype=np.int64), 1,
+                                 add_self_loops, normalize, symmetric)[0]
 
     def relation_adjacencies(self, add_self_loops: bool = False,
                              normalize: bool = True,
                              symmetric: bool = True) -> List[sp.csr_matrix]:
         """One adjacency matrix per relation (RGCN message passing)."""
-        return [self.adjacency(relation=r, add_self_loops=add_self_loops,
-                               normalize=normalize, symmetric=symmetric)
-                for r in range(self.num_relations)]
+        return self._adjacencies(*self.edge_index, self.edge_type, self.num_relations,
+                                 add_self_loops, normalize, symmetric)
+
+    def _adjacencies(self, src: np.ndarray, dst: np.ndarray, group: np.ndarray,
+                     num_groups: int, add_self_loops: bool, normalize: bool,
+                     symmetric: bool) -> List[sp.csr_matrix]:
+        """``num_groups`` adjacency matrices from one sort of (group, dst, src) keys.
+
+        Entry (dst, src) of a matrix counts that group's src -> dst edges; a
+        normalised row is divided by its degree, ``count * (1 / degree)``.
+        """
+        n = self.num_nodes
+        if symmetric:
+            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+            group = np.concatenate([group, group])
+        if add_self_loops:
+            loops = np.tile(np.arange(n), num_groups)
+            src, dst = np.concatenate([src, loops]), np.concatenate([dst, loops])
+            group = np.concatenate([group, np.repeat(np.arange(num_groups), n)])
+        row = group * n + dst
+        # Normalised rows list their columns in descending order: spmm sums a
+        # node's messages in stored order, and that is the order the models
+        # this repository reports were trained with.
+        keys, counts = np.unique(row * n + (n - 1 - src if normalize else src),
+                                 return_counts=True)
+        rows, columns = np.divmod(keys, n)
+        values = counts.astype(np.float64)
+        if normalize:
+            columns = n - 1 - columns
+            degree = np.bincount(row, minlength=num_groups * n).astype(np.float64)
+            degree[degree == 0] = 1.0
+            values = values * (1.0 / degree)[rows]
+        indptr = np.searchsorted(rows, np.arange(num_groups * n + 1))
+        bounds = indptr[np.arange(num_groups + 1) * n]
+        return [sp.csr_matrix((values[lo:hi], columns[lo:hi],
+                               indptr[g * n:(g + 1) * n + 1] - lo), shape=(n, n))
+                for g, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
 
     # Cached variants: adjacency construction is the dominant per-forward cost
     # for full-batch training, so models memoise it on the data object itself

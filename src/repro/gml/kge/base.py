@@ -21,7 +21,7 @@ from repro.gml.autograd import (
 )
 from repro.gml.nn.module import Module
 
-__all__ = ["KGEModel", "ranking_metrics"]
+__all__ = ["KGEModel", "known_tails", "ranking_metrics"]
 
 
 class KGEModel(Module):
@@ -115,6 +115,22 @@ class KGEModel(Module):
     def entity_embedding_matrix(self) -> np.ndarray:
         """The (num_entities, dim) embedding matrix (for the embedding store)."""
         return self.entity_embeddings.weight.data.copy()
+
+
+def known_tails(triples: np.ndarray) -> Dict[Tuple[int, int], np.ndarray]:
+    """The tails each ``(head, relation)`` pair of ``triples`` is seen with.
+
+    Filtered ranking masks these out, so a test triple is not penalised for
+    scoring below another true answer.
+    """
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    if not triples.size:
+        return {}
+    heads, relations, tails = triples[np.lexsort((triples[:, 1], triples[:, 0]))].T
+    starts = np.flatnonzero(np.concatenate(
+        [[True], (heads[1:] != heads[:-1]) | (relations[1:] != relations[:-1])]))
+    return dict(zip(zip(heads[starts].tolist(), relations[starts].tolist()),
+                    np.split(tails, starts[1:])))
 
 
 def ranking_metrics(ranks: np.ndarray, ks: Tuple[int, ...] = (1, 3, 10)) -> Dict[str, float]:

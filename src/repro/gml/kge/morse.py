@@ -33,7 +33,7 @@ from repro.gml.autograd import (
     no_grad,
     spmm,
 )
-from repro.gml.kge.base import ranking_metrics
+from repro.gml.kge.base import known_tails, ranking_metrics
 from repro.gml.nn.module import Module
 
 __all__ = ["MorsE"]
@@ -76,13 +76,13 @@ class MorsE(Module):
         heads, relations, tails = triples[:, 0], triples[:, 1], triples[:, 2]
         entity_of_slot = np.concatenate([heads, tails])
         init_index = np.concatenate([relations, relations + self.num_relations])
-        slots = np.arange(entity_of_slot.shape[0])
-        degree = np.bincount(entity_of_slot, minlength=num_entities).astype(np.float64)
-        degree[degree == 0] = 1.0
-        weights = 1.0 / degree[entity_of_slot]
-        incidence = sp.coo_matrix(
-            (weights, (entity_of_slot, slots)),
-            shape=(num_entities, entity_of_slot.shape[0])).tocsr()
+        counts = np.bincount(entity_of_slot, minlength=num_entities)
+        # One entry per column: sorting the slots by entity is the CSR layout.
+        slots = np.argsort(entity_of_slot, kind="stable")
+        weights = 1.0 / np.maximum(counts, 1)[entity_of_slot[slots]]
+        incidence = sp.csr_matrix(
+            (weights, slots, np.concatenate([[0], np.cumsum(counts)])),
+            shape=(num_entities, entity_of_slot.shape[0]))
         return incidence, init_index
 
     def compose_entity_embeddings(self, triples: np.ndarray,
@@ -151,13 +151,7 @@ class MorsE(Module):
     def evaluate(self, entity_embeddings: np.ndarray, test_triples: np.ndarray,
                  all_triples: Optional[np.ndarray] = None) -> Dict[str, float]:
         """Filtered MRR / Hits@k on ``test_triples``."""
-        known: Optional[Dict[Tuple[int, int], np.ndarray]] = None
-        if all_triples is not None and len(all_triples):
-            known = {}
-            grouped: Dict[Tuple[int, int], List[int]] = {}
-            for head, relation, tail in np.asarray(all_triples, dtype=np.int64):
-                grouped.setdefault((int(head), int(relation)), []).append(int(tail))
-            known = {key: np.asarray(value, dtype=np.int64)
-                     for key, value in grouped.items()}
+        known = known_tails(all_triples) \
+            if all_triples is not None and len(all_triples) else None
         ranks = self.rank_tails(entity_embeddings, test_triples, known_tails=known)
         return ranking_metrics(ranks)

@@ -15,7 +15,7 @@ stage of the pipeline in paper Fig 6.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse as sp

@@ -70,10 +70,8 @@ class GraphSAINTNodeSampler(_SaintSampler):
     def __init__(self, *args, degree_proportional: bool = True, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.degree_proportional = degree_proportional
-        degree = np.zeros(self.data.num_nodes, dtype=np.float64)
-        if self.data.num_edges:
-            np.add.at(degree, self.data.edge_index[0], 1.0)
-            np.add.at(degree, self.data.edge_index[1], 1.0)
+        degree = np.bincount(self.data.edge_index.reshape(-1),
+                             minlength=self.data.num_nodes)
         self._probabilities = (degree + 1.0)
         self._probabilities /= self._probabilities.sum()
 
@@ -123,9 +121,8 @@ class GraphSAINTRandomWalkSampler(_SaintSampler):
         # CSR-style adjacency for fast out-neighbour lookup.
         order = np.argsort(data.edge_index[0], kind="stable")
         self._sorted_dst = data.edge_index[1, order]
-        self._offsets = np.zeros(data.num_nodes + 1, dtype=np.int64)
-        np.add.at(self._offsets, data.edge_index[0] + 1, 1)
-        self._offsets = np.cumsum(self._offsets)
+        self._offsets = np.cumsum(np.bincount(data.edge_index[0] + 1,
+                                              minlength=data.num_nodes + 1))
 
     def _neighbors(self, node: int) -> np.ndarray:
         return self._sorted_dst[self._offsets[node]:self._offsets[node + 1]]

@@ -7,7 +7,7 @@ subgraph-sampling methods for link prediction).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -94,11 +94,10 @@ class EdgeSubKGSampler:
         count = min(self.triples_per_subkg, self._train.shape[0])
         chosen = self.rng.choice(self._train.shape[0], size=count, replace=False)
         triples = self._train[chosen]
-        entities = np.unique(np.concatenate([triples[:, 0], triples[:, 2]]))
-        remap = {int(e): i for i, e in enumerate(entities)}
+        entities, local_ids = np.unique(
+            np.concatenate([triples[:, 0], triples[:, 2]]), return_inverse=True)
         local = triples.copy()
-        local[:, 0] = [remap[int(h)] for h in triples[:, 0]]
-        local[:, 2] = [remap[int(t)] for t in triples[:, 2]]
+        local[:, 0], local[:, 2] = local_ids[:count], local_ids[count:]
         return local, entities, entities.shape[0]
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray, int]]:

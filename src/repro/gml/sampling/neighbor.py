@@ -8,7 +8,7 @@ so the same models can train on it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,57 +37,25 @@ class NeighborSampler(SubgraphSampler):
         # In-neighbour CSR (messages flow src -> dst, so we expand backwards).
         order = np.argsort(data.edge_index[1], kind="stable")
         self._sorted_src = data.edge_index[0, order]
-        self._offsets = np.zeros(data.num_nodes + 1, dtype=np.int64)
-        np.add.at(self._offsets, data.edge_index[1] + 1, 1)
-        self._offsets = np.cumsum(self._offsets)
+        self._offsets = np.cumsum(np.bincount(data.edge_index[1] + 1,
+                                              minlength=data.num_nodes + 1))
 
     def _in_neighbors(self, node: int) -> np.ndarray:
         return self._sorted_src[self._offsets[node]:self._offsets[node + 1]]
 
-    def sample_nodes(self) -> np.ndarray:
-        seeds = self.rng.choice(self.seed_nodes,
-                                size=min(self.batch_size, self.seed_nodes.shape[0]),
-                                replace=False)
-        visited = set(int(s) for s in seeds)
-        frontier: List[int] = [int(s) for s in seeds]
-        for fanout in self.fanouts:
-            next_frontier: List[int] = []
-            for node in frontier:
-                neighbors = self._in_neighbors(node)
-                if neighbors.size > fanout:
-                    neighbors = self.rng.choice(neighbors, size=fanout, replace=False)
-                for neighbor in neighbors:
-                    neighbor = int(neighbor)
-                    if neighbor not in visited:
-                        visited.add(neighbor)
-                        next_frontier.append(neighbor)
-            frontier = next_frontier
-        return np.asarray(sorted(visited), dtype=np.int64)
+    def _seeds(self) -> np.ndarray:
+        return self.rng.choice(self.seed_nodes,
+                               size=min(self.batch_size, self.seed_nodes.shape[0]),
+                               replace=False)
+
+    def sample_nodes(self, seeds: Optional[np.ndarray] = None) -> np.ndarray:
+        return self._bounded_expansion(self._seeds() if seeds is None else seeds,
+                                       self.fanouts, self._in_neighbors)
 
     def sample(self) -> SampledSubgraph:
-        seeds = self.rng.choice(self.seed_nodes,
-                                size=min(self.batch_size, self.seed_nodes.shape[0]),
-                                replace=False)
-        visited = set(int(s) for s in seeds)
-        frontier: List[int] = [int(s) for s in seeds]
-        for fanout in self.fanouts:
-            next_frontier: List[int] = []
-            for node in frontier:
-                neighbors = self._in_neighbors(node)
-                if neighbors.size > fanout:
-                    neighbors = self.rng.choice(neighbors, size=fanout, replace=False)
-                for neighbor in neighbors:
-                    neighbor = int(neighbor)
-                    if neighbor not in visited:
-                        visited.add(neighbor)
-                        next_frontier.append(neighbor)
-            frontier = next_frontier
-        nodes = np.asarray(sorted(visited), dtype=np.int64)
-        sub, mapping = self.data.subgraph(nodes)
-        position = {int(full): local for local, full in enumerate(mapping)}
-        root_local = np.asarray([position[int(s)] for s in seeds if int(s) in position],
-                                dtype=np.int64)
-        return SampledSubgraph(sub, mapping, root_nodes=root_local)
+        seeds = self._seeds()
+        sub, mapping = self.data.subgraph(self.sample_nodes(seeds))
+        return SampledSubgraph(sub, mapping, root_nodes=np.searchsorted(mapping, seeds))
 
     def estimated_subgraph_nodes(self) -> int:
         expansion = 1

@@ -9,7 +9,7 @@ union of their shadow subgraphs.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -43,9 +43,7 @@ class ShadowKHopSampler(SubgraphSampler):
         dst = np.concatenate([data.edge_index[1], data.edge_index[0]])
         order = np.argsort(src, kind="stable")
         self._sorted_dst = dst[order]
-        self._offsets = np.zeros(data.num_nodes + 1, dtype=np.int64)
-        np.add.at(self._offsets, src + 1, 1)
-        self._offsets = np.cumsum(self._offsets)
+        self._offsets = np.cumsum(np.bincount(src + 1, minlength=data.num_nodes + 1))
         self._cursor = 0
         self._order = self.rng.permutation(self.target_nodes)
 
@@ -62,24 +60,8 @@ class ShadowKHopSampler(SubgraphSampler):
         return roots
 
     def _expand(self, roots: np.ndarray) -> np.ndarray:
-        frontier = list(roots)
-        visited = set(int(r) for r in roots)
-        for _ in range(self.depth):
-            next_frontier: List[int] = []
-            for node in frontier:
-                neighbors = self._neighbors(int(node))
-                if neighbors.size > self.neighbors_per_hop:
-                    neighbors = self.rng.choice(neighbors, size=self.neighbors_per_hop,
-                                                replace=False)
-                for neighbor in neighbors:
-                    neighbor = int(neighbor)
-                    if neighbor not in visited:
-                        visited.add(neighbor)
-                        next_frontier.append(neighbor)
-            frontier = next_frontier
-            if not frontier:
-                break
-        return np.asarray(sorted(visited), dtype=np.int64)
+        return self._bounded_expansion(
+            roots, [self.neighbors_per_hop] * self.depth, self._neighbors)
 
     def sample_nodes(self) -> np.ndarray:
         return self._expand(self._next_roots())
@@ -88,10 +70,7 @@ class ShadowKHopSampler(SubgraphSampler):
         roots = self._next_roots()
         nodes = self._expand(roots)
         sub, mapping = self.data.subgraph(nodes)
-        position = {int(full): local for local, full in enumerate(mapping)}
-        root_local = np.asarray([position[int(r)] for r in roots if int(r) in position],
-                                dtype=np.int64)
-        return SampledSubgraph(sub, mapping, root_nodes=root_local)
+        return SampledSubgraph(sub, mapping, root_nodes=np.searchsorted(mapping, roots))
 
     def estimated_subgraph_nodes(self) -> int:
         # Each root expands to at most sum_{i<=depth} neighbors_per_hop^i nodes.

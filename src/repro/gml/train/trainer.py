@@ -17,20 +17,25 @@ the paper's evaluation (Figs 13-15) reports.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import BudgetExceededError, TrainingError
-from repro.gml.autograd import Tensor, cross_entropy, no_grad
+from repro.gml.autograd import Tensor, cross_entropy
 from repro.gml.data import GraphData, TriplesData
-from repro.gml.kge.base import KGEModel, ranking_metrics
+from repro.gml.kge.base import KGEModel, known_tails, ranking_metrics
 from repro.gml.kge.morse import MorsE
 from repro.gml.nn.models import NodeClassifier
 from repro.gml.nn.optim import Adam, Optimizer, clip_grad_norm
 from repro.gml.sampling.base import SubgraphSampler
-from repro.gml.sampling.negative import EdgeSubKGSampler, TripleBatchSampler
+from repro.gml.sampling.negative import (
+    EdgeSubKGSampler,
+    NegativeSampler,
+    TripleBatchSampler,
+)
 from repro.gml.train.budget import ResourceMonitor, ResourceUsage, TaskBudget
 from repro.gml.train.estimator import METHOD_PROFILES, MethodCostEstimator
 from repro.gml.train.metrics import accuracy, classification_report
@@ -79,15 +84,56 @@ class TrainingResult:
 
 
 class _BaseTrainer:
-    """Shared budget handling."""
+    """The training loop every method shares: epochs, history, budget, report."""
 
-    def __init__(self, budget: Optional[TaskBudget] = None,
-                 enforce_budget: bool = False) -> None:
+    task_type = "node_classification"
+    #: Every ``history_every``-th epoch (and the last) gets a history entry.
+    history_every = 5
+
+    def __init__(self, model, data, epochs: int, method_name: str,
+                 budget: Optional[TaskBudget], enforce_budget: bool) -> None:
+        self.model = model
+        self.data = data
+        self.epochs = epochs
+        self.method_name = method_name
         self.budget = budget or TaskBudget()
         self.enforce_budget = enforce_budget
 
+    def train(self) -> TrainingResult:
+        history: List[Dict[str, float]] = []
+        stopped_early = False
+        with ResourceMonitor(self.budget) as monitor:
+            for epoch in range(self.epochs):
+                loss = self._train_epoch(epoch)
+                if epoch % self.history_every == 0 or epoch == self.epochs - 1:
+                    history.append({"epoch": epoch, "loss": loss,
+                                    **self._epoch_metrics()})
+                if self._check_budget(monitor):
+                    stopped_early = True
+                    break
+        metrics, inference_seconds = self._final_metrics()
+        return TrainingResult(
+            method=self.method_name, task_type=self.task_type,
+            metrics=metrics, usage=monitor.usage, num_epochs=self.epochs,
+            history=history, inference_seconds=inference_seconds,
+            model=self.model, stopped_early=stopped_early)
+
+    def _train_epoch(self, epoch: int) -> float:
+        """Run one epoch of optimisation; returns its mean loss."""
+        raise NotImplementedError
+
+    def _epoch_metrics(self) -> Dict[str, float]:
+        """Validation numbers recorded beside the loss in the history."""
+        return {}
+
+    def _final_metrics(self) -> Tuple[Dict[str, float], float]:
+        """Test metrics of the trained model and the seconds inference took."""
+        raise NotImplementedError
+
     def _check_budget(self, monitor: ResourceMonitor) -> bool:
-        """Return True when training should stop (budget exhausted)."""
+        """Return True when training should stop (budget exhausted); the
+        first call of a run ends the monitor's memory probe, enforced or not."""
+        monitor.end_probe()
         if not self.enforce_budget:
             return False
         try:
@@ -97,7 +143,55 @@ class _BaseTrainer:
         return False
 
 
-class FullBatchNodeClassificationTrainer(_BaseTrainer):
+class _NodeClassificationTrainer(_BaseTrainer):
+    """Optimizer set-up and evaluation of a :class:`NodeClassifier`."""
+
+    def __init__(self, model: NodeClassifier, data: GraphData, epochs: int,
+                 learning_rate: float, weight_decay: float, grad_clip: float,
+                 budget: Optional[TaskBudget], enforce_budget: bool,
+                 method_name: str) -> None:
+        super().__init__(model, data, epochs, method_name, budget, enforce_budget)
+        self.grad_clip = grad_clip
+        self.optimizer: Optimizer = Adam(model.parameters(), lr=learning_rate,
+                                         weight_decay=weight_decay)
+
+    def _step(self, data: GraphData, nodes: np.ndarray,
+              weight: Optional[np.ndarray] = None) -> float:
+        """One optimisation step on the labelled ``nodes`` of ``data``."""
+        self.optimizer.zero_grad()
+        logits = self.model.forward(data)
+        loss = cross_entropy(logits[nodes], data.labels[nodes], weight=weight)
+        loss.backward()
+        clip_grad_norm(self.optimizer.parameters, self.grad_clip)
+        self.optimizer.step()
+        return float(loss.item())
+
+    def _epoch_metrics(self) -> Dict[str, float]:
+        return {"val_accuracy": self._evaluate_mask(self.data.val_mask)}
+
+    def _evaluate_mask(self, mask: np.ndarray) -> float:
+        nodes = np.flatnonzero(mask)
+        if nodes.size == 0:
+            return 0.0
+        self.model.eval()
+        predictions = self.model.predict(self.data, nodes)
+        return accuracy(self.data.labels[nodes], predictions)
+
+    def _final_metrics(self) -> Tuple[Dict[str, float], float]:
+        self.model.eval()
+        test_nodes = np.flatnonzero(self.data.test_mask)
+        if test_nodes.size == 0:
+            test_nodes = self.data.labeled_nodes()
+        started = time.perf_counter()
+        predictions = self.model.predict(self.data, test_nodes)
+        inference_seconds = time.perf_counter() - started
+        report = classification_report(self.data.labels[test_nodes], predictions,
+                                       num_classes=self.data.num_classes)
+        report["val_accuracy"] = self._evaluate_mask(self.data.val_mask)
+        return report, inference_seconds
+
+
+class FullBatchNodeClassificationTrainer(_NodeClassificationTrainer):
     """Full-graph training of a :class:`NodeClassifier` (RGCN / GCN / GAT)."""
 
     def __init__(self, model: NodeClassifier, data: GraphData,
@@ -106,75 +200,26 @@ class FullBatchNodeClassificationTrainer(_BaseTrainer):
                  budget: Optional[TaskBudget] = None,
                  enforce_budget: bool = False,
                  method_name: str = "rgcn") -> None:
-        super().__init__(budget, enforce_budget)
+        super().__init__(model, data, epochs, learning_rate, weight_decay,
+                         grad_clip, budget, enforce_budget, method_name)
         if data.labeled_nodes().size == 0:
             raise TrainingError("dataset has no labelled nodes")
-        self.model = model
-        self.data = data
-        self.epochs = epochs
-        self.grad_clip = grad_clip
-        self.method_name = method_name
-        self.optimizer: Optimizer = Adam(model.parameters(), lr=learning_rate,
-                                         weight_decay=weight_decay)
+        self._train_nodes = np.flatnonzero(data.train_mask)
 
     def train(self) -> TrainingResult:
-        data = self.data
-        train_nodes = np.flatnonzero(data.train_mask)
-        history: List[Dict[str, float]] = []
-        stopped_early = False
-        estimator = MethodCostEstimator(hidden_dim=64)
-        estimate = (estimator.estimate(self.method_name, data, epochs=self.epochs)
-                    if self.method_name in METHOD_PROFILES else None)
-        with ResourceMonitor(self.budget) as monitor:
-            for epoch in range(self.epochs):
-                self.model.train()
-                self.optimizer.zero_grad()
-                logits = self.model.forward(data)
-                loss = cross_entropy(logits[train_nodes], data.labels[train_nodes])
-                loss.backward()
-                clip_grad_norm(self.optimizer.parameters, self.grad_clip)
-                self.optimizer.step()
-                if epoch % 5 == 0 or epoch == self.epochs - 1:
-                    val_acc = self._evaluate_mask(data.val_mask)
-                    history.append({"epoch": epoch, "loss": float(loss.item()),
-                                    "val_accuracy": val_acc})
-                if self._check_budget(monitor):
-                    stopped_early = True
-                    break
-        metrics, inference_seconds = self._final_metrics()
-        usage = monitor.usage
-        if estimate is not None:
-            usage.estimated_memory_bytes = int(estimate.memory_bytes)
-        return TrainingResult(
-            method=self.method_name, task_type="node_classification",
-            metrics=metrics, usage=usage, num_epochs=self.epochs,
-            history=history, inference_seconds=inference_seconds,
-            model=self.model, stopped_early=stopped_early)
+        result = super().train()
+        if self.method_name in METHOD_PROFILES:
+            estimate = MethodCostEstimator(hidden_dim=64).estimate(
+                self.method_name, self.data, epochs=self.epochs)
+            result.usage.estimated_memory_bytes = int(estimate.memory_bytes)
+        return result
 
-    def _evaluate_mask(self, mask: np.ndarray) -> float:
-        nodes = np.flatnonzero(mask)
-        if nodes.size == 0:
-            return 0.0
-        self.model.eval()
-        predictions = self.model.predict(self.data, nodes)
-        return accuracy(self.data.labels[nodes], predictions)
-
-    def _final_metrics(self) -> (Dict[str, float], float):
-        import time as _time
-        self.model.eval()
-        test_nodes = np.flatnonzero(self.data.test_mask)
-        if test_nodes.size == 0:
-            test_nodes = self.data.labeled_nodes()
-        started = _time.perf_counter()
-        predictions = self.model.predict(self.data, test_nodes)
-        inference_seconds = _time.perf_counter() - started
-        report = classification_report(self.data.labels[test_nodes], predictions,
-                                       num_classes=self.data.num_classes)
-        report["val_accuracy"] = self._evaluate_mask(self.data.val_mask)
-        return report, inference_seconds
+    def _train_epoch(self, epoch: int) -> float:
+        self.model.train()
+        return self._step(self.data, self._train_nodes)
 
 
-class SamplingNodeClassificationTrainer(_BaseTrainer):
+class SamplingNodeClassificationTrainer(_NodeClassificationTrainer):
     """Mini-batch training over sampled subgraphs (GraphSAINT / ShaDow)."""
 
     def __init__(self, model: NodeClassifier, data: GraphData,
@@ -183,149 +228,83 @@ class SamplingNodeClassificationTrainer(_BaseTrainer):
                  grad_clip: float = 5.0, budget: Optional[TaskBudget] = None,
                  enforce_budget: bool = False,
                  method_name: str = "graph_saint") -> None:
-        super().__init__(budget, enforce_budget)
-        self.model = model
-        self.data = data
+        super().__init__(model, data, epochs, learning_rate, weight_decay,
+                         grad_clip, budget, enforce_budget, method_name)
         self.sampler = sampler
-        self.epochs = epochs
-        self.grad_clip = grad_clip
-        self.method_name = method_name
-        self.optimizer: Optimizer = Adam(model.parameters(), lr=learning_rate,
-                                         weight_decay=weight_decay)
 
-    def train(self) -> TrainingResult:
-        history: List[Dict[str, float]] = []
-        stopped_early = False
-        with ResourceMonitor(self.budget) as monitor:
-            for epoch in range(self.epochs):
-                self.model.train()
-                epoch_loss = 0.0
-                batches = 0
-                for batch in self.sampler:
-                    sub = batch.data
-                    # Only train on labelled *training* nodes inside the batch;
-                    # for ShaDow batches restrict further to the root nodes.
-                    candidates = np.flatnonzero(sub.train_mask & (sub.labels >= 0))
-                    if batch.root_nodes is not None:
-                        roots = set(batch.root_nodes.tolist())
-                        candidates = np.asarray(
-                            [c for c in candidates if int(c) in roots], dtype=np.int64)
-                    if candidates.size == 0:
-                        continue
-                    self.optimizer.zero_grad()
-                    logits = self.model.forward(sub)
-                    weight = None
-                    if batch.node_weight is not None:
-                        weight = batch.node_weight[candidates]
-                    loss = cross_entropy(logits[candidates], sub.labels[candidates],
-                                         weight=weight)
-                    loss.backward()
-                    clip_grad_norm(self.optimizer.parameters, self.grad_clip)
-                    self.optimizer.step()
-                    epoch_loss += float(loss.item())
-                    batches += 1
-                if epoch % 5 == 0 or epoch == self.epochs - 1:
-                    val_acc = self._evaluate_mask(self.data.val_mask)
-                    history.append({"epoch": epoch,
-                                    "loss": epoch_loss / max(1, batches),
-                                    "val_accuracy": val_acc})
-                if self._check_budget(monitor):
-                    stopped_early = True
-                    break
-        metrics, inference_seconds = self._final_metrics()
-        return TrainingResult(
-            method=self.method_name, task_type="node_classification",
-            metrics=metrics, usage=monitor.usage, num_epochs=self.epochs,
-            history=history, inference_seconds=inference_seconds,
-            model=self.model, stopped_early=stopped_early)
-
-    def _evaluate_mask(self, mask: np.ndarray) -> float:
-        nodes = np.flatnonzero(mask)
-        if nodes.size == 0:
-            return 0.0
-        self.model.eval()
-        predictions = self.model.predict(self.data, nodes)
-        return accuracy(self.data.labels[nodes], predictions)
-
-    def _final_metrics(self):
-        import time as _time
-        self.model.eval()
-        test_nodes = np.flatnonzero(self.data.test_mask)
-        if test_nodes.size == 0:
-            test_nodes = self.data.labeled_nodes()
-        started = _time.perf_counter()
-        predictions = self.model.predict(self.data, test_nodes)
-        inference_seconds = _time.perf_counter() - started
-        report = classification_report(self.data.labels[test_nodes], predictions,
-                                       num_classes=self.data.num_classes)
-        report["val_accuracy"] = self._evaluate_mask(self.data.val_mask)
-        return report, inference_seconds
+    def _train_epoch(self, epoch: int) -> float:
+        self.model.train()
+        losses = []
+        for batch in self.sampler:
+            sub = batch.data
+            # Only train on labelled *training* nodes inside the batch;
+            # for ShaDow batches restrict further to the root nodes.
+            candidates = np.flatnonzero(sub.train_mask & (sub.labels >= 0))
+            if batch.root_nodes is not None:
+                candidates = candidates[np.isin(candidates, batch.root_nodes)]
+            if candidates.size == 0:
+                continue
+            weight = None
+            if batch.node_weight is not None:
+                weight = batch.node_weight[candidates]
+            losses.append(self._step(sub, candidates, weight))
+        return sum(losses) / max(1, len(losses))
 
 
-class KGETrainer(_BaseTrainer):
+class _LinkPredictionTrainer(_BaseTrainer):
+    """Optimizer set-up and the test-triple sample of a link predictor."""
+
+    task_type = "link_prediction"
+
+    def __init__(self, model, data: TriplesData, epochs: int, learning_rate: float,
+                 budget: Optional[TaskBudget], enforce_budget: bool,
+                 method_name: str) -> None:
+        super().__init__(model, data, epochs, method_name, budget, enforce_budget)
+        self.optimizer: Optimizer = Adam(model.parameters(), lr=learning_rate)
+
+    def _step(self, loss: Tensor) -> float:
+        """One optimisation step down the gradient of ``loss``."""
+        self.optimizer.zero_grad()
+        loss.backward()
+        self.optimizer.step()
+        return float(loss.item())
+
+    def _test_triples(self) -> np.ndarray:
+        return self.data.split("test")[:200]
+
+
+class KGETrainer(_LinkPredictionTrainer):
     """Negative-sampling training of a transductive KGE model."""
+
+    history_every = 10
 
     def __init__(self, model: KGEModel, data: TriplesData, epochs: int = 50,
                  batch_size: int = 1024, num_negatives: int = 8,
                  learning_rate: float = 0.05, budget: Optional[TaskBudget] = None,
                  enforce_budget: bool = False, method_name: str = "kge",
                  seed: int = 0) -> None:
-        super().__init__(budget, enforce_budget)
-        self.model = model
-        self.data = data
-        self.epochs = epochs
-        self.method_name = method_name
+        super().__init__(model, data, epochs, learning_rate, budget,
+                         enforce_budget, method_name)
         self.batch_sampler = TripleBatchSampler(
             data, batch_size=batch_size, num_negatives=num_negatives, seed=seed)
-        self.optimizer: Optimizer = Adam(model.parameters(), lr=learning_rate)
 
-    def train(self) -> TrainingResult:
-        history: List[Dict[str, float]] = []
-        stopped_early = False
-        with ResourceMonitor(self.budget) as monitor:
-            for epoch in range(self.epochs):
-                epoch_loss = 0.0
-                batches = 0
-                for positives, negatives in self.batch_sampler:
-                    self.optimizer.zero_grad()
-                    loss = self.model.loss(positives, negatives)
-                    loss.backward()
-                    self.optimizer.step()
-                    epoch_loss += float(loss.item())
-                    batches += 1
-                if epoch % 10 == 0 or epoch == self.epochs - 1:
-                    history.append({"epoch": epoch,
-                                    "loss": epoch_loss / max(1, batches)})
-                if self._check_budget(monitor):
-                    stopped_early = True
-                    break
-        metrics, inference_seconds = self._final_metrics()
-        return TrainingResult(
-            method=self.method_name, task_type="link_prediction",
-            metrics=metrics, usage=monitor.usage, num_epochs=self.epochs,
-            history=history, inference_seconds=inference_seconds,
-            model=self.model, stopped_early=stopped_early)
+    def _train_epoch(self, epoch: int) -> float:
+        losses = []
+        for positives, negatives in self.batch_sampler:
+            losses.append(self._step(self.model.loss(positives, negatives)))
+        return sum(losses) / max(1, len(losses))
 
-    def _final_metrics(self):
-        import time as _time
-        test_triples = self.data.split("test")
-        if test_triples.shape[0] > 200:
-            test_triples = test_triples[:200]
-        started = _time.perf_counter()
-        ranks = []
-        all_triples = self.data.triples
-        grouped: Dict[tuple, List[int]] = {}
-        for head, relation, tail in all_triples:
-            grouped.setdefault((int(head), int(relation)), []).append(int(tail))
-        for head, relation, tail in test_triples:
-            known = np.asarray(grouped.get((int(head), int(relation)), []), dtype=np.int64)
-            ranks.append(self.model.rank_tail(int(head), int(relation), int(tail),
-                                              filtered_tails=known))
-        inference_seconds = _time.perf_counter() - started
+    def _final_metrics(self) -> Tuple[Dict[str, float], float]:
+        started = time.perf_counter()
+        known = known_tails(self.data.triples)
+        ranks = [self.model.rank_tail(head, relation, tail,
+                                      filtered_tails=known.get((head, relation)))
+                 for head, relation, tail in self._test_triples().tolist()]
+        inference_seconds = time.perf_counter() - started
         return ranking_metrics(np.asarray(ranks)), inference_seconds
 
 
-class MorsETrainer(_BaseTrainer):
+class MorsETrainer(_LinkPredictionTrainer):
     """Meta-training of the inductive MorsE model over sampled sub-KGs."""
 
     def __init__(self, model: MorsE, data: TriplesData, epochs: int = 20,
@@ -333,63 +312,32 @@ class MorsETrainer(_BaseTrainer):
                  num_negatives: int = 8, learning_rate: float = 0.05,
                  budget: Optional[TaskBudget] = None, enforce_budget: bool = False,
                  method_name: str = "morse", seed: int = 0) -> None:
-        super().__init__(budget, enforce_budget)
-        self.model = model
-        self.data = data
-        self.epochs = epochs
-        self.method_name = method_name
+        super().__init__(model, data, epochs, learning_rate, budget,
+                         enforce_budget, method_name)
         self.subkg_sampler = EdgeSubKGSampler(
             data, triples_per_subkg=triples_per_subkg,
             num_subkgs=subkgs_per_epoch, seed=seed)
-        from repro.gml.sampling.negative import NegativeSampler
         self.negative_sampler_seed = seed
         self.num_negatives = num_negatives
-        self.optimizer: Optimizer = Adam(model.parameters(), lr=learning_rate)
 
-    def train(self) -> TrainingResult:
-        from repro.gml.sampling.negative import NegativeSampler
-        history: List[Dict[str, float]] = []
-        stopped_early = False
-        with ResourceMonitor(self.budget) as monitor:
-            for epoch in range(self.epochs):
-                epoch_loss = 0.0
-                batches = 0
-                for local_triples, _, num_local in self.subkg_sampler:
-                    negative_sampler = NegativeSampler(
-                        num_local, num_negatives=self.num_negatives,
-                        seed=self.negative_sampler_seed + epoch)
-                    negatives = negative_sampler.corrupt(local_triples)
-                    self.optimizer.zero_grad()
-                    entity_embeddings = self.model.compose_entity_embeddings(
-                        local_triples, num_local)
-                    loss = self.model.loss(entity_embeddings, local_triples, negatives)
-                    loss.backward()
-                    self.optimizer.step()
-                    epoch_loss += float(loss.item())
-                    batches += 1
-                if epoch % 5 == 0 or epoch == self.epochs - 1:
-                    history.append({"epoch": epoch,
-                                    "loss": epoch_loss / max(1, batches)})
-                if self._check_budget(monitor):
-                    stopped_early = True
-                    break
-        metrics, inference_seconds = self._final_metrics()
-        return TrainingResult(
-            method=self.method_name, task_type="link_prediction",
-            metrics=metrics, usage=monitor.usage, num_epochs=self.epochs,
-            history=history, inference_seconds=inference_seconds,
-            model=self.model, stopped_early=stopped_early)
+    def _train_epoch(self, epoch: int) -> float:
+        losses = []
+        for local_triples, _, num_local in self.subkg_sampler:
+            negative_sampler = NegativeSampler(
+                num_local, num_negatives=self.num_negatives,
+                seed=self.negative_sampler_seed + epoch)
+            negatives = negative_sampler.corrupt(local_triples)
+            entity_embeddings = self.model.compose_entity_embeddings(
+                local_triples, num_local)
+            losses.append(self._step(
+                self.model.loss(entity_embeddings, local_triples, negatives)))
+        return sum(losses) / max(1, len(losses))
 
-    def _final_metrics(self):
-        import time as _time
-        train_triples = self.data.split("train")
+    def _final_metrics(self) -> Tuple[Dict[str, float], float]:
         entity_embeddings = self.model.materialise_entities(
-            train_triples, self.data.num_entities)
-        test_triples = self.data.split("test")
-        if test_triples.shape[0] > 200:
-            test_triples = test_triples[:200]
-        started = _time.perf_counter()
-        metrics = self.model.evaluate(entity_embeddings, test_triples,
+            self.data.split("train"), self.data.num_entities)
+        started = time.perf_counter()
+        metrics = self.model.evaluate(entity_embeddings, self._test_triples(),
                                       all_triples=self.data.triples)
-        inference_seconds = _time.perf_counter() - started
+        inference_seconds = time.perf_counter() - started
         return metrics, inference_seconds

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import gc
+import weakref
+
 from repro.exceptions import AutogradError, ShapeError
 from repro.gml.autograd import (
     Embedding,
@@ -22,6 +25,7 @@ from repro.gml.autograd import (
     tensor,
     zeros,
 )
+from repro.gml.nn import RGCNConv
 
 
 def numeric_gradient(fn, parameter, eps=1e-6):
@@ -200,6 +204,16 @@ class TestGradients:
         (p * 2).sum().backward()
         assert np.allclose(p.grad, 2 * first)
 
+    def test_gradients_are_never_shared_arrays(self):
+        """``a + b`` hands both operands the same array: each keeps a copy, so
+        scaling one gradient in place leaves the other, and the caller's, alone."""
+        a, b = Parameter([1.0, 2.0]), Parameter([3.0, 4.0])
+        upstream = np.array([1.0, 1.0])
+        (a + b).backward(upstream)
+        assert a.grad is not b.grad and a.grad is not upstream
+        a.grad *= 10.0
+        assert np.array_equal(b.grad, [1.0, 1.0]) and np.array_equal(upstream, [1.0, 1.0])
+
     def test_chained_graph_reuse(self, rng_local):
         p = Parameter(rng_local.normal(size=(3,)))
         shared = p * 2
@@ -208,6 +222,177 @@ class TestGradients:
         numeric = numeric_gradient(
             lambda: ((p * 2) * (p * 2)).sum() + (p * 2).sum(), p)
         assert np.abs(p.grad - numeric).max() < 1e-5
+
+
+def reference_scatter(shape, index, grad):
+    """The scatter the engine used before it had ``_scatter``."""
+    full = np.zeros(shape)
+    np.add.at(full, index, grad)
+    return full
+
+
+#: (source shape, index): every index shape the engine back-propagates through.
+SCATTER_CASES = {
+    "repeated rows": ((7, 5), np.array([0, 2, 2, 6, 2, 0, 2, 2, 6, 2, 2])),
+    "no rows": ((4, 3), np.zeros(0, dtype=np.int64)),
+    "1-D source": ((9,), np.array([8, 1, 1, 1, 8, 0])),
+    "1-D source, no rows": ((9,), np.zeros(0, dtype=np.int64)),
+    "3-D source": ((4, 2, 3), np.array([3, 3, 0, 3])),
+    "negative rows": ((5, 2), np.array([-1, 0, -1, 4])),
+    "cross-entropy pick": ((6, 4), (np.arange(6), np.array([0, 3, 3, 1, 0, 2]))),
+    "repeated cells": ((3, 3), (np.array([1, 1, 1, 2]), np.array([0, 0, 0, 2]))),
+    "column slices": ((5, 4), (slice(None), slice(0, 2))),
+    "one row": ((5, 4), 3),
+    "one row from the end": ((5, 4), -2),
+    "one cell": ((5, 4), (2, 1)),
+    "one column": ((5, 4), (slice(None), 3)),
+    "strided rows": ((9, 2), slice(7, 1, -2)),
+    "one element of a 1-D source": ((9,), np.int64(4)),
+    "list of rows": ((5, 4), [4, 4, 0]),
+    "boolean mask": ((5,), np.array([True, False, True, True, False])),
+    "2-D row index": ((6, 2), np.array([[0, 5], [5, 5]])),
+}
+
+
+class TestScatterGradient:
+    """``source[index]`` back-propagates exactly what ``np.add.at`` scattered:
+    same positions, same order of accumulation, so the same bits."""
+
+    @pytest.mark.parametrize("case", sorted(SCATTER_CASES))
+    def test_equals_add_at_to_the_bit(self, case):
+        shape, index = SCATTER_CASES[case]
+        rng = np.random.default_rng(11)
+        source = Parameter(rng.normal(size=shape))
+        picked = source[index]
+        upstream = rng.normal(size=picked.shape) * 10.0 ** rng.integers(-8, 8, picked.shape)
+        picked.backward(upstream)
+        assert source.grad.shape == shape
+        assert np.array_equal(source.grad, reference_scatter(shape, index, upstream))
+
+    @pytest.mark.parametrize("shape", [(50, 8), (50,)])
+    def test_gather_rows_equals_add_at_to_the_bit(self, shape):
+        rng = np.random.default_rng(5)
+        source = Parameter(rng.normal(size=shape))
+        indices = rng.integers(0, 50, size=4000)   # ~80 additions per row
+        picked = gather_rows(source, indices)
+        upstream = rng.normal(size=picked.shape)
+        picked.backward(upstream)
+        assert np.array_equal(source.grad, reference_scatter(shape, indices, upstream))
+
+    @pytest.mark.parametrize("case", ["one row", "one row from the end", "one cell",
+                                      "one column", "column slices", "strided rows",
+                                      "one element of a 1-D source"])
+    def test_basic_index_is_one_assignment(self, case, monkeypatch):
+        """Ints and slices repeat no position: nothing enumerates the source."""
+        shape, index = SCATTER_CASES[case]
+
+        def enumerated(*args, **kwargs):
+            raise AssertionError("a basic index went through the general path")
+
+        monkeypatch.setattr(np, "bincount", enumerated)
+        monkeypatch.setattr(np, "arange", enumerated)
+        source = Parameter(np.ones(shape))
+        picked = source[index]
+        picked.backward(np.full(picked.shape, 2.0))
+        assert source.grad.sum() == 2.0 * picked.size
+
+    def test_gradients_of_every_index_shape(self, rng_local):
+        for case, (shape, index) in sorted(SCATTER_CASES.items()):
+            if np.size(np.empty(shape)[index]):
+                p = Parameter(rng_local.normal(size=shape))
+                check_gradient(lambda: (p[index] ** 2).sum(), p)
+
+
+class TestSpmmTranspose:
+    def test_matrix_is_transposed_once(self, rng_local, monkeypatch):
+        adjacency = sp.random(6, 6, density=0.4, format="csr",
+                              random_state=np.random.RandomState(0))
+        calls = []
+        transpose = sp.csr_matrix.transpose
+        monkeypatch.setattr(sp.csr_matrix, "transpose",
+                            lambda self, *a, **k: calls.append(1) or transpose(self, *a, **k))
+        p = Parameter(rng_local.normal(size=(6, 3)))
+        for _ in range(3):
+            spmm(adjacency, spmm(adjacency, p)).sum().backward()
+        assert len(calls) == 1
+        monkeypatch.undo()
+        p.zero_grad()
+        spmm(adjacency, spmm(adjacency, p)).sum().backward()
+        assert np.array_equal(p.grad, adjacency.T @ (adjacency.T @ np.ones((6, 3))))
+        check_gradient(lambda: (spmm(adjacency, spmm(adjacency, p)) ** 2).sum(), p)
+
+
+class TestRelationWeights:
+    """RGCNConv composes each relation weight from its own coefficient row
+    (``coefficients[r]``, a basic index): the cost of a step is linear in R."""
+
+    def reference_forward(self, layer, adjacencies, x):
+        out = x @ layer.self_weight
+        for relation, adjacency in enumerate(adjacencies):
+            if adjacency.nnz == 0:
+                continue
+            bases_flat = layer.bases.reshape(layer.num_bases,
+                                             layer.in_features * layer.out_features)
+            weight = (layer.coefficients[relation].reshape(1, layer.num_bases)
+                      @ bases_flat).reshape(layer.in_features, layer.out_features)
+            out = out + spmm(adjacency, x @ weight)
+        return out + layer.bias
+
+    def test_forward_and_gradients_match_per_relation_composition(self, rng_local):
+        adjacencies = [sp.random(7, 7, density=d, format="csr",
+                                 random_state=np.random.RandomState(i))
+                       for i, d in enumerate((0.3, 0.0, 0.5))]
+        layer = RGCNConv(4, 3, num_relations=3, num_bases=2, seed=1)
+        x = Tensor(rng_local.normal(size=(7, 4)))
+        out = layer(adjacencies, x)
+        reference = self.reference_forward(layer, adjacencies, x)
+        assert np.array_equal(out.data, reference.data)
+        (out ** 2).sum().backward()
+        grads = [q.grad for q in layer.parameters()]
+        layer.zero_grad()
+        (reference ** 2).sum().backward()
+        for q, grad in zip(layer.parameters(), grads):
+            assert np.array_equal(q.grad, grad)
+        for q in layer.parameters():
+            check_gradient(lambda: (layer(adjacencies, x) ** 2).sum(), q)
+
+
+class TestTape:
+    """backward() sorts without recursion and frees the graph it walked."""
+
+    def test_intermediates_die_by_reference_count(self):
+        p = Parameter(np.ones((4, 4)))
+        gc.collect()
+        gc.disable()
+        try:
+            hidden = (p @ p).relu()
+            loss = (hidden * 2.0).sum()
+            probe = weakref.ref(hidden)
+            del hidden
+            assert probe() is not None      # the tape holds it
+            loss.backward()
+            assert probe() is None          # nothing does, and no collection ran
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_deep_chain_needs_no_recursion(self):
+        p = Parameter([1.0, 2.0])
+        out = p
+        for _ in range(5000):
+            out = out + 1.0
+        out.sum().backward()
+        assert np.array_equal(p.grad, [1.0, 1.0])
+
+    def test_second_backward_through_a_freed_graph_raises(self):
+        p = Parameter([1.0, 2.0])
+        shared = p * 2
+        loss = (shared * shared).sum()
+        loss.backward()
+        with pytest.raises(AutogradError):
+            loss.backward()
+        with pytest.raises(AutogradError):
+            (shared + 1.0).sum().backward()     # a new graph over freed nodes
 
 
 class TestDropoutAndEmbedding:

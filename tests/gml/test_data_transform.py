@@ -1,7 +1,10 @@
 """Unit tests for GraphData / TriplesData and the RDF dataset transformer."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from repro.exceptions import DatasetError
 from repro.gml.data import GraphData, TriplesData, xavier_features
@@ -24,6 +27,86 @@ def small_graph_data(num_nodes=6, num_relations=2, num_classes=2, seed=0):
         features=rng.normal(size=(num_nodes, 4)), labels=labels,
         num_classes=num_classes, train_mask=train, val_mask=val, test_mask=test,
         node_names=[f"n{i}" for i in range(num_nodes)])
+
+
+def reference_adjacency(data, relation=None, add_self_loops=True,
+                        normalize=True, symmetric=True):
+    """``GraphData.adjacency`` as scipy constructors built it before the
+    one-sort kernel: coo -> csr -> + eye -> diags(1 / degree) @ adj."""
+    mask = np.ones(data.num_edges, dtype=bool) if relation is None \
+        else data.edge_type == relation
+    src, dst = data.edge_index[0, mask], data.edge_index[1, mask]
+    if symmetric:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    adj = sp.coo_matrix((np.ones(src.shape[0]), (dst, src)),
+                        shape=(data.num_nodes, data.num_nodes)).tocsr()
+    if add_self_loops:
+        adj = adj + sp.eye(data.num_nodes, format="csr")
+    if normalize:
+        degree = np.asarray(adj.sum(axis=1)).reshape(-1)
+        degree[degree == 0] = 1.0
+        adj = sp.diags(1.0 / degree) @ adj
+    return adj.tocsr()
+
+
+def random_multigraph(rng, num_nodes, num_edges, num_relations):
+    """Duplicate edges, self loops, isolated nodes and empty relations all occur."""
+    used_nodes = max(1, num_nodes - 2)                    # the last two stay isolated
+    edge_index = rng.integers(0, used_nodes, size=(2, num_edges))
+    edge_index[:, : num_edges // 4] = edge_index[:, num_edges // 4: 2 * (num_edges // 4)]
+    edge_index[1, -(num_edges // 5 or 1):] = edge_index[0, -(num_edges // 5 or 1):]
+    edge_type = rng.integers(0, max(1, num_relations - 1), size=num_edges)
+    return GraphData(
+        num_nodes=num_nodes, edge_index=edge_index, edge_type=edge_type,
+        num_relations=num_relations, features=np.zeros((num_nodes, 2)),
+        labels=-np.ones(num_nodes, dtype=np.int64), num_classes=2,
+        train_mask=np.zeros(num_nodes, bool), val_mask=np.zeros(num_nodes, bool),
+        test_mask=np.zeros(num_nodes, bool))
+
+
+def assert_same_csr(built, reference):
+    assert built.shape == reference.shape
+    assert np.array_equal(built.indptr, reference.indptr)
+    assert np.array_equal(built.indices, reference.indices)
+    assert np.array_equal(built.data, reference.data)
+
+
+class TestAdjacencyKernel:
+    """One sort builds what six scipy constructors built: same structure, same
+    stored order, same bits — so models train to the same weights."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_scipy_construction_to_the_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        data = random_multigraph(rng, num_nodes=int(rng.integers(1, 14)),
+                                 num_edges=int(rng.integers(0, 60)),
+                                 num_relations=int(rng.integers(1, 6)))
+        for loops, normalize, symmetric in itertools.product((False, True), repeat=3):
+            options = dict(add_self_loops=loops, normalize=normalize, symmetric=symmetric)
+            per_relation = data.relation_adjacencies(**options)
+            assert len(per_relation) == data.num_relations
+            for relation, built in enumerate(per_relation):
+                reference = reference_adjacency(data, relation, **options)
+                assert_same_csr(built, reference)
+                assert_same_csr(data.adjacency(relation, **options), reference)
+            assert_same_csr(data.adjacency(**options),
+                            reference_adjacency(data, **options))
+
+    def test_generated_kg(self, dblp_nc_data):
+        data = dblp_nc_data[0]
+        for relation, built in enumerate(data.relation_adjacencies()):
+            assert_same_csr(built, reference_adjacency(data, relation,
+                                                       add_self_loops=False))
+        assert_same_csr(data.adjacency(), reference_adjacency(data))
+
+    def test_relation_id_outside_num_relations_rejected(self):
+        for edge_type in ([2], [-1]):
+            with pytest.raises(DatasetError):
+                GraphData(num_nodes=2, edge_index=np.array([[0], [1]]),
+                          edge_type=np.array(edge_type), num_relations=2,
+                          features=np.zeros((2, 3)), labels=np.zeros(2, dtype=int),
+                          num_classes=1, train_mask=np.zeros(2, bool),
+                          val_mask=np.zeros(2, bool), test_mask=np.zeros(2, bool))
 
 
 class TestGraphData:

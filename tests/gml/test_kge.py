@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from repro.exceptions import TrainingError
 from repro.gml.autograd import Tensor
 from repro.gml.kge import ComplEx, DistMult, KGEModel, MorsE, RotatE, TransE, ranking_metrics
+from repro.gml.kge.base import known_tails
 from repro.gml.nn import Adam
 from repro.gml.sampling import NegativeSampler
 
@@ -128,6 +130,34 @@ class TestRankingAndPrediction:
         assert metrics["mrr"] == 0.0 and metrics["hits@10"] == 0.0
 
 
+class TestKnownTails:
+    def reference(self, triples):
+        """The Python loop both evaluators ran before the shared helper."""
+        grouped = {}
+        for head, relation, tail in np.asarray(triples, dtype=np.int64):
+            grouped.setdefault((int(head), int(relation)), []).append(int(tail))
+        return grouped
+
+    @pytest.mark.parametrize("num_triples", [0, 1, 60, 400])
+    def test_groups_tails_like_the_loop(self, num_triples):
+        triples = toy_triples(num_entities=9, num_triples=num_triples, seed=num_triples)
+        known = known_tails(triples)
+        reference = self.reference(triples)
+        assert set(known) == set(reference)
+        assert all(type(part) is int for key in known for part in key)
+        for key, tails in reference.items():
+            assert known[key].tolist() == tails       # triple order is kept
+
+    def test_filtered_metrics_unchanged(self):
+        triples = toy_triples(num_entities=10, num_relations=2, num_triples=80)
+        model = MorsE(num_relations=2, dim=8, seed=0)
+        embeddings = model.materialise_entities(triples, 10)
+        reference = {key: np.asarray(tails) for key, tails in self.reference(triples).items()}
+        ranks = model.rank_tails(embeddings, triples[:20], known_tails=reference)
+        assert model.evaluate(embeddings, triples[:20], all_triples=triples) == \
+            ranking_metrics(ranks)
+
+
 class TestKGETraining:
     def test_training_separates_positives_from_negatives(self):
         """After a few epochs positive triples must outscore corrupted ones."""
@@ -150,7 +180,35 @@ class TestKGETraining:
         assert positive_scores > negative_scores
 
 
+def reference_incidence(model, triples, num_entities):
+    """``MorsE.entity_incidence`` through the COO round trip it used to make."""
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    entity_of_slot = np.concatenate([triples[:, 0], triples[:, 2]])
+    init_index = np.concatenate([triples[:, 1], triples[:, 1] + model.num_relations])
+    degree = np.bincount(entity_of_slot, minlength=num_entities).astype(np.float64)
+    degree[degree == 0] = 1.0
+    incidence = sp.coo_matrix(
+        (1.0 / degree[entity_of_slot], (entity_of_slot, np.arange(entity_of_slot.shape[0]))),
+        shape=(num_entities, entity_of_slot.shape[0])).tocsr()
+    return incidence, init_index
+
+
 class TestMorsE:
+    @pytest.mark.parametrize("num_entities,num_triples",
+                             [(1, 0), (4, 1), (15, 40), (30, 25), (6, 200)])
+    def test_incidence_equals_coo_construction_to_the_bit(self, num_entities, num_triples):
+        model = MorsE(num_relations=3, dim=4, seed=0)
+        triples = toy_triples(num_entities=num_entities, num_relations=3,
+                              num_triples=num_triples, seed=num_triples)
+        triples[: num_triples // 5, 2] = triples[: num_triples // 5, 0]   # self loops
+        built, built_index = model.entity_incidence(triples, num_entities)
+        reference, reference_index = reference_incidence(model, triples, num_entities)
+        assert built.shape == reference.shape
+        assert np.array_equal(built.indptr, reference.indptr)
+        assert np.array_equal(built.indices, reference.indices)
+        assert np.array_equal(built.data, reference.data)
+        assert np.array_equal(built_index, reference_index)
+
     def test_entity_composition_shape(self):
         model = MorsE(num_relations=4, dim=8, seed=0)
         triples = toy_triples(num_entities=15, num_relations=4, num_triples=40)

@@ -124,6 +124,79 @@ class TestGraphSaintSamplers:
         assert np.array_equal(batch.data.labels, graph_data.labels[batch.node_mapping])
 
 
+def reference_offsets(num_nodes, keys):
+    """CSR row offsets as the samplers counted them before ``np.bincount``."""
+    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.add.at(offsets, keys + 1, 1)
+    return np.cumsum(offsets)
+
+
+def reference_expansion(rng, roots, fanouts, neighbors_of):
+    """The bounded breadth-first expansion NeighborSampler and
+    ShadowKHopSampler each carried before they shared one."""
+    visited = set(int(r) for r in roots)
+    frontier = [int(r) for r in roots]
+    for fanout in fanouts:
+        next_frontier = []
+        for node in frontier:
+            neighbors = neighbors_of(node)
+            if neighbors.size > fanout:
+                neighbors = rng.choice(neighbors, size=fanout, replace=False)
+            for neighbor in neighbors:
+                if int(neighbor) not in visited:
+                    visited.add(int(neighbor))
+                    next_frontier.append(int(neighbor))
+        frontier = next_frontier
+    return np.asarray(sorted(visited), dtype=np.int64)
+
+
+class TestSamplerIndexKernels:
+    """bincount / searchsorted re-express the samplers' indexing, nothing more."""
+
+    def test_offsets_and_degrees_equal_add_at(self, graph_data):
+        src, dst = graph_data.edge_index
+        n = graph_data.num_nodes
+        walk = GraphSAINTRandomWalkSampler(graph_data, batch_size=30, num_batches=1)
+        assert np.array_equal(walk._offsets, reference_offsets(n, src))
+        neighbor = NeighborSampler(graph_data, batch_size=8, num_batches=1)
+        assert np.array_equal(neighbor._offsets, reference_offsets(n, dst))
+        shadow = ShadowKHopSampler(graph_data, batch_size=8, num_batches=1)
+        assert np.array_equal(shadow._offsets,
+                              reference_offsets(n, np.concatenate([src, dst])))
+        degree = np.zeros(n)
+        np.add.at(degree, src, 1.0)
+        np.add.at(degree, dst, 1.0)
+        node = GraphSAINTNodeSampler(graph_data, batch_size=40, num_batches=1)
+        assert np.array_equal(node._probabilities, (degree + 1.0) / (degree + 1.0).sum())
+
+    def test_shadow_batches_equal_reference_expansion(self, graph_data):
+        sampler = ShadowKHopSampler(graph_data, batch_size=8, num_batches=3,
+                                    depth=2, neighbors_per_hop=3, seed=4)
+        twin = ShadowKHopSampler(graph_data, batch_size=8, num_batches=3,
+                                 depth=2, neighbors_per_hop=3, seed=4)
+        for batch in sampler:
+            roots = twin._next_roots()
+            nodes = reference_expansion(twin.rng, roots, [3, 3], twin._neighbors)
+            assert np.array_equal(batch.node_mapping, nodes)
+            position = {int(full): local for local, full in enumerate(nodes)}
+            assert batch.root_nodes.tolist() == [position[int(r)] for r in roots]
+
+    def test_neighbor_batches_equal_reference_expansion(self, graph_data):
+        sampler = NeighborSampler(graph_data, batch_size=8, num_batches=3,
+                                  fanouts=(3, 2), seed=4)
+        twin = NeighborSampler(graph_data, batch_size=8, num_batches=3,
+                               fanouts=(3, 2), seed=4)
+        for batch in sampler:
+            seeds = twin.rng.choice(twin.seed_nodes, size=8, replace=False)
+            nodes = reference_expansion(twin.rng, seeds, [3, 2], twin._in_neighbors)
+            assert np.array_equal(batch.node_mapping, nodes)
+            position = {int(full): local for local, full in enumerate(nodes)}
+            assert batch.root_nodes.tolist() == [position[int(s)] for s in seeds]
+        assert np.array_equal(sampler.sample_nodes(), reference_expansion(
+            twin.rng, twin.rng.choice(twin.seed_nodes, size=8, replace=False),
+            [3, 2], twin._in_neighbors))
+
+
 class TestShadowAndNeighborSamplers:
     def test_shadow_sampler_has_roots(self, graph_data):
         sampler = ShadowKHopSampler(graph_data, batch_size=8, num_batches=2,
@@ -195,6 +268,22 @@ class TestTripleSamplers:
             assert local_triples[:, [0, 2]].max() < num_local
             assert entity_map.shape[0] == num_local
             assert entity_map.max() < data.num_entities
+
+    def test_edge_subkg_sampler_equals_dict_remap(self, dblp_lp_data):
+        data = dblp_lp_data[0]
+        sampler = EdgeSubKGSampler(data, triples_per_subkg=150, num_subkgs=4, seed=9)
+        rng = np.random.default_rng(9)
+        train = data.split("train")
+        for local, entities, num_local in sampler:
+            triples = train[rng.choice(train.shape[0], size=150, replace=False)]
+            reference_entities = np.unique(np.concatenate([triples[:, 0], triples[:, 2]]))
+            remap = {int(e): i for i, e in enumerate(reference_entities)}
+            reference = triples.copy()
+            reference[:, 0] = [remap[int(h)] for h in triples[:, 0]]
+            reference[:, 2] = [remap[int(t)] for t in triples[:, 2]]
+            assert np.array_equal(local, reference) and local.dtype == reference.dtype
+            assert np.array_equal(entities, reference_entities)
+            assert num_local == reference_entities.shape[0]
 
     def test_invalid_configurations(self, dblp_lp_data):
         data = dblp_lp_data[0]

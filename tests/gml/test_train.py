@@ -1,6 +1,11 @@
 """Unit tests for metrics, budgets, cost estimators and the trainers."""
 
+import gc
+import sys
+import threading
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -120,6 +125,110 @@ class TestResourceMonitor:
         with ResourceMonitor() as monitor:
             pass
         assert "elapsed_seconds" in monitor.usage.as_dict()
+
+
+    def test_exception_inside_block_ends_the_probe(self):
+        with pytest.raises(RuntimeError):
+            with ResourceMonitor() as monitor:
+                _ = np.zeros((200, 200))
+                raise RuntimeError("training failed")
+        assert not tracemalloc.is_tracing()
+        assert monitor.usage.peak_memory_bytes >= 200 * 200 * 8
+        # ... and releases the probe lock: another thread can probe.
+        other = threading.Thread(target=lambda: ResourceMonitor().__enter__().end_probe())
+        other.start()
+        other.join(timeout=10)
+        assert not other.is_alive()
+
+    def test_end_probe_freezes_the_peak(self):
+        with ResourceMonitor(TaskBudget(max_memory_bytes=10 ** 6)) as monitor:
+            _ = np.zeros(1000)
+            monitor.end_probe()
+            assert not tracemalloc.is_tracing()
+            peak = monitor.usage.peak_memory_bytes
+            assert peak >= 8000
+            _ = np.zeros((1000, 1000))          # 8 MB the probe no longer sees
+            monitor.check()
+        assert monitor.usage.peak_memory_bytes == peak
+
+    def test_foreign_trace_is_left_running(self):
+        tracemalloc.start()
+        try:
+            with ResourceMonitor() as monitor:
+                _ = np.zeros((200, 200))
+            assert tracemalloc.is_tracing()
+            assert monitor.usage.peak_memory_bytes > 0
+        finally:
+            tracemalloc.stop()
+
+    def test_nested_monitor_reports_the_outer_probe(self):
+        """A monitor inside a probe of its own thread neither waits for the
+        lock nor resets the peak under the outer monitor."""
+        with ResourceMonitor() as outer:
+            _ = np.zeros((400, 400))
+            del _
+            with ResourceMonitor() as inner:
+                _ = np.zeros(1000)
+            assert tracemalloc.is_tracing()         # the outer probe goes on
+            assert inner.usage.peak_memory_bytes >= 400 * 400 * 8
+        assert outer.usage.peak_memory_bytes >= 400 * 400 * 8
+        assert not tracemalloc.is_tracing()
+        with ResourceMonitor() as again:            # the lock was released once
+            _ = np.zeros(1000)
+        assert 8000 <= again.usage.peak_memory_bytes < 400 * 400 * 8
+
+    def test_probes_of_two_threads_take_turns(self):
+        """The first monitor used to stop the trace under the second, which
+        then reported 0 bytes: the probe lock makes them take turns."""
+        short_inside, long_inside = threading.Event(), threading.Event()
+        peaks = {}
+
+        def short_run():
+            with ResourceMonitor() as monitor:
+                _ = np.zeros((300, 300))
+                short_inside.set()
+                long_inside.wait(timeout=0.3)   # times out: the other probe waits
+            peaks["short"] = monitor.usage.peak_memory_bytes
+
+        def long_run():
+            short_inside.wait(timeout=10)
+            with ResourceMonitor() as monitor:
+                long_inside.set()
+                _ = np.zeros((300, 300))
+                time.sleep(0.05)
+            peaks["long"] = monitor.usage.peak_memory_bytes
+
+        threads = [threading.Thread(target=short_run), threading.Thread(target=long_run)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert peaks["short"] >= 300 * 300 * 8 and peaks["long"] >= 300 * 300 * 8
+        assert not tracemalloc.is_tracing()
+
+    def test_many_threads_never_report_zero(self):
+        peaks = []
+
+        def run():
+            for _ in range(20):
+                with ResourceMonitor() as monitor:
+                    _ = np.zeros(4096)
+                peaks.append(monitor.usage.peak_memory_bytes)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(peaks) == 160 and min(peaks) >= 4096 * 8
+        assert not tracemalloc.is_tracing()
 
 
 class TestMethodCostEstimator:
@@ -267,3 +376,146 @@ class TestTrainers:
         result = trainer.train()
         random_hits = 10.0 / data.num_entities
         assert result.metrics["hits@10"] > random_hits * 2
+
+
+def rgcn_for(data):
+    return RGCN(data.feature_dim, 16, data.num_classes, data.num_relations,
+                num_bases=4, seed=0)
+
+
+def tiny_trainer(shape, nc_data, lp_data, epochs, **options):
+    """T1-T4 of the benchmark of record (and the two other trainers), tiny."""
+    if shape == "T1-graph_saint":       # the training manager's sampler shape
+        sampler = GraphSAINTNodeSampler(nc_data, batch_size=nc_data.num_nodes // 2,
+                                        num_batches=6, seed=0)
+        return SamplingNodeClassificationTrainer(
+            rgcn_for(nc_data), nc_data, sampler, epochs=epochs, **options)
+    if shape == "T2-rgcn-on-subgraph":
+        sub = nc_data.subgraph(np.arange(nc_data.num_nodes // 2))[0]
+        return FullBatchNodeClassificationTrainer(rgcn_for(sub), sub, epochs=epochs,
+                                                  **options)
+    if shape == "T3-morse":
+        return MorsETrainer(MorsE(lp_data.num_relations, dim=16, seed=0), lp_data,
+                            epochs=epochs, triples_per_subkg=300, subkgs_per_epoch=3,
+                            **options)
+    if shape == "T4-rgcn-on-full-graph":
+        return FullBatchNodeClassificationTrainer(rgcn_for(nc_data), nc_data,
+                                                  epochs=epochs, **options)
+    if shape == "shadow_saint":
+        sampler = ShadowKHopSampler(nc_data, batch_size=16, num_batches=3, seed=0)
+        return SamplingNodeClassificationTrainer(
+            rgcn_for(nc_data), nc_data, sampler, epochs=epochs,
+            method_name="shadow_saint", **options)
+    assert shape == "distmult"
+    return KGETrainer(DistMult(lp_data.num_entities, lp_data.num_relations, dim=16,
+                               seed=0), lp_data, epochs=epochs, batch_size=512,
+                      **options)
+
+
+BENCHMARK_SHAPES = ["T1-graph_saint", "T2-rgcn-on-subgraph", "T3-morse",
+                    "T4-rgcn-on-full-graph"]
+ALL_SHAPES = BENCHMARK_SHAPES + ["shadow_saint", "distmult"]
+
+
+class TestTrainingTape:
+    @pytest.mark.parametrize("shape", ALL_SHAPES)
+    def test_steps_leave_nothing_for_the_collector(self, shape, dblp_nc_data,
+                                                   dblp_lp_data):
+        """A step's tape dies by reference count: with the collector off, no
+        intermediate tensor outlives its step and three steps later
+        ``gc.collect()`` has nothing unreachable to find."""
+        trainer = tiny_trainer(shape, dblp_nc_data[0], dblp_lp_data[0], epochs=3)
+        model = trainer.model
+        hook = {"T3-morse": "compose_entity_embeddings",
+                "distmult": "score_triples"}.get(shape, "forward")
+        original = getattr(model, hook)
+        intermediates = []
+
+        def recording(*args, **kwargs):
+            out = original(*args, **kwargs)
+            intermediates.append(weakref.ref(out))
+            return out
+
+        setattr(model, hook, recording)
+        gc.collect()
+        gc.disable()
+        try:
+            trainer.train()
+            alive = sum(1 for ref in intermediates if ref() is not None)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert len(intermediates) >= 3
+        assert alive == 0
+        assert unreachable == 0
+
+
+class TestMemoryProbe:
+    @pytest.mark.parametrize("shape", ALL_SHAPES)
+    def test_traces_the_first_epoch_only(self, shape, dblp_nc_data, dblp_lp_data):
+        trainer = tiny_trainer(shape, dblp_nc_data[0], dblp_lp_data[0], epochs=4)
+        train_epoch = trainer._train_epoch
+        tracing = []
+
+        def recording(epoch):
+            tracing.append(tracemalloc.is_tracing())
+            return train_epoch(epoch)
+
+        trainer._train_epoch = recording
+        result = trainer.train()
+        assert tracing == [True, False, False, False]
+        assert not tracemalloc.is_tracing()
+        assert result.usage.peak_memory_bytes > 0
+
+    @pytest.mark.parametrize("shape", BENCHMARK_SHAPES)
+    def test_first_epoch_peak_stands_for_the_whole_run(self, shape, dblp_nc_data,
+                                                       dblp_lp_data):
+        """With a trace the test started, the monitor leaves tracing on, so the
+        whole run's traced peak can be read beside the probe's."""
+        tolerance = 0.15 if shape == "T1-graph_saint" else 0.10
+        trainer = tiny_trainer(shape, dblp_nc_data[0], dblp_lp_data[0], epochs=8)
+        final_metrics = trainer._final_metrics
+        whole_run = []
+
+        def recording():
+            whole_run.append(tracemalloc.get_traced_memory()[1])
+            return final_metrics()
+
+        trainer._final_metrics = recording
+        tracemalloc.start()
+        try:
+            result = trainer.train()
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
+        reported = result.usage.peak_memory_bytes
+        assert (1.0 - tolerance) * whole_run[0] <= reported <= whole_run[0]
+
+    def test_repeated_runs_report_the_same_peak(self, dblp_nc_data, dblp_lp_data):
+        peaks = [tiny_trainer("T3-morse", dblp_nc_data[0], dblp_lp_data[0], epochs=3)
+                 .train().usage.peak_memory_bytes for _ in range(3)]
+        assert max(peaks) <= 1.02 * min(peaks)
+
+    def test_memory_budget_blown_in_the_first_epoch_stops_training(
+            self, dblp_nc_data, dblp_lp_data, monkeypatch):
+        raised = []
+        check = ResourceMonitor.check
+
+        def recording(self, final=False):
+            try:
+                check(self, final)
+            except BudgetExceededError as error:
+                raised.append(error)
+                raise
+
+        monkeypatch.setattr(ResourceMonitor, "check", recording)
+        trainer = tiny_trainer("T4-rgcn-on-full-graph", dblp_nc_data[0],
+                               dblp_lp_data[0], epochs=10,
+                               budget=TaskBudget(max_memory_bytes=64 * 1024),
+                               enforce_budget=True)
+        result = trainer.train()
+        assert result.stopped_early
+        assert [entry["epoch"] for entry in result.history] == [0]
+        assert len(raised) == 1
+        assert raised[0].peak_memory_bytes == result.usage.peak_memory_bytes > 64 * 1024
+        assert not tracemalloc.is_tracing()
