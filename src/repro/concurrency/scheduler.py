@@ -5,7 +5,7 @@ evaluator so hostile queries cannot monopolise the server:
 
 :class:`QueryScheduler`
     Runs queries in *slices* over a dedicated :class:`~repro.concurrency.pool.WorkerPool`.
-    A slice pulls rows from the lazy iterator ``SPARQLEndpoint.execute_stream``
+    A slice pulls rows from the lazy iterator ``SPARQLEndpoint.start``
     returns until the query's :class:`~repro.sparql.execution.ExecutionContext`
     reports its row/time quantum spent; the task then *re-enqueues itself at
     the back of the FIFO queue* — behind every waiting cheap query — and

@@ -11,7 +11,7 @@ service and GMLaaS, and always answers with an
 * large results page through server-side cursors (``next_page``), and
   ``infer_batch`` amortises dispatch overhead over many inference inputs.
 
-The legacy :class:`~repro.kgnet.platform.KGNet` facade dispatches through a
+The :class:`~repro.kgnet.platform.KGNet` facade dispatches through a
 router in-process (rich results ride along as ``response.attachment``);
 :class:`~repro.kgnet.api.client.APIClient` talks to the same router through
 pure JSON, proving the contract is transport-agnostic.
@@ -75,6 +75,15 @@ MAX_LIVE_CURSORS = 64
 LATENCY_RESERVOIR_SIZE = 256
 
 
+#: Hostile-load error code -> the :class:`RouteMetrics` counter it bumps.
+_OUTCOME_COUNTERS = {
+    "QUERY_PREEMPTED": "queries_preempted",
+    "QUERY_TIMEOUT": "queries_timed_out",
+    "QUERY_CANCELLED": "queries_cancelled",
+    "SERVER_OVERLOADED": "requests_shed",
+}
+
+
 def _percentile(ordered: List[float], quantile: float) -> float:
     """Nearest-rank percentile of an already-sorted sample list."""
     if not ordered:
@@ -128,14 +137,7 @@ class RouteMetrics:
             self.calls += 1
             if not ok:
                 self.errors += 1
-                if error_code == "QUERY_PREEMPTED":
-                    self.queries_preempted += 1
-                elif error_code == "QUERY_TIMEOUT":
-                    self.queries_timed_out += 1
-                elif error_code == "QUERY_CANCELLED":
-                    self.queries_cancelled += 1
-                elif error_code == "SERVER_OVERLOADED":
-                    self.requests_shed += 1
+                self._count_outcome(error_code)
             self.total_seconds += elapsed
             self.max_seconds = max(self.max_seconds, elapsed)
             if len(self._samples) < LATENCY_RESERVOIR_SIZE:
@@ -144,6 +146,12 @@ class RouteMetrics:
                 # Ring overwrite: deterministic sliding window of the most
                 # recent LATENCY_RESERVOIR_SIZE calls.
                 self._samples[(self.calls - 1) % LATENCY_RESERVOIR_SIZE] = elapsed
+
+    def _count_outcome(self, error_code: Optional[str]) -> None:
+        """Split a hostile-load outcome out by its code (lock held)."""
+        counter = _OUTCOME_COUNTERS.get(error_code)
+        if counter is not None:
+            setattr(self, counter, getattr(self, counter) + 1)
 
     def record_cache(self, hit: bool) -> None:
         with self._lock:
@@ -161,12 +169,7 @@ class RouteMetrics:
         """
         with self._lock:
             self.streams_cut += 1
-            if error_code == "QUERY_PREEMPTED":
-                self.queries_preempted += 1
-            elif error_code == "QUERY_TIMEOUT":
-                self.queries_timed_out += 1
-            elif error_code == "QUERY_CANCELLED":
-                self.queries_cancelled += 1
+            self._count_outcome(error_code)
 
     def as_dict(self) -> Dict[str, object]:
         with self._lock:
@@ -260,16 +263,16 @@ class APIRouter:
         #: Optional :class:`repro.storage.engine.StorageEngine` backing the
         #: endpoint's dataset; enables the ``admin/*`` persistence routes.
         self.storage = storage
-        #: Optional time-sliced fair scheduler: ``sparql`` *query* requests
-        #: run preemptably on its lanes instead of inline, so one adversarial
-        #: cross product cannot monopolise a serving worker.  None keeps the
-        #: legacy inline path.
+        #: Optional time-sliced fair scheduler: a SPARQL query text is
+        #: evaluated preemptably on its lanes, so one adversarial cross
+        #: product cannot monopolise a serving worker.  Without one the
+        #: serving thread evaluates it (and it or the transport drains it).
         self.scheduler = scheduler
         #: Optional admission controller shedding :data:`GUARDED_OPS` with
         #: :class:`~repro.exceptions.ServerOverloaded` at capacity.
         self.admission = admission
-        #: Deadline applied to ``sparql`` requests that do not pass their
-        #: own ``timeout`` parameter (None = unlimited).
+        #: Deadline applied to query-evaluating requests that do not pass
+        #: their own ``timeout`` parameter (None = unlimited).
         self.default_query_timeout = default_query_timeout
         #: Hard cap on client-supplied ``timeout`` values (None = uncapped).
         self.max_query_timeout = max_query_timeout
@@ -285,71 +288,69 @@ class APIRouter:
         self.replication = None
         self._metrics: Dict[str, RouteMetrics] = {}
         self._metrics_lock = threading.Lock()
+        #: ``.op``: the op :meth:`dispatch` is serving on this thread.
+        self._dispatching = threading.local()
         self._cursors: "OrderedDict[str, List[object]]" = OrderedDict()
         self._cursors_lock = threading.Lock()
         self._cursor_ids = itertools.count(1)
-        #: op name -> handler(params) -> (json_result_or_thunk, attachment);
-        #: a zero-arg callable result is projected lazily on first read.
-        self._routes: Dict[str, Callable[[Dict[str, object]],
-                                         Tuple[object, object]]] = {
-            "ping": self._handle_ping,
-            "load": self._handle_load,
-            "sparql": self._handle_sparql,
-            "sparqlml": self._handle_sparqlml,
-            "sparqlml_select": self._handle_sparqlml_select,
-            "train": self._handle_train,
-            "infer_node_class": self._handle_infer_node_class,
-            "infer_links": self._handle_infer_links,
-            "infer_similar": self._handle_infer_similar,
-            "infer_batch": self._handle_infer_batch,
-            "next_page": self._handle_next_page,
-            "list_models": self._handle_list_models,
-            "describe_model": self._handle_describe_model,
-            "delete_models": self._handle_delete_models,
-            "stats": self._handle_stats,
-            "metrics": self._handle_metrics,
-            "admin/persist": self._handle_admin_persist,
-            "admin/restore": self._handle_admin_restore,
-            "admin/bulk_load": self._handle_admin_bulk_load,
-            "replication/status": self._handle_replication_status,
-        }
-        #: Accepted param keys per op; anything else is rejected so typo'd
-        #: options fail loudly instead of being silently ignored.
-        self._allowed_params: Dict[str, frozenset] = {
-            "ping": frozenset(),
-            "load": frozenset({"triples", "ntriples", "graph_iri"}),
-            "sparql": frozenset({"query", "page_size", "default_graph_uris",
-                                 "named_graph_uris",
-                                 "require", "timeout", "cancel", "stream"}),
-            "sparqlml": frozenset({"query", "page_size", "method",
-                                   "meta_sampling", "use_meta_sampling",
-                                   "objective", "force_plan"}),
-            "sparqlml_select": frozenset({"query", "objective", "force_plan",
-                                          "page_size", "timeout"}),
-            "train": frozenset({"query", "task", "budget", "method",
-                                "meta_sampling", "use_meta_sampling", "name"}),
-            "infer_node_class": frozenset({"model_uri", "node"}),
-            "infer_links": frozenset({"model_uri", "source", "k"}),
-            "infer_similar": frozenset({"model_uri", "entity", "k"}),
-            "infer_batch": frozenset({"model_uri", "inputs", "k", "mode",
-                                      "page_size"}),
-            "next_page": frozenset({"cursor", "page_size"}),
-            "list_models": frozenset(),
-            "describe_model": frozenset({"model_uri"}),
-            "delete_models": frozenset({"query"}),
-            "stats": frozenset(),
-            "metrics": frozenset(),
-            "admin/persist": frozenset(),
-            "admin/restore": frozenset(),
-            "admin/bulk_load": frozenset({"turtle", "graph_iri", "batch_size"}),
-            "replication/status": frozenset(),
+        #: op name -> (handler, accepted param keys).  A handler maps params
+        #: to (json_result_or_thunk, attachment); a zero-arg callable result
+        #: is projected lazily on first read.  Any param key outside the
+        #: accepted set is rejected, so typo'd options fail loudly instead
+        #: of being silently ignored.
+        self._ops: Dict[str, Tuple[Callable[[Dict[str, object]],
+                                            Tuple[object, object]],
+                                   frozenset]] = {
+            "ping": (self._handle_ping, frozenset()),
+            "load": (self._handle_load,
+                     frozenset({"triples", "ntriples", "graph_iri"})),
+            "sparql": (self._handle_sparql,
+                       frozenset({"query", "page_size", "default_graph_uris",
+                                  "named_graph_uris",
+                                  "require", "timeout", "cancel", "stream"})),
+            "sparqlml": (self._handle_sparqlml,
+                         frozenset({"query", "page_size", "method",
+                                    "meta_sampling", "use_meta_sampling",
+                                    "objective", "force_plan"})),
+            "sparqlml_select": (self._handle_sparqlml_select,
+                                frozenset({"query", "objective", "force_plan",
+                                           "page_size", "timeout"})),
+            "train": (self._handle_train,
+                      frozenset({"query", "task", "budget", "method",
+                                 "meta_sampling", "use_meta_sampling",
+                                 "name"})),
+            "infer_node_class": (self._handle_infer_node_class,
+                                 frozenset({"model_uri", "node"})),
+            "infer_links": (self._handle_infer_links,
+                            frozenset({"model_uri", "source", "k"})),
+            "infer_similar": (self._handle_infer_similar,
+                              frozenset({"model_uri", "entity", "k"})),
+            "infer_batch": (self._handle_infer_batch,
+                            frozenset({"model_uri", "inputs", "k", "mode",
+                                       "page_size"})),
+            "next_page": (self._handle_next_page,
+                          frozenset({"cursor", "page_size"})),
+            "list_models": (self._handle_list_models, frozenset()),
+            "describe_model": (self._handle_describe_model,
+                               frozenset({"model_uri"})),
+            "delete_models": (self._handle_delete_models,
+                              frozenset({"query"})),
+            "stats": (self._handle_stats, frozenset()),
+            "metrics": (self._handle_metrics, frozenset()),
+            "admin/persist": (self._handle_admin_persist, frozenset()),
+            "admin/restore": (self._handle_admin_restore, frozenset()),
+            "admin/bulk_load": (self._handle_admin_bulk_load,
+                                frozenset({"turtle", "graph_iri",
+                                           "batch_size"})),
+            "replication/status": (self._handle_replication_status,
+                                   frozenset()),
         }
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     def operations(self) -> List[str]:
-        return sorted(self._routes)
+        return sorted(self._ops)
 
     def dispatch(self, request: Union[APIRequest, Dict[str, object]]) -> APIResponse:
         """Route one envelope; always returns an envelope, never raises."""
@@ -362,7 +363,7 @@ class APIRouter:
                 op = raw.get("op") if isinstance(raw, dict) else None
                 pseudo = APIRequest(op=str(op or "?"))
                 return self._finish(pseudo, APIResponse.failure(pseudo, exc), started)
-        handler = self._routes.get(request.op)
+        handler, allowed = self._ops.get(request.op, (None, None))
         if handler is None:
             error = UnknownOperationError(
                 f"unknown operation {request.op!r}; supported: {', '.join(self.operations())}")
@@ -373,7 +374,7 @@ class APIRouter:
                 raise ReadOnlyReplicaError(
                     f"operation {request.op!r} is not available on a "
                     "read-only replica; send writes to the primary")
-            unknown = set(request.params) - self._allowed_params[request.op]
+            unknown = set(request.params) - allowed
             if unknown:
                 raise BadRequestError(
                     f"unknown parameter(s) for {request.op!r}: "
@@ -384,6 +385,7 @@ class APIRouter:
             # which records it under the route's requests_shed counter.
             if self.admission is not None and request.op in GUARDED_OPS:
                 ticket = self.admission.admit()
+            self._dispatching.op = request.op
             result, attachment = handler(request.params)
             response = APIResponse.success(request, result, attachment=attachment)
         except Exception as exc:  # noqa: BLE001 — every error becomes an envelope
@@ -400,7 +402,7 @@ class APIRouter:
         response.meta.setdefault("api_version", API_VERSION)
         # Client-supplied op strings must not grow the metrics table without
         # bound: anything unrouted is accounted under one sentinel key.
-        key = request.op if request.op in self._routes else "<unknown>"
+        key = request.op if request.op in self._ops else "<unknown>"
         error_code = None
         if not response.ok and isinstance(response.error, dict):
             error_code = response.error.get("code")
@@ -553,25 +555,25 @@ class APIRouter:
         return {"triples_loaded": loaded,
                 "total_triples": len(self.endpoint.graph)}, loaded
 
+    @staticmethod
+    def _as_graph_list(params: Dict[str, object],
+                       name: str) -> Optional[List[str]]:
+        graphs = params.get(name)
+        if graphs is None:
+            return None
+        if not isinstance(graphs, (list, tuple)) or not graphs:
+            raise BadRequestError(
+                f"{name!r} must be a non-empty list of IRI strings")
+        return [_as_iri_text(g, f"{name}[]") for g in graphs]
+
     def _handle_sparql(self, params: Dict[str, object]) -> Tuple[object, object]:
+        """The one way a SPARQL text reaches the evaluator, whichever op or
+        transport carried it: one context, one ``endpoint.prepare``, one
+        statistics callback."""
         query = str(_require(params, "query"))
         page_size = self._coerce_page_size(params.get("page_size"))
-        default_graphs = params.get("default_graph_uris")
-        if default_graphs is not None:
-            if (not isinstance(default_graphs, (list, tuple))
-                    or not default_graphs):
-                raise BadRequestError(
-                    "'default_graph_uris' must be a non-empty list of IRI strings")
-            default_graphs = [_as_iri_text(g, "default_graph_uris[]")
-                              for g in default_graphs]
-        named_graphs = params.get("named_graph_uris")
-        if named_graphs is not None:
-            if (not isinstance(named_graphs, (list, tuple))
-                    or not named_graphs):
-                raise BadRequestError(
-                    "'named_graph_uris' must be a non-empty list of IRI strings")
-            named_graphs = [_as_iri_text(g, "named_graph_uris[]")
-                            for g in named_graphs]
+        default_graphs = self._as_graph_list(params, "default_graph_uris")
+        named_graphs = self._as_graph_list(params, "named_graph_uris")
         require = params.get("require")
         if require is not None and require not in ("query", "update"):
             raise BadRequestError("'require' must be 'query' or 'update'")
@@ -588,55 +590,36 @@ class APIRouter:
         cancel = params.get("cancel")
         if cancel is not None and not hasattr(cancel, "is_set"):
             cancel = None
-        stats = None
-        # The protocol layer pins ``require``; envelope-dialect clients
-        # usually don't.  Classify unpinned requests from the (cached) parse
-        # so their queries get time-sliced too — only updates run inline.
-        schedulable = require == "query" or (
-            require is None and self.scheduler is not None
-            and not self.endpoint.is_update(query))
-        if self.scheduler is not None and schedulable:
-            # Preemptable path: the query runs in slices on the scheduler's
-            # lanes; a cross product yields to cheap queries between quanta.
-            # Statistics arrive via callback because the finishing slice may
-            # run on any lane thread.
+        if self.scheduler is not None:
             context = self.scheduler.context(timeout=timeout, cancel=cancel)
-            stats_box: Dict[str, object] = {}
-            value = self.scheduler.run(
-                lambda: self.endpoint.execute_stream(
-                    query, default_graph_iris=default_graphs,
-                    named_graph_iris=named_graphs, context=context,
-                    on_stats=lambda s: stats_box.__setitem__("last", s)),
-                context)
-            stats = stats_box.get("last")
-        elif params.get("stream") and require == "query":
-            # Lazy protocol path (no scheduler): hand back an unconsumed
-            # StreamingResult so the context's deadline and cancellation
-            # stay live while the transport serializes row by row — this is
-            # what makes a mid-transfer `timeout=` abort reachable at all.
-            # Statistics (and the plan-cache attribution) arrive via the
-            # callback when the consumer drains the stream; ASK/CONSTRUCT
-            # evaluate eagerly inside execute_stream and report immediately.
-            context = None
-            if timeout is not None or cancel is not None:
-                context = ExecutionContext(timeout=timeout, cancel=cancel)
-            metrics = self._route_metrics("sparql")
-            value = self.endpoint.execute_stream(
-                query, default_graph_iris=default_graphs,
-                named_graph_iris=named_graphs, context=context,
-                on_stats=lambda s: metrics.record_cache(s.plan_cache_hit))
-            stats = None
+        elif timeout is not None or cancel is not None:
+            context = ExecutionContext(timeout=timeout, cancel=cancel)
         else:
             context = None
-            if timeout is not None or cancel is not None:
-                context = ExecutionContext(timeout=timeout, cancel=cancel)
-            value = self.endpoint.execute(query,
-                                          default_graph_iris=default_graphs,
-                                          named_graph_iris=named_graphs,
-                                          require=require, context=context)
-            # thread_statistics() is this thread's own request record, so
-            # the hit/miss split stays exact under concurrent serving.
-            stats = self.endpoint.thread_statistics()
+        # The statistics record (and with it the plan-cache outcome of the
+        # text's one parse) arrives by callback — a SELECT's is filed by
+        # whoever finishes its stream, on any thread — and is counted on the
+        # op this thread is dispatching (`sparql`, or `sparqlml` for a plain
+        # text sent there).
+        metrics = self._route_metrics(self._dispatching.op)
+        updates, start = self.endpoint.prepare(
+            query, require=require, default_graph_iris=default_graphs,
+            named_graph_iris=named_graphs, context=context,
+            on_stats=lambda s: metrics.record_cache(s.plan_cache_hit))
+        if self.scheduler is not None and not updates:
+            # On the scheduler's lanes: ASK, CONSTRUCT and the materialising
+            # part of a SELECT run in the first slice, its stream is drained
+            # in further slices, so a cross product yields to cheap queries
+            # between quanta.  An update is applied on the calling thread.
+            value = self.scheduler.run(start, context)
+        else:
+            value = start()
+            # A caller that set `stream` gets the SELECT back unconsumed, so
+            # the context's deadline and cancellation stay live while the
+            # transport serializes row by row — what makes a mid-transfer
+            # `timeout=` abort reachable.
+            if isinstance(value, StreamingResult) and not params.get("stream"):
+                value = value.materialize()
         # For updates, capture the WAL commit seq the write landed at (an
         # upper bound is fine): clients use it for read-your-writes routing
         # across replicas.
@@ -645,8 +628,6 @@ class APIRouter:
             wal = getattr(self.storage, "_wal", None)
             if wal is not None:
                 commit_seq = wal.last_seq
-        if stats is not None:
-            self._route_metrics("sparql").record_cache(stats.plan_cache_hit)
         # The JSON projection (row conversion, graph serialisation) is built
         # lazily: in-process callers consume the attachment and skip it.
         def project() -> Dict[str, object]:
@@ -691,18 +672,27 @@ class APIRouter:
         page_size = self._coerce_page_size(params.get("page_size"))
         kwargs = self._sparqlml_kwargs(params)
         kind = self.sparqlml.parser.classify(query)
-        if self.read_only and kind in ("train", "delete"):
+        if kind == "sparql":
+            # A plain text takes the sparql op's path — its deadline, its
+            # scheduler, its accounting — pinned to a query: this op trains
+            # and deletes models, it never applies a plain SPARQL update.
+            return self._handle_sparql(
+                {"query": query, "page_size": page_size, "require": "query"})
+        if kind == "select":
+            return self._handle_sparqlml_select(
+                {"query": query, "page_size": page_size,
+                 "objective": kwargs.get("objective"),
+                 "force_plan": kwargs.get("force_plan")})
+        if self.read_only:
             raise ReadOnlyReplicaError(
                 f"SPARQL-ML {kind} statements are not available on a "
                 "read-only replica; send writes to the primary")
-        if kind == "select":
-            kwargs.pop("method", None)
-            kwargs.pop("meta_sampling", None)
-            kwargs.pop("use_meta_sampling", None)
-        elif kind in ("train", "delete"):
+        if kind == "train":
             kwargs.pop("objective", None)
             kwargs.pop("force_plan", None)
-        report = self.sparqlml.execute(query, **kwargs)
+            report = self.sparqlml.execute_train(query, **kwargs)
+        else:
+            report = self.sparqlml.execute_delete(query)
         return (lambda: self._project_report(report, page_size)), report
 
     def _handle_sparqlml_select(self, params: Dict[str, object]) -> Tuple[object, object]:

@@ -150,20 +150,6 @@ class SPARQLMLService:
         register_udfs(endpoint, gmlaas)
 
     # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
-    def execute(self, query_text: str, **kwargs):
-        """Classify and execute a SPARQL-ML request."""
-        kind = self.parser.classify(query_text)
-        if kind == "train":
-            return self.execute_train(query_text, **kwargs)
-        if kind == "delete":
-            return self.execute_delete(query_text)
-        if kind == "select":
-            return self.execute_select(query_text, **kwargs)
-        return self.endpoint.query(query_text)
-
-    # ------------------------------------------------------------------
     # INSERT — training
     # ------------------------------------------------------------------
     def execute_train(self, query_text: str,

@@ -138,6 +138,11 @@ class ResultCache(EpochLRU):
             self.put(key, epoch, _ResultCacheEntry(media_type, body), len(body))
 
 
+def _drained(value):
+    """A started SELECT run to completion; any other result as it is."""
+    return value.materialize() if isinstance(value, StreamingResult) else value
+
+
 class SPARQLEndpoint:
     """In-process SPARQL endpoint over an RDF dataset."""
 
@@ -260,18 +265,34 @@ class SPARQLEndpoint:
         self.plan_cache.store(key, parsed, plan, epoch)
         return parsed, plan, False
 
-    def execute(self, text: str,
+    def prepare(self, text: str, require: Optional[str] = None,
+                graph_iri: Optional[Union[str, IRI]] = None,
                 default_graph_iris: Optional[List[Union[str, IRI]]] = None,
-                require: Optional[str] = None,
+                named_graph_iris: Optional[List[Union[str, IRI]]] = None,
                 context: Optional[ExecutionContext] = None,
-                named_graph_iris: Optional[List[Union[str, IRI]]] = None):
-        """Parse once and route a query *or* an update from the AST.
+                on_stats: Optional[Callable[[QueryStatistics], None]] = None
+                ) -> Tuple[bool, Callable[[], object]]:
+        """Parse ``text`` once, check its kind once: ``(updates, start)`` —
+        whether it is an update, and the thunk that evaluates it.
 
-        Unlike :meth:`query` / :meth:`update`, which require the caller to
-        know the request kind up front, ``execute`` lets the parser decide:
-        SELECT / ASK / CONSTRUCT requests return their evaluation result,
-        update requests return the number of affected triples.
+        The one way a request text reaches the evaluator: every other entry
+        point of this class and the API router come through here and differ
+        only in which thread calls ``start`` and who drains what it returns.
+        The parser decides the kind.  ``start()`` of a SELECT returns an
+        *unconsumed* :class:`~repro.sparql.execution.StreamingResult` —
+        id-row batches plus the decoder for them: whoever holds it drains it
+        at once, suspends it between batches (the scheduler's time slices)
+        or serializes it row by row without decoding.  ASK and CONSTRUCT
+        cannot stream: they evaluate inside ``start()`` and return their
+        ``bool`` / :class:`Graph`.  ``start()`` of an update applies it and
+        returns the number of affected triples.
 
+        ``require`` pins the request kind before anything executes: pass
+        ``"query"`` or ``"update"`` to reject the other kind with a
+        :class:`~repro.exceptions.QueryError` — the HTTP protocol endpoint
+        must not let an update smuggled into ``query=`` mutate the store.
+
+        ``graph_iri`` evaluates a query against that one named graph.
         ``default_graph_iris`` / ``named_graph_iris`` are the SPARQL 1.1
         *Protocol* dataset override (``default-graph-uri=`` /
         ``named-graph-uri=``): when either is given, the query evaluates
@@ -280,90 +301,84 @@ class SPARQLEndpoint:
         evaluator merges GRAPH scoping into one view, so both parameters
         restrict the same union).  They never apply to updates.
 
-        ``require`` pins the request kind before anything executes: pass
-        ``"query"`` or ``"update"`` to reject the other kind with a
-        :class:`~repro.exceptions.QueryError` — the HTTP protocol endpoint
-        must not let an update smuggled into ``query=`` mutate the store.
-
         ``context`` attaches a per-query
         :class:`~repro.sparql.execution.ExecutionContext` so a deadline,
-        cancellation event, or work budget can stop the evaluation with a
-        typed :class:`~repro.exceptions.QueryInterrupted` subclass.
+        cancellation event, or work budget can stop the evaluation — inside
+        ``start()`` or while the stream is drained — with a typed
+        :class:`~repro.exceptions.QueryInterrupted` subclass.
+
+        Every kind files one :class:`QueryStatistics` record when its result
+        is complete — at once for ASK, CONSTRUCT and updates, from
+        ``StreamingResult.finish`` for SELECT, on whichever thread that
+        happens — and hands it to ``on_stats``.
         """
         parsed, plan, cache_hit = self._cached_parse(text)
-        if isinstance(parsed, list):
-            if require == "query":
-                raise QueryError(
-                    "the request is a SPARQL update, not a query; "
-                    "send it through the update operation")
-            if default_graph_iris or named_graph_iris:
-                raise QueryError(
-                    "protocol dataset selection (default-graph-uri / "
-                    "named-graph-uri) does not apply to updates; use "
-                    "USING / WITH in the request")
-            return self._run_updates(parsed, text, cache_hit=cache_hit,
-                                     context=context)
-        if require == "update":
+        update = isinstance(parsed, list)
+        if require is not None and (require == "update") != update:
             raise QueryError(
-                "the request is a SPARQL query, not an update; "
-                "send it through the query operation")
-        return self.run_query(parsed, text, graph_iri=None, plan=plan,
-                              cache_hit=cache_hit,
-                              default_graph_iris=default_graph_iris,
-                              named_graph_iris=named_graph_iris,
-                              context=context)
+                ("the request is a SPARQL update, not a query; "
+                 "send it through the update operation") if update else
+                ("the request is a SPARQL query, not an update; "
+                 "send it through the query operation"))
+        if not update:
+            return False, lambda: self.start_query(
+                parsed, text, graph_iri=graph_iri, plan=plan,
+                cache_hit=cache_hit, default_graph_iris=default_graph_iris,
+                named_graph_iris=named_graph_iris, context=context,
+                on_stats=on_stats)
+        if default_graph_iris or named_graph_iris:
+            raise QueryError(
+                "protocol dataset selection (default-graph-uri / "
+                "named-graph-uri) does not apply to updates; use "
+                "USING / WITH in the request")
+        return True, lambda: self._run_updates(
+            parsed, text, cache_hit=cache_hit, context=context,
+            on_stats=on_stats)
 
-    def is_update(self, text: str) -> bool:
-        """Whether ``text`` parses as a SPARQL update (vs a query).
+    def start(self, text: str, **options):
+        """:meth:`prepare` ``text`` (same options) and start it right here."""
+        return self.prepare(text, **options)[1]()
 
-        Uses the parse cache, so classifying before :meth:`execute` /
-        :meth:`execute_stream` costs one cache hit, not a reparse — this is
-        how a scheduler-backed router decides to time-slice a request whose
-        kind the client did not pin.  Syntax errors raise
-        :class:`~repro.exceptions.QueryError` exactly as execution would.
+    def execute(self, text: str,
+                default_graph_iris: Optional[List[Union[str, IRI]]] = None,
+                require: Optional[str] = None,
+                context: Optional[ExecutionContext] = None,
+                named_graph_iris: Optional[List[Union[str, IRI]]] = None):
+        """:meth:`start` a query *or* an update and run it to completion.
+
+        SELECT / ASK / CONSTRUCT requests return their evaluation result,
+        update requests the number of affected triples.
         """
-        parsed, _plan, _cache_hit = self._cached_parse(text)
-        return isinstance(parsed, list)
+        return _drained(self.start(text, require=require,
+                                   default_graph_iris=default_graph_iris,
+                                   named_graph_iris=named_graph_iris,
+                                   context=context))
 
     def execute_stream(self, text: str,
                        default_graph_iris: Optional[List[Union[str, IRI]]] = None,
                        context: Optional[ExecutionContext] = None,
                        on_stats: Optional[Callable[[QueryStatistics], None]] = None,
                        named_graph_iris: Optional[List[Union[str, IRI]]] = None):
-        """Evaluate a protocol *query* request lazily.
+        """:meth:`start` a *query* and leave its SELECT stream unconsumed.
 
-        SELECT queries return a :class:`~repro.sparql.execution.StreamingResult`
-        — id-row batches plus the decoder for them — whose iterator is
-        unconsumed: the scheduler's suspension point for time-sliced
-        execution, and what the result writers serialize without decoding.
-        Query statistics are recorded when the consumer finishes the
-        iterator and calls ``finish(rows)``; since that may happen on a
-        different thread than this call,
-        ``on_stats`` delivers the record to the caller explicitly (the
-        thread-local :meth:`thread_statistics` is also set on the finishing
-        thread).
-
-        ASK and CONSTRUCT cannot stream; they evaluate eagerly here — still
-        under ``context``'s checkpoints — and return their plain result.
         Updates are rejected with :class:`~repro.exceptions.QueryError`.
         """
-        parsed, plan, cache_hit = self._cached_parse(text)
-        if isinstance(parsed, list):
-            raise QueryError(
-                "the request is a SPARQL update, not a query; "
-                "updates cannot be streamed")
-        return self.start_query(parsed, text, plan=plan, cache_hit=cache_hit,
-                                default_graph_iris=default_graph_iris,
-                                named_graph_iris=named_graph_iris,
-                                context=context, on_stats=on_stats)
+        return self.start(text, require="query",
+                          default_graph_iris=default_graph_iris,
+                          named_graph_iris=named_graph_iris,
+                          context=context, on_stats=on_stats)
 
-    def _record(self, statistics: QueryStatistics) -> QueryStatistics:
-        """File one request's statistics: history, totals, this thread's last."""
+    def _record(self, statistics: QueryStatistics,
+                on_stats: Optional[Callable[[QueryStatistics], None]] = None
+                ) -> None:
+        """File one request's statistics: history, totals, this thread's
+        last, and the caller's ``on_stats``."""
         with self._stats_lock:
             self.total_pattern_lookups += statistics.pattern_lookups
             self.history.append(statistics)
         self._thread_stats.last = statistics
-        return statistics
+        if on_stats is not None:
+            on_stats(statistics)
 
     def query(self, text: str, graph_iri: Optional[Union[str, IRI]] = None):
         """Parse and evaluate a SELECT / ASK / CONSTRUCT query.
@@ -371,13 +386,7 @@ class SPARQLEndpoint:
         Returns a :class:`ResultSet` (SELECT), ``bool`` (ASK) or
         :class:`Graph` (CONSTRUCT).
         """
-        parsed, plan, cache_hit = self._cached_parse(text)
-        if isinstance(parsed, list):
-            # The request is an update; surface the canonical parser error.
-            SPARQLParser(text, namespaces=self.namespaces).parse_query()
-            raise QueryError("update request passed to query()")
-        return self.run_query(parsed, text, graph_iri=graph_iri, plan=plan,
-                              cache_hit=cache_hit)
+        return _drained(self.start(text, require="query", graph_iri=graph_iri))
 
     def _protocol_graph(self, graph_iris: Optional[List[Union[str, IRI]]],
                         named_graph_iris: Optional[List[Union[str, IRI]]] = None):
@@ -437,16 +446,14 @@ class SPARQLEndpoint:
         started = time.perf_counter()
 
         def record(kind: str, count: int) -> None:
-            statistics = self._record(QueryStatistics(
+            self._record(QueryStatistics(
                 query=text, kind=kind,
                 elapsed_seconds=time.perf_counter() - started,
                 num_results=count,
                 pattern_lookups=evaluator.pattern_lookups,
                 udf_calls=self.udfs.total_calls() - udf_calls_before,
                 plan_cache_hit=cache_hit,
-                inference_calls=evaluator.inference_calls))
-            if on_stats is not None:
-                on_stats(statistics)
+                inference_calls=evaluator.inference_calls), on_stats)
 
         if isinstance(query, SelectQuery):
             variables, batches = evaluator.stream_select(query)
@@ -461,10 +468,7 @@ class SPARQLEndpoint:
 
     def run_query(self, query: Query, text: str, **kwargs):
         """Evaluate an already-parsed query to completion."""
-        result = self.start_query(query, text, **kwargs)
-        if isinstance(result, StreamingResult):
-            return result.materialize()
-        return result
+        return _drained(self.start_query(query, text, **kwargs))
 
     def select(self, text: str, **kwargs) -> ResultSet:
         result = self.query(text, **kwargs)
@@ -480,16 +484,13 @@ class SPARQLEndpoint:
 
     def update(self, text: str) -> int:
         """Parse and apply a SPARQL UPDATE request; returns affected triples."""
-        parsed, _, cache_hit = self._cached_parse(text)
-        if not isinstance(parsed, list):
-            # The request is a query; surface the canonical parser error.
-            SPARQLParser(text, namespaces=self.namespaces).parse_update()
-            raise QueryError("query request passed to update()")
-        return self._run_updates(parsed, text, cache_hit=cache_hit)
+        return self.start(text, require="update")
 
     def _run_updates(self, updates: List[Update], text: str,
                      cache_hit: bool = False,
-                     context: Optional[ExecutionContext] = None) -> int:
+                     context: Optional[ExecutionContext] = None,
+                     on_stats: Optional[Callable[[QueryStatistics], None]] = None
+                     ) -> int:
         """Apply already-parsed updates, recording statistics.
 
         The whole batch runs under the dataset's write lock: a request with
@@ -510,7 +511,7 @@ class SPARQLEndpoint:
         self._record(QueryStatistics(
             query=text, kind="UPDATE", elapsed_seconds=elapsed,
             num_results=affected, pattern_lookups=0,
-            plan_cache_hit=cache_hit))
+            plan_cache_hit=cache_hit), on_stats)
         return affected
 
     def apply_update(self, update: Update,
@@ -594,9 +595,9 @@ class SPARQLEndpoint:
         """Statistics of the last request *this thread* executed.
 
         Under concurrent serving ``last_statistics()`` may belong to a
-        neighbouring thread's request; metrics that attribute an outcome to
-        a specific request (the router's per-route cache hit/miss split)
-        must use this accessor.
+        neighbouring thread's request; a caller that drained its own result
+        on this thread reads its record here, one whose stream finishes
+        elsewhere passes ``on_stats`` to :meth:`start` instead.
         """
         return getattr(self._thread_stats, "last", None)
 

@@ -172,7 +172,7 @@ class ExecutionContext:
 class StreamingResult:
     """A lazily evaluated SELECT: variables, unconsumed id-row batches, decoder.
 
-    ``SPARQLEndpoint.execute_stream`` returns one of these instead of a
+    ``SPARQLEndpoint.start`` returns one of these instead of a
     materialised :class:`~repro.sparql.results.ResultSet`.  ``batches``
     yields lists of at most 256 rows, each row a tuple of term ids aligned
     with ``variables`` (``None`` = unbound); ``terms.decode(id)`` is the
