@@ -14,7 +14,7 @@ Reproduction of "Towards a GML-Enabled Knowledge Graph Platform"
   a bounded worker pool, the time-slicing query scheduler and admission
   control (snapshot isolation itself lives on :class:`repro.rdf.Graph` /
   ``Dataset``),
-* :mod:`repro.server` -- the network service layer: a stdlib HTTP server
+* :mod:`repro.server` -- the network service layer: a pure-Python HTTP server
   speaking the W3C SPARQL 1.1 Protocol and the kgnet/v1 envelope API, with
   streaming content-negotiated results and a pure-stdlib ``RemoteClient``,
 * :mod:`repro.replication` -- scale-out serving: WAL log-shipping read

@@ -584,9 +584,9 @@ class APIRouter:
                     "replica; send writes to the primary")
             require = "query"  # an update text must fail, not slip through
         timeout = self._coerce_timeout(params.get("timeout"))
-        # The cancel event is plumbed in-process by the service layer (from
-        # the client socket watcher); it is never a client-writable value —
-        # anything without the Event protocol is ignored.
+        # The cancel event is plumbed in-process by the service layer (the
+        # client socket's disconnect probe); it is never a client-writable
+        # value — anything without the Event protocol is ignored.
         cancel = params.get("cancel")
         if cancel is not None and not hasattr(cancel, "is_set"):
             cancel = None

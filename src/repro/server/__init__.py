@@ -10,10 +10,13 @@ package is that last mile:
   (``GET/POST /sparql``) and the versioned JSON envelope API
   (``POST /kgnet/v1/<op>``) through one :class:`~repro.kgnet.api.router.APIRouter`,
   and the principled error-code → HTTP status mapping,
-* :mod:`repro.server.http` — a pure-stdlib HTTP/1.1 server
-  (:class:`KGNetHTTPServer`) that drives the handler from a bounded
-  :class:`~repro.concurrency.WorkerPool` and streams large results with
-  chunked transfer encoding,
+* :mod:`repro.server.http` — an HTTP/1.1 server (:class:`KGNetHTTPServer`)
+  that owns its accept loop and one buffered loop per connection (no
+  ``http.server`` / ``socketserver``), runs connections on a bounded
+  :class:`~repro.concurrency.WorkerPool`, answers with one ``sendall`` per
+  byte body, streams large results with chunked transfer encoding, and
+  cancels a disconnected client's query through a lazy socket probe
+  instead of a watcher thread,
 * :mod:`repro.server.client` — :class:`RemoteClient`, a pure-stdlib network
   client mirroring :class:`~repro.kgnet.api.client.APIClient`'s surface over
   a persistent HTTP connection, plus raw SPARQL-protocol calls.

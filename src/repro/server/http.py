@@ -1,33 +1,30 @@
 """A pure-stdlib HTTP/1.1 server for the KGNet service boundary.
 
-:class:`KGNetHTTPServer` glues three existing pieces together and adds no
-policy of its own:
+:class:`KGNetHTTPServer` owns its listening socket, its accept loop and one
+loop per connection; :class:`~repro.server.service.ServiceHandler` decides
+everything else.  Accepted sockets queue on a bounded
+:class:`~repro.concurrency.WorkerPool` (TCP backlog + pool back-pressure),
+and one worker serves one keep-alive connection for its lifetime.
 
-* :class:`http.server.BaseHTTPRequestHandler` parses HTTP,
-* :class:`~repro.server.service.ServiceHandler` decides everything
-  (routing, negotiation, status codes),
-* the PR-3 :class:`~repro.concurrency.WorkerPool` runs connections: each
-  accepted socket is handed to the bounded pool, so a burst of clients
-  queues at the accept loop (TCP backlog + pool back-pressure) instead of
-  spawning an unbounded thread per connection.
-
-Connections are persistent (HTTP/1.1 keep-alive): one worker serves one
-connection for its lifetime, which means the concurrency limit is *open
-connections*, not requests.  Responses with byte bodies carry
-``Content-Length``; streaming bodies (negotiated SPARQL results) go out with
-chunked transfer encoding, coalesced into ~16 KB chunks so a million-row
-result neither buffers in memory nor drowns in per-row syscalls.
+A connection ``recv``\\ s into one ``bytearray``: the head, then the body
+from the same buffer (pipelined bytes beyond it stay there); a byte body
+goes out with its head in ONE ``sendall``, a streaming body chunked (close-
+delimited for HTTP/1.0) in ~16 KB pieces.  No thread watches for hang-ups:
+a request's ``cancel_event`` is a :class:`_DisconnectProbe` of its socket.
 """
 
 from __future__ import annotations
 
-import http.server
 import json
 import select
 import socket
+import sys
 import threading
 import time
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+import traceback
+from email.utils import formatdate
+from http import HTTPStatus
+from typing import Dict, List, Optional, Tuple
 
 from repro.concurrency import WorkerPool
 from repro.kgnet.api.router import APIRouter
@@ -37,489 +34,260 @@ __all__ = ["KGNetHTTPServer", "serve"]
 
 #: Streaming fragments are coalesced into chunks of about this many bytes.
 STREAM_CHUNK_BYTES = 16 * 1024
-
 #: Default cap on request bodies (see KGNetHTTPServer.max_request_bytes).
 MAX_REQUEST_BODY_BYTES = 256 * 1024 * 1024
-
 #: Per-connection idle timeout: a keep-alive client that goes quiet for this
 #: long has its connection closed so the worker slot frees up.
 CONNECTION_TIMEOUT_SECONDS = 60.0
+#: A request's cancel probe looks at its socket at most this often.
+DISCONNECT_PROBE_SECONDS = 0.01
+#: Head limits, the stdlib's http.client._MAXLINE / _MAXHEADERS: a longer
+#: request line is a 414, a longer header line or more headers a 431.
+MAX_HEADER_LINE = 65536
+MAX_HEADERS = 100
+
+# An unfinished head this long breaks a limit above: it can only be refused.
+_MAX_HEAD_BYTES = (MAX_HEADERS + 2) * (MAX_HEADER_LINE + 1)
+_RECV_BYTES = 65536
+_SERVER = f"KGNetHTTP/1.0 Python/{sys.version.split()[0]}"
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_REJECT_CODES = {400: "BAD_REQUEST", 411: "LENGTH_REQUIRED",
+                 413: "PAYLOAD_TOO_LARGE", 414: "URI_TOO_LONG",
+                 431: "HEADERS_TOO_LARGE", 505: "HTTP_VERSION_NOT_SUPPORTED"}
+_CHUNKED = "Transfer-Encoding: chunked\r\nTrailer: X-KGNet-Stream-Status\r\n\r\n"
+_LAST_CHUNK = b"0\r\nX-KGNet-Stream-Status: complete\r\n\r\n"
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 
 
-class _DisconnectWatcher:
-    """Cancels in-flight queries whose client socket has gone away.
+class _Rejected(Exception):
+    """``(status, message)``: a request refused before the service sees it."""
 
-    One lazy daemon thread ``select()``\\ s over every connection whose
-    request is currently executing.  EOF (or a socket error) on a watched
-    connection sets that request's cancel event, so the evaluator's next
-    checkpoint aborts the query with
-    :class:`~repro.exceptions.QueryCancelled` and the worker serves the
-    next request instead of finishing work nobody will read.  Readable
-    *data* is peeked and left in place — the client is pipelining the next
-    request, not gone — and the socket **stays watched**: a client that
-    pipelines and then dies mid-query must still be detected.  Because
-    buffered data keeps such a socket permanently readable, the poll loop
-    paces itself whenever a pass saw only pipelined data.
+
+class _DisconnectProbe:
+    """The ``cancel_event`` of one request: set once its client is gone.
+
+    ``is_set()`` — asked by the evaluator's checkpoints on whichever thread
+    or scheduler lane runs the query — looks at most once per
+    :data:`DISCONNECT_PROBE_SECONDS`: a zero-timeout ``poll``, then, only if
+    the socket is readable, a one-byte ``MSG_PEEK`` (``b""`` or an error:
+    gone; data: a pipelined request, left in place).  The poll comes first
+    because CPython waits up to a socket's timeout before *any* ``recv``.
     """
 
-    def __init__(self, poll_interval: float = 0.05) -> None:
-        self._lock = threading.Lock()
-        self._watched: Dict[socket.socket, threading.Event] = {}
-        self._thread: Optional[threading.Thread] = None
-        self._stopped = False
-        self._poll_interval = poll_interval
+    __slots__ = ("_sock", "_poll", "_next_probe", "gone")
 
-    def watch(self, sock: socket.socket, event: threading.Event) -> None:
-        with self._lock:
-            if self._stopped:
-                return
-            self._watched[sock] = event
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._run, name="kgnet-http-disconnect",
-                    daemon=True)
-                self._thread.start()
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self._poll: Optional[select.poll] = None
+        self._next_probe = 0.0
+        self.gone = False
 
-    def unwatch(self, sock: socket.socket) -> None:
-        with self._lock:
-            self._watched.pop(sock, None)
+    def set(self) -> None:
+        self.gone = True
 
-    def stop(self) -> None:
-        with self._lock:
-            self._stopped = True
-            self._watched.clear()
-
-    def _run(self) -> None:
-        while True:
-            with self._lock:
-                if self._stopped:
-                    return
-                socks = list(self._watched)
-            if not socks:
-                time.sleep(self._poll_interval)
-                continue
-            try:
-                readable, _, errored = select.select(
-                    socks, [], socks, self._poll_interval)
-            except (OSError, ValueError):
-                # A watched fd was closed from under us: its request is
-                # already orphaned, so treat it as a disconnect.
-                with self._lock:
-                    for sock in list(self._watched):
-                        if sock.fileno() < 0:
-                            self._watched.pop(sock).set()
-                continue
-            saw_pipelined = False
-            for sock in set(readable) | set(errored):
-                with self._lock:
-                    event = self._watched.get(sock)
-                if event is None:
-                    continue
-                try:
-                    data = sock.recv(1, socket.MSG_PEEK)
-                except OSError:
-                    data = b""
-                if not data:
-                    event.set()
-                    self.unwatch(sock)
-                else:
-                    saw_pipelined = True
-            if saw_pipelined:
-                # Pipelined bytes keep their socket readable forever, which
-                # would turn the select() above into a busy spin; take the
-                # poll interval explicitly instead.  EOFs elsewhere are
-                # still noticed within one interval, same as the idle case.
-                time.sleep(self._poll_interval)
+    def is_set(self) -> bool:
+        if self.gone:
+            return True
+        now = time.monotonic()
+        if now < self._next_probe:
+            return False
+        self._next_probe = now + DISCONNECT_PROBE_SECONDS
+        try:
+            if self._poll is None:
+                self._poll = select.poll()
+                self._poll.register(self._sock, select.POLLIN)
+            if self._poll.poll(0):
+                self.gone = not self._sock.recv(1, socket.MSG_PEEK)
+        except (OSError, ValueError):
+            self.gone = True
+        return self.gone
 
 
-def _coalesce(chunks: Iterable[bytes], size: int) -> Iterator[bytes]:
-    """Re-chunk a byte stream into pieces of roughly ``size`` bytes."""
-    buffer = bytearray()
-    for chunk in chunks:
-        buffer += chunk
-        if len(buffer) >= size:
-            yield bytes(buffer)
-            buffer.clear()
-    if buffer:
-        yield bytes(buffer)
+# Status line, Server and Date, pre-formatted per status per whole second
+# (the tuple swap is atomic under the GIL; a race formats one twice).
+_prefixes: Tuple[int, Dict[int, str]] = (-1, {})
 
 
-class _Headers(dict):
-    """Case-insensitive request-header view (keys stored lowercase).
+def _head(status: int, headers: List[Tuple[str, str]]) -> str:
+    """Status line and headers, without the terminating blank line."""
+    global _prefixes
+    now = int(time.time())
+    second, by_status = _prefixes
+    if second != now:
+        by_status = {}
+        _prefixes = (now, by_status)
+    prefix = by_status.get(status)
+    if prefix is None:
+        prefix = by_status[status] = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
+            f"Server: {_SERVER}\r\nDate: {formatdate(now, usegmt=True)}\r\n")
+    return prefix + "".join(f"{name}: {value}\r\n" for name, value in headers)
 
-    The only mapping operations the server performs on request headers are
-    ``get`` and ``items()``; this keeps both at plain-dict speed instead of
-    paying for a full ``email.message.Message``.
+
+def _head_end(buffer: bytearray, start: int) -> Tuple[int, int]:
+    """(end of the header lines, start of the body), or (-1, -1)."""
+    crlf = buffer.find(b"\n\r\n", start)
+    bare = buffer.find(b"\n\n", start, crlf + 2 if crlf >= 0 else len(buffer))
+    if bare >= 0:
+        return bare, bare + 2
+    if crlf >= 0:
+        return crlf, crlf + 3
+    return -1, -1
+
+
+def _parse_head(lines: List[str]) -> Tuple[str, str, Tuple[int, int], bool,
+                                           Dict[str, str]]:
+    """(method, target, version, keep_alive, lowercase headers).
+
+    The stdlib parser's rules in its order — 414, then 400 / 505 on the
+    request line, then 431 / 400 per header line — with its HTTP/0.9 and
+    1.0 close rules and gh-87389 ``//`` collapse.  Repeated names comma-join
+    (RFC 9110 §5.2), so conflicting ``Content-Length`` values are refused,
+    not smuggled.  An empty request line returns an empty method.
     """
+    requestline = lines[0].rstrip("\r")
+    if len(lines[0]) >= MAX_HEADER_LINE:
+        raise _Rejected(414, "Request line too long")
+    words = requestline.split()
+    if not words:
+        return "", "", (0, 9), False, {}
+    version = (0, 9)
+    if len(words) >= 3:
+        word = words[-1]
+        major, dot, minor = word[5:].partition(".")
+        if (not word.startswith("HTTP/") or not dot or not major.isdecimal()
+                or not minor.isdecimal() or len(major) > 10 or len(minor) > 10):
+            raise _Rejected(400, f"Bad request version ({word!r})")
+        version = (int(major), int(minor))
+        if version >= (2, 0):
+            raise _Rejected(505, f"Invalid HTTP version ({word[5:]})")
+    if not 2 <= len(words) <= 3:
+        raise _Rejected(400, f"Bad request syntax ({requestline!r})")
+    method, target = words[:2]
+    if len(words) == 2 and method != "GET":
+        raise _Rejected(400, f"Bad HTTP/0.9 request type ({method!r})")
+    if target.startswith("//"):
+        target = "/" + target.lstrip("/")
+    headers: Dict[str, str] = {}
+    last: Optional[str] = None
+    for count, line in enumerate(lines[1:], 1):
+        if len(line) >= MAX_HEADER_LINE:
+            raise _Rejected(431, "Header line too long")
+        if count > MAX_HEADERS:
+            raise _Rejected(431, f"Too many headers (> {MAX_HEADERS})")
+        line = line.rstrip("\r")
+        if line[:1] in (" ", "\t"):  # obsolete folding: one space (RFC 9112)
+            if last is not None:
+                headers[last] += " " + line.strip()
+            continue
+        name, sep, value = line.partition(":")
+        if not sep or not name or name != name.strip():
+            raise _Rejected(400, f"Malformed header line ({line!r})")
+        last = name.lower()
+        value = value.strip()
+        headers[last] = headers[last] + ", " + value if last in headers else value
+    keep_alive = version >= (1, 1)
+    connection = headers.get("connection", "").lower()
+    if connection == "close":
+        keep_alive = False
+    elif connection == "keep-alive":
+        keep_alive = True
+    return method, target, version, keep_alive, headers
 
-    def get(self, name: str, default=None):  # type: ignore[override]
-        return dict.get(self, name.lower(), default)
 
-    def __getitem__(self, name: str):
-        return dict.__getitem__(self, name.lower())
+def _reject(sock: socket.socket, refusal: _Rejected, head_only: bool) -> None:
+    """Answer ``HTTP/1.1 <status>`` with the JSON error envelope.  The body
+    was never read, so the caller closes rather than parse it as the *next*
+    request."""
+    status, message = refusal.args
+    body = json.dumps({"ok": False, "error": {
+        "code": _REJECT_CODES[status], "message": message}}).encode("utf-8")
+    head = _head(status, [("Content-Type", "application/json; charset=utf-8"),
+                          ("Content-Length", str(len(body))),
+                          ("Connection", "close")]) + "\r\n"
+    # RFC 9110 §9.3.2: a HEAD response carries a GET's headers, no body.
+    sock.sendall(head.encode("latin-1") + (b"" if head_only else body))
 
-    def __contains__(self, name) -> bool:
-        return dict.__contains__(self, str(name).lower())
+
+def _discard(response: ServiceResponse) -> None:
+    """Close a streaming body that will not be sent."""
+    close = getattr(response.body, "close", None)
+    if close is not None:
+        close()
 
 
-class _RequestHandler(http.server.BaseHTTPRequestHandler):
-    """Adapts one HTTP exchange to the ServiceRequest/ServiceResponse pair."""
-
-    protocol_version = "HTTP/1.1"
-    server_version = "KGNetHTTP/1.0"
-    timeout = CONNECTION_TIMEOUT_SECONDS
-    # A response goes out as several small writes (status+headers, then
-    # body); with Nagle on, the second write can sit behind the peer's
-    # delayed ACK for ~40ms — a 1000x latency tax on loopback round-trips.
-    disable_nagle_algorithm = True
-
-    def setup(self) -> None:
-        # The socket-level timeout covers reads AND writes: a client that
-        # stops draining a large streamed response trips socket.timeout on
-        # our next write, freeing the worker, instead of pinning it forever.
-        self.timeout = self.server.connection_timeout  # type: ignore[attr-defined]
-        super().setup()
-
-    # Limits for the fast header parse below, mirroring the stock parser's
-    # http.client._MAXLINE / _MAXHEADERS (both answered with 431).
-    MAX_HEADER_LINE = 65536
-    MAX_HEADERS = 100
-
-    def parse_request(self) -> bool:
-        """Parse the request line and headers without the email package.
-
-        The stock :class:`http.server.BaseHTTPRequestHandler` hands header
-        lines to the email feedparser — tens of microseconds per request of
-        MIME machinery (universal newlines, charset policy, continuation
-        semantics) this server never uses.  This override keeps the stock
-        request-line handling bit for bit (same 400/505 answers, the same
-        HTTP/0.9 and ``close_connection`` rules, the gh-87389 ``//`` path
-        collapse) but reads headers with a plain line loop into a
-        lowercase-keyed dict, which is all the service layer consumes.
-        Repeated field names are comma-joined per RFC 9110 §5.2 — which
-        also makes conflicting duplicate ``Content-Length`` values
-        unparseable downstream (rejected, not smuggleable).
-        """
-        self.command = None  # type: ignore[assignment]
-        self.request_version = version = self.default_request_version
-        self.close_connection = True
-        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
-        self.requestline = requestline
-        words = requestline.split()
-        if not words:
-            return False
-        if len(words) >= 3:
-            version = words[-1]
-            try:
-                if not version.startswith("HTTP/"):
-                    raise ValueError
-                major, dot, minor = version[5:].partition(".")
-                if (not dot or not major.isdigit() or not minor.isdigit()
-                        or len(major) > 10 or len(minor) > 10):
-                    raise ValueError
-                version_number = (int(major), int(minor))
-            except ValueError:
-                self.send_error(400, f"Bad request version ({version!r})")
-                return False
-            if version_number >= (1, 1) and self.protocol_version >= "HTTP/1.1":
-                self.close_connection = False
-            if version_number >= (2, 0):
-                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
-                return False
-            self.request_version = version
-        if not 2 <= len(words) <= 3:
-            self.send_error(400, f"Bad request syntax ({requestline!r})")
-            return False
-        command, path = words[:2]
-        if len(words) == 2:
-            self.close_connection = True
-            if command != "GET":
-                self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
-                return False
-        self.command, self.path = command, path
-        if self.path.startswith("//"):
-            self.path = "/" + self.path.lstrip("/")
-        headers = _Headers()
-        readline = self.rfile.readline
-        seen = 0
-        last: Optional[str] = None
-        while True:
-            line = readline(self.MAX_HEADER_LINE + 1)
-            if len(line) > self.MAX_HEADER_LINE:
-                self.send_error(431, "Header line too long")
-                return False
-            if line in (b"\r\n", b"\n", b""):
-                break
-            seen += 1
-            if seen > self.MAX_HEADERS:
-                self.send_error(431,
-                                f"Too many headers (> {self.MAX_HEADERS})")
-                return False
-            text = str(line, "iso-8859-1").rstrip("\r\n")
-            if text[:1] in (" ", "\t"):
-                # Obsolete line folding: a continuation of the previous
-                # field's value (RFC 9112 §5.2 says replace the fold with
-                # one space).
-                if last is not None:
-                    headers[last] = headers[last] + " " + text.strip()
-                continue
-            name, sep, value = text.partition(":")
-            if not sep or not name or name != name.strip():
-                self.send_error(400, f"Malformed header line ({text!r})")
-                return False
-            last = name.lower()
-            value = value.strip()
-            if last in headers:
-                headers[last] = headers[last] + ", " + value
-            else:
-                headers[last] = value
-        self.headers = headers  # type: ignore[assignment]
-        connection = headers.get("connection", "").lower()
-        if connection == "close":
-            self.close_connection = True
-        elif connection == "keep-alive" and self.protocol_version >= "HTTP/1.1":
-            self.close_connection = False
-        expect = headers.get("expect", "").lower()
-        if (expect == "100-continue"
-                and self.protocol_version >= "HTTP/1.1"
-                and self.request_version >= "HTTP/1.1"):
-            if not self.handle_expect_100():
-                return False
+def _respond(sock: socket.socket, response: ServiceResponse, head_only: bool,
+             chunked: bool) -> bool:
+    """Write ``response``; False when the connection must close after it.
+    A streaming body is never materialised, not even for HEAD or HTTP/1.0."""
+    head = _head(response.status, response.headers)
+    if not response.is_streaming:
+        body = response.body
+        head += f"Content-Length: {len(body)}\r\n\r\n"
+        sock.sendall(head.encode("latin-1") + (b"" if head_only else body))
         return True
+    if head_only:  # no length, no chunking: no body is expected, keep-alive
+        _discard(response)
+        sock.sendall((head + "\r\n").encode("latin-1"))
+        return True
+    if not chunked:  # before HTTP/1.1: a close-delimited stream
+        _stream(sock, response, head + "Connection: close\r\n\r\n", False)
+        return False
+    _stream(sock, response, head + _CHUNKED, True)
+    return response.stream_error is None
 
-    # The RFC 9110 Date header only changes once a second; formatting it
-    # from scratch costs ~8us per response.  Cache per whole second —
-    # the tuple swap is atomic under the GIL, so worker threads race at
-    # worst into one redundant format.
-    _date_cache: Tuple[int, str] = (-1, "")
 
-    def date_time_string(self, timestamp: Optional[float] = None) -> str:
-        if timestamp is not None:
-            return super().date_time_string(timestamp)
-        now = int(time.time())
-        cached_second, cached = _RequestHandler._date_cache
-        if cached_second != now:
-            cached = super().date_time_string(now)
-            _RequestHandler._date_cache = (now, cached)
-        return cached
+def _stream(sock: socket.socket, response: ServiceResponse, head: str,
+            chunked: bool) -> None:
+    """Send ``head`` and the body in ~16 KB chunks, the head riding on the
+    first and the terminator on the last (a small result: one ``sendall``).
 
-    # The service handler answers every method the same way; unrouted ones
-    # get their 405 from it, with the Allow header filled in.
-    def do_GET(self) -> None:
-        self._dispatch()
+    A producer fault becomes ``stream_error``, never a traceback.  A cut
+    chunked body lacks the terminal chunk and its connection closes, which
+    every client reads as incomplete (IncompleteRead, curl error 18); a
+    complete one ends with a trailer clients can assert positively.
+    """
+    def frame(piece: bytearray) -> bytes:
+        return b"%x\r\n%s\r\n" % (len(piece), piece) if chunked else bytes(piece)
 
-    def do_POST(self) -> None:
-        self._dispatch()
+    out, piece = head.encode("latin-1"), bytearray()
+    fragments = iter(response.body)  # type: ignore[arg-type]
+    while True:
+        try:
+            piece += next(fragments)
+        except StopIteration:
+            break
+        except Exception as exc:  # noqa: BLE001 — cut, never traceback
+            response.stream_error = response.stream_error or exc
+            break
+        if len(piece) >= STREAM_CHUNK_BYTES:
+            sock.sendall(out + frame(piece))
+            out = b""
+            piece.clear()
+    if piece:
+        out += frame(piece)
+    if chunked and response.stream_error is None:
+        out += _LAST_CHUNK
+    sock.sendall(out)
 
-    def do_PUT(self) -> None:
-        self._dispatch()
 
-    def do_DELETE(self) -> None:
-        self._dispatch()
-
-    def do_HEAD(self) -> None:
-        self._dispatch(drop_body=True)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        # Per-request stderr lines would swamp test output and benchmarks;
-        # observability lives in the router's RouteMetrics instead.
+def _close(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_WR)
+    except OSError:
         pass
-
-    # ------------------------------------------------------------------
-    def _reject(self, status: int, code: str, message: str) -> None:
-        """Answer an unreadable request and drop the connection.
-
-        The body bytes were never consumed, so keeping the connection alive
-        would let them be parsed as the *next* request line — close instead.
-        """
-        body = json.dumps({"ok": False,
-                           "error": {"code": code, "message": message}}
-                          ).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Connection", "close")
-        self.end_headers()
-        if self.command != "HEAD":
-            # RFC 9110 §9.3.2: a HEAD response carries the same headers a
-            # GET would (including Content-Length) but never a body.
-            self.wfile.write(body)
-        self.close_connection = True
-
-    def _dispatch(self, drop_body: bool = False) -> None:
-        if "chunked" in self.headers.get("Transfer-Encoding", "").lower():
-            # Request bodies must be length-delimited: silently treating a
-            # chunked body as empty would leave its bytes in the stream to
-            # be misread as the next request on this keep-alive connection.
-            self._reject(411, "LENGTH_REQUIRED",
-                         "chunked request bodies are not supported; "
-                         "send Content-Length")
-            return
-        length_header = self.headers.get("Content-Length")
-        try:
-            length = int(length_header) if length_header else 0
-        except ValueError:
-            self._reject(400, "BAD_REQUEST",
-                         f"unreadable Content-Length {length_header!r}")
-            return
-        if length < 0:
-            # RFC 9110: negative lengths are invalid.  Accepting one would
-            # leave the declared body unread in the stream, to be parsed as
-            # the NEXT request on this connection — request smuggling.
-            self._reject(400, "BAD_REQUEST",
-                         f"invalid negative Content-Length {length}")
-            return
-        limit = self.server.max_request_bytes  # type: ignore[attr-defined]
-        if length > limit:
-            # Refuse BEFORE buffering: one declared-gigantic body must not
-            # be read into memory just to be rejected.
-            self._reject(413, "PAYLOAD_TOO_LARGE",
-                         f"request body of {length} bytes exceeds the "
-                         f"server limit of {limit}")
-            return
-        body = self.rfile.read(length) if length > 0 else b""
-        cancel_event = threading.Event()
-        request = ServiceRequest(
-            method=self.command,
-            target=self.path,
-            headers=dict(self.headers.items()),
-            body=body,
-            cancel_event=cancel_event,
-        )
-        # Watch the connection only while the request executes: a client
-        # that hangs up mid-query gets its query cancelled at the next
-        # evaluator checkpoint rather than running to a discarded result.
-        watcher = self.server.disconnect_watcher  # type: ignore[attr-defined]
-        watcher.watch(self.connection, cancel_event)
-        try:
-            response = self.server.service.handle(request)  # type: ignore[attr-defined]
-        finally:
-            watcher.unwatch(self.connection)
-        if cancel_event.is_set():
-            # The peer is gone; don't try to write into a dead socket.
-            close = getattr(response.body, "close", None)
-            if close is not None:
-                close()
-            self.close_connection = True
-            return
-        try:
-            self._write_response(response, drop_body=drop_body)
-        except (ConnectionError, BrokenPipeError, socket.timeout):
-            # The client went away mid-response; nothing to salvage.
-            self.close_connection = True
-
-    def _write_response(self, response: ServiceResponse,
-                        drop_body: bool) -> None:
-        if not response.is_streaming:
-            body = response.read_body()
-            self.send_response(response.status)
-            for name, value in response.headers:
-                self.send_header(name, value)
-            self.send_header("Content-Length", str(len(body)))
-            if body and not drop_body:
-                # Ride the body on the header buffer so the whole response
-                # leaves in ONE sendall: wfile is unbuffered, so separate
-                # writes are separate syscalls (and, pre-flush, separate
-                # packets a delayed-ACK peer can stall on).
-                self._headers_buffer.append(b"\r\n")
-                self._headers_buffer.append(body)
-                self.flush_headers()
-            else:
-                self.end_headers()
-            return
-        # Streaming bodies are never materialised — not even for HEAD or
-        # HTTP/1.0, where buffering "just to get Content-Length" would mean
-        # a result-sized memory spike per request:
-        if drop_body:
-            # HEAD: headers only, generator closed unconsumed.  With
-            # neither Content-Length nor Transfer-Encoding, no body is
-            # expected and the connection stays usable.
-            close = getattr(response.body, "close", None)
-            if close is not None:
-                close()
-            self.send_response(response.status)
-            for name, value in response.headers:
-                self.send_header(name, value)
-            self.end_headers()
-            return
-        if self.request_version == "HTTP/1.0":
-            # No chunked encoding before HTTP/1.1: close-delimited stream.
-            self.send_response(response.status)
-            for name, value in response.headers:
-                self.send_header(name, value)
-            self.send_header("Connection", "close")
-            self.end_headers()
-            for chunk in self._body_chunks(response):
-                self.wfile.write(chunk)
-            self.close_connection = True
-            return
-        self.send_response(response.status)
-        for name, value in response.headers:
-            self.send_header(name, value)
-        self.send_header("Transfer-Encoding", "chunked")
-        self.send_header("Trailer", "X-KGNet-Stream-Status")
-        self.end_headers()
-        for chunk in self._body_chunks(response):
-            # One write per chunk: size line, payload and delimiter in a
-            # single buffer (wfile is unbuffered — three writes would be
-            # three syscalls per 16 KB chunk).
-            self.wfile.write(b"%x\r\n%s\r\n" % (len(chunk), chunk))
-        if response.stream_error is not None:
-            # Streamed-failure contract: the body producer was interrupted
-            # (deadline, cancellation, or an internal fault) after the 200
-            # header went out.  Omit the terminal chunk and close the
-            # connection — every conforming client then sees the body as
-            # incomplete-but-terminated (http.client raises IncompleteRead,
-            # curl reports error 18) instead of silently treating a
-            # truncated result as a complete one.
-            self.close_connection = True
-            return
-        # Clean completion carries an explicit trailer so protocol-aware
-        # clients can assert completeness positively, not just by absence
-        # of a framing violation.
-        self.wfile.write(b"0\r\nX-KGNet-Stream-Status: complete\r\n\r\n")
-
-    def _body_chunks(self, response: ServiceResponse) -> Iterator[bytes]:
-        """Coalesced body chunks that never raise from the *producer* side.
-
-        The service layer's stream guard already converts query
-        interruptions into a clean iterator end plus ``stream_error``; this
-        wrapper does the same for any other streaming body (e.g. the WAL
-        stream reading from disk), so a producer fault can never escape as
-        a handler traceback mid-response — it becomes a cut stream.  Socket
-        write errors are NOT caught here: they raise from ``wfile.write``
-        in the caller and keep their existing handling.
-        """
-        chunks = _coalesce(response.body, STREAM_CHUNK_BYTES)
-        while True:
-            try:
-                chunk = next(chunks)
-            except StopIteration:
-                return
-            except Exception as exc:  # noqa: BLE001 — cut, never traceback
-                if response.stream_error is None:
-                    response.stream_error = exc
-                return
-            yield chunk
+    sock.close()
 
 
-class KGNetHTTPServer(http.server.HTTPServer):
+class KGNetHTTPServer:
     """The platform's HTTP front door, worker-pool threaded.
 
     Construct it over an :class:`~repro.kgnet.api.router.APIRouter` (or a
-    ready :class:`ServiceHandler`), then either call :meth:`start` for a
-    background accept thread or :meth:`serve_forever` to own the thread::
-
-        server = KGNetHTTPServer(("127.0.0.1", 0), router=platform.api)
-        with server.start() as running:
-            requests.get(running.base_url + "/sparql?query=...")
-
-    ``port=0`` binds an ephemeral port; read it back via :attr:`base_url`.
+    ready :class:`ServiceHandler`), then :meth:`start` a background accept
+    thread (``with server.start(): ...``) or own one with
+    :meth:`serve_forever`.  Port 0 binds an ephemeral port: see
+    :attr:`base_url`.
     """
-
-    allow_reuse_address = True
-    # Accepted-but-unserved connections wait here while the pool is busy.
-    request_queue_size = 64
 
     def __init__(self, address: Tuple[str, int],
                  router: Optional[APIRouter] = None,
@@ -531,132 +299,186 @@ class KGNetHTTPServer(http.server.HTTPServer):
                 raise ValueError("KGNetHTTPServer needs a router or a service")
             service = ServiceHandler(router)
         self.service = service
-        #: Socket-level read/write timeout per connection: a stalled client
-        #: (slowloris sender, or a receiver that stops draining a streamed
-        #: response) trips socket.timeout and frees its worker slot.
+        #: Read/write timeout per connection: a slowloris sender or a
+        #: reader that stops draining a stream frees its worker slot.
         self.connection_timeout = connection_timeout
-        self.disconnect_watcher = _DisconnectWatcher()
-        self._accept_thread: Optional[threading.Thread] = None
-        self._serving = False
-        self._stopping = False
-        #: Largest request body accepted before answering 413.  Generous —
-        #: envelope bulk-loads legitimately carry whole KGs — but bounded,
-        #: so one client cannot buffer the process into the ground.
+        #: Largest request body before a 413 (bulk loads carry whole KGs).
         self.max_request_bytes = MAX_REQUEST_BODY_BYTES
+        self._accept_thread: Optional[threading.Thread] = None
+        self._stopping = False
         # Bind BEFORE spawning workers: a failed bind (port in use) raises
-        # out of the constructor, where stop() can never run — worker
-        # threads started first would leak for the process lifetime.
-        super().__init__(address, _RequestHandler)
+        # out of the constructor, where stop() can never run.
+        self.socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self.socket.bind(address)
+            self.socket.listen(64)  # where connections wait on a busy pool
+        except BaseException:
+            self.socket.close()
+            raise
+        self.server_address = self.socket.getsockname()
         self._pool = WorkerPool(max_workers=max_workers,
                                 max_pending=4 * max_workers,
                                 name="kgnet-http")
 
-    # ------------------------------------------------------------------
-    # socketserver integration
-    # ------------------------------------------------------------------
-    def process_request(self, request, client_address) -> None:
-        """Hand the accepted connection to the worker pool.
-
-        A full pending queue stalls the accept loop — further clients wait
-        in the TCP backlog, which is exactly the back-pressure story the
-        pool exists for — but the wait is taken in bounded slices so a
-        saturated pool can never wedge the loop past a shutdown request:
-        an unbounded ``submit`` here would leave ``stop()`` waiting forever
-        on an accept thread that never returns to ``serve_forever``.
-        """
-        while True:
+    def _hand_off(self, sock: socket.socket) -> None:
+        """Queue a connection on the pool in bounded waits: a full queue
+        stalls the accept loop but never wedges it past :meth:`stop`."""
+        while not self._stopping:
             try:
-                future = self._pool.try_submit(
-                    self._serve_connection, request, client_address,
-                    timeout=0.5)
+                if self._pool.try_submit(self._serve_connection, sock,
+                                         timeout=0.5) is not None:
+                    return
             except RuntimeError:
-                # Pool already shut down (server stopping): refuse politely.
-                self.shutdown_request(request)
-                return
-            if future is not None:
-                return
-            if self._stopping:
-                self.shutdown_request(request)
-                return
+                break  # pool already shut down: the server is stopping
+        _close(sock)
 
-    def _serve_connection(self, request, client_address) -> None:
+    def _serve_connection(self, sock: socket.socket) -> None:
         try:
-            self.finish_request(request, client_address)
-        except Exception:  # noqa: BLE001 — a dying connection is not fatal
-            self.handle_error(request, client_address)
+            sock.settimeout(self.connection_timeout)
+            # Without it a stream's second write can wait ~40ms for the
+            # peer's delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            buffer = bytearray()
+            while self._exchange(sock, buffer):
+                pass
+        except OSError:
+            pass  # reset, broken pipe, or stalled past the timeout: routine
+        except Exception:  # noqa: BLE001 — a broken exchange is not fatal
+            traceback.print_exc()
         finally:
-            self.shutdown_request(request)
+            _close(sock)
 
-    def handle_error(self, request, client_address) -> None:
-        # Clients dropping keep-alive sockets mid-read are routine; keep the
-        # default traceback spew for anything that is not a connection issue.
-        import sys
-        exc = sys.exc_info()[1]
-        if isinstance(exc, (ConnectionError, BrokenPipeError, socket.timeout)):
-            return
-        super().handle_error(request, client_address)
+    def _exchange(self, sock: socket.socket, buffer: bytearray) -> bool:
+        """Serve one request; True when the connection stays open."""
+        request = self._read_request(sock, buffer)
+        if request is None:
+            return False  # EOF, an empty request line, or refused
+        method, target, version, keep_alive, headers, body = request
+        probe = _DisconnectProbe(sock)
+        response = self.service.handle(
+            ServiceRequest(method, target, headers, body, probe))
+        if probe.gone:  # don't write into a dead socket
+            _discard(response)
+            return False
+        return _respond(sock, response, method == "HEAD",
+                        version >= (1, 1)) and keep_alive
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
+    def _read_request(self, sock: socket.socket, buffer: bytearray):
+        """(method, target, version, keep_alive, headers, body), or None
+        after EOF or a refusal; bytes past the body stay in ``buffer``."""
+        start = 0
+        while True:
+            end, body_start = _head_end(buffer, start)
+            if end >= 0:
+                break
+            if len(buffer) > MAX_HEADER_LINE and (
+                    len(buffer) - buffer.rfind(b"\n") > MAX_HEADER_LINE
+                    or len(buffer) > _MAX_HEAD_BYTES):
+                # The head can no longer be accepted: refuse it now, by the
+                # parser's own rules, instead of buffering it further.
+                text = buffer.decode("latin-1")
+                try:
+                    _parse_head(text.split("\n"))
+                    raise _Rejected(431, f"Too many headers (> {MAX_HEADERS})")
+                except _Rejected as refusal:
+                    _reject(sock, refusal, text[:5] == "HEAD ")
+                    return None
+            start = max(0, len(buffer) - 2)
+            data = sock.recv(_RECV_BYTES)
+            if not data:
+                return None
+            buffer += data
+        text = buffer[:end].decode("latin-1")
+        del buffer[:body_start]
+        try:
+            method, target, version, keep_alive, headers = _parse_head(
+                text.split("\n"))
+            if not method:
+                return None
+            length = self._body_length(headers)
+        except _Rejected as refusal:
+            _reject(sock, refusal, text[:5] == "HEAD ")
+            return None
+        if (len(buffer) < length and version >= (1, 1)
+                and headers.get("expect", "").lower() == "100-continue"):
+            sock.sendall(_CONTINUE)
+        while len(buffer) < length:
+            data = sock.recv(_RECV_BYTES)
+            if not data:
+                return None
+            buffer += data
+        body = bytes(buffer[:length]) if length else b""
+        del buffer[:length]
+        return method, target, version, keep_alive, headers, body
+
+    def _body_length(self, headers: Dict[str, str]) -> int:
+        """The declared body length; refuses chunked (411), unreadable or
+        negative (400) and oversized (413) bodies before reading a byte."""
+        if "chunked" in headers.get("transfer-encoding", "").lower():
+            # Read as empty, its bytes would be parsed as the next request.
+            raise _Rejected(411, "chunked request bodies are not supported; "
+                            "send Content-Length")
+        length_header = headers.get("content-length")
+        try:
+            length = int(length_header) if length_header else 0
+        except ValueError:
+            raise _Rejected(400, f"unreadable Content-Length {length_header!r}")
+        if length < 0:
+            # Its declared body would be parsed as the next request.
+            raise _Rejected(400, f"invalid negative Content-Length {length}")
+        if length > self.max_request_bytes:
+            raise _Rejected(413, f"request body of {length} bytes exceeds "
+                            f"the server limit of {self.max_request_bytes}")
+        return length
+
     @property
     def base_url(self) -> str:
         host, port = self.server_address[:2]
         host = str(host)
         if host in ("0.0.0.0", "::", ""):
-            # A wildcard bind listens everywhere but is not a connectable
-            # address; hand clients the loopback equivalent instead.
+            # A wildcard bind is not connectable: hand out loopback.
             host = "127.0.0.1"
         if ":" in host:  # IPv6 literal
             host = f"[{host}]"
         return f"http://{host}:{port}"
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
-        self._serving = True
-        try:
-            super().serve_forever(poll_interval)
-        finally:
-            self._serving = False
+        """Accept connections until :meth:`stop`, which shuts the listener
+        down to wake ``accept``; ``poll_interval`` is the fallback."""
+        self.socket.settimeout(poll_interval)
+        while not self._stopping:
+            try:
+                sock, _ = self.socket.accept()
+            except OSError:
+                continue  # a timeout, an aborted handshake, or stop()
+            self._hand_off(sock)
 
     def start(self) -> "KGNetHTTPServer":
         """Serve from a background daemon thread; returns self."""
-        if self._accept_thread is not None:
-            return self
-        self._accept_thread = threading.Thread(
-            target=self.serve_forever, name="kgnet-http-accept", daemon=True)
-        self._accept_thread.start()
+        if self._accept_thread is None:
+            self._accept_thread = threading.Thread(
+                target=self.serve_forever, name="kgnet-http-accept",
+                daemon=True)
+            self._accept_thread.start()
         return self
 
     def stop(self) -> None:
-        """Stop accepting, close the listener, and release pool workers.
-
-        Safe to call on a server that was never started — ``shutdown`` only
-        runs when an accept loop is live, because HTTPServer.shutdown()
-        otherwise blocks forever on an event only serve_forever sets.
-        In-flight keep-alive connections are served by daemon threads and
-        die with the process; orderly clients close their side first.
-        """
+        """Stop accepting, close the listener, release the pool (safe on a
+        server never started; open connections' daemon threads live on)."""
         self._stopping = True
-        self.disconnect_watcher.stop()
-        if self._serving or self._accept_thread is not None:
-            # With an accept thread the flag may not be set yet, but
-            # shutdown() is still safe: serve_forever observes the request
-            # even when it arrives before the loop starts.
-            self.shutdown()
-        self.server_close()
-        # cancel_pending: without it a full pending queue would block the
-        # sentinel insertion behind busy workers; the drained tasks carry
-        # the accepted-but-unserved client sockets, which must be closed
-        # here or a long-lived embedding process leaks one fd per abandoned
-        # connection on every stop-under-load.
-        for _, args, _ in self._pool.shutdown(wait=False, cancel_pending=True):
-            try:
-                self.shutdown_request(args[0])
-            except OSError:
-                pass
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
             self._accept_thread = None
+        self.socket.close()
+        # cancel_pending: a full queue must not hold the stop sentinels back,
+        # and the drained tasks' accepted sockets must not leak.
+        for _, args, _ in self._pool.shutdown(wait=False, cancel_pending=True):
+            _close(args[0])
 
     def __enter__(self) -> "KGNetHTTPServer":
         return self.start()
@@ -668,11 +490,8 @@ class KGNetHTTPServer(http.server.HTTPServer):
 def serve(router: APIRouter, host: str = "127.0.0.1", port: int = 0,
           max_workers: int = 8,
           connection_timeout: float = CONNECTION_TIMEOUT_SECONDS) -> KGNetHTTPServer:
-    """Build and start a background server over ``router``; returns it.
-
-    The caller owns shutdown: ``server.stop()`` (or use it as a context
-    manager).  ``port=0`` picks a free port — read ``server.base_url``.
-    """
+    """Build and :meth:`~KGNetHTTPServer.start` a server over ``router``; the
+    caller owns ``stop()``.  ``port=0`` picks a free port (see ``base_url``)."""
     return KGNetHTTPServer((host, port), router=router,
                            max_workers=max_workers,
                            connection_timeout=connection_timeout).start()

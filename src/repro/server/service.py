@@ -2,7 +2,7 @@
 
 :class:`ServiceHandler` is the whole HTTP API expressed over plain value
 objects: a :class:`ServiceRequest` in, a :class:`ServiceResponse` out, no
-sockets anywhere.  The stdlib HTTP server in :mod:`repro.server.http` is one
+sockets anywhere.  The HTTP server in :mod:`repro.server.http` is one
 transport for it; the protocol-conformance tests drive it directly, and any
 other transport (ASGI, a test harness, a message queue) could too.
 
@@ -201,10 +201,10 @@ class ServiceRequest:
     target: str
     headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
-    #: Transport-supplied cancellation signal (a ``threading.Event``-like
-    #: object): the HTTP server sets it when the client socket dies, so a
-    #: running query aborts instead of computing for nobody.  Never taken
-    #: from client-controlled input.
+    #: Transport-supplied cancellation signal (any object with
+    #: ``is_set()`` / ``set()``).  The HTTP server passes a probe of the
+    #: client socket, so a running query aborts at its next checkpoint
+    #: once the client is gone.  Never taken from client input.
     cancel_event: Optional[object] = None
 
     def __post_init__(self) -> None:

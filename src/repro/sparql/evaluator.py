@@ -88,6 +88,7 @@ from repro.sparql.plan import (
     Plan,
     QueryPlan,
     build,
+    is_node,
     output_variables,
     reachable,
 )
@@ -557,11 +558,13 @@ class QueryEvaluator:
         *distinct* endpoint pair once; a bound subject runs a forward BFS
         over the SPO index, a bound object a backward BFS over POS via the
         inverted path, and two unbound endpoints enumerate the node
-        universe.  Zero-length paths (``*``/``?``) match a bound endpoint
+        universe.  Zero-length paths (``*``/``?``) match a constant endpoint
         even when the term is absent from the graph (it then carries a
-        private overlay id, which no index holds).  The frontier loop ticks
-        the execution context's amortised checkpoint, so closures over
-        cycle-heavy graphs honor deadline/cancel/budget.
+        private overlay id, which no index holds); between two variables a
+        pair starts at a graph node only, also when a join already bound
+        one of them (:func:`~repro.sparql.plan.is_node`).  The frontier
+        loop ticks the execution context's amortised checkpoint, so closures
+        over cycle-heavy graphs honor deadline/cancel/budget.
         """
         compiled = node.compiled
         tick = self._ticker()
@@ -570,6 +573,7 @@ class QueryEvaluator:
         s_slot, s_const = self._endpoint(compiled.subject)
         o_slot, o_const = self._endpoint(compiled.object)
         same_var = s_slot is not None and s_slot == o_slot
+        between_variables = s_slot is not None and o_slot is not None
 
         def directed(step, seed: Row, start: int, end: Optional[int],
                      bind_slot: Optional[int]) -> Iterator[Row]:
@@ -598,6 +602,10 @@ class QueryEvaluator:
             for seed in batch:
                 s = s_const if s_slot is None else seed[s_slot]
                 o = o_const if o_slot is None else seed[o_slot]
+                start = s if s is not None else o
+                if (start is not None and between_variables
+                        and not is_node(self.graph, start)):
+                    continue
                 if s is not None:
                     yield from directed(compiled.forward, seed, s, o,
                                         o_slot if o is None else None)

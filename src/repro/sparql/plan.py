@@ -250,7 +250,13 @@ def _compile_step(graph: Graph, path):
 
         def seq_step(node, tick):
             frontier = {node}
-            for step in steps:
+            for position, step in enumerate(steps):
+                if (position == 1 and node in frontier
+                        and not is_node(graph, node)):
+                    # Later steps start from a fresh variable, which ranges
+                    # over graph nodes (see is_node): a start term the graph
+                    # never mentions passes a zero-length first step only.
+                    frontier.discard(node)
                 successors = set()
                 for member in frontier:
                     tick()
@@ -283,6 +289,20 @@ def _compile_step(graph: Graph, path):
 
         return mul_step
     raise QueryError(f"unsupported path expression {type(path).__name__}")
+
+
+def is_node(graph: Graph, term_id: int) -> bool:
+    """Is ``term_id`` a subject or object of some triple — in ``nodes(G)``?
+
+    SPARQL 1.1 evaluates a path with a variable at both ends over the
+    graph's nodes (§18.5), and a sequence ``X P/Q Y`` as the join
+    ``X P ?V . ?V Q Y`` of independently evaluated steps (§18.2.2.4).  So a
+    zero-length pair ``(t, t)`` of a step between two variables exists only
+    for a node ``t``, even when sideways passing already bound one end.
+    """
+    return (next(iter(graph.triples_ids(term_id, None, None)), None) is not None
+            or next(iter(graph.triples_ids(None, None, term_id)), None)
+            is not None)
 
 
 def reachable(step, start: int, modifier: str, tick) -> Iterator[int]:

@@ -236,12 +236,20 @@ class ReferenceQueryEvaluator:
     # -- property paths (naive fixed-point oracle) ---------------------------
     def _evaluate_path_pattern(self, pattern: PathPattern,
                                solutions: List[Solution]) -> List[Solution]:
-        """Join a property-path pattern by materialising endpoint pairs."""
+        """Join a property-path pattern by materialising endpoint pairs.
+
+        The pairs are evaluated once, anchored by the pattern's constant
+        endpoints only, and then joined — the algebra's ``Join`` of an
+        independently evaluated ``Path``.  Anchoring by the incoming
+        bindings instead would let a zero-length pair reach a term no
+        triple mentions, and make the answer depend on the join order.
+        """
+        constant = [None if isinstance(term, Variable) else term
+                    for term in (pattern.subject, pattern.object)]
+        pairs = self._path_pairs(pattern.path, *constant)
         results: List[Solution] = []
         for solution in solutions:
-            s = _resolve(pattern.subject, solution)
-            o = _resolve(pattern.object, solution)
-            for x, y in self._path_pairs(pattern.path, s, o):
+            for x, y in pairs:
                 extended = Solution(solution)
                 compatible = True
                 for term, value in ((pattern.subject, x), (pattern.object, y)):
@@ -273,16 +281,17 @@ class ReferenceQueryEvaluator:
         if isinstance(path, InversePath):
             return [(y, x) for (x, y) in self._path_pairs(path.path, o, s)]
         if isinstance(path, SequencePath):
+            # SPARQL 1.1 §18.2.2.4: ``X P/Q Y`` is ``X P ?V . ?V Q Y``, a
+            # join of steps evaluated independently through a fresh ?V.
             steps = path.steps
             last_index = len(steps) - 1
             pairs = self._path_pairs(steps[0], s, o if last_index == 0 else None)
             for index in range(1, len(steps)):
-                target = o if index == last_index else None
-                joined: List[Tuple[Term, Term]] = []
-                for x, mid in pairs:
-                    for _, y in self._path_pairs(steps[index], mid, target):
-                        joined.append((x, y))
-                pairs = joined
+                ends: Dict[Term, List[Term]] = {}
+                for mid, y in self._path_pairs(
+                        steps[index], None, o if index == last_index else None):
+                    ends.setdefault(mid, []).append(y)
+                pairs = [(x, y) for x, mid in pairs for y in ends.get(mid, ())]
                 if not pairs:
                     break
             return pairs

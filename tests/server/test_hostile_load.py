@@ -182,8 +182,8 @@ class TestAdmission:
         """Occupy the single admission slot with a raw-socket adversary.
 
         Closing the returned socket cancels the query server-side (the
-        disconnect watcher), which releases the slot — no client locks in
-        the way.
+        disconnect probe, at the query's next checkpoint), which releases
+        the slot — no client locks in the way.
         """
         sock = socket.create_connection(server.server_address[:2])
         path = "/sparql?" + urllib.parse.urlencode({"query": ADVERSARY})

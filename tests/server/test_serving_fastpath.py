@@ -35,7 +35,7 @@ from repro.exceptions import QueryTimeout, ResultStreamCut
 from repro.kgnet import KGNet
 from repro.rdf import IRI, Literal, Triple
 from repro.server import KGNetHTTPServer, RemoteClient, serve
-from repro.server.http import _DisconnectWatcher
+from repro.server.http import DISCONNECT_PROBE_SECONDS, _DisconnectProbe
 from repro.sparql.results.serialize import MEDIA_JSON
 
 EX = "http://example.org/fastpath/"
@@ -323,46 +323,66 @@ class TestResultCache:
 
 
 class TestRequestParsing:
-    def first_line(self, server, payload: bytes) -> bytes:
-        return raw_exchange(server, payload).split(b"\r\n", 1)[0]
+    def rejected(self, server, payload: bytes, status: int) -> dict:
+        """Assert a transport-level refusal; returns its error object.
+
+        Every refusal is a full HTTP/1.1 response — status line, the JSON
+        error envelope, ``Content-Length`` and ``Connection: close`` — never
+        a bare HTTP/0.9-framed page.
+        """
+        raw = raw_exchange(server, payload)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status), raw[:80]
+        assert b"\r\nConnection: close" in head
+        assert b"\r\nContent-Length: %d" % len(body) in head
+        document = json.loads(body)
+        assert document["ok"] is False
+        assert document["error"]["code"] and document["error"]["message"]
+        return document["error"]
 
     def test_garbage_request_line_is_400(self, served):
         _, server = served
-        assert b" 400 " in self.first_line(server, b"GARBAGE\r\n\r\n")
+        self.rejected(server, b"GARBAGE\r\n\r\n", 400)
 
     def test_http2_is_505(self, served):
         _, server = served
-        assert b" 505 " in self.first_line(
-            server, b"GET /health HTTP/2.0\r\nHost: x\r\n\r\n")
+        self.rejected(server, b"GET /health HTTP/2.0\r\nHost: x\r\n\r\n", 505)
 
     def test_bad_version_syntax_is_400(self, served):
         _, server = served
-        assert b" 400 " in self.first_line(
-            server, b"GET /health HTTP/1.x\r\nHost: x\r\n\r\n")
+        error = self.rejected(
+            server, b"GET /health HTTP/1.x\r\nHost: x\r\n\r\n", 400)
+        assert error["code"] == "BAD_REQUEST"
 
     def test_too_many_headers_is_431(self, served):
         _, server = served
         flood = b"".join(b"X-Flood-%d: y\r\n" % i for i in range(150))
-        assert b" 431 " in self.first_line(
-            server, b"GET /health HTTP/1.1\r\nHost: x\r\n" + flood + b"\r\n")
+        self.rejected(
+            server, b"GET /health HTTP/1.1\r\nHost: x\r\n" + flood + b"\r\n",
+            431)
 
     def test_oversized_header_line_is_431(self, served):
         _, server = served
         huge = b"X-Huge: " + b"a" * 70000 + b"\r\n"
-        assert b" 431 " in self.first_line(
-            server, b"GET /health HTTP/1.1\r\nHost: x\r\n" + huge + b"\r\n")
+        self.rejected(
+            server, b"GET /health HTTP/1.1\r\nHost: x\r\n" + huge + b"\r\n",
+            431)
+
+    def test_oversized_request_line_is_414(self, served):
+        _, server = served
+        self.rejected(server, b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n",
+                      414)
 
     def test_header_line_without_colon_is_400(self, served):
         _, server = served
-        assert b" 400 " in self.first_line(
-            server, b"GET /health HTTP/1.1\r\nHost: x\r\nnocolon\r\n\r\n")
+        self.rejected(
+            server, b"GET /health HTTP/1.1\r\nHost: x\r\nnocolon\r\n\r\n", 400)
 
     def test_space_before_colon_is_400(self, served):
         # RFC 9112 §5.1: whitespace between field name and colon MUST be
         # rejected (classic response-splitting/smuggling vector).
         _, server = served
-        assert b" 400 " in self.first_line(
-            server, b"GET /health HTTP/1.1\r\nHost : x\r\n\r\n")
+        self.rejected(server, b"GET /health HTTP/1.1\r\nHost : x\r\n\r\n", 400)
 
     def test_header_names_are_case_insensitive(self, served):
         _, server = served
@@ -413,7 +433,7 @@ class TestRequestParsing:
 
 
 # ---------------------------------------------------------------------------
-# Addressing + disconnect watcher
+# Addressing + disconnect probe
 # ---------------------------------------------------------------------------
 
 
@@ -432,27 +452,63 @@ class TestAddressing:
             server.stop()
 
 
-class TestDisconnectWatcher:
-    def test_pipelined_byte_keeps_the_socket_watched(self):
-        watcher = _DisconnectWatcher(poll_interval=0.01)
+class TestDisconnectProbe:
+    @staticmethod
+    def settle():
+        # Let the probe's rate limit lapse so the next is_set() looks.
+        time.sleep(2 * DISCONNECT_PROBE_SECONDS)
+
+    def test_pipelined_byte_is_not_a_disconnect_and_stays_readable(self):
         local, peer = socket.socketpair()
-        event = threading.Event()
         try:
-            watcher.watch(local, event)
+            local.settimeout(60)
+            probe = _DisconnectProbe(local)
             # A pipelined byte makes the socket readable but is NOT a
-            # disconnect: the watcher must peek, leave it in place, and
-            # keep watching.
+            # disconnect: the probe must peek and leave it in place.
             peer.sendall(b"G")
-            time.sleep(0.2)
-            assert not event.is_set()
-            # The handler drains the pipelined byte, then the client dies:
-            # the still-watched socket now peeks EOF and must be detected.
+            self.settle()
+            assert not probe.is_set()
+            self.settle()
+            assert not probe.is_set()
             assert local.recv(1) == b"G"
-            peer.close()
-            deadline = time.time() + 5.0
-            while not event.is_set() and time.time() < deadline:
-                time.sleep(0.01)
-            assert event.is_set()
         finally:
-            watcher.stop()
             local.close()
+            peer.close()
+
+    def test_eof_is_detected(self):
+        local, peer = socket.socketpair()
+        try:
+            local.settimeout(60)
+            probe = _DisconnectProbe(local)
+            assert not probe.is_set()
+            peer.close()
+            self.settle()
+            assert probe.is_set()
+            assert probe.is_set()  # sticky, no further probing needed
+        finally:
+            local.close()
+
+    def test_idle_socket_with_a_long_timeout_answers_at_once(self):
+        # A recv on a socket with a timeout waits up to that timeout even
+        # with MSG_DONTWAIT; the zero-timeout poll in front of the peek is
+        # what keeps a checkpoint from stalling for a minute.
+        local, peer = socket.socketpair()
+        try:
+            local.settimeout(60)
+            probe = _DisconnectProbe(local)
+            started = time.perf_counter()
+            assert not probe.is_set()
+            assert time.perf_counter() - started < 0.05
+        finally:
+            local.close()
+            peer.close()
+
+    def test_set_cancels(self):
+        local, peer = socket.socketpair()
+        try:
+            probe = _DisconnectProbe(local)
+            probe.set()
+            assert probe.is_set()
+        finally:
+            local.close()
+            peer.close()

@@ -53,16 +53,25 @@ NODES = [IRI(f"{EX}n{i}") for i in range(6)]
 PREDICATES = [IRI(f"{EX}p{i}") for i in range(3)]
 
 
-@st.composite
-def graphs(draw):
-    edges = draw(st.lists(
-        st.tuples(st.sampled_from(NODES), st.sampled_from(PREDICATES),
-                  st.sampled_from(NODES)),
-        min_size=0, max_size=14))
+def graph_of(edges) -> Graph:
     graph = Graph()
     for s, p, o in edges:
         graph.add(Triple(s, p, o))
     return graph
+
+
+@st.composite
+def graphs(draw):
+    return graph_of(draw(st.lists(
+        st.tuples(st.sampled_from(NODES), st.sampled_from(PREDICATES),
+                  st.sampled_from(NODES)),
+        min_size=0, max_size=14)))
+
+
+#: One edge that never mentions NODES[0], and p0* twice in a row.
+ONE_EDGE = graph_of([(NODES[1], PREDICATES[0], NODES[2])])
+STAR_STAR = SequencePath((MulPath(LinkPath(PREDICATES[0]), "*"),
+                          MulPath(LinkPath(PREDICATES[0]), "*")))
 
 
 def links():
@@ -132,6 +141,13 @@ class TestPathDifferential:
              (NODES[0], None, False))
     @example(Graph(), MulPath(MulPath(LinkPath(PREDICATES[0]), "?"), "+"),
              (NODES[0], NODES[0], False))
+    # A sequence joins its steps through a fresh variable, and p0* between
+    # two variables pairs graph nodes only (SPARQL 1.1 §18.2.2.4, §18.5):
+    # a term the graph never mentions passes the first step but not the
+    # second — 0 rows from either end, and inside a closure.
+    @example(ONE_EDGE, STAR_STAR, (None, NODES[0], False))
+    @example(ONE_EDGE, STAR_STAR, (NODES[0], None, False))
+    @example(ONE_EDGE, MulPath(STAR_STAR, "+"), (NODES[0], None, False))
     def test_streaming_matches_reference_oracle(self, graph, path, shape):
         subject, object_, same_var = shape
         query = SPARQLParser(build_query(path, subject, object_, same_var)).parse()
@@ -139,6 +155,27 @@ class TestPathDifferential:
         reference = solution_multiset(
             ReferenceQueryEvaluator(graph).evaluate(query))
         assert streaming == reference
+
+    def test_zero_length_stops_at_a_fresh_variable(self):
+        # Agreement alone could hide both engines being wrong: pin the
+        # answers.  A constant endpoint is reached from itself; through a
+        # variable at both ends (fresh or written out) only graph nodes are.
+        n0, p0 = NODES[0].n3(), PREDICATES[0].n3()
+        expected = {
+            f"?x {p0}* {n0}": 1,
+            f"{n0} {p0}* ?x": 1,
+            f"{n0} {p0}*/{p0}* {n0}": 1,
+            f"?x {p0}*/{p0}* {n0}": 0,
+            f"{n0} {p0}*/{p0}* ?x": 0,
+            f"?x {p0}* ?v . ?v {p0}* {n0}": 0,
+            f"?v {p0}* {n0} . ?x {p0}* ?v": 0,
+            f"{n0} ({p0}*/{p0}*)+ ?x": 0,
+        }
+        for where, rows in expected.items():
+            query = SPARQLParser(f"SELECT * WHERE {{ {where} }}").parse()
+            for engine in (QueryEvaluator, ReferenceQueryEvaluator):
+                answer = solution_multiset(engine(ONE_EDGE).evaluate(query))
+                assert sum(answer.values()) == rows, (engine.__name__, where)
 
     @SETTINGS
     @given(graphs(), paths())
