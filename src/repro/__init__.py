@@ -10,8 +10,8 @@ Reproduction of "Towards a GML-Enabled Knowledge Graph Platform"
   trainers, metrics and cost estimators,
 * :mod:`repro.kgnet` -- the paper's contribution: meta-sampler, GMLaaS,
   KGMeta governor, SPARQL-ML service, and the KGNet facade,
-* :mod:`repro.concurrency` -- serving-layer primitives: atomic counters,
-  a bounded worker pool, the time-slicing query scheduler and admission
+* :mod:`repro.concurrency` -- serving-layer primitives: a bounded worker
+  pool, the time-slicing query scheduler and admission
   control (snapshot isolation itself lives on :class:`repro.rdf.Graph` /
   ``Dataset``),
 * :mod:`repro.server` -- the network service layer: a pure-Python HTTP server
@@ -26,7 +26,7 @@ Reproduction of "Towards a GML-Enabled Knowledge Graph Platform"
 
 __version__ = "0.3.0"
 
-from repro.concurrency import AtomicCounter, WorkerPool
+from repro.concurrency import WorkerPool
 from repro.gml.tasks import TaskSpec, TaskType
 from repro.gml.train.budget import TaskBudget
 from repro.kgnet.api import (
@@ -51,7 +51,6 @@ __all__ = [
     "APIRequest",
     "APIResponse",
     "APIRouter",
-    "AtomicCounter",
     "DeleteReport",
     "KGNet",
     "KGNetHTTPServer",

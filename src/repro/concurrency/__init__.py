@@ -5,7 +5,6 @@ many clients at once while training jobs and update requests mutate the
 hosted graphs.  This package holds the building blocks that make that safe
 and fast:
 
-* :class:`AtomicCounter` — lost-update-free statistics counters,
 * :class:`WorkerPool` — a bounded thread pool with back-pressure,
 * :class:`QueryScheduler` — time-sliced fair execution of preemptable
   queries (SaGe-style web preemption),
@@ -18,9 +17,7 @@ protects (:meth:`repro.rdf.graph.Graph.snapshot`,
 generic pieces the serving layer composes on top.
 """
 
-from repro.concurrency.atomic import AtomicCounter
 from repro.concurrency.pool import WorkerPool
 from repro.concurrency.scheduler import AdmissionController, QueryScheduler
 
-__all__ = ["AdmissionController", "AtomicCounter", "QueryScheduler",
-           "WorkerPool"]
+__all__ = ["AdmissionController", "QueryScheduler", "WorkerPool"]

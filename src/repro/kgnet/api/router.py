@@ -25,6 +25,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.concurrency.scheduler import AdmissionController, QueryScheduler
@@ -43,7 +44,7 @@ from repro.kgnet.kgmeta.governor import KGMetaGovernor
 from repro.kgnet.meta_sampler import MetaSamplingConfig
 from repro.kgnet.sparqlml.optimizer import ModelSelectionObjective
 from repro.kgnet.sparqlml.parser import TrainGMLRequest
-from repro.kgnet.sparqlml.service import SelectReport, SPARQLMLService
+from repro.kgnet.sparqlml.service import SPARQLMLService
 from repro.rdf.graph import Graph
 from repro.rdf.io import parse_ntriples, serialize_ntriples
 from repro.rdf.terms import IRI
@@ -321,9 +322,9 @@ class APIRouter:
                                  "name"})),
             "infer_node_class": (self._handle_infer_node_class,
                                  frozenset({"model_uri", "node"})),
-            "infer_links": (self._handle_infer_links,
+            "infer_links": (partial(self._handle_infer_ranked, "source", "links"),
                             frozenset({"model_uri", "source", "k"})),
-            "infer_similar": (self._handle_infer_similar,
+            "infer_similar": (partial(self._handle_infer_ranked, "entity", "similar"),
                               frozenset({"model_uri", "entity", "k"})),
             "infer_batch": (self._handle_infer_batch,
                             frozenset({"model_uri", "inputs", "k", "mode",
@@ -592,10 +593,8 @@ class APIRouter:
             cancel = None
         if self.scheduler is not None:
             context = self.scheduler.context(timeout=timeout, cancel=cancel)
-        elif timeout is not None or cancel is not None:
-            context = ExecutionContext(timeout=timeout, cancel=cancel)
         else:
-            context = None
+            context = ExecutionContext(timeout=timeout, cancel=cancel)
         # The statistics record (and with it the plan-cache outcome of the
         # text's one parse) arrives by callback — a SELECT's is filed by
         # whoever finishes its stream, on any thread — and is counted on the
@@ -637,75 +636,42 @@ class APIRouter:
             return result
         return project, value
 
-    def _sparqlml_kwargs(self, params: Dict[str, object]) -> Dict[str, object]:
-        kwargs: Dict[str, object] = {}
-        if "method" in params:
-            kwargs["method"] = params["method"]
-        if "meta_sampling" in params:
-            kwargs["meta_sampling"] = _as_meta_sampling(params["meta_sampling"])
-        if "use_meta_sampling" in params:
-            kwargs["use_meta_sampling"] = bool(params["use_meta_sampling"])
-        if "objective" in params:
-            kwargs["objective"] = _as_objective(params["objective"])
-        if "force_plan" in params:
-            kwargs["force_plan"] = params["force_plan"]
-        return kwargs
-
-    def _project_report(self, report: object,
-                        page_size: object) -> Dict[str, object]:
-        if isinstance(report, SelectReport):
-            payload = report.as_payload()
-            rows = payload.pop("rows")
-            page, cursor = self._paginate(rows, page_size)
-            payload.update({"kind": "SELECT_REPORT", "rows": page,
-                            "next_cursor": cursor})
-            return payload
-        if hasattr(report, "as_dict"):
-            kind = type(report).__name__.replace("Report", "_report").upper()
-            payload = dict(report.as_dict())
-            payload["kind"] = kind
-            return payload
-        return self._project_query_result(report, page_size)
-
     def _handle_sparqlml(self, params: Dict[str, object]) -> Tuple[object, object]:
-        query = str(_require(params, "query"))
-        page_size = self._coerce_page_size(params.get("page_size"))
-        kwargs = self._sparqlml_kwargs(params)
-        kind = self.sparqlml.parser.classify(query)
+        """A SPARQL-ML text of any kind, handed to the op of its kind."""
+        kind = self.sparqlml.parser.classify(str(_require(params, "query")))
         if kind == "sparql":
             # A plain text takes the sparql op's path — its deadline, its
             # scheduler, its accounting — pinned to a query: this op trains
             # and deletes models, it never applies a plain SPARQL update.
-            return self._handle_sparql(
-                {"query": query, "page_size": page_size, "require": "query"})
+            return self._handle_sparql(dict(params, require="query"))
         if kind == "select":
-            return self._handle_sparqlml_select(
-                {"query": query, "page_size": page_size,
-                 "objective": kwargs.get("objective"),
-                 "force_plan": kwargs.get("force_plan")})
+            return self._handle_sparqlml_select(params)
         if self.read_only:
             raise ReadOnlyReplicaError(
                 f"SPARQL-ML {kind} statements are not available on a "
                 "read-only replica; send writes to the primary")
         if kind == "train":
-            kwargs.pop("objective", None)
-            kwargs.pop("force_plan", None)
-            report = self.sparqlml.execute_train(query, **kwargs)
-        else:
-            report = self.sparqlml.execute_delete(query)
-        return (lambda: self._project_report(report, page_size)), report
+            return self._handle_train(params)
+        return self._handle_delete_models(params)
 
     def _handle_sparqlml_select(self, params: Dict[str, object]) -> Tuple[object, object]:
         query = str(_require(params, "query"))
         page_size = self._coerce_page_size(params.get("page_size"))
-        timeout = self._coerce_timeout(params.get("timeout"))
+        context = ExecutionContext(
+            timeout=self._coerce_timeout(params.get("timeout")))
         report = self.sparqlml.execute_select(
             query,
             objective=_as_objective(params.get("objective")),
             force_plan=params.get("force_plan"),
-            context=None if timeout is None
-            else ExecutionContext(timeout=timeout))
-        return (lambda: self._project_report(report, page_size)), report
+            context=context)
+
+        def project() -> Dict[str, object]:
+            payload = report.as_payload()
+            page, cursor = self._paginate(payload.pop("rows"), page_size)
+            payload.update({"kind": "SELECT_REPORT", "rows": page,
+                            "next_cursor": cursor})
+            return payload
+        return project, report
 
     def _handle_train(self, params: Dict[str, object]) -> Tuple[Dict[str, object], object]:
         meta_sampling = _as_meta_sampling(params.get("meta_sampling"))
@@ -734,21 +700,17 @@ class APIRouter:
         predicted = self.gmlaas.infer_node_class(model_uri, node)
         return {"model_uri": model_uri, "node": node, "output": predicted}, predicted
 
-    def _handle_infer_links(self, params: Dict[str, object]) -> Tuple[Dict[str, object], object]:
+    def _handle_infer_ranked(self, name: str, mode: str,
+                             params: Dict[str, object]) -> Tuple[Dict[str, object], object]:
+        """``infer_links`` / ``infer_similar``: the ``k`` best-ranked
+        entities for the one input named ``name``."""
         model_uri = _as_iri_text(_require(params, "model_uri"), "model_uri")
-        source = _as_iri_text(_require(params, "source"), "source")
+        value = _as_iri_text(_require(params, name), name)
         k = self._coerce_k(params)
-        links = self.gmlaas.infer_links(model_uri, source, k=k)
-        return {"model_uri": model_uri, "source": source, "k": k,
-                "output": links}, links
-
-    def _handle_infer_similar(self, params: Dict[str, object]) -> Tuple[Dict[str, object], object]:
-        model_uri = _as_iri_text(_require(params, "model_uri"), "model_uri")
-        entity = _as_iri_text(_require(params, "entity"), "entity")
-        k = self._coerce_k(params)
-        similar = self.gmlaas.infer_similar_entities(model_uri, entity, k=k)
-        return {"model_uri": model_uri, "entity": entity, "k": k,
-                "output": similar}, similar
+        ranked = self.gmlaas.infer_batch(model_uri, [value], k=k,
+                                         mode=mode)[0]["output"]
+        return {"model_uri": model_uri, name: value, "k": k,
+                "output": ranked}, ranked
 
     def _handle_infer_batch(self, params: Dict[str, object]) -> Tuple[Dict[str, object], object]:
         model_uri = _as_iri_text(_require(params, "model_uri"), "model_uri")
@@ -886,13 +848,8 @@ class APIRouter:
             graph_iri = _as_iri_text(params["graph_iri"], "graph_iri")
             kwargs["graph_iri"] = graph_iri
         if params.get("batch_size") is not None:
-            try:
-                batch_size = int(params["batch_size"])
-            except (TypeError, ValueError):
-                raise BadRequestError("'batch_size' must be an integer")
-            if batch_size <= 0:
-                raise BadRequestError("'batch_size' must be positive")
-            kwargs["batch_size"] = batch_size
+            kwargs["batch_size"] = self._coerce_positive_int(
+                params["batch_size"], "batch_size")
         report = storage.bulk_load(text, **kwargs)
         result = dict(report.as_dict())
         # graph_triples counts the *target* graph (named or default);

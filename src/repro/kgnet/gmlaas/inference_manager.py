@@ -2,26 +2,40 @@
 
 The paper's GMLaaS receives HTTP calls from the RDF engine's UDFs, runs the
 requested model and serialises the result back as JSON (§IV-A).  The
-:class:`GMLInferenceManager` is that component: every public method counts as
-one "HTTP call" (so the query-plan experiments can report call counts), takes
-plain strings/URIs in, and returns JSON-serialisable Python structures.
+:class:`GMLInferenceManager` is that component.  It has two prediction
+routes, each one "HTTP call" (so the query-plan experiments can report call
+counts): :meth:`~GMLInferenceManager.infer`, the predictions for a batch of
+inputs — the Fig 11 plan calls it with one input per target, the ``infer``
+plan node with a batch — and
+:meth:`~GMLInferenceManager.get_node_class_dictionary`, the whole
+node -> class dictionary of the Fig 12 plan.  Both take plain strings/URIs
+in and return JSON-serialisable Python structures.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import InferenceError, ModelNotFoundError
+from repro.exceptions import InferenceError, PlatformError
 from repro.gml.tasks import TaskType
 from repro.kgnet.gmlaas.embedding_store import EmbeddingStore
 from repro.kgnet.gmlaas.model_store import ModelStore, StoredModel
 from repro.rdf.terms import IRI
 
 __all__ = ["GMLInferenceManager"]
+
+#: The prediction a model answers when the caller names no ``mode``.
+_MODE_OF_TASK = {TaskType.NODE_CLASSIFICATION: "class",
+                 TaskType.LINK_PREDICTION: "links",
+                 TaskType.ENTITY_SIMILARITY: "similar"}
+
+
+def _text(value) -> str:
+    return value.value if isinstance(value, IRI) else str(value)
 
 
 class GMLInferenceManager:
@@ -44,7 +58,7 @@ class GMLInferenceManager:
         #: Simulated per-call latency of the HTTP hop between the RDF engine
         #: and GMLaaS (seconds).  Zero by default; tests set it to model
         #: the paper's deployment, where every inference call is a real
-        #: network round-trip — exactly what the batched routes amortise.
+        #: network round-trip — exactly what batching amortises.
         self.call_latency_seconds = 0.0
 
     # ------------------------------------------------------------------
@@ -60,24 +74,36 @@ class GMLInferenceManager:
             self.http_calls = 0
             self.calls_by_model.clear()
 
-    def _stored(self, model_uri) -> StoredModel:
-        try:
-            return self.model_store.get(model_uri)
-        except ModelNotFoundError:
-            raise
     # ------------------------------------------------------------------
-    # Node classification
+    # The two prediction routes
     # ------------------------------------------------------------------
-    def get_node_class(self, model_uri, node_iri) -> Optional[str]:
-        """Predicted class of one node (one HTTP call)."""
-        key = model_uri.value if isinstance(model_uri, IRI) else str(model_uri)
+    def infer(self, model_uri, inputs: Sequence, mode: Optional[str] = None,
+              k: int = 10) -> List[object]:
+        """Predictions for ``inputs`` in one HTTP call, in input order.
+
+        ``mode`` is ``"class"`` (the predicted class, a string), ``"links"``
+        (the ``k`` best destinations of a source) or ``"similar"`` (the ``k``
+        entities nearest in embedding space); omitted, it follows the model's
+        task type.  A ranking is a list of ``{"entity", "score", "rank"}``,
+        best first.  An input the model does not know gets ``None`` for a
+        class and ``[]`` for a ranking; a model that cannot answer ``mode``
+        raises :class:`~repro.exceptions.InferenceError` for the whole call.
+        """
+        key = _text(model_uri)
         self._record_call(key)
-        stored = self._stored(model_uri)
-        if stored.task_type != TaskType.NODE_CLASSIFICATION:
-            raise InferenceError(f"model {key!r} is not a node classifier")
-        prediction_map: Dict[str, str] = stored.artifact("prediction_map", {})
-        node_key = node_iri.value if isinstance(node_iri, IRI) else str(node_iri)
-        return prediction_map.get(node_key)
+        stored = self.model_store.get(key)
+        if mode is None:
+            mode = _MODE_OF_TASK.get(stored.task_type)
+        inputs = [_text(value) for value in inputs]
+        if mode == "class":
+            return list(map(self._prediction_map(stored, key).get, inputs))
+        if mode == "links":
+            return self._links_for(stored, key, inputs, k)
+        if mode == "similar":
+            return self._similar_for(stored, key, inputs, k)
+        raise InferenceError(
+            f"cannot infer with model {key!r} "
+            f"(task_type={stored.task_type!r}, mode={mode!r})")
 
     def get_node_class_dictionary(self, model_uri,
                                   node_iris: Optional[List[str]] = None) -> Dict[str, str]:
@@ -86,41 +112,26 @@ class GMLInferenceManager:
         This is the inner sub-select of the paper's Fig 12 plan: one call
         returns the whole dictionary and the outer query looks values up.
         """
-        key = model_uri.value if isinstance(model_uri, IRI) else str(model_uri)
+        key = _text(model_uri)
         self._record_call(key)
-        stored = self._stored(model_uri)
-        if stored.task_type != TaskType.NODE_CLASSIFICATION:
-            raise InferenceError(f"model {key!r} is not a node classifier")
-        prediction_map: Dict[str, str] = stored.artifact("prediction_map", {})
+        prediction_map = self._prediction_map(self.model_store.get(key), key)
         if node_iris is None:
             return dict(prediction_map)
         return {node: prediction_map[node] for node in map(str, node_iris)
                 if node in prediction_map}
 
     # ------------------------------------------------------------------
+    # Node classification
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _prediction_map(stored: StoredModel, key: str) -> Dict[str, str]:
+        if stored.task_type != TaskType.NODE_CLASSIFICATION:
+            raise InferenceError(f"model {key!r} is not a node classifier")
+        return stored.artifact("prediction_map", {})
+
+    # ------------------------------------------------------------------
     # Link prediction
     # ------------------------------------------------------------------
-    def get_predicted_links(self, model_uri, source_iri, k: int = 10) -> List[Dict[str, object]]:
-        """Top-k predicted destination entities for one source node."""
-        key = model_uri.value if isinstance(model_uri, IRI) else str(model_uri)
-        self._record_call(key)
-        source = source_iri.value if isinstance(source_iri, IRI) else str(source_iri)
-        return self._links_for(self._stored(model_uri), key, [source], k)[0]
-
-    def get_predicted_links_batch(self, model_uri, source_iris,
-                                  k: int = 10) -> Dict[str, List[Dict[str, object]]]:
-        """Top-k predicted links for many source nodes in *one* HTTP call.
-
-        The batched route amortises the per-call dispatch overhead: the model
-        artefacts are fetched once and the whole batch is scored against them.
-        """
-        key = model_uri.value if isinstance(model_uri, IRI) else str(model_uri)
-        self._record_call(key)
-        sources = [source.value if isinstance(source, IRI) else str(source)
-                   for source in source_iris]
-        return dict(zip(sources, self._links_for(
-            self._stored(model_uri), key, sources, k)))
-
     def _links_for(self, stored: StoredModel, key: str, sources: List[str],
                    k: int) -> List[List[Dict[str, object]]]:
         """Per source, its ``k`` best candidate tails, best first.
@@ -188,52 +199,23 @@ class GMLInferenceManager:
     # ------------------------------------------------------------------
     # Entity similarity
     # ------------------------------------------------------------------
-    def index_embeddings(self, model_uri, collection: Optional[str] = None) -> str:
-        """Register a model's entity embeddings in the embedding store."""
-        stored = self._stored(model_uri)
-        embeddings = stored.artifact("entity_embeddings")
-        names = stored.artifact("entity_names", [])
-        if embeddings is None or not len(names):
-            raise InferenceError("model has no entity embeddings to index")
-        collection = collection or (model_uri.value if isinstance(model_uri, IRI)
-                                    else str(model_uri))
-        self.embedding_store.create_collection(collection, names, embeddings)
-        return collection
-
-    def get_similar_entities(self, model_uri, entity_iri, k: int = 10) -> List[Dict[str, object]]:
-        """Top-k most similar entities by embedding cosine similarity."""
-        key = model_uri.value if isinstance(model_uri, IRI) else str(model_uri)
-        self._record_call(key)
-        return self._similar_for(model_uri, key, entity_iri, k)
-
-    def get_similar_entities_batch(self, model_uri, entity_iris,
-                                   k: int = 10) -> Dict[str, List[Dict[str, object]]]:
-        """Similarity search for many entities in *one* HTTP call.
-
-        Per-entity failures (an entity missing from the collection) yield an
-        empty result list instead of aborting the batch: one unknown entity
-        must not fail its batch neighbours.  Model-level failures (no embeddings to index) still
-        raise for the whole batch, matching the single-entity route.
-        """
-        key = model_uri.value if isinstance(model_uri, IRI) else str(model_uri)
-        self._record_call(key)
-        if not self.embedding_store.has_collection(key):
-            self.index_embeddings(model_uri, key)
-        results: Dict[str, List[Dict[str, object]]] = {}
-        for entity in entity_iris:
+    def _similar_for(self, stored: StoredModel, key: str, entities: List[str],
+                     k: int) -> List[List[Dict[str, object]]]:
+        """Per entity, the ``k`` nearest other entities of the model's
+        embedding collection (indexed on first use), best first."""
+        store = self.embedding_store
+        if not store.has_collection(key):
+            embeddings = stored.artifact("entity_embeddings")
+            names = stored.artifact("entity_names", [])
+            if embeddings is None or not len(names):
+                raise InferenceError(f"model {key!r} has no entity embeddings")
+            store.create_collection(key, names, embeddings)
+        results = []
+        for entity in entities:
             try:
-                results[str(entity)] = self._similar_for(model_uri, key, entity, k)
-            except InferenceError:
-                results[str(entity)] = []
+                found = store.similar_to(key, entity, k=k)
+            except PlatformError:  # not in the collection
+                found = []
+            results.append([{"entity": r.key, "score": r.score, "rank": r.rank}
+                            for r in found])
         return results
-
-    def _similar_for(self, model_uri, collection: str, entity_iri,
-                     k: int) -> List[Dict[str, object]]:
-        if not self.embedding_store.has_collection(collection):
-            self.index_embeddings(model_uri, collection)
-        entity_key = entity_iri.value if isinstance(entity_iri, IRI) else str(entity_iri)
-        try:
-            results = self.embedding_store.similar_to(collection, entity_key, k=k)
-        except Exception as exc:
-            raise InferenceError(f"similarity search failed: {exc}") from exc
-        return [{"entity": r.key, "score": r.score, "rank": r.rank} for r in results]

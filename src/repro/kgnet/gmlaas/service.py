@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.exceptions import InferenceError, ModelNotFoundError
-from repro.gml.tasks import TaskSpec, TaskType
+from repro.exceptions import ModelNotFoundError
+from repro.gml.tasks import TaskSpec
 from repro.gml.train.budget import TaskBudget
 from repro.kgnet.gmlaas.embedding_store import EmbeddingStore
 from repro.kgnet.gmlaas.inference_manager import GMLInferenceManager
@@ -106,57 +106,31 @@ class GMLaaS:
         )
 
     # ------------------------------------------------------------------
-    # Inference API (each method = one HTTP endpoint)
+    # Inference API: each method is one HTTP call, each a form of
+    # GMLInferenceManager.infer but the Fig 12 dictionary
     # ------------------------------------------------------------------
     def infer_node_class(self, model_uri, node_iri) -> Optional[str]:
-        return self.inference_manager.get_node_class(model_uri, node_iri)
+        return self.inference_manager.infer(model_uri, [node_iri], "class")[0]
 
     def infer_node_class_dictionary(self, model_uri,
                                     node_iris: Optional[List[str]] = None) -> Dict[str, str]:
         return self.inference_manager.get_node_class_dictionary(model_uri, node_iris)
 
     def infer_links(self, model_uri, source_iri, k: int = 10) -> List[Dict[str, object]]:
-        return self.inference_manager.get_predicted_links(model_uri, source_iri, k=k)
+        return self.inference_manager.infer(model_uri, [source_iri], "links", k)[0]
 
     def infer_similar_entities(self, model_uri, entity_iri,
                                k: int = 10) -> List[Dict[str, object]]:
-        return self.inference_manager.get_similar_entities(model_uri, entity_iri, k=k)
+        return self.inference_manager.infer(model_uri, [entity_iri], "similar", k)[0]
 
     def infer_batch(self, model_uri, inputs: Sequence[str], k: int = 10,
                     mode: Optional[str] = None) -> List[Dict[str, object]]:
-        """Run inference for many inputs in a single batched "HTTP call".
-
-        ``mode`` selects the route explicitly (``"class"``, ``"links"`` or
-        ``"similar"``); when omitted it follows the stored model's task type.
-        Returns one ``{"input": ..., "output": ...}`` record per input, in
-        input order — ``output`` is the predicted class (or None) for node
-        classification and a ranked candidate list otherwise.
-        """
-        key = model_uri.value if isinstance(model_uri, IRI) else str(model_uri)
-        stored = self.model_store.get(key)
-        if mode is None:
-            mode = {TaskType.NODE_CLASSIFICATION: "class",
-                    TaskType.LINK_PREDICTION: "links",
-                    TaskType.ENTITY_SIMILARITY: "similar"}.get(stored.task_type)
+        """:meth:`GMLInferenceManager.infer` as one ``{"input": ...,
+        "output": ...}`` record per input, in input order."""
         inputs = [value.value if isinstance(value, IRI) else str(value)
                   for value in inputs]
-        if mode == "class":
-            predictions = self.inference_manager.get_node_class_dictionary(key, inputs)
-            return [{"input": node, "output": predictions.get(node)}
-                    for node in inputs]
-        if mode == "links":
-            by_source = self.inference_manager.get_predicted_links_batch(
-                key, inputs, k=k)
-            return [{"input": source, "output": by_source.get(source, [])}
-                    for source in inputs]
-        if mode == "similar":
-            by_entity = self.inference_manager.get_similar_entities_batch(
-                key, inputs, k=k)
-            return [{"input": entity, "output": by_entity.get(entity, [])}
-                    for entity in inputs]
-        raise InferenceError(
-            f"cannot infer batch mode for model {key!r} "
-            f"(task_type={stored.task_type!r}, mode={mode!r})")
+        return [{"input": value, "output": output} for value, output in zip(
+            inputs, self.inference_manager.infer(model_uri, inputs, mode, k))]
 
     # ------------------------------------------------------------------
     # Model management

@@ -70,11 +70,6 @@ class UnionGraphView:
         """The dataset epoch token this view pins (plan-cache key)."""
         return self._epoch
 
-    @property
-    def stats_epoch(self):
-        """Version of the optimizer statistics — the pinned dataset token."""
-        return self._epoch
-
     def decode_id(self, term_id: int) -> Term:
         return self._dict.decode(term_id)
 

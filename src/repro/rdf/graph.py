@@ -162,17 +162,6 @@ class Graph:
         """Mutation counter; any change to the triple set bumps it."""
         return self._epoch
 
-    @property
-    def stats_epoch(self) -> int:
-        """Version of the optimizer statistics (cardinality/distinct counts).
-
-        The counters are maintained inline on the write path, so they
-        advance in lock-step with :attr:`epoch`; plan caches key on this
-        separately so a future sampled/deferred statistics refresh can
-        invalidate plans without a triple-set change (and vice versa).
-        """
-        return self._epoch
-
     def decode_id(self, term_id: int) -> Term:
         return self._dict.decode(term_id)
 

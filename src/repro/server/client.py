@@ -33,7 +33,7 @@ import random
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 from urllib.parse import quote, urlsplit
 
 from repro.exceptions import APIError, ResultStreamCut
@@ -45,6 +45,25 @@ from repro.sparql.results.serialize import MEDIA_JSON
 __all__ = ["RemoteClient"]
 
 _FORM = "application/x-www-form-urlencoded"
+
+
+def _error_from(status: int, body: Union[str, bytes], what: str) -> BaseException:
+    """Rebuild the server's typed exception from a non-200 response.
+
+    Error responses carry the standard error envelope; when it parses, the
+    caller gets the same exception class an in-process dispatch would have
+    raised (a replica refusing an update raises
+    :class:`~repro.exceptions.ReadOnlyReplicaError`, a pruned WAL range
+    :class:`~repro.exceptions.WalTruncatedError` — not a bare
+    :class:`APIError` the caller would have to string-match).
+    """
+    try:
+        payload = json.loads(body)
+        if isinstance(payload, dict) and isinstance(payload.get("error"), dict):
+            return exception_from_payload(payload["error"])
+    except ValueError:  # not JSON (UnicodeDecodeError is a ValueError too)
+        pass
+    return APIError(f"{what} failed: HTTP {status}: {body[:500]!r}")
 
 
 class RemoteClient(APIClient):
@@ -302,26 +321,6 @@ class RemoteClient(APIClient):
         content_type = headers.get("content-type", "").split(";", 1)[0].strip()
         return status, content_type, body.decode("utf-8")
 
-    def _protocol_error(self, status: int, text: str,
-                        what: str) -> BaseException:
-        """Rebuild the server's typed exception from an error envelope.
-
-        Non-200 protocol responses carry the standard error envelope; when
-        it parses, the caller gets the same exception class an in-process
-        dispatch would have raised (a replica refusing an update raises
-        :class:`~repro.exceptions.ReadOnlyReplicaError`, not a bare
-        :class:`APIError` the router would have to string-match).
-        """
-        try:
-            payload = json.loads(text)
-            if isinstance(payload, dict) and isinstance(
-                    payload.get("error"), dict):
-                return exception_from_payload(payload["error"])
-        except ValueError:
-            pass
-        return APIError(f"SPARQL protocol {what} failed: HTTP {status}: "
-                        f"{text[:500]}")
-
     def protocol_select(self, query: str,
                         default_graph_uris: Optional[List[str]] = None,
                         accept: str = MEDIA_JSON,
@@ -353,13 +352,13 @@ class RemoteClient(APIClient):
                 exc.partial_body.decode("utf-8", "replace"), media,
                 partial=True)
         if status != 200:
-            raise self._protocol_error(status, body, "query")
+            raise _error_from(status, body, "SPARQL protocol query")
         return parse_select_bindings(body, content_type)
 
     def protocol_ask(self, query: str, accept: str = MEDIA_JSON) -> bool:
         status, content_type, body = self.protocol_query(query, accept=accept)
         if status != 200:
-            raise self._protocol_error(status, body, "ASK")
+            raise _error_from(status, body, "SPARQL protocol ASK")
         return parse_ask(body, content_type)
 
     def protocol_update(self, update: str,
@@ -380,30 +379,18 @@ class RemoteClient(APIClient):
             payload = None
         if status != 200 or not isinstance(payload, dict) \
                 or not payload.get("ok", False):
-            raise self._protocol_error(status, text, "update")
+            raise _error_from(status, text, "SPARQL protocol update")
         return payload
 
     # ------------------------------------------------------------------
     # Replication transport (used by ReplicaEngine / ReplicaSetClient)
     # ------------------------------------------------------------------
-    def _replication_error(self, status: int, headers: Dict[str, str],
-                           body: bytes, what: str) -> BaseException:
-        """Rebuild the server's exception from a replication error response."""
-        try:
-            payload = json.loads(body.decode("utf-8"))
-            if isinstance(payload, dict) and "error" in payload:
-                return exception_from_payload(payload["error"])
-        except (ValueError, UnicodeDecodeError):
-            pass
-        return APIError(f"replication {what} failed: HTTP {status}: "
-                        f"{body[:200]!r}")
-
     def replication_status(self) -> Dict[str, object]:
         """The peer's replication status document (role, seqs, window)."""
-        status, headers, body = self._request(
+        status, _, body = self._request(
             "GET", "/kgnet/v1/replication/status")
         if status != 200:
-            raise self._replication_error(status, headers, body, "status")
+            raise _error_from(status, body, "replication status")
         return json.loads(body.decode("utf-8"))
 
     def replication_wal(self, after_seq: int) -> bytes:
@@ -413,10 +400,10 @@ class RemoteClient(APIClient):
         the server's 410) when retention already pruned the range — the
         caller falls back to :meth:`replication_snapshot`.
         """
-        status, headers, body = self._request(
+        status, _, body = self._request(
             "GET", f"/kgnet/v1/replication/wal?after_seq={int(after_seq)}")
         if status != 200:
-            raise self._replication_error(status, headers, body, "wal fetch")
+            raise _error_from(status, body, "replication wal fetch")
         return body
 
     def replication_snapshot(self) -> Tuple[bytes, int]:
@@ -424,7 +411,7 @@ class RemoteClient(APIClient):
         status, headers, body = self._request(
             "GET", "/kgnet/v1/replication/snapshot")
         if status != 200:
-            raise self._replication_error(status, headers, body, "snapshot")
+            raise _error_from(status, body, "replication snapshot")
         try:
             seq = int(headers.get("x-kgnet-snapshot-seq", "0"))
         except ValueError:

@@ -219,26 +219,20 @@ class SPARQLEndpoint:
     def _evaluation_graph(self, query: Query) -> Graph:
         """Pick the *snapshot* a query runs against.
 
-        ``FROM <g>`` selects a named graph; multiple FROM clauses (or none)
-        use the union/default graph, matching how the platform stores KGMeta
-        alongside the data KG.  Every path returns a pinned point-in-time
-        view, so a concurrent writer can never tear an in-flight query.  The
-        no-FROM union graph is materialised once per dataset epoch (cached
-        on the :class:`~repro.rdf.dataset.DatasetSnapshot`), so the common
-        mixed KGMeta + data query path does not pay a union rebuild per
-        request — and its identity is stable between mutations, which keeps
-        compiled plans reusable across readers.
+        ``FROM <g> ...`` selects the union of the listed named graphs, as a
+        protocol ``default-graph-uri`` does (:meth:`_protocol_graph`); no FROM
+        uses the union of every graph, matching how the platform stores
+        KGMeta alongside the data KG.  Every path returns a pinned
+        point-in-time view, so a concurrent writer can never tear an
+        in-flight query, and a logical one built once per dataset epoch
+        (cached on the :class:`~repro.rdf.dataset.DatasetSnapshot`): no
+        request pays a union rebuild, and the view's identity is stable
+        between mutations, which keeps compiled plans reusable across
+        readers.
         """
         from_graphs = getattr(query, "from_graphs", [])
         if from_graphs:
-            snapshot = self.dataset.snapshot()
-            if len(from_graphs) == 1 and snapshot.has_graph(from_graphs[0]):
-                return snapshot.graph(from_graphs[0])
-            union = Graph(namespaces=self.namespaces.copy())
-            for graph_iri in from_graphs:
-                if snapshot.has_graph(graph_iri):
-                    union.add_all(snapshot.graph(graph_iri))
-            return union
+            return self._protocol_graph(from_graphs)
         if any(True for _ in self.dataset.named_graphs()):
             # Default behaviour: query the union of default + named graphs so
             # KGMeta triple patterns and data triple patterns can be mixed in
@@ -547,9 +541,9 @@ class SPARQLEndpoint:
 
         ``statistics`` reports how the plan interacts with the caches: the
         parse/plan-cache outcome for this text (``plan_cache_hit``) plus the
-        dataset epoch and the evaluation graph's statistics epoch — the keys
-        under which the tree is cached, so two ``explain`` calls with equal
-        epochs describe the same tree, the one ``query`` runs.
+        dataset epoch — the key under which the tree is cached, so two
+        ``explain`` calls with equal epochs describe the same tree, the one
+        ``query`` runs.
 
         With ``analyze=True`` the WHERE group is executed once, to
         exhaustion, and the counters of that run are printed: ``rows_out``
@@ -578,7 +572,6 @@ class SPARQLEndpoint:
             "statistics": {
                 "plan_cache_hit": cache_hit,
                 "dataset_epoch": self.dataset.epoch(),
-                "stats_epoch": getattr(graph, "stats_epoch", None),
                 "num_triples": len(graph),
             },
             "plan": render(tree.where + tree.infer, graph,

@@ -33,8 +33,9 @@ that binds directly into the row.  Trees are cached per (graph, epoch) by a
 run counts (index lookups per BGP step, rows out per node, inference calls
 per ``infer`` node) lives here.
 
-Every operator cooperates with an optional per-query
-:class:`~repro.sparql.execution.ExecutionContext`: the hot join loops tick an
+Every operator cooperates with the query's
+:class:`~repro.sparql.execution.ExecutionContext` (one with no limits when
+the caller passes none): the hot join loops tick an
 amortised checkpoint (one call per 256 iterations) and every batch handed on
 checkpoints once with its row count, letting a deadline, cancellation event,
 or work budget stop a hostile query with a typed
@@ -121,9 +122,9 @@ class QueryEvaluator:
         self.udfs = udfs or UDFRegistry()
         self.optimize_joins = optimize_joins
         self.plan = plan
-        #: Cooperative-interruption state; ``None`` runs unguarded.
-        self.execution = execution
-        self._checkpoint = execution.checkpoint if execution is not None else None
+        #: Cooperative-interruption state: the caller's, or one with no limits.
+        self.execution = execution or ExecutionContext()
+        self._checkpoint = self.execution.checkpoint
         #: id <-> term for this query: the dictionary plus private ids for
         #: computed terms.  Consumers of id rows decode through it.
         self.terms = DictionaryOverlay(graph.dictionary)
@@ -200,9 +201,7 @@ class QueryEvaluator:
             start = query.offset or 0
             batches = _slice(batches, start, None if query.limit is None
                              else start + query.limit)
-        if self.execution is not None:
-            batches = self._counted(batches)
-        return variables, batches
+        return variables, self._counted(batches)
 
     def plan_for(self, scope) -> Plan:
         """The plan tree of a SELECT, or of the WHERE group of anything else:
@@ -287,8 +286,7 @@ class QueryEvaluator:
             batch = list(islice(rows, size))
             if not batch:
                 return
-            if checkpoint is not None:
-                checkpoint(len(batch))
+            checkpoint(len(batch))
             yield batch
             if size < BATCH_ROWS:
                 size *= 2
@@ -304,8 +302,6 @@ class QueryEvaluator:
     def _ticker(self) -> Callable[[], None]:
         """An amortised per-iteration checkpoint for frontier loops."""
         checkpoint = self._checkpoint
-        if checkpoint is None:
-            return lambda: None
         ticks = 0
 
         def tick() -> None:
@@ -439,8 +435,7 @@ class QueryEvaluator:
                 probe = direct_values(*resolve(ispec)[:3], iposition)
                 if not probe:
                     return ()
-                if checkpoint is not None:
-                    checkpoint(min(len(values), len(probe)))
+                checkpoint(min(len(values), len(probe)))
                 values = values & probe
             return values
 
@@ -456,8 +451,7 @@ class QueryEvaluator:
                 return False
             for fold, (ispec, _) in enumerate(intersectors[level]):
                 narrowed[level][fold] += 1
-                if checkpoint is not None:
-                    checkpoint(1)
+                checkpoint(1)
                 if not contains_ids(*resolve(ispec)[:3]):
                     return False
             return True
@@ -492,7 +486,7 @@ class QueryEvaluator:
                             # where a cross-product adversary spends its life.
                             for triple in triples_ids(s, p, o):
                                 ticks += 1
-                                if checkpoint is not None and not ticks & 255:
+                                if not ticks & 255:
                                     checkpoint(256)
                                 row = env[:]
                                 for position, slot in unb:
@@ -517,7 +511,7 @@ class QueryEvaluator:
                     # backtracking while scans run dry.
                     while level >= 0:
                         ticks += 1
-                        if checkpoint is not None and not ticks & 255:
+                        if not ticks & 255:
                             checkpoint(256)
                         for slot in pending[level]:
                             env[slot] = None
@@ -660,8 +654,7 @@ class QueryEvaluator:
         context = self.context
         checkpoint = self._checkpoint
         for batch in batches:
-            if checkpoint is not None:
-                checkpoint(len(batch))
+            checkpoint(len(batch))
             kept = [row for row in batch if test(row, context)]
             if kept:
                 yield kept
@@ -715,8 +708,7 @@ class QueryEvaluator:
             return False
 
         for batch in batches:
-            if checkpoint is not None:
-                checkpoint(len(batch))
+            checkpoint(len(batch))
             if excluded is None:
                 excluded = _flatten(self._run(
                     node.groups[0], iter(([layout.blank()],)), layout))
@@ -730,8 +722,7 @@ class QueryEvaluator:
         value_id = self._id_fn(cell)
         checkpoint = self._checkpoint
         for batch in batches:
-            if checkpoint is not None:
-                checkpoint(len(batch))
+            checkpoint(len(batch))
             bound = []
             for row in batch:
                 value = value_id(row)
@@ -801,8 +792,7 @@ class QueryEvaluator:
             step = resolver.limit or len(pending) or 1
             for start in range(0, len(pending), step):
                 chunk = pending[start:start + step]
-                if checkpoint is not None:
-                    checkpoint(len(chunk))
+                checkpoint(len(chunk))
                 outputs, calls = self.udfs.call_batch(name, inputs_of(chunk))
                 counts[0] += calls
                 resolved.update(zip(chunk, map(value_id, outputs)))
@@ -993,12 +983,11 @@ class QueryEvaluator:
             plan = self.plan_for(update)
             layout = plan.layout
             rows = _flatten(self._rows(plan))
-            if self.execution is not None:
-                # Last exit before mutation: a deadline or cancellation that
-                # trips here aborts with the graph untouched; past this point
-                # the update runs to completion, so no reader ever observes a
-                # half-applied MODIFY.
-                self.execution.checkpoint(0)
+            # Last exit before mutation: a deadline or cancellation that trips
+            # here aborts with the graph untouched; past this point the update
+            # runs to completion, so no reader ever observes a half-applied
+            # MODIFY.
+            self._checkpoint(0)
             graph = target(update.graph)
             affected = 0
             for row in rows:

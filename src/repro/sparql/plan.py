@@ -762,15 +762,14 @@ class QueryPlan:
     """The plan trees of one parsed query, *per evaluation target*.
 
     :meth:`tree_for` hands each evaluator the tree built for its exact graph
-    object and join-optimization flag, stamped with the graph's mutation and
-    statistics epochs: a tree from any other epoch is dropped, so a cached
-    plan can never serve ids or join orders compiled under other conditions
-    (orders are a function of the statistics, so a refresh invalidates them
-    even if it were ever decoupled from the mutation counter).  Readers of
-    *different* pinned snapshots (e.g. across a writer's commit) get
-    independent trees, readers of one snapshot share one.  Graphs are held
-    via weakref and verified by identity, so a recycled ``id()`` can never
-    alias a dead graph's compiled ids.
+    object and join-optimization flag, stamped with the graph's epoch: a tree
+    from any other epoch is dropped, so a cached plan can never serve ids or
+    join orders compiled under other conditions (the optimizer statistics
+    are maintained on the write path, so they change with the epoch).
+    Readers of *different* pinned snapshots (e.g. across a writer's commit)
+    get independent trees, readers of one snapshot share one.  Graphs are
+    held via weakref and verified by identity, so a recycled ``id()`` can
+    never alias a dead graph's compiled ids.
     """
 
     #: Retained (scope, graph, flag) trees; evicted oldest-first.
@@ -782,7 +781,7 @@ class QueryPlan:
     def tree_for(self, scope, graph: Graph, optimize_joins: bool,
                  udfs: Optional[UDFRegistry] = None) -> Plan:
         key = (id(scope), id(graph), optimize_joins)
-        epoch = (graph.epoch, getattr(graph, "stats_epoch", None))
+        epoch = graph.epoch
         held, _ = self._trees.get(key, epoch)
         if held is None or held[0]() is not graph or held[1].scope is not scope:
             # Concurrent evaluators may both build the same tree; either is

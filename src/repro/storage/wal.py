@@ -412,14 +412,20 @@ def iter_transaction_bytes(path: str,
     except FileNotFoundError:
         return
     with handle:
-        pending = bytearray()
-        for payload, _end in iter_frames_file(handle):
-            pending += encode_frame(payload)
-            seq = _commit_seq_of(payload)
-            if seq is not None:
-                if seq > after_seq:
-                    yield seq, bytes(pending)
-                pending = bytearray()
+        yield from _transactions(iter_frames_file(handle), after_seq)
+
+
+def _transactions(frames, after_seq: int = 0) -> Iterator[Tuple[int, bytes]]:
+    """``(seq, raw_bytes)`` per committed transaction of a frame source with
+    seq > ``after_seq``: its frames accumulated up to its commit frame."""
+    pending = bytearray()
+    for payload, _end in frames:
+        pending += encode_frame(payload)
+        seq = _commit_seq_of(payload)
+        if seq is not None:
+            if seq > after_seq:
+                yield seq, bytes(pending)
+            pending = bytearray()
 
 
 def decode_transaction_ops(raw: bytes) -> Tuple[int, List[WalOp]]:
@@ -447,13 +453,7 @@ def split_transaction_stream(data: bytes) -> Iterator[Tuple[int, bytes]]:
     connection torn mid-chunk simply ends the stream at the last complete
     transaction — exactly the crash semantics the on-disk log already has.
     """
-    pending = bytearray()
-    for payload, _end in iter_frames(data):
-        pending += encode_frame(payload)
-        seq = _commit_seq_of(payload)
-        if seq is not None:
-            yield seq, bytes(pending)
-            pending = bytearray()
+    return _transactions(iter_frames(data))
 
 
 class WalReplay:

@@ -13,7 +13,7 @@ from typing import List
 
 import pytest
 
-from repro.concurrency import AtomicCounter, WorkerPool
+from repro.concurrency import WorkerPool
 from repro.gml.tasks import TaskType
 from repro.kgnet import KGNet
 from repro.kgnet.api.envelopes import APIRequest
@@ -46,20 +46,6 @@ def _hammer(target, threads: int = THREADS) -> None:
         worker.join(timeout=60)
     if errors:
         raise errors[0]
-
-
-class TestAtomicCounter:
-    def test_no_lost_updates(self):
-        counter = AtomicCounter()
-        _hammer(lambda: [counter.increment() for _ in range(PER_THREAD)])
-        assert counter.value == THREADS * PER_THREAD
-
-    def test_int_compatibility(self):
-        counter = AtomicCounter(3)
-        counter.add(4)
-        assert int(counter) == 7
-        assert counter.value == 7
-        assert list(range(counter)) == list(range(7))  # __index__
 
 
 @pytest.mark.concurrency
@@ -120,7 +106,7 @@ class TestCounterContention:
 
         def worker():
             for _ in range(PER_THREAD // 4):
-                manager.get_node_class(model_uri, EX + "n1")
+                manager.infer(model_uri, [EX + "n1"])
 
         _hammer(worker)
         assert manager.http_calls == THREADS * (PER_THREAD // 4)
@@ -239,9 +225,10 @@ class TestConcurrentDispatch:
     def test_one_bad_similarity_input_does_not_poison_the_batch(self):
         """Regression: ``infer_batch`` must isolate per-entity failures.
 
-        One unknown entity used to abort the whole
-        ``get_similar_entities_batch`` call, failing every batch neighbour
-        that succeeds on the single-input route.
+        One unknown entity used to abort the whole batched similarity call,
+        failing every batch neighbour that succeeds alone; every prediction
+        now goes through ``GMLInferenceManager.infer``, where an unknown
+        input gets an empty ranking on every mode.
         """
         import numpy as np
         platform = KGNet()

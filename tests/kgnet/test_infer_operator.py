@@ -420,10 +420,9 @@ class TestBatchedLinkPrediction:
         assert batch[17]["output"] == []
         manager = platform.gmlaas.inference_manager
         for source, record in zip(sources, batch):
-            alone = manager.get_predicted_links(uri, source, k=k)
+            alone = manager.infer(uri, [source], "links", k)[0]
             assert alone == record["output"]          # entities, ranks, scores
-            assert alone == manager.get_predicted_links_batch(
-                uri, [source], k=k)[source]
+            assert alone == platform.gmlaas.infer_links(uri, source, k=k)
         # Every prefix of the ranking is the top-k of that k.
         top3 = platform.gmlaas.infer_batch(uri, sources[:40], k=3, mode="links")
         assert [r["output"] for r in top3] == \

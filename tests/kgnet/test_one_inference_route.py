@@ -1,0 +1,160 @@
+"""Every prediction goes through one route: ``GMLInferenceManager.infer``.
+
+The ``infer_node_class`` / ``infer_links`` / ``infer_similar`` /
+``infer_batch`` ops, the ``GMLaaS`` facade and the SPARQL-ML UDFs all reach
+a model through that one call, so they agree by construction: an input the
+model does not know is ``None`` / ``[]`` on every op (it used to be a 500 on
+``infer_similar`` alone), a model of the wrong kind is ``INFERENCE_ERROR``,
+an unknown one ``MODEL_NOT_FOUND``, every op is one GMLaaS call, and one
+input answers the same alone as inside a batch of 256.
+"""
+
+from __future__ import annotations
+
+import json
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.gml.tasks import TaskType
+from repro.kgnet import KGNet
+from repro.kgnet.gmlaas.inference_manager import GMLInferenceManager
+from repro.kgnet.gmlaas.model_store import StoredModel
+from repro.rdf import IRI
+from repro.server.service import ServiceHandler, ServiceRequest
+
+EX = "http://example.org/"
+NAMES = [EX + f"e{i}" for i in range(300)]
+UNKNOWN = EX + "nobody"
+MODELS = {kind: EX + f"model/{kind}" for kind in ("class", "links", "similar")}
+
+#: op -> (the model it reads, the parameter naming its input, the answer for
+#: an input that model does not know)
+SINGLE_OPS = {
+    "infer_node_class": ("class", "node", None),
+    "infer_links": ("links", "source", []),
+    "infer_similar": ("similar", "entity", []),
+}
+
+
+@pytest.fixture(scope="module")
+def platform():
+    """Three small stored models: a classifier, a link predictor and an
+    embedding model, over the same 300 entities."""
+    platform = KGNet()
+    rng = np.random.default_rng(7)
+    embeddings = rng.normal(size=(len(NAMES), 8))
+    store = platform.gmlaas.model_store
+    store.add(StoredModel(
+        uri=IRI(MODELS["class"]), task_type=TaskType.NODE_CLASSIFICATION,
+        method="mlp", model=None,
+        artifacts={"prediction_map": {name: f"{EX}class/{index % 3}"
+                                      for index, name in enumerate(NAMES)}}))
+    relations = SimpleNamespace(weight=SimpleNamespace(data=rng.normal(size=(1, 8))))
+    store.add(StoredModel(
+        uri=IRI(MODELS["links"]), task_type=TaskType.LINK_PREDICTION,
+        method="distmult", model=SimpleNamespace(relation_embeddings=relations),
+        artifacts={"entity_index": {name: index for index, name in enumerate(NAMES)},
+                   "entity_embeddings": embeddings,
+                   "candidate_tails": np.arange(0, len(NAMES), 7),
+                   "entity_names": NAMES, "target_relation": 0}))
+    store.add(StoredModel(
+        uri=IRI(MODELS["similar"]), task_type=TaskType.ENTITY_SIMILARITY,
+        method="kge", model=None,
+        artifacts={"entity_embeddings": embeddings, "entity_names": NAMES}))
+    return platform
+
+
+def post(platform, op: str, **params):
+    """One op over the service layer: ``(HTTP status, response envelope)``."""
+    response = ServiceHandler(platform.api).handle(ServiceRequest(
+        "POST", f"/kgnet/v1/{op}", {"Content-Type": "application/json"},
+        json.dumps(params).encode("utf-8")))
+    return response.status, json.loads(response.read_body())
+
+
+def test_the_manager_has_two_prediction_routes():
+    public = {name for name in vars(GMLInferenceManager)
+              if not name.startswith("_")}
+    assert public == {"infer", "get_node_class_dictionary", "reset_counters"}
+
+
+@pytest.mark.parametrize("op", sorted(SINGLE_OPS))
+def test_an_unknown_input_is_answered_not_failed(platform, op):
+    kind, name, empty = SINGLE_OPS[op]
+    status, envelope = post(platform, op, model_uri=MODELS[kind],
+                            **{name: UNKNOWN})
+    assert (status, envelope["ok"]) == (200, True), envelope["error"]
+    assert envelope["result"]["output"] == empty
+    status, envelope = post(platform, op, model_uri=MODELS[kind],
+                            **{name: NAMES[3]})
+    assert status == 200 and envelope["result"]["output"]
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_an_unknown_input_in_a_batch_is_answered_not_failed(platform, kind):
+    empty = None if kind == "class" else []
+    status, envelope = post(platform, "infer_batch", model_uri=MODELS[kind],
+                            inputs=[NAMES[1], UNKNOWN, NAMES[2]], k=3)
+    assert status == 200, envelope["error"]
+    outputs = [record["output"] for record in envelope["result"]["predictions"]]
+    assert outputs[1] == empty
+    assert outputs[0] and outputs[2]
+
+
+@pytest.mark.parametrize("op,model", [
+    ("infer_node_class", "links"),
+    ("infer_links", "class"),
+    ("infer_similar", "class"),          # a classifier has no embeddings
+])
+def test_a_model_of_the_wrong_kind_is_an_inference_error(platform, op, model):
+    _, name, _ = SINGLE_OPS[op]
+    status, envelope = post(platform, op, model_uri=MODELS[model],
+                            **{name: NAMES[0]})
+    assert (status, envelope["error"]["code"]) == (500, "INFERENCE_ERROR")
+    status, envelope = post(platform, "infer_batch", model_uri=MODELS[model],
+                            inputs=[NAMES[0]], mode=SINGLE_OPS[op][0])
+    assert (status, envelope["error"]["code"]) == (500, "INFERENCE_ERROR")
+
+
+@pytest.mark.parametrize("op,params", [
+    ("infer_node_class", {"node": NAMES[0]}),
+    ("infer_links", {"source": NAMES[0]}),
+    ("infer_similar", {"entity": NAMES[0]}),
+    ("infer_batch", {"inputs": [NAMES[0]]}),
+])
+def test_an_unknown_model_is_not_found(platform, op, params):
+    status, envelope = post(platform, op, model_uri=EX + "model/none", **params)
+    assert (status, envelope["error"]["code"]) == (404, "MODEL_NOT_FOUND")
+
+
+@pytest.mark.parametrize("op,params", [
+    ("infer_node_class", {"model_uri": MODELS["class"], "node": NAMES[0]}),
+    ("infer_links", {"model_uri": MODELS["links"], "source": NAMES[0]}),
+    ("infer_similar", {"model_uri": MODELS["similar"], "entity": NAMES[0]}),
+    ("infer_batch", {"model_uri": MODELS["class"], "inputs": NAMES[:256]}),
+    ("infer_batch", {"model_uri": MODELS["links"], "inputs": NAMES[:256]}),
+    ("infer_batch", {"model_uri": MODELS["similar"], "inputs": NAMES[:256]}),
+])
+def test_every_op_is_one_gmlaas_call(platform, op, params):
+    before = platform.gmlaas.http_calls
+    status, envelope = post(platform, op, **params)
+    assert status == 200, envelope["error"]
+    assert platform.gmlaas.http_calls - before == 1
+
+
+@pytest.mark.parametrize("kind", ["class", "similar"])
+def test_alone_equals_inside_a_batch_of_256(platform, kind):
+    gmlaas = platform.gmlaas
+    inputs = NAMES[:256]
+    inputs[17] = UNKNOWN
+    batch = gmlaas.infer_batch(MODELS[kind], inputs, k=5, mode=kind)
+    assert [record["input"] for record in batch] == inputs
+    for value, record in zip(inputs, batch):
+        if kind == "class":
+            alone = gmlaas.infer_node_class(MODELS[kind], value)
+        else:
+            alone = gmlaas.infer_similar_entities(MODELS[kind], value, k=5)
+        assert alone == record["output"]
+    assert batch[17]["output"] == (None if kind == "class" else [])

@@ -3,8 +3,8 @@
 Four layers of coverage, matching the plan-quality contract:
 
 * **statistics** — the per-predicate distinct counters the estimator reads
-  stay correct through every mutation path (add / bulk / remove), and
-  ``stats_epoch`` keys the plan cache so stale orders cannot survive a
+  stay correct through every mutation path (add / bulk / remove), and the
+  graph ``epoch`` keys the plan cache so stale orders cannot survive a
   statistics change;
 * **estimator** — constant patterns probe exact index counts, bound
   variables divide by the matching distinct count, estimates are clamped;
@@ -126,15 +126,15 @@ class TestDistinctStatistics:
         assert skewed_graph.distinct_subject_count() == len(subjects)
         assert skewed_graph.distinct_object_count() == len(objects)
 
-    def test_stats_epoch_advances_with_mutations(self):
+    def test_epoch_advances_with_mutations(self):
         g = Graph()
-        before = g.stats_epoch
+        before = g.epoch
         g.add(iri("s"), iri("p"), iri("o"))
-        assert g.stats_epoch > before
+        assert g.epoch > before
         # Removing nothing leaves the statistics (and the plans) alone.
-        unchanged = g.stats_epoch
+        unchanged = g.epoch
         g.remove(iri("missing"), None, None)
-        assert g.stats_epoch == unchanged
+        assert g.epoch == unchanged
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +280,8 @@ class TestExplain:
         assert first["statistics"]["num_triples"] == len(skewed_graph)
         second = endpoint.explain(self.QUERY)
         assert second["statistics"]["plan_cache_hit"] is True
-        assert (second["statistics"]["stats_epoch"]
-                == first["statistics"]["stats_epoch"])
+        assert (second["statistics"]["dataset_epoch"]
+                == first["statistics"]["dataset_epoch"])
 
     def test_mutation_invalidates_the_described_plan(self, skewed_graph):
         endpoint = _endpoint(skewed_graph)
@@ -289,7 +289,7 @@ class TestExplain:
         endpoint.execute(
             f"INSERT DATA {{ <{EX}e99> <{EX}link> <{EX}e98> . }}")
         after = endpoint.explain(self.QUERY)["statistics"]
-        assert after["stats_epoch"] != before["stats_epoch"]
+        assert after["dataset_epoch"] != before["dataset_epoch"]
         assert after["num_triples"] == before["num_triples"] + 1
 
     def test_stale_plan_is_not_reused_after_stats_change(self):

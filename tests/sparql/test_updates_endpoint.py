@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import QueryError
 from repro.rdf import DBLP, Graph, IRI, Literal, Triple, RDF_TYPE
-from repro.sparql import SPARQLEndpoint
+from repro.sparql import ReferenceQueryEvaluator, SPARQLEndpoint
 
 PREFIXES = "PREFIX dblp: <https://www.dblp.org/>\nPREFIX kgnet: <https://www.kgnet.com/>\n"
 
@@ -95,6 +95,33 @@ class TestEndpoint:
         result = endpoint.select(PREFIXES + """
             SELECT ?p FROM <https://x.org/data> WHERE { ?p a dblp:Publication . }""")
         assert len(result) == 2
+
+    def test_from_clauses_evaluate_the_union_of_their_graphs(self, tiny_graph):
+        """Several FROM clauses — one naming a graph the dataset lacks — are
+        the union of the named graphs they list, as the oracle computes it
+        over their merged triples, and run on the pinned view the protocol's
+        ``default-graph-uri`` gets: one object per epoch, not a copy."""
+        endpoint = SPARQLEndpoint()
+        endpoint.load(tiny_graph, graph_iri="https://x.org/data")
+        more = endpoint.named_graph("https://x.org/more")
+        more.add(DBLP["paper/1"], RDF_TYPE, DBLP["Publication"])  # in both
+        more.add(DBLP["paper/9"], RDF_TYPE, DBLP["Publication"])
+        endpoint.graph.add(DBLP["paper/0"], RDF_TYPE, DBLP["Publication"])
+        graphs = ["https://x.org/data", "https://x.org/more", "https://x.org/none"]
+        text = PREFIXES + "SELECT ?p " + "".join(
+            f"FROM <{graph}> " for graph in graphs) + \
+            "WHERE { ?p a dblp:Publication . }"
+        union = Graph()
+        union.add_all(tiny_graph)
+        union.add_all(more)
+        expected = ReferenceQueryEvaluator(union).evaluate(endpoint.parse(text))
+        rows = endpoint.select(text).to_python()
+        assert sorted(row["p"] for row in rows) == sorted(
+            row["p"] for row in expected.to_python())
+        assert len(rows) == 3                     # paper/0 is in no FROM graph
+        view = endpoint._evaluation_graph(endpoint.parse(text))
+        assert endpoint._evaluation_graph(endpoint.parse(text)) is view
+        assert endpoint._protocol_graph(graphs) is view
 
     def test_select_raises_on_ask(self, endpoint):
         with pytest.raises(QueryError):
