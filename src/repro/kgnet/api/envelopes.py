@@ -17,6 +17,12 @@ When the router runs in-process it additionally attaches the *rich* Python
 result (or the original exception) as :attr:`APIResponse.attachment`; the
 attachment never crosses a serialisation boundary and is simply absent after
 a JSON round trip.
+
+A projection may carry parts that are already JSON — SELECT rows written
+straight from term ids by the result writers — as :class:`RawJSON`.
+:meth:`APIResponse.encode` splices them into the wire body verbatim;
+:attr:`APIResponse.result` and :meth:`APIResponse.to_dict` parse them back,
+so an in-process reader sees the same plain JSON values a client does.
 """
 
 from __future__ import annotations
@@ -24,18 +30,73 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Optional, Union
 
 from repro.exceptions import BadRequestError
 from repro.kgnet.api.errors import error_payload, exception_from_payload
 
-__all__ = ["API_VERSION", "APIRequest", "APIResponse"]
+__all__ = ["API_VERSION", "APIRequest", "APIResponse", "RawJSON", "encode_json"]
 
 #: The protocol version every envelope carries.  Bump the suffix on breaking
 #: changes; envelopes carrying any other version string are rejected.
 API_VERSION = "kgnet/v1"
 
 _REQUEST_IDS = itertools.count(1)
+
+
+class RawJSON(bytes):
+    """One already-encoded JSON value (UTF-8), spliced into a body as is."""
+
+    __slots__ = ()
+
+
+def encode_json(value: object) -> bytes:
+    """``json.dumps(value)`` as UTF-8, with every :class:`RawJSON` spliced in.
+
+    Fragments are found by descending into dicts only (keys must be
+    strings there).  A value holding none is exactly ``json.dumps(value)``;
+    in a dict that holds one, the members holding fragments come last, after
+    one ``json.dumps`` of the others.
+    """
+    if isinstance(value, RawJSON):
+        return value
+    spliced = _spliced(value) if isinstance(value, dict) else None
+    return json.dumps(value).encode("utf-8") if spliced is None else spliced
+
+
+def _spliced(value: dict) -> Optional[bytes]:
+    """:func:`encode_json` of ``value`` if it holds a RawJSON, else None."""
+    plain = {}
+    members = []
+    for key, item in value.items():
+        if isinstance(item, RawJSON):
+            encoded: Optional[bytes] = item
+        elif isinstance(item, dict):
+            encoded = _spliced(item)
+        else:
+            encoded = None
+        if encoded is None:
+            plain[key] = item
+        else:
+            members.append(encode_basestring_ascii(key).encode("ascii")
+                           + b": " + encoded)
+    if not members:
+        return None
+    if not plain:
+        return b"{" + b", ".join(members) + b"}"
+    return (json.dumps(plain).encode("utf-8")[:-1] + b", "
+            + b", ".join(members) + b"}")
+
+
+def _parse_raw(value: object) -> None:
+    """Replace every :class:`RawJSON` in a dict tree by its parsed value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if isinstance(item, RawJSON):
+                value[key] = json.loads(item)
+            else:
+                _parse_raw(item)
 
 
 def _check_mapping(value: object, what: str) -> Dict[str, object]:
@@ -106,9 +167,9 @@ class APIResponse:
 
     ``result`` may be constructed lazily: handlers can hand the router a
     zero-argument callable instead of a dict, and the JSON projection is only
-    computed when ``result`` is first read (a serialising transport always
-    reads it; the in-process facade, which consumes :attr:`attachment`,
-    never pays for it).
+    computed when ``result`` is first read or the envelope is encoded (a
+    serialising transport always encodes it; the in-process facade, which
+    consumes :attr:`attachment`, never pays for it).
     """
 
     def __init__(self, ok: bool, op: str, request_id: str,
@@ -123,6 +184,8 @@ class APIResponse:
         self.request_id = request_id
         self.api_version = api_version
         self._result = result
+        #: Whether ``_result``'s RawJSON parts have been parsed back.
+        self._parsed = False
         self.error = error
         #: Timing / routing metadata (``elapsed_seconds`` is always present).
         self.meta: Dict[str, object] = dict(meta or {})
@@ -130,11 +193,20 @@ class APIResponse:
         #: exception (error).  Never serialised.
         self.attachment = attachment
 
-    @property
-    def result(self) -> Optional[Dict[str, object]]:
+    def _projection(self) -> Optional[Dict[str, object]]:
+        """The result as projected, :class:`RawJSON` parts still encoded."""
         if callable(self._result):
             self._result = self._result()
         return self._result
+
+    @property
+    def result(self) -> Optional[Dict[str, object]]:
+        """The result as plain JSON values (RawJSON parsed back once)."""
+        result = self._projection()
+        if not self._parsed:
+            _parse_raw(result)
+            self._parsed = True
+        return result
 
     @classmethod
     def success(cls, request: APIRequest,
@@ -151,19 +223,26 @@ class APIResponse:
                    error=error_payload(error), meta=dict(meta or {}),
                    attachment=error)
 
-    def to_dict(self) -> Dict[str, object]:
+    def _document(self, result: Optional[Dict[str, object]]) -> Dict[str, object]:
         return {
             "api_version": self.api_version,
             "ok": self.ok,
             "op": self.op,
             "request_id": self.request_id,
-            "result": self.result,
+            "result": result,
             "error": self.error,
             "meta": self.meta,
         }
 
+    def to_dict(self) -> Dict[str, object]:
+        return self._document(self.result)
+
+    def encode(self) -> bytes:
+        """The envelope as a JSON body, :class:`RawJSON` parts spliced in."""
+        return encode_json(self._document(self._projection()))
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return self.encode().decode("utf-8")
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "APIResponse":

@@ -38,7 +38,7 @@ from repro.exceptions import (
 from repro.sparql.execution import ExecutionContext, StreamingResult
 from repro.gml.tasks import TaskSpec
 from repro.gml.train.budget import TaskBudget
-from repro.kgnet.api.envelopes import API_VERSION, APIRequest, APIResponse
+from repro.kgnet.api.envelopes import API_VERSION, APIRequest, APIResponse, RawJSON
 from repro.kgnet.gmlaas.service import GMLaaS
 from repro.kgnet.kgmeta.governor import KGMetaGovernor
 from repro.kgnet.meta_sampler import MetaSamplingConfig
@@ -50,6 +50,7 @@ from repro.rdf.io import parse_ntriples, serialize_ntriples
 from repro.rdf.terms import IRI
 from repro.sparql.endpoint import SPARQLEndpoint
 from repro.sparql.results import ResultSet
+from repro.sparql.results.serialize import envelope_rows
 
 __all__ = ["RouteMetrics", "APIRouter", "WRITE_OPS", "GUARDED_OPS"]
 
@@ -478,20 +479,23 @@ class APIRouter:
             return 10
         return cls._coerce_positive_int(params["k"], "k")
 
-    def _paginate(self, items: List[object],
-                  page_size: object) -> Tuple[List[object], Optional[str]]:
+    def _paginate(self, items: List[object], page_size: object,
+                  pack: Callable[[List[object]], object] = list
+                  ) -> Tuple[object, Optional[str]]:
+        """``(pack(first page), cursor to the rest or None)``; the cursor
+        keeps ``pack``, so every page of one result is written alike."""
         size = self._coerce_page_size(page_size)
         if size is None:
-            return items, None
+            return pack(items), None
         page, rest = items[:size], items[size:]
         if not rest:
-            return page, None
+            return pack(page), None
         cursor = f"cur-{next(self._cursor_ids)}-p{size}"
         with self._cursors_lock:
-            self._cursors[cursor] = rest
+            self._cursors[cursor] = (rest, pack)
             while len(self._cursors) > MAX_LIVE_CURSORS:
                 self._cursors.popitem(last=False)
-        return page, cursor
+        return pack(page), cursor
 
     def _handle_next_page(self, params: Dict[str, object]) -> Tuple[Dict[str, object], object]:
         cursor = str(_require(params, "cursor"))
@@ -501,33 +505,40 @@ class APIRouter:
         with self._cursors_lock:
             if cursor not in self._cursors:
                 raise CursorError(f"unknown or expired cursor {cursor!r}")
-            if size is None:
-                try:
-                    size = int(cursor.rsplit("-p", 1)[1])
-                except (IndexError, ValueError):
-                    size = len(self._cursors[cursor])
-            remaining = self._cursors.pop(cursor)
-        page, next_cursor = self._paginate(remaining, size)
+            remaining, pack = self._cursors.pop(cursor)
+        if size is None:
+            try:
+                size = int(cursor.rsplit("-p", 1)[1])
+            except (IndexError, ValueError):
+                size = len(remaining)
+        page, next_cursor = self._paginate(remaining, size, pack)
         result = {"items": page, "next_cursor": next_cursor,
-                  "remaining": max(0, len(remaining) - len(page))}
+                  "remaining": max(0, len(remaining) - size)}
         return result, page
 
     # ------------------------------------------------------------------
     # Result projection
     # ------------------------------------------------------------------
+    def _select_rows(self, result: object,
+                     page_size: object) -> Tuple[int, RawJSON, Optional[str]]:
+        """``(total rows, first page, cursor)`` of a SELECT's envelope rows.
+
+        The cursor keeps the rest as the evaluator's rows; each page is
+        written from term ids by the result writers when it is served, as
+        one RawJSON (a lazy SELECT is drained here, under its context's
+        checkpoints)."""
+        rows, write = envelope_rows(result)
+        page, cursor = self._paginate(rows, page_size,
+                                      lambda page: RawJSON(write(page)))
+        return len(rows), page, cursor
+
     def _project_query_result(self, value: object,
                               page_size: object) -> Dict[str, object]:
-        if isinstance(value, StreamingResult):
-            # An envelope client asked for the JSON projection of a lazy
-            # SELECT: drain it here (still under its execution context's
-            # checkpoints) and project the materialised rows.
-            value = value.materialize()
-        if isinstance(value, ResultSet):
-            rows = value.to_python()
-            page, cursor = self._paginate(rows, page_size)
+        if isinstance(value, (ResultSet, StreamingResult)):
+            total, page, cursor = self._select_rows(value, page_size)
             return {"kind": "SELECT",
                     "variables": [v.name for v in value.variables],
-                    "total_rows": len(rows), "rows": page, "next_cursor": cursor}
+                    "total_rows": total, "rows": page, "next_cursor": cursor}
         if isinstance(value, bool):
             return {"kind": "ASK", "answer": value}
         if isinstance(value, Graph):
@@ -666,8 +677,9 @@ class APIRouter:
             context=context)
 
         def project() -> Dict[str, object]:
-            payload = report.as_payload()
-            page, cursor = self._paginate(payload.pop("rows"), page_size)
+            _, page, cursor = self._select_rows(report.results, page_size)
+            payload = report.as_dict()
+            payload["variables"] = [v.name for v in report.results.variables]
             payload.update({"kind": "SELECT_REPORT", "rows": page,
                             "next_cursor": cursor})
             return payload

@@ -97,13 +97,6 @@ class SelectReport:
             "rewritten": [r.as_dict() for r in self.rewritten],
         }
 
-    def as_payload(self) -> Dict[str, object]:
-        """The JSON projection served by the API: report plus result rows."""
-        payload = self.as_dict()
-        payload["variables"] = [v.name for v in self.results.variables]
-        payload["rows"] = self.results.to_python()
-        return payload
-
 
 @dataclass
 class DeleteReport:

@@ -214,11 +214,18 @@ class Literal(Term):
         return self.datatype in _NUMERIC_DATATYPES
 
     def to_python(self) -> object:
-        """Convert the literal to its natural Python value."""
-        if self.datatype == XSD_INTEGER:
-            return int(self.lexical)
-        if self.datatype in (XSD_DECIMAL, XSD_DOUBLE):
-            return float(self.lexical)
+        """Convert the literal to its natural Python value.
+
+        An ill-typed numeric literal (``"abc"^^xsd:integer``) has no such
+        value and comes back as its lexical form.
+        """
+        try:
+            if self.datatype == XSD_INTEGER:
+                return int(self.lexical)
+            if self.datatype in (XSD_DECIMAL, XSD_DOUBLE):
+                return float(self.lexical)
+        except ValueError:
+            return self.lexical
         if self.datatype == XSD_BOOLEAN:
             return self.lexical in ("true", "1")
         return self.lexical

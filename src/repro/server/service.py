@@ -96,6 +96,7 @@ MEDIA_OCTETS = "application/octet-stream"
 MEDIA_SPARQL_QUERY = "application/sparql-query"
 MEDIA_SPARQL_UPDATE = "application/sparql-update"
 MEDIA_FORM = "application/x-www-form-urlencoded"
+_JSON_CONTENT_TYPE = ("Content-Type", "application/json; charset=utf-8")
 
 #: Stable error code -> HTTP status.  Codes absent here are server faults
 #: (500); the table must only ever grow, like the code registry it mirrors.
@@ -271,7 +272,7 @@ class ServiceResponse:
     def json(cls, payload: object, status: int = 200,
              headers: Optional[List[Tuple[str, str]]] = None) -> "ServiceResponse":
         body = json.dumps(payload).encode("utf-8")
-        all_headers = [("Content-Type", "application/json; charset=utf-8")]
+        all_headers = [_JSON_CONTENT_TYPE]
         all_headers.extend(headers or [])
         return cls(status=status, headers=all_headers, body=body)
 
@@ -567,10 +568,8 @@ class ServiceHandler:
             # Interruption is safe for updates too: the evaluator only
             # checkpoints before mutation starts, never mid-mutation.
             params["cancel"] = cancel_event
-        response = self.router.dispatch(APIRequest(op="sparql", params=params))
-        if not response.ok:
-            return self._envelope_response(response)
-        return ServiceResponse.json(response.to_dict())
+        return self._envelope_response(
+            self.router.dispatch(APIRequest(op="sparql", params=params)))
 
     # ------------------------------------------------------------------
     # Replication wire protocol
@@ -675,8 +674,9 @@ class ServiceHandler:
         else:
             status = http_status_for_error(
                 str((response.error or {}).get("code")))
-        service_response = ServiceResponse.json(response.to_dict(),
-                                                status=status)
+        service_response = ServiceResponse(
+            status=status, headers=[_JSON_CONTENT_TYPE],
+            body=response.encode())
         if not response.ok:
             error = response.error or {}
             if error.get("code") == "SERVER_OVERLOADED":

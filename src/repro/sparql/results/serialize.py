@@ -18,8 +18,11 @@ holding only one batch's serialization in memory, and write each fragment to
 the socket without a second str→bytes copy.  SELECT results arrive from the
 evaluator as rows of *term ids*; the writers never decode them: each format
 keeps an id → encoded-fragment table per term dictionary (see "Persistent
-encoding memos" below) and a row is a handful of int-keyed probes plus one
-``bytes.join``.
+encoding memos" below) and a batch of rows is one ``%`` of the result's
+compiled row template, repeated per row, over its cells' fragments (see
+"Row templates").
+:func:`envelope_rows` writes the rows of the ``kgnet/v1`` JSON envelope the
+same way, from the same tables.
 :func:`negotiate_media_type` implements ``Accept``-header negotiation
 (q-values, ``type/*`` and ``*/*`` ranges) over the formats applicable to a
 given result kind and raises :class:`NotAcceptable` when the client's
@@ -32,13 +35,16 @@ import json
 import operator
 import re
 import weakref
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 from xml.sax.saxutils import escape as _xml_escape
 from xml.sax.saxutils import quoteattr as _xml_attr
 
 from repro.exceptions import APIError, QueryError
 from repro.rdf.graph import Graph
-from repro.rdf.terms import BNode, IRI, Literal, Term, Variable, XSD_STRING
+from repro.rdf.terms import (
+    BNode, IRI, Literal, Term, Variable, XSD_STRING, python_from_term)
 from repro.sparql.execution import BATCH_ROWS, StreamingResult
 from repro.sparql.results.core import ResultSet
 
@@ -57,6 +63,7 @@ __all__ = [
     "negotiate",
     "negotiate_media_type",
     "binding_json",
+    "envelope_rows",
     "serialize_result",
 ]
 
@@ -316,9 +323,14 @@ _TERM_MEMO_LIMIT = 1 << 16
 
 
 class _Encoder:
-    """``cell -> bytes`` for one wire format, over one fragment table."""
+    """``cell -> bytes`` for one wire format, over one fragment table.
 
-    __slots__ = ("memo", "get", "_encode", "_decode")
+    An id encoder serves one query's result; the query's private (negative)
+    ids are remembered in a table of the encoder's own, never in the shared
+    one.
+    """
+
+    __slots__ = ("memo", "get", "_encode", "_decode", "_private")
 
     def __init__(self, memo: dict, encode: Callable[[Term], str],
                  decode: Optional[Callable[[int], Term]] = None) -> None:
@@ -327,15 +339,17 @@ class _Encoder:
         self.get = memo.get
         self._encode = encode
         self._decode = decode
+        self._private: dict = {}
 
     def miss(self, cell) -> bytes:
-        term = cell if self._decode is None else self._decode(cell)
-        fragment = self._encode(term).encode("utf-8")
-        if term is cell or cell >= 0:
-            # A negative id is private to one query: never remembered.
-            if len(self.memo) >= _TERM_MEMO_LIMIT:
-                self.memo.clear()
-            self.memo[cell] = fragment
+        table = self.memo if self._decode is None or cell >= 0 else self._private
+        fragment = table.get(cell)
+        if fragment is None:
+            term = cell if self._decode is None else self._decode(cell)
+            fragment = self._encode(term).encode("utf-8")
+            if len(table) >= _TERM_MEMO_LIMIT:
+                table.clear()
+            table[cell] = fragment
         return fragment
 
 
@@ -343,9 +357,16 @@ def _json_fragment(term: Term) -> str:
     return json.dumps(binding_json(term), separators=(",", ":"))
 
 
-#: format -> term-level encoding of one *bound* cell.
+def _value_fragment(term: Term) -> str:
+    """A cell of the JSON envelope: the term's plain-Python value."""
+    return json.dumps(python_from_term(term))
+
+
+#: format -> term-level encoding of one *bound* cell ("value" is the
+#: ``kgnet/v1`` envelope's, the other four the protocol's).
 _CELL_ENCODINGS = {"json": _json_fragment, "xml": _binding_body_xml,
-                   "csv": _csv_value, "tsv": operator.methodcaller("n3")}
+                   "csv": _csv_value, "tsv": operator.methodcaller("n3"),
+                   "value": _value_fragment}
 
 #: format -> term-keyed table (results that carry terms, not ids).
 _TERM_MEMOS: dict = {form: {} for form in _CELL_ENCODINGS}
@@ -367,6 +388,63 @@ def _encoder_for(form: str, terms) -> _Encoder:
 
 
 # ---------------------------------------------------------------------------
+# Row templates
+# ---------------------------------------------------------------------------
+#
+# A SELECT writer compiles one ``%b`` template per result — the format's
+# keys, tags or delimiters baked in, ``%`` escaped — and repeats it per
+# batch size, so a batch whose cells are all in the memo is written as
+# ``batch_template % cells``: one C-level format per batch instead of a
+# concatenation per cell.  A cell the memo cannot answer (unbound, private
+# to the query, or not encoded yet) probes as ``None``, which ``%b`` refuses
+# with TypeError; that batch is then written cell by cell, which also fills
+# the memo for the next one.  Both ways give the same bytes.
+
+def _escaped(fragment: bytes) -> bytes:
+    return fragment.replace(b"%", b"%%")
+
+
+def _batch_writer(row_template: bytes, separator: bytes,
+                  cell_by_cell: Callable[[Sequence[Sequence]], List[bytes]],
+                  encoder: _Encoder) -> Callable[[Sequence[Sequence]], bytes]:
+    """``write(batch)``: the batch's encoded rows joined by ``separator``.
+
+    Every row must hold one cell per ``%b`` of ``row_template``.
+    """
+    get = encoder.get
+    templates: dict = {}
+
+    def write(batch: Sequence[Sequence]) -> bytes:
+        template = templates.get(len(batch))
+        if template is None:
+            template = templates[len(batch)] = separator.join(
+                [row_template] * len(batch))
+        try:
+            return template % tuple(map(get, chain.from_iterable(batch)))
+        except TypeError:
+            return separator.join(cell_by_cell(batch))
+    return write
+
+
+def _json_writer(variables: Sequence[Variable],
+                 encoder: _Encoder) -> Callable[[Sequence[Sequence]], bytes]:
+    """``write(batch)``: each row as the JSON object of its bound cells,
+    comma-separated."""
+    keys = [(encode_basestring_ascii(v.name) + ":").encode("ascii")
+            for v in variables]
+    get, miss = encoder.get, encoder.miss
+
+    def cell_by_cell(batch: Sequence[Sequence]) -> List[bytes]:
+        return [b"{" + b",".join([key + (get(cell) or miss(cell))
+                                  for key, cell in zip(keys, row)
+                                  if cell is not None]) + b"}"
+                for row in batch]
+
+    template = b"{" + b",".join([_escaped(key) + b"%b" for key in keys]) + b"}"
+    return _batch_writer(template, b",", cell_by_cell, encoder)
+
+
+# ---------------------------------------------------------------------------
 # Streaming writers (generators of bytes fragments)
 # ---------------------------------------------------------------------------
 #
@@ -380,15 +458,10 @@ def write_select_json(variables: Sequence[Variable],
     head = json.dumps({"head": {"vars": [v.name for v in variables]}},
                       separators=(",", ":"))
     yield (head[:-1] + ',"results":{"bindings":[').encode("utf-8")
-    keys = [(json.dumps(v.name) + ":").encode("utf-8") for v in variables]
-    get, miss = encoder.get, encoder.miss
+    write = _json_writer(variables, encoder)
     separator = b""
     for batch in batches:
-        yield separator + b",".join([
-            b"{" + b",".join([key + (get(cell) or miss(cell))
-                              for key, cell in zip(keys, row)
-                              if cell is not None]) + b"}"
-            for row in batch])
+        yield separator + write(batch)
         separator = b","
     yield b"]}}"
 
@@ -407,11 +480,19 @@ def write_select_xml(variables: Sequence[Variable],
     opens = [f"<binding name={_xml_attr(v.name)}>".encode("utf-8")
              for v in variables]
     get, miss = encoder.get, encoder.miss
-    for batch in batches:
-        yield b"".join([b"<result>" + b"".join([
+
+    def cell_by_cell(batch: Sequence[Sequence]) -> List[bytes]:
+        return [b"<result>" + b"".join([
             tag + (get(cell) or miss(cell)) + b"</binding>"
             for tag, cell in zip(opens, row) if cell is not None]) + b"</result>"
-            for row in batch])
+            for row in batch]
+
+    template = (b"<result>"
+                + b"".join([_escaped(tag) + b"%b</binding>" for tag in opens])
+                + b"</result>")
+    write = _batch_writer(template, b"", cell_by_cell, encoder)
+    for batch in batches:
+        yield write(batch)
     yield b"</results></sparql>"
 
 
@@ -421,30 +502,35 @@ def write_ask_xml(value: bool) -> Iterator[bytes]:
            "</sparql>").encode("utf-8")
 
 
-def _write_delimited(header: str, delimiter: bytes, newline: bytes,
+def _write_delimited(names: Sequence[str], delimiter: bytes, newline: bytes,
                      batches: Iterable[Sequence[Sequence]],
                      encoder: _Encoder) -> Iterator[bytes]:
-    yield header.encode("utf-8")
+    yield delimiter.join([name.encode("utf-8") for name in names]) + newline
     get, miss = encoder.get, encoder.miss
+
+    def cell_by_cell(batch: Sequence[Sequence]) -> List[bytes]:
+        return [delimiter.join([b"" if cell is None else get(cell) or miss(cell)
+                                for cell in row])
+                for row in batch]
+
+    template = _escaped(delimiter).join([b"%b"] * len(names))
+    write = _batch_writer(template, newline, cell_by_cell, encoder)
     for batch in batches:
-        yield newline.join([
-            delimiter.join([b"" if cell is None else get(cell) or miss(cell)
-                            for cell in row])
-            for row in batch]) + newline
+        yield write(batch) + newline
 
 
 def write_select_csv(variables: Sequence[Variable],
                      batches: Iterable[Sequence[Sequence]],
                      encoder: _Encoder) -> Iterator[bytes]:
-    return _write_delimited(",".join(v.name for v in variables) + "\r\n",
-                            b",", b"\r\n", batches, encoder)
+    return _write_delimited([v.name for v in variables], b",", b"\r\n",
+                            batches, encoder)
 
 
 def write_select_tsv(variables: Sequence[Variable],
                      batches: Iterable[Sequence[Sequence]],
                      encoder: _Encoder) -> Iterator[bytes]:
-    return _write_delimited("\t".join(f"?{v.name}" for v in variables) + "\n",
-                            b"\t", b"\n", batches, encoder)
+    return _write_delimited([f"?{v.name}" for v in variables], b"\t", b"\n",
+                            batches, encoder)
 
 
 def write_graph_ntriples(graph: Graph) -> Iterator[bytes]:
@@ -498,17 +584,53 @@ def _finishing_batches(result: StreamingResult) -> Iterator[Sequence]:
     result.finish(rows)
 
 
-def _select_batches(result) -> Tuple[Iterator[Sequence], object]:
-    """``(row batches, id decoder or None)`` of a SELECT result."""
-    if isinstance(result, StreamingResult):
-        return _finishing_batches(result), result.terms
+def _sliced(rows: Sequence[Sequence]) -> Iterator[Sequence[Sequence]]:
+    return (rows[start:start + BATCH_ROWS]
+            for start in range(0, len(rows), BATCH_ROWS))
+
+
+def _result_rows(result: ResultSet) -> Tuple[List[Sequence], object]:
+    """``(rows, id decoder or None)`` of a materialised SELECT result."""
     rows = result.id_rows
     terms = result.terms
     if rows is None:
         variables = result.variables
         rows = [[solution.get(var) for var in variables] for solution in result]
-    return (rows[start:start + BATCH_ROWS]
-            for start in range(0, len(rows), BATCH_ROWS)), terms
+    return rows, terms
+
+
+def _select_batches(result) -> Tuple[Iterator[Sequence], object]:
+    """``(row batches, id decoder or None)`` of a SELECT result."""
+    if isinstance(result, StreamingResult):
+        return _finishing_batches(result), result.terms
+    rows, terms = _result_rows(result)
+    return _sliced(rows), terms
+
+
+def envelope_rows(result) -> Tuple[List[Sequence],
+                                   Callable[[Sequence[Sequence]], bytes]]:
+    """``(rows, write)`` of a SELECT result for the ``kgnet/v1`` envelope.
+
+    ``rows`` are the result's rows as the evaluator left them (term ids, or
+    terms); ``write(rows[i:j])`` is the JSON array of those rows, each the
+    object ``{"var":value,...}`` of its bound cells, each value
+    :func:`~repro.rdf.terms.python_from_term` of the cell's term — what
+    ``ResultSet.to_python`` holds.  The JSON writer's batch loop writes it
+    from the per-dictionary memo, so a page of id rows is never decoded into
+    ``Solution`` objects.  A :class:`StreamingResult` is drained (and
+    finished) here.
+    """
+    if isinstance(result, StreamingResult):
+        rows = [row for batch in _finishing_batches(result) for row in batch]
+        terms = result.terms
+    else:
+        rows, terms = _result_rows(result)
+    write_batch = _json_writer(result.variables, _encoder_for("value", terms))
+
+    def write(page: Sequence[Sequence]) -> bytes:
+        return b"[" + b",".join([write_batch(batch)
+                                 for batch in _sliced(page)]) + b"]"
+    return rows, write
 
 
 def serialize_result(result: object, media_type: str) -> Iterator[bytes]:

@@ -14,6 +14,7 @@ from repro.rdf.terms import (
     Variable,
     RDF_TYPE,
     XSD_BOOLEAN,
+    XSD_DECIMAL,
     XSD_DOUBLE,
     XSD_INTEGER,
     XSD_STRING,
@@ -87,6 +88,12 @@ class TestLiteral:
         assert Literal(True).datatype == XSD_BOOLEAN
         assert Literal(True).to_python() is True
         assert Literal(False).to_python() is False
+
+    @pytest.mark.parametrize("datatype", [XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE])
+    def test_ill_typed_numeric_is_its_lexical_form(self, datatype):
+        assert Literal("abc", datatype=datatype).to_python() == "abc"
+        assert Literal("", datatype=datatype).to_python() == ""
+        assert python_from_term(Literal("1.5.", datatype=datatype)) == "1.5."
 
     def test_language_tag(self):
         lit = Literal("bonjour", language="FR")

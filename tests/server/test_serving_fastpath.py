@@ -39,10 +39,15 @@ from repro.server.http import DISCONNECT_PROBE_SECONDS, _DisconnectProbe
 from repro.sparql.results.serialize import MEDIA_JSON
 
 EX = "http://example.org/fastpath/"
-#: Streams rows immediately, then runs effectively forever: the deadline is
-#: guaranteed to fire mid-body, after the 200 header went out.
+#: Streams rows immediately, then runs effectively forever over
+#: :data:`CUT_TRIPLES`: the deadline is guaranteed to fire mid-body, after
+#: the 200 header went out.
 CROSS_PRODUCT = "SELECT ?a ?d WHERE { ?a ?b ?c . ?d ?e ?f }"
 SCAN = "SELECT ?s ?p ?o WHERE { ?s ?p ?o }"
+#: 16M cross-product rows, ~15 s of streaming on one core: a deadline of a
+#: few tenths of a second cuts it however fast the writer is (the default
+#: 500 triples' 250,000 rows drain in ~0.25 s).
+CUT_TRIPLES = 4_000
 
 
 def build_platform(triples: int = 500) -> KGNet:
@@ -55,14 +60,23 @@ def build_platform(triples: int = 500) -> KGNet:
     return platform
 
 
-@pytest.fixture()
-def served():
-    platform = build_platform()
+def serving(triples: int):
+    platform = build_platform(triples)
     server = serve(platform.api)
     try:
         yield platform, server
     finally:
         server.stop()
+
+
+@pytest.fixture()
+def served():
+    yield from serving(500)
+
+
+@pytest.fixture()
+def served_to_cut():
+    yield from serving(CUT_TRIPLES)
 
 
 def raw_exchange(server, payload: bytes, read_timeout: float = 30.0) -> bytes:
@@ -87,9 +101,10 @@ def raw_exchange(server, payload: bytes, read_timeout: float = 30.0) -> bytes:
 
 
 class TestStreamCut:
-    def test_mid_stream_timeout_is_incomplete_but_terminated(self, served,
+    def test_mid_stream_timeout_is_incomplete_but_terminated(self,
+                                                             served_to_cut,
                                                              capfd):
-        platform, server = served
+        platform, server = served_to_cut
         connection = http.client.HTTPConnection(server.server_address[0],
                                                 server.server_address[1],
                                                 timeout=30)
@@ -139,8 +154,9 @@ class TestStreamCut:
         assert b"Trailer: X-KGNet-Stream-Status" in header_block
         assert body.endswith(b"0\r\nX-KGNet-Stream-Status: complete\r\n\r\n")
 
-    def test_remote_client_raises_typed_cut_and_salvages_partial(self, served):
-        _, server = served
+    def test_remote_client_raises_typed_cut_and_salvages_partial(
+            self, served_to_cut):
+        _, server = served_to_cut
         client = RemoteClient(server.base_url)
         try:
             with pytest.raises(ResultStreamCut) as info:
