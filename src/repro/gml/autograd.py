@@ -17,6 +17,8 @@ Gradients are accumulated with standard reverse-mode topological traversal.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 from scipy import sparse as sp
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -44,21 +46,28 @@ __all__ = [
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Whether ops record a graph, per thread: one training run's evaluation
+    under :class:`no_grad` must not switch off another run's gradients."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 class no_grad:
-    """Context manager disabling gradient tracking (used for inference)."""
+    """Context manager disabling gradient tracking (used for inference) in
+    the calling thread."""
 
     def __enter__(self) -> "no_grad":
-        global _GRAD_ENABLED
-        self._previous = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._previous = _grad_mode.enabled
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, *exc_info) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._previous
+        _grad_mode.enabled = self._previous
 
 
 def _as_array(data: ArrayLike) -> np.ndarray:
@@ -121,7 +130,7 @@ class Tensor:
                  backward_fn: Optional[Callable[[np.ndarray], None]] = None,
                  name: str = "") -> None:
         self.data = _as_array(data)
-        self.requires_grad = requires_grad and _GRAD_ENABLED
+        self.requires_grad = requires_grad and _grad_mode.enabled
         self.grad: Optional[np.ndarray] = None
         self._children = children
         self._backward_fn = backward_fn
@@ -151,6 +160,12 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
+
+    @property
+    def tracked(self) -> bool:
+        """Whether ``backward()`` hands this tensor a gradient: it wants one
+        itself or has a graph behind it."""
+        return self.requires_grad or self._backward_fn is not None or bool(self._children)
 
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
@@ -204,9 +219,7 @@ class Tensor:
             if child_grads is None:
                 continue
             for child, child_grad in zip(children, child_grads):
-                if child_grad is None:
-                    continue
-                if not (child.requires_grad or child._backward_fn is not None or child._children):
+                if child_grad is None or not child.tracked:
                     continue
                 existing = grads.get(id(child))
                 grads[id(child)] = child_grad if existing is None else existing + child_grad
@@ -215,10 +228,7 @@ class Tensor:
     @staticmethod
     def _result(data: np.ndarray, children: Tuple["Tensor", ...],
                 backward_fn: Callable[[np.ndarray], Optional[Tuple]]) -> "Tensor":
-        needs_grad = _GRAD_ENABLED and any(
-            c.requires_grad or c._backward_fn is not None or c._children for c in children
-        )
-        if not needs_grad:
+        if not (_grad_mode.enabled and any(child.tracked for child in children)):
             return Tensor(data)
         return Tensor(data, requires_grad=False, children=children, backward_fn=backward_fn)
 
@@ -434,12 +444,18 @@ def spmm(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
     out_data = csr @ dense.data
 
     def backward(grad: np.ndarray):
-        transposed = getattr(csr, "_spmm_transpose", None)
-        if transposed is None:
-            transposed = csr._spmm_transpose = csr.T
-        return (transposed @ grad,)
+        return (spmm_transpose(csr) @ grad,)
 
     return Tensor._result(out_data, (dense,), backward)
+
+
+def spmm_transpose(csr: sp.csr_matrix) -> sp.spmatrix:
+    """``csr.T``, built by the first backward pass that needs it and kept on
+    the (constant) matrix as ``_spmm_transpose``."""
+    transposed = getattr(csr, "_spmm_transpose", None)
+    if transposed is None:
+        transposed = csr._spmm_transpose = csr.T
+    return transposed
 
 
 def gather_rows(source: Tensor, indices: np.ndarray) -> Tensor:
@@ -525,17 +541,36 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Numerically stable mean BCE over arbitrary-shaped logits."""
-    targets_t = Tensor(np.asarray(targets, dtype=np.float64))
-    x = logits
-    # Stable formulation: log(1 + exp(-|x|)) + max(x, 0) - x * y,
-    # with |x| = relu(x) + relu(-x) and max(x, 0) = relu(x) so the whole
-    # expression stays differentiable through the autograd graph.
-    relu_x = x.relu()
-    abs_x = relu_x + (-x).relu()
-    softplus = (Tensor(1.0) + (-abs_x).exp()).log()
-    loss = softplus + relu_x - x * targets_t
-    return loss.mean()
+    """Numerically stable mean BCE over arbitrary-shaped logits, as one node.
+
+    The loss is ``log(1 + exp(-|x|)) + relu(x) - x * y`` with
+    ``|x| = relu(x) + relu(-x)``, computed op for op as the same expression
+    built from :class:`Tensor` ops (the reference in
+    ``tests/gml/test_fused_nodes.py``) computes it, and the backward sums the
+    input gradient in that expression's order -- the ``x * y`` term, then the
+    ``-x`` branch of ``|x|``, then ``relu(x)`` (whose gradient is the softplus
+    sum's share plus ``|x|``'s) -- so both have the same bits.  ``targets``
+    broadcast to the logits' shape.
+    """
+    x = logits.data
+    y = np.broadcast_to(np.asarray(targets, dtype=np.float64), x.shape)
+    positive = (x > 0).astype(np.float64)
+    negated = -x
+    negative = (negated > 0).astype(np.float64)
+    relu_x = x * positive
+    exp = np.exp(np.clip(-(relu_x + negated * negative), -60, 60))
+    denominator = 1.0 + exp + 1e-12
+    scale = 1.0 / x.size
+    out_data = (np.log(denominator) + relu_x - x * y).sum() * scale
+
+    def backward(grad: np.ndarray):
+        grad = grad * scale
+        grad_abs = -(grad / denominator * exp)
+        grad_x = -grad * y - grad_abs * negative
+        grad_x += (grad + grad_abs) * positive
+        return (grad_x,)
+
+    return Tensor._result(out_data, (logits,), backward)
 
 
 class Embedding:

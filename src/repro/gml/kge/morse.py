@@ -28,8 +28,8 @@ from repro.exceptions import TrainingError
 from repro.gml.autograd import (
     Embedding,
     Tensor,
+    _scatter,
     binary_cross_entropy_with_logits,
-    gather_rows,
     no_grad,
     spmm,
 )
@@ -37,6 +37,25 @@ from repro.gml.kge.base import known_tails, ranking_metrics
 from repro.gml.nn.module import Module
 
 __all__ = ["MorsE"]
+
+
+def _buffer(buffers: Optional[Dict[str, np.ndarray]], name: str,
+            shape: Tuple[int, int]) -> np.ndarray:
+    """``buffers[name]``, replaced by a new array when its shape differs; a
+    new array every call when there are no buffers."""
+    if buffers is None:
+        return np.empty(shape)
+    array = buffers.get(name)
+    if array is None or array.shape != shape:
+        array = buffers[name] = np.empty(shape)
+    return array
+
+
+def _take(source: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``source[rows]`` written straight into ``out``.  ``rows`` are ids of
+    ``source``'s rows, which ``mode="wrap"`` leaves as they are; the default
+    ``mode="raise"`` would copy through a temporary."""
+    return np.take(source, rows, axis=0, out=out, mode="wrap")
 
 
 class MorsE(Module):
@@ -95,21 +114,74 @@ class MorsE(Module):
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def score(self, entity_embeddings: Tensor, triples: np.ndarray) -> Tensor:
+    def score(self, entity_embeddings: Tensor, triples: np.ndarray,
+              buffers: Optional[Dict[str, np.ndarray]] = None) -> Tensor:
+        """Decoder scores of ``triples`` as one autograd node.
+
+        Its children are ``(entity_embeddings, relation embeddings,
+        entity_embeddings)`` and its backward returns the tails' scatter, the
+        relations' and the heads', so the entity gradient is summed tails
+        before heads, in the order and with the bits of the same score built
+        from gathers and element-wise ops (the reference in
+        ``tests/gml/test_fused_nodes.py``).  ``buffers`` keeps the call's
+        ``(n, dim)`` arrays from one step to the next: a training run owns one
+        dict per call site (a step's shapes do not change); without it every
+        array is new.
+        """
         triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-        heads = gather_rows(entity_embeddings, triples[:, 0])
-        relations = self.relation_embeddings(triples[:, 1])
-        tails = gather_rows(entity_embeddings, triples[:, 2])
+        heads, relations, tails = triples[:, 0], triples[:, 1], triples[:, 2]
+        relation_table = self.relation_embeddings.weight
+        entity_shape, relation_shape = entity_embeddings.shape, relation_table.shape
+        shape = (triples.shape[0], entity_shape[1])
+        h = _take(entity_embeddings.data, heads, _buffer(buffers, "heads", shape))
+        r = _take(relation_table.data, relations, _buffer(buffers, "relations", shape))
+        t = _take(entity_embeddings.data, tails, _buffer(buffers, "tails", shape))
+        combined = _buffer(buffers, "combined", shape)
+        spare = _buffer(buffers, "spare", shape)
         if self.decoder == "distmult":
-            return (heads * relations * tails).sum(axis=1)
-        difference = heads + relations - tails
-        distance = (difference.relu() + (-difference).relu()).sum(axis=1)
-        return Tensor(np.full((distance.shape[0],), self.margin)) - distance
+            np.multiply(h, r, out=combined)
+            scores = np.multiply(combined, t, out=spare).sum(axis=1)
+
+            def backward(grad: np.ndarray):
+                column = grad[:, None]
+                grad_tails = _scatter(entity_shape, tails,
+                                      np.multiply(combined, column, out=combined))
+                grad_combined = np.multiply(t, column, out=spare)
+                grad_heads = _scatter(entity_shape, heads,
+                                      np.multiply(grad_combined, r, out=combined))
+                grad_relations = _scatter(relation_shape, relations,
+                                          np.multiply(grad_combined, h, out=spare))
+                return grad_tails, grad_relations, grad_heads
+        else:
+            difference = np.subtract(np.add(h, r, out=combined), t, out=combined)
+            scores = self.margin - np.abs(difference, out=spare).sum(axis=1)
+
+            def backward(grad: np.ndarray):
+                # |d| back-propagates as relu(d) + relu(-d): -(g [d < 0]) + g [d > 0].
+                column = -grad[:, None]
+                grad_difference = np.multiply(np.less(difference, 0.0), column, out=spare)
+                np.negative(grad_difference, out=grad_difference)
+                grad_difference += np.multiply(np.greater(difference, 0.0), column,
+                                               out=difference)
+                grad_tails = _scatter(entity_shape, tails,
+                                      np.negative(grad_difference, out=difference))
+                return (grad_tails, _scatter(relation_shape, relations, grad_difference),
+                        _scatter(entity_shape, heads, grad_difference))
+
+        return Tensor._result(scores, (entity_embeddings, relation_table, entity_embeddings),
+                              backward)
 
     def loss(self, entity_embeddings: Tensor, positives: np.ndarray,
-             negatives: np.ndarray) -> Tensor:
-        positive_scores = self.score(entity_embeddings, positives)
-        negative_scores = self.score(entity_embeddings, negatives)
+             negatives: np.ndarray,
+             buffers: Optional[Dict[str, Dict[str, np.ndarray]]] = None) -> Tensor:
+        """BCE of the positives' and the negatives' scores; ``buffers`` is a
+        training run's dict, in which each of the two calls keeps its own."""
+        positive_buffers = negative_buffers = None
+        if buffers is not None:
+            positive_buffers = buffers.setdefault("positives", {})
+            negative_buffers = buffers.setdefault("negatives", {})
+        positive_scores = self.score(entity_embeddings, positives, positive_buffers)
+        negative_scores = self.score(entity_embeddings, negatives, negative_buffers)
         return binary_cross_entropy_with_logits(
             positive_scores, np.ones(positive_scores.shape[0])) + \
             binary_cross_entropy_with_logits(

@@ -21,11 +21,19 @@ import numpy as np
 from scipy import sparse as sp
 
 from repro.exceptions import ShapeError
-from repro.gml.autograd import Parameter, Tensor, gather_rows, spmm
+from repro.gml.autograd import Parameter, Tensor, gather_rows, spmm, spmm_transpose
 from repro.gml.nn.init import xavier_uniform, zeros_init
 from repro.gml.nn.module import Module
 
 __all__ = ["Linear", "GCNConv", "RGCNConv", "GATConv"]
+
+
+def _summed(total: Optional[np.ndarray], term: np.ndarray) -> np.ndarray:
+    """``total + term``, added in place; ``term`` when nothing is summed yet."""
+    if total is None:
+        return term
+    total += term
+    return total
 
 
 class Linear(Module):
@@ -99,28 +107,60 @@ class RGCNConv(Module):
             name="rgcn.self_weight")
         self.bias = Parameter(zeros_init((out_features,)), name="rgcn.bias") if bias else None
 
-    def relation_weight(self, relation: int) -> Tensor:
-        """Compose the weight matrix for one relation from the shared bases."""
-        coeff = self.coefficients[relation]  # (num_bases,)
-        bases_flat = self.bases.reshape(self.num_bases,
-                                        self.in_features * self.out_features)
-        composed = coeff.reshape(1, self.num_bases) @ bases_flat
-        return composed.reshape(self.in_features, self.out_features)
-
     def forward(self, relation_adjacencies: Sequence[sp.spmatrix], x: Tensor) -> Tensor:
+        """``x W_self + sum_r A_r (x W_r) + b`` as one autograd node.
+
+        ``W_r`` is ``coefficients[r] @ bases`` and relations without edges are
+        skipped.  The backward walks the relations last to first, then the
+        self-loop term: the order in which ``backward()`` walks the same sum
+        built from small ops (the reference in ``tests/gml/test_fused_nodes.py``),
+        so every gradient is summed in its order and has its bits.
+        """
         if len(relation_adjacencies) != self.num_relations:
             raise ShapeError(
                 f"expected {self.num_relations} relation adjacencies, "
                 f"got {len(relation_adjacencies)}")
-        out = x @ self.self_weight
+        if x.shape[-1] != self.in_features:
+            raise ShapeError(f"RGCNConv expected {self.in_features} features, "
+                             f"got {x.shape[-1]}")
+        inputs, self_weight = x.data, self.self_weight.data
+        bases_shape, coefficients = self.bases.data.shape, self.coefficients.data
+        bases_flat = self.bases.data.reshape(self.num_bases,
+                                             self.in_features * self.out_features)
+        relations = []    # (r, A_r, coefficients[r] as a (1, B) row, W_r)
+        out = inputs @ self_weight
         for relation, adjacency in enumerate(relation_adjacencies):
             if adjacency.nnz == 0:
                 continue
-            weight = self.relation_weight(relation)
-            out = out + spmm(adjacency, x @ weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+            csr = adjacency.tocsr()
+            row = coefficients[relation].reshape(1, self.num_bases)
+            weight = (row @ bases_flat).reshape(self.in_features, self.out_features)
+            out += csr @ (inputs @ weight)
+            relations.append((relation, csr, row, weight))
+        children = (x, self.self_weight, self.bases, self.coefficients)
+        has_bias = self.bias is not None
+        if has_bias:
+            out += self.bias.data
+            children += (self.bias,)
+        wants_x = x.tracked
+
+        def backward(grad: np.ndarray):
+            grad_x = grad_bases = grad_coefficients = None
+            for relation, csr, row, weight in reversed(relations):
+                grad_support = spmm_transpose(csr) @ grad
+                if wants_x:
+                    grad_x = _summed(grad_x, grad_support @ weight.T)
+                grad_weight = (inputs.T @ grad_support).reshape(1, -1)
+                if grad_coefficients is None:
+                    grad_coefficients = np.zeros_like(coefficients)
+                grad_coefficients[relation] += (grad_weight @ bases_flat.T).reshape(-1)
+                grad_bases = _summed(grad_bases, (row.T @ grad_weight).reshape(bases_shape))
+            if wants_x:
+                grad_x = _summed(grad_x, grad @ self_weight.T)
+            grads = (grad_x, inputs.T @ grad, grad_bases, grad_coefficients)
+            return grads + (grad.sum(axis=0),) if has_bias else grads
+
+        return Tensor._result(out, children, backward)
 
 
 class GATConv(Module):

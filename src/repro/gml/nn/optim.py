@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,27 +83,34 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m: Dict[int, np.ndarray] = {}
-        self._v: Dict[int, np.ndarray] = {}
+        #: First and second moments per parameter, made by the first
+        #: ``zero_grad`` (before the first forward, so a run's first step
+        #: already holds them) and updated in place.
+        self._moments: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
         self._step = 0
+
+    def zero_grad(self) -> None:
+        super().zero_grad()
+        self._state()
+
+    def _state(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        if self._moments is None:
+            self._moments = [(np.zeros_like(parameter.data), np.zeros_like(parameter.data))
+                             for parameter in self.parameters]
+        return self._moments
 
     def step(self) -> None:
         self._step += 1
-        for parameter in self.parameters:
+        for parameter, (m, v) in zip(self.parameters, self._state()):
             if parameter.grad is None:
                 continue
             grad = parameter.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * parameter.data
-            m = self._m.get(id(parameter))
-            v = self._v.get(id(parameter))
-            if m is None:
-                m = np.zeros_like(parameter.data)
-                v = np.zeros_like(parameter.data)
-            m = self.beta1 * m + (1 - self.beta1) * grad
-            v = self.beta2 * v + (1 - self.beta2) * grad ** 2
-            self._m[id(parameter)] = m
-            self._v[id(parameter)] = v
+            m *= self.beta1
+            m += (1 - self.beta1) * grad
+            v *= self.beta2
+            v += (1 - self.beta2) * grad ** 2
             m_hat = m / (1 - self.beta1 ** self._step)
             v_hat = v / (1 - self.beta2 ** self._step)
             parameter.data = parameter.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

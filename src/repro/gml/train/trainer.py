@@ -319,6 +319,15 @@ class MorsETrainer(_LinkPredictionTrainer):
             num_subkgs=subkgs_per_epoch, seed=seed)
         self.negative_sampler_seed = seed
         self.num_negatives = num_negatives
+        #: The scoring arrays of one ``train()`` call, reused by every step.
+        self._step_buffers: Optional[Dict[str, Dict[str, np.ndarray]]] = None
+
+    def train(self) -> TrainingResult:
+        self._step_buffers = {}
+        try:
+            return super().train()
+        finally:
+            self._step_buffers = None
 
     def _train_epoch(self, epoch: int) -> float:
         losses = []
@@ -329,8 +338,8 @@ class MorsETrainer(_LinkPredictionTrainer):
             negatives = negative_sampler.corrupt(local_triples)
             entity_embeddings = self.model.compose_entity_embeddings(
                 local_triples, num_local)
-            losses.append(self._step(
-                self.model.loss(entity_embeddings, local_triples, negatives)))
+            losses.append(self._step(self.model.loss(
+                entity_embeddings, local_triples, negatives, self._step_buffers)))
         return sum(losses) / max(1, len(losses))
 
     def _final_metrics(self) -> Tuple[Dict[str, float], float]:

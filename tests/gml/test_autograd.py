@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import gc
+import threading
 import weakref
 
 from repro.exceptions import AutogradError, ShapeError
@@ -25,7 +26,6 @@ from repro.gml.autograd import (
     tensor,
     zeros,
 )
-from repro.gml.nn import RGCNConv
 
 
 def numeric_gradient(fn, parameter, eps=1e-6):
@@ -88,6 +88,29 @@ class TestTensorBasics:
         with no_grad():
             out = (p * 3).sum()
         assert out._backward_fn is None
+
+    def test_no_grad_is_per_thread(self):
+        """One thread evaluating under no_grad() leaves another's graph alone."""
+        entered, built = threading.Event(), threading.Event()
+
+        def evaluate():
+            with no_grad():
+                entered.set()
+                built.wait(5)
+
+        thread = threading.Thread(target=evaluate)
+        thread.start()
+        try:
+            assert entered.wait(5)
+            p = Parameter([1.0, 2.0])
+            out = (p * 3).sum()
+        finally:
+            built.set()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert out._backward_fn is not None
+        out.backward()
+        assert np.array_equal(p.grad, [3.0, 3.0])
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -320,41 +343,6 @@ class TestSpmmTranspose:
         spmm(adjacency, spmm(adjacency, p)).sum().backward()
         assert np.array_equal(p.grad, adjacency.T @ (adjacency.T @ np.ones((6, 3))))
         check_gradient(lambda: (spmm(adjacency, spmm(adjacency, p)) ** 2).sum(), p)
-
-
-class TestRelationWeights:
-    """RGCNConv composes each relation weight from its own coefficient row
-    (``coefficients[r]``, a basic index): the cost of a step is linear in R."""
-
-    def reference_forward(self, layer, adjacencies, x):
-        out = x @ layer.self_weight
-        for relation, adjacency in enumerate(adjacencies):
-            if adjacency.nnz == 0:
-                continue
-            bases_flat = layer.bases.reshape(layer.num_bases,
-                                             layer.in_features * layer.out_features)
-            weight = (layer.coefficients[relation].reshape(1, layer.num_bases)
-                      @ bases_flat).reshape(layer.in_features, layer.out_features)
-            out = out + spmm(adjacency, x @ weight)
-        return out + layer.bias
-
-    def test_forward_and_gradients_match_per_relation_composition(self, rng_local):
-        adjacencies = [sp.random(7, 7, density=d, format="csr",
-                                 random_state=np.random.RandomState(i))
-                       for i, d in enumerate((0.3, 0.0, 0.5))]
-        layer = RGCNConv(4, 3, num_relations=3, num_bases=2, seed=1)
-        x = Tensor(rng_local.normal(size=(7, 4)))
-        out = layer(adjacencies, x)
-        reference = self.reference_forward(layer, adjacencies, x)
-        assert np.array_equal(out.data, reference.data)
-        (out ** 2).sum().backward()
-        grads = [q.grad for q in layer.parameters()]
-        layer.zero_grad()
-        (reference ** 2).sum().backward()
-        for q, grad in zip(layer.parameters(), grads):
-            assert np.array_equal(q.grad, grad)
-        for q in layer.parameters():
-            check_gradient(lambda: (layer(adjacencies, x) ** 2).sum(), q)
 
 
 class TestTape:
