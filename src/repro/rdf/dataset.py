@@ -21,7 +21,7 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from repro.exceptions import RDFError
 from repro.rdf.dictionary import TermDictionary
-from repro.rdf.graph import Graph, GraphSnapshot, _NO_MATCH
+from repro.rdf.graph import UNKNOWN, ChangeLog, Graph, GraphSnapshot, _NO_MATCH
 from repro.rdf.namespace import NamespaceManager
 from repro.rdf.terms import IRI, Quad, Term, Triple
 
@@ -337,7 +337,9 @@ class Dataset:
 
     All graphs in the dataset also share one :class:`TermDictionary`, so
     union/merge operations and cross-graph plan caching stay in id space —
-    and one write lock, so dataset-wide mutations commit atomically.
+    one write lock, so dataset-wide mutations commit atomically, and one
+    :class:`~repro.rdf.graph.ChangeLog`, which records what every epoch step
+    changed.
     """
 
     def __init__(self, namespaces: Optional[NamespaceManager] = None,
@@ -349,8 +351,10 @@ class Dataset:
         # the outermost write hold becomes the WAL commit point; any object
         # with RLock semantics works.
         self._lock = lock if lock is not None else threading.RLock()
+        self._changes = ChangeLog()
         self._default = Graph(namespaces=self.namespaces,
-                              dictionary=self._dictionary, lock=self._lock)
+                              dictionary=self._dictionary, lock=self._lock,
+                              changes=self._changes)
         self._named: Dict[IRI, Graph] = {}
         # Bumped whenever the *set* of graphs changes (create/drop), so the
         # epoch token below cannot collide across structural changes.
@@ -376,6 +380,11 @@ class Dataset:
     def dictionary(self) -> TermDictionary:
         """The term interning table shared by every graph in the dataset."""
         return self._dictionary
+
+    @property
+    def changes(self) -> ChangeLog:
+        """The log of what each epoch step changed, shared by every graph."""
+        return self._changes
 
     def attach_journal(self, journal) -> None:
         """Attach (or with ``None`` detach) a write-ahead journal.
@@ -414,10 +423,11 @@ class Dataset:
                 graph = Graph(identifier=identifier,
                               namespaces=self.namespaces,
                               dictionary=self._dictionary,
-                              lock=self._lock)
+                              lock=self._lock, changes=self._changes)
                 graph._journal = self._journal
                 self._named[identifier] = graph
                 self._generation += 1
+                self._changes.record(UNKNOWN)
             return self._named[identifier]
 
     def has_graph(self, identifier: object) -> bool:
@@ -437,16 +447,17 @@ class Dataset:
                 self._journal.log_drop(identifier)
             del self._named[identifier]
             self._generation += 1
+            self._changes.record(UNKNOWN)
             return True
 
     def epoch(self) -> Tuple[int, int]:
-        """A cheap staleness token covering every graph in the dataset.
+        """An O(1) staleness token covering every graph in the dataset:
+        ``(graph-set generation, change-log step)``.
 
         Changes whenever any graph mutates or the set of graphs changes;
         the SPARQL endpoint keys its plan cache and cached union graph on it.
         """
-        return (self._generation,
-                sum(graph.epoch for graph in self.graphs()))
+        return (self._generation, self._changes.step)
 
     def snapshot(self) -> DatasetSnapshot:
         """Pin a consistent view of every graph, cached per epoch token.
@@ -481,8 +492,9 @@ class Dataset:
         yield self._default
         # list() is a single atomic C-level copy under the GIL: a concurrent
         # writer creating a named graph must not explode this iteration with
-        # "dictionary changed size during iteration" (readers call epoch()
-        # on every query, writers create graphs via load/UPDATE envelopes).
+        # "dictionary changed size during iteration" (readers size and scan
+        # the dataset unlocked, writers create graphs via load/UPDATE
+        # envelopes).
         yield from list(self._named.values())
 
     def named_graphs(self) -> Iterator[Graph]:

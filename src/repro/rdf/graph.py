@@ -16,7 +16,9 @@ query hot path.  Two pieces of metadata are maintained incrementally for the
 caching/planning layers above:
 
 * ``epoch`` — a counter bumped on every mutation, used by the endpoint's
-  plan cache and cached union graph to detect staleness without diffing,
+  plan cache and cached union graph to detect staleness without diffing;
+  a graph in a dataset also appends what each bump changed to the
+  dataset's :class:`ChangeLog`,
 * per-predicate / per-subject / per-object cardinality counters, giving the
   join-order optimizer O(1) estimates instead of per-query index probes,
 * per-predicate *distinct-subject* counts (distinct objects and the global
@@ -70,12 +72,75 @@ from repro.rdf.terms import (
     term_from_python,
 )
 
-__all__ = ["Graph", "GraphSnapshot"]
+__all__ = ["ChangeLog", "Graph", "GraphSnapshot", "UNKNOWN"]
 
 _Pattern = Tuple[Optional[Term], Optional[Term], Optional[Term]]
 
 #: Nested index shape: first-component id -> second id -> set of third ids.
 _Index = Dict[int, Dict[int, Set[int]]]
+
+#: What a change-log step records when it cannot say which triples changed.
+UNKNOWN = None
+
+
+class ChangeLog:
+    """What each of a dataset's last :attr:`CAPACITY` epoch steps changed.
+
+    Owned by a :class:`~repro.rdf.dataset.Dataset` and shared by its graphs,
+    like the write lock and the dictionary; a standalone :class:`Graph` has
+    none.  Every commit that bumps a graph epoch, and every graph create or
+    drop, appends one record under the write lock: the id triples it added
+    or removed, or :data:`UNKNOWN` when it cannot say — bulk loads,
+    checkpoint adoption, CLEAR, create / drop, and removes of more than
+    :attr:`MAX_TRIPLES` triples.  ``step`` counts the records; it is the
+    second component of :meth:`Dataset.epoch
+    <repro.rdf.dataset.Dataset.epoch>`.
+
+    Readers never take the lock.  Records sit in a ring indexed by step and
+    each carries its own step number; a writer fills the slot before it
+    publishes ``step``, so a reader that finds the step it asks for holds
+    the whole record, and one overwritten since fails the match.
+    """
+
+    CAPACITY = 1024
+    MAX_TRIPLES = 16
+
+    __slots__ = ("step", "_ring")
+
+    def __init__(self) -> None:
+        self.step = 0
+        self._ring = [(-1, UNKNOWN)] * self.CAPACITY
+
+    def record(self, changes) -> None:
+        """Append the next step: a sequence of ``(s, p, o)`` id triples, or
+        :data:`UNKNOWN` (caller holds the dataset's write lock)."""
+        if changes is not UNKNOWN and len(changes) > self.MAX_TRIPLES:
+            changes = UNKNOWN
+        step = self.step + 1
+        self._ring[step % self.CAPACITY] = (step, changes)
+        self.step = step
+
+    def untouched(self, patterns, since: int, until: int) -> bool:
+        """True when no step in ``(since, until]`` changed a triple matching
+        one of ``patterns`` — ``(s, p, o)`` ids, ``None`` matching any id.
+
+        False whenever the log cannot vouch for that: an empty range, a step
+        it no longer holds, or an :data:`UNKNOWN` step.  Walks only those
+        steps, newest first.
+        """
+        if not since < until <= since + self.CAPACITY:
+            return False
+        ring, capacity = self._ring, self.CAPACITY
+        for step in range(until, since, -1):
+            logged, changes = ring[step % capacity]
+            if logged != step or changes is UNKNOWN:
+                return False
+            for si, pi, oi in changes:
+                for s, p, o in patterns:
+                    if ((s is None or s == si) and (p is None or p == pi)
+                            and (o is None or o == oi)):
+                        return False
+        return True
 
 
 def _as_term(value: object, *, allow_none: bool = False) -> Optional[Term]:
@@ -108,16 +173,21 @@ class Graph:
         Optional re-entrant write lock.  A :class:`~repro.rdf.dataset.Dataset`
         passes one shared lock to all its graphs so a dataset-level writer
         advances every epoch atomically; standalone graphs get their own.
+    changes:
+        Optional :class:`ChangeLog` each epoch bump is recorded in; a
+        :class:`~repro.rdf.dataset.Dataset` passes its own to all its graphs.
     """
 
     def __init__(self, identifier: Optional[IRI] = None,
                  namespaces: Optional[NamespaceManager] = None,
                  dictionary: Optional[TermDictionary] = None,
-                 lock: Optional[threading.RLock] = None) -> None:
+                 lock: Optional[threading.RLock] = None,
+                 changes: Optional[ChangeLog] = None) -> None:
         self.identifier = identifier
         self.namespaces = namespaces or NamespaceManager()
         self._dict = dictionary if dictionary is not None else TermDictionary()
         self._lock = lock if lock is not None else threading.RLock()
+        self._changes = changes
         self._spo: _Index = {}
         self._pos: _Index = {}
         self._osp: _Index = {}
@@ -226,6 +296,13 @@ class Graph:
         self._fresh = set()
         self._cow_pending = False
 
+    def _commit(self, changes) -> None:
+        """Bump the epoch — the commit point readers key on — and log what
+        the bump changed (id triples or :data:`UNKNOWN`; caller holds lock)."""
+        self._epoch += 1
+        if self._changes is not None:
+            self._changes.record(changes)
+
     def _owned_dict(self, top: Dict[int, Dict], key: int) -> Dict:
         """The inner dict for ``key``, copied first if a snapshot shares it."""
         bucket = top.get(key)
@@ -291,7 +368,7 @@ class Graph:
             journal.log_add(self.identifier, si, pi, oi)
         if not self._insert_ids(si, pi, oi, known_new=journal is not None):
             return False
-        self._epoch += 1
+        self._commit(((si, pi, oi),))
         return True
 
     def _insert_ids(self, si: int, pi: int, oi: int,
@@ -348,7 +425,7 @@ class Graph:
                     if insert(si, pi, oi):
                         added += 1
             if added:
-                self._epoch += 1
+                self._commit(UNKNOWN)
         return added
 
     def _adopt_indexes(self, spo: _Index, pos: _Index, osp: _Index,
@@ -383,7 +460,7 @@ class Graph:
             self._ps_counts = ps_counts
             self._size = size
             if size:
-                self._epoch += 1
+                self._commit(UNKNOWN)
         return size
 
     def _bulk_insert_fast(self, id_triples: Iterable[Tuple[int, int, int]]) -> int:
@@ -486,7 +563,7 @@ class Graph:
             for si, pi, oi in to_remove:
                 self._discard_ids(si, pi, oi)
             if to_remove:
-                self._epoch += 1
+                self._commit(to_remove)
             return len(to_remove)
 
     def _discard_ids(self, si: int, pi: int, oi: int) -> None:
@@ -544,7 +621,7 @@ class Graph:
             if self._fresh is not None:
                 self._fresh = set()
             if self._size:
-                self._epoch += 1
+                self._commit(UNKNOWN)
             self._size = 0
 
     # ------------------------------------------------------------------
@@ -925,6 +1002,7 @@ class GraphSnapshot(Graph):
         snap.namespaces = graph.namespaces
         snap._dict = graph._dict
         snap._lock = graph._lock
+        snap._changes = None  # snapshots are immutable: nothing to log
         snap._spo = graph._spo
         snap._pos = graph._pos
         snap._osp = graph._osp

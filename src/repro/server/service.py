@@ -53,11 +53,13 @@ transport.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
+                    Union)
 from urllib.parse import unquote, unquote_plus, urlsplit
 
 from repro.exceptions import (
@@ -455,18 +457,23 @@ class ServiceHandler:
         # the raw Accept header (same header → same negotiated format; a
         # finer key than the media type, never a wrong body) and the
         # default-graph set; freshness rides on the dataset epoch checked in
-        # `lookup`.  `Cache-Control: no-store` opts a request out.
+        # `lookup`, read here *before* dispatch: the body is stored under it
+        # even when evaluated on a later snapshot, so a body carried to a
+        # newer epoch is checked against every write since.  The prefix-table
+        # version the text is read under rides along the same way.
+        # `Cache-Control: no-store` opts a request out.
         endpoint = getattr(self.router, "endpoint", None)
         cache = getattr(endpoint, "result_cache", None)
         if cache is not None and cache_control is not None \
                 and "no-store" in cache_control.lower():
             cache = None
-        cache_key = epoch = None
+        cache_key = epoch = dataset = namespaces_version = None
         if cache is not None:
             started = time.perf_counter()
             cache_key = (query, frozenset(default_graphs or ()),
                          frozenset(named_graphs or ()), accept or "")
-            epoch = endpoint.dataset.epoch()
+            dataset = endpoint.dataset
+            epoch = dataset.epoch()
             entry = cache.lookup(cache_key, epoch)
             if entry is not None:
                 # Keep the route's call count/percentiles truthful even
@@ -479,6 +486,7 @@ class ServiceHandler:
                               f"{entry.media_type}; charset=utf-8"),
                              ("X-KGNet-Result-Cache", "hit")],
                     body=entry.body)
+            namespaces_version = dataset.namespaces.version
         api_params: Dict[str, object] = {"query": query, "require": "query",
                                          "stream": True}
         if default_graphs:
@@ -516,14 +524,23 @@ class ServiceHandler:
         service_response = ServiceResponse(
             status=200,
             headers=[("Content-Type", f"{media_type}; charset=utf-8")])
+        store = None
+        if cache is not None:
+            # The dispatch parsed the text into the plan cache; its
+            # footprint rides with the body.
+            store = functools.partial(
+                cache.store, cache_key, epoch, dataset, namespaces_version,
+                media_type, footprint=endpoint.footprint(
+                    query, namespaces_version, dataset.dictionary))
         service_response.body = self._guarded_stream(
-            prefix, fragments, service_response, cache, cache_key, epoch,
-            media_type)
+            prefix, fragments, service_response,
+            cache.max_entry_bytes if cache is not None else 0, store)
         return service_response
 
     def _guarded_stream(self, prefix: List[bytes], fragments: Iterable[bytes],
-                        response: ServiceResponse, cache, cache_key, epoch,
-                        media_type: str) -> Iterator[bytes]:
+                        response: ServiceResponse, max_bytes: int,
+                        store: Optional[Callable[[bytes], None]]
+                        ) -> Iterator[bytes]:
         """Stream body fragments under the streamed-failure contract.
 
         A mid-body :class:`~repro.exceptions.QueryInterrupted` never escapes
@@ -531,15 +548,15 @@ class ServiceHandler:
         cut (``stream_error``), records the cause on the route's metrics and
         ends the iterator — the transport then close-delimits so any stock
         client can tell the body is incomplete.  Cleanly completed bodies
-        within the size cap are stored in the result cache.
+        of at most ``max_bytes`` are handed to ``store`` (the result cache).
         """
-        collected: Optional[List[bytes]] = [] if cache is not None else None
+        collected: Optional[List[bytes]] = [] if store is not None else None
         size = 0
         try:
             for fragment in itertools.chain(prefix, fragments):
                 if collected is not None:
                     size += len(fragment)
-                    if size > cache.max_entry_bytes:
+                    if size > max_bytes:
                         # Too big to cache; keep streaming, stop collecting.
                         collected = None
                     else:
@@ -556,7 +573,7 @@ class ServiceHandler:
                 "INTERNAL_ERROR")
             return
         if collected is not None:
-            cache.store(cache_key, epoch, media_type, b"".join(collected))
+            store(b"".join(collected))
 
     def _dispatch_update(self, update: str,
                          timeout: Optional[str] = None,

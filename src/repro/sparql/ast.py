@@ -388,7 +388,13 @@ class GroupPattern:
     elements: List[GraphPattern] = field(default_factory=list)
 
     def triple_patterns(self) -> List[TriplePattern]:
-        """All triple patterns in this group, recursively."""
+        """The plain triple patterns of this group's BGPs and of its
+        OPTIONAL, MINUS and UNION groups, recursively.
+
+        Property paths, EXISTS groups and sub-SELECTs are skipped, so this is
+        not everything a query reads; :func:`repro.sparql.footprint.footprint`
+        is.
+        """
         out: List[TriplePattern] = []
         for element in self.elements:
             if isinstance(element, BGP):

@@ -11,8 +11,12 @@ registered UDFs that issue HTTP calls to the GML inference manager.  The
 * it keeps an LRU *parse + plan* cache (:class:`PlanCache`) keyed by query
   text: repeated queries skip the parser entirely and reuse their compiled
   id-space join plans; any graph mutation bumps the dataset epoch, which
-  transparently invalidates cached plans (never cached results — the
-  evaluator always runs against the current snapshot),
+  transparently rebuilds cached plans against the current snapshot,
+* it owns the :class:`ResultCache` of serialized response bodies the HTTP
+  service reads through: a body survives every write whose logged changes
+  miss the query's footprint (:mod:`repro.sparql.footprint`), and is
+  dropped as soon as the dataset's change log cannot vouch for it or a
+  prefix the text may use is rebound,
 * it caches the materialised union graph between mutations (via
   :meth:`Dataset.snapshot <repro.rdf.dataset.Dataset.snapshot>`), so mixed
   KGMeta + data queries stop paying a full union rebuild per request,
@@ -38,10 +42,12 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import (Callable, Deque, Dict, FrozenSet, List, NamedTuple,
+                    Optional, Tuple, Union)
 
 from repro.exceptions import QueryError
 from repro.rdf.dataset import Dataset
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import NamespaceManager
 from repro.rdf.terms import IRI, Triple
@@ -49,6 +55,7 @@ from repro.sparql.ast import AskQuery, ConstructQuery, Query, SelectQuery, Updat
 from repro.sparql.cache import EpochLRU
 from repro.sparql.evaluator import QueryEvaluator
 from repro.sparql.execution import ExecutionContext, StreamingResult
+from repro.sparql.footprint import IdPattern, footprint
 from repro.sparql.functions import BatchResolver, UDFRegistry
 from repro.sparql.parser import SPARQLParser
 from repro.sparql.plan import QueryPlan, render
@@ -108,34 +115,77 @@ class PlanCache(EpochLRU):
 class _ResultCacheEntry(NamedTuple):
     media_type: str
     body: bytes
+    #: The query's id patterns (:func:`~repro.sparql.footprint.footprint`);
+    #: None when any change may alter the body.
+    footprint: Optional[FrozenSet[IdPattern]]
+    #: The prefix-table version (:attr:`NamespaceManager.version
+    #: <repro.rdf.namespace.NamespaceManager.version>`) the text was read
+    #: under: a prefixed name in it may mean another IRI under a later one.
+    namespaces_version: int
 
 
 class ResultCache(EpochLRU):
-    """An epoch-invalidated LRU of fully serialized query responses.
+    """An epoch-checked LRU of fully serialized query responses.
 
     Sits *above* the plan cache: where a plan-cache hit skips parsing and
     compilation, a result-cache hit skips evaluation **and** serialization —
     the stored value is the complete pre-encoded response body, ready to
     write to a socket in one call.  Keys are
-    ``(query text, default-graph set, media type)``; a lookup at any epoch
-    other than the one the body was computed under evicts the entry, so a
-    mutation can never leak a stale body.  Entries above
-    ``max_entry_bytes`` are not cached (a giant dump would evict the whole
-    working set for one client); ``max_bytes`` bounds the total held memory.
+    ``(query text, default-graph set, named-graph set, Accept header)``.
+
+    A body is stored with the query's footprint and prefix-table version
+    under the dataset epoch and version read *before* the query was
+    dispatched.  A lookup at that epoch is a plain hit.  A lookup at a later
+    epoch asks the :class:`~repro.rdf.graph.ChangeLog` of the endpoint's
+    dataset whether any step since the stored epoch changed a triple
+    matching the footprint; when none did and no prefix was rebound since,
+    the body is still the answer (it was evaluated no earlier than the
+    stored epoch), so the entry is re-stamped and served.  A step the log
+    no longer holds, an unlogged step, a footprint of ``None``, a graph
+    create / drop or a rebound prefix drops the entry, so a mutation can
+    never leak a stale body.  Entries above ``max_entry_bytes`` are not
+    cached (a giant dump would evict the whole working set for one client);
+    ``max_bytes`` bounds the total held memory.
     """
 
-    def __init__(self, maxsize: int = 256,
+    def __init__(self, dataset: Dataset, maxsize: int = 256,
                  max_entry_bytes: int = 1 << 20,
                  max_bytes: int = 32 << 20) -> None:
-        super().__init__(maxsize, max_bytes=max_bytes)
+        super().__init__(maxsize, max_bytes=max_bytes,
+                         revalidate=self._untouched)
+        self.dataset = dataset
         self.max_entry_bytes = max_entry_bytes
 
     def lookup(self, key: Tuple, epoch) -> Optional[_ResultCacheEntry]:
         return self.get(key, epoch)[0]
 
-    def store(self, key: Tuple, epoch, media_type: str, body: bytes) -> None:
-        if len(body) <= self.max_entry_bytes:
-            self.put(key, epoch, _ResultCacheEntry(media_type, body), len(body))
+    def store(self, key: Tuple, epoch, dataset: Dataset,
+              namespaces_version: int, media_type: str, body: bytes,
+              footprint: Optional[FrozenSet[IdPattern]]) -> None:
+        """Cache ``body``, computed no earlier than ``epoch`` of ``dataset``
+        from a text read under ``namespaces_version`` of its prefix table; a
+        body from a dataset the endpoint has since replaced (:meth:`reset`)
+        is not cached."""
+        if len(body) > self.max_entry_bytes:
+            return
+        with self._lock:
+            if dataset is self.dataset:
+                self.put(key, epoch, _ResultCacheEntry(
+                    media_type, body, footprint, namespaces_version),
+                    len(body))
+
+    def reset(self, dataset: Dataset) -> None:
+        """Drop every body and follow a swapped-in dataset."""
+        with self._lock:
+            self.dataset = dataset
+            self.clear()
+
+    def _untouched(self, entry: _ResultCacheEntry, stored, epoch) -> bool:
+        dataset = self.dataset
+        return (entry.footprint is not None and stored[0] == epoch[0]
+                and entry.namespaces_version == dataset.namespaces.version
+                and dataset.changes.untouched(entry.footprint, stored[1],
+                                              epoch[1]))
 
 
 def _drained(value):
@@ -163,7 +213,7 @@ class SPARQLEndpoint:
         self.optimize_joins = optimize_joins
         self.history: Deque[QueryStatistics] = deque(maxlen=self.HISTORY_LIMIT)
         self.plan_cache = PlanCache()
-        self.result_cache = ResultCache()
+        self.result_cache = ResultCache(self.dataset)
         #: Total triple-pattern index lookups across all executed queries.
         #: Plain int for backwards compatibility; increments happen under
         #: ``_stats_lock`` (``+=`` is read-modify-write and loses updates
@@ -198,11 +248,15 @@ class SPARQLEndpoint:
         graphs and epoch tokens, so the plan cache is cleared wholesale —
         the new dataset's epoch counters restart and could otherwise collide
         with cached tokens.  Parses are cheap to redo; stale ids are not.
+        The result cache drops its bodies and follows the new dataset
+        *before* the swap, so no lookup ever checks an old body against the
+        new dataset's epochs, and it refuses bodies still in flight from the
+        old one.
         """
+        self.result_cache.reset(dataset)
         self.dataset = dataset
         self.namespaces = dataset.namespaces
         self.plan_cache.clear()
-        self.result_cache.clear()
 
     def register_udf(self, name: str,
                      function: Optional[Callable[..., object]] = None,
@@ -258,6 +312,19 @@ class SPARQLEndpoint:
         plan = None if isinstance(parsed, list) else QueryPlan()
         self.plan_cache.store(key, parsed, plan, epoch)
         return parsed, plan, False
+
+    def footprint(self, text: str, namespaces_version: int,
+                  dictionary: TermDictionary
+                  ) -> Optional[FrozenSet[IdPattern]]:
+        """The id patterns the answer to ``text`` can depend on
+        (:func:`repro.sparql.footprint.footprint`, constants resolved in
+        ``dictionary``), from the parse the plan cache holds for it under
+        ``namespaces_version``; None — any change may alter the answer —
+        once that parse is gone."""
+        entry = self.plan_cache.peek((text, namespaces_version))
+        if entry is None:
+            return None
+        return footprint(entry.parsed, dictionary.lookup)
 
     def prepare(self, text: str, require: Optional[str] = None,
                 graph_iri: Optional[Union[str, IRI]] = None,

@@ -48,6 +48,7 @@ from repro.sparql.ast import (
 from repro.sparql.results import Solution
 
 __all__ = [
+    "BUILTIN_FUNCTIONS",
     "UDFRegistry",
     "BatchResolver",
     "EvaluationContext",
@@ -407,6 +408,10 @@ _BUILTINS: Dict[str, Callable[[List[Optional[Term]]], Term]] = {
     "XSD_INTEGER_CAST": lambda args: Literal(int(float(str(args[0])))),
     "SAMETERM": lambda args: _boolean(args[0] is not None and args[0] == args[1]),
 }
+
+#: Upper-cased names the compiler evaluates itself; a call to any other name
+#: is a user-defined function (:func:`_compile_call`).
+BUILTIN_FUNCTIONS = frozenset(_BUILTINS) | {"BOUND", "IF", "COALESCE"}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ way a client would observe it:
   tracebacks.  Clean completions carry the ``X-KGNet-Stream-Status:
   complete`` trailer so the two outcomes are positively distinguishable.
 * **Result cache** — repeat queries are served from pre-encoded bytes
-  (``X-KGNet-Result-Cache: hit``), updates invalidate by dataset epoch,
+  (``X-KGNet-Result-Cache: hit``), an update invalidates a body when it
+  touches a triple pattern the query reads (and leaves it a hit otherwise;
+  ``tests/sparql/test_result_cache_revalidation.py`` has the rules),
   ``Cache-Control: no-store`` opts out, and the counters surface in stats.
 * **Fast request parsing** — the hand-rolled header parser stays
   conformant: malformed request lines, bad versions, header-limit abuse
@@ -331,6 +333,7 @@ class TestResultCache:
         assert cache_stats["hits"] >= 1
         assert cache_stats["misses"] >= 1
         assert 0.0 < cache_stats["hit_rate"] <= 1.0
+        assert cache_stats["revalidated"] == 0
 
 
 # ---------------------------------------------------------------------------
