@@ -5,7 +5,7 @@ Sub-packages:
 * :mod:`repro.gml.autograd` — numpy reverse-mode autodiff,
 * :mod:`repro.gml.data` / :mod:`repro.gml.transform` / :mod:`repro.gml.splits`
   — sparse-matrix graph data and the RDF dataset transformer,
-* :mod:`repro.gml.sampling` — GraphSAINT, ShaDow, neighbour and triple samplers,
+* :mod:`repro.gml.sampling` — GraphSAINT, ShaDow and triple samplers,
 * :mod:`repro.gml.nn` — GNN layers / models and optimizers,
 * :mod:`repro.gml.kge` — TransE, DistMult, ComplEx, RotatE, MorsE,
 * :mod:`repro.gml.train` — trainers, metrics, budgets, cost estimators.

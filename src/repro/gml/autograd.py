@@ -100,8 +100,8 @@ def _scatter(shape: Tuple[int, ...], index, grad: np.ndarray) -> np.ndarray:
 
     A row gather (1-D non-negative integers, the embedding lookup) is one
     product with the sparse matrix holding a single one per column; a basic
-    index (ints and slices) repeats no position, so it is one assignment; any
-    other index goes through the flat positions it selects.
+    index (ints, slices and ``...``) repeats no position, so it is one
+    assignment; any other index goes through the flat positions it selects.
     """
     if isinstance(index, np.ndarray) and index.ndim == 1 and \
             index.dtype.kind in "iu" and (index.size == 0 or index.min() >= 0):
@@ -109,7 +109,7 @@ def _scatter(shape: Tuple[int, ...], index, grad: np.ndarray) -> np.ndarray:
         selector = sp.csc_matrix((np.ones(rows), index, np.arange(rows + 1)),
                                  shape=(shape[0], rows))
         return (selector @ grad.reshape(rows, int(np.prod(shape[1:])))).reshape(shape)
-    if all(isinstance(part, (int, np.integer, slice))
+    if all(isinstance(part, (int, np.integer, slice, type(Ellipsis)))
            for part in (index if isinstance(index, tuple) else (index,))):
         full = np.zeros(shape)
         full[index] = grad

@@ -1,14 +1,23 @@
-"""Base class for knowledge-graph embedding (KGE) models.
+"""Base class for knowledge-graph embedding (KGE) models, and link ranking.
 
 A KGE model scores triples ``(head, relation, tail)``; training maximises the
-scores of observed triples against negative-sampled corruptions, and link
-prediction ranks candidate tails (or heads) by score.  Concrete scoring
-functions: TransE, DistMult, ComplEx, RotatE (paper Fig 5, "KGE" branch).
+scores of observed triples against negative-sampled corruptions.  Concrete
+scoring functions: TransE, DistMult, ComplEx, RotatE (paper Fig 5, "KGE"
+branch).
+
+Every link predictor — these four and
+:class:`~repro.gml.kge.morse.MorsE` — ranks through one entry,
+``tail_scores(entity_vectors, heads, relation, candidates)``, over the
+vectors its ``entity_vectors(train_triples, num_entities)`` returns.  The
+filtered test ranking of training (:func:`filtered_tail_ranks`) and GMLaaS
+inference both call it, so how a model scores a triple is written once: for
+the KGE models it is their own autograd ``score``, run here on broadcast
+(heads x candidates) blocks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +30,24 @@ from repro.gml.autograd import (
 )
 from repro.gml.nn.module import Module
 
-__all__ = ["KGEModel", "known_tails", "ranking_metrics"]
+__all__ = ["KGEModel", "filtered_tail_ranks", "known_tails", "ranking_metrics",
+           "score_in_blocks"]
+
+#: Elements one (heads, candidates, dim) scoring block may hold.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def score_in_blocks(score_block: Callable[[slice], np.ndarray], num_heads: int,
+                    num_candidates: int, dim: int) -> np.ndarray:
+    """``(num_heads, num_candidates)`` scores, ``score_block(rows)`` giving
+    the rows of the heads in slice ``rows``; head blocks bound the
+    ``(block, candidates, dim)`` intermediate."""
+    scores = np.empty((num_heads, num_candidates))
+    step = max(1, _BLOCK_ELEMENTS // max(1, num_candidates * dim))
+    for start in range(0, num_heads, step):
+        rows = slice(start, start + step)
+        scores[rows] = score_block(rows)
+    return scores
 
 
 class KGEModel(Module):
@@ -55,7 +81,9 @@ class KGEModel(Module):
         return heads, relations, tails
 
     def score(self, heads: Tensor, relations: Tensor, tails: Tensor) -> Tensor:
-        """Return a (batch,) tensor of triple plausibility scores (higher = better)."""
+        """Triple plausibility scores (higher = better) of broadcastable
+        ``(..., dim)`` embeddings, reduced over the last axis: ``(batch,)``
+        for a training batch, ``(heads, candidates)`` in :meth:`tail_scores`."""
         raise NotImplementedError
 
     def score_triples(self, triples: np.ndarray) -> Tensor:
@@ -76,45 +104,28 @@ class KGEModel(Module):
         return positive_loss + negative_loss
 
     # ------------------------------------------------------------------
-    # Ranking evaluation / prediction
+    # Ranking
     # ------------------------------------------------------------------
-    def score_against_all_tails(self, head: int, relation: int) -> np.ndarray:
-        """Scores of ``(head, relation, e)`` for every entity ``e``."""
-        with no_grad():
-            triples = np.stack([
-                np.full(self.num_entities, head, dtype=np.int64),
-                np.full(self.num_entities, relation, dtype=np.int64),
-                np.arange(self.num_entities, dtype=np.int64),
-            ], axis=1)
-            return self.score_triples(triples).data.reshape(-1)
-
-    def rank_tail(self, head: int, relation: int, tail: int,
-                  filtered_tails: Optional[np.ndarray] = None) -> int:
-        """1-based rank of the true tail among all candidate entities."""
-        scores = self.score_against_all_tails(head, relation)
-        true_score = scores[tail]
-        if filtered_tails is not None and filtered_tails.size:
-            mask = np.zeros(self.num_entities, dtype=bool)
-            mask[filtered_tails] = True
-            mask[tail] = False
-            scores = scores.copy()
-            scores[mask] = -np.inf
-        return int((scores > true_score).sum()) + 1
-
-    def predict_tails(self, head: int, relation: int, k: int = 10,
-                      exclude: Optional[np.ndarray] = None) -> List[Tuple[int, float]]:
-        """Top-``k`` (entity, score) predictions for the tail slot."""
-        scores = self.score_against_all_tails(head, relation)
-        if exclude is not None and len(exclude):
-            scores = scores.copy()
-            scores[np.asarray(exclude, dtype=np.int64)] = -np.inf
-        top = np.argsort(-scores)[:k]
-        return [(int(entity), float(scores[entity])) for entity in top
-                if np.isfinite(scores[entity])]
-
-    def entity_embedding_matrix(self) -> np.ndarray:
-        """The (num_entities, dim) embedding matrix (for the embedding store)."""
+    def entity_vectors(self, train_triples: np.ndarray, num_entities: int) -> np.ndarray:
+        """The ``(num_entities, dim)`` vectors :meth:`tail_scores` ranks over
+        (and the embedding store holds): the trained table, whatever the
+        triples."""
         return self.entity_embeddings.weight.data.copy()
+
+    def tail_scores(self, entity_vectors: np.ndarray, heads: Sequence[int],
+                    relation: int, candidates: np.ndarray) -> np.ndarray:
+        """``(len(heads), len(candidates))`` scores of ``(head, relation,
+        candidate)``: :meth:`score` under ``no_grad`` on broadcast (heads x
+        candidates) blocks.  Each score is reduced over the last axis on its
+        own, so a head scores bit for bit the same alone and in a batch of
+        any size, and the same as the triple does in training."""
+        heads = entity_vectors[np.asarray(heads, dtype=np.int64), None, :]
+        tails = Tensor(entity_vectors[candidates][None])
+        relation_vector = Tensor(self.relation_embeddings.weight.data[relation][None, None])
+        with no_grad():
+            return score_in_blocks(
+                lambda rows: self.score(Tensor(heads[rows]), relation_vector, tails).data,
+                heads.shape[0], tails.shape[1], self.dim)
 
 
 def known_tails(triples: np.ndarray) -> Dict[Tuple[int, int], np.ndarray]:
@@ -131,6 +142,29 @@ def known_tails(triples: np.ndarray) -> Dict[Tuple[int, int], np.ndarray]:
         [[True], (heads[1:] != heads[:-1]) | (relations[1:] != relations[:-1])]))
     return dict(zip(zip(heads[starts].tolist(), relations[starts].tolist()),
                     np.split(tails, starts[1:])))
+
+
+def filtered_tail_ranks(model, entity_vectors: np.ndarray, test_triples: np.ndarray,
+                        known: Dict[Tuple[int, int], np.ndarray]) -> np.ndarray:
+    """1-based rank of each test triple's tail among all entities, by
+    ``model.tail_scores`` over ``entity_vectors``, with the other tails
+    ``known`` (:func:`known_tails`) for its ``(head, relation)`` filtered out.
+    The test triples of one relation are scored in one call."""
+    test_triples = np.asarray(test_triples, dtype=np.int64).reshape(-1, 3)
+    candidates = np.arange(entity_vectors.shape[0])
+    ranks = np.empty(test_triples.shape[0], dtype=np.int64)
+    for relation in np.unique(test_triples[:, 1]).tolist():
+        rows = np.flatnonzero(test_triples[:, 1] == relation)
+        scores = model.tail_scores(entity_vectors, test_triples[rows, 0], relation,
+                                   candidates)
+        for row, row_scores in zip(rows, scores):
+            head, _, tail = test_triples[row].tolist()
+            true_score = row_scores[tail]
+            other_tails = known.get((head, relation))
+            if other_tails is not None:
+                row_scores[other_tails] = -np.inf
+            ranks[row] = np.count_nonzero(row_scores > true_score) + 1
+    return ranks
 
 
 def ranking_metrics(ranks: np.ndarray, ks: Tuple[int, ...] = (1, 3, 10)) -> Dict[str, float]:

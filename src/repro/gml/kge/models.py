@@ -2,14 +2,16 @@
 
 These are the translational and semantic-matching families of the paper's
 method taxonomy (Fig 5).  All share the :class:`~repro.gml.kge.base.KGEModel`
-training / ranking machinery and differ only in ``score``.
+training / ranking machinery and differ only in ``score``, which reduces
+over the last axis so it scores a training batch and a (heads x candidates)
+ranking block alike.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.gml.autograd import Tensor, concatenate
+from repro.gml.autograd import Tensor
 from repro.gml.kge.base import KGEModel
 
 __all__ = ["TransE", "DistMult", "ComplEx", "RotatE"]
@@ -28,9 +30,9 @@ class TransE(KGEModel):
         difference = heads + relations - tails
         if self.norm == 1:
             # |x| = relu(x) + relu(-x) keeps the graph differentiable.
-            distance = (difference.relu() + (-difference).relu()).sum(axis=1)
+            distance = (difference.relu() + (-difference).relu()).sum(axis=-1)
         else:
-            distance = (difference * difference).sum(axis=1) ** 0.5
+            distance = (difference * difference).sum(axis=-1) ** 0.5
         return Tensor(np.full(distance.shape, self.margin)) - distance
 
 
@@ -38,7 +40,7 @@ class DistMult(KGEModel):
     """Bilinear-diagonal semantic matching: score = sum(h * r * t)."""
 
     def score(self, heads: Tensor, relations: Tensor, tails: Tensor) -> Tensor:
-        return (heads * relations * tails).sum(axis=1)
+        return (heads * relations * tails).sum(axis=-1)
 
 
 class ComplEx(KGEModel):
@@ -59,16 +61,16 @@ class ComplEx(KGEModel):
         self.half = dim // 2
 
     def _split(self, embedding: Tensor):
-        return embedding[:, : self.half], embedding[:, self.half:]
+        return embedding[..., : self.half], embedding[..., self.half:]
 
     def score(self, heads: Tensor, relations: Tensor, tails: Tensor) -> Tensor:
         h_re, h_im = self._split(heads)
         r_re, r_im = self._split(relations)
         t_re, t_im = self._split(tails)
-        real_part = (h_re * r_re * t_re).sum(axis=1) \
-            + (h_im * r_re * t_im).sum(axis=1) \
-            + (h_re * r_im * t_im).sum(axis=1) \
-            - (h_im * r_im * t_re).sum(axis=1)
+        real_part = (h_re * r_re * t_re).sum(axis=-1) \
+            + (h_im * r_re * t_im).sum(axis=-1) \
+            + (h_re * r_im * t_im).sum(axis=-1) \
+            - (h_im * r_im * t_re).sum(axis=-1)
         return real_part
 
 
@@ -93,7 +95,7 @@ class RotatE(KGEModel):
         self.margin = margin
 
     def _split(self, embedding: Tensor):
-        return embedding[:, : self.half], embedding[:, self.half:]
+        return embedding[..., : self.half], embedding[..., self.half:]
 
     def score(self, heads: Tensor, relations: Tensor, tails: Tensor) -> Tensor:
         h_re, h_im = self._split(heads)
@@ -111,4 +113,4 @@ class RotatE(KGEModel):
         difference_im = rotated_im - t_im
         squared = difference_re * difference_re + difference_im * difference_im
         distance = (squared + 1e-12) ** 0.5
-        return Tensor(np.full((distance.shape[0],), self.margin)) - distance.sum(axis=1)
+        return Tensor(np.full(distance.shape[:-1], self.margin)) - distance.sum(axis=-1)

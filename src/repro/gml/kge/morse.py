@@ -19,7 +19,7 @@ The reproduction keeps the two MorsE ingredients that matter here:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse as sp
@@ -33,7 +33,7 @@ from repro.gml.autograd import (
     no_grad,
     spmm,
 )
-from repro.gml.kge.base import known_tails, ranking_metrics
+from repro.gml.kge.base import score_in_blocks
 from repro.gml.nn.module import Module
 
 __all__ = ["MorsE"]
@@ -188,42 +188,29 @@ class MorsE(Module):
                 negative_scores, np.zeros(negative_scores.shape[0]))
 
     # ------------------------------------------------------------------
-    # Evaluation helpers
+    # Ranking
     # ------------------------------------------------------------------
-    def materialise_entities(self, triples: np.ndarray, num_entities: int) -> np.ndarray:
-        """Frozen entity embeddings for evaluation / the embedding store."""
+    def entity_vectors(self, train_triples: np.ndarray, num_entities: int) -> np.ndarray:
+        """Frozen entity embeddings composed from ``train_triples``, which
+        :meth:`tail_scores` ranks over (and the embedding store holds)."""
         with no_grad():
-            return self.compose_entity_embeddings(triples, num_entities).data.copy()
+            return self.compose_entity_embeddings(train_triples, num_entities).data
 
-    def rank_tails(self, entity_embeddings: np.ndarray, test_triples: np.ndarray,
-                   known_tails: Optional[Dict[Tuple[int, int], np.ndarray]] = None
-                   ) -> np.ndarray:
-        """1-based filtered ranks of true tails for each test triple."""
-        relation_matrix = self.relation_embeddings.weight.data
-        ranks: List[int] = []
-        for head, relation, tail in np.asarray(test_triples, dtype=np.int64):
-            if self.decoder == "distmult":
-                scores = (entity_embeddings[head] * relation_matrix[relation]) @ \
-                    entity_embeddings.T
-            else:
-                translated = entity_embeddings[head] + relation_matrix[relation]
-                scores = self.margin - np.abs(translated[None, :] - entity_embeddings).sum(axis=1)
-            true_score = scores[tail]
-            if known_tails is not None:
-                other_true = known_tails.get((int(head), int(relation)))
-                if other_true is not None and other_true.size:
-                    scores = scores.copy()
-                    mask = np.zeros(scores.shape[0], dtype=bool)
-                    mask[other_true] = True
-                    mask[tail] = False
-                    scores[mask] = -np.inf
-            ranks.append(int((scores > true_score).sum()) + 1)
-        return np.asarray(ranks, dtype=np.int64)
-
-    def evaluate(self, entity_embeddings: np.ndarray, test_triples: np.ndarray,
-                 all_triples: Optional[np.ndarray] = None) -> Dict[str, float]:
-        """Filtered MRR / Hits@k on ``test_triples``."""
-        known = known_tails(all_triples) \
-            if all_triples is not None and len(all_triples) else None
-        ranks = self.rank_tails(entity_embeddings, test_triples, known_tails=known)
-        return ranking_metrics(ranks)
+    def tail_scores(self, entity_vectors: np.ndarray, heads: Sequence[int],
+                    relation: int, candidates: np.ndarray) -> np.ndarray:
+        """``(len(heads), len(candidates))`` decoder scores of ``(head,
+        relation, candidate)``: an ``einsum`` (distmult) or the L1 margin in
+        head blocks (transe).  Each score is reduced over the embedding axis
+        on its own — not in a BLAS product, whose blocking varies with the
+        batch shape — so a head scores bit for bit the same alone and in a
+        batch of any size."""
+        relation_vector = self.relation_embeddings.weight.data[relation]
+        heads = entity_vectors[np.asarray(heads, dtype=np.int64)]
+        tails = entity_vectors[candidates]
+        if self.decoder == "distmult":
+            return np.einsum("sd,cd->sc", heads * relation_vector, tails)
+        translated = heads + relation_vector
+        return score_in_blocks(
+            lambda rows: self.margin - np.abs(
+                translated[rows, None, :] - tails[None, :, :]).sum(axis=2),
+            translated.shape[0], tails.shape[0], self.dim)

@@ -1,4 +1,4 @@
-"""Graph samplers: GraphSAINT, ShaDow, neighbour and triple/negative sampling."""
+"""Graph samplers: GraphSAINT, ShaDow and triple/negative sampling."""
 
 from repro.gml.sampling.base import SampledSubgraph, SubgraphSampler
 from repro.gml.sampling.graphsaint import (
@@ -7,7 +7,6 @@ from repro.gml.sampling.graphsaint import (
     GraphSAINTRandomWalkSampler,
 )
 from repro.gml.sampling.shadow import ShadowKHopSampler
-from repro.gml.sampling.neighbor import NeighborSampler
 from repro.gml.sampling.negative import (
     EdgeSubKGSampler,
     NegativeSampler,
@@ -21,7 +20,6 @@ __all__ = [
     "GraphSAINTEdgeSampler",
     "GraphSAINTRandomWalkSampler",
     "ShadowKHopSampler",
-    "NeighborSampler",
     "EdgeSubKGSampler",
     "NegativeSampler",
     "TripleBatchSampler",

@@ -8,7 +8,7 @@ training.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -64,26 +64,6 @@ class SubgraphSampler:
     def sample_nodes(self) -> np.ndarray:
         """Return the node ids of one sampled subgraph (subclass hook)."""
         raise NotImplementedError
-
-    def _bounded_expansion(self, roots: np.ndarray, fanouts: Sequence[int],
-                           neighbors_of: Callable[[int], np.ndarray]) -> np.ndarray:
-        """Sorted nodes within ``len(fanouts)`` hops of ``roots``, following at
-        most ``fanouts[hop]`` randomly chosen neighbours of each node."""
-        visited = set(int(root) for root in roots)
-        frontier: List[int] = [int(root) for root in roots]
-        for fanout in fanouts:
-            next_frontier: List[int] = []
-            for node in frontier:
-                neighbors = neighbors_of(node)
-                if neighbors.size > fanout:
-                    neighbors = self.rng.choice(neighbors, size=fanout, replace=False)
-                for neighbor in neighbors:
-                    neighbor = int(neighbor)
-                    if neighbor not in visited:
-                        visited.add(neighbor)
-                        next_frontier.append(neighbor)
-            frontier = next_frontier
-        return np.asarray(sorted(visited), dtype=np.int64)
 
     def sample(self) -> SampledSubgraph:
         nodes = self.sample_nodes()

@@ -9,7 +9,7 @@ union of their shadow subgraphs.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -60,8 +60,24 @@ class ShadowKHopSampler(SubgraphSampler):
         return roots
 
     def _expand(self, roots: np.ndarray) -> np.ndarray:
-        return self._bounded_expansion(
-            roots, [self.neighbors_per_hop] * self.depth, self._neighbors)
+        """Sorted nodes within ``depth`` hops of ``roots``, following at most
+        ``neighbors_per_hop`` randomly chosen neighbours of each node."""
+        fanout = self.neighbors_per_hop
+        visited = set(int(root) for root in roots)
+        frontier: List[int] = [int(root) for root in roots]
+        for _ in range(self.depth):
+            next_frontier: List[int] = []
+            for node in frontier:
+                neighbors = self._neighbors(node)
+                if neighbors.size > fanout:
+                    neighbors = self.rng.choice(neighbors, size=fanout, replace=False)
+                for neighbor in neighbors:
+                    neighbor = int(neighbor)
+                    if neighbor not in visited:
+                        visited.add(neighbor)
+                        next_frontier.append(neighbor)
+            frontier = next_frontier
+        return np.asarray(sorted(visited), dtype=np.int64)
 
     def sample_nodes(self) -> np.ndarray:
         return self._expand(self._next_roots())

@@ -7,7 +7,10 @@ Three trainers cover the paper's method families:
 * :class:`SamplingNodeClassificationTrainer` — GraphSAINT / ShaDow-SAINT
   mini-batch training over sampled subgraphs,
 * :class:`KGETrainer` and :class:`MorsETrainer` — link-prediction training
-  with negative sampling (transductive KGE and inductive MorsE).
+  with negative sampling (transductive KGE and inductive MorsE).  Both are
+  evaluated by one filtered ranking
+  (:func:`~repro.gml.kge.base.filtered_tail_ranks`), which scores with the
+  model's own ``tail_scores`` — the entry GMLaaS inference ranks with too.
 
 Every trainer measures elapsed time and peak memory with
 :class:`~repro.gml.train.budget.ResourceMonitor` and can enforce a
@@ -26,7 +29,12 @@ import numpy as np
 from repro.exceptions import BudgetExceededError, TrainingError
 from repro.gml.autograd import Tensor, cross_entropy
 from repro.gml.data import GraphData, TriplesData
-from repro.gml.kge.base import KGEModel, known_tails, ranking_metrics
+from repro.gml.kge.base import (
+    KGEModel,
+    filtered_tail_ranks,
+    known_tails,
+    ranking_metrics,
+)
 from repro.gml.kge.morse import MorsE
 from repro.gml.nn.models import NodeClassifier
 from repro.gml.nn.optim import Adam, Optimizer, clip_grad_norm
@@ -252,7 +260,7 @@ class SamplingNodeClassificationTrainer(_NodeClassificationTrainer):
 
 
 class _LinkPredictionTrainer(_BaseTrainer):
-    """Optimizer set-up and the test-triple sample of a link predictor."""
+    """Optimizer set-up and the filtered test ranking of a link predictor."""
 
     task_type = "link_prediction"
 
@@ -269,8 +277,14 @@ class _LinkPredictionTrainer(_BaseTrainer):
         self.optimizer.step()
         return float(loss.item())
 
-    def _test_triples(self) -> np.ndarray:
-        return self.data.split("test")[:200]
+    def _final_metrics(self) -> Tuple[Dict[str, float], float]:
+        entity_vectors = self.model.entity_vectors(self.data.split("train"),
+                                                   self.data.num_entities)
+        started = time.perf_counter()
+        ranks = filtered_tail_ranks(self.model, entity_vectors,
+                                    self.data.split("test")[:200],
+                                    known_tails(self.data.triples))
+        return ranking_metrics(ranks), time.perf_counter() - started
 
 
 class KGETrainer(_LinkPredictionTrainer):
@@ -293,15 +307,6 @@ class KGETrainer(_LinkPredictionTrainer):
         for positives, negatives in self.batch_sampler:
             losses.append(self._step(self.model.loss(positives, negatives)))
         return sum(losses) / max(1, len(losses))
-
-    def _final_metrics(self) -> Tuple[Dict[str, float], float]:
-        started = time.perf_counter()
-        known = known_tails(self.data.triples)
-        ranks = [self.model.rank_tail(head, relation, tail,
-                                      filtered_tails=known.get((head, relation)))
-                 for head, relation, tail in self._test_triples().tolist()]
-        inference_seconds = time.perf_counter() - started
-        return ranking_metrics(np.asarray(ranks)), inference_seconds
 
 
 class MorsETrainer(_LinkPredictionTrainer):
@@ -341,12 +346,3 @@ class MorsETrainer(_LinkPredictionTrainer):
             losses.append(self._step(self.model.loss(
                 entity_embeddings, local_triples, negatives, self._step_buffers)))
         return sum(losses) / max(1, len(losses))
-
-    def _final_metrics(self) -> Tuple[Dict[str, float], float]:
-        entity_embeddings = self.model.materialise_entities(
-            self.data.split("train"), self.data.num_entities)
-        started = time.perf_counter()
-        metrics = self.model.evaluate(entity_embeddings, self._test_triples(),
-                                      all_triples=self.data.triples)
-        inference_seconds = time.perf_counter() - started
-        return metrics, inference_seconds

@@ -10,6 +10,10 @@ plan node with a batch — and
 :meth:`~GMLInferenceManager.get_node_class_dictionary`, the whole
 node -> class dictionary of the Fig 12 plan.  Both take plain strings/URIs
 in and return JSON-serialisable Python structures.
+
+The manager holds no scoring of its own: a link is ranked by the stored
+model's ``tail_scores`` (:mod:`repro.gml.kge.base`), the one kernel the
+model's training evaluation ranked with too.
 """
 
 from __future__ import annotations
@@ -136,9 +140,10 @@ class GMLInferenceManager:
                    k: int) -> List[List[Dict[str, object]]]:
         """Per source, its ``k`` best candidate tails, best first.
 
-        All sources the model knows are scored in one kernel call; equal
-        scores rank by candidate index (a stable sort), and a source's scores
-        do not depend on what it is batched with (:meth:`_score_tails`).
+        All sources the model knows are scored in one call of the model's
+        own ``tail_scores``; equal scores rank by candidate index (a stable
+        sort), and a source's scores do not depend on what it is batched
+        with.
         """
         if stored.task_type != TaskType.LINK_PREDICTION:
             raise InferenceError(f"model {key!r} is not a link predictor")
@@ -155,8 +160,8 @@ class GMLInferenceManager:
                  if source_id is not None]
         if not known:
             return results
-        scores = self._score_tails(
-            stored, embeddings, [source_ids[index] for index in known],
+        scores = stored.model.tail_scores(
+            embeddings, [source_ids[index] for index in known],
             target_relation, candidates)
         order = np.argsort(-scores, axis=1, kind="stable")[:, :max(0, k)]
         best = np.take_along_axis(scores, order, axis=1).tolist()
@@ -166,35 +171,6 @@ class GMLInferenceManager:
                 {"entity": entity_names[tail], "score": score, "rank": rank}
                 for rank, (tail, score) in enumerate(zip(row_tails, row_scores))]
         return results
-
-    @staticmethod
-    def _score_tails(stored: StoredModel, embeddings: np.ndarray, source_ids,
-                     relation: int, candidates: np.ndarray) -> np.ndarray:
-        """``(sources, candidates)`` decoder scores.
-
-        Every score is reduced over the embedding dimension on its own
-        (``einsum`` / a last-axis sum — not a BLAS product, whose blocking
-        varies with the batch shape), so a source scores bit for bit the same
-        alone and in a batch of any size.
-        """
-        model = stored.model
-        relation_matrix = getattr(model, "relation_embeddings", None)
-        if relation_matrix is None:
-            raise InferenceError("stored link-prediction model has no relation embeddings")
-        relation_vector = relation_matrix.weight.data[relation]
-        heads = embeddings[source_ids]
-        tails = embeddings[candidates]
-        decoder = getattr(model, "decoder", "distmult")
-        if decoder == "transe" or model.__class__.__name__.lower() == "transe":
-            margin = getattr(model, "margin", 6.0)
-            translated = heads + relation_vector
-            # Source blocks bound the (block, candidates, dim) intermediate.
-            block = max(1, (1 << 20) // max(1, tails.size))
-            return np.concatenate([
-                margin - np.abs(translated[start:start + block, None, :]
-                                - tails[None, :, :]).sum(axis=2)
-                for start in range(0, len(translated), block)])
-        return np.einsum("sd,cd->sc", heads * relation_vector, tails)
 
     # ------------------------------------------------------------------
     # Entity similarity

@@ -20,7 +20,6 @@ from repro.kgnet.gmlaas.model_store import ModelStore, StoredModel
 from repro.kgnet.gmlaas.training_manager import (
     GMLTrainingManager,
     TrainingManagerConfig,
-    TrainingOutcome,
 )
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
@@ -68,8 +67,6 @@ class GMLaaS:
         self.embedding_store = EmbeddingStore()
         self.inference_manager = GMLInferenceManager(self.model_store,
                                                      self.embedding_store)
-        #: Outcomes by model URI, kept for introspection and benchmarks.
-        self.outcomes: Dict[str, TrainingOutcome] = {}
 
     # ------------------------------------------------------------------
     # Training API
@@ -90,7 +87,6 @@ class GMLaaS:
             artifacts=outcome.artifacts,
         )
         self.model_store.add(stored)
-        self.outcomes[model_uri.value] = outcome
         usage = outcome.result.usage
         return TrainResponse(
             model_uri=model_uri.value,
@@ -136,9 +132,8 @@ class GMLaaS:
     # Model management
     # ------------------------------------------------------------------
     def delete_model(self, model_uri) -> bool:
-        """Drop the stored model, its outcome and any indexed embeddings."""
+        """Drop the stored model and any indexed embeddings."""
         key = model_uri.value if isinstance(model_uri, IRI) else str(model_uri)
-        self.outcomes.pop(key, None)
         if self.embedding_store.has_collection(key):
             self.embedding_store.drop_collection(key)
         return self.model_store.remove(model_uri)

@@ -19,7 +19,7 @@ manager runs the end-to-end pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class TrainingOutcome:
     selection: MethodSelection
     transform_report: TransformReport
     artifacts: Dict[str, object] = field(default_factory=dict)
-    data: object = None
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -126,22 +125,19 @@ class GMLTrainingManager:
         if method is not None:
             candidate_methods = [method]
         selection = self.selector.select(
-            task.task_type if task.task_type != TaskType.ENTITY_SIMILARITY
-            else TaskType.ENTITY_SIMILARITY,
-            data, budget=budget, candidate_methods=candidate_methods)
+            task.task_type, data, budget=budget,
+            candidate_methods=candidate_methods)
 
         result = self._run_trainer(selection.method, task, data, budget)
-        artifacts = self._build_artifacts(selection.method, task, data, result)
+        artifacts = self._build_artifacts(task, data, result)
         return TrainingOutcome(task=task, result=result, selection=selection,
-                               transform_report=report, artifacts=artifacts,
-                               data=data)
+                               transform_report=report, artifacts=artifacts)
 
     # ------------------------------------------------------------------
     # Trainer construction
     # ------------------------------------------------------------------
     def _run_trainer(self, method: str, task: TaskSpec, data,
                      budget: TaskBudget) -> TrainingResult:
-        config = self.config
         if task.task_type == TaskType.NODE_CLASSIFICATION:
             if not isinstance(data, GraphData):
                 raise TrainingError("node classification requires GraphData")
@@ -216,13 +212,13 @@ class GMLTrainingManager:
     # ------------------------------------------------------------------
     # Inference artefacts
     # ------------------------------------------------------------------
-    def _build_artifacts(self, method: str, task: TaskSpec, data,
+    def _build_artifacts(self, task: TaskSpec, data,
                          result: TrainingResult) -> Dict[str, object]:
         if task.task_type == TaskType.NODE_CLASSIFICATION:
             return self._node_classification_artifacts(task, data, result)
         if task.task_type == TaskType.LINK_PREDICTION:
-            return self._link_prediction_artifacts(method, data, result)
-        return self._entity_similarity_artifacts(method, data, result)
+            return self._link_prediction_artifacts(data, result)
+        return self._entity_similarity_artifacts(data, result)
 
     def _node_classification_artifacts(self, task: TaskSpec, data: GraphData,
                                        result: TrainingResult) -> Dict[str, object]:
@@ -245,43 +241,26 @@ class GMLTrainingManager:
             "num_predictions": len(prediction_map),
         }
 
-    def _link_prediction_artifacts(self, method: str, data: TriplesData,
+    def _link_prediction_artifacts(self, data: TriplesData,
                                    result: TrainingResult) -> Dict[str, object]:
-        model = result.model
         target_relation = data.target_relation if data.target_relation is not None else 0
-        train_triples = data.split("train")
-        if isinstance(model, MorsE):
-            entity_embeddings = model.materialise_entities(train_triples,
-                                                           data.num_entities)
-        else:
-            entity_embeddings = model.entity_embedding_matrix()
         # Candidate tails: entities observed as objects of the target relation.
-        target_mask = data.triples[:, 1] == target_relation
-        candidate_tails = np.unique(data.triples[target_mask, 2])
-        known: Dict[int, List[int]] = {}
-        for head, relation, tail in data.triples[target_mask]:
-            known.setdefault(int(head), []).append(int(tail))
+        candidate_tails = np.unique(data.triples[data.triples[:, 1] == target_relation, 2])
         return {
             "entity_names": list(data.entity_names),
             "entity_index": {name: i for i, name in enumerate(data.entity_names)},
-            "entity_embeddings": entity_embeddings,
+            "entity_embeddings": result.model.entity_vectors(data.split("train"),
+                                                             data.num_entities),
             "target_relation": int(target_relation),
             "candidate_tails": candidate_tails,
-            "known_tails": known,
-            "relation_names": list(data.relation_names),
         }
 
-    def _entity_similarity_artifacts(self, method: str, data: TriplesData,
+    def _entity_similarity_artifacts(self, data: TriplesData,
                                      result: TrainingResult) -> Dict[str, object]:
-        model = result.model
-        if isinstance(model, MorsE):
-            embeddings = model.materialise_entities(data.split("train"),
-                                                    data.num_entities)
-        else:
-            embeddings = model.entity_embedding_matrix()
         return {
             "entity_names": list(data.entity_names),
-            "entity_embeddings": embeddings,
+            "entity_embeddings": result.model.entity_vectors(data.split("train"),
+                                                             data.num_entities),
         }
 
     # ------------------------------------------------------------------

@@ -42,7 +42,7 @@ class UnionGraphView:
 
     The view is immutable by construction (its members are pinned
     snapshots), identity-stable per dataset epoch (cached on the
-    :class:`DatasetSnapshot`), and exposes ``epoch`` as the dataset token —
+    :class:`DatasetSnapshot`), and exposes ``epoch`` as the dataset epoch —
     so compiled query plans key and reuse exactly as they do for a plain
     :class:`~repro.rdf.graph.Graph`.
     """
@@ -66,8 +66,8 @@ class UnionGraphView:
         return self._dict
 
     @property
-    def epoch(self):
-        """The dataset epoch token this view pins (plan-cache key)."""
+    def epoch(self) -> int:
+        """The dataset epoch this view pins (plan-cache key)."""
         return self._epoch
 
     def decode_id(self, term_id: int) -> Term:
@@ -216,7 +216,7 @@ class DatasetSnapshot:
 
     Holds one :class:`~repro.rdf.graph.GraphSnapshot` per graph, all pinned
     under the dataset's write lock (no writer can interleave between pins).
-    ``token`` is the dataset epoch token the view corresponds to; the
+    ``token`` is the dataset epoch the view corresponds to; the
     endpoint keys its plan cache on it.  :meth:`union` materialises the
     union graph lazily and caches it, so repeated no-``FROM`` queries at the
     same epoch share one union (and therefore one set of compiled plans).
@@ -230,7 +230,7 @@ class DatasetSnapshot:
     #: without bound; 16 covers every sane protocol workload).
     _MAX_SUBSET_UNIONS = 16
 
-    def __init__(self, token: Tuple[int, int], default: GraphSnapshot,
+    def __init__(self, token: int, default: GraphSnapshot,
                  named: Dict[IRI, GraphSnapshot],
                  namespaces: NamespaceManager,
                  dictionary: TermDictionary) -> None:
@@ -356,9 +356,6 @@ class Dataset:
                               dictionary=self._dictionary, lock=self._lock,
                               changes=self._changes)
         self._named: Dict[IRI, Graph] = {}
-        # Bumped whenever the *set* of graphs changes (create/drop), so the
-        # epoch token below cannot collide across structural changes.
-        self._generation = 0
         self._snapshot_cache: Optional[DatasetSnapshot] = None
         #: Optional write-ahead journal shared by every graph (duck-typed;
         #: attached by :class:`repro.storage.engine.StorageEngine`).
@@ -426,7 +423,6 @@ class Dataset:
                               lock=self._lock, changes=self._changes)
                 graph._journal = self._journal
                 self._named[identifier] = graph
-                self._generation += 1
                 self._changes.record(UNKNOWN)
             return self._named[identifier]
 
@@ -446,18 +442,18 @@ class Dataset:
                 # Journal before unregistering — see graph() above.
                 self._journal.log_drop(identifier)
             del self._named[identifier]
-            self._generation += 1
             self._changes.record(UNKNOWN)
             return True
 
-    def epoch(self) -> Tuple[int, int]:
-        """An O(1) staleness token covering every graph in the dataset:
-        ``(graph-set generation, change-log step)``.
+    def epoch(self) -> int:
+        """An O(1) staleness token covering every graph in the dataset: the
+        :class:`~repro.rdf.graph.ChangeLog` step.
 
-        Changes whenever any graph mutates or the set of graphs changes;
-        the SPARQL endpoint keys its plan cache and cached union graph on it.
+        Changes whenever any graph mutates or the set of graphs changes (a
+        create or drop logs a step of its own); the SPARQL endpoint keys its
+        plan cache and cached union graph on it.
         """
-        return (self._generation, self._changes.step)
+        return self._changes.step
 
     def snapshot(self) -> DatasetSnapshot:
         """Pin a consistent view of every graph, cached per epoch token.
@@ -465,11 +461,11 @@ class Dataset:
         Taken under the shared write lock, so no writer can commit between
         the per-graph pins: the snapshot is a true point-in-time view of the
         whole dataset.  When the cached snapshot is still current, readers
-        return it without touching the lock at all — epochs and the
-        generation counter only ever grow, so a torn unlocked token read can
-        match the cached token only when no commit has finished since the
-        pin (i.e. exactly when the cache is still valid).  This keeps
-        readers off the lock while a long UPDATE batch holds it.
+        return it without touching the lock at all — the log step only ever
+        grows, so an unlocked read can match the cached token only when no
+        commit has finished since the pin (i.e. exactly when the cache is
+        still valid).  This keeps readers off the lock while a long UPDATE
+        batch holds it.
         """
         snap = self._snapshot_cache
         if snap is not None and snap.token == self.epoch():

@@ -92,9 +92,8 @@ class ChangeLog:
     drop, appends one record under the write lock: the id triples it added
     or removed, or :data:`UNKNOWN` when it cannot say — bulk loads,
     checkpoint adoption, CLEAR, create / drop, and removes of more than
-    :attr:`MAX_TRIPLES` triples.  ``step`` counts the records; it is the
-    second component of :meth:`Dataset.epoch
-    <repro.rdf.dataset.Dataset.epoch>`.
+    :attr:`MAX_TRIPLES` triples.  ``step`` counts the records; it is
+    :meth:`Dataset.epoch <repro.rdf.dataset.Dataset.epoch>`.
 
     Readers never take the lock.  Records sit in a ring indexed by step and
     each carries its own step number; a writer fills the slot before it

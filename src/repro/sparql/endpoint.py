@@ -182,10 +182,9 @@ class ResultCache(EpochLRU):
 
     def _untouched(self, entry: _ResultCacheEntry, stored, epoch) -> bool:
         dataset = self.dataset
-        return (entry.footprint is not None and stored[0] == epoch[0]
+        return (entry.footprint is not None
                 and entry.namespaces_version == dataset.namespaces.version
-                and dataset.changes.untouched(entry.footprint, stored[1],
-                                              epoch[1]))
+                and dataset.changes.untouched(entry.footprint, stored, epoch))
 
 
 def _drained(value):

@@ -7,7 +7,7 @@ from scipy import sparse as sp
 from repro.exceptions import TrainingError
 from repro.gml.autograd import Tensor
 from repro.gml.kge import ComplEx, DistMult, KGEModel, MorsE, RotatE, TransE, ranking_metrics
-from repro.gml.kge.base import known_tails
+from repro.gml.kge.base import filtered_tail_ranks, known_tails
 from repro.gml.nn import Adam
 from repro.gml.sampling import NegativeSampler
 
@@ -78,6 +78,12 @@ class TestScoringFunctions:
         assert forward == pytest.approx(backward)
 
 
+def rank(model, triple, known=None):
+    """The filtered rank of one test triple."""
+    vectors = model.entity_vectors(None, model.num_entities)
+    return int(filtered_tail_ranks(model, vectors, np.array([triple]), known or {})[0])
+
+
 class TestRankingAndPrediction:
     def test_rank_tail_identifies_best_entity(self):
         model = DistMult(num_entities=6, num_relations=1, dim=4, seed=0)
@@ -86,8 +92,8 @@ class TestRankingAndPrediction:
         model.relation_embeddings.weight.data[0] = np.ones(4)
         model.entity_embeddings.weight.data[0] = np.ones(4)
         model.entity_embeddings.weight.data[3] = np.ones(4) * 5
-        assert model.rank_tail(0, 0, 3) == 1
-        assert model.rank_tail(0, 0, 1) > 1
+        assert rank(model, [0, 0, 3]) == 1
+        assert rank(model, [0, 0, 1]) > 1
 
     def test_filtered_ranking_ignores_other_true_tails(self):
         model = DistMult(num_entities=6, num_relations=1, dim=4, seed=0)
@@ -96,27 +102,35 @@ class TestRankingAndPrediction:
         model.entity_embeddings.weight.data[0] = np.ones(4)
         model.entity_embeddings.weight.data[3] = np.ones(4) * 5
         model.entity_embeddings.weight.data[4] = np.ones(4) * 4
-        raw = model.rank_tail(0, 0, 4)
-        filtered = model.rank_tail(0, 0, 4, filtered_tails=np.array([3, 4]))
+        raw = rank(model, [0, 0, 4])
+        filtered = rank(model, [0, 0, 4], {(0, 0): np.array([3, 4])})
         assert filtered < raw
 
-    def test_predict_tails_returns_topk(self):
-        model = DistMult(num_entities=8, num_relations=1, dim=4, seed=0)
-        predictions = model.predict_tails(0, 0, k=3)
-        assert len(predictions) == 3
-        scores = [score for _, score in predictions]
-        assert scores == sorted(scores, reverse=True)
+    @pytest.mark.parametrize("model_class", ALL_MODELS)
+    def test_tail_scores_are_the_training_scores(self, model_class):
+        """Ranking runs the training ``score`` on (heads x candidates)
+        blocks: every cell is that triple's training score, bit for bit."""
+        model = model_class(num_entities=20, num_relations=3, dim=16, seed=0)
+        vectors = model.entity_vectors(None, 20)
+        heads, candidates = np.array([4, 0, 4, 19]), np.array([7, 3, 3, 12, 0])
+        scores = model.tail_scores(vectors, heads, 2, candidates)
+        assert scores.shape == (4, 5)
+        grid = np.stack([np.repeat(heads, 5), np.full(20, 2),
+                         np.tile(candidates, 4)], axis=1)
+        assert scores.reshape(-1).tobytes() == model.score_triples(grid).data.tobytes()
 
-    def test_predict_tails_exclude(self):
-        model = DistMult(num_entities=8, num_relations=1, dim=4, seed=0)
-        full = model.predict_tails(0, 0, k=8)
-        best_entity = full[0][0]
-        excluded = model.predict_tails(0, 0, k=8, exclude=[best_entity])
-        assert all(entity != best_entity for entity, _ in excluded)
+    def test_tail_scores_of_some_candidates_are_those_columns(self):
+        model = RotatE(num_entities=8, num_relations=1, dim=4, seed=0)
+        vectors = model.entity_vectors(None, 8)
+        every = model.tail_scores(vectors, [0, 5], 0, np.arange(8))
+        some = model.tail_scores(vectors, [0, 5], 0, np.array([6, 1]))
+        assert some.tobytes() == every[:, [6, 1]].tobytes()
 
     def test_entity_embedding_matrix_shape(self):
         model = TransE(num_entities=9, num_relations=2, dim=6)
-        assert model.entity_embedding_matrix().shape == (9, 6)
+        vectors = model.entity_vectors(None, 9)
+        assert vectors.shape == (9, 6)
+        assert not np.shares_memory(vectors, model.entity_embeddings.weight.data)
 
     def test_ranking_metrics(self):
         ranks = np.array([1, 2, 10, 100])
@@ -151,11 +165,11 @@ class TestKnownTails:
     def test_filtered_metrics_unchanged(self):
         triples = toy_triples(num_entities=10, num_relations=2, num_triples=80)
         model = MorsE(num_relations=2, dim=8, seed=0)
-        embeddings = model.materialise_entities(triples, 10)
+        embeddings = model.entity_vectors(triples, 10)
         reference = {key: np.asarray(tails) for key, tails in self.reference(triples).items()}
-        ranks = model.rank_tails(embeddings, triples[:20], known_tails=reference)
-        assert model.evaluate(embeddings, triples[:20], all_triples=triples) == \
-            ranking_metrics(ranks)
+        assert np.array_equal(
+            filtered_tail_ranks(model, embeddings, triples[:20], known_tails(triples)),
+            filtered_tail_ranks(model, embeddings, triples[:20], reference))
 
 
 class TestKGETraining:
@@ -248,9 +262,10 @@ class TestMorsE:
     def test_materialise_and_evaluate(self):
         model = MorsE(num_relations=2, dim=8, seed=0)
         triples = toy_triples(num_entities=10, num_relations=2, num_triples=30)
-        embeddings = model.materialise_entities(triples, 10)
+        embeddings = model.entity_vectors(triples, 10)
         assert isinstance(embeddings, np.ndarray)
-        metrics = model.evaluate(embeddings, triples[:5], all_triples=triples)
+        metrics = ranking_metrics(filtered_tail_ranks(model, embeddings, triples[:5],
+                                                      known_tails(triples)))
         assert set(metrics) >= {"mrr", "hits@1", "hits@10"}
         assert 0.0 <= metrics["mrr"] <= 1.0
 
@@ -259,6 +274,6 @@ class TestMorsE:
         model = MorsE(num_relations=2, dim=8, seed=0)
         train_triples = toy_triples(num_entities=10, num_relations=2, num_triples=30)
         larger_graph = toy_triples(num_entities=25, num_relations=2, num_triples=60, seed=1)
-        embeddings = model.materialise_entities(larger_graph, 25)
+        embeddings = model.entity_vectors(larger_graph, 25)
         assert embeddings.shape == (25, 8)
         assert np.isfinite(embeddings).all()

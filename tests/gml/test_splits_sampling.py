@@ -11,7 +11,6 @@ from repro.gml.sampling import (
     GraphSAINTNodeSampler,
     GraphSAINTRandomWalkSampler,
     NegativeSampler,
-    NeighborSampler,
     ShadowKHopSampler,
     TripleBatchSampler,
 )
@@ -132,8 +131,8 @@ def reference_offsets(num_nodes, keys):
 
 
 def reference_expansion(rng, roots, fanouts, neighbors_of):
-    """The bounded breadth-first expansion NeighborSampler and
-    ShadowKHopSampler each carried before they shared one."""
+    """The bounded breadth-first expansion of ShadowKHopSampler, written out
+    on its own."""
     visited = set(int(r) for r in roots)
     frontier = [int(r) for r in roots]
     for fanout in fanouts:
@@ -158,8 +157,6 @@ class TestSamplerIndexKernels:
         n = graph_data.num_nodes
         walk = GraphSAINTRandomWalkSampler(graph_data, batch_size=30, num_batches=1)
         assert np.array_equal(walk._offsets, reference_offsets(n, src))
-        neighbor = NeighborSampler(graph_data, batch_size=8, num_batches=1)
-        assert np.array_equal(neighbor._offsets, reference_offsets(n, dst))
         shadow = ShadowKHopSampler(graph_data, batch_size=8, num_batches=1)
         assert np.array_equal(shadow._offsets,
                               reference_offsets(n, np.concatenate([src, dst])))
@@ -180,21 +177,6 @@ class TestSamplerIndexKernels:
             assert np.array_equal(batch.node_mapping, nodes)
             position = {int(full): local for local, full in enumerate(nodes)}
             assert batch.root_nodes.tolist() == [position[int(r)] for r in roots]
-
-    def test_neighbor_batches_equal_reference_expansion(self, graph_data):
-        sampler = NeighborSampler(graph_data, batch_size=8, num_batches=3,
-                                  fanouts=(3, 2), seed=4)
-        twin = NeighborSampler(graph_data, batch_size=8, num_batches=3,
-                               fanouts=(3, 2), seed=4)
-        for batch in sampler:
-            seeds = twin.rng.choice(twin.seed_nodes, size=8, replace=False)
-            nodes = reference_expansion(twin.rng, seeds, [3, 2], twin._in_neighbors)
-            assert np.array_equal(batch.node_mapping, nodes)
-            position = {int(full): local for local, full in enumerate(nodes)}
-            assert batch.root_nodes.tolist() == [position[int(s)] for s in seeds]
-        assert np.array_equal(sampler.sample_nodes(), reference_expansion(
-            twin.rng, twin.rng.choice(twin.seed_nodes, size=8, replace=False),
-            [3, 2], twin._in_neighbors))
 
 
 class TestShadowAndNeighborSamplers:
@@ -223,18 +205,9 @@ class TestShadowAndNeighborSamplers:
                                     depth=2, neighbors_per_hop=3)
         assert sampler.estimated_subgraph_nodes() <= graph_data.num_nodes
 
-    def test_neighbor_sampler(self, graph_data):
-        sampler = NeighborSampler(graph_data, batch_size=8, num_batches=2,
-                                  fanouts=(4, 4), seed=0)
-        batch = sampler.sample()
-        assert batch.root_nodes is not None
-        assert batch.num_nodes >= batch.root_nodes.shape[0]
-
     def test_invalid_shadow_configuration(self, graph_data):
         with pytest.raises(SamplingError):
             ShadowKHopSampler(graph_data, batch_size=4, num_batches=1, depth=0)
-        with pytest.raises(SamplingError):
-            NeighborSampler(graph_data, batch_size=4, num_batches=1, fanouts=())
 
 
 class TestTripleSamplers:

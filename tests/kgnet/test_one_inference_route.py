@@ -12,11 +12,11 @@ input answers the same alone as inside a batch of 256.
 from __future__ import annotations
 
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.gml.kge import DistMult
 from repro.gml.tasks import TaskType
 from repro.kgnet import KGNet
 from repro.kgnet.gmlaas.inference_manager import GMLInferenceManager
@@ -51,10 +51,9 @@ def platform():
         method="mlp", model=None,
         artifacts={"prediction_map": {name: f"{EX}class/{index % 3}"
                                       for index, name in enumerate(NAMES)}}))
-    relations = SimpleNamespace(weight=SimpleNamespace(data=rng.normal(size=(1, 8))))
     store.add(StoredModel(
         uri=IRI(MODELS["links"]), task_type=TaskType.LINK_PREDICTION,
-        method="distmult", model=SimpleNamespace(relation_embeddings=relations),
+        method="distmult", model=DistMult(len(NAMES), 1, dim=8, seed=7),
         artifacts={"entity_index": {name: index for index, name in enumerate(NAMES)},
                    "entity_embeddings": embeddings,
                    "candidate_tails": np.arange(0, len(NAMES), 7),
@@ -144,7 +143,7 @@ def test_every_op_is_one_gmlaas_call(platform, op, params):
     assert platform.gmlaas.http_calls - before == 1
 
 
-@pytest.mark.parametrize("kind", ["class", "similar"])
+@pytest.mark.parametrize("kind", ["class", "links", "similar"])
 def test_alone_equals_inside_a_batch_of_256(platform, kind):
     gmlaas = platform.gmlaas
     inputs = NAMES[:256]
@@ -154,6 +153,8 @@ def test_alone_equals_inside_a_batch_of_256(platform, kind):
     for value, record in zip(inputs, batch):
         if kind == "class":
             alone = gmlaas.infer_node_class(MODELS[kind], value)
+        elif kind == "links":
+            alone = gmlaas.infer_links(MODELS[kind], value, k=5)
         else:
             alone = gmlaas.infer_similar_entities(MODELS[kind], value, k=5)
         assert alone == record["output"]

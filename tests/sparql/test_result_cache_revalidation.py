@@ -391,7 +391,7 @@ def test_dataset_epoch_is_the_log_step():
     dataset.default_graph.add(iri("s0"), iri("p0"), iri("s1"))
     dataset.graph(iri("g1")).add(iri("s0"), iri("p0"), iri("s1"))
     dataset.graph(iri("g1")).remove(None, None, None)
-    assert dataset.epoch() == (1, dataset.changes.step) == (1, 4)
+    assert dataset.epoch() == dataset.changes.step == 4
 
 
 # ---------------------------------------------------------------------------
