@@ -13,7 +13,7 @@ heterogeneity, not on absolute size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -175,10 +175,6 @@ class StreamingKGConfig:
     def predicate(self, rank: int) -> IRI:
         """Predicate by frequency rank — 0 is the most common."""
         return IRI(f"{self.base_iri}p{rank}")
-
-    def entity_type(self, rank: int) -> IRI:
-        """Class by frequency rank — 0 is the most common."""
-        return IRI(f"{self.base_iri}T{rank}")
 
     @property
     def rare_type(self) -> IRI:

@@ -398,13 +398,6 @@ class Tensor:
 
         return Tensor._result(out_data, (self,), backward)
 
-    def clip_norm(self, max_norm: float) -> "Tensor":
-        """L2-normalise rows whose norm exceeds ``max_norm`` (no gradient path)."""
-        norms = np.linalg.norm(self.data, axis=-1, keepdims=True)
-        scale = np.minimum(1.0, max_norm / np.maximum(norms, 1e-12))
-        return Tensor(self.data * scale)
-
-
 class Parameter(Tensor):
     """A tensor that is always a leaf requiring gradients (model weights)."""
 

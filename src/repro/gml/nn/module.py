@@ -9,7 +9,7 @@ counting and state-dict save/load for the model store.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 import numpy as np
 
@@ -56,11 +56,6 @@ class Module:
         for value in vars(self).values():
             collect(value)
         return parameters
-
-    def named_parameters(self) -> Iterator[tuple]:
-        for index, parameter in enumerate(self.parameters()):
-            name = parameter.name or f"param_{index}"
-            yield name, parameter
 
     def num_parameters(self) -> int:
         return int(sum(p.data.size for p in self.parameters()))

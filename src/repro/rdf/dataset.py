@@ -499,9 +499,6 @@ class Dataset:
     # ------------------------------------------------------------------
     # Quad-level access
     # ------------------------------------------------------------------
-    def add_quad(self, quad: Quad) -> bool:
-        return self.graph(quad.graph).add(quad.triple())
-
     def quads(self) -> Iterator[Quad]:
         for triple in self._default:
             yield Quad(*triple, graph=None)

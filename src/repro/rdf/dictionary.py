@@ -73,9 +73,6 @@ class TermDictionary:
             self._term_to_id[term] = term_id
             return term_id
 
-    def encode_triple(self, s: Term, p: Term, o: Term) -> Tuple[int, int, int]:
-        return self.encode(s), self.encode(p), self.encode(o)
-
     @classmethod
     def restore(cls, terms: Iterable[Term]) -> "TermDictionary":
         """Rebuild a dictionary from an ordered id → term table in one pass.
@@ -104,10 +101,6 @@ class TermDictionary:
     # -- decoding ------------------------------------------------------------
     def decode(self, term_id: int) -> Term:
         return self._id_to_term[term_id]
-
-    def decode_many(self, term_ids: Iterable[int]) -> List[Term]:
-        table = self._id_to_term
-        return [table[term_id] for term_id in term_ids]
 
     # -- introspection -------------------------------------------------------
     def __len__(self) -> int:

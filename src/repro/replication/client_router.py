@@ -250,21 +250,6 @@ class ReplicaSetClient:
             "replicas": [state.as_dict(now) for state in self._replicas],
         }
 
-    def replication_overview(self) -> Dict[str, object]:
-        """Primary + per-replica status documents (one round-trip each)."""
-        overview: Dict[str, object] = {"primary": None, "replicas": []}
-        try:
-            overview["primary"] = self.primary.replication_status()
-        except (APIError, OSError) as exc:
-            overview["primary"] = {"error": str(exc)}
-        for state in self._replicas:
-            try:
-                overview["replicas"].append(state.client.replication_status())
-            except (APIError, OSError) as exc:
-                overview["replicas"].append({"url": state.url,
-                                             "error": str(exc)})
-        return overview
-
     def close(self) -> None:
         self.primary.close()
         for state in self._replicas:

@@ -6,21 +6,26 @@ primary's state through two mechanisms, both built on the storage layer's
 existing machinery rather than a parallel code path:
 
 * **tail-apply** — poll ``GET /kgnet/v1/replication/wal?after_seq=S`` for
-  the raw CRC-framed bytes of every commit after the last applied sequence,
-  persist each transaction verbatim into the local WAL *first* (so a
+  the raw CRC-framed bytes of every commit after the last applied sequence
+  and read them with the WAL's one scanner
+  (:func:`~repro.storage.wal.scan_transactions`), the reader recovery uses:
+  a transaction that does not decode is refused before anything is
+  written.  :meth:`~repro.storage.engine.StorageEngine.apply_shipped` then
+  persists each transaction verbatim into the local WAL *first* (so a
   follower crash replays from its own log, the same recovery invariant the
-  primary has), then apply its decoded ops to the in-memory dataset under
-  the write lock — one epoch bump per shipped commit, so serving readers
-  see each transaction atomically, exactly as the primary's readers did;
+  primary has) and applies its ops under the write lock — one epoch bump
+  per shipped commit, so serving readers see each transaction atomically,
+  exactly as the primary's readers did;
 * **snapshot bootstrap** — when the primary answers 410 (the requested
   range was compacted away by segment retention), fetch the latest
   checkpoint file verbatim, install it as the local checkpoint, wipe the
   local log, and recover from it — then resume tailing from its sequence.
 
-The apply loop runs on a one-thread :class:`~repro.concurrency.WorkerPool`;
-queries serve through the normal endpoint/router stack concurrently, with
-the router flipped to read-only so writes are refused with a stable error
-code instead of silently diverging the replica.
+The apply loop runs on one daemon thread; queries serve through the normal
+endpoint/router stack concurrently, with the router flipped to read-only
+so writes are refused with a stable error code instead of silently
+diverging the replica.  The follower touches storage only through public
+:class:`~repro.storage.engine.StorageEngine` methods.
 """
 
 from __future__ import annotations
@@ -30,14 +35,13 @@ import threading
 import time
 from typing import Dict, Optional
 
-from repro.concurrency import WorkerPool
 from repro.exceptions import ReplicationError, WalTruncatedError
 from repro.kgnet.platform import KGNet
 from repro.server.client import RemoteClient
 from repro.sparql.endpoint import SPARQLEndpoint
 from repro.storage.engine import StorageEngine
 from repro.storage.format import fsync_directory
-from repro.storage.wal import decode_transaction_ops, split_transaction_stream
+from repro.storage.wal import Transaction, scan_transactions
 
 __all__ = ["ReplicaEngine"]
 
@@ -65,7 +69,7 @@ class ReplicaEngine:
                                      retain_segments=0)
         self.client = RemoteClient(primary_url, timeout=client_timeout)
         self.platform: Optional[KGNet] = None
-        self._pool: Optional[WorkerPool] = None
+        self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._state_lock = threading.Lock()
         self._applied_seq = 0
@@ -89,23 +93,26 @@ class ReplicaEngine:
         if self.platform is not None:
             return self.platform
         dataset = self.storage.open()
-        self._detach_journal()
-        self._applied_seq = self.storage._wal.last_seq
+        # The local WAL takes only what the primary ships: no local write —
+        # even a read that creates an empty named graph — may claim a seq.
+        dataset.attach_journal(None)
+        self._applied_seq = self.storage.wal_window()[1]
         endpoint = SPARQLEndpoint(dataset=dataset)
         platform = KGNet(endpoint=endpoint)
         platform.api.read_only = True
         platform.api.replication = self
         self.platform = platform
         self._stop.clear()
-        self._pool = WorkerPool(max_workers=1, name="kgnet-replica-apply")
-        self._pool.submit(self._run)
+        self._thread = threading.Thread(target=self._run, daemon=True,
+                                        name="kgnet-replica-apply")
+        self._thread.start()
         return platform
 
     def stop(self) -> None:
         self._stop.set()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
         self.client.close()
         self.storage.close()
         self.platform = None
@@ -116,18 +123,6 @@ class ReplicaEngine:
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.stop()
-
-    def _detach_journal(self) -> None:
-        """Serve read-only: applied ops must not be re-journalled.
-
-        The WAL object stays alive for raw verbatim appends
-        (:meth:`~repro.storage.wal.WriteAheadLog.append_raw_transaction`);
-        only the dataset-side journal hooks are disconnected.
-        """
-        dataset = self.storage.dataset
-        dataset.attach_journal(None)
-        if self.storage._lock_obj is not None:
-            self.storage._lock_obj.journal = None
 
     # ------------------------------------------------------------------
     # The apply loop
@@ -157,32 +152,28 @@ class ReplicaEngine:
             self.bootstrap_from_snapshot()
             return 0
         applied = 0
-        for seq, raw in split_transaction_stream(data):
-            self._apply_transaction(seq, raw)
+        for transaction in scan_transactions(data):
+            self._apply_transaction(transaction)
             applied += 1
         now = time.time()
         with self._state_lock:
             self._last_progress = now
         self.last_error = None
-        if (self.storage._wal is not None
-                and self.storage._wal.size_bytes() > self.checkpoint_wal_bytes):
-            self._local_checkpoint()
+        if (applied and self.storage.stats()["wal"]["size_bytes"]
+                > self.checkpoint_wal_bytes):
+            # Compact the local log so a restart replays hours, not days.
+            self.storage.checkpoint()
         return applied
 
-    def _apply_transaction(self, seq: int, raw: bytes) -> None:
+    def _apply_transaction(self, transaction: Transaction) -> None:
+        seq = transaction.seq
         if seq <= self._applied_seq:
             return  # duplicate from an overlapping segment hand-off
         if seq != self._applied_seq + 1:
             raise ReplicationError(
                 f"replication stream gap: expected seq {self._applied_seq + 1}, "
                 f"got {seq}")
-        # WAL before apply: once the bytes are in the local log, a crash at
-        # any later point replays this transaction on restart.
-        self.storage._wal.append_raw_transaction(seq, raw)
-        _seq, ops = decode_transaction_ops(raw)
-        dataset = self.storage.dataset
-        with dataset.write_lock:
-            StorageEngine._apply_ops(dataset, ops)
+        size = self.storage.apply_shipped(transaction)
         # The epoch bump happened at lock release, so serving readers can
         # already see the commit — advance the applied seq only now, which
         # keeps read-your-writes honest: status never claims a seq whose
@@ -193,12 +184,8 @@ class ReplicaEngine:
             self._last_applied_at = now
             self._last_progress = now
         self.transactions_applied += 1
-        self.ops_applied += len(ops)
-        self.bytes_shipped += len(raw)
-
-    def _local_checkpoint(self) -> None:
-        """Compact the local log so a follower restart replays hours, not days."""
-        self.storage.checkpoint()
+        self.ops_applied += len(transaction.ops)
+        self.bytes_shipped += size
 
     # ------------------------------------------------------------------
     # Snapshot bootstrap
@@ -227,13 +214,13 @@ class ReplicaEngine:
             pass
         self.storage.archive.clear()
         dataset = self.storage.reopen()
-        self._detach_journal()
+        dataset.attach_journal(None)        # as in start()
         platform = self.platform
         if platform is not None:
             platform.endpoint.replace_dataset(dataset)
         now = time.time()
         with self._state_lock:
-            self._applied_seq = self.storage._wal.last_seq
+            self._applied_seq = self.storage.wal_window()[1]
             self._last_applied_at = now
             self._last_progress = now
         self.snapshot_bootstraps += 1

@@ -10,7 +10,7 @@ JSON-ish braces inside ``TrainGML`` calls are handled at a higher level).
 from __future__ import annotations
 
 import re
-from typing import Iterator, List
+from typing import List
 
 from repro.exceptions import ParseError
 
@@ -109,8 +109,3 @@ def tokenize(text: str) -> List[Token]:
         pos = match.end()
     tokens.append(Token("EOF", "", line, pos - line_start + 1))
     return tokens
-
-
-def iter_tokens(text: str) -> Iterator[Token]:
-    """Convenience generator form of :func:`tokenize`."""
-    yield from tokenize(text)

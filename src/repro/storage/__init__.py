@@ -8,14 +8,17 @@ survive restarts.  Three cooperating pieces:
   re-interning a single term,
 * :mod:`repro.storage.wal` — a CRC-framed write-ahead log that fsyncs at
   each writer epoch's commit point (the release of the dataset-shared write
-  lock) and tolerates torn/corrupt tails,
+  lock) and tolerates torn/corrupt tails; one scanner reads its committed
+  transactions back for recovery, segment streaming and followers alike,
 * :mod:`repro.storage.bulkload` — a streaming loader that feeds parser
   output straight into the id-space indexes in batches.
 
 :class:`~repro.storage.engine.StorageEngine` composes them:
 ``open()`` = last checkpoint + replay of the committed WAL suffix;
 ``checkpoint()`` = compaction (snapshot + WAL rotation);
-``bulk_load()`` = streaming ingest + checkpoint.
+``bulk_load()`` = streaming ingest + checkpoint;
+``apply_shipped()`` = a follower's verbatim append + replay of one shipped
+transaction.
 """
 
 from repro.storage.bulkload import BulkLoadReport, stream_load, stream_load_triples
@@ -26,10 +29,10 @@ from repro.storage.checkpoint import (
 )
 from repro.storage.engine import JournalledLock, StorageEngine
 from repro.storage.wal import (
+    Transaction,
     WalOp,
-    WalReplay,
     WriteAheadLog,
-    iter_transactions,
+    scan_transactions,
     truncate_torn_tail,
 )
 
@@ -38,10 +41,10 @@ __all__ = [
     "CheckpointInfo",
     "JournalledLock",
     "StorageEngine",
+    "Transaction",
     "WalOp",
-    "WalReplay",
     "WriteAheadLog",
-    "iter_transactions",
+    "scan_transactions",
     "truncate_torn_tail",
     "read_checkpoint",
     "stream_load",

@@ -4,6 +4,7 @@
 
     <dir>/checkpoint.kgck   last checkpoint (atomic-rename discipline)
     <dir>/wal.log           redo log since that checkpoint
+    <dir>/segments/         rotated logs kept for replication followers
 
 and one :class:`~repro.rdf.dataset.Dataset` built over it.  The engine's
 whole contract is the recovery invariant the crash-injection suite
@@ -19,6 +20,12 @@ so the release of the outermost write hold — the exact point where the PR-3
 snapshot/epoch machinery makes a writer's batch visible to readers — is also
 where the WAL stamps, flushes and fsyncs the transaction.  One lock, one
 commit point, two consumers.
+
+A replication follower reaches storage the same way recovery does:
+:meth:`StorageEngine.apply_shipped` takes a transaction read by the one
+WAL scanner, appends it verbatim and applies its ops through
+``_apply_ops``, so a follower never persists a transaction it cannot
+decode.
 """
 
 from __future__ import annotations
@@ -53,9 +60,9 @@ from repro.storage.checkpoint import (
 )
 from repro.storage.segments import WalArchive
 from repro.storage.wal import (
-    WalReplay,
+    Transaction,
     WriteAheadLog,
-    iter_transaction_bytes,
+    scan_transactions,
     truncate_torn_tail,
 )
 
@@ -235,17 +242,21 @@ class StorageEngine:
         self.recovered_ops = 0
         self.recovered_truncated_bytes = 0
         last_seq = checkpoint_seq
-        replay = WalReplay(self.wal_path)
-        for seq, ops in replay:
-            if seq <= checkpoint_seq:
+        first_seq: Optional[int] = None
+        committed_offset = 0
+        for transaction in scan_transactions(self.wal_path):
+            if first_seq is None:
+                first_seq = transaction.seq
+            committed_offset = transaction.end
+            if transaction.seq <= checkpoint_seq:
                 # The checkpoint already covers this transaction (a crash
                 # landed between checkpoint rename and WAL rotation).
-                last_seq = max(last_seq, seq)
+                last_seq = max(last_seq, transaction.seq)
                 continue
-            self._apply_ops(dataset, ops)
-            last_seq = seq
+            self._apply_ops(dataset, transaction.ops)
+            last_seq = transaction.seq
             self.recovered_transactions += 1
-            self.recovered_ops += len(ops)
+            self.recovered_ops += len(transaction.ops)
 
         # Cut the log back to the committed prefix the scan stopped at.
         # The WAL below reopens in append mode, so a torn/corrupt tail
@@ -253,12 +264,13 @@ class StorageEngine:
         # one — and the NEXT recovery scan, stopping at the first bad
         # frame, would silently lose everything committed from here on.
         self.recovered_truncated_bytes = truncate_torn_tail(
-            self.wal_path, replay.committed_offset, fsync=self._fsync)
+            self.wal_path, committed_offset, fsync=self._fsync)
 
         wal = WriteAheadLog(self.wal_path, fsync=self._fsync)
         wal.attach_dictionary(dataset.dictionary)
         wal.last_seq = last_seq
-        wal.first_seq = replay.first_seq
+        # Rotation archives the file under its true seq range.
+        wal.first_seq = first_seq
         dataset.attach_journal(wal)
         lock.journal = wal
         self._dataset = dataset
@@ -282,7 +294,7 @@ class StorageEngine:
                 dataset.graph(op.graph)
             elif op.kind == "drop":
                 dataset.drop_graph(op.graph)
-            else:  # pragma: no cover - iter_transactions filters unknown kinds
+            else:  # pragma: no cover - scan_transactions rejects unknown kinds
                 raise StorageError(f"unknown WAL op kind {op.kind!r}")
 
     def close(self) -> None:
@@ -396,8 +408,9 @@ class StorageEngine:
         for seq, raw in self.archive.iter_bytes_after(after_seq):
             watermark = seq
             yield seq, raw
-        for seq, raw in iter_transaction_bytes(self.wal_path, watermark):
-            yield seq, raw
+        for transaction in scan_transactions(self.wal_path):
+            if transaction.seq > watermark:
+                yield transaction.seq, transaction.raw
 
     def snapshot_bytes(self) -> Tuple[bytes, int]:
         """The latest checkpoint file verbatim + the commit seq it covers.
@@ -415,6 +428,29 @@ class StorageEngine:
             with open(self.checkpoint_path, "rb") as handle:
                 data = handle.read()
             return data, seq
+
+    # ------------------------------------------------------------------
+    # Replication (follower side)
+    # ------------------------------------------------------------------
+    def apply_shipped(self, transaction: Transaction) -> int:
+        """Persist a shipped transaction, then apply it; returns its bytes.
+
+        The follower's half of log shipping, on recovery's route: the
+        frames :func:`~repro.storage.wal.scan_transactions` read (and
+        decoded) from the primary's stream go into the local WAL verbatim
+        first — so a follower crash replays them from its own log — and the
+        ops then apply through :meth:`_apply_ops` under the write lock, one
+        epoch bump for the whole transaction.  The dataset's journal is
+        detached for good: the ops are logged already, and a follower's log
+        takes only what its primary ships.
+        """
+        with self._admin_lock:
+            dataset = self.dataset
+            with dataset.write_lock:
+                dataset.attach_journal(None)
+                size = self._wal.append_transaction(transaction)
+                self._apply_ops(dataset, transaction.ops)
+            return size
 
     # ------------------------------------------------------------------
     # Bulk ingest

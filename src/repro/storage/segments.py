@@ -18,7 +18,11 @@ the old log into ``<dir>/segments/wal-<first>-<last>.seg``, where
 * ranges are contiguous by construction (seq numbers are monotonic across
   rotations) but a crash between checkpoint and rotation can leave one
   commit covered by both a segment and the live log — harmless, because
-  streaming dedups on a last-yielded-seq watermark.
+  streaming dedups on a last-yielded-seq watermark,
+* a segment is read by the WAL's one scanner
+  (:func:`~repro.storage.wal.scan_transactions`), the reader recovery and
+  every follower use, and each transaction leaves as its exact framed
+  bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import re
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.storage.format import fsync_directory
-from repro.storage.wal import iter_transaction_bytes
+from repro.storage.wal import scan_transactions
 
 __all__ = ["Segment", "WalArchive"]
 
@@ -138,9 +142,10 @@ class WalArchive:
         for segment in self.segments():
             if segment.last_seq <= watermark:
                 continue
-            for seq, raw in iter_transaction_bytes(segment.path, watermark):
-                watermark = seq
-                yield seq, raw
+            for transaction in scan_transactions(segment.path):
+                if transaction.seq > watermark:
+                    watermark = transaction.seq
+                    yield transaction.seq, transaction.raw
 
     def stats(self) -> dict:
         segments = self.segments()

@@ -17,29 +17,34 @@ the journal protocol the RDF layer calls into
   it — stamps the transaction with a monotonically increasing sequence
   number, writes buffer + commit record in one ``write()``, flushes, and
   ``fsync``\\ s.  A transaction is durable if and only if its commit record
-  is fully on disk,
-* :class:`WalReplay` / :func:`iter_transactions` replay the log: they yield
-  each *committed* transaction in order — reading the file incrementally,
-  so recovery memory is bounded by the largest transaction, not the log
-  size — and stop at the first truncated or corrupt frame.  Records after
-  the last intact commit marker — a torn write, a half-flushed transaction,
-  garbage from a dying disk — are dropped wholesale, never partially
-  applied.  After the scan, recovery truncates the log back to the
-  committed prefix (:func:`truncate_torn_tail`) so the reopened WAL never
-  appends new commits *behind* leftover garbage, where the next recovery
-  scan could not see them.
+  is fully on disk.  A replication follower appends a shipped transaction
+  verbatim (:meth:`WriteAheadLog.append_transaction`) through the same
+  write → flush → fsync → fail-stop step,
+* :func:`scan_transactions` is the one reader of committed transactions —
+  for recovery, for segment and live-log streaming, and for a follower's
+  shipped stream alike.  It yields each *committed* transaction in order
+  (reading a file incrementally, so memory is bounded by the largest
+  transaction, not the log size) and stops at the first truncated or
+  corrupt frame.  Records after the last intact commit marker — a torn
+  write, a half-flushed transaction, garbage from a dying disk — are
+  dropped wholesale, never partially applied.  After the scan, recovery
+  truncates the log back to the committed prefix
+  (:func:`truncate_torn_tail`) so the reopened WAL never appends new
+  commits *behind* leftover garbage, where the next recovery scan could
+  not see them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 import zlib
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.exceptions import StorageError
 from repro.rdf.dictionary import TermDictionary
-from repro.rdf.terms import IRI, Term, Triple
+from repro.rdf.terms import IRI, Triple
 from repro.storage.format import (
     FRAME_HEADER_SIZE,
     decode_string,
@@ -54,9 +59,8 @@ from repro.storage.format import (
     iter_frames_file,
 )
 
-__all__ = ["WalOp", "WalReplay", "WriteAheadLog", "decode_transaction_ops",
-           "iter_transactions", "iter_transaction_bytes",
-           "split_transaction_stream", "truncate_torn_tail"]
+__all__ = ["Transaction", "WalOp", "WriteAheadLog", "scan_transactions",
+           "truncate_torn_tail"]
 
 #: Record kinds (first payload byte).  Append-only.
 _OP_ADD = ord("A")
@@ -89,6 +93,20 @@ class WalOp(NamedTuple):
     kind: str                     # "add" | "remove" | "clear" | "create" | "drop"
     graph: Optional[IRI]          # None = the default graph
     triple: Optional[Triple]      # None for clear/create/drop
+
+
+class Transaction(NamedTuple):
+    """One committed transaction as :func:`scan_transactions` reads it."""
+
+    seq: int
+    payloads: List[bytes]         # every frame's payload, the commit record last
+    ops: List[WalOp]              # the decoded records before the commit
+    end: int                      # source offset just past the commit frame
+
+    @property
+    def raw(self) -> bytes:
+        """The exact framed bytes a log holds: op frames, then the commit frame."""
+        return b"".join(map(encode_frame, self.payloads))
 
 
 def _encode_graph_ref(buffer: bytearray, identifier: Optional[IRI]) -> None:
@@ -218,10 +236,6 @@ class WriteAheadLog:
     def log_drop(self, identifier: IRI) -> None:
         self._log_graph_op(_OP_DROP, identifier)
 
-    @property
-    def has_pending(self) -> bool:
-        return self._buffered_ops > 0
-
     def commit(self) -> Optional[int]:
         """Force the buffered transaction to disk; returns its sequence.
 
@@ -233,7 +247,6 @@ class WriteAheadLog:
         """
         if not self._buffered_ops:
             return None
-        self._check_usable()
         seq = self.last_seq + 1
         payload = bytearray()
         payload.append(_OP_COMMIT)
@@ -243,26 +256,7 @@ class WriteAheadLog:
         ops = self._buffered_ops
         self._buffer = bytearray()
         self._buffered_ops = 0
-        with self._lock:
-            try:
-                handle = self._ensure_handle()
-                handle.write(frame)
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
-            except Exception:
-                # The transaction may be half on disk and its in-memory
-                # mutations are already visible: fail-stop so no later
-                # commit can paper over the gap (replaying such a log would
-                # yield a state that never existed).
-                self.failed = True
-                raise
-            self.last_seq = seq
-            if self.first_seq is None:
-                self.first_seq = seq
-            self.commits += 1
-            self.ops_logged += ops
-            self.bytes_written += len(frame)
+        self._append(frame, seq, ops)
         return seq
 
     def discard_pending(self) -> int:
@@ -272,36 +266,46 @@ class WriteAheadLog:
         self._buffered_ops = 0
         return dropped
 
-    def append_raw_transaction(self, seq: int, raw: bytes) -> None:
-        """Append one already-framed committed transaction verbatim.
+    def append_transaction(self, transaction: Transaction) -> int:
+        """Append one shipped committed transaction verbatim; returns its bytes.
 
-        Replication followers receive transactions as the exact bytes the
-        primary wrote — op frames followed by the commit frame — and must
-        persist them BEFORE applying, so a follower crash replays from its
-        own log instead of silently losing shipped commits.  The bytes are
-        trusted (they were CRC-checked during streaming); the only local
-        invariant enforced is sequence monotonicity.
+        A replication follower persists what the primary shipped BEFORE it
+        applies it, so a follower crash replays from its own log instead of
+        silently losing shipped commits.  :func:`scan_transactions` already
+        CRC-checked and decoded every frame; the only local invariant
+        enforced here is sequence monotonicity.
         """
-        self._check_usable()
-        if seq <= self.last_seq:
+        if transaction.seq <= self.last_seq:
             raise StorageError(
-                f"raw transaction seq {seq} is not ahead of last applied "
-                f"seq {self.last_seq}")
+                f"shipped transaction seq {transaction.seq} is not ahead of "
+                f"last applied seq {self.last_seq}")
+        raw = transaction.raw
+        self._append(raw, transaction.seq, len(transaction.ops))
+        return len(raw)
+
+    def _append(self, data: bytes, seq: int, ops: int) -> None:
+        """Write one whole transaction durably, then account for it."""
+        self._check_usable()
         with self._lock:
             try:
                 handle = self._ensure_handle()
-                handle.write(raw)
+                handle.write(data)
                 handle.flush()
                 if self.fsync:
                     os.fsync(handle.fileno())
             except Exception:
+                # The transaction may be half on disk and its in-memory
+                # mutations may already be visible: fail-stop so no later
+                # commit can paper over the gap (replaying such a log would
+                # yield a state that never existed).
                 self.failed = True
                 raise
             self.last_seq = seq
             if self.first_seq is None:
                 self.first_seq = seq
             self.commits += 1
-            self.bytes_written += len(raw)
+            self.ops_logged += ops
+            self.bytes_written += len(data)
 
     # -- maintenance -------------------------------------------------------
     def size_bytes(self) -> int:
@@ -353,16 +357,16 @@ class WriteAheadLog:
                 f"commits={self.commits}>")
 
 
-def _decode_record(payload: bytes):
-    """Decode one frame payload into a WalOp or a ("commit", seq) marker."""
+def _decode_record(payload: bytes) -> Union[WalOp, int]:
+    """Decode one frame payload into a WalOp, or a commit record's seq."""
     if not payload:
         raise StorageError("empty WAL record")
     op = payload[0]
     offset = 1
     if op == _OP_ZLIB:
         # The frame CRC already vouched for the deflated bytes; a failure
-        # here is version skew or a CRC collision, and the replay scan
-        # escalates it instead of truncating (see WalReplay).
+        # here is version skew or a CRC collision, and the scan escalates
+        # it instead of truncating (see scan_transactions).
         try:
             inner = zlib.decompress(payload[1:])
         except zlib.error as exc:
@@ -370,7 +374,7 @@ def _decode_record(payload: bytes):
         return _decode_record(inner)
     if op == _OP_COMMIT:
         seq, offset = decode_varint(payload, offset)
-        return ("commit", seq)
+        return seq
     kind = _KIND_NAMES.get(op)
     if kind is None:
         raise StorageError(f"unknown WAL record kind {op}")
@@ -383,149 +387,54 @@ def _decode_record(payload: bytes):
     return WalOp(kind, identifier, None)
 
 
-def _commit_seq_of(payload: bytes) -> Optional[int]:
-    """The sequence number if ``payload`` is a commit record, else None.
+def scan_transactions(source: Union[str, bytes]) -> Iterator[Transaction]:
+    """Yield every committed transaction of a WAL file or a shipped stream.
 
-    Commit records are tiny (kind byte + two varints), so they are never
-    Z-compressed — checking the first byte is sufficient.
+    ``source`` is a log's path (read frame by frame, so memory stays bounded
+    by the largest transaction; a missing file holds nothing) or the bytes
+    of a replication stream.  Transactions come in log order, each with its
+    seq, its frame payloads, its decoded ops and the offset just past its
+    commit frame — the longest committed prefix recovery keeps.
+
+    Structural damage ends the scan silently: the first truncated or
+    corrupt frame is a clean end of log, and records after the last commit
+    frame never committed.  A frame that passes its CRC but does not decode
+    — a record kind from a newer build, a CRC collision — is not a crash
+    artefact, wherever it sits: dropping it could destroy transactions a
+    matching decoder would replay, so the scan raises
+    :class:`StorageError` naming the frame's start offset, before it yields
+    the transaction the frame belongs to.
     """
-    if payload and payload[0] == _OP_COMMIT:
-        seq, _ = decode_varint(payload, 1)
-        return seq
-    return None
-
-
-def iter_transaction_bytes(path: str,
-                           after_seq: int = 0) -> Iterator[Tuple[int, bytes]]:
-    """Yield ``(seq, raw_bytes)`` per committed transaction with seq > after_seq.
-
-    ``raw_bytes`` is the exact on-disk form of the transaction — op frames
-    followed by the commit frame — rebuilt deterministically from the
-    scanned payloads via :func:`encode_frame`, so a replication follower
-    can append them verbatim with :meth:`WriteAheadLog.append_raw_transaction`
-    and end up with a byte-identical committed prefix.  Like replay, the
-    scan stops cleanly at the first torn or corrupt frame, which makes it
-    safe to run against the primary's LIVE log while commits append to it.
-    """
-    try:
-        handle = open(path, "rb")
-    except FileNotFoundError:
-        return
-    with handle:
-        yield from _transactions(iter_frames_file(handle), after_seq)
-
-
-def _transactions(frames, after_seq: int = 0) -> Iterator[Tuple[int, bytes]]:
-    """``(seq, raw_bytes)`` per committed transaction of a frame source with
-    seq > ``after_seq``: its frames accumulated up to its commit frame."""
-    pending = bytearray()
-    for payload, _end in frames:
-        pending += encode_frame(payload)
-        seq = _commit_seq_of(payload)
-        if seq is not None:
-            if seq > after_seq:
-                yield seq, bytes(pending)
-            pending = bytearray()
-
-
-def decode_transaction_ops(raw: bytes) -> Tuple[int, List[WalOp]]:
-    """Decode one raw transaction's bytes into ``(seq, ops)``.
-
-    ``raw`` must be exactly one committed transaction as produced by
-    :func:`iter_transaction_bytes` / :func:`split_transaction_stream` — op
-    frames followed by the commit frame.  The replication follower uses
-    this to apply a shipped transaction it has already persisted.
-    """
-    ops: List[WalOp] = []
-    for payload, _end in iter_frames(raw):
-        record = _decode_record(payload)
-        if isinstance(record, tuple) and record[0] == "commit":
-            return record[1], ops
-        ops.append(record)
-    raise StorageError("transaction bytes end without a commit record")
-
-
-def split_transaction_stream(data: bytes) -> Iterator[Tuple[int, bytes]]:
-    """Split a shipped replication stream into ``(seq, raw_bytes)`` pieces.
-
-    The inverse view of what the WAL route concatenates: the follower CRC-
-    validates every frame while splitting (via :func:`iter_frames`), so a
-    connection torn mid-chunk simply ends the stream at the last complete
-    transaction — exactly the crash semantics the on-disk log already has.
-    """
-    return _transactions(iter_frames(data))
-
-
-class WalReplay:
-    """Single-pass incremental scan of a WAL's committed transactions.
-
-    Iterating yields ``(seq, ops)`` exactly like :func:`iter_transactions`
-    (which wraps this class), reading the log frame-by-frame so recovery
-    memory stays bounded by the largest transaction instead of the log size.
-    After the scan ends, :attr:`committed_offset` is the byte length of the
-    longest committed prefix: everything past it is a torn frame, corrupt
-    garbage, or ops that never committed, and the engine cuts it off with
-    :func:`truncate_torn_tail` before reattaching a live WAL.
-
-    Structural damage is the ONLY thing the scan absorbs silently.  A frame
-    that passes its CRC but does not decode — a record kind from a newer
-    build, a CRC collision — is not a crash artefact, and truncating it
-    would permanently destroy transactions a matching decoder could still
-    replay; the scan raises :class:`StorageError` instead, leaving the file
-    untouched for the operator.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        #: End offset of the last fully committed frame seen by the scan.
-        self.committed_offset = 0
-        #: Sequence of the first committed transaction in the file (None if
-        #: the file holds no commits) — recovery hands it back to the live
-        #: WAL so rotation archives the file under its true seq range.
-        self.first_seq: Optional[int] = None
-
-    def __iter__(self) -> Iterator[Tuple[int, List[WalOp]]]:
-        self.committed_offset = 0  # a re-scan must not report a stale prefix
-        self.first_seq = None
+    if isinstance(source, str):
         try:
-            handle = open(self.path, "rb")
+            reader = open(source, "rb")
         except FileNotFoundError:
             return
-        with handle:
-            pending: List[WalOp] = []
-            for payload, end_offset in iter_frames_file(handle):
-                try:
-                    record = _decode_record(payload)
-                except Exception as exc:
-                    frame_start = end_offset - len(payload) - FRAME_HEADER_SIZE
-                    raise StorageError(
-                        f"WAL {self.path!r} holds an intact (CRC-valid) frame "
-                        f"at offset {frame_start} that cannot be decoded "
-                        f"({exc}); refusing to recover — replaying past it "
-                        "could lose committed transactions a newer decoder "
-                        "would understand") from exc
-                if isinstance(record, tuple) and record[0] == "commit":
-                    self.committed_offset = end_offset
-                    if self.first_seq is None:
-                        self.first_seq = record[1]
-                    yield record[1], pending
-                    pending = []
-                else:
-                    pending.append(record)
-        # `pending` non-empty here means a transaction never committed: dropped.
-
-
-def iter_transactions(path: str) -> Iterator[Tuple[int, List[WalOp]]]:
-    """Yield ``(seq, ops)`` for every fully committed transaction, in order.
-
-    Tolerates — silently truncates at — a torn or corrupt tail: the scan
-    stops at the first frame that fails its CRC or runs past end-of-file,
-    and any operations buffered since the last commit marker are discarded.
-    A record that frames correctly but does not decode (a record kind from
-    the future, a CRC collision) raises :class:`StorageError` instead of
-    guessing — see :class:`WalReplay`.
-    """
-    return iter(WalReplay(path))
+        frames = iter_frames_file(reader)
+    else:
+        reader = contextlib.nullcontext()
+        frames = iter_frames(source)
+    with reader:
+        payloads: List[bytes] = []
+        ops: List[WalOp] = []
+        for payload, end in frames:
+            try:
+                record = _decode_record(payload)
+            except Exception as exc:
+                where = (f"WAL {source!r}" if isinstance(source, str)
+                         else "the shipped WAL stream")
+                raise StorageError(
+                    f"{where} holds an intact (CRC-valid) frame at offset "
+                    f"{end - len(payload) - FRAME_HEADER_SIZE} that cannot "
+                    f"be decoded ({exc}); refusing to replay past it — that "
+                    "could lose committed transactions a newer decoder "
+                    "would understand") from exc
+            payloads.append(payload)
+            if isinstance(record, int):
+                yield Transaction(record, payloads, ops, end)
+                payloads, ops = [], []
+            else:
+                ops.append(record)
 
 
 def truncate_torn_tail(path: str, committed_offset: int,

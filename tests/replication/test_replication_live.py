@@ -22,11 +22,13 @@ import time
 
 import pytest
 
-from repro.exceptions import ReadOnlyReplicaError
+from repro.exceptions import ReadOnlyReplicaError, StorageError
 from repro.kgnet import KGNet
+from repro.rdf import IRI, Literal, Triple
 from repro.replication import ReplicaEngine, ReplicaSetClient
 from repro.server import KGNetHTTPServer, RemoteClient
 from repro.storage import StorageEngine
+from repro.storage.format import encode_frame
 
 EX = "http://example.org/repl/"
 COUNT = "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }"
@@ -281,6 +283,82 @@ class TestInProcessCluster:
         client.close()
         primary.close()
         router.close()
+
+
+class _ShippedStream:
+    """Stands in for a follower's primary client: serves one fixed stream."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+    def replication_wal(self, after_seq: int) -> bytes:
+        return self.data
+
+    def close(self) -> None:
+        pass
+
+
+def _follow(directory: str, data: bytes) -> ReplicaEngine:
+    """A started follower whose every poll receives ``data``; it polls once."""
+    follower = ReplicaEngine(directory, "http://127.0.0.1:9",
+                             poll_interval=3600.0)
+    follower.client = _ShippedStream(data)
+    follower.start()
+    assert wait_until(lambda: follower.last_error is not None
+                      or follower.replication_status()
+                      ["seconds_since_progress"] is not None)
+    return follower
+
+
+def _read_or_empty(path: str) -> bytes:
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        return b""
+
+
+def test_follower_refuses_an_undecodable_transaction_before_writing_it(
+        tmp_path):
+    """A shipped transaction is decoded before it is persisted.
+
+    Seq 1 arrives as a CRC-valid frame of an unknown record kind plus its
+    commit frame.  Persisting it first would wedge the follower (every
+    later poll: "not ahead of last applied seq") and make its directory
+    unrecoverable; refusing it leaves the follower where it was.
+    """
+    primary = StorageEngine(str(tmp_path / "primary"), fsync=False)
+    primary.open()
+    triple = Triple(IRI(EX + "s"), IRI(EX + "p"), Literal("ok"))
+    primary.dataset.default_graph.add(triple)
+    well_formed = b"".join(raw for _, raw in primary.stream_wal_after(0))
+    primary.close()
+    undecodable = (encode_frame(bytes([88]) + b"from a newer build")
+                   + encode_frame(b"T\x01\x01"))   # commit seq 1, 1 op
+
+    directory = str(tmp_path / "follower")
+    wal_path = os.path.join(directory, "wal.log")
+    follower = _follow(directory, undecodable)
+    try:
+        before = _read_or_empty(wal_path)
+        assert "unknown WAL record kind 88" in follower.last_error
+        with pytest.raises(StorageError, match="offset 0"):
+            follower.poll_once()
+        assert follower.applied_seq == 0
+        assert _read_or_empty(wal_path) == before
+    finally:
+        follower.stop()
+    reopened = StorageEngine(directory)
+    reopened.open()                     # the directory still recovers
+    reopened.close()
+
+    follower = _follow(directory, well_formed)
+    try:
+        assert follower.applied_seq == 1 and follower.last_error is None
+        assert triple in follower.storage.dataset.default_graph
+        assert _read_or_empty(wal_path) == well_formed
+    finally:
+        follower.stop()
 
 
 # ---------------------------------------------------------------------------

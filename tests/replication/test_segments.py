@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import StorageError, WalTruncatedError
 from repro.rdf import IRI, Literal, Triple
 from repro.storage import StorageEngine
 from repro.storage.segments import WalArchive
-from repro.storage.wal import decode_transaction_ops
+from repro.storage.wal import scan_transactions
 
 EX = "http://example.org/segments/"
 
@@ -124,9 +127,10 @@ class TestStreamWalAfter:
             engine.checkpoint()
             _write(engine, 1, start=2)
             for seq, raw in engine.stream_wal_after(0):
-                decoded_seq, ops = decode_transaction_ops(raw)
-                assert decoded_seq == seq
-                assert len(ops) == 1        # one add per transaction
+                transaction, = scan_transactions(raw)
+                assert transaction.seq == seq
+                assert transaction.raw == raw
+                assert len(transaction.ops) == 1    # one add per transaction
 
     def test_truncated_range_raises(self, tmp_path):
         with StorageEngine(str(tmp_path), fsync=False,
@@ -196,3 +200,92 @@ class TestWalArchiveDirect:
         assert len(archive.segments()) == 2
         archive.clear()
         assert archive.segments() == []
+
+
+# ---------------------------------------------------------------------------
+# Shipped ≡ recovered: a follower fed the primary's stream is the primary
+# ---------------------------------------------------------------------------
+
+GRAPHS = (None, IRI(EX + "g1"), IRI(EX + "g2"))
+#: Deflated in the WAL (a record over WAL_COMPRESS_MIN_BYTES).
+BIG = Literal("a long literal body " * 20)
+
+
+def _graph(dataset, index):
+    name = GRAPHS[index]
+    return dataset.graph(name) if name is not None else dataset.default_graph
+
+
+_STEPS = st.one_of(
+    st.tuples(st.sampled_from(["add", "remove"]), st.integers(0, 2),
+              st.integers(0, 5)),
+    st.tuples(st.sampled_from(["big", "batch"]), st.integers(0, 2),
+              st.integers(0, 5)),
+    st.tuples(st.sampled_from(["clear", "create", "drop"]),
+              st.integers(0, 2), st.just(0)),
+    st.tuples(st.just("checkpoint"), st.just(0), st.just(0)),
+)
+
+
+def _run_script(engine: StorageEngine, script) -> None:
+    dataset = engine.dataset
+    for kind, graph, n in script:
+        if kind == "add":
+            _graph(dataset, graph).add(_triple(n))
+        elif kind == "remove":
+            _graph(dataset, graph).remove(*_triple(n))
+        elif kind == "big":
+            _graph(dataset, graph).add(
+                Triple(IRI(EX + f"s{n}"), IRI(EX + "body"), BIG))
+        elif kind == "batch":       # one transaction of several records
+            _graph(dataset, graph).add_all(
+                [_triple(n), _triple(n + 1),
+                 Triple(IRI(EX + f"s{n}"), IRI(EX + "body"), BIG)])
+        elif kind == "clear":
+            _graph(dataset, graph).clear()
+        elif kind == "create":
+            _graph(dataset, graph)
+        elif kind == "drop":
+            if GRAPHS[graph] is not None:
+                dataset.drop_graph(GRAPHS[graph])
+        else:
+            engine.checkpoint()
+
+
+def _state(dataset) -> dict:
+    state = {None: frozenset(dataset.default_graph)}
+    for graph in dataset.named_graphs():
+        state[graph.identifier.value] = frozenset(graph)
+    return state
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(script=st.lists(_STEPS, max_size=24))
+def test_shipped_stream_applies_to_the_recovered_state(script):
+    """Feeding ``stream_wal_after(0)`` to a fresh follower through
+    :meth:`StorageEngine.apply_shipped` reproduces the primary's live state
+    and what the primary's own recovery rebuilds, and leaves the follower
+    a ``wal.log`` byte-equal to what was shipped."""
+    with tempfile.TemporaryDirectory(prefix="kgnet-ship-") as root:
+        primary = StorageEngine(os.path.join(root, "primary"), fsync=False,
+                                retain_segments=len(script) + 1)
+        primary.open()
+        _run_script(primary, script)
+        live = _state(primary.dataset)
+        shipped = b"".join(raw for _, raw in primary.stream_wal_after(0))
+        primary.close()
+        with StorageEngine(primary.directory, fsync=False) as recovered:
+            assert _state(recovered.dataset) == live
+
+        follower = StorageEngine(os.path.join(root, "follower"), fsync=False)
+        follower.open()
+        for transaction in scan_transactions(shipped):
+            follower.apply_shipped(transaction)
+        assert _state(follower.dataset) == live
+        follower.close()
+        if shipped:         # an empty stream never creates the follower's log
+            with open(follower.wal_path, "rb") as handle:
+                assert handle.read() == shipped
+        with StorageEngine(follower.directory, fsync=False) as reopened:
+            assert _state(reopened.dataset) == live

@@ -33,7 +33,7 @@ from repro.storage.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.storage.wal import WAL_COMPRESS_MIN_BYTES, WriteAheadLog, iter_transactions
+from repro.storage.wal import WAL_COMPRESS_MIN_BYTES, WriteAheadLog, scan_transactions
 
 EX = "http://example.org/zlib/"
 
@@ -152,10 +152,9 @@ class TestWalCompression:
         wal.commit()
         assert wal.compressed_records == 5
         assert wal.bytes_saved > 0
-        replayed = list(iter_transactions(wal.path))
+        replayed = list(scan_transactions(wal.path))
         assert len(replayed) == 1
-        seq, ops = replayed[0]
-        assert [op.triple for op in ops] == triples
+        assert [op.triple for op in replayed[0].ops] == triples
         wal.close()
 
     def test_small_records_stay_raw(self, tmp_path):
@@ -183,8 +182,8 @@ class TestWalCompression:
             wal.log_add(None, si, pi, oi)
             wal.commit()
             wal.close()
-        transactions = list(iter_transactions(path))
-        assert [op.triple for _, ops in transactions for op in ops] == \
+        transactions = list(scan_transactions(path))
+        assert [op.triple for txn in transactions for op in txn.ops] == \
             [triple_big, triple_small]
 
     def test_threshold_is_sane(self):
@@ -228,8 +227,8 @@ class TestEngineCompression:
         with open(os.path.join(directory, "wal.log"), "rb") as handle:
             # Stored raw although it is over the deflate threshold.
             assert V1_WAL_TRIPLE.object.lexical.encode() in handle.read()
-        (_, ops), = iter_transactions(os.path.join(directory, "wal.log"))
-        assert [op.triple for op in ops] == [V1_WAL_TRIPLE]
+        transaction, = scan_transactions(os.path.join(directory, "wal.log"))
+        assert [op.triple for op in transaction.ops] == [V1_WAL_TRIPLE]
         with StorageEngine(directory, fsync=False) as engine:
             assert engine.recovered_transactions == 1
             assert V1_WAL_TRIPLE in engine.dataset.default_graph
