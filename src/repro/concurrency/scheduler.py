@@ -340,12 +340,16 @@ class QueryScheduler:
         self._enqueue(task)
 
     def _finish(self, task: _Task, result: object) -> None:
+        # A done task lets go of its stream, and so of the snapshot the
+        # stream reads: a worker may hold the task until its next one.
+        task.stream = None
         task.result = result
         with self._lock:
             self.queries_completed += 1
         task.done.set()
 
     def _fail(self, task: _Task, exc: BaseException) -> None:
+        task.stream = None
         task.error = exc
         with self._lock:
             if isinstance(exc, QueryTimeout):

@@ -17,6 +17,7 @@ a single graph.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.exceptions import RDFError
@@ -355,7 +356,10 @@ class Dataset:
         self._default = Graph(namespaces=self.namespaces,
                               dictionary=self._dictionary, lock=self._lock,
                               changes=self._changes)
+        self._default._dataset = weakref.ref(self)
         self._named: Dict[IRI, Graph] = {}
+        #: The per-epoch snapshot; the first write after it was pinned drops
+        #: it (with its union views), so it never counts as a reader.
         self._snapshot_cache: Optional[DatasetSnapshot] = None
         #: Optional write-ahead journal shared by every graph (duck-typed;
         #: attached by :class:`repro.storage.engine.StorageEngine`).
@@ -422,6 +426,7 @@ class Dataset:
                               dictionary=self._dictionary,
                               lock=self._lock, changes=self._changes)
                 graph._journal = self._journal
+                graph._dataset = weakref.ref(self)
                 self._named[identifier] = graph
                 self._changes.record(UNKNOWN)
             return self._named[identifier]
@@ -465,7 +470,8 @@ class Dataset:
         grows, so an unlocked read can match the cached token only when no
         commit has finished since the pin (i.e. exactly when the cache is
         still valid).  This keeps readers off the lock while a long UPDATE
-        batch holds it.
+        batch holds it.  A write drops the cached snapshot before it decides
+        whether to copy, so only readers that still hold it make it copy.
         """
         snap = self._snapshot_cache
         if snap is not None and snap.token == self.epoch():

@@ -38,9 +38,13 @@ The graph serves *concurrent* readers and writers with snapshot isolation:
 * Writers mutate under the graph's write lock, with *bucket-level*
   copy-on-write: the first mutation after a snapshot was pinned shallow-
   copies the three top-level index dicts (O(#distinct keys) pointer
-  copies), and each inner bucket (per-subject predicate map, per-pattern id
-  set) is copied only when a write actually touches it while it is still
-  shared with a snapshot.  Ownership is tracked by container identity in
+  copies) only while a reader still holds that snapshot, and each inner
+  bucket (per-subject predicate map, per-pattern id set) is copied only
+  when a write actually touches it while it is still shared with a live
+  snapshot.  Liveness is read off weak references, after the write has
+  dropped the per-epoch snapshot caches (they are stale once it commits,
+  and are no reader), so a snapshot no query holds any more costs the
+  next write nothing.  Ownership is tracked by container identity in
   ``_fresh``, so consecutive writes between snapshots stay in-place O(1).
   The epoch bump at the end of each mutation is the commit point readers
   key on.
@@ -56,6 +60,7 @@ what :class:`~repro.sparql.endpoint.SPARQLEndpoint` does for every query.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.exceptions import RDFError
@@ -203,15 +208,22 @@ class Graph:
         # key counts, so this is the only extra counter the selectivity
         # estimator needs.
         self._ps_counts: Dict[int, int] = {}
-        #: Cached per-epoch snapshot; True while its containers are shared
-        #: with the live graph (next write must copy-on-write first).
+        #: Cached per-epoch snapshot, and a weak reference to the snapshot
+        #: pinned since the last write: the next write copies the top-level
+        #: containers it shares only while something still holds it.
         self._snapshot_cache: Optional["GraphSnapshot"] = None
-        self._cow_pending = False
+        self._pinned: Optional[weakref.ref] = None
+        #: Weak references to the snapshots a write copied away from: while
+        #: one is alive it may share inner buckets outside ``_fresh``.
+        self._detached: list = []
         #: ids of inner buckets owned by the current write generation (safe
-        #: to mutate in place).  None until the first snapshot is pinned —
-        #: before that every container is owned and the write path skips the
-        #: ownership bookkeeping entirely (the bulk-load fast path).
+        #: to mutate in place).  None while no live snapshot shares any
+        #: container — every container is owned and the write path skips
+        #: the ownership bookkeeping entirely (the bulk-load fast path).
         self._fresh: Optional[Set[int]] = None
+        #: Weak reference to the :class:`~repro.rdf.dataset.Dataset` this
+        #: graph belongs to (set by it), whose cached snapshot a write drops.
+        self._dataset: Optional[weakref.ref] = None
         #: Optional write-ahead journal (duck-typed; see ``repro.storage``).
         #: When set, every committed mutation is logged so the dataset can be
         #: recovered after a crash.  ``None`` keeps the store purely in-memory
@@ -255,7 +267,9 @@ class Graph:
         O(1): snapshots are cached per epoch, so all readers between two
         mutations share one pinned view (and therefore one set of compiled
         query plans).  The snapshot's containers are never mutated — the
-        next write detaches the live graph from them first.
+        next write detaches the live graph from them first if anything but
+        the per-epoch caches still holds the snapshot, and otherwise writes
+        in place: one that nobody can read any more needs no copy.
         """
         snap = self._snapshot_cache
         if snap is not None and snap._epoch == self._epoch:
@@ -265,21 +279,50 @@ class Graph:
             if snap is None or snap._epoch != self._epoch:
                 snap = GraphSnapshot._pin(self)
                 self._snapshot_cache = snap
-                self._cow_pending = True
+                self._pinned = weakref.ref(snap)
             return snap
 
-    def _prepare_write(self) -> None:
-        """Detach from any pinned snapshot before mutating (caller holds lock).
+    def _unpin(self) -> Optional[weakref.ref]:
+        """Forget the snapshot pinned since the last write and drop the
+        per-epoch caches that hold it — this graph's and its dataset's, both
+        stale once the write commits (caller holds lock).  Returns the weak
+        reference to that snapshot, None when there is none."""
+        pinned = self._pinned
+        if pinned is not None:
+            self._pinned = None
+            self._snapshot_cache = None
+            dataset = self._dataset() if self._dataset is not None else None
+            if dataset is not None:
+                dataset._snapshot_cache = None
+        return pinned
 
-        Shallow-copies the three top-level index dicts and the counter dicts
-        (pointer copies only) so the pinned snapshot keeps observing exactly
-        the state it pinned, and resets the bucket-ownership set: inner
+    def _prepare_write(self) -> None:
+        """Detach from a pinned snapshot before mutating (caller holds lock).
+
+        Only the snapshot pinned since the last write can still share the
+        live top-level dicts: every earlier one was either dead at an
+        earlier write or detached by that write's copy.  So once the stale
+        caches are dropped, one weak reference decides.  While that snapshot
+        is alive, the three top-level index dicts and the counter dicts are
+        shallow-copied (pointer copies only) so it keeps observing exactly
+        the state it pinned, and the bucket-ownership set is reset: inner
         buckets stay shared until a write touches them, at which point
         :meth:`_owned_dict` / :meth:`_owned_set` copy just that bucket.
+        When nothing holds it, the write mutates in place; ``_fresh`` then
+        stays as it is, since an older snapshot still held may share inner
+        buckets outside it — until no such snapshot is left either.
         Consecutive writes without an intervening snapshot mutate in place.
         """
-        if not self._cow_pending:
+        pinned = self._unpin()
+        if pinned is None:
             return
+        detached = [ref for ref in self._detached if ref() is not None]
+        if pinned() is None:
+            self._detached = detached
+            if not detached:
+                self._fresh = None
+            return
+        self._detached = detached + [pinned]
         self._spo = dict(self._spo)
         self._pos = dict(self._pos)
         self._osp = dict(self._osp)
@@ -293,7 +336,6 @@ class Graph:
         # addresses differ — and any new allocation reusing the address is
         # registered as owned when it is created.
         self._fresh = set()
-        self._cow_pending = False
 
     def _commit(self, changes) -> None:
         """Bump the epoch — the commit point readers key on — and log what
@@ -616,7 +658,7 @@ class Graph:
             self._s_counts = {}
             self._o_counts = {}
             self._ps_counts = {}
-            self._cow_pending = False
+            self._unpin()
             if self._fresh is not None:
                 self._fresh = set()
             if self._size:
@@ -1012,8 +1054,10 @@ class GraphSnapshot(Graph):
         snap._o_counts = graph._o_counts
         snap._ps_counts = graph._ps_counts
         snap._snapshot_cache = None
-        snap._cow_pending = False
+        snap._pinned = None
+        snap._detached = []
         snap._fresh = None
+        snap._dataset = None
         snap._journal = None  # snapshots are immutable: nothing to journal
         return snap
 

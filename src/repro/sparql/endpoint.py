@@ -51,7 +51,8 @@ from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import NamespaceManager
 from repro.rdf.terms import IRI, Triple
-from repro.sparql.ast import AskQuery, ConstructQuery, Query, SelectQuery, Update
+from repro.sparql.ast import (AskQuery, ConstructQuery, ModifyUpdate, Query,
+                              SelectQuery, Update)
 from repro.sparql.cache import EpochLRU
 from repro.sparql.evaluator import QueryEvaluator
 from repro.sparql.execution import ExecutionContext, StreamingResult
@@ -576,12 +577,16 @@ class SPARQLEndpoint:
 
     def apply_update(self, update: Update,
                      context: Optional[ExecutionContext] = None) -> int:
-        # WHERE clauses evaluate against the pinned union snapshot;
-        # mutations go to the live dataset graphs.
-        evaluator = QueryEvaluator(self.dataset.snapshot().union(),
-                                   udfs=self.udfs,
-                                   optimize_joins=self.optimize_joins,
-                                   execution=context)
+        # Mutations go to the live dataset graphs.  Only a WHERE clause
+        # reads: it evaluates against the pinned union snapshot, which the
+        # evaluator lets go of before the first mutation.  The other kinds
+        # pin nothing, so their writes copy no index a reader no longer
+        # holds.
+        reads = isinstance(update, ModifyUpdate)
+        evaluator = QueryEvaluator(
+            self.dataset.snapshot().union() if reads else self.graph,
+            udfs=self.udfs, optimize_joins=self.optimize_joins,
+            execution=context)
         return evaluator.apply_update(update, dataset=self.dataset)
 
     # ------------------------------------------------------------------

@@ -561,6 +561,7 @@ class QueryEvaluator:
         over cycle-heavy graphs honor deadline/cancel/budget.
         """
         compiled = node.compiled
+        graph = self.graph
         tick = self._ticker()
         modifier = compiled.modifier
         zero_length = modifier in ("*", "?")
@@ -581,7 +582,7 @@ class QueryEvaluator:
                     yield seed[:]
             if end is not None and end < 0 and end != start:
                 return  # a term no index holds is reached from itself only
-            for node in reachable(step, start, modifier, tick):
+            for node in reachable(graph, step, start, modifier, tick):
                 if zero_length and node == start:
                     continue  # (x, x) already emitted as zero-length
                 if end is None:
@@ -598,7 +599,7 @@ class QueryEvaluator:
                 o = o_const if o_slot is None else seed[o_slot]
                 start = s if s is not None else o
                 if (start is not None and between_variables
-                        and not is_node(self.graph, start)):
+                        and not is_node(graph, start)):
                     continue
                 if s is not None:
                     yield from directed(compiled.forward, seed, s, o,
@@ -608,7 +609,7 @@ class QueryEvaluator:
                 else:
                     # Both endpoints unbound: every node of the graph is a
                     # start (one variable twice: and must end there too).
-                    for start in self.graph.node_ids():
+                    for start in graph.node_ids():
                         row = seed[:]
                         row[s_slot] = start
                         yield from directed(compiled.forward, row, start,
@@ -989,6 +990,10 @@ class QueryEvaluator:
             # MODIFY.
             self._checkpoint(0)
             graph = target(update.graph)
+            # The rows are ids, read through the term overlay from here on:
+            # let go of the snapshot they came from, so the writes below copy
+            # its indexes only if some reader still holds it.
+            self.graph = graph
             affected = 0
             for row in rows:
                 for triple in self._instances(update.delete_template, row, layout):

@@ -25,6 +25,7 @@ from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Tuple)
 
 from repro.exceptions import QueryError
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Variable
 from repro.sparql.ast import (
@@ -218,37 +219,37 @@ def _fold_intersectors(specs):
     return kept, folds
 
 
-def _compile_step(graph: Graph, path):
+def _compile_step(dictionary: TermDictionary, path):
     """Compile a (normalized) path into an id-space successor function.
 
-    The returned callable maps ``(node_id, tick)`` to an iterable of
-    successor ids — one application of the path.  ``tick`` is the caller's
-    amortised checkpoint hook; composite steps forward it into their inner
-    loops so even a nested closure stays preemptable.  Constants the
-    dictionary has never interned simply yield no successors.
+    The returned callable maps ``(graph, node_id, tick)`` to an iterable of
+    successor ids in ``graph`` — one application of the path.  It reads the
+    graph it is handed, never the one it was compiled against: a cached
+    tree must not keep a superseded snapshot alive.  ``tick`` is the
+    caller's amortised checkpoint hook; composite steps forward it into
+    their inner loops so even a nested closure stays preemptable.
+    Constants ``dictionary`` has never interned simply yield no successors.
     """
     inverse = isinstance(path, InversePath)
     link = path.path if inverse else path
     if isinstance(link, LinkPath):
-        pid = graph.dictionary.lookup(link.iri)
+        pid = dictionary.lookup(link.iri)
         if pid is None:
-            return lambda node, tick: ()
+            return lambda graph, node, tick: ()
         if inverse:
-            subject_ids = graph.subject_ids
-            return lambda node, tick: subject_ids(pid, node)
-        object_ids = graph.object_ids
-        return lambda node, tick: object_ids(node, pid)
+            return lambda graph, node, tick: graph.subject_ids(pid, node)
+        return lambda graph, node, tick: graph.object_ids(node, pid)
     if isinstance(link, NegatedPath):
         # ^!(...) traverses the negated set's matching edges in reverse;
         # member-set swapping cannot express this (``!()`` matches every
         # forward edge, so ``^!()`` must match every reversed edge).
-        return _negated_step(graph, negated_directions(graph, link, inverse))
+        return _negated_step(negated_directions(dictionary, link, inverse))
     if inverse:  # pragma: no cover - normalize_path pushes ^ down to links
-        return _compile_step(graph, normalize_path(path))
+        return _compile_step(dictionary, normalize_path(path))
     if isinstance(path, SequencePath):
-        steps = [_compile_step(graph, step) for step in path.steps]
+        steps = [_compile_step(dictionary, step) for step in path.steps]
 
-        def seq_step(node, tick):
+        def seq_step(graph, node, tick):
             frontier = {node}
             for position, step in enumerate(steps):
                 if (position == 1 and node in frontier
@@ -260,7 +261,7 @@ def _compile_step(graph: Graph, path):
                 successors = set()
                 for member in frontier:
                     tick()
-                    successors.update(step(member, tick))
+                    successors.update(step(graph, member, tick))
                 frontier = successors
                 if not frontier:
                     break
@@ -268,21 +269,21 @@ def _compile_step(graph: Graph, path):
 
         return seq_step
     if isinstance(path, AlternativePath):
-        branches = [_compile_step(graph, alt) for alt in path.alternatives]
+        branches = [_compile_step(dictionary, alt) for alt in path.alternatives]
 
-        def alt_step(node, tick):
+        def alt_step(graph, node, tick):
             out = set()
             for branch in branches:
-                out.update(branch(node, tick))
+                out.update(branch(graph, node, tick))
             return out
 
         return alt_step
     if isinstance(path, MulPath):
-        inner = _compile_step(graph, path.path)
+        inner = _compile_step(dictionary, path.path)
         modifier = path.modifier
 
-        def mul_step(node, tick):
-            out = set(reachable(inner, node, modifier, tick))
+        def mul_step(graph, node, tick):
+            out = set(reachable(graph, inner, node, modifier, tick))
             if modifier != "+":
                 out.add(node)
             return out
@@ -305,16 +306,18 @@ def is_node(graph: Graph, term_id: int) -> bool:
             is not None)
 
 
-def reachable(step, start: int, modifier: str, tick) -> Iterator[int]:
-    """BFS from ``start``: each distinct node one or more (``?``: exactly
-    one) applications of ``step`` away, as it is discovered."""
+def reachable(graph: Graph, step, start: int, modifier: str,
+              tick) -> Iterator[int]:
+    """BFS in ``graph`` from ``start``: each distinct node one or more
+    (``?``: exactly one) applications of ``step`` away, as it is
+    discovered."""
     seen = set()
     frontier = [start]
     while frontier:
         next_frontier = []
         for node in frontier:
             tick()
-            for successor in step(node, tick):
+            for successor in step(graph, node, tick):
                 tick()
                 if successor not in seen:
                     seen.add(successor)
@@ -361,13 +364,14 @@ class CompiledInfer(NamedTuple):
     args: tuple
 
 
-def negated_directions(graph: Graph, path: NegatedPath, reverse: bool = False):
+def negated_directions(dictionary: TermDictionary, path: NegatedPath,
+                       reverse: bool = False):
     """``(excluded predicate ids, subject position, object position)`` per
     direction a negated set matches in: (s, o) forward when a triple
     (s, p, o) exists with p outside the forward exclusions, and inversely
     when a triple (o, p, s) exists with p outside the inverse ones.
     ``reverse`` swaps the endpoints (``^!(...)``)."""
-    lookup = graph.dictionary.lookup
+    lookup = dictionary.lookup
     directions = []
     for iris, matches, ends in ((path.forward, path.match_forward, (0, 2)),
                                 (path.inverse, path.match_inverse, (2, 0))):
@@ -378,16 +382,15 @@ def negated_directions(graph: Graph, path: NegatedPath, reverse: bool = False):
     return directions
 
 
-def _negated_step(graph: Graph, directions):
+def _negated_step(directions):
     """A negated set as a successor function (one edge from ``node``)."""
-    triples_ids = graph.triples_ids
 
-    def negated_step(node, tick):
+    def negated_step(graph, node, tick):
         out = set()
         for excluded, s_position, o_position in directions:
             pattern = [None, None, None]
             pattern[s_position] = node
-            for triple in triples_ids(*pattern):
+            for triple in graph.triples_ids(*pattern):
                 tick()
                 if triple[1] not in excluded:
                     out.add(triple[o_position])
@@ -540,14 +543,15 @@ class _Builder:
                         (self.group(rewritten, layout, bound),))
         if isinstance(element, ClosurePattern):
             path = normalize_path(element.path)
+            dictionary = self.graph.dictionary
             return Node("closure", index, CompiledClosure(
-                _compile_step(self.graph, path),
-                _compile_step(self.graph, normalize_path(invert_path(path))),
+                _compile_step(dictionary, path),
+                _compile_step(dictionary, normalize_path(invert_path(path))),
                 element.modifier, *self._ends(element, layout)),
                 self._seed(element, bound))
         if isinstance(element, NegatedPathPattern):
             return Node("negated-property-set", index, CompiledNegated(
-                negated_directions(self.graph, element.path),
+                negated_directions(self.graph.dictionary, element.path),
                 *self._ends(element, layout)), self._seed(element, bound))
         if isinstance(element, FilterPattern):
             return Node("filter", index, self._compile(

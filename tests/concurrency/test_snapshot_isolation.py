@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 import random
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -321,3 +322,89 @@ class TestDatasetSnapshotConsistency:
         for thread in threads:
             thread.join(timeout=30)
         assert not errors, errors[0]
+
+
+@pytest.mark.concurrency
+class TestHeldSnapshotsAcrossCommits:
+    """Readers hold a snapshot across writer commits while other readers
+    pin and release at once, so writes both copy (a snapshot is held) and
+    mutate in place (nobody holds the last one).  A held snapshot answers
+    the same before and after the commits it outlived, and the streaming
+    evaluator agrees with the reference evaluator on it both times."""
+
+    def test_held_snapshot_answers_stay_put_across_commits(self):
+        dataset = Dataset()
+        endpoint = SPARQLEndpoint(dataset=dataset)
+        rng = random.Random(41)
+        _seed_graph(dataset.default_graph, rng, triples=150)
+        meta = dataset.graph(EX + "kgmeta")
+        _seed_graph(meta, rng, triples=40)
+        errors: list = []
+        done = threading.Event()
+
+        def writer(seed: int) -> None:
+            writer_rng = random.Random(seed)
+            try:
+                for index in range(80 * STRESS):
+                    s = f"<{EX}s{writer_rng.randrange(40)}>"
+                    p = f"<{writer_rng.choice(PREDICATES).value}>"
+                    o = writer_rng.randrange(25)
+                    verb = "INSERT" if writer_rng.random() < 0.7 else "DELETE"
+                    body = f"{s} {p} {o}"
+                    if index % 3 == 0:
+                        body = f"GRAPH <{EX}kgmeta> {{ {body} }}"
+                    endpoint.execute(f"{verb} DATA {{ {body} }}")
+                    # Let the readers pin between commits.
+                    time.sleep(0.0005)
+            except Exception as exc:
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def holder(seed: int) -> None:
+            reader_rng = random.Random(seed)
+            try:
+                while not done.is_set():
+                    query = SPARQLParser(
+                        _random_query(reader_rng),
+                        namespaces=dataset.namespaces).parse_query()
+                    pinned = dataset.snapshot()
+                    union = pinned.union()
+                    before = _multiset(QueryEvaluator(union).evaluate(query))
+                    assert before == _multiset(
+                        ReferenceQueryEvaluator(union).evaluate(query))
+                    size = len(union)
+                    # Outlive at least one commit (or the writer).
+                    while dataset.epoch() == pinned.token and not done.is_set():
+                        done.wait(0.001)
+                    assert len(union) == size
+                    assert _multiset(QueryEvaluator(union).evaluate(query)) == before
+                    assert _multiset(
+                        ReferenceQueryEvaluator(union).evaluate(query)) == before
+                    # Release, and hold nothing for a while: the commits
+                    # meanwhile mutate in place.
+                    del pinned, union
+                    done.wait(0.002)
+            except Exception as exc:
+                errors.append(exc)
+
+        def passer(seed: int) -> None:
+            reader_rng = random.Random(seed)
+            try:
+                while not done.is_set():
+                    endpoint.select(_random_query(reader_rng))
+                    done.wait(0.001)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = ([threading.Thread(target=writer, args=(43,), daemon=True)]
+                   + [threading.Thread(target=holder, args=(s,), daemon=True)
+                      for s in (1, 2)]
+                   + [threading.Thread(target=passer, args=(3,), daemon=True)])
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not errors, errors[0]
+        assert len(endpoint.select("SELECT * WHERE { ?s ?p ?o }")) == len(
+            dataset.snapshot().union())
