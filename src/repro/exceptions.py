@@ -7,9 +7,26 @@ can catch platform errors without accidentally swallowing programming errors
 
 from __future__ import annotations
 
+from typing import Dict, Sequence, Tuple
+
 
 class KGNetError(Exception):
-    """Base class for all errors raised by this library."""
+    """Base class for all errors raised by this library.
+
+    Each class declares its identity on the wire, which the service API,
+    the HTTP service and the clients all read from here: a stable ``code``
+    (append-only; a subclass that declares none travels as its nearest
+    declared ancestor), the ``http_status`` the service answers with (4xx
+    when the request was wrong, 5xx when the server was; inherited), and the
+    constructor keywords whose values travel in the error object's
+    ``details`` (``detail_fields``) or under their own top-level key
+    (``top_level_fields``: key -> keyword).
+    """
+
+    code = "KGNET_ERROR"
+    http_status = 500
+    detail_fields: Tuple[str, ...] = ()
+    top_level_fields: Dict[str, str] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -19,10 +36,13 @@ class KGNetError(Exception):
 
 class RDFError(KGNetError):
     """Base class for errors raised by the RDF store."""
+    code = "RDF_ERROR"
 
 
 class TermError(RDFError):
     """An RDF term was constructed from invalid input."""
+    code = "TERM_ERROR"
+    http_status = 400
 
 
 class ParseError(RDFError):
@@ -35,6 +55,9 @@ class ParseError(RDFError):
     line, column:
         1-based position in the source text, when known.
     """
+    code = "PARSE_ERROR"
+    http_status = 400
+    detail_fields = ("message", "line", "column")
 
     def __init__(self, message: str, line: int = 0, column: int = 0) -> None:
         self.message = message
@@ -46,22 +69,29 @@ class ParseError(RDFError):
 
 class SPARQLError(RDFError):
     """Base class for SPARQL processing errors."""
+    code = "SPARQL_ERROR"
+    http_status = 400
 
 
 class QueryError(SPARQLError):
     """A syntactically valid query could not be evaluated."""
+    code = "QUERY_ERROR"
 
 
 class UpdateError(SPARQLError):
     """A SPARQL UPDATE request could not be applied."""
+    code = "UPDATE_ERROR"
 
 
 class UnsupportedFeatureError(SPARQLError):
     """The query uses a SPARQL feature outside the supported subset."""
+    code = "UNSUPPORTED_FEATURE"
+    http_status = 501
 
 
 class UDFError(SPARQLError):
     """A user-defined function failed or is unknown to the endpoint."""
+    code = "UDF_ERROR"
 
 
 class QueryInterrupted(SPARQLError):
@@ -81,6 +111,9 @@ class QueryInterrupted(SPARQLError):
     rows_emitted:
         Result rows produced before the interruption.
     """
+    code = "QUERY_INTERRUPTED"
+    http_status = 503
+    detail_fields = ("elapsed_seconds", "work_units", "rows_emitted")
 
     def __init__(self, message: str, *, elapsed_seconds: float = 0.0,
                  work_units: int = 0, rows_emitted: int = 0) -> None:
@@ -92,10 +125,14 @@ class QueryInterrupted(SPARQLError):
 
 class QueryTimeout(QueryInterrupted):
     """The query ran past its deadline and was aborted."""
+    code = "QUERY_TIMEOUT"
+    http_status = 504
 
 
 class QueryCancelled(QueryInterrupted):
     """The query's cancellation event was set (e.g. the client went away)."""
+    code = "QUERY_CANCELLED"
+    http_status = 499  # nginx's "client closed request"
 
 
 class QueryPreempted(QueryInterrupted):
@@ -104,6 +141,7 @@ class QueryPreempted(QueryInterrupted):
     Raised only for callers that configure a hard work budget on the
     execution context; the scheduler's time-slicing suspends queries
     without raising (their iterator state survives and resumes)."""
+    code = "QUERY_PREEMPTED"
 
 
 # ---------------------------------------------------------------------------
@@ -113,22 +151,29 @@ class QueryPreempted(QueryInterrupted):
 
 class GMLError(KGNetError):
     """Base class for graph machine learning errors."""
+    code = "GML_ERROR"
 
 
 class AutogradError(GMLError):
     """Raised for invalid autograd graph operations."""
+    code = "AUTOGRAD_ERROR"
 
 
 class ShapeError(GMLError):
     """Tensor shapes are incompatible for the requested operation."""
+    code = "SHAPE_ERROR"
 
 
 class TrainingError(GMLError):
     """Model training failed or was configured inconsistently."""
+    code = "TRAINING_ERROR"
 
 
 class BudgetExceededError(TrainingError):
     """A training run exceeded its time or memory budget."""
+    code = "BUDGET_EXCEEDED"
+    http_status = 413
+    detail_fields = ("elapsed_seconds", "peak_memory_bytes")
 
     def __init__(self, message: str, *, elapsed_seconds: float = 0.0,
                  peak_memory_bytes: int = 0) -> None:
@@ -139,10 +184,12 @@ class BudgetExceededError(TrainingError):
 
 class SamplingError(GMLError):
     """A graph sampler received an invalid configuration."""
+    code = "SAMPLING_ERROR"
 
 
 class DatasetError(GMLError):
     """A dataset or task definition is malformed."""
+    code = "DATASET_ERROR"
 
 
 # ---------------------------------------------------------------------------
@@ -152,30 +199,41 @@ class DatasetError(GMLError):
 
 class PlatformError(KGNetError):
     """Base class for KGNet platform-level errors."""
+    code = "PLATFORM_ERROR"
 
 
 class MetaSamplingError(PlatformError):
     """The meta-sampler could not extract a task-specific subgraph."""
+    code = "META_SAMPLING_ERROR"
+    http_status = 400
 
 
 class ModelNotFoundError(PlatformError):
     """No trained model satisfies the requested user-defined predicate."""
+    code = "MODEL_NOT_FOUND"
+    http_status = 404
 
 
 class ModelSelectionError(PlatformError):
     """The optimizer could not select a GML method or model."""
+    code = "MODEL_SELECTION_ERROR"
+    http_status = 400
 
 
 class InferenceError(PlatformError):
     """The GML inference manager failed to produce predictions."""
+    code = "INFERENCE_ERROR"
 
 
 class KGMetaError(PlatformError):
     """The KGMeta graph is inconsistent or an update to it failed."""
+    code = "KGMETA_ERROR"
 
 
 class SPARQLMLError(PlatformError):
     """A SPARQL-ML query is malformed or cannot be rewritten."""
+    code = "SPARQLML_ERROR"
+    http_status = 400
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +243,25 @@ class SPARQLMLError(PlatformError):
 
 class APIError(KGNetError):
     """Base class for errors raised by the versioned service API."""
+    code = "API_ERROR"
 
 
 class BadRequestError(APIError):
     """An API request envelope is malformed or misses required parameters."""
+    code = "BAD_REQUEST"
+    http_status = 400
 
 
 class UnknownOperationError(APIError):
     """The requested operation is not registered with the API router."""
+    code = "UNKNOWN_OPERATION"
+    http_status = 404
 
 
 class CursorError(APIError):
     """A pagination cursor is unknown, expired, or already consumed."""
+    code = "CURSOR_ERROR"
+    http_status = 410
 
 
 class ResultStreamCut(APIError):
@@ -220,6 +285,7 @@ class ResultStreamCut(APIError):
     media_type:
         The ``Content-Type`` the response declared, when known.
     """
+    code = "RESULT_STREAM_CUT"
 
     def __init__(self, message: str, *, partial_body: bytes = b"",
                  media_type: str = "") -> None:
@@ -235,10 +301,28 @@ class ServerOverloaded(APIError):
     dispatch), so retrying it — after the ``retry_after`` hint — is always
     safe, even for updates.  Maps to HTTP 503 + ``Retry-After``.
     """
+    code = "SERVER_OVERLOADED"
+    http_status = 503
+    detail_fields = ("retry_after",)
 
     def __init__(self, message: str, *, retry_after: float = 1.0) -> None:
         super().__init__(message)
         self.retry_after = retry_after
+
+
+class NotAcceptable(APIError):
+    """No offered media type satisfies the request's ``Accept`` header.
+
+    The offered media types travel as the error object's top-level
+    ``supported`` list.
+    """
+    code = "NOT_ACCEPTABLE"
+    http_status = 406
+    top_level_fields = {"supported": "offered"}
+
+    def __init__(self, message: str, offered: Sequence[str] = ()) -> None:
+        super().__init__(message)
+        self.offered = tuple(offered)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +332,12 @@ class ServerOverloaded(APIError):
 
 class StorageError(KGNetError):
     """Base class for errors raised by the durable storage engine."""
+    code = "STORAGE_ERROR"
 
 
 class CorruptCheckpointError(StorageError):
     """A checkpoint file is unreadable: bad magic, length, or CRC."""
+    code = "CORRUPT_CHECKPOINT"
 
 
 class WalTruncatedError(StorageError):
@@ -261,6 +347,8 @@ class WalTruncatedError(StorageError):
     the oldest retained segment; the only way forward is a snapshot
     bootstrap from the latest checkpoint.
     """
+    code = "WAL_TRUNCATED"
+    http_status = 410
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +358,10 @@ class WalTruncatedError(StorageError):
 
 class ReplicationError(KGNetError):
     """Base class for errors in the log-shipping replication layer."""
+    code = "REPLICATION_ERROR"
 
 
 class ReadOnlyReplicaError(ReplicationError):
     """A write operation reached a read-only replica instead of the primary."""
+    code = "READ_ONLY_REPLICA"
+    http_status = 403

@@ -1,9 +1,10 @@
 """Stable error codes for the versioned service API.
 
-Every exception class in :mod:`repro.exceptions` maps to one stable,
-transport-safe error code.  The codes are part of the API contract: clients
-match on ``error["code"]`` strings, never on Python class names, so the table
-below must only ever grow — renaming or removing a code is a breaking change.
+Every exception class in :mod:`repro.exceptions` declares its own wire
+identity — ``code``, ``http_status`` and the fields that travel with it (see
+:class:`~repro.exceptions.KGNetError`).  This module only reads those
+declarations: clients match on ``error["code"]`` strings, never on Python
+class names.
 
 The mapping is bidirectional: :func:`error_payload` turns a raised exception
 into the JSON ``error`` object of an :class:`~repro.kgnet.api.envelopes.APIResponse`,
@@ -20,79 +21,50 @@ from repro import exceptions as X
 
 __all__ = [
     "ERROR_CODES",
+    "HTTP_STATUS_BY_CODE",
     "INTERNAL_ERROR",
     "error_code",
     "error_payload",
     "exception_from_payload",
+    "http_status_for_error",
 ]
 
-#: Exception class -> stable error code.  Append-only.
+#: Exception class -> stable error code, for every class that declares one.
 ERROR_CODES: Dict[Type[BaseException], str] = {
-    X.KGNetError: "KGNET_ERROR",
-    # RDF / SPARQL substrate
-    X.RDFError: "RDF_ERROR",
-    X.TermError: "TERM_ERROR",
-    X.ParseError: "PARSE_ERROR",
-    X.SPARQLError: "SPARQL_ERROR",
-    X.QueryError: "QUERY_ERROR",
-    X.UpdateError: "UPDATE_ERROR",
-    X.UnsupportedFeatureError: "UNSUPPORTED_FEATURE",
-    X.UDFError: "UDF_ERROR",
-    X.QueryInterrupted: "QUERY_INTERRUPTED",
-    X.QueryTimeout: "QUERY_TIMEOUT",
-    X.QueryCancelled: "QUERY_CANCELLED",
-    X.QueryPreempted: "QUERY_PREEMPTED",
-    # GML framework
-    X.GMLError: "GML_ERROR",
-    X.AutogradError: "AUTOGRAD_ERROR",
-    X.ShapeError: "SHAPE_ERROR",
-    X.TrainingError: "TRAINING_ERROR",
-    X.BudgetExceededError: "BUDGET_EXCEEDED",
-    X.SamplingError: "SAMPLING_ERROR",
-    X.DatasetError: "DATASET_ERROR",
-    # KGNet platform
-    X.PlatformError: "PLATFORM_ERROR",
-    X.MetaSamplingError: "META_SAMPLING_ERROR",
-    X.ModelNotFoundError: "MODEL_NOT_FOUND",
-    X.ModelSelectionError: "MODEL_SELECTION_ERROR",
-    X.InferenceError: "INFERENCE_ERROR",
-    X.KGMetaError: "KGMETA_ERROR",
-    X.SPARQLMLError: "SPARQLML_ERROR",
-    # Durable storage
-    X.StorageError: "STORAGE_ERROR",
-    X.CorruptCheckpointError: "CORRUPT_CHECKPOINT",
-    X.WalTruncatedError: "WAL_TRUNCATED",
-    # Replication
-    X.ReplicationError: "REPLICATION_ERROR",
-    X.ReadOnlyReplicaError: "READ_ONLY_REPLICA",
-    # Service API
-    X.APIError: "API_ERROR",
-    X.BadRequestError: "BAD_REQUEST",
-    X.UnknownOperationError: "UNKNOWN_OPERATION",
-    X.CursorError: "CURSOR_ERROR",
-    X.ResultStreamCut: "RESULT_STREAM_CUT",
-    X.ServerOverloaded: "SERVER_OVERLOADED",
+    cls: cls.code for cls in vars(X).values()
+    if isinstance(cls, type) and issubclass(cls, X.KGNetError)
+    and "code" in vars(cls)
 }
 
 #: Code reported for exceptions outside the KGNet hierarchy (bugs, OS errors).
 INTERNAL_ERROR = "INTERNAL_ERROR"
 
-_CLASS_BY_CODE: Dict[str, Type[BaseException]] = {
+_CLASS_BY_CODE: Dict[str, Type[X.KGNetError]] = {
     code: cls for cls, code in ERROR_CODES.items()
 }
+
+#: Stable error code -> HTTP status, for every code that is not a plain
+#: server fault (500).
+HTTP_STATUS_BY_CODE: Dict[str, int] = {
+    code: cls.http_status for code, cls in _CLASS_BY_CODE.items()
+    if cls.http_status != 500
+}
+
+
+def http_status_for_error(code: str) -> int:
+    """HTTP status for a stable API error code (500 for server faults)."""
+    cls = _CLASS_BY_CODE.get(code)
+    return cls.http_status if cls is not None else 500
 
 
 def error_code(error: object) -> str:
     """The stable code for an exception instance or class.
 
-    Walks the MRO so subclasses added without a registry entry inherit the
-    nearest registered ancestor's code instead of leaking class names.
+    A subclass that declares no code inherits its nearest declared
+    ancestor's instead of leaking its class name.
     """
     cls = error if isinstance(error, type) else type(error)
-    for base in cls.__mro__:
-        if base in ERROR_CODES:
-            return ERROR_CODES[base]
-    return INTERNAL_ERROR
+    return cls.code if issubclass(cls, X.KGNetError) else INTERNAL_ERROR
 
 
 def error_payload(error: BaseException) -> Dict[str, object]:
@@ -102,22 +74,12 @@ def error_payload(error: BaseException) -> Dict[str, object]:
         "message": str(error),
         "type": type(error).__name__,
     }
-    details: Dict[str, object] = {}
-    if isinstance(error, X.ParseError):
-        details["message"] = error.message
-        details["line"] = error.line
-        details["column"] = error.column
-    if isinstance(error, X.BudgetExceededError):
-        details["elapsed_seconds"] = error.elapsed_seconds
-        details["peak_memory_bytes"] = error.peak_memory_bytes
-    if isinstance(error, X.QueryInterrupted):
-        details["elapsed_seconds"] = error.elapsed_seconds
-        details["work_units"] = error.work_units
-        details["rows_emitted"] = error.rows_emitted
-    if isinstance(error, X.ServerOverloaded):
-        details["retry_after"] = error.retry_after
-    if details:
-        payload["details"] = details
+    if isinstance(error, X.KGNetError):
+        for key, name in error.top_level_fields.items():
+            payload[key] = getattr(error, name)
+        if error.detail_fields:
+            payload["details"] = {name: getattr(error, name)
+                                  for name in error.detail_fields}
     return payload
 
 
@@ -128,25 +90,12 @@ def exception_from_payload(payload: Optional[Dict[str, object]]) -> BaseExceptio
     code = str(payload.get("code", INTERNAL_ERROR))
     message = str(payload.get("message", code))
     cls = _CLASS_BY_CODE.get(code)
+    if cls is None:
+        return X.KGNetError(f"[{code}] {message}")
     details = payload.get("details")
     details = details if isinstance(details, dict) else {}
-    if cls is X.ParseError:
-        return X.ParseError(str(details.get("message", message)),
-                            line=int(details.get("line", 0)),
-                            column=int(details.get("column", 0)))
-    if cls is X.BudgetExceededError:
-        return X.BudgetExceededError(
-            message,
-            elapsed_seconds=float(details.get("elapsed_seconds", 0.0)),
-            peak_memory_bytes=int(details.get("peak_memory_bytes", 0)))
-    if cls is not None and issubclass(cls, X.QueryInterrupted):
-        return cls(message,
-                   elapsed_seconds=float(details.get("elapsed_seconds", 0.0)),
-                   work_units=int(details.get("work_units", 0)),
-                   rows_emitted=int(details.get("rows_emitted", 0)))
-    if cls is X.ServerOverloaded:
-        return X.ServerOverloaded(
-            message, retry_after=float(details.get("retry_after", 1.0)))
-    if cls is not None:
-        return cls(message)
-    return X.KGNetError(f"[{code}] {message}")
+    fields = {name: payload[key]
+              for key, name in cls.top_level_fields.items() if key in payload}
+    fields.update((name, details[name])
+                  for name in cls.detail_fields if name in details)
+    return cls(fields.pop("message", message), **fields)

@@ -32,7 +32,11 @@ from repro.concurrency.scheduler import AdmissionController, QueryScheduler
 from repro.exceptions import (
     BadRequestError,
     CursorError,
+    QueryCancelled,
+    QueryPreempted,
+    QueryTimeout,
     ReadOnlyReplicaError,
+    ServerOverloaded,
     UnknownOperationError,
 )
 from repro.sparql.execution import ExecutionContext, StreamingResult
@@ -79,10 +83,10 @@ LATENCY_RESERVOIR_SIZE = 256
 
 #: Hostile-load error code -> the :class:`RouteMetrics` counter it bumps.
 _OUTCOME_COUNTERS = {
-    "QUERY_PREEMPTED": "queries_preempted",
-    "QUERY_TIMEOUT": "queries_timed_out",
-    "QUERY_CANCELLED": "queries_cancelled",
-    "SERVER_OVERLOADED": "requests_shed",
+    QueryPreempted.code: "queries_preempted",
+    QueryTimeout.code: "queries_timed_out",
+    QueryCancelled.code: "queries_cancelled",
+    ServerOverloaded.code: "requests_shed",
 }
 
 

@@ -93,48 +93,53 @@ class KGMetaGovernor:
         return IRI(f"{O.MODEL_URI_PREFIX}{task.name}/{method}/{next(_MODEL_COUNTER)}")
 
     def register_model(self, task: TaskSpec, metadata: ModelMetadata) -> IRI:
-        """Write one model's metadata into KGMeta (idempotent per URI)."""
-        graph = self.graph
-        uri = metadata.uri
-        model_class = O.classifier_class_for_task(task.task_type)
-        graph.add(uri, RDF_TYPE, model_class)
-        graph.add(uri, RDF_TYPE, O.GML_MODEL)
-        graph.add(uri, O.GML_METHOD, Literal(metadata.method))
-        graph.add(uri, O.MODEL_ACCURACY, Literal(float(metadata.accuracy)))
-        graph.add(uri, O.MODEL_SCORE, Literal(float(metadata.accuracy)))
-        graph.add(uri, O.INFERENCE_TIME, Literal(float(metadata.inference_seconds)))
-        graph.add(uri, O.TRAINING_TIME, Literal(float(metadata.training_seconds)))
-        graph.add(uri, O.TRAINING_MEMORY, Literal(int(metadata.training_memory_bytes)))
-        graph.add(uri, O.MODEL_CARDINALITY, Literal(int(metadata.cardinality)))
-        if metadata.sampler:
-            graph.add(uri, O.SAMPLER, Literal(metadata.sampler))
-        if metadata.meta_sampling:
-            graph.add(uri, O.META_SAMPLING_CONFIG, Literal(metadata.meta_sampling))
+        """Write one model's metadata into KGMeta (idempotent per URI).
 
-        # Task-description triples: these are what SPARQL-ML queries match on
-        # (paper Fig 2 lines 8-10 and Fig 10 lines 6-9).
-        if task.task_type == TaskType.NODE_CLASSIFICATION:
-            graph.add(uri, O.TARGET_NODE, task.target_node_type)
-            graph.add(uri, O.NODE_LABEL, task.label_predicate)
-        elif task.task_type == TaskType.LINK_PREDICTION:
-            if task.source_node_type is not None:
-                graph.add(uri, O.SOURCE_NODE, task.source_node_type)
-            if task.destination_node_type is not None:
-                graph.add(uri, O.DESTINATION_NODE, task.destination_node_type)
-            graph.add(uri, O.NODE_LABEL, task.target_predicate)
-            graph.add(uri, KGNET["TargetEdge"], task.target_predicate)
-        elif task.task_type == TaskType.ENTITY_SIMILARITY:
-            graph.add(uri, O.ENTITY_NODE, task.entity_node_type)
+        All of it commits as one transaction: a reader sees the whole model
+        or none of it, and so does recovery.
+        """
+        with self.endpoint.dataset.write_lock:
+            graph = self.graph
+            uri = metadata.uri
+            model_class = O.classifier_class_for_task(task.task_type)
+            graph.add(uri, RDF_TYPE, model_class)
+            graph.add(uri, RDF_TYPE, O.GML_MODEL)
+            graph.add(uri, O.GML_METHOD, Literal(metadata.method))
+            graph.add(uri, O.MODEL_ACCURACY, Literal(float(metadata.accuracy)))
+            graph.add(uri, O.MODEL_SCORE, Literal(float(metadata.accuracy)))
+            graph.add(uri, O.INFERENCE_TIME, Literal(float(metadata.inference_seconds)))
+            graph.add(uri, O.TRAINING_TIME, Literal(float(metadata.training_seconds)))
+            graph.add(uri, O.TRAINING_MEMORY, Literal(int(metadata.training_memory_bytes)))
+            graph.add(uri, O.MODEL_CARDINALITY, Literal(int(metadata.cardinality)))
+            if metadata.sampler:
+                graph.add(uri, O.SAMPLER, Literal(metadata.sampler))
+            if metadata.meta_sampling:
+                graph.add(uri, O.META_SAMPLING_CONFIG, Literal(metadata.meta_sampling))
 
-        # Interlink with the data KG: a task node connects the model to the
-        # target node type living in the data graph (Fig 7's HasGMLTask).
-        task_uri = IRI(f"{O.TASK_URI_PREFIX}{task.name}")
-        graph.add(task_uri, RDF_TYPE, O.GML_TASK)
-        graph.add(task_uri, O.USES_MODEL, uri)
-        seed = task.seed_node_type
-        if seed is not None:
-            graph.add(seed, O.HAS_GML_TASK, task_uri)
-        return uri
+            # Task-description triples: these are what SPARQL-ML queries match on
+            # (paper Fig 2 lines 8-10 and Fig 10 lines 6-9).
+            if task.task_type == TaskType.NODE_CLASSIFICATION:
+                graph.add(uri, O.TARGET_NODE, task.target_node_type)
+                graph.add(uri, O.NODE_LABEL, task.label_predicate)
+            elif task.task_type == TaskType.LINK_PREDICTION:
+                if task.source_node_type is not None:
+                    graph.add(uri, O.SOURCE_NODE, task.source_node_type)
+                if task.destination_node_type is not None:
+                    graph.add(uri, O.DESTINATION_NODE, task.destination_node_type)
+                graph.add(uri, O.NODE_LABEL, task.target_predicate)
+                graph.add(uri, KGNET["TargetEdge"], task.target_predicate)
+            elif task.task_type == TaskType.ENTITY_SIMILARITY:
+                graph.add(uri, O.ENTITY_NODE, task.entity_node_type)
+
+            # Interlink with the data KG: a task node connects the model to the
+            # target node type living in the data graph (Fig 7's HasGMLTask).
+            task_uri = IRI(f"{O.TASK_URI_PREFIX}{task.name}")
+            graph.add(task_uri, RDF_TYPE, O.GML_TASK)
+            graph.add(task_uri, O.USES_MODEL, uri)
+            seed = task.seed_node_type
+            if seed is not None:
+                graph.add(seed, O.HAS_GML_TASK, task_uri)
+            return uri
 
     # ------------------------------------------------------------------
     # Lookup
@@ -231,8 +236,9 @@ class KGMetaGovernor:
     def delete_model(self, uri: IRI) -> int:
         """Remove every KGMeta triple about ``uri``; returns triples removed."""
         graph = self.graph
-        removed = graph.remove(uri, None, None)
-        removed += graph.remove(None, None, uri)
+        with self.endpoint.dataset.write_lock:
+            removed = graph.remove(uri, None, None)
+            removed += graph.remove(None, None, uri)
         return removed
 
     def delete_models(self, model_class: IRI,

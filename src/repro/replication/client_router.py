@@ -36,9 +36,7 @@ import time
 from typing import Dict, List
 
 from repro.exceptions import APIError, KGNetError, ServerOverloaded
-from repro.kgnet.api.errors import error_code
 from repro.server.client import RemoteClient
-from repro.server.service import http_status_for_error
 from repro.sparql.results.serialize import MEDIA_JSON
 
 __all__ = ["ReplicaSetClient"]
@@ -61,7 +59,9 @@ class _ReplicaState:
 
     def __init__(self, url: str, timeout: float) -> None:
         self.url = url
-        self.client = RemoteClient(url, timeout=timeout)
+        # No retries: a shedding replica is skipped at once, not slept on
+        # (the router's own fallback is the next replica, then the primary).
+        self.client = RemoteClient(url, timeout=timeout, max_retries=0)
         self.applied_seq = 0
         self.status_at = 0.0
         self.ejected_until = 0.0
@@ -145,9 +145,8 @@ class ReplicaSetClient:
             try:
                 value = call(state.client)
             except ServerOverloaded:
-                # Admission shed: the replica is busy, not broken.  (The
-                # RemoteClient already burnt its own retry budget on it.)
-                # Try the next one without touching replica health.
+                # Admission shed: the replica is busy, not broken.  Try the
+                # next one without touching replica health.
                 continue
             except (http.client.HTTPException, OSError) as exc:
                 # Transport-level failure: the replica is unreachable or
@@ -163,7 +162,7 @@ class ReplicaSetClient:
                 # the *client's* mistake, not failing (catching them as
                 # transport errors used to eject every replica in turn for
                 # one malformed read).
-                status = http_status_for_error(error_code(exc))
+                status = exc.http_status
                 if status < 500 or status == 501:
                     raise
                 if isinstance(exc, APIError):

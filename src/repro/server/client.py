@@ -36,7 +36,7 @@ import time
 from typing import Dict, List, Optional, Tuple, Union
 from urllib.parse import quote, urlsplit
 
-from repro.exceptions import APIError, ResultStreamCut
+from repro.exceptions import APIError, ResultStreamCut, ServerOverloaded
 from repro.kgnet.api.client import APIClient
 from repro.kgnet.api.errors import exception_from_payload
 from repro.sparql.results.parse import parse_ask, parse_select_bindings
@@ -108,11 +108,11 @@ class RemoteClient(APIClient):
         Two failure classes are retried (up to ``max_retries`` extra
         attempts, jittered exponential backoff):
 
-        * **Admission shed** — a 503 whose envelope carries
-          ``SERVER_OVERLOADED``.  The server rejected the request *before
-          executing it*, so retrying is safe for every method, updates
-          included.  The response's ``Retry-After`` hint (capped at
-          ``max_backoff_seconds``) overrides the computed delay.
+        * **Admission shed** — a 503 that rebuilds as a
+          :class:`~repro.exceptions.ServerOverloaded`.  The server rejected
+          the request *before executing it*, so retrying is safe for every
+          method, updates included.  The response's ``Retry-After`` hint
+          (capped at ``max_backoff_seconds``) overrides the computed delay.
         * **Read timeout** — ``socket.timeout`` mid-exchange, retried for
           GET only: a timed-out POST may already have been applied.
 
@@ -131,28 +131,16 @@ class RemoteClient(APIClient):
                 attempt += 1
                 self._backoff(attempt, None)
                 continue
+            # Only an admission shed is replayed: other 503s (a preempted
+            # or interrupted query) *ran*, and replaying those blindly could
+            # double-execute work, so they propagate to the caller.
             if (status == 503 and attempt < self.max_retries
-                    and self._shed_before_execution(payload)):
+                    and isinstance(_error_from(status, payload, method),
+                                   ServerOverloaded)):
                 attempt += 1
                 self._backoff(attempt, resp_headers.get("retry-after"))
                 continue
             return status, resp_headers, payload
-
-    @staticmethod
-    def _shed_before_execution(payload: bytes) -> bool:
-        """True when a 503 is an admission shed (never executed).
-
-        Other 503s (``QUERY_PREEMPTED``, ``QUERY_INTERRUPTED``) mean the
-        query *ran* and was stopped; replaying those blindly could
-        double-execute work, so they propagate to the caller.
-        """
-        try:
-            envelope = json.loads(payload.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return False
-        error = envelope.get("error") if isinstance(envelope, dict) else None
-        return isinstance(error, dict) \
-            and error.get("code") == "SERVER_OVERLOADED"
 
     def _backoff(self, attempt: int, retry_after: Optional[str]) -> None:
         delay = None

@@ -41,11 +41,11 @@ Error contract
 
 Everything dispatches through the :class:`~repro.kgnet.api.router.APIRouter`,
 so failures come back as envelopes carrying the stable error codes of
-:mod:`repro.kgnet.api.errors`; :data:`HTTP_STATUS_BY_CODE` maps those codes
-onto HTTP statuses by one principle — *who must act to fix it*: malformed
-input is 4xx (400 bad request / parse / query errors, 404 unknown things,
-406 not acceptable, 410 expired cursors, 413 exhausted budgets, 415 wrong
-media type), missing capability is 5xx (501 unsupported features, 500
+:mod:`repro.kgnet.api.errors`; each class in :mod:`repro.exceptions`
+declares its HTTP status by one principle — *who must act to fix it*:
+malformed input is 4xx (400 bad request / parse / query errors, 404 unknown
+things, 406 not acceptable, 410 expired cursors, 413 exhausted budgets, 415
+wrong media type), missing capability is 5xx (501 unsupported features, 500
 everything the server broke).  The JSON error envelope always rides along as
 the response body, so a client can match on ``error.code`` regardless of
 transport.
@@ -64,18 +64,26 @@ from urllib.parse import unquote, unquote_plus, urlsplit
 
 from repro.exceptions import (
     BadRequestError,
+    KGNetError,
     QueryInterrupted,
+    ServerOverloaded,
     UnsupportedFeatureError,
 )
 from repro.kgnet.api.envelopes import API_VERSION, APIRequest, APIResponse
-from repro.kgnet.api.errors import error_payload
+from repro.kgnet.api.errors import (
+    HTTP_STATUS_BY_CODE,
+    INTERNAL_ERROR,
+    error_code,
+    error_payload,
+    exception_from_payload,
+    http_status_for_error,
+)
 from repro.kgnet.api.router import APIRouter
 from repro.sparql.results.serialize import (
     ALL_MEDIA_TYPES,
     MEDIA_JSON,
-    NotAcceptable,
-    negotiate,
     negotiate_media_type,
+    require_acceptable,
     serialize_result,
 )
 
@@ -99,55 +107,6 @@ MEDIA_SPARQL_QUERY = "application/sparql-query"
 MEDIA_SPARQL_UPDATE = "application/sparql-update"
 MEDIA_FORM = "application/x-www-form-urlencoded"
 _JSON_CONTENT_TYPE = ("Content-Type", "application/json; charset=utf-8")
-
-#: Stable error code -> HTTP status.  Codes absent here are server faults
-#: (500); the table must only ever grow, like the code registry it mirrors.
-HTTP_STATUS_BY_CODE: Dict[str, int] = {
-    # The client sent something malformed: fix the request.
-    "BAD_REQUEST": 400,
-    "PARSE_ERROR": 400,
-    "QUERY_ERROR": 400,
-    "UPDATE_ERROR": 400,
-    "TERM_ERROR": 400,
-    "SPARQL_ERROR": 400,
-    "UDF_ERROR": 400,
-    "SPARQLML_ERROR": 400,
-    "MODEL_SELECTION_ERROR": 400,
-    "META_SAMPLING_ERROR": 400,
-    # The client named something that does not exist.
-    "UNKNOWN_OPERATION": 404,
-    "MODEL_NOT_FOUND": 404,
-    # The client's preferences cannot be met.
-    "NOT_ACCEPTABLE": 406,
-    # The resource existed once and is gone for good.
-    "CURSOR_ERROR": 410,
-    "WAL_TRUNCATED": 410,
-    # The operation exists but this deployment role refuses it.
-    "READ_ONLY_REPLICA": 403,
-    # The request was fine but exceeded its declared resource budget.
-    "BUDGET_EXCEEDED": 413,
-    # The query ran past its deadline (server-side execution timeout).
-    "QUERY_TIMEOUT": 504,
-    # The client went away mid-query (nginx's 499 convention; the status
-    # is mostly for logs — the client is gone).
-    "QUERY_CANCELLED": 499,
-    # The query exceeded a hard work budget / the server is shedding load:
-    # temporarily unavailable, safe to retry (503 + Retry-After).
-    "QUERY_PREEMPTED": 503,
-    "QUERY_INTERRUPTED": 503,
-    "SERVER_OVERLOADED": 503,
-    # The server understands the request but lacks the capability.
-    "UNSUPPORTED_FEATURE": 501,
-}
-
-#: Status for NotAcceptable failures, which carry the API_ERROR family code.
-_NOT_ACCEPTABLE = 406
-
-
-def http_status_for_error(code: str) -> int:
-    """HTTP status for a stable API error code (500 for server faults)."""
-    return HTTP_STATUS_BY_CODE.get(code, 500)
-
 
 def _parse_query_string(qs: str) -> Dict[str, List[str]]:
     """``urllib.parse.parse_qs(qs, keep_blank_values=True)``, hot-path cheap.
@@ -316,17 +275,10 @@ class ServiceHandler:
             return self._error_response(
                 "NOT_FOUND", f"no route for {request.path!r}; serve paths are "
                 f"{SPARQL_PATH}, {ENVELOPE_PATH}/<op>, /health", 404)
-        except NotAcceptable as exc:
-            payload = error_payload(exc)
-            payload["code"] = "NOT_ACCEPTABLE"
-            payload["supported"] = list(exc.offered)
-            return ServiceResponse.json({"ok": False, "error": payload},
-                                        status=_NOT_ACCEPTABLE)
         except Exception as exc:  # noqa: BLE001 — the boundary never raises
-            payload = error_payload(exc)
-            status = http_status_for_error(str(payload.get("code")))
-            return ServiceResponse.json({"ok": False, "error": payload},
-                                        status=status)
+            status = exc.http_status if isinstance(exc, KGNetError) else 500
+            return ServiceResponse.json(
+                {"ok": False, "error": error_payload(exc)}, status=status)
 
     # ------------------------------------------------------------------
     # Simple routes
@@ -446,12 +398,12 @@ class ServiceHandler:
                         timeout: Optional[str] = None,
                         cancel_event: Optional[object] = None,
                         cache_control: Optional[str] = None) -> ServiceResponse:
-        if accept is not None and negotiate(accept, ALL_MEDIA_TYPES) is None:
+        if accept is not None:
             # Hopeless Accept header: refuse BEFORE evaluating — a client
             # polling with the wrong Accept must cost a 406, not a full
             # query execution per request.  (The exact per-result-kind
             # negotiation still runs on the result below.)
-            raise NotAcceptable(accept, ALL_MEDIA_TYPES)
+            require_acceptable(accept, ALL_MEDIA_TYPES)
         # Result cache: a hit returns the complete pre-encoded body with no
         # evaluation, no serialization and no dispatch envelope.  Keys carry
         # the raw Accept header (same header → same negotiated format; a
@@ -564,13 +516,13 @@ class ServiceHandler:
                 yield fragment
         except QueryInterrupted as exc:
             response.stream_error = exc
-            code = error_payload(exc).get("code")
-            self.router._route_metrics("sparql").record_stream_cut(str(code))
+            self.router._route_metrics("sparql").record_stream_cut(
+                error_code(exc))
             return
         except Exception as exc:  # noqa: BLE001 — cut the stream, never spew
             response.stream_error = exc
             self.router._route_metrics("sparql").record_stream_cut(
-                "INTERNAL_ERROR")
+                INTERNAL_ERROR)
             return
         if collected is not None:
             store(b"".join(collected))
@@ -686,24 +638,13 @@ class ServiceHandler:
         return self._envelope_response(self.router.dispatch(envelope))
 
     def _envelope_response(self, response: APIResponse) -> ServiceResponse:
-        if response.ok:
-            status = 200
-        else:
-            status = http_status_for_error(
-                str((response.error or {}).get("code")))
+        error = None if response.ok else exception_from_payload(response.error)
         service_response = ServiceResponse(
-            status=status, headers=[_JSON_CONTENT_TYPE],
-            body=response.encode())
-        if not response.ok:
-            error = response.error or {}
-            if error.get("code") == "SERVER_OVERLOADED":
-                details = error.get("details") or {}
-                try:
-                    retry_after = float(details.get("retry_after", 1.0))
-                except (TypeError, ValueError):
-                    retry_after = 1.0
-                # Retry-After is integral delta-seconds; round up so a
-                # compliant client never retries before the hint.
-                service_response.headers.append(
-                    ("Retry-After", str(max(1, int(retry_after + 0.999999)))))
+            status=200 if error is None else error.http_status,
+            headers=[_JSON_CONTENT_TYPE], body=response.encode())
+        if isinstance(error, ServerOverloaded):
+            # Retry-After is integral delta-seconds; round up so a
+            # compliant client never retries before the hint.
+            service_response.headers.append(
+                ("Retry-After", str(max(1, int(error.retry_after + 0.999999)))))
         return service_response

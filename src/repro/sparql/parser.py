@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import ParseError, UnsupportedFeatureError
+from repro.rdf.io import _unescape
 from repro.rdf.namespace import NamespaceManager
 from repro.rdf.terms import (
     IRI,
@@ -727,8 +728,8 @@ class SPARQLParser:
             return BNode(token.value[2:])
         if token.kind == "STRING":
             lexical = token.value[1:-1]
-            lexical = (lexical.replace("\\n", "\n").replace("\\t", "\t")
-                       .replace('\\"', '"').replace("\\'", "'").replace("\\\\", "\\"))
+            if "\\" in lexical:
+                lexical = _unescape(lexical, line=token.line)
             nxt = self._peek()
             if nxt.kind == "LANGTAG":
                 self._next()

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 from xml.sax.saxutils import escape as _xml_escape
 from xml.sax.saxutils import quoteattr as _xml_attr
 
-from repro.exceptions import APIError, QueryError
+from repro.exceptions import NotAcceptable, QueryError
 from repro.rdf.graph import Graph
 from repro.rdf.terms import (
     BNode, IRI, Literal, Term, Variable, XSD_STRING, python_from_term)
@@ -62,6 +62,7 @@ __all__ = [
     "parse_accept",
     "negotiate",
     "negotiate_media_type",
+    "require_acceptable",
     "binding_json",
     "envelope_rows",
     "serialize_result",
@@ -94,17 +95,6 @@ ALL_MEDIA_TYPES: Tuple[str, ...] = tuple(dict.fromkeys(
     RESULT_MEDIA_TYPES + BOOLEAN_MEDIA_TYPES + GRAPH_MEDIA_TYPES))
 
 _XMLNS = "http://www.w3.org/2005/sparql-results#"
-
-
-class NotAcceptable(APIError):
-    """No offered media type satisfies the request's ``Accept`` header."""
-
-    def __init__(self, accept: str, offered: Sequence[str]) -> None:
-        self.accept = accept
-        self.offered = tuple(offered)
-        super().__init__(
-            f"no acceptable result format for Accept: {accept!r}; "
-            f"supported: {', '.join(offered)}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +224,16 @@ def negotiate_media_type(accept: Optional[str], result: object) -> str:
     else:
         raise QueryError(
             f"no media types exist for result type {type(result).__name__}")
+    return require_acceptable(accept, offered)
+
+
+def require_acceptable(accept: Optional[str], offered: Sequence[str]) -> str:
+    """:func:`negotiate`, raising :class:`NotAcceptable` when nothing survives."""
     chosen = negotiate(accept, offered)
     if chosen is None:
-        raise NotAcceptable(accept or "", offered)
+        raise NotAcceptable(
+            f"no acceptable result format for Accept: {accept or ''!r}; "
+            f"supported: {', '.join(offered)}", offered)
     return chosen
 
 

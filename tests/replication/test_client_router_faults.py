@@ -35,6 +35,7 @@ from repro.exceptions import (
     UnsupportedFeatureError,
 )
 from repro.replication.client_router import ReplicaSetClient
+from repro.sparql.results.serialize import MEDIA_JSON, NotAcceptable
 
 QUERY = "SELECT ?s WHERE { ?s ?p ?o }"
 
@@ -135,6 +136,7 @@ class TestClientFaultPropagation:
         BadRequestError("missing 'query' parameter"),   # 400
         UnknownOperationError("no such op"),            # 404
         CursorError("cursor expired"),                  # 410
+        NotAcceptable("image/png", [MEDIA_JSON]),       # 406
     ])
     def test_request_fault_raises_without_touching_health(self, error):
         replica = always(error)
