@@ -193,7 +193,7 @@ class APIResponse:
         #: exception (error).  Never serialised.
         self.attachment = attachment
 
-    def _projection(self) -> Optional[Dict[str, object]]:
+    def projection(self) -> Optional[Dict[str, object]]:
         """The result as projected, :class:`RawJSON` parts still encoded."""
         if callable(self._result):
             self._result = self._result()
@@ -202,7 +202,7 @@ class APIResponse:
     @property
     def result(self) -> Optional[Dict[str, object]]:
         """The result as plain JSON values (RawJSON parsed back once)."""
-        result = self._projection()
+        result = self.projection()
         if not self._parsed:
             _parse_raw(result)
             self._parsed = True
@@ -239,7 +239,7 @@ class APIResponse:
 
     def encode(self) -> bytes:
         """The envelope as a JSON body, :class:`RawJSON` parts spliced in."""
-        return encode_json(self._document(self._projection()))
+        return encode_json(self._document(self.projection()))
 
     def to_json(self) -> str:
         return self.encode().decode("utf-8")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -37,17 +38,26 @@ class StoredModel:
 
 
 class ModelStore:
-    """URI-keyed registry of :class:`StoredModel` objects."""
+    """URI-keyed registry of :class:`StoredModel` objects.
+
+    :attr:`generation` counts every :meth:`add` and :meth:`remove`, bumped
+    after the change is visible: an answer computed from the store is
+    current for as long as the generation read *before* computing it is.
+    """
 
     def __init__(self, directory: Optional[str] = None) -> None:
         self._models: Dict[str, StoredModel] = {}
         self.directory = directory
+        self.generation = 0
+        self._lock = threading.Lock()
         if directory:
             os.makedirs(directory, exist_ok=True)
 
     # ------------------------------------------------------------------
     def add(self, stored: StoredModel, persist: bool = False) -> IRI:
-        self._models[stored.uri.value] = stored
+        with self._lock:
+            self._models[stored.uri.value] = stored
+            self.generation += 1
         if persist and self.directory:
             self.save_to_disk(stored.uri)
         return stored.uri
@@ -68,11 +78,13 @@ class ModelStore:
 
     def remove(self, uri) -> bool:
         key = uri.value if isinstance(uri, IRI) else str(uri)
-        existed = self._models.pop(key, None) is not None
-        path = self._disk_path(key)
-        if path and os.path.exists(path):
-            os.remove(path)
-            existed = True
+        with self._lock:
+            existed = self._models.pop(key, None) is not None
+            path = self._disk_path(key)
+            if path and os.path.exists(path):
+                os.remove(path)
+                existed = True
+            self.generation += 1
         return existed
 
     def list_uris(self) -> List[str]:

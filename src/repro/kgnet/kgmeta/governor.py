@@ -9,7 +9,7 @@ SPARQL) to pick a model for a user-defined predicate.
 
 from __future__ import annotations
 
-import itertools
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
@@ -25,8 +25,6 @@ __all__ = ["ModelMetadata", "KGMetaGovernor", "KGMETA_GRAPH_IRI"]
 
 #: Named graph holding KGMeta inside the endpoint's dataset.
 KGMETA_GRAPH_IRI = IRI(KGNET.base + "KGMeta")
-
-_MODEL_COUNTER = itertools.count(1)
 
 
 @dataclass
@@ -81,6 +79,9 @@ class KGMetaGovernor:
                  graph_iri: IRI = KGMETA_GRAPH_IRI) -> None:
         self.endpoint = endpoint
         self.graph_iri = graph_iri
+        #: The largest suffix minted here per URI prefix, registered or not.
+        self._minted: Dict[str, int] = {}
+        self._mint_lock = threading.Lock()
 
     @property
     def graph(self) -> Graph:
@@ -90,7 +91,24 @@ class KGMetaGovernor:
     # Registration
     # ------------------------------------------------------------------
     def mint_model_uri(self, task: TaskSpec, method: str) -> IRI:
-        return IRI(f"{O.MODEL_URI_PREFIX}{task.name}/{method}/{next(_MODEL_COUNTER)}")
+        """One more than the largest suffix for (task, method) among the
+        URIs KGMeta holds and the ones this governor minted before.
+
+        KGMeta is durable with the dataset, so a restarted process does not
+        name a registered model's URI again; the minted suffixes cover a
+        model still training when the next one is minted, and one deleted
+        since.
+        """
+        prefix = f"{O.MODEL_URI_PREFIX}{task.name}/{method}/"
+        with self._mint_lock:
+            largest = self._minted.get(prefix, 0)
+            for subject in self.graph.subjects(RDF_TYPE, O.GML_MODEL):
+                if isinstance(subject, IRI) and subject.value.startswith(prefix):
+                    suffix = subject.value[len(prefix):]
+                    if suffix.isdigit():
+                        largest = max(largest, int(suffix))
+            self._minted[prefix] = largest + 1
+        return IRI(f"{prefix}{largest + 1}")
 
     def register_model(self, task: TaskSpec, metadata: ModelMetadata) -> IRI:
         """Write one model's metadata into KGMeta (idempotent per URI).

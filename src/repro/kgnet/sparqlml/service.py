@@ -7,8 +7,9 @@ The service receives SPARQL-ML requests and routes them:
 * **DELETE** — remove matching models from GMLaaS and their KGMeta metadata,
 * **SELECT** — find candidate models in KGMeta for every user-defined
   predicate, pick the near-optimal model and execution plan, rewrite the
-  query to plain SPARQL + UDF calls (once per text and dataset epoch: the
-  outcome is cached), and evaluate the rewritten AST on the endpoint,
+  query to plain SPARQL + UDF calls (once per text, dataset epoch and
+  model-store generation: the outcome is cached), and evaluate the
+  rewritten AST on the endpoint,
 * anything else — passed through to the endpoint as plain SPARQL.
 """
 
@@ -135,10 +136,12 @@ class SPARQLMLService:
         self.rewriter = SPARQLMLRewriter()
         self.meta_sampler = MetaSampler()
         #: Compiled SELECTs by (text, forced plan, objective, namespaces),
-        #: good for the dataset (the endpoint's can be swapped) and the epoch
-        #: they were compiled at — KGMeta lives in the dataset, so training
-        #: or deleting a model drops them like any other write does.
-        #: Results are never cached.
+        #: good for the dataset (the endpoint's can be swapped), the epoch
+        #: and the GMLaaS model-store generation they were compiled at —
+        #: KGMeta lives in the dataset, so training or deleting a model drops
+        #: them like any other write does.  Results are not cached here (the
+        #: HTTP service reads SPARQL-ML answers through the endpoint's
+        #: ResultCache).
         self._compiled = EpochLRU(endpoint.plan_cache.maxsize)
         register_udfs(endpoint, gmlaas)
 
@@ -240,14 +243,14 @@ class SPARQLMLService:
                None if objective is None else astuple(objective),
                self.endpoint.namespaces.version)
         dataset = self.endpoint.dataset
-        epoch = (weakref.ref(dataset), dataset.epoch())
+        epoch = (weakref.ref(dataset), dataset.epoch(),
+                 self.gmlaas.model_store.generation)
         compiled, hit = self._compiled.get(key, epoch)
-        if compiled is None or not all(self.gmlaas.has_model(model.uri)
-                                       for model in compiled.models):
-            # Not compiled at this epoch, or a chosen model has left GMLaaS
-            # behind KGMeta's back: choose again (or fail) rather than serve it.
-            compiled, hit = self._compile_select(query_text, objective,
-                                                 force_plan), False
+        if compiled is None:
+            # Not compiled at this epoch, or a model has come to or left
+            # GMLaaS since (behind KGMeta's back or not): choose again (or
+            # fail) rather than serve a choice of a model that is gone.
+            compiled = self._compile_select(query_text, objective, force_plan)
             if compiled is None:  # no user-defined predicate: plain SPARQL
                 return SelectReport(results=self.endpoint.execute(
                     query_text, require="query", context=context))

@@ -53,13 +53,12 @@ transport.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
-                    Union)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    NamedTuple, Optional, Tuple, Union)
 from urllib.parse import unquote, unquote_plus, urlsplit
 
 from repro.exceptions import (
@@ -79,6 +78,9 @@ from repro.kgnet.api.errors import (
     http_status_for_error,
 )
 from repro.kgnet.api.router import APIRouter
+from repro.rdf.dataset import Dataset
+from repro.sparql.endpoint import ResultCache
+from repro.sparql.footprint import IdPattern
 from repro.sparql.results.serialize import (
     ALL_MEDIA_TYPES,
     MEDIA_JSON,
@@ -107,6 +109,32 @@ MEDIA_SPARQL_QUERY = "application/sparql-query"
 MEDIA_SPARQL_UPDATE = "application/sparql-update"
 MEDIA_FORM = "application/x-www-form-urlencoded"
 _JSON_CONTENT_TYPE = ("Content-Type", "application/json; charset=utf-8")
+#: Envelope ops whose SELECT_REPORT answers the result cache serves.
+_CACHED_ENVELOPE_OPS = frozenset({"sparqlml_select", "sparqlml"})
+
+
+class _CacheSlot(NamedTuple):
+    """Where a missed request's answer goes: its result-cache key, read
+    together with the epoch and dataset it is good for."""
+
+    cache: ResultCache
+    key: Tuple
+    epoch: object
+    dataset: Dataset
+    namespaces_version: int
+
+    def store(self, answer: object, size: int,
+              footprint: Optional[FrozenSet[IdPattern]] = None) -> None:
+        self.cache.store(self.key, self.epoch, self.dataset, answer, size,
+                         footprint)
+
+
+def _serve_body(answer: Tuple[str, bytes], started: float) -> "ServiceResponse":
+    """A protocol result-cache hit: the stored ``(media type, body)``."""
+    return ServiceResponse(
+        status=200, headers=[("Content-Type", f"{answer[0]}; charset=utf-8")],
+        body=answer[1])
+
 
 def _parse_query_string(qs: str) -> Dict[str, List[str]]:
     """``urllib.parse.parse_qs(qs, keep_blank_values=True)``, hot-path cheap.
@@ -404,41 +432,15 @@ class ServiceHandler:
             # query execution per request.  (The exact per-result-kind
             # negotiation still runs on the result below.)
             require_acceptable(accept, ALL_MEDIA_TYPES)
-        # Result cache: a hit returns the complete pre-encoded body with no
-        # evaluation, no serialization and no dispatch envelope.  Keys carry
-        # the raw Accept header (same header → same negotiated format; a
-        # finer key than the media type, never a wrong body) and the
-        # default-graph set; freshness rides on the dataset epoch checked in
-        # `lookup`, read here *before* dispatch: the body is stored under it
-        # even when evaluated on a later snapshot, so a body carried to a
-        # newer epoch is checked against every write since.  The prefix-table
-        # version the text is read under rides along the same way.
-        # `Cache-Control: no-store` opts a request out.
-        endpoint = getattr(self.router, "endpoint", None)
-        cache = getattr(endpoint, "result_cache", None)
-        if cache is not None and cache_control is not None \
-                and "no-store" in cache_control.lower():
-            cache = None
-        cache_key = epoch = dataset = namespaces_version = None
-        if cache is not None:
-            started = time.perf_counter()
-            cache_key = (query, frozenset(default_graphs or ()),
-                         frozenset(named_graphs or ()), accept or "")
-            dataset = endpoint.dataset
-            epoch = dataset.epoch()
-            entry = cache.lookup(cache_key, epoch)
-            if entry is not None:
-                # Keep the route's call count/percentiles truthful even
-                # though the dispatch envelope was skipped.
-                self.router._route_metrics("sparql").record(
-                    time.perf_counter() - started, True)
-                return ServiceResponse(
-                    status=200,
-                    headers=[("Content-Type",
-                              f"{entry.media_type}; charset=utf-8"),
-                             ("X-KGNet-Result-Cache", "hit")],
-                    body=entry.body)
-            namespaces_version = dataset.namespaces.version
+        # Keys carry the raw Accept header (same header → same negotiated
+        # format; a finer key than the media type, never a wrong body) and
+        # the graph sets; a hit is the complete pre-encoded body.
+        hit, slot = self._cached(
+            "sparql", (query, frozenset(default_graphs or ()),
+                       frozenset(named_graphs or ()), accept or ""),
+            cache_control, _serve_body)
+        if hit is not None:
+            return hit
         api_params: Dict[str, object] = {"query": query, "require": "query",
                                          "stream": True}
         if default_graphs:
@@ -477,17 +479,54 @@ class ServiceHandler:
             status=200,
             headers=[("Content-Type", f"{media_type}; charset=utf-8")])
         store = None
-        if cache is not None:
+        if slot is not None:
             # The dispatch parsed the text into the plan cache; its
             # footprint rides with the body.
-            store = functools.partial(
-                cache.store, cache_key, epoch, dataset, namespaces_version,
-                media_type, footprint=endpoint.footprint(
-                    query, namespaces_version, dataset.dictionary))
+            footprint = self.router.endpoint.footprint(
+                query, slot.namespaces_version, slot.dataset.dictionary)
+            store = lambda body: slot.store((media_type, body), len(body),  # noqa: E731
+                                            footprint)
         service_response.body = self._guarded_stream(
             prefix, fragments, service_response,
-            cache.max_entry_bytes if cache is not None else 0, store)
+            self.router.endpoint.result_cache.max_entry_bytes, store)
         return service_response
+
+    def _cached(self, op: str, key: Tuple, cache_control: Optional[str],
+                serve: Callable[[object, float], ServiceResponse],
+                models: bool = False
+                ) -> Tuple[Optional[ServiceResponse], Optional["_CacheSlot"]]:
+        """Look a request of ``op`` up in the endpoint's result cache:
+        ``(response, None)`` on a hit, ``(None, slot)`` on a miss — the slot
+        stores this request's answer — and ``(None, None)`` when the request
+        opted out with ``Cache-Control: no-store``.
+
+        The key is ``op``, the prefix-table version and ``key`` (the
+        request's parameters).  The dataset epoch — with ``models``, paired
+        with the GMLaaS model-store generation — is read here, *before*
+        dispatch: the answer is stored under it even when computed at a
+        later one, so whatever changed since is checked on the next lookup.
+        A hit is ``serve(answer, started)`` marked ``X-KGNet-Result-Cache:
+        hit``, counted on the route's metrics as one successful call.
+        """
+        if cache_control is not None and "no-store" in cache_control.lower():
+            return None, None
+        started = time.perf_counter()
+        endpoint = self.router.endpoint
+        dataset = endpoint.dataset
+        namespaces_version = dataset.namespaces.version
+        key = (op, namespaces_version) + key
+        epoch = dataset.epoch()
+        if models:
+            epoch = (epoch, self.router.gmlaas.model_store.generation)
+        answer = endpoint.result_cache.lookup(key, epoch)
+        if answer is None:
+            return None, _CacheSlot(endpoint.result_cache, key, epoch, dataset,
+                                    namespaces_version)
+        response = serve(answer, started)
+        response.headers.append(("X-KGNet-Result-Cache", "hit"))
+        self.router._route_metrics(op).record(
+            time.perf_counter() - started, True)
+        return response, None
 
     def _guarded_stream(self, prefix: List[bytes], fragments: Iterable[bytes],
                         response: ServiceResponse, max_bytes: int,
@@ -635,7 +674,34 @@ class ServiceHandler:
                     f"POST {ENVELOPE_PATH} requires a full request envelope; "
                     f"POST {ENVELOPE_PATH}/<op> accepts bare params")
             envelope = APIRequest(op=path_op, params=payload)
-        return self._envelope_response(self.router.dispatch(envelope))
+        if envelope.op not in _CACHED_ENVELOPE_OPS:
+            return self._envelope_response(self.router.dispatch(envelope))
+
+        def serve(result: Dict[str, object], started: float) -> ServiceResponse:
+            # This request's id and timing around the stored answer, which
+            # made no GMLaaS call this time.
+            elapsed = time.perf_counter() - started
+            return self._envelope_response(APIResponse.success(
+                envelope, dict(result, http_calls=0,
+                               elapsed_seconds=round(elapsed, 6)),
+                meta={"elapsed_seconds": round(elapsed, 9),
+                      "api_version": API_VERSION}))
+        hit, slot = self._cached(
+            envelope.op, (json.dumps(envelope.params, sort_keys=True),),
+            request.header("cache-control"), serve, models=True)
+        if hit is not None:
+            return hit
+        response = self.router.dispatch(envelope)
+        service_response = self._envelope_response(response)
+        if slot is not None and response.ok:
+            result = response.projection()
+            # Only a whole report: a first page's cursor is a one-time
+            # handle, and op `sparqlml` also trains, deletes and runs plain
+            # SPARQL.
+            if result.get("kind") == "SELECT_REPORT" \
+                    and result.get("next_cursor") is None:
+                slot.store(dict(result), len(service_response.body))
+        return service_response
 
     def _envelope_response(self, response: APIResponse) -> ServiceResponse:
         error = None if response.ok else exception_from_payload(response.error)

@@ -12,11 +12,11 @@ registered UDFs that issue HTTP calls to the GML inference manager.  The
   text: repeated queries skip the parser entirely and reuse their compiled
   id-space join plans; any graph mutation bumps the dataset epoch, which
   transparently rebuilds cached plans against the current snapshot,
-* it owns the :class:`ResultCache` of serialized response bodies the HTTP
-  service reads through: a body survives every write whose logged changes
+* it owns the :class:`ResultCache` of finished answers the HTTP service
+  reads through: a protocol body survives every write whose logged changes
   miss the query's footprint (:mod:`repro.sparql.footprint`), and is
-  dropped as soon as the dataset's change log cannot vouch for it or a
-  prefix the text may use is rebound,
+  dropped as soon as the dataset's change log cannot vouch for it; a
+  rebound prefix is another key,
 * it caches the materialised union graph between mutations (via
   :meth:`Dataset.snapshot <repro.rdf.dataset.Dataset.snapshot>`), so mixed
   KGMeta + data queries stop paying a full union rebuild per request,
@@ -114,39 +114,40 @@ class PlanCache(EpochLRU):
 
 
 class _ResultCacheEntry(NamedTuple):
-    media_type: str
-    body: bytes
+    #: What a hit serves: a protocol ``(media type, body)`` pair, or the
+    #: result projection of a SPARQL-ML report envelope.
+    answer: object
     #: The query's id patterns (:func:`~repro.sparql.footprint.footprint`);
-    #: None when any change may alter the body.
+    #: None when any change may alter the answer.
     footprint: Optional[FrozenSet[IdPattern]]
-    #: The prefix-table version (:attr:`NamespaceManager.version
-    #: <repro.rdf.namespace.NamespaceManager.version>`) the text was read
-    #: under: a prefixed name in it may mean another IRI under a later one.
-    namespaces_version: int
 
 
 class ResultCache(EpochLRU):
-    """An epoch-checked LRU of fully serialized query responses.
+    """An epoch-checked LRU of finished answers, the one result cache.
 
     Sits *above* the plan cache: where a plan-cache hit skips parsing and
-    compilation, a result-cache hit skips evaluation **and** serialization —
-    the stored value is the complete pre-encoded response body, ready to
-    write to a socket in one call.  Keys are
-    ``(query text, default-graph set, named-graph set, Accept header)``.
+    compilation, a result-cache hit skips evaluation **and** serialization.
+    The HTTP service reads through it for two routes: a SPARQL protocol
+    query stores its complete pre-encoded body, a SPARQL-ML SELECT its
+    report's result projection (the envelope around it is per request).
+    Keys name the route, every request parameter and the prefix-table
+    version (:attr:`NamespaceManager.version
+    <repro.rdf.namespace.NamespaceManager.version>`) the text is read under,
+    so a rebound prefix is a different key.
 
-    A body is stored with the query's footprint and prefix-table version
-    under the dataset epoch and version read *before* the query was
-    dispatched.  A lookup at that epoch is a plain hit.  A lookup at a later
-    epoch asks the :class:`~repro.rdf.graph.ChangeLog` of the endpoint's
-    dataset whether any step since the stored epoch changed a triple
-    matching the footprint; when none did and no prefix was rebound since,
-    the body is still the answer (it was evaluated no earlier than the
-    stored epoch), so the entry is re-stamped and served.  A step the log
-    no longer holds, an unlogged step, a footprint of ``None``, a graph
-    create / drop or a rebound prefix drops the entry, so a mutation can
-    never leak a stale body.  Entries above ``max_entry_bytes`` are not
-    cached (a giant dump would evict the whole working set for one client);
-    ``max_bytes`` bounds the total held memory.
+    An answer is stored under the epoch read *before* the request was
+    dispatched (a SPARQL-ML answer's epoch also holds the GMLaaS model-store
+    generation).  A lookup at that epoch is a plain hit.  A lookup at a
+    later epoch asks the :class:`~repro.rdf.graph.ChangeLog` of the
+    endpoint's dataset whether any step since the stored epoch changed a
+    triple matching the answer's footprint; when none did, the answer is
+    still current (it was computed no earlier than the stored epoch), so the
+    entry is re-stamped and served.  A step the log no longer holds, an
+    unlogged step, a footprint of ``None`` (every SPARQL-ML answer) or a
+    graph create / drop drops the entry, so a mutation can never leak a
+    stale answer.  Entries above ``max_entry_bytes`` are not cached (a giant
+    dump would evict the whole working set for one client); ``max_bytes``
+    bounds the total held memory.
     """
 
     def __init__(self, dataset: Dataset, maxsize: int = 256,
@@ -157,35 +158,33 @@ class ResultCache(EpochLRU):
         self.dataset = dataset
         self.max_entry_bytes = max_entry_bytes
 
-    def lookup(self, key: Tuple, epoch) -> Optional[_ResultCacheEntry]:
-        return self.get(key, epoch)[0]
+    def lookup(self, key: Tuple, epoch) -> object:
+        """The answer stored under ``key`` if still current, else None."""
+        entry = self.get(key, epoch)[0]
+        return None if entry is None else entry.answer
 
-    def store(self, key: Tuple, epoch, dataset: Dataset,
-              namespaces_version: int, media_type: str, body: bytes,
-              footprint: Optional[FrozenSet[IdPattern]]) -> None:
-        """Cache ``body``, computed no earlier than ``epoch`` of ``dataset``
-        from a text read under ``namespaces_version`` of its prefix table; a
-        body from a dataset the endpoint has since replaced (:meth:`reset`)
-        is not cached."""
-        if len(body) > self.max_entry_bytes:
+    def store(self, key: Tuple, epoch, dataset: Dataset, answer: object,
+              size: int,
+              footprint: Optional[FrozenSet[IdPattern]] = None) -> None:
+        """Cache ``answer`` (``size`` bytes on the wire), computed no
+        earlier than ``epoch`` of ``dataset``; an answer from a dataset the
+        endpoint has since replaced (:meth:`reset`) is not cached."""
+        if size > self.max_entry_bytes:
             return
         with self._lock:
             if dataset is self.dataset:
-                self.put(key, epoch, _ResultCacheEntry(
-                    media_type, body, footprint, namespaces_version),
-                    len(body))
+                self.put(key, epoch, _ResultCacheEntry(answer, footprint), size)
 
     def reset(self, dataset: Dataset) -> None:
-        """Drop every body and follow a swapped-in dataset."""
+        """Drop every answer and follow a swapped-in dataset."""
         with self._lock:
             self.dataset = dataset
             self.clear()
 
     def _untouched(self, entry: _ResultCacheEntry, stored, epoch) -> bool:
-        dataset = self.dataset
         return (entry.footprint is not None
-                and entry.namespaces_version == dataset.namespaces.version
-                and dataset.changes.untouched(entry.footprint, stored, epoch))
+                and self.dataset.changes.untouched(entry.footprint, stored,
+                                                   epoch))
 
 
 def _drained(value):

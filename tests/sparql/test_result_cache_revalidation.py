@@ -14,7 +14,8 @@ matching triple.  What must hold:
 * **fail closed** — whatever the log cannot vouch for drops the entry: a
   step the log does not hold, more steps than it holds, a constant stored
   only after the body was, a remove wider than a log record, a
-  ``replace_dataset``, a prefix rebound in the endpoint's shared table;
+  ``replace_dataset``, a prefix rebound in the endpoint's shared table
+  (with or without a write: the table's version is part of the key);
 * **worth it** — unrelated writes leave hot entries as hits, counted as
   ``revalidated`` in the cache's stats.
 """
@@ -327,8 +328,7 @@ def test_replace_dataset_drops_bodies_and_refuses_in_flight_ones():
     assert not hit and f"{EX}n4".encode() in body
     # A body evaluated on the old dataset that finishes streaming only now.
     cache.clear()
-    cache.store(("late",), old.epoch(), old, old.namespaces.version, JSON,
-                b"{}", frozenset())
+    cache.store(("late",), old.epoch(), old, (JSON, b"{}"), 2, frozenset())
     assert len(cache) == 0
 
 
@@ -354,6 +354,25 @@ def test_rebound_prefix_fails_closed():
     assert body == served.get(text, no_store=True, prologue="")[1]
     assert f"{other}s1".encode() in body
     served.update("INSERT DATA { ex:y ex:q ex:z }")
+    assert served.get(text, prologue="")[0]
+
+
+def test_rebound_prefix_without_a_write_is_a_miss():
+    served = Served()
+    served.endpoint.update('INSERT DATA { <http://a/x> <http://a/p> "A" . '
+                           '<http://b/x> <http://b/p> "B" }')
+    namespaces = served.endpoint.namespaces
+    namespaces.bind("ex", "http://a/")
+    epoch = served.endpoint.dataset.epoch()
+    text = "SELECT ?o WHERE { ex:x ?p ?o }"
+    served.get(text, prologue="")
+    hit, body = served.get(text, prologue="")
+    assert hit and b'"A"' in body
+    namespaces.bind("ex", "http://b/")
+    hit, body = served.get(text, prologue="")
+    assert served.endpoint.dataset.epoch() == epoch
+    assert not hit and b'"B"' in body and b'"A"' not in body
+    assert body == served.get(text, no_store=True, prologue="")[1]
     assert served.get(text, prologue="")[0]
 
 
