@@ -6,7 +6,7 @@ a GML method consumes, while
 
 * removing literal-valued triples (they become no graph structure),
 * removing the *target class edges* so labels cannot leak into the structure,
-* validating node/edge type counts and generating graph statistics,
+* counting what it kept and removed (:class:`TransformReport`),
 * performing the train/validation/test split (random or community based).
 """
 
@@ -21,7 +21,6 @@ from repro.exceptions import DatasetError
 from repro.gml.data import GraphData, TriplesData, xavier_features
 from repro.gml.splits import SplitFractions, community_split, random_split, split_masks
 from repro.rdf.graph import Graph
-from repro.rdf.stats import GraphStatistics, compute_statistics
 from repro.rdf.terms import IRI, BNode, Literal, Term, RDF_TYPE
 
 __all__ = ["TransformReport", "RDFGraphTransformer"]
@@ -41,7 +40,6 @@ class TransformReport:
     num_labeled_nodes: int = 0
     num_classes: int = 0
     split_sizes: Dict[str, int] = field(default_factory=dict)
-    statistics: Optional[GraphStatistics] = None
 
     def as_dict(self) -> Dict[str, object]:
         out = {
@@ -64,14 +62,13 @@ class RDFGraphTransformer:
 
     def __init__(self, feature_dim: int = 64, split_strategy: str = "random",
                  split_fractions: Optional[SplitFractions] = None,
-                 seed: int = 0, collect_statistics: bool = True) -> None:
+                 seed: int = 0) -> None:
         if split_strategy not in ("random", "community"):
             raise DatasetError(f"unknown split strategy {split_strategy!r}")
         self.feature_dim = feature_dim
         self.split_strategy = split_strategy
         self.split_fractions = split_fractions or SplitFractions()
         self.seed = seed
-        self.collect_statistics = collect_statistics
 
     # ------------------------------------------------------------------
     # Node classification
@@ -87,8 +84,6 @@ class RDFGraphTransformer:
         removed from the structural graph.
         """
         report = TransformReport(num_input_triples=len(graph))
-        if self.collect_statistics:
-            report.statistics = compute_statistics(graph)
 
         # Pass 1: collect labels and structural edges.
         node_ids: Dict[Term, int] = {}
@@ -220,8 +215,6 @@ class RDFGraphTransformer:
         everything else stays in train (the standard KGE evaluation setup).
         """
         report = TransformReport(num_input_triples=len(graph))
-        if self.collect_statistics:
-            report.statistics = compute_statistics(graph)
 
         entity_ids: Dict[Term, int] = {}
         entity_terms: List[Term] = []

@@ -232,7 +232,7 @@ def _as_meta_sampling(value: object) -> Optional[MetaSamplingConfig]:
     if isinstance(value, str):
         return MetaSamplingConfig.from_label(value)
     if isinstance(value, dict):
-        return MetaSamplingConfig(**value)
+        return _from_fields(MetaSamplingConfig, value, "meta_sampling")
     raise BadRequestError("'meta_sampling' must be a label like 'd1h1' or a JSON object")
 
 
@@ -240,8 +240,17 @@ def _as_objective(value: object) -> Optional[ModelSelectionObjective]:
     if value is None or isinstance(value, ModelSelectionObjective):
         return value
     if isinstance(value, dict):
-        return ModelSelectionObjective(**value)
+        return _from_fields(ModelSelectionObjective, value, "objective")
     raise BadRequestError("'objective' must be a ModelSelectionObjective or its JSON object")
+
+
+def _from_fields(cls, value: Dict[str, object], name: str):
+    """``cls(**value)``: an unknown field or a value of the wrong type is
+    the client's fault (400), not the server's."""
+    try:
+        return cls(**value)
+    except TypeError as exc:
+        raise BadRequestError(f"invalid {name!r} object: {exc}") from None
 
 
 def _as_iri_text(value: object, name: str) -> str:

@@ -1,18 +1,17 @@
 """Model store: keeps trained models (and their artefacts) addressable by URI.
 
 GMLaaS is "storing the trained models and embeddings related to KGs" (paper
-§I).  The store keeps each model in memory and can optionally persist it to
-disk as a pickle (the ``model.pkl`` of paper Fig 6) so a later process can
-reload it for inference.
+§I).  The store keeps each model in memory only: a model does not outlive
+its process, although its KGMeta record does.  There is no on-disk model
+format yet; the one to come must load without running code, so it will not
+be ``pickle``.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.exceptions import ModelNotFoundError
 from repro.rdf.terms import IRI
@@ -45,45 +44,33 @@ class ModelStore:
     current for as long as the generation read *before* computing it is.
     """
 
-    def __init__(self, directory: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self._models: Dict[str, StoredModel] = {}
-        self.directory = directory
         self.generation = 0
         self._lock = threading.Lock()
-        if directory:
-            os.makedirs(directory, exist_ok=True)
 
     # ------------------------------------------------------------------
-    def add(self, stored: StoredModel, persist: bool = False) -> IRI:
+    def add(self, stored: StoredModel) -> IRI:
         with self._lock:
             self._models[stored.uri.value] = stored
             self.generation += 1
-        if persist and self.directory:
-            self.save_to_disk(stored.uri)
         return stored.uri
 
     def get(self, uri) -> StoredModel:
         key = uri.value if isinstance(uri, IRI) else str(uri)
         stored = self._models.get(key)
         if stored is None:
-            stored = self._load_from_disk(key)
-        if stored is None:
             raise ModelNotFoundError(f"no stored model with URI {key!r}")
         return stored
 
     def __contains__(self, uri) -> bool:
         key = uri.value if isinstance(uri, IRI) else str(uri)
-        return key in self._models or self._disk_path(key) is not None and \
-            os.path.exists(self._disk_path(key))
+        return key in self._models
 
     def remove(self, uri) -> bool:
         key = uri.value if isinstance(uri, IRI) else str(uri)
         with self._lock:
             existed = self._models.pop(key, None) is not None
-            path = self._disk_path(key)
-            if path and os.path.exists(path):
-                os.remove(path)
-                existed = True
             self.generation += 1
         return existed
 
@@ -92,31 +79,3 @@ class ModelStore:
 
     def __len__(self) -> int:
         return len(self._models)
-
-    # ------------------------------------------------------------------
-    # Disk persistence (the "model.pkl" of paper Fig 6)
-    # ------------------------------------------------------------------
-    def _disk_path(self, key: str) -> Optional[str]:
-        if not self.directory:
-            return None
-        safe = key.replace("/", "_").replace(":", "_")
-        return os.path.join(self.directory, f"{safe}.pkl")
-
-    def save_to_disk(self, uri) -> Optional[str]:
-        key = uri.value if isinstance(uri, IRI) else str(uri)
-        stored = self._models.get(key)
-        path = self._disk_path(key)
-        if stored is None or path is None:
-            return None
-        with open(path, "wb") as handle:
-            pickle.dump(stored, handle)
-        return path
-
-    def _load_from_disk(self, key: str) -> Optional[StoredModel]:
-        path = self._disk_path(key)
-        if path is None or not os.path.exists(path):
-            return None
-        with open(path, "rb") as handle:
-            stored = pickle.load(handle)
-        self._models[key] = stored
-        return stored

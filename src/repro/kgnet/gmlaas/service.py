@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.exceptions import ModelNotFoundError
 from repro.gml.tasks import TaskSpec
 from repro.gml.train.budget import TaskBudget
 from repro.kgnet.gmlaas.embedding_store import EmbeddingStore
@@ -60,10 +59,9 @@ class TrainResponse:
 class GMLaaS:
     """The GML-as-a-service component."""
 
-    def __init__(self, config: Optional[TrainingManagerConfig] = None,
-                 model_directory: Optional[str] = None) -> None:
+    def __init__(self, config: Optional[TrainingManagerConfig] = None) -> None:
         self.training_manager = GMLTrainingManager(config)
-        self.model_store = ModelStore(directory=model_directory)
+        self.model_store = ModelStore()
         self.embedding_store = EmbeddingStore()
         self.inference_manager = GMLInferenceManager(self.model_store,
                                                      self.embedding_store)
@@ -73,12 +71,10 @@ class GMLaaS:
     # ------------------------------------------------------------------
     def train(self, graph: Graph, task: TaskSpec, model_uri: IRI,
               budget: Optional[TaskBudget] = None,
-              method: Optional[str] = None,
-              candidate_methods: Optional[Sequence[str]] = None) -> TrainResponse:
+              method: Optional[str] = None) -> TrainResponse:
         """Train a model for ``task`` on ``graph`` and store it under ``model_uri``."""
-        outcome = self.training_manager.train(
-            graph, task, budget=budget, method=method,
-            candidate_methods=candidate_methods)
+        outcome = self.training_manager.train(graph, task, budget=budget,
+                                              method=method)
         stored = StoredModel(
             uri=model_uri,
             task_type=task.task_type,
@@ -139,11 +135,7 @@ class GMLaaS:
         return self.model_store.remove(model_uri)
 
     def has_model(self, model_uri) -> bool:
-        try:
-            self.model_store.get(model_uri)
-            return True
-        except ModelNotFoundError:
-            return False
+        return model_uri in self.model_store
 
     def list_models(self) -> List[str]:
         return self.model_store.list_uris()

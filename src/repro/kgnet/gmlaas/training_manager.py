@@ -4,8 +4,8 @@ Given a (task-specific) RDF subgraph, a task description and a budget, the
 manager runs the end-to-end pipeline:
 
 1. **Dataset transformation** — RDF triples to sparse matrices
-   (:class:`~repro.gml.transform.RDFGraphTransformer`), with statistics,
-   literal/label-edge removal and the train/valid/test split.
+   (:class:`~repro.gml.transform.RDFGraphTransformer`), with literal /
+   label-edge removal and the train/valid/test split.
 2. **Optimal method selection** — cost-estimate every applicable method and
    choose one under the task budget
    (:class:`~repro.kgnet.gmlaas.method_selector.MethodSelector`).
@@ -19,7 +19,7 @@ manager runs the end-to-end pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -99,8 +99,7 @@ class GMLTrainingManager:
     # ------------------------------------------------------------------
     def train(self, graph: Graph, task: TaskSpec,
               budget: Optional[TaskBudget] = None,
-              method: Optional[str] = None,
-              candidate_methods: Optional[Sequence[str]] = None) -> TrainingOutcome:
+              method: Optional[str] = None) -> TrainingOutcome:
         """Run the full pipeline; returns the training outcome."""
         budget = budget or TaskBudget()
         transformer = RDFGraphTransformer(
@@ -122,11 +121,9 @@ class GMLTrainingManager:
         else:  # pragma: no cover - TaskSpec already validates
             raise TrainingError(f"unsupported task type {task.task_type!r}")
 
-        if method is not None:
-            candidate_methods = [method]
         selection = self.selector.select(
             task.task_type, data, budget=budget,
-            candidate_methods=candidate_methods)
+            candidate_methods=[method] if method is not None else None)
 
         result = self._run_trainer(selection.method, task, data, budget)
         artifacts = self._build_artifacts(task, data, result)

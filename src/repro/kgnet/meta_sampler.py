@@ -1,29 +1,35 @@
 """Meta-sampling: extraction of task-specific subgraphs (paper §IV-B.2).
 
-Given a GML task whose targets are nodes of one type (e.g.
-``dblp:Publication``), the meta-sampler extracts the subgraph ``KG'`` that is
-reachable from the target nodes within ``h`` hops, following edges either in
-the outgoing direction only (``d = 1``) or in both directions (``d = 2``).
-Label edges for the task are always kept so the transformer can still build
-the supervision signal.  The paper reports ``d1h1`` as the best setting for
-node classification and ``d2h1`` for link prediction.
+A GML task targets the nodes of one type (e.g. ``dblp:Publication``).  With
+direction ``d`` in {1, 2} and ``h >= 1`` hops, where a hop follows an
+out-edge (``d = 1``) or an out- or in-edge (``d = 2``) to a non-literal node,
+the task's subgraph ``KG'`` is the union of
 
-The sampler exposes both the procedural extraction (used by the platform) and
-the equivalent SPARQL CONSTRUCT text (:meth:`MetaSampler.to_sparql`) since the
-paper describes the approach as SPARQL-based: the extraction is exactly the
-query shipped to the RDF engine, evaluated here directly against the graph
-indexes for speed.
+* the out-edges (``d = 2``: and in-edges) of every node within ``h - 1``
+  hops of a target, out-edges to literals only with ``include_literals``;
+* the ``rdf:type`` triples of every node within ``h`` hops;
+* the label edges: the targets' ``label_predicate`` edges (node
+  classification), or every ``target_predicate`` edge plus the types of its
+  endpoints (link prediction).
+
+The paper finds ``d1h1`` best for node classification and ``d2h1`` for link
+prediction, and phrases the rule as a SPARQL query.  :meth:`MetaSampler.extract`
+is its only implementation and walks the indexes directly; the test suite
+checks it against a CONSTRUCT query of the rule, which is slower and yields
+the triples in another order (and the order of ``KG'`` decides the node
+order of the model trained on it).  Callers pass a pinned
+:meth:`~repro.rdf.graph.Graph.snapshot`, so no concurrent write reaches it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.exceptions import MetaSamplingError
 from repro.gml.tasks import TaskSpec, TaskType
 from repro.rdf.graph import Graph
-from repro.rdf.terms import IRI, Literal, Term, RDF_TYPE
+from repro.rdf.terms import Literal, Term, RDF_TYPE
 
 __all__ = ["MetaSamplingConfig", "MetaSamplingReport", "MetaSampler"]
 
@@ -73,7 +79,6 @@ class MetaSamplingReport:
     num_visited_nodes: int = 0
     num_kg_triples: int = 0
     num_subgraph_triples: int = 0
-    hops_expanded: int = 0
 
     @property
     def triple_reduction(self) -> float:
@@ -132,7 +137,7 @@ class MetaSampler:
 
         visited: Set[Term] = set(targets)
         frontier: Set[Term] = set(targets)
-        for hop in range(config.hops):
+        for _ in range(config.hops):
             next_frontier: Set[Term] = set()
             for node in in_order(frontier):
                 # Outgoing edges.
@@ -152,7 +157,6 @@ class MetaSampler:
                             next_frontier.add(s)
             visited |= next_frontier
             frontier = next_frontier
-            report.hops_expanded = hop + 1
             if not frontier:
                 break
 
@@ -183,34 +187,3 @@ class MetaSampler:
                     subgraph.add(triple)
                 for triple in graph.triples(o, RDF_TYPE, None):
                     subgraph.add(triple)
-
-    # ------------------------------------------------------------------
-    # SPARQL rendering (documentation / endpoint execution)
-    # ------------------------------------------------------------------
-    def to_sparql(self, task: TaskSpec,
-                  config: Optional[MetaSamplingConfig] = None) -> str:
-        """The CONSTRUCT query equivalent to :meth:`extract`.
-
-        One ``UNION`` branch per (hop, direction) combination, rooted at the
-        task's target node type.
-        """
-        config = config or self.config
-        seed_type = task.seed_node_type
-        if seed_type is None:
-            raise MetaSamplingError(f"task {task.name!r} has no seed node type")
-        branches: List[str] = []
-        subject_chain = "?t"
-        branches.append(f"  {{ ?t a {seed_type.n3()} . ?t ?p0 ?o0 . }}")
-        if config.direction == 2:
-            branches.append(f"  {{ ?t a {seed_type.n3()} . ?s0 ?q0 ?t . }}")
-        for hop in range(1, config.hops):
-            out_chain = " . ".join(
-                [f"?t ?p{i} ?o{i}" for i in range(hop)] + [f"?o{hop - 1} ?p{hop} ?o{hop}"])
-            branches.append(f"  {{ ?t a {seed_type.n3()} . {out_chain} . }}")
-            if config.direction == 2:
-                in_chain = " . ".join(
-                    [f"?s{i + 1} ?q{i} ?s{i}" if i else f"?s1 ?q0 ?t" for i in range(hop + 1)])
-                branches.append(f"  {{ ?t a {seed_type.n3()} . {in_chain} . }}")
-        where = "\n  UNION\n".join(branches)
-        return ("CONSTRUCT { ?s ?p ?o }\nWHERE {\n"
-                f"{where}\n}}  # meta-sampling {config.label} for task {task.name}")

@@ -40,7 +40,7 @@ from repro.kgnet.api.router import APIRouter
 from repro.kgnet.gmlaas.service import GMLaaS
 from repro.kgnet.gmlaas.training_manager import TrainingManagerConfig
 from repro.kgnet.kgmeta.governor import KGMetaGovernor, ModelMetadata
-from repro.kgnet.meta_sampler import MetaSampler, MetaSamplingConfig
+from repro.kgnet.meta_sampler import MetaSamplingConfig
 from repro.kgnet.sparqlml.optimizer import ModelSelectionObjective
 from repro.kgnet.sparqlml.service import (
     DeleteReport,
@@ -60,7 +60,6 @@ class KGNet:
 
     def __init__(self, endpoint: Optional[SPARQLEndpoint] = None,
                  training_config: Optional[TrainingManagerConfig] = None,
-                 model_directory: Optional[str] = None,
                  storage=None,
                  scheduler=None,
                  admission=None,
@@ -92,10 +91,9 @@ class KGNet:
                     "pass only storage=, or build the endpoint over "
                     "storage.open()'s dataset")
         self.endpoint = endpoint or SPARQLEndpoint()
-        self.gmlaas = GMLaaS(config=training_config, model_directory=model_directory)
+        self.gmlaas = GMLaaS(config=training_config)
         self.governor = KGMetaGovernor(self.endpoint)
         self.sparqlml = SPARQLMLService(self.endpoint, self.gmlaas, self.governor)
-        self.meta_sampler = MetaSampler()
         #: The versioned service API every facade method dispatches through.
         self.api = APIRouter(self.endpoint, self.gmlaas, self.governor,
                              self.sparqlml, storage=storage,

@@ -28,7 +28,7 @@ from repro.gml.train.budget import TaskBudget
 from repro.kgnet.kgmeta import ontology as O
 from repro.rdf.namespace import KGNET, NamespaceManager
 from repro.rdf.terms import IRI, Literal, Term, Variable, RDF_TYPE
-from repro.sparql.ast import BGP, GroupPattern, SelectQuery, TriplePattern
+from repro.sparql.ast import GroupPattern, SelectQuery
 from repro.sparql.parser import SPARQLParser
 
 __all__ = [
@@ -74,9 +74,6 @@ class TrainGMLRequest:
     task: TaskSpec
     budget: TaskBudget
     method: Optional[str] = None
-    hyperparameters: Dict[str, object] = field(default_factory=dict)
-    target_graph: Optional[IRI] = None
-    raw: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass
@@ -184,12 +181,9 @@ class SPARQLMLParser:
         if match is None:
             raise SPARQLMLError("INSERT query does not call kgnet.TrainGML")
         payload_text = self._extract_balanced(stripped, match.end() - 1)
-        payload = self._parse_loose_json(payload_text)
-        target_graph = self._extract_insert_graph(stripped)
-        return self.request_from_payload(payload, target_graph=target_graph)
+        return self.request_from_payload(self._parse_loose_json(payload_text))
 
-    def request_from_payload(self, payload: Dict[str, object],
-                             target_graph: Optional[IRI] = None) -> TrainGMLRequest:
+    def request_from_payload(self, payload: Dict[str, object]) -> TrainGMLRequest:
         """Build a :class:`TrainGMLRequest` from an (already parsed) JSON object."""
         flat = {self._normalise_key(k): v for k, v in payload.items()}
         name = str(flat.get("name", "unnamed_task"))
@@ -202,11 +196,8 @@ class SPARQLMLParser:
             else TaskBudget()
         task_flat = {self._normalise_key(k): v for k, v in task_payload.items()}
         method = flat.get("gmlmethod") or task_flat.get("gmlmethod")
-        hyper = flat.get("hyperparameters") or {}
         return TrainGMLRequest(name=name, task=task, budget=budget,
-                               method=str(method).lower() if method else None,
-                               hyperparameters=dict(hyper) if isinstance(hyper, dict) else {},
-                               target_graph=target_graph, raw=payload)
+                               method=str(method).lower() if method else None)
 
     def _task_from_payload(self, name: str, payload: Dict[str, object]) -> TaskSpec:
         flat = {self._normalise_key(k): v for k, v in payload.items()}
@@ -306,13 +297,6 @@ class SPARQLMLParser:
             return json.loads(normalised)
         except json.JSONDecodeError as exc:
             raise SPARQLMLError(f"cannot parse TrainGML JSON payload: {exc}") from exc
-
-    @staticmethod
-    def _extract_insert_graph(text: str) -> Optional[IRI]:
-        match = re.search(r"insert\s+into\s*<([^>]*)>", text, re.IGNORECASE)
-        if match:
-            return IRI(match.group(1))
-        return None
 
     # ------------------------------------------------------------------
     # DELETE

@@ -2,8 +2,9 @@
 
 The service receives SPARQL-ML requests and routes them:
 
-* **INSERT** (``kgnet.TrainGML``) — meta-sample a task-specific subgraph,
-  run the GMLaaS training pipeline, register the model in KGMeta,
+* **INSERT** (``kgnet.TrainGML``) — meta-sample a task-specific subgraph
+  from one pinned snapshot of the data graph, run the GMLaaS training
+  pipeline, register the model in KGMeta,
 * **DELETE** — remove matching models from GMLaaS and their KGMeta metadata,
 * **SELECT** — find candidate models in KGMeta for every user-defined
   predicate, pick the near-optimal model and execution plan, rewrite the
@@ -21,12 +22,10 @@ from dataclasses import astuple, dataclass, field
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.exceptions import ModelNotFoundError
-from repro.gml.tasks import TaskSpec, TaskType
-from repro.gml.train.budget import TaskBudget
 from repro.kgnet.gmlaas.service import GMLaaS, TrainResponse
 from repro.kgnet.kgmeta import ontology as O
 from repro.kgnet.kgmeta.governor import KGMetaGovernor, ModelMetadata
-from repro.kgnet.meta_sampler import MetaSampler, MetaSamplingConfig, MetaSamplingReport
+from repro.kgnet.meta_sampler import MetaSampler, MetaSamplingConfig
 from repro.kgnet.sparqlml.optimizer import (
     ModelSelectionObjective,
     PlanChoice,
@@ -40,7 +39,7 @@ from repro.kgnet.sparqlml.parser import (
 )
 from repro.kgnet.sparqlml.rewriter import RewrittenQuery, SPARQLMLRewriter
 from repro.kgnet.sparqlml.udf import register_udfs
-from repro.rdf.terms import IRI, RDF_TYPE
+from repro.rdf.terms import RDF_TYPE
 from repro.sparql.ast import SelectQuery
 from repro.sparql.cache import EpochLRU
 from repro.sparql.endpoint import SPARQLEndpoint
@@ -163,12 +162,14 @@ class SPARQLMLService:
                       method: Optional[str] = None) -> TrainReport:
         """Run the full training flow for an already-parsed TrainGML request."""
         task = request.task
-        graph = self.endpoint.graph
+        # One pinned snapshot: meta-sampling (or full-KG training) never
+        # sees a concurrent write.
+        training_graph = self.endpoint.graph.snapshot()
         sampling_report: Dict[str, object] = {"enabled": False}
-        training_graph = graph
         if use_meta_sampling:
             config = meta_sampling or MetaSamplingConfig.default_for_task(task.task_type)
-            training_graph, report = self.meta_sampler.extract(graph, task, config)
+            training_graph, report = self.meta_sampler.extract(
+                training_graph, task, config)
             sampling_report = report.as_dict()
             sampling_report["enabled"] = True
 

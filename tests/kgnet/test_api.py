@@ -223,6 +223,21 @@ class TestRouterDispatch:
         with pytest.raises(BadRequestError):
             fresh_platform.train_sparqlml("unused", use_metasampling=False)
 
+    @pytest.mark.parametrize("op,params", [
+        ("train", {"meta_sampling": {"direction": 1, "hops": 1, "bogus": 1}}),
+        ("train", {"meta_sampling": {"direction": 1, "hops": "x"}}),
+        ("sparqlml_select", {"query": FIG2_SELECT, "objective": {"bogus": 1}}),
+    ], ids=["meta_sampling-unknown-field", "meta_sampling-wrong-type",
+            "objective-unknown-field"])
+    def test_malformed_config_object_is_a_bad_request(self, fresh_platform,
+                                                      paper_venue_task, op, params):
+        if op == "train":
+            params = {"task": paper_venue_task.as_dict(), **params}
+        response = fresh_platform.api.dispatch(APIRequest(op=op, params=params))
+        assert not response.ok
+        assert response.error["code"] == "BAD_REQUEST"
+        assert isinstance(response.attachment, BadRequestError)
+
     def test_select_pagination_cursors(self, fresh_platform):
         result = fresh_platform.api.dispatch(APIRequest(
             op="sparql",

@@ -144,16 +144,6 @@ class TestModelStore:
         assert stored.artifact("prediction_map") == {"a": "b"}
         assert stored.artifact("missing", 42) == 42
 
-    def test_disk_persistence_roundtrip(self, tmp_path):
-        store = ModelStore(directory=str(tmp_path))
-        stored = self._stored()
-        store.add(stored, persist=True)
-        # A brand-new store over the same directory can load it back.
-        reloaded_store = ModelStore(directory=str(tmp_path))
-        reloaded = reloaded_store.get(stored.uri)
-        assert reloaded.artifacts == stored.artifacts
-        assert reloaded.method == "rgcn"
-
 
 # ---------------------------------------------------------------------------
 # Method selector

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.datasets import yago_place_country_task
 from repro.exceptions import MetaSamplingError
 from repro.gml.tasks import TaskSpec, TaskType
 from repro.kgnet import MetaSampler, MetaSamplingConfig
-from repro.rdf import DBLP, Graph, Literal, RDF_TYPE
+from repro.rdf import DBLP, RDF_TYPE
+from repro.sparql import SPARQLEndpoint
 
 
 class TestMetaSamplingConfig:
@@ -104,6 +106,11 @@ class TestMetaSamplerExtraction:
             .extract(dblp_graph, paper_venue_task)
         assert len(with_literals) > len(without_literals)
 
+    def test_entity_similarity_task_seed(self):
+        task = TaskSpec(task_type=TaskType.ENTITY_SIMILARITY,
+                        entity_node_type=DBLP["Person"])
+        assert task.seed_node_type == DBLP["Person"]
+
     def test_report_as_dict(self, dblp_graph, paper_venue_task):
         _, report = MetaSampler().extract(dblp_graph, paper_venue_task)
         payload = report.as_dict()
@@ -111,18 +118,71 @@ class TestMetaSamplerExtraction:
         assert payload["num_subgraph_triples"] < payload["num_kg_triples"]
 
 
-class TestMetaSamplerSPARQL:
-    def test_to_sparql_mentions_target_type(self, paper_venue_task):
-        sampler = MetaSampler(MetaSamplingConfig(1, 1))
-        query = sampler.to_sparql(paper_venue_task)
-        assert "CONSTRUCT" in query
-        assert paper_venue_task.target_node_type.n3() in query
+# ---------------------------------------------------------------------------
+# Differential: extract == the rule written as a SPARQL CONSTRUCT
+# ---------------------------------------------------------------------------
 
-    def test_bidirectional_sparql_has_union(self, paper_venue_task):
-        query = MetaSampler(MetaSamplingConfig(2, 1)).to_sparql(paper_venue_task)
-        assert "UNION" in query
+def _walk(seed, steps, direction, end):
+    """Bind ``end`` to every node a walk of ``steps`` hops from a target
+    reaches; a hop follows an out-edge (or, for ``direction`` 2, an in-edge)
+    to a non-literal node."""
+    nodes = [f"?n{i}" for i in range(steps)] + [end]
+    lines = [f"{nodes[0]} a {seed.n3()} ."]
+    for i in range(1, steps + 1):
+        a, b = nodes[i - 1], nodes[i]
+        lines.append(f"{a} ?e{i} {b} ." if direction == 1 else
+                     f"{{ {a} ?e{i} {b} }} UNION {{ {b} ?e{i} {a} }}")
+        lines.append(f"FILTER(!isLiteral({b}))")
+    return " ".join(lines)
 
-    def test_entity_similarity_task_seed(self):
-        task = TaskSpec(task_type=TaskType.ENTITY_SIMILARITY,
-                        entity_node_type=DBLP["Person"])
-        assert task.seed_node_type == DBLP["Person"]
+
+def construct_oracle(task, config):
+    """The meta-sampling rule as one CONSTRUCT: edges of the nodes within
+    h - 1 hops, types of the nodes within h hops, and the task's edges."""
+    seed, d, h = task.seed_node_type, config.direction, config.hops
+    rdf_type = RDF_TYPE.n3()
+    literals = "" if config.include_literals else "FILTER(!isLiteral(?o))"
+    branches = []
+    for steps in range(h):
+        branches.append(f"{_walk(seed, steps, d, '?s')} ?s ?p ?o . {literals}")
+        if d == 2:
+            branches.append(f"{_walk(seed, steps, d, '?o')} ?s ?p ?o .")
+    for steps in range(h + 1):
+        branches.append(
+            f"{_walk(seed, steps, d, '?s')} ?s ?p ?o . FILTER(?p = {rdf_type})")
+    if task.task_type == TaskType.NODE_CLASSIFICATION:
+        label = task.label_predicate.n3()
+        branches.append(f"?s a {seed.n3()} . ?s ?p ?o . FILTER(?p = {label})")
+    else:
+        edge = task.target_predicate.n3()
+        branches.append(f"?s ?p ?o . FILTER(?p = {edge})")
+        branches.append(f"?s {edge} ?y . ?s ?p ?o . FILTER(?p = {rdf_type})")
+        branches.append(f"?x {edge} ?s . ?s ?p ?o . FILTER(?p = {rdf_type})")
+    where = " UNION ".join(f"{{ {branch} }}" for branch in branches)
+    return f"CONSTRUCT {{ ?s ?p ?o }} WHERE {{ {where} }}"
+
+
+@pytest.fixture(scope="module")
+def place_country_task():
+    return yago_place_country_task()
+
+
+@pytest.mark.parametrize("include_literals", [True, False],
+                         ids=["literals", "no-literals"])
+@pytest.mark.parametrize("label", ["d1h1", "d2h1", "d1h2", "d2h2"])
+@pytest.mark.parametrize("graph_name,task_name", [
+    ("dblp_graph", "paper_venue_task"),
+    ("dblp_graph", "author_affiliation_task"),
+    ("yago_graph", "place_country_task"),
+], ids=["dblp-paper-venue", "dblp-author-affiliation", "yago-place-country"])
+def test_extract_equals_the_construct_oracle(request, graph_name, task_name, label,
+                                             include_literals):
+    graph = request.getfixturevalue(graph_name)
+    task = request.getfixturevalue(task_name)
+    base = MetaSamplingConfig.from_label(label)
+    config = MetaSamplingConfig(base.direction, base.hops, include_literals)
+    subgraph, _ = MetaSampler().extract(graph, task, config)
+    endpoint = SPARQLEndpoint()
+    endpoint.load(graph)
+    expected = endpoint.query(construct_oracle(task, config))
+    assert set(subgraph) == set(expected)

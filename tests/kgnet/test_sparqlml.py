@@ -123,7 +123,6 @@ class TestTrainParsing:
         assert request.budget.max_memory_bytes == 50 * 1024 ** 3
         assert request.budget.max_time_seconds == 3600
         assert request.budget.priority == "ModelScore"
-        assert request.target_graph == IRI("kgnet") or request.target_graph is None
 
     def test_train_request_link_prediction_payload(self, parser):
         request = parser.request_from_payload({
