@@ -9,7 +9,7 @@ view (:class:`TriplesData`) for KGE-based link prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse as sp
@@ -207,20 +207,6 @@ class GraphData:
             return np.unique(np.concatenate([out_neighbors, in_neighbors]))
         return np.unique(out_neighbors)
 
-    # ------------------------------------------------------------------
-    # Memory accounting (used by the GML method cost estimators)
-    # ------------------------------------------------------------------
-    def sparse_matrix_bytes(self, per_relation: bool = False) -> int:
-        """Approximate bytes of the adjacency structure(s) a method materialises."""
-        bytes_per_edge = 8 + 8 + 8  # indices + indptr amortised + value
-        if per_relation:
-            # RGCN materialises one matrix per relation plus per-relation weights.
-            return self.num_edges * bytes_per_edge + self.num_relations * self.num_nodes * 8
-        return self.num_edges * bytes_per_edge
-
-    def feature_bytes(self) -> int:
-        return int(self.features.size * 8)
-
     def __repr__(self) -> str:
         return (f"<GraphData nodes={self.num_nodes} edges={self.num_edges} "
                 f"relations={self.num_relations} classes={self.num_classes}>")
@@ -259,38 +245,6 @@ class TriplesData:
         if index is None:
             raise DatasetError(f"unknown split {name!r}")
         return self.triples[index]
-
-    def filter_entities(self, entity_ids: Sequence[int]) -> "TriplesData":
-        """Restrict the dataset to triples whose head and tail are both kept."""
-        keep_set = np.zeros(self.num_entities, dtype=bool)
-        keep_set[np.asarray(list(entity_ids), dtype=np.int64)] = True
-        mask = keep_set[self.triples[:, 0]] & keep_set[self.triples[:, 2]]
-        kept = np.flatnonzero(mask)
-        remap_triples = self.triples[kept]
-        old_ids = np.flatnonzero(keep_set)
-        remap = -np.ones(self.num_entities, dtype=np.int64)
-        remap[old_ids] = np.arange(old_ids.shape[0])
-        new_triples = remap_triples.copy()
-        new_triples[:, 0] = remap[remap_triples[:, 0]]
-        new_triples[:, 2] = remap[remap_triples[:, 2]]
-        position = {old: new for new, old in enumerate(kept)}
-        def remap_index(idx: np.ndarray) -> np.ndarray:
-            return np.asarray([position[i] for i in idx if i in position], dtype=np.int64)
-        return TriplesData(
-            num_entities=old_ids.shape[0],
-            num_relations=self.num_relations,
-            triples=new_triples,
-            train_idx=remap_index(self.train_idx),
-            valid_idx=remap_index(self.valid_idx),
-            test_idx=remap_index(self.test_idx),
-            entity_names=[self.entity_names[i] for i in old_ids] if self.entity_names else [],
-            relation_names=self.relation_names,
-            target_relation=self.target_relation,
-        )
-
-    def embedding_bytes(self, dim: int) -> int:
-        """Bytes needed by entity + relation embedding tables of width ``dim``."""
-        return (self.num_entities + self.num_relations) * dim * 8
 
     def __repr__(self) -> str:
         return (f"<TriplesData entities={self.num_entities} relations={self.num_relations} "

@@ -8,6 +8,15 @@ a GML method consumes, while
 * removing the *target class edges* so labels cannot leak into the structure,
 * counting what it kept and removed (:class:`TransformReport`),
 * performing the train/validation/test split (random or community based).
+
+It reads the graph's id triples (:meth:`~repro.rdf.graph.Graph.triples_ids`)
+and never builds a term-keyed table.  **Numbering rule:** nodes (entities),
+relations, classes and node types are numbered by first occurrence in the
+graph's iteration order, one ``ids.setdefault(term_id, len(ids))`` each, and
+their names are decoded once at the end.  For ``KG'`` that iteration order
+is fixed by :mod:`repro.kgnet.meta_sampler`, which numbers ``KG'``'s own
+terms by first occurrence too.  (Sorting by id instead would reorder the
+nodes and so change every trained model.)
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from repro.exceptions import DatasetError
 from repro.gml.data import GraphData, TriplesData, xavier_features
 from repro.gml.splits import SplitFractions, community_split, random_split, split_masks
 from repro.rdf.graph import Graph
-from repro.rdf.terms import IRI, BNode, Literal, Term, RDF_TYPE
+from repro.rdf.terms import IRI, Literal, RDF_TYPE
 
 __all__ = ["TransformReport", "RDFGraphTransformer"]
 
@@ -84,91 +93,68 @@ class RDFGraphTransformer:
         removed from the structural graph.
         """
         report = TransformReport(num_input_triples=len(graph))
+        decode = graph.decode_id
+        # A term the dictionary never saw encodes to None, which no id equals.
+        label_id = graph.encode_term(label_predicate)
+        type_id = graph.encode_term(RDF_TYPE)
+        target_type_id = graph.encode_term(target_node_type)
 
-        # Pass 1: collect labels and structural edges.
-        node_ids: Dict[Term, int] = {}
-        node_terms: List[Term] = []
-
-        def intern(term: Term) -> int:
-            index = node_ids.get(term)
-            if index is None:
-                index = len(node_terms)
-                node_ids[term] = index
-                node_terms.append(term)
-            return index
-
-        relation_ids: Dict[Term, int] = {}
-        relation_terms: List[Term] = []
+        # Term id -> contiguous index, numbered by first occurrence.
+        nodes: Dict[int, int] = {}
+        relations: Dict[int, int] = {}
         sources: List[int] = []
         destinations: List[int] = []
-        relations: List[int] = []
-        labels_by_node: Dict[Term, Term] = {}
-        types_by_node: Dict[Term, Term] = {}
-
-        for s, p, o in graph:
-            if p == label_predicate:
+        edge_types: List[int] = []
+        labels_by_node: Dict[int, int] = {}
+        types_by_node: Dict[int, int] = {}
+        for s, p, o in graph.triples_ids():
+            if p == label_id:
                 labels_by_node[s] = o
                 report.num_label_edges_removed += 1
                 continue
-            if isinstance(o, Literal):
+            if isinstance(decode(o), Literal):
                 report.num_literal_triples_removed += 1
                 continue
-            if p == RDF_TYPE:
+            if p == type_id:
                 types_by_node.setdefault(s, o)
-            src = intern(s)
-            dst = intern(o)
-            rel = relation_ids.get(p)
-            if rel is None:
-                rel = len(relation_terms)
-                relation_ids[p] = rel
-                relation_terms.append(p)
-            sources.append(src)
-            destinations.append(dst)
-            relations.append(rel)
+            sources.append(nodes.setdefault(s, len(nodes)))
+            destinations.append(nodes.setdefault(o, len(nodes)))
+            edge_types.append(relations.setdefault(p, len(relations)))
 
-        target_nodes = [term for term, type_term in types_by_node.items()
-                        if type_term == target_node_type]
+        targets = {node for node, node_type in types_by_node.items()
+                   if node_type == target_type_id}
         # Target nodes that only appear through label edges still need an index.
-        for term in labels_by_node:
-            if graph.value(subject=term, predicate=RDF_TYPE) == target_node_type:
-                intern(term)
-                if term not in target_nodes:
-                    target_nodes.append(term)
-        if not target_nodes:
+        for node in labels_by_node:
+            node_type = next(iter(graph.object_ids(node, type_id)), None)
+            if node_type is not None and node_type == target_type_id:
+                nodes.setdefault(node, len(nodes))
+                targets.add(node)
+        if not targets:
             raise DatasetError(
                 f"no nodes of type {target_node_type.n3()} found in the graph")
 
-        num_nodes = len(node_terms)
+        num_nodes = len(nodes)
         report.num_structural_edges = len(sources)
         report.num_nodes = num_nodes
-        report.num_relations = len(relation_terms)
-        report.num_target_nodes = len(target_nodes)
+        report.num_relations = len(relations)
+        report.num_target_nodes = len(targets)
 
-        # Labels: map distinct label terms to contiguous class ids.
-        class_ids: Dict[Term, int] = {}
-        class_terms: List[Term] = []
+        classes: Dict[int, int] = {}
         labels = -np.ones(num_nodes, dtype=np.int64)
-        for term, label_term in labels_by_node.items():
-            index = node_ids.get(term)
-            if index is None:
-                continue
-            class_id = class_ids.get(label_term)
-            if class_id is None:
-                class_id = len(class_terms)
-                class_ids[label_term] = class_id
-                class_terms.append(label_term)
-            labels[index] = class_id
+        for node, label in labels_by_node.items():
+            index = nodes.get(node)
+            if index is not None:
+                labels[index] = classes.setdefault(label, len(classes))
         labeled = np.flatnonzero(labels >= 0)
         if labeled.size == 0:
             raise DatasetError(
                 f"no labels found via predicate {label_predicate.n3()}")
         report.num_labeled_nodes = int(labeled.size)
-        report.num_classes = len(class_terms)
+        report.num_classes = len(classes)
 
         edge_index = np.stack([np.asarray(sources, dtype=np.int64),
                                np.asarray(destinations, dtype=np.int64)]) \
             if sources else np.zeros((2, 0), dtype=np.int64)
-        edge_type = np.asarray(relations, dtype=np.int64)
 
         if self.split_strategy == "community":
             train_idx, valid_idx, test_idx = community_split(
@@ -183,23 +169,26 @@ class RDFGraphTransformer:
                               "valid": int(valid_idx.size),
                               "test": int(test_idx.size)}
 
-        node_types, node_type_names = self._encode_node_types(node_terms, types_by_node)
+        types: Dict[int, int] = {}
+        node_types = np.asarray(
+            [types.setdefault(types_by_node[node], len(types))
+             if node in types_by_node else -1 for node in nodes], dtype=np.int64)
         data = GraphData(
             num_nodes=num_nodes,
             edge_index=edge_index,
-            edge_type=edge_type,
-            num_relations=max(1, len(relation_terms)),
+            edge_type=np.asarray(edge_types, dtype=np.int64),
+            num_relations=max(1, len(relations)),
             features=xavier_features(num_nodes, self.feature_dim, seed=self.seed),
             labels=labels,
-            num_classes=len(class_terms),
+            num_classes=len(classes),
             train_mask=train_mask,
             val_mask=val_mask,
             test_mask=test_mask,
-            node_names=[self._name(t) for t in node_terms],
+            node_names=_names(graph, nodes),
             node_types=node_types,
-            node_type_names=node_type_names,
-            relation_names=[self._name(t) for t in relation_terms],
-            class_names=[self._name(t) for t in class_terms],
+            node_type_names=_names(graph, types),
+            relation_names=_names(graph, relations),
+            class_names=_names(graph, classes),
         )
         return data, report
 
@@ -215,36 +204,22 @@ class RDFGraphTransformer:
         everything else stays in train (the standard KGE evaluation setup).
         """
         report = TransformReport(num_input_triples=len(graph))
+        decode = graph.decode_id
+        target_id = graph.encode_term(target_predicate)
 
-        entity_ids: Dict[Term, int] = {}
-        entity_terms: List[Term] = []
-        relation_ids: Dict[Term, int] = {}
-        relation_terms: List[Term] = []
+        entities: Dict[int, int] = {}
+        relations: Dict[int, int] = {}
         triples: List[Tuple[int, int, int]] = []
         target_triple_indices: List[int] = []
-
-        def intern_entity(term: Term) -> int:
-            index = entity_ids.get(term)
-            if index is None:
-                index = len(entity_terms)
-                entity_ids[term] = index
-                entity_terms.append(term)
-            return index
-
-        for s, p, o in graph:
-            if isinstance(o, Literal):
+        for s, p, o in graph.triples_ids():
+            if isinstance(decode(o), Literal):
                 report.num_literal_triples_removed += 1
                 continue
-            head = intern_entity(s)
-            tail = intern_entity(o)
-            rel = relation_ids.get(p)
-            if rel is None:
-                rel = len(relation_terms)
-                relation_ids[p] = rel
-                relation_terms.append(p)
-            if p == target_predicate:
+            head = entities.setdefault(s, len(entities))
+            tail = entities.setdefault(o, len(entities))
+            if p == target_id:
                 target_triple_indices.append(len(triples))
-            triples.append((head, rel, tail))
+            triples.append((head, relations.setdefault(p, len(relations)), tail))
 
         if not triples:
             raise DatasetError("graph has no structural (non-literal) triples")
@@ -259,60 +234,34 @@ class RDFGraphTransformer:
         n_train, n_valid, _ = self.split_fractions.counts(permuted.shape[0])
         valid_idx = permuted[n_train:n_train + n_valid]
         test_idx = permuted[n_train + n_valid:]
-        holdout = set(valid_idx.tolist()) | set(test_idx.tolist())
-        train_idx = np.asarray(
-            [i for i in range(triples_array.shape[0]) if i not in holdout],
-            dtype=np.int64)
+        in_train = np.ones(triples_array.shape[0], dtype=bool)
+        in_train[permuted[n_train:]] = False
+        train_idx = np.flatnonzero(in_train)
 
         report.num_structural_edges = int(triples_array.shape[0])
-        report.num_nodes = len(entity_terms)
-        report.num_relations = len(relation_terms)
+        report.num_nodes = len(entities)
+        report.num_relations = len(relations)
         report.num_target_nodes = int(target_idx.size)
         report.split_sizes = {"train": int(train_idx.size),
                               "valid": int(valid_idx.size),
                               "test": int(test_idx.size)}
 
         data = TriplesData(
-            num_entities=len(entity_terms),
-            num_relations=len(relation_terms),
+            num_entities=len(entities),
+            num_relations=len(relations),
             triples=triples_array,
             train_idx=train_idx,
             valid_idx=valid_idx,
             test_idx=test_idx,
-            entity_names=[self._name(t) for t in entity_terms],
-            relation_names=[self._name(t) for t in relation_terms],
-            target_relation=relation_ids[target_predicate],
+            entity_names=_names(graph, entities),
+            relation_names=_names(graph, relations),
+            target_relation=relations[target_id],
         )
         return data, report
 
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _name(term: Term) -> str:
-        if isinstance(term, IRI):
-            return term.value
-        if isinstance(term, BNode):
-            return term.n3()
-        return str(term)
 
-    @staticmethod
-    def _encode_node_types(node_terms: List[Term],
-                           types_by_node: Dict[Term, Term]
-                           ) -> Tuple[np.ndarray, List[str]]:
-        type_ids: Dict[Term, int] = {}
-        type_terms: List[Term] = []
-        encoded = np.zeros(len(node_terms), dtype=np.int64)
-        for index, term in enumerate(node_terms):
-            type_term = types_by_node.get(term)
-            if type_term is None:
-                encoded[index] = -1
-                continue
-            type_id = type_ids.get(type_term)
-            if type_id is None:
-                type_id = len(type_terms)
-                type_ids[type_term] = type_id
-                type_terms.append(type_term)
-            encoded[index] = type_id
-        names = [RDFGraphTransformer._name(t) for t in type_terms]
-        return encoded, names
+def _names(graph: Graph, numbering: Dict[int, int]) -> List[str]:
+    """The names of a numbering's term ids, in index order: an IRI's value,
+    a blank node's ``_:id``, a literal's lexical form (``str`` of the term)."""
+    decode = graph.decode_id
+    return [str(decode(term_id)) for term_id in numbering]

@@ -43,6 +43,7 @@ from repro.gml.train import (
 from repro.gml.transform import RDFGraphTransformer, TransformReport
 from repro.kgnet.gmlaas.method_selector import MethodSelection, MethodSelector
 from repro.rdf.graph import Graph
+from repro.rdf.terms import Literal
 
 __all__ = ["TrainingManagerConfig", "TrainingOutcome", "GMLTrainingManager"]
 
@@ -263,14 +264,14 @@ class GMLTrainingManager:
     # ------------------------------------------------------------------
     def _entity_similarity_data(self, transformer: RDFGraphTransformer,
                                 graph: Graph) -> Tuple[TriplesData, TransformReport]:
-        """Pick the most frequent predicate as the pseudo link-prediction target."""
-        from collections import Counter
-        from repro.rdf.terms import Literal
-        counts = Counter()
-        for _, p, o in graph:
-            if not isinstance(o, Literal):
-                counts[p] += 1
+        """Pick the most frequent predicate as the pseudo link-prediction target
+        (the first one seen on a tie)."""
+        decode = graph.decode_id
+        counts: Dict[int, int] = {}
+        for _, p, o in graph.triples_ids():
+            if not isinstance(decode(o), Literal):
+                counts[p] = counts.get(p, 0) + 1
         if not counts:
             raise TrainingError("graph has no structural triples for similarity training")
-        target_predicate = counts.most_common(1)[0][0]
+        target_predicate = decode(max(counts, key=counts.__getitem__))
         return transformer.to_link_prediction_data(graph, target_predicate)

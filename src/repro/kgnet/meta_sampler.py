@@ -14,22 +14,30 @@ the task's subgraph ``KG'`` is the union of
 
 The paper finds ``d1h1`` best for node classification and ``d2h1`` for link
 prediction, and phrases the rule as a SPARQL query.  :meth:`MetaSampler.extract`
-is its only implementation and walks the indexes directly; the test suite
-checks it against a CONSTRUCT query of the rule, which is slower and yields
-the triples in another order (and the order of ``KG'`` decides the node
-order of the model trained on it).  Callers pass a pinned
-:meth:`~repro.rdf.graph.Graph.snapshot`, so no concurrent write reaches it.
+is its only implementation; the test suite checks it against a CONSTRUCT
+query of the rule, which is slower and yields the triples in another order.
+Callers pass a pinned :meth:`~repro.rdf.graph.Graph.snapshot`, so no
+concurrent write reaches it.
+
+The walk stays in the store's term ids and builds ``KG'`` once, in bulk.
+**Numbering rule:** ``KG'`` numbers its terms by first occurrence in the
+order its triples were first kept, and the frontier is visited sorted by
+term, so that order is the same in every process.  The transformer in turn
+numbers nodes by first occurrence in ``KG'``'s iteration
+(:mod:`repro.gml.transform`), so the order of ``KG'`` decides the node order
+of the model trained on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import MetaSamplingError
 from repro.gml.tasks import TaskSpec, TaskType
+from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
-from repro.rdf.terms import Literal, Term, RDF_TYPE
+from repro.rdf.terms import Literal, RDF_TYPE
 
 __all__ = ["MetaSamplingConfig", "MetaSamplingReport", "MetaSampler"]
 
@@ -104,55 +112,56 @@ class MetaSampler:
     def __init__(self, config: Optional[MetaSamplingConfig] = None) -> None:
         self.config = config or MetaSamplingConfig()
 
-    # ------------------------------------------------------------------
-    # Extraction
-    # ------------------------------------------------------------------
-    def target_nodes(self, graph: Graph, task: TaskSpec) -> List[Term]:
-        """The seed nodes for the expansion (nodes of the task's target type)."""
+    def extract(self, graph: Graph, task: TaskSpec,
+                config: Optional[MetaSamplingConfig] = None):
+        """Return ``(subgraph, report)`` for ``task`` on ``graph``.
+
+        ``subgraph`` is a new :class:`Graph` with its own dictionary, built
+        in one bulk insert; ``graph`` is only read.
+        """
+        config = config or self.config
         seed_type = task.seed_node_type
         if seed_type is None:
             raise MetaSamplingError(f"task {task.name!r} has no seed node type")
-        targets = list(graph.subjects(RDF_TYPE, seed_type))
+        encode, decode = graph.encode_term, graph.decode_id
+        rdf_type, seed_id = encode(RDF_TYPE), encode(seed_type)
+        targets = list(graph.subject_ids(rdf_type, seed_id)) \
+            if rdf_type is not None and seed_id is not None else []
         if not targets:
             raise MetaSamplingError(
                 f"no nodes of type {seed_type.n3()} found for task {task.name!r}")
-        return targets
-
-    def extract(self, graph: Graph, task: TaskSpec,
-                config: Optional[MetaSamplingConfig] = None):
-        """Return ``(subgraph, report)`` for ``task`` on ``graph``."""
-        config = config or self.config
-        targets = self.target_nodes(graph, task)
         report = MetaSamplingReport(config_label=config.label,
                                     num_target_nodes=len(targets),
                                     num_kg_triples=len(graph))
-        subgraph = Graph(namespaces=graph.namespaces.copy())
+        # KG' as an ordered set of id triples: the order triples are first
+        # kept in is the order the returned graph numbers its terms in.
+        kept: Dict[Tuple[int, int, int], None] = {}
 
-        # Sets of terms are only ever iterated sorted: that keeps the
-        # extraction order (and therefore the downstream node interning /
-        # feature assignment) reproducible across processes regardless of
-        # hash randomisation.
-        def in_order(nodes: Set[Term]) -> List[Term]:
-            return sorted(nodes, key=lambda term: term.sort_key())
+        def keep(id_triples) -> None:
+            kept.update(dict.fromkeys(id_triples))
 
-        visited: Set[Term] = set(targets)
-        frontier: Set[Term] = set(targets)
+        # Node sets are only ever iterated sorted by term: that keeps the
+        # extraction order (and so the node order of the model trained on
+        # KG') the same in every process, whatever the hash seed.
+        def in_order(nodes: Set[int]) -> List[int]:
+            return sorted(nodes, key=lambda node: decode(node).sort_key())
+
+        visited: Set[int] = set(targets)
+        frontier: Set[int] = set(targets)
         for _ in range(config.hops):
-            next_frontier: Set[Term] = set()
+            next_frontier: Set[int] = set()
             for node in in_order(frontier):
-                # Outgoing edges.
-                for s, p, o in graph.triples(node, None, None):
-                    if isinstance(o, Literal):
+                for s, p, o in graph.triples_ids(node, None, None):
+                    if isinstance(decode(o), Literal):
                         if config.include_literals:
-                            subgraph.add(s, p, o)
+                            kept[s, p, o] = None
                         continue
-                    subgraph.add(s, p, o)
+                    kept[s, p, o] = None
                     if o not in visited:
                         next_frontier.add(o)
-                # Incoming edges for bidirectional sampling.
                 if config.direction == 2:
-                    for s, p, o in graph.triples(None, None, node):
-                        subgraph.add(s, p, o)
+                    for s, p, o in graph.triples_ids(None, None, node):
+                        kept[s, p, o] = None
                         if s not in visited:
                             next_frontier.add(s)
             visited |= next_frontier
@@ -160,30 +169,32 @@ class MetaSampler:
             if not frontier:
                 break
 
-        # Keep rdf:type triples of every visited node so the transformer can
-        # still see node types, and keep the task's label/target edges.
+        # The types of every visited node, then the task's supervision edges.
         for node in in_order(visited):
-            for s, p, o in graph.triples(node, RDF_TYPE, None):
-                subgraph.add(s, p, o)
-        self._keep_task_edges(graph, task, targets, subgraph)
+            keep(graph.triples_ids(node, rdf_type, None))
+        if task.task_type == TaskType.NODE_CLASSIFICATION:
+            label = encode(task.label_predicate)
+            if label is not None:
+                for target in targets:
+                    keep(graph.triples_ids(target, label, None))
+        elif task.task_type == TaskType.LINK_PREDICTION:
+            edge = encode(task.target_predicate)
+            if edge is not None:
+                for s, p, o in graph.triples_ids(None, edge, None):
+                    kept[s, p, o] = None
+                    keep(graph.triples_ids(s, rdf_type, None))
+                    keep(graph.triples_ids(o, rdf_type, None))
 
         report.num_visited_nodes = len(visited)
-        report.num_subgraph_triples = len(subgraph)
-        if len(subgraph) == 0:
+        report.num_subgraph_triples = len(kept)
+        if not kept:
             raise MetaSamplingError("meta-sampling produced an empty subgraph")
+        # One bulk build: KG' numbers its terms by first occurrence.
+        local: Dict[int, int] = {}
+        for triple in kept:
+            for term in triple:
+                local.setdefault(term, len(local))
+        subgraph = Graph(namespaces=graph.namespaces.copy(),
+                         dictionary=TermDictionary.restore(map(decode, local)))
+        subgraph.bulk_add_ids((local[s], local[p], local[o]) for s, p, o in kept)
         return subgraph, report
-
-    def _keep_task_edges(self, graph: Graph, task: TaskSpec, targets: List[Term],
-                         subgraph: Graph) -> None:
-        """Ensure the supervision edges of the task survive the sampling."""
-        if task.task_type == TaskType.NODE_CLASSIFICATION:
-            for target in targets:
-                for s, p, o in graph.triples(target, task.label_predicate, None):
-                    subgraph.add(s, p, o)
-        elif task.task_type == TaskType.LINK_PREDICTION:
-            for s, p, o in graph.triples(None, task.target_predicate, None):
-                subgraph.add(s, p, o)
-                for triple in graph.triples(s, RDF_TYPE, None):
-                    subgraph.add(triple)
-                for triple in graph.triples(o, RDF_TYPE, None):
-                    subgraph.add(triple)

@@ -22,13 +22,13 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.exceptions import SPARQLMLError
+from repro.exceptions import KGNetError, SPARQLMLError
 from repro.gml.tasks import TaskSpec, TaskType
 from repro.gml.train.budget import TaskBudget
 from repro.kgnet.kgmeta import ontology as O
 from repro.rdf.namespace import KGNET, NamespaceManager
 from repro.rdf.terms import IRI, Literal, Term, Variable, RDF_TYPE
-from repro.sparql.ast import GroupPattern, SelectQuery
+from repro.sparql.ast import GroupPattern, ModifyUpdate, SelectQuery
 from repro.sparql.parser import SPARQLParser
 
 __all__ = [
@@ -89,6 +89,10 @@ class SPARQLMLParser:
     """Front end for SPARQL-ML requests."""
 
     _TRAIN_RE = re.compile(r"TrainGML\s*\(", re.IGNORECASE)
+    #: An IRI, a string literal or a ``#`` comment (group 1): a ``#`` inside
+    #: an IRI or a string does not start a comment.
+    _COMMENT_RE = re.compile(
+        r"""<[^<>\s]*>|"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*'|(#[^\n]*)""")
 
     def __init__(self, namespaces: Optional[NamespaceManager] = None) -> None:
         self.namespaces = namespaces or NamespaceManager()
@@ -97,28 +101,33 @@ class SPARQLMLParser:
     # Request classification
     # ------------------------------------------------------------------
     def classify(self, text: str) -> str:
-        """Return one of ``"train"``, ``"delete"``, ``"select"``, ``"sparql"``."""
-        stripped = self._strip_comments(text)
-        if self._TRAIN_RE.search(stripped):
+        """Return one of ``"train"``, ``"delete"``, ``"select"``, ``"sparql"``.
+
+        A ``TrainGML(`` call outside comments makes a text ``"train"`` before
+        any parse (its loose JSON argument is not SPARQL).  Every other kind
+        comes from the parsed request: a SELECT, or a DELETE ... WHERE, whose
+        WHERE types a variable as a model class (:meth:`extract_predicates`,
+        as :meth:`parse_select` and :meth:`parse_delete` read it).  Anything
+        else, a text that does not parse included, is plain SPARQL.
+        """
+        if self._TRAIN_RE.search(self._strip_comments(text)):
             return "train"
-        lowered = stripped.lower()
-        body = re.sub(r"prefix\s+\S+\s+<[^>]*>", "", lowered)
-        if re.search(r"\bdelete\b", body) and "kgnet:" in lowered:
+        try:
+            parsed = SPARQLParser(text, namespaces=self.namespaces).parse()
+        except KGNetError:
+            return "sparql"      # the plain SPARQL path reports the error
+        if isinstance(parsed, SelectQuery):
+            return "select" if self.extract_predicates(parsed.where) else "sparql"
+        if isinstance(parsed, list) and any(
+                isinstance(update, ModifyUpdate) and update.delete_template
+                and self.extract_predicates(update.where) for update in parsed):
             return "delete"
-        if re.search(r"\bselect\b", body) and self._mentions_model_class(stripped):
-            return "select"
         return "sparql"
 
-    @staticmethod
-    def _strip_comments(text: str) -> str:
-        return "\n".join(line for line in text.splitlines()
-                         if not line.strip().startswith("#"))
-
-    @staticmethod
-    def _mentions_model_class(text: str) -> bool:
-        return bool(re.search(
-            r"kgnet:(NodeClassifier|LinkPredictor|EntitySimilarityModel|NodeClassifer|Classifier)",
-            text))
+    @classmethod
+    def _strip_comments(cls, text: str) -> str:
+        return cls._COMMENT_RE.sub(
+            lambda match: "" if match.group(1) else match.group(0), text)
 
     # ------------------------------------------------------------------
     # SELECT queries with user-defined predicates

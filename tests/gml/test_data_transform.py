@@ -177,12 +177,6 @@ class TestGraphData:
         assert set(out_only) == {1, 5}
         assert set(both) >= set(out_only)
 
-    def test_memory_accounting_positive(self):
-        data = small_graph_data()
-        assert data.sparse_matrix_bytes() > 0
-        assert data.sparse_matrix_bytes(per_relation=True) > data.sparse_matrix_bytes()
-        assert data.feature_bytes() == data.num_nodes * data.feature_dim * 8
-
     def test_xavier_features_shape_and_scale(self):
         features = xavier_features(50, 16, seed=1)
         assert features.shape == (50, 16)
@@ -216,16 +210,6 @@ class TestTriplesData:
                         triples=np.array([[0, 0, 5]]),
                         train_idx=np.array([0]), valid_idx=np.array([], dtype=int),
                         test_idx=np.array([], dtype=int))
-
-    def test_filter_entities(self):
-        data = self.make()
-        filtered = data.filter_entities([0, 1, 2])
-        assert filtered.num_entities == 3
-        assert (filtered.triples[:, [0, 2]] < 3).all()
-        assert filtered.entity_names == ["e0", "e1", "e2"]
-
-    def test_embedding_bytes(self):
-        assert self.make().embedding_bytes(dim=8) == (4 + 2) * 8 * 8
 
 
 class TestRDFGraphTransformer:

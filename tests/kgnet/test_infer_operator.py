@@ -533,8 +533,9 @@ class TestCompileCache:
 
 
 def test_lp_training_is_independent_of_the_hash_seed(tmp_path):
-    """MetaSampler iterates sets of terms sorted: two processes that hash
-    strings differently intern entities alike and train the same model."""
+    """MetaSampler visits its frontier sorted by term: two processes that
+    hash strings differently number KG' alike and train the same models,
+    a link predictor (T3's MorsE) and a node classifier (T1's GraphSAINT)."""
     import subprocess
     import sys
 
@@ -543,18 +544,26 @@ def test_lp_training_is_independent_of_the_hash_seed(tmp_path):
         "import hashlib, json\n"
         "import numpy as np\n"
         "from repro.datasets import DBLPConfig, dblp_author_affiliation_task, "
-        "generate_dblp_kg\n"
+        "dblp_paper_venue_task, generate_dblp_kg\n"
         "from repro.kgnet import KGNet, TrainingManagerConfig\n"
         "platform = KGNet(training_config=TrainingManagerConfig(\n"
-        "    feature_dim=16, hidden_dim=16, embedding_dim=16, epochs_kge=4, seed=0))\n"
+        "    feature_dim=16, hidden_dim=16, embedding_dim=16, epochs_kge=4,\n"
+        "    epochs_sampling=3, seed=0))\n"
         "platform.load_graph(generate_dblp_kg(DBLPConfig(scale=0.25, seed=3)))\n"
         "report = platform.train_task(dblp_author_affiliation_task(), method='morse')\n"
         "stored = platform.gmlaas.model_store.get(report.model_uri)\n"
         "embeddings = np.ascontiguousarray(stored.artifact('entity_embeddings'))\n"
+        "nc = platform.train_task(dblp_paper_venue_task(), method='graph_saint')\n"
+        "classifier = platform.gmlaas.model_store.get(nc.model_uri)\n"
+        "weights = hashlib.sha256()\n"
+        "for parameter in classifier.model.parameters():\n"
+        "    weights.update(np.ascontiguousarray(parameter.data).tobytes())\n"
         "print(json.dumps({'metrics': report.metrics,\n"
         "    'entities': hashlib.sha256('|'.join(stored.artifact('entity_names'))"
         ".encode()).hexdigest(),\n"
-        "    'embeddings': hashlib.sha256(embeddings.tobytes()).hexdigest()},\n"
+        "    'embeddings': hashlib.sha256(embeddings.tobytes()).hexdigest(),\n"
+        "    'nc_metrics': nc.metrics, 'nc_weights': weights.hexdigest(),\n"
+        "    'nc_predictions': list(classifier.artifact('prediction_map').items())},\n"
         "    sort_keys=True))\n")
     source = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     outputs = []
@@ -566,4 +575,5 @@ def test_lp_training_is_independent_of_the_hash_seed(tmp_path):
         assert done.returncode == 0, done.stderr
         outputs.append(json.loads(done.stdout.strip().splitlines()[-1]))
     assert "hits@10" in outputs[0]["metrics"]
+    assert outputs[0]["nc_predictions"]
     assert outputs[0] == outputs[1]

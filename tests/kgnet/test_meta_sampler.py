@@ -6,7 +6,7 @@ from repro.datasets import yago_place_country_task
 from repro.exceptions import MetaSamplingError
 from repro.gml.tasks import TaskSpec, TaskType
 from repro.kgnet import MetaSampler, MetaSamplingConfig
-from repro.rdf import DBLP, RDF_TYPE
+from repro.rdf import DBLP, Graph, RDF_TYPE
 from repro.sparql import SPARQLEndpoint
 
 
@@ -110,6 +110,17 @@ class TestMetaSamplerExtraction:
         task = TaskSpec(task_type=TaskType.ENTITY_SIMILARITY,
                         entity_node_type=DBLP["Person"])
         assert task.seed_node_type == DBLP["Person"]
+
+    def test_kg_prime_is_built_in_one_bulk_insert(self, dblp_graph, paper_venue_task,
+                                                  monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("extract inserted a triple through Graph.add")
+
+        monkeypatch.setattr(Graph, "add", refuse)
+        subgraph, report = MetaSampler().extract(dblp_graph.snapshot(), paper_venue_task)
+        assert subgraph.epoch == 1
+        assert len(subgraph) == report.num_subgraph_triples
+        assert len(subgraph.dictionary) < len(dblp_graph.dictionary)
 
     def test_report_as_dict(self, dblp_graph, paper_venue_task):
         _, report = MetaSampler().extract(dblp_graph, paper_venue_task)

@@ -76,6 +76,19 @@ class TestClassification:
         assert parser.classify(FIG9_DELETE) == "delete"
         assert parser.classify(FIG2_SELECT) == "select"
         assert parser.classify("SELECT ?s WHERE { ?s ?p ?o . }") == "sparql"
+        # Kinds come from the parse, not the surface text.
+        assert parser.classify(FIG2_SELECT.replace(
+            "a kgnet:NodeClassifier", "a <https://www.kgnet.com/NodeClassifier>")) == "select"
+        assert parser.classify(FIG2_SELECT.replace("kgnet:", "kg:")) == "select"
+        assert parser.classify(
+            "SELECT ?s WHERE { ?s <http://example.org/ns#p> ?o . }"
+            "  # next: kgnet.TrainGML({Name: 'x'})\n") == "sparql"
+        assert parser.classify(
+            "prefix kgnet: <https://www.kgnet.com/>\n"
+            'SELECT ?s WHERE { ?s ?p "kgnet:NodeClassifier" . }') == "sparql"
+        assert parser.classify(
+            "prefix kgnet: <https://www.kgnet.com/>\n"
+            "DELETE DATA { kgnet:m1 a kgnet:NodeClassifier . }") == "sparql"
 
     def test_plain_update_is_sparql(self, parser):
         assert parser.classify(
