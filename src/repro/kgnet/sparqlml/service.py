@@ -125,13 +125,12 @@ class SPARQLMLService:
     """Query Manager + KGMeta Governor + Meta-sampler glued together."""
 
     def __init__(self, endpoint: SPARQLEndpoint, gmlaas: GMLaaS,
-                 governor: Optional[KGMetaGovernor] = None,
-                 optimizer: Optional[SPARQLMLOptimizer] = None) -> None:
+                 governor: KGMetaGovernor) -> None:
         self.endpoint = endpoint
         self.gmlaas = gmlaas
-        self.governor = governor or KGMetaGovernor(endpoint)
+        self.governor = governor
         self.parser = SPARQLMLParser(namespaces=endpoint.namespaces)
-        self.optimizer = optimizer or SPARQLMLOptimizer()
+        self.optimizer = SPARQLMLOptimizer()
         self.rewriter = SPARQLMLRewriter()
         self.meta_sampler = MetaSampler()
         #: Compiled SELECTs by (text, forced plan, objective, namespaces),

@@ -13,9 +13,9 @@ existing machinery rather than a parallel code path:
   written.  :meth:`~repro.storage.engine.StorageEngine.apply_shipped` then
   persists each transaction verbatim into the local WAL *first* (so a
   follower crash replays from its own log, the same recovery invariant the
-  primary has) and applies its ops under the write lock — one epoch bump
-  per shipped commit, so serving readers see each transaction atomically,
-  exactly as the primary's readers did;
+  primary has) and applies its ops one by one, each an epoch step of its
+  own, all under the write lock: no serving reader sees part of a
+  transaction, exactly as on the primary;
 * **snapshot bootstrap** — when the primary answers 410 (the requested
   range was compacted away by segment retention), fetch the latest
   checkpoint file verbatim, install it as the local checkpoint, wipe the
@@ -174,8 +174,8 @@ class ReplicaEngine:
                 f"replication stream gap: expected seq {self._applied_seq + 1}, "
                 f"got {seq}")
         size = self.storage.apply_shipped(transaction)
-        # The epoch bump happened at lock release, so serving readers can
-        # already see the commit — advance the applied seq only now, which
+        # apply_shipped has released the write lock, so serving readers can
+        # already see the whole commit — advance the applied seq only now, which
         # keeps read-your-writes honest: status never claims a seq whose
         # data a query could still miss.
         now = time.time()

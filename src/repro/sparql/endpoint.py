@@ -20,10 +20,10 @@ registered UDFs that issue HTTP calls to the GML inference manager.  The
 * it caches the materialised union graph between mutations (via
   :meth:`Dataset.snapshot <repro.rdf.dataset.Dataset.snapshot>`), so mixed
   KGMeta + data queries stop paying a full union rebuild per request,
-* it exposes a UDF registry; every UDF invocation is counted so experiments
-  can report the number of "HTTP calls" an execution plan makes,
+* it exposes a UDF registry,
 * it keeps simple per-query execution statistics (including whether the
-  plan cache was hit and how many index lookups the join pipeline made).
+  plan cache was hit, how many index lookups the join pipeline made and the
+  "HTTP calls" its ``infer`` nodes made).
 
 Concurrency: the endpoint is safe to share across serving threads.  Every
 query evaluates against a pinned snapshot (:class:`GraphSnapshot
@@ -74,7 +74,6 @@ class QueryStatistics:
     elapsed_seconds: float
     num_results: int
     pattern_lookups: int
-    udf_calls: int = 0
     plan_cache_hit: bool = False
     #: Remote inference calls made by this query's own ``infer`` nodes.
     inference_calls: int = 0
@@ -502,7 +501,6 @@ class SPARQLEndpoint:
         evaluator = QueryEvaluator(graph, udfs=self.udfs,
                                    optimize_joins=self.optimize_joins,
                                    plan=plan, execution=context)
-        udf_calls_before = self.udfs.total_calls()
         started = time.perf_counter()
 
         def record(kind: str, count: int) -> None:
@@ -511,7 +509,6 @@ class SPARQLEndpoint:
                 elapsed_seconds=time.perf_counter() - started,
                 num_results=count,
                 pattern_lookups=evaluator.pattern_lookups,
-                udf_calls=self.udfs.total_calls() - udf_calls_before,
                 plan_cache_hit=cache_hit,
                 inference_calls=evaluator.inference_calls), on_stats)
 
@@ -664,9 +661,6 @@ class SPARQLEndpoint:
         """
         return getattr(self._thread_stats, "last", None)
 
-    def total_udf_calls(self, name: Optional[str] = None) -> int:
-        return self.udfs.total_calls(name)
-
     def cache_info(self) -> Dict[str, object]:
         """Plan-cache and hot-path counters for monitoring/benchmarks."""
         info = dict(self.plan_cache.stats())
@@ -674,7 +668,6 @@ class SPARQLEndpoint:
         return info
 
     def reset_counters(self) -> None:
-        self.udfs.reset_counts()
         self.plan_cache.reset_counters()
         self.result_cache.reset_counters()
         with self._stats_lock:

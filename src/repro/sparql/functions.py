@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import operator
 import re
-import threading
 from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -141,10 +140,9 @@ class UDFRegistry:
     """Registry of user-defined functions callable from SPARQL expressions.
 
     Functions are registered under one or more names (their prefixed form,
-    e.g. ``sql:UDFS.getNodeClass``, and optionally a bare local name).  Each
-    call is counted so the SPARQL-ML query-plan experiments can report the
-    number of UDF/HTTP calls each execution plan makes (paper Figs 11-12).
-    A function registered with a :class:`BatchResolver` is that resolver
+    e.g. ``sql:UDFS.getNodeClass``, and optionally a bare local name).  The
+    registry counts nothing: a query's inference calls are counted by the
+    ``infer`` nodes that make them (paper Figs 11-12).  A function registered with a :class:`BatchResolver` is that resolver
     called with one input, wherever an expression calls it row by row; where
     a SELECT item or BIND is a direct call to it, the planner makes it an
     ``infer`` node that resolves whole batches.
@@ -153,10 +151,6 @@ class UDFRegistry:
     def __init__(self) -> None:
         self._functions: Dict[str, Callable[..., object]] = {}
         self._batch: Dict[str, BatchResolver] = {}
-        self.call_counts: Dict[str, int] = {}
-        # Concurrent queries share one registry through the endpoint; the
-        # count increment is read-modify-write and needs the lock.
-        self._counts_lock = threading.Lock()
 
     def register(self, name: str, function: Optional[Callable[..., object]] = None,
                  aliases: Optional[List[str]] = None,
@@ -191,33 +185,18 @@ class UDFRegistry:
         return self._normalise(name) in self._functions
 
     def call(self, name: str, *args: object) -> object:
-        key = self._normalise(name)
-        function = self._functions.get(key)
+        function = self._functions.get(self._normalise(name))
         if function is None:
             raise UDFError(f"unknown user-defined function {name!r}")
-        with self._counts_lock:
-            self.call_counts[key] = self.call_counts.get(key, 0) + 1
         return function(*args)
 
     def call_batch(self, name: str,
                    inputs: List[tuple]) -> Tuple[List[object], int]:
-        """One (counted) call of ``name``'s batch resolver."""
-        key = self._normalise(name)
-        resolver = self._batch.get(key)
+        """One call of ``name``'s batch resolver."""
+        resolver = self._batch.get(self._normalise(name))
         if resolver is None:
             raise UDFError(f"unknown batch-resolved function {name!r}")
-        with self._counts_lock:
-            self.call_counts[key] = self.call_counts.get(key, 0) + 1
         return resolver.resolve(inputs)
-
-    def total_calls(self, name: Optional[str] = None) -> int:
-        if name is not None:
-            return self.call_counts.get(self._normalise(name), 0)
-        return sum(self.call_counts.values())
-
-    def reset_counts(self) -> None:
-        with self._counts_lock:
-            self.call_counts.clear()
 
 
 class EvaluationContext:
@@ -698,7 +677,7 @@ def _compile_call(expr: FunctionCall, slots: Mapping[Variable, int],
     if builtin is not None:
         return _fold(lambda row, context: builtin(
             [fn(row, context) for fn in fns]), constant)
-    udf = expr.name  # never folded: it may have effects, and is counted
+    udf = expr.name  # never folded: it may have effects
     return (lambda row, context: _call_udf(
         udf, [fn(row, context) for fn in fns], context)), False, False
 

@@ -439,8 +439,9 @@ class StorageEngine:
         frames :func:`~repro.storage.wal.scan_transactions` read (and
         decoded) from the primary's stream go into the local WAL verbatim
         first — so a follower crash replays them from its own log — and the
-        ops then apply through :meth:`_apply_ops` under the write lock, one
-        epoch bump for the whole transaction.  The dataset's journal is
+        ops then apply one by one through :meth:`_apply_ops` (``Graph.add``
+        / ``remove``, an epoch step each), all under the write lock, so no
+        reader sees part of the transaction.  The dataset's journal is
         detached for good: the ops are logged already, and a follower's log
         takes only what its primary ships.
         """

@@ -110,7 +110,6 @@ class TestCounterContention:
 
         _hammer(worker)
         assert manager.http_calls == THREADS * (PER_THREAD // 4)
-        assert manager.calls_by_model[model_uri.value] == manager.http_calls
 
     def test_term_dictionary_interns_each_term_exactly_once(self):
         dictionary = TermDictionary()
@@ -249,3 +248,23 @@ class TestConcurrentDispatch:
         # The unknown entity gets an empty result, not an error for everyone.
         assert outputs[EX + "unknown"] == []
         assert response.result["http_calls"] == 1
+
+    def test_infer_batch_reports_its_own_http_calls(self):
+        """Two ``infer_batch`` requests in flight at once each report the
+        one GMLaaS call they made, not the growth of the service-wide
+        counter while they ran."""
+        platform, model_uri = self._platform_with_classifier()
+        platform.gmlaas.inference_manager.call_latency_seconds = 0.2
+        barrier = threading.Barrier(2)
+        reported: List[int] = []
+
+        def worker() -> None:
+            barrier.wait()
+            response = platform.api.dispatch(APIRequest(op="infer_batch", params={
+                "model_uri": model_uri.value, "inputs": [EX + "n1", EX + "n2"]}))
+            assert response.ok, response.error
+            reported.append(response.result["http_calls"])
+
+        _hammer(worker, threads=2)
+        assert reported == [1, 1]
+        assert platform.gmlaas.http_calls == 2

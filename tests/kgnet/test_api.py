@@ -227,8 +227,10 @@ class TestRouterDispatch:
         ("train", {"meta_sampling": {"direction": 1, "hops": 1, "bogus": 1}}),
         ("train", {"meta_sampling": {"direction": 1, "hops": "x"}}),
         ("sparqlml_select", {"query": FIG2_SELECT, "objective": {"bogus": 1}}),
+        ("sparqlml_select", {"query": FIG2_SELECT,
+                             "objective": {"minimise": "inference_time"}}),
     ], ids=["meta_sampling-unknown-field", "meta_sampling-wrong-type",
-            "objective-unknown-field"])
+            "objective-unknown-field", "objective-minimise"])
     def test_malformed_config_object_is_a_bad_request(self, fresh_platform,
                                                       paper_venue_task, op, params):
         if op == "train":

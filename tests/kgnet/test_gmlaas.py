@@ -1,8 +1,12 @@
 """Unit tests for GMLaaS: stores, method selector, training and inference managers."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from repro.datasets import dblp_author_similarity_task
 from repro.exceptions import (
     InferenceError,
     ModelNotFoundError,
@@ -12,7 +16,6 @@ from repro.exceptions import (
 from repro.gml.tasks import TaskSpec, TaskType
 from repro.gml.train import TaskBudget
 from repro.kgnet import (
-    EmbeddingStore,
     GMLaaS,
     MethodSelector,
     ModelStore,
@@ -25,7 +28,7 @@ from repro.rdf import DBLP, IRI
 
 
 # ---------------------------------------------------------------------------
-# Embedding store
+# Embedding indexes
 # ---------------------------------------------------------------------------
 
 class TestEmbeddingStore:
@@ -67,46 +70,6 @@ class TestEmbeddingStore:
         ivf.add(vectors)
         scores, indices = ivf.search(vectors[:2], k=5)
         assert indices.shape == (2, 5)
-
-    def test_store_create_and_search(self):
-        keys, vectors = self._vectors()
-        store = EmbeddingStore()
-        store.create_collection("authors", keys, vectors)
-        assert store.has_collection("authors")
-        assert store.collection_size("authors") == len(keys)
-        results = store.search("authors", vectors[0], k=3)
-        assert results[0].key == keys[0]
-        assert results[0].rank == 0
-
-    def test_store_similar_to_excludes_self(self):
-        keys, vectors = self._vectors()
-        store = EmbeddingStore()
-        store.create_collection("authors", keys, vectors)
-        results = store.similar_to("authors", keys[5], k=4)
-        assert len(results) == 4
-        assert all(result.key != keys[5] for result in results)
-
-    def test_store_unknown_collection_and_key(self):
-        store = EmbeddingStore()
-        with pytest.raises(PlatformError):
-            store.search("missing", np.zeros(4))
-        keys, vectors = self._vectors()
-        store.create_collection("c", keys, vectors)
-        with pytest.raises(PlatformError):
-            store.similar_to("c", "unknown-key")
-
-    def test_store_mismatched_keys_vectors(self):
-        store = EmbeddingStore()
-        with pytest.raises(PlatformError):
-            store.create_collection("c", ["a"], np.zeros((2, 4)))
-
-    def test_store_drop_collection(self):
-        keys, vectors = self._vectors()
-        store = EmbeddingStore()
-        store.create_collection("c", keys, vectors)
-        assert store.drop_collection("c") is True
-        assert store.drop_collection("c") is False
-        assert store.collections() == []
 
 
 # ---------------------------------------------------------------------------
@@ -314,3 +277,25 @@ class TestGMLaaSService:
         assert service.delete_model(uri) is True
         assert not service.has_model(uri)
         assert service.delete_model(uri) is False
+
+
+#: sha256 of a DBLP person-similarity model's answers (see the test below).
+#: The KGE model trains through numpy BLAS, whose kernels may differ between
+#: builds and CPUs: on another one, take the digest from the parent commit.
+SIMILARITY_DIGEST = "95ef23ef5160fb49072faf82832bf63934f6e994f92ad90a011f962b29e81ddc"
+
+
+def test_similarity_answers_are_pinned(dblp_graph):
+    """Similarity inference answers exactly what it did when each model's
+    embeddings sat in a separate URI-keyed store: every entity name plus one
+    unknown name through ``infer_batch``, and a prefix through
+    ``infer_similar_entities``."""
+    service = GMLaaS(config=QUICK)
+    uri = IRI("https://www.kgnet.com/model/test/sim-pin")
+    service.train(dblp_graph, dblp_author_similarity_task(), uri, method="distmult")
+    names = service.model_store.get(uri).artifact("entity_names")
+    batch = service.infer_batch(uri, list(names) + ["https://www.dblp.org/nobody"],
+                                k=7, mode="similar")
+    singles = [service.infer_similar_entities(uri, name, k=3) for name in names[:40]]
+    digest = hashlib.sha256(json.dumps([batch, singles]).encode()).hexdigest()
+    assert digest == SIMILARITY_DIGEST

@@ -233,13 +233,6 @@ class TestModelSelectionOptimizer:
         with pytest.raises(ModelNotFoundError):
             SPARQLMLOptimizer().select_model([])
 
-    def test_rank_models_orders_best_first(self):
-        optimizer = SPARQLMLOptimizer()
-        models = [make_model("urn:m1", 0.7, 0.1), make_model("urn:m2", 0.9, 0.3),
-                  make_model("urn:m3", 0.8, 0.2)]
-        ranked = optimizer.rank_models(models)
-        assert [m.uri.value for m in ranked] == ["urn:m2", "urn:m3", "urn:m1"]
-
 
 class TestPlanChoice:
     def test_many_targets_prefer_dictionary(self):

@@ -159,8 +159,6 @@ class TestUDFRegistry:
         registry = UDFRegistry()
         registry.register("sql:UDFS.double", lambda x: float(str(x)) * 2)
         assert registry.call("sql:UDFS.double", Literal(2)) == 4.0
-        assert registry.total_calls() == 1
-        assert registry.total_calls("sql:UDFS.double") == 1
 
     def test_alias_lookup_case_insensitive(self):
         registry = UDFRegistry()
@@ -171,13 +169,6 @@ class TestUDFRegistry:
     def test_unknown_udf_raises(self):
         with pytest.raises(UDFError):
             UDFRegistry().call("nope")
-
-    def test_reset_counts(self):
-        registry = UDFRegistry()
-        registry.register("f", lambda: 1)
-        registry.call("f")
-        registry.reset_counts()
-        assert registry.total_calls() == 0
 
     def test_udf_in_expression_and_opaque_results(self):
         registry = UDFRegistry()

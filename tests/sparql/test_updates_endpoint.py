@@ -138,13 +138,6 @@ class TestEndpoint:
         endpoint.reset_counters()
         assert endpoint.last_statistics() is None
 
-    def test_udf_call_counting(self, endpoint):
-        endpoint.register_udf("sql:UDFS.constant", lambda *_: "x")
-        endpoint.select(PREFIXES + """
-            SELECT ?p sql:UDFS.constant(?p) as ?c WHERE { ?p a dblp:Publication . }""")
-        assert endpoint.total_udf_calls("sql:UDFS.constant") == 2
-        assert endpoint.last_statistics().udf_calls == 2
-
     def test_result_set_helpers(self, endpoint):
         result = endpoint.select(PREFIXES +
                                  "SELECT ?p ?t WHERE { ?p dblp:title ?t . } ORDER BY ?t")
