@@ -71,6 +71,66 @@ class TestEmbeddingStore:
         scores, indices = ivf.search(vectors[:2], k=5)
         assert indices.shape == (2, 5)
 
+    # A similarity model keeps the index of its embeddings in its own
+    # artefacts; these drive it through GMLaaS on a hand-stored model.
+    URI = "https://www.kgnet.com/model/test/index"
+
+    def _service(self, keys, vectors):
+        service = GMLaaS(config=QUICK)
+        service.model_store.add(StoredModel(
+            uri=IRI(self.URI), task_type=TaskType.ENTITY_SIMILARITY,
+            method="distmult", model=None,
+            artifacts={"entity_names": keys, "entity_embeddings": vectors}))
+        return service
+
+    def test_store_create_and_search(self):
+        keys, vectors = self._vectors()
+        service = self._service(keys, vectors)
+        stored = service.model_store.get(self.URI)
+        assert stored.artifact("similarity_index") is None
+        results = service.infer_similar_entities(self.URI, keys[0], k=3)
+        assert [result["rank"] for result in results] == [0, 1, 2]
+        index, rows = stored.artifact("similarity_index")
+        assert len(index) == len(keys) and rows[keys[7]] == 7
+        _, found = index.search(vectors[0], k=4)
+        assert [keys[int(at)] for at in found[0][1:]] == [
+            result["entity"] for result in results]
+        # Built once: a second search reuses the same index.
+        service.infer_similar_entities(self.URI, keys[1], k=3)
+        assert stored.artifact("similarity_index")[0] is index
+
+    def test_store_similar_to_excludes_self(self):
+        keys, vectors = self._vectors()
+        service = self._service(keys, vectors)
+        results = service.infer_similar_entities(self.URI, keys[5], k=4)
+        assert len(results) == 4
+        assert all(result["entity"] != keys[5] for result in results)
+        assert results[0]["score"] >= results[-1]["score"]
+
+    def test_store_unknown_collection_and_key(self):
+        keys, vectors = self._vectors()
+        service = self._service(keys, vectors)
+        with pytest.raises(ModelNotFoundError):
+            service.infer_similar_entities("https://www.kgnet.com/model/none", keys[0])
+        assert service.infer_similar_entities(self.URI, "unknown-key") == []
+        service.model_store.add(StoredModel(
+            uri=IRI(self.URI + "/bare"), task_type=TaskType.ENTITY_SIMILARITY,
+            method="distmult", model=None))
+        with pytest.raises(InferenceError):
+            service.infer_similar_entities(self.URI + "/bare", keys[0])
+
+    def test_store_drop_collection(self):
+        keys, vectors = self._vectors()
+        service = self._service(keys, vectors)
+        stored = service.model_store.get(self.URI)
+        service.infer_similar_entities(self.URI, keys[0], k=3)
+        assert stored.artifact("similarity_index") is not None
+        assert service.delete_model(self.URI) is True
+        assert service.delete_model(self.URI) is False
+        assert service.list_models() == []
+        with pytest.raises(ModelNotFoundError):
+            service.infer_similar_entities(self.URI, keys[0])
+
 
 # ---------------------------------------------------------------------------
 # Model store

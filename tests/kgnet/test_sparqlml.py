@@ -233,6 +233,17 @@ class TestModelSelectionOptimizer:
         with pytest.raises(ModelNotFoundError):
             SPARQLMLOptimizer().select_model([])
 
+    def test_rank_models_orders_best_first(self):
+        """Picking from what is left each time orders the models best first."""
+        optimizer = SPARQLMLOptimizer()
+        models = [make_model("urn:m1", 0.7, 0.1), make_model("urn:m2", 0.9, 0.3),
+                  make_model("urn:m3", 0.8, 0.2)]
+        ranked = []
+        while models:
+            ranked.append(optimizer.select_model(models))
+            models.remove(ranked[-1])
+        assert [m.uri.value for m in ranked] == ["urn:m2", "urn:m3", "urn:m1"]
+
 
 class TestPlanChoice:
     def test_many_targets_prefer_dictionary(self):

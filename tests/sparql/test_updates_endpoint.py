@@ -138,6 +138,17 @@ class TestEndpoint:
         endpoint.reset_counters()
         assert endpoint.last_statistics() is None
 
+    def test_udf_call_counting(self, endpoint):
+        """A UDF in the projection runs once per solution row."""
+        calls = []
+        endpoint.register_udf("sql:UDFS.constant",
+                              lambda *args: calls.append(args) or "x")
+        result = endpoint.select(PREFIXES + """
+            SELECT ?p sql:UDFS.constant(?p) as ?c WHERE { ?p a dblp:Publication . }""")
+        assert len(calls) == 2
+        assert sorted(str(args[0]) for args in calls) == sorted(
+            str(term) for term in result.column("p"))
+
     def test_result_set_helpers(self, endpoint):
         result = endpoint.select(PREFIXES +
                                  "SELECT ?p ?t WHERE { ?p dblp:title ?t . } ORDER BY ?t")
