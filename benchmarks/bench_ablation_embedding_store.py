@@ -2,8 +2,9 @@
 
 GMLaaS keeps trained embeddings in an embedding store (FAISS in the paper)
 for ad-hoc similarity queries.  This benchmark indexes the embeddings of a
-trained link-prediction model and compares the exact (flat) index with the
-inverted-file (IVF) index on top-10 search latency and recall.
+trained link-prediction model and compares the exact (flat) index, which
+GMLaaS searches with, against the inverted-file (IVF) index in
+``ivf_index.py`` beside this file, on top-10 search latency and recall.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from harness import save_report
-from repro.kgnet.gmlaas.embedding_store import FlatIndex, IVFIndex
+from ivf_index import IVFIndex
+from repro.kgnet.gmlaas.embedding_store import FlatIndex
 
 _ROWS = []
 

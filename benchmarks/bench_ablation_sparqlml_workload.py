@@ -4,7 +4,7 @@ The paper identifies "benchmarks to evaluate optimization approaches for
 SPARQL-ML queries" — queries varying in the number of user-defined
 predicates and the cardinality of their variables — as a research
 opportunity.  This benchmark generates such a workload with
-:class:`repro.kgnet.sparqlml.workload.SPARQLMLWorkloadGenerator`, executes it
+:class:`sparqlml_workload.SPARQLMLWorkloadGenerator` (beside this file), executes it
 once with the cost-based plan optimizer and once with each plan forced, and
 reports the total number of UDF/HTTP calls each strategy needs.
 """
@@ -15,7 +15,7 @@ import pytest
 
 from harness import save_report
 from repro.datasets import dblp_author_affiliation_task, dblp_paper_venue_task
-from repro.kgnet import SPARQLMLWorkloadGenerator, run_workload
+from sparqlml_workload import SPARQLMLWorkloadGenerator, run_workload
 
 _ROWS = []
 _STRATEGIES = [("optimizer", None), ("force per_instance", "per_instance"),

@@ -14,12 +14,15 @@ generates such workloads against whatever models are registered in KGMeta:
 * :func:`run_workload` — executes a workload and reports per-query plan
   choice, HTTP calls and execution time (the numbers an optimizer benchmark
   would compare).
+
+It drives ``bench_ablation_sparqlml_workload.py`` beside it; the platform
+itself never imports it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np

@@ -45,7 +45,6 @@ from repro.server import KGNetHTTPServer, RemoteClient, serve
 from repro.storage import StorageEngine
 
 __all__ = [
-    "__version__",
     "API_VERSION",
     "APIClient",
     "APIRequest",

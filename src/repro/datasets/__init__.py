@@ -4,7 +4,6 @@ from repro.datasets.generator import (
     GeneratorConfig,
     KGBuilder,
     StreamingKGConfig,
-    materialize_synthetic_kg,
     stream_synthetic_kg,
 )
 from repro.datasets.dblp import (
@@ -21,7 +20,6 @@ __all__ = [
     "KGBuilder",
     "StreamingKGConfig",
     "stream_synthetic_kg",
-    "materialize_synthetic_kg",
     "DBLPConfig",
     "generate_dblp_kg",
     "dblp_paper_venue_task",

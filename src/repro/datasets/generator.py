@@ -14,7 +14,7 @@ heterogeneity, not on absolute size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.rdf.namespace import Namespace
 from repro.rdf.terms import IRI, Literal, RDF_TYPE, Triple
 
 __all__ = ["KGBuilder", "GeneratorConfig", "StreamingKGConfig",
-           "stream_synthetic_kg", "materialize_synthetic_kg"]
+           "stream_synthetic_kg"]
 
 
 @dataclass
@@ -64,10 +64,6 @@ class KGBuilder:
         self.graph.add(entity, RDF_TYPE, self.ns[type_name])
         return entity
 
-    def entities_of(self, type_name: str) -> List[IRI]:
-        return [s for s in self.graph.subjects(RDF_TYPE, self.ns[type_name])
-                if isinstance(s, IRI)]
-
     # ------------------------------------------------------------------
     # Triple helpers
     # ------------------------------------------------------------------
@@ -76,19 +72,6 @@ class KGBuilder:
 
     def add_literal(self, subject: IRI, predicate: IRI, value) -> None:
         self.graph.add(subject, predicate, Literal(value))
-
-    def link_many(self, subjects: Sequence[IRI], predicate: IRI,
-                  objects: Sequence[IRI], per_subject: int = 1,
-                  replace: bool = False) -> None:
-        """Link each subject to ``per_subject`` randomly drawn objects."""
-        if not objects:
-            raise DatasetError("cannot link to an empty object list")
-        objects = list(objects)
-        for subject in subjects:
-            count = min(per_subject, len(objects)) if not replace else per_subject
-            chosen = self.rng.choice(len(objects), size=count, replace=replace)
-            for index in np.atleast_1d(chosen):
-                self.add(subject, predicate, objects[int(index)])
 
     # ------------------------------------------------------------------
     # Random draws
@@ -248,18 +231,3 @@ def stream_synthetic_kg(config: Optional[StreamingKGConfig] = None,
             yield Triple(IRI(f"{base}e{si}"), predicate_iris[pi],
                          IRI(f"{base}e{oi}"))
         remaining -= size
-
-
-def materialize_synthetic_kg(config: Optional[StreamingKGConfig] = None,
-                             ) -> Graph:
-    """Load the streamed KG into an in-memory :class:`Graph` (small scales).
-
-    Tests and the benchmark harness use this below ~1M triples; beyond
-    that, feed :func:`stream_synthetic_kg` to the bulk loader directly.
-    """
-    from repro.storage.bulkload import stream_load_triples
-
-    config = config or StreamingKGConfig()
-    graph = Graph()
-    stream_load_triples(graph, stream_synthetic_kg(config))
-    return graph

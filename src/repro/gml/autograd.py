@@ -29,15 +29,11 @@ __all__ = [
     "Tensor",
     "Parameter",
     "no_grad",
-    "zeros",
-    "ones",
-    "tensor",
     "spmm",
     "concatenate",
     "stack",
     "gather_rows",
     "dropout",
-    "log_softmax",
     "softmax",
     "cross_entropy",
     "binary_cross_entropy_with_logits",
@@ -410,18 +406,6 @@ class Parameter(Tensor):
 # Free functions
 # ---------------------------------------------------------------------------
 
-def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(*shape: int, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(*shape: int, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
 def spmm(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
     """Multiply a constant sparse matrix by a dense tensor (A @ X).
 
@@ -585,9 +569,3 @@ class Embedding:
 
     def parameters(self) -> List[Parameter]:
         return [self.weight]
-
-    def normalize_(self, max_norm: float = 1.0) -> None:
-        """In-place row L2 normalisation (TransE-style constraint)."""
-        norms = np.linalg.norm(self.weight.data, axis=1, keepdims=True)
-        norms = np.maximum(norms, 1e-12)
-        self.weight.data = self.weight.data / norms * np.minimum(norms, max_norm)

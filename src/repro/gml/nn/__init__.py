@@ -1,18 +1,15 @@
 """Neural-network building blocks: modules, layers, models, optimizers."""
 
 from repro.gml.nn.module import Module
-from repro.gml.nn.init import xavier_normal, xavier_uniform, uniform, zeros_init
-from repro.gml.nn.layers import GATConv, GCNConv, Linear, RGCNConv
-from repro.gml.nn.models import GAT, GCN, MLPClassifier, NodeClassifier, RGCN
-from repro.gml.nn.optim import SGD, Adam, Optimizer, StepLR, clip_grad_norm
+from repro.gml.nn.init import xavier_uniform, zeros_init
+from repro.gml.nn.layers import GATConv, GCNConv, RGCNConv
+from repro.gml.nn.models import GAT, GCN, NodeClassifier, RGCN
+from repro.gml.nn.optim import Adam, Optimizer, clip_grad_norm
 
 __all__ = [
     "Module",
     "xavier_uniform",
-    "xavier_normal",
-    "uniform",
     "zeros_init",
-    "Linear",
     "GCNConv",
     "RGCNConv",
     "GATConv",
@@ -20,10 +17,7 @@ __all__ = [
     "GCN",
     "RGCN",
     "GAT",
-    "MLPClassifier",
     "Optimizer",
-    "SGD",
     "Adam",
-    "StepLR",
     "clip_grad_norm",
 ]

@@ -1,10 +1,10 @@
-"""Weight initialisation utilities (Xavier/Glorot, uniform, zeros)."""
+"""Weight initialisation utilities (Xavier/Glorot uniform, zeros)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "uniform", "zeros_init"]
+__all__ = ["xavier_uniform", "zeros_init"]
 
 
 def xavier_uniform(shape, gain: float = 1.0, seed: int = 0) -> np.ndarray:
@@ -14,20 +14,6 @@ def xavier_uniform(shape, gain: float = 1.0, seed: int = 0) -> np.ndarray:
     fan_out = shape[-1]
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape, gain: float = 1.0, seed: int = 0) -> np.ndarray:
-    """Glorot & Bengio (2010) normal initialisation."""
-    rng = np.random.default_rng(seed)
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
-    fan_out = shape[-1]
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def uniform(shape, low: float = -0.1, high: float = 0.1, seed: int = 0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.uniform(low, high, size=shape)
 
 
 def zeros_init(shape) -> np.ndarray:

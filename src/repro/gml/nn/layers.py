@@ -2,7 +2,6 @@
 
 Layers implemented (paper Fig 5 taxonomy):
 
-* :class:`Linear` — dense affine map,
 * :class:`GCNConv` — spectral graph convolution (Kipf & Welling),
 * :class:`RGCNConv` — relational GCN with basis decomposition
   (Schlichtkrull et al., the paper's full-batch baseline),
@@ -25,7 +24,7 @@ from repro.gml.autograd import Parameter, Tensor, gather_rows, spmm, spmm_transp
 from repro.gml.nn.init import xavier_uniform, zeros_init
 from repro.gml.nn.module import Module
 
-__all__ = ["Linear", "GCNConv", "RGCNConv", "GATConv"]
+__all__ = ["GCNConv", "RGCNConv", "GATConv"]
 
 
 def _summed(total: Optional[np.ndarray], term: np.ndarray) -> np.ndarray:
@@ -34,27 +33,6 @@ def _summed(total: Optional[np.ndarray], term: np.ndarray) -> np.ndarray:
         return term
     total += term
     return total
-
-
-class Linear(Module):
-    """Dense layer ``y = x W + b``."""
-
-    def __init__(self, in_features: int, out_features: int, bias: bool = True,
-                 seed: int = 0) -> None:
-        super().__init__()
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Parameter(xavier_uniform((in_features, out_features), seed=seed),
-                                name="linear.weight")
-        self.bias = Parameter(zeros_init((out_features,)), name="linear.bias") if bias else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_features:
-            raise ShapeError(f"Linear expected {self.in_features} features, got {x.shape[-1]}")
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
 
 
 class GCNConv(Module):
@@ -171,12 +149,13 @@ class GATConv(Module):
     sparse incidence matrices, so the whole computation stays differentiable.
     """
 
+    negative_slope = 0.2
+
     def __init__(self, in_features: int, out_features: int,
-                 negative_slope: float = 0.2, bias: bool = True, seed: int = 0) -> None:
+                 bias: bool = True, seed: int = 0) -> None:
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.negative_slope = negative_slope
         self.weight = Parameter(xavier_uniform((in_features, out_features), seed=seed),
                                 name="gat.weight")
         self.attn_src = Parameter(xavier_uniform((out_features, 1), seed=seed + 1),

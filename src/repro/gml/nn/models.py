@@ -10,18 +10,17 @@ and the sampler are independent choices.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
-from scipy import sparse as sp
 
 from repro.exceptions import TrainingError
-from repro.gml.autograd import Tensor, dropout, log_softmax, no_grad
+from repro.gml.autograd import Tensor, dropout, no_grad
 from repro.gml.data import GraphData
-from repro.gml.nn.layers import GATConv, GCNConv, Linear, RGCNConv
+from repro.gml.nn.layers import GATConv, GCNConv, RGCNConv
 from repro.gml.nn.module import Module
 
-__all__ = ["NodeClassifier", "GCN", "RGCN", "GAT", "MLPClassifier"]
+__all__ = ["NodeClassifier", "GCN", "RGCN", "GAT"]
 
 
 class NodeClassifier(Module):
@@ -38,15 +37,6 @@ class NodeClassifier(Module):
         if nodes is not None:
             return predictions[np.asarray(nodes, dtype=np.int64)]
         return predictions
-
-    def predict_proba(self, data: GraphData,
-                      nodes: Optional[np.ndarray] = None) -> np.ndarray:
-        with no_grad():
-            logits = self.forward(data)
-            probs = np.exp(log_softmax(logits, axis=-1).data)
-        if nodes is not None:
-            return probs[np.asarray(nodes, dtype=np.int64)]
-        return probs
 
 
 class GCN(NodeClassifier):
@@ -128,25 +118,3 @@ class GAT(NodeClassifier):
                 h = h.relu()
                 h = dropout(h, self.dropout_p, training=self.training, rng=self._rng)
         return h
-
-
-class MLPClassifier(NodeClassifier):
-    """Structure-free baseline: an MLP over node features only.
-
-    Useful as a sanity baseline in tests and ablations (a GNN should beat it
-    whenever the graph structure carries signal).
-    """
-
-    def __init__(self, in_features: int, hidden_features: int, num_classes: int,
-                 dropout_p: float = 0.3, seed: int = 0) -> None:
-        super().__init__()
-        self.dropout_p = dropout_p
-        self._rng = np.random.default_rng(seed)
-        self.layer1 = Linear(in_features, hidden_features, seed=seed)
-        self.layer2 = Linear(hidden_features, num_classes, seed=seed + 1)
-
-    def forward(self, data: GraphData, features: Optional[Tensor] = None) -> Tensor:
-        h = features if features is not None else Tensor(data.features)
-        h = self.layer1(h).relu()
-        h = dropout(h, self.dropout_p, training=self.training, rng=self._rng)
-        return self.layer2(h)

@@ -1,15 +1,15 @@
-"""Gradient-descent optimizers (SGD with momentum, Adam) and LR scheduling."""
+"""Gradient-descent optimizer (Adam) and gradient-norm clipping."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import TrainingError
 from repro.gml.autograd import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "StepLR", "clip_grad_norm"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters: List[Parameter], max_norm: float) -> float:
@@ -46,41 +46,15 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, parameters: List[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for parameter in self.parameters:
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
-            if self.momentum:
-                velocity = self._velocity.get(id(parameter))
-                if velocity is None:
-                    velocity = np.zeros_like(parameter.data)
-                velocity = self.momentum * velocity + grad
-                self._velocity[id(parameter)] = velocity
-                grad = velocity
-            parameter.data = parameter.data - self.lr * grad
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba, 2015)."""
 
+    beta1 = 0.9
+    beta2 = 0.999
+
     def __init__(self, parameters: List[Parameter], lr: float = 0.01,
-                 betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0) -> None:
+                 eps: float = 1e-8, weight_decay: float = 0.0) -> None:
         super().__init__(parameters, lr)
-        self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         #: First and second moments per parameter, made by the first
@@ -114,22 +88,3 @@ class Adam(Optimizer):
             m_hat = m / (1 - self.beta1 ** self._step)
             v_hat = v / (1 - self.beta2 ** self._step)
             parameter.data = parameter.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class StepLR:
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int = 10,
-                 gamma: float = 0.5) -> None:
-        if step_size < 1:
-            raise TrainingError("step_size must be >= 1")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> float:
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-        return self.optimizer.lr

@@ -1,11 +1,7 @@
 """Graph samplers: GraphSAINT, ShaDow and triple/negative sampling."""
 
 from repro.gml.sampling.base import SampledSubgraph, SubgraphSampler
-from repro.gml.sampling.graphsaint import (
-    GraphSAINTEdgeSampler,
-    GraphSAINTNodeSampler,
-    GraphSAINTRandomWalkSampler,
-)
+from repro.gml.sampling.graphsaint import GraphSAINTNodeSampler
 from repro.gml.sampling.shadow import ShadowKHopSampler
 from repro.gml.sampling.negative import (
     EdgeSubKGSampler,
@@ -17,8 +13,6 @@ __all__ = [
     "SampledSubgraph",
     "SubgraphSampler",
     "GraphSAINTNodeSampler",
-    "GraphSAINTEdgeSampler",
-    "GraphSAINTRandomWalkSampler",
     "ShadowKHopSampler",
     "EdgeSubKGSampler",
     "NegativeSampler",

@@ -22,14 +22,12 @@ class SampledSubgraph:
     """A sampled subgraph plus its mapping back to the full graph."""
 
     def __init__(self, data: GraphData, node_mapping: np.ndarray,
-                 edge_weight: Optional[np.ndarray] = None,
                  node_weight: Optional[np.ndarray] = None,
                  root_nodes: Optional[np.ndarray] = None) -> None:
         self.data = data
         #: ``node_mapping[i]`` is the full-graph id of subgraph node ``i``.
         self.node_mapping = node_mapping
-        #: GraphSAINT normalisation coefficients (loss / aggregator weights).
-        self.edge_weight = edge_weight
+        #: GraphSAINT normalisation coefficients (loss weights).
         self.node_weight = node_weight
         #: For ShaDow-style samplers: the subgraph-local indices of the root
         #: (target) nodes the prediction is read out from.
@@ -61,16 +59,9 @@ class SubgraphSampler:
         self.num_batches = num_batches
         self.rng = np.random.default_rng(seed)
 
-    def sample_nodes(self) -> np.ndarray:
-        """Return the node ids of one sampled subgraph (subclass hook)."""
-        raise NotImplementedError
-
     def sample(self) -> SampledSubgraph:
-        nodes = self.sample_nodes()
-        if nodes.size == 0:
-            raise SamplingError("sampler produced an empty subgraph")
-        sub, mapping = self.data.subgraph(nodes)
-        return SampledSubgraph(sub, mapping)
+        """Draw one mini-batch (subclass hook)."""
+        raise NotImplementedError
 
     def __iter__(self) -> Iterator[SampledSubgraph]:
         for _ in range(self.num_batches):
@@ -78,11 +69,3 @@ class SubgraphSampler:
 
     def __len__(self) -> int:
         return self.num_batches
-
-    # -- cost model hooks (used by the method selector) -----------------------
-    def estimated_subgraph_nodes(self) -> int:
-        return self.batch_size
-
-    def sampling_cost_per_batch(self) -> float:
-        """Relative cost of drawing one batch (sampling heuristic dependent)."""
-        return float(self.batch_size)

@@ -21,12 +21,11 @@ class NegativeSampler:
     """Corrupt heads or tails of positive triples uniformly at random."""
 
     def __init__(self, num_entities: int, num_negatives: int = 8,
-                 corrupt_both: bool = True, seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         if num_negatives < 1:
             raise SamplingError("num_negatives must be >= 1")
         self.num_entities = num_entities
         self.num_negatives = num_negatives
-        self.corrupt_both = corrupt_both
         self.rng = np.random.default_rng(seed)
 
     def corrupt(self, triples: np.ndarray) -> np.ndarray:
@@ -35,10 +34,7 @@ class NegativeSampler:
         negatives = positives.copy()
         random_entities = self.rng.integers(0, self.num_entities,
                                             size=negatives.shape[0])
-        if self.corrupt_both:
-            corrupt_head = self.rng.random(negatives.shape[0]) < 0.5
-        else:
-            corrupt_head = np.zeros(negatives.shape[0], dtype=bool)
+        corrupt_head = self.rng.random(negatives.shape[0]) < 0.5
         negatives[corrupt_head, 0] = random_entities[corrupt_head]
         negatives[~corrupt_head, 2] = random_entities[~corrupt_head]
         return negatives

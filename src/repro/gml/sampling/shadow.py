@@ -79,19 +79,8 @@ class ShadowKHopSampler(SubgraphSampler):
             frontier = next_frontier
         return np.asarray(sorted(visited), dtype=np.int64)
 
-    def sample_nodes(self) -> np.ndarray:
-        return self._expand(self._next_roots())
-
     def sample(self) -> SampledSubgraph:
         roots = self._next_roots()
         nodes = self._expand(roots)
         sub, mapping = self.data.subgraph(nodes)
         return SampledSubgraph(sub, mapping, root_nodes=np.searchsorted(mapping, roots))
-
-    def estimated_subgraph_nodes(self) -> int:
-        # Each root expands to at most sum_{i<=depth} neighbors_per_hop^i nodes.
-        per_root = sum(self.neighbors_per_hop ** i for i in range(1, self.depth + 1)) + 1
-        return int(min(self.data.num_nodes, self.batch_size * per_root))
-
-    def sampling_cost_per_batch(self) -> float:
-        return float(self.batch_size * self.neighbors_per_hop * self.depth)

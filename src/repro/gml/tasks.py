@@ -9,7 +9,7 @@ configuration for entity matching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.exceptions import DatasetError
@@ -45,7 +45,6 @@ class TaskSpec:
     target_predicate: Optional[IRI] = None
     #: Entity similarity: the node type whose embeddings are indexed.
     entity_node_type: Optional[IRI] = None
-    extra: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.task_type not in TaskType.ALL:
@@ -112,7 +111,4 @@ class TaskSpec:
                 kwargs[name] = value
             elif value is not None:
                 kwargs[name] = IRI(str(value))
-        extra = payload.get("extra")
-        if isinstance(extra, dict):
-            kwargs["extra"] = dict(extra)
         return cls(**kwargs)

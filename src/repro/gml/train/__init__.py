@@ -4,21 +4,15 @@ from repro.gml.train.budget import (
     ResourceMonitor,
     ResourceUsage,
     TaskBudget,
-    parse_budget,
 )
 from repro.gml.train.estimator import (
     METHOD_PROFILES,
     CostEstimate,
     MethodCostEstimator,
-    MethodProfile,
 )
 from repro.gml.train.metrics import (
     accuracy,
     classification_report,
-    confusion_matrix,
-    f1_score,
-    hits_at_k,
-    mean_reciprocal_rank,
 )
 from repro.gml.train.trainer import (
     FullBatchNodeClassificationTrainer,
@@ -32,17 +26,11 @@ __all__ = [
     "ResourceMonitor",
     "ResourceUsage",
     "TaskBudget",
-    "parse_budget",
     "METHOD_PROFILES",
     "CostEstimate",
     "MethodCostEstimator",
-    "MethodProfile",
     "accuracy",
     "classification_report",
-    "confusion_matrix",
-    "f1_score",
-    "hits_at_k",
-    "mean_reciprocal_rank",
     "FullBatchNodeClassificationTrainer",
     "KGETrainer",
     "MorsETrainer",

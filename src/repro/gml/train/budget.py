@@ -17,7 +17,7 @@ from typing import Dict, Optional
 
 from repro.exceptions import BudgetExceededError, TrainingError
 
-__all__ = ["TaskBudget", "ResourceUsage", "ResourceMonitor", "parse_budget"]
+__all__ = ["TaskBudget", "ResourceUsage", "ResourceMonitor"]
 
 #: ``tracemalloc`` has one peak per process: only one monitor probes at a time.
 _PROBE_LOCK = threading.Lock()
@@ -78,13 +78,6 @@ class TaskBudget:
 
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
-
-
-def parse_budget(payload: Optional[Dict[str, object]]) -> TaskBudget:
-    """Convenience wrapper accepting None (=> unconstrained budget)."""
-    if not payload:
-        return TaskBudget()
-    return TaskBudget.from_json(payload)
 
 
 @dataclass

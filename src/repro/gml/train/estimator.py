@@ -17,7 +17,7 @@ from typing import Dict, Optional, Union
 from repro.exceptions import TrainingError
 from repro.gml.data import GraphData, TriplesData
 
-__all__ = ["MethodProfile", "CostEstimate", "MethodCostEstimator", "METHOD_PROFILES"]
+__all__ = ["CostEstimate", "MethodCostEstimator", "METHOD_PROFILES"]
 
 _FLOAT_BYTES = 8
 #: Throughput constant translating "floating point operations" into seconds.

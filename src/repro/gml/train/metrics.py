@@ -1,17 +1,14 @@
-"""Evaluation metrics: classification (accuracy, F1) and ranking (MRR, Hits@k)."""
+"""Classification metrics (accuracy, F1); ranking metrics are
+:func:`repro.gml.kge.base.ranking_metrics`."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 __all__ = [
     "accuracy",
-    "f1_score",
-    "confusion_matrix",
-    "mean_reciprocal_rank",
-    "hits_at_k",
     "classification_report",
 ]
 
@@ -71,17 +68,3 @@ def classification_report(y_true: np.ndarray, y_pred: np.ndarray,
         "f1_macro": f1_score(y_true, y_pred, average="macro", num_classes=num_classes),
         "f1_micro": f1_score(y_true, y_pred, average="micro", num_classes=num_classes),
     }
-
-
-def mean_reciprocal_rank(ranks: np.ndarray) -> float:
-    ranks = np.asarray(ranks, dtype=np.float64)
-    if ranks.size == 0:
-        return 0.0
-    return float((1.0 / ranks).mean())
-
-
-def hits_at_k(ranks: np.ndarray, k: int = 10) -> float:
-    ranks = np.asarray(ranks, dtype=np.float64)
-    if ranks.size == 0:
-        return 0.0
-    return float((ranks <= k).mean())

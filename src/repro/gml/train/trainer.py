@@ -154,12 +154,14 @@ class _BaseTrainer:
 class _NodeClassificationTrainer(_BaseTrainer):
     """Optimizer set-up and evaluation of a :class:`NodeClassifier`."""
 
+    #: Largest global gradient norm a step applies.
+    grad_clip = 5.0
+
     def __init__(self, model: NodeClassifier, data: GraphData, epochs: int,
-                 learning_rate: float, weight_decay: float, grad_clip: float,
+                 learning_rate: float, weight_decay: float,
                  budget: Optional[TaskBudget], enforce_budget: bool,
                  method_name: str) -> None:
         super().__init__(model, data, epochs, method_name, budget, enforce_budget)
-        self.grad_clip = grad_clip
         self.optimizer: Optimizer = Adam(model.parameters(), lr=learning_rate,
                                          weight_decay=weight_decay)
 
@@ -204,12 +206,12 @@ class FullBatchNodeClassificationTrainer(_NodeClassificationTrainer):
 
     def __init__(self, model: NodeClassifier, data: GraphData,
                  epochs: int = 40, learning_rate: float = 0.01,
-                 weight_decay: float = 5e-4, grad_clip: float = 5.0,
+                 weight_decay: float = 5e-4,
                  budget: Optional[TaskBudget] = None,
                  enforce_budget: bool = False,
                  method_name: str = "rgcn") -> None:
         super().__init__(model, data, epochs, learning_rate, weight_decay,
-                         grad_clip, budget, enforce_budget, method_name)
+                         budget, enforce_budget, method_name)
         if data.labeled_nodes().size == 0:
             raise TrainingError("dataset has no labelled nodes")
         self._train_nodes = np.flatnonzero(data.train_mask)
@@ -233,11 +235,11 @@ class SamplingNodeClassificationTrainer(_NodeClassificationTrainer):
     def __init__(self, model: NodeClassifier, data: GraphData,
                  sampler: SubgraphSampler, epochs: int = 20,
                  learning_rate: float = 0.01, weight_decay: float = 5e-4,
-                 grad_clip: float = 5.0, budget: Optional[TaskBudget] = None,
+                 budget: Optional[TaskBudget] = None,
                  enforce_budget: bool = False,
                  method_name: str = "graph_saint") -> None:
         super().__init__(model, data, epochs, learning_rate, weight_decay,
-                         grad_clip, budget, enforce_budget, method_name)
+                         budget, enforce_budget, method_name)
         self.sampler = sampler
 
     def _train_epoch(self, epoch: int) -> float:

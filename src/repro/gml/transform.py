@@ -22,7 +22,7 @@ nodes and so change every trained model.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -70,13 +70,11 @@ class RDFGraphTransformer:
     """Transforms RDF graphs into :class:`GraphData` / :class:`TriplesData`."""
 
     def __init__(self, feature_dim: int = 64, split_strategy: str = "random",
-                 split_fractions: Optional[SplitFractions] = None,
                  seed: int = 0) -> None:
         if split_strategy not in ("random", "community"):
             raise DatasetError(f"unknown split strategy {split_strategy!r}")
         self.feature_dim = feature_dim
         self.split_strategy = split_strategy
-        self.split_fractions = split_fractions or SplitFractions()
         self.seed = seed
 
     # ------------------------------------------------------------------
@@ -158,11 +156,10 @@ class RDFGraphTransformer:
 
         if self.split_strategy == "community":
             train_idx, valid_idx, test_idx = community_split(
-                labeled, edge_index, num_nodes,
-                fractions=self.split_fractions, seed=self.seed)
+                labeled, edge_index, num_nodes, seed=self.seed)
         else:
             train_idx, valid_idx, test_idx = random_split(
-                labeled, fractions=self.split_fractions, seed=self.seed)
+                labeled, seed=self.seed)
         train_mask, val_mask, test_mask = split_masks(
             num_nodes, train_idx, valid_idx, test_idx)
         report.split_sizes = {"train": int(train_idx.size),
@@ -231,7 +228,7 @@ class RDFGraphTransformer:
         target_idx = np.asarray(target_triple_indices, dtype=np.int64)
         rng = np.random.default_rng(self.seed)
         permuted = rng.permutation(target_idx)
-        n_train, n_valid, _ = self.split_fractions.counts(permuted.shape[0])
+        n_train, n_valid, _ = SplitFractions().counts(permuted.shape[0])
         valid_idx = permuted[n_train:n_train + n_valid]
         test_idx = permuted[n_train + n_valid:]
         in_train = np.ones(triples_array.shape[0], dtype=bool)

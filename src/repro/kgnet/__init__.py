@@ -4,9 +4,8 @@ from repro.gml.tasks import TaskSpec, TaskType
 from repro.kgnet.meta_sampler import (
     MetaSampler,
     MetaSamplingConfig,
-    MetaSamplingReport,
 )
-from repro.kgnet.kgmeta import KGMETA_GRAPH_IRI, KGMetaGovernor, ModelMetadata, ontology
+from repro.kgnet.kgmeta import KGMetaGovernor, ModelMetadata, ontology
 from repro.kgnet.gmlaas import (
     GMLaaS,
     GMLInferenceManager,
@@ -16,15 +15,10 @@ from repro.kgnet.gmlaas import (
     ModelStore,
     StoredModel,
     TrainingManagerConfig,
-    TrainingOutcome,
     TrainResponse,
 )
 from repro.kgnet.sparqlml import (
     DeleteReport,
-    SPARQLMLWorkloadGenerator,
-    WorkloadQuery,
-    WorkloadReport,
-    run_workload,
     ModelSelectionObjective,
     PlanChoice,
     SelectReport,
@@ -43,8 +37,6 @@ from repro.kgnet.api import (
     APIRequest,
     APIResponse,
     APIRouter,
-    ERROR_CODES,
-    RouteMetrics,
 )
 from repro.kgnet.platform import KGNet
 
@@ -54,14 +46,10 @@ __all__ = [
     "APIRequest",
     "APIResponse",
     "APIRouter",
-    "ERROR_CODES",
-    "RouteMetrics",
     "TaskSpec",
     "TaskType",
     "MetaSampler",
     "MetaSamplingConfig",
-    "MetaSamplingReport",
-    "KGMETA_GRAPH_IRI",
     "KGMetaGovernor",
     "ModelMetadata",
     "ontology",
@@ -73,7 +61,6 @@ __all__ = [
     "ModelStore",
     "StoredModel",
     "TrainingManagerConfig",
-    "TrainingOutcome",
     "TrainResponse",
     "DeleteReport",
     "ModelSelectionObjective",
@@ -87,9 +74,5 @@ __all__ = [
     "TrainReport",
     "UserDefinedPredicate",
     "register_udfs",
-    "SPARQLMLWorkloadGenerator",
-    "WorkloadQuery",
-    "WorkloadReport",
-    "run_workload",
     "KGNet",
 ]

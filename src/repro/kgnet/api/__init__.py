@@ -11,13 +11,12 @@ client (:mod:`~repro.kgnet.api.client`).
 from repro.kgnet.api.client import APIClient
 from repro.kgnet.api.envelopes import API_VERSION, APIRequest, APIResponse
 from repro.kgnet.api.errors import (
-    ERROR_CODES,
     INTERNAL_ERROR,
     error_code,
     error_payload,
     exception_from_payload,
 )
-from repro.kgnet.api.router import APIRouter, RouteMetrics
+from repro.kgnet.api.router import APIRouter
 
 __all__ = [
     "API_VERSION",
@@ -25,9 +24,7 @@ __all__ = [
     "APIRequest",
     "APIResponse",
     "APIRouter",
-    "ERROR_CODES",
     "INTERNAL_ERROR",
-    "RouteMetrics",
     "error_code",
     "error_payload",
     "exception_from_payload",

@@ -36,7 +36,7 @@ from typing import Callable, Dict, Optional, Union
 from repro.exceptions import BadRequestError
 from repro.kgnet.api.errors import error_payload, exception_from_payload
 
-__all__ = ["API_VERSION", "APIRequest", "APIResponse", "RawJSON", "encode_json"]
+__all__ = ["API_VERSION", "APIRequest", "APIResponse", "RawJSON"]
 
 #: The protocol version every envelope carries.  Bump the suffix on breaking
 #: changes; envelopes carrying any other version string are rejected.

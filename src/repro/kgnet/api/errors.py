@@ -20,7 +20,6 @@ from typing import Dict, Optional, Type
 from repro import exceptions as X
 
 __all__ = [
-    "ERROR_CODES",
     "HTTP_STATUS_BY_CODE",
     "INTERNAL_ERROR",
     "error_code",

@@ -32,11 +32,13 @@ from repro.concurrency.scheduler import AdmissionController, QueryScheduler
 from repro.exceptions import (
     BadRequestError,
     CursorError,
+    DatasetError,
     QueryCancelled,
     QueryPreempted,
     QueryTimeout,
     ReadOnlyReplicaError,
     ServerOverloaded,
+    TrainingError,
     UnknownOperationError,
 )
 from repro.sparql.execution import ExecutionContext, StreamingResult
@@ -56,7 +58,7 @@ from repro.sparql.endpoint import SPARQLEndpoint
 from repro.sparql.results import ResultSet
 from repro.sparql.results.serialize import envelope_rows
 
-__all__ = ["RouteMetrics", "APIRouter", "WRITE_OPS", "GUARDED_OPS"]
+__all__ = ["APIRouter"]
 
 #: Operations a read-only replica refuses outright.  ``sparql``/``sparqlml``
 #: are not listed: they are read ops unless the query text is an update,
@@ -214,7 +216,7 @@ def _as_task(value: object) -> TaskSpec:
     if isinstance(value, TaskSpec):
         return value
     if isinstance(value, dict):
-        return TaskSpec.from_dict(value)
+        return _from_json(TaskSpec.from_dict, value, "task")
     raise BadRequestError("'task' must be a TaskSpec or its JSON object")
 
 
@@ -222,7 +224,7 @@ def _as_budget(value: object) -> Optional[TaskBudget]:
     if value is None or isinstance(value, TaskBudget):
         return value
     if isinstance(value, dict):
-        return TaskBudget.from_json(value)
+        return _from_json(TaskBudget.from_json, value, "budget")
     raise BadRequestError("'budget' must be a TaskBudget or its JSON object")
 
 
@@ -232,7 +234,8 @@ def _as_meta_sampling(value: object) -> Optional[MetaSamplingConfig]:
     if isinstance(value, str):
         return MetaSamplingConfig.from_label(value)
     if isinstance(value, dict):
-        return _from_fields(MetaSamplingConfig, value, "meta_sampling")
+        return _from_json(lambda fields: MetaSamplingConfig(**fields), value,
+                          "meta_sampling")
     raise BadRequestError("'meta_sampling' must be a label like 'd1h1' or a JSON object")
 
 
@@ -240,16 +243,18 @@ def _as_objective(value: object) -> Optional[ModelSelectionObjective]:
     if value is None or isinstance(value, ModelSelectionObjective):
         return value
     if isinstance(value, dict):
-        return _from_fields(ModelSelectionObjective, value, "objective")
+        return _from_json(lambda fields: ModelSelectionObjective(**fields),
+                          value, "objective")
     raise BadRequestError("'objective' must be a ModelSelectionObjective or its JSON object")
 
 
-def _from_fields(cls, value: Dict[str, object], name: str):
-    """``cls(**value)``: an unknown field or a value of the wrong type is
-    the client's fault (400), not the server's."""
+def _from_json(build: Callable[[Dict[str, object]], object],
+               value: Dict[str, object], name: str):
+    """``build(value)``: an unknown field, a value of the wrong type or one
+    the object refuses is the client's fault (400), not the server's."""
     try:
-        return cls(**value)
-    except TypeError as exc:
+        return build(value)
+    except (TypeError, ValueError, DatasetError, TrainingError) as exc:
         raise BadRequestError(f"invalid {name!r} object: {exc}") from None
 
 
@@ -745,8 +750,11 @@ class APIRouter:
         inputs = [_as_iri_text(item, "inputs[]") for item in inputs]
         k = self._coerce_k(params)
         mode = params.get("mode")
-        predictions = self.gmlaas.infer_batch(model_uri, inputs, k=k,
-                                              mode=mode if mode is None else str(mode))
+        if mode not in (None, "class", "links", "similar"):
+            raise BadRequestError(
+                "'mode' must be 'class', 'links' or 'similar', got "
+                f"{mode!r}")
+        predictions = self.gmlaas.infer_batch(model_uri, inputs, k=k, mode=mode)
         page, cursor = self._paginate(predictions, params.get("page_size"))
         # The batch is one GMLInferenceManager.infer: one GMLaaS call.
         result = {"model_uri": model_uri, "total": len(predictions),

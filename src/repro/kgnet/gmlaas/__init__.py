@@ -1,6 +1,6 @@
 """GML-as-a-Service: training manager, model store, embedding indexes, inference."""
 
-from repro.kgnet.gmlaas.embedding_store import FlatIndex, IVFIndex
+from repro.kgnet.gmlaas.embedding_store import FlatIndex
 from repro.kgnet.gmlaas.inference_manager import GMLInferenceManager
 from repro.kgnet.gmlaas.method_selector import MethodSelection, MethodSelector
 from repro.kgnet.gmlaas.model_store import ModelStore, StoredModel
@@ -8,12 +8,10 @@ from repro.kgnet.gmlaas.service import GMLaaS, TrainResponse
 from repro.kgnet.gmlaas.training_manager import (
     GMLTrainingManager,
     TrainingManagerConfig,
-    TrainingOutcome,
 )
 
 __all__ = [
     "FlatIndex",
-    "IVFIndex",
     "GMLInferenceManager",
     "MethodSelection",
     "MethodSelector",
@@ -23,5 +21,4 @@ __all__ = [
     "TrainResponse",
     "GMLTrainingManager",
     "TrainingManagerConfig",
-    "TrainingOutcome",
 ]

@@ -45,7 +45,7 @@ from repro.kgnet.gmlaas.method_selector import MethodSelection, MethodSelector
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Literal
 
-__all__ = ["TrainingManagerConfig", "TrainingOutcome", "GMLTrainingManager"]
+__all__ = ["TrainingManagerConfig", "GMLTrainingManager"]
 
 
 @dataclass

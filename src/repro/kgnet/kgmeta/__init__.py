@@ -2,9 +2,8 @@
 
 from repro.kgnet.kgmeta import ontology
 from repro.kgnet.kgmeta.governor import (
-    KGMETA_GRAPH_IRI,
     KGMetaGovernor,
     ModelMetadata,
 )
 
-__all__ = ["ontology", "KGMETA_GRAPH_IRI", "KGMetaGovernor", "ModelMetadata"]
+__all__ = ["ontology", "KGMetaGovernor", "ModelMetadata"]

@@ -11,10 +11,10 @@ user-defined predicate.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from repro.exceptions import KGMetaError
+from repro.exceptions import ModelNotFoundError
 from repro.gml.tasks import TaskSpec, TaskType
 from repro.kgnet.kgmeta import ontology as O
 from repro.rdf.graph import Graph
@@ -22,7 +22,7 @@ from repro.rdf.namespace import KGNET
 from repro.rdf.terms import IRI, Literal, Term, RDF_TYPE
 from repro.sparql.endpoint import SPARQLEndpoint
 
-__all__ = ["ModelMetadata", "KGMetaGovernor", "KGMETA_GRAPH_IRI"]
+__all__ = ["ModelMetadata", "KGMetaGovernor"]
 
 #: Named graph holding KGMeta inside the endpoint's dataset.
 KGMETA_GRAPH_IRI = IRI(KGNET.base + "KGMeta")
@@ -49,7 +49,6 @@ class ModelMetadata:
     destination_node_type: Optional[IRI] = None
     target_predicate: Optional[IRI] = None
     entity_node_type: Optional[IRI] = None
-    extra: Dict[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
         def iri(value: Optional[IRI]) -> Optional[str]:
@@ -192,7 +191,7 @@ class KGMetaGovernor:
                     model_class = cls
                     task_type = mapped
         if model_class is None:
-            raise KGMetaError(f"model {uri.n3()} is not registered in KGMeta")
+            raise ModelNotFoundError(f"model {uri.n3()} is not registered in KGMeta")
         return ModelMetadata(
             uri=uri,
             task_type=task_type,
@@ -260,14 +259,6 @@ class KGMetaGovernor:
             removed = graph.remove(uri, None, None)
             removed += graph.remove(None, None, uri)
         return removed
-
-    def delete_models(self, model_class: IRI,
-                      constraints: Optional[Dict[IRI, Term]] = None) -> List[IRI]:
-        """Delete all models matching (class, constraints); returns their URIs."""
-        matching = self.find_models(model_class, constraints)
-        for metadata in matching:
-            self.delete_model(metadata.uri)
-        return [m.uri for m in matching]
 
     def __len__(self) -> int:
         return sum(1 for _ in self.graph.subjects(RDF_TYPE, O.GML_MODEL))

@@ -17,8 +17,6 @@ from repro.rdf.namespace import KGNET
 from repro.rdf.terms import IRI
 
 __all__ = [
-    "NODE_CLASSIFIER",
-    "LINK_PREDICTOR",
     "ENTITY_SIMILARITY",
     "GML_MODEL",
     "GML_TASK",
@@ -28,7 +26,6 @@ __all__ = [
     "DESTINATION_NODE",
     "ENTITY_NODE",
     "TOPK_LINKS",
-    "TOPK_SIMILAR",
     "HAS_GML_TASK",
     "USES_MODEL",
     "MODEL_ACCURACY",
@@ -40,9 +37,6 @@ __all__ = [
     "GML_METHOD",
     "SAMPLER",
     "META_SAMPLING_CONFIG",
-    "TASK_BUDGET",
-    "TRAINED_ON_GRAPH",
-    "EMBEDDING_DIM",
     "MODEL_URI_PREFIX",
     "TASK_URI_PREFIX",
     "classifier_class_for_task",
@@ -63,7 +57,6 @@ SOURCE_NODE = KGNET["SourceNode"]
 DESTINATION_NODE = KGNET["DestinationNode"]
 ENTITY_NODE = KGNET["EntityNode"]
 TOPK_LINKS = KGNET["TopK-Links"]
-TOPK_SIMILAR = KGNET["TopK-Similar"]
 
 # -- model metadata properties (Fig 7) ---------------------------------------
 HAS_GML_TASK = KGNET["HasGMLTask"]
@@ -77,9 +70,6 @@ MODEL_CARDINALITY = KGNET["modelCardinality"]
 GML_METHOD = KGNET["gmlMethod"]
 SAMPLER = KGNET["sampler"]
 META_SAMPLING_CONFIG = KGNET["metaSamplingConfig"]
-TASK_BUDGET = KGNET["taskBudget"]
-TRAINED_ON_GRAPH = KGNET["trainedOnGraph"]
-EMBEDDING_DIM = KGNET["embeddingDim"]
 
 MODEL_URI_PREFIX = KGNET.base + "model/"
 TASK_URI_PREFIX = KGNET.base + "task/"

@@ -39,7 +39,7 @@ from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Literal, RDF_TYPE
 
-__all__ = ["MetaSamplingConfig", "MetaSamplingReport", "MetaSampler"]
+__all__ = ["MetaSamplingConfig", "MetaSampler"]
 
 
 @dataclass(frozen=True)

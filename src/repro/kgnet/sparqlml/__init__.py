@@ -19,12 +19,6 @@ from repro.kgnet.sparqlml.service import (
     SPARQLMLService,
     TrainReport,
 )
-from repro.kgnet.sparqlml.workload import (
-    SPARQLMLWorkloadGenerator,
-    WorkloadQuery,
-    WorkloadReport,
-    run_workload,
-)
 
 __all__ = [
     "DeleteModelRequest",
@@ -41,8 +35,4 @@ __all__ = [
     "SelectReport",
     "SPARQLMLService",
     "TrainReport",
-    "SPARQLMLWorkloadGenerator",
-    "WorkloadQuery",
-    "WorkloadReport",
-    "run_workload",
 ]

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.exceptions import KGNetError, SPARQLMLError
+from repro.exceptions import DatasetError, KGNetError, SPARQLMLError, TrainingError
 from repro.gml.tasks import TaskSpec, TaskType
 from repro.gml.train.budget import TaskBudget
 from repro.kgnet.kgmeta import ontology as O
@@ -199,10 +199,13 @@ class SPARQLMLParser:
         task_payload = flat.get("gmltask") or flat.get("task") or {}
         if not isinstance(task_payload, dict):
             raise SPARQLMLError("TrainGML payload is missing the GML-Task object")
-        task = self._task_from_payload(name, task_payload)
         budget_payload = flat.get("taskbudget") or flat.get("budget") or {}
-        budget = TaskBudget.from_json(budget_payload) if isinstance(budget_payload, dict) \
-            else TaskBudget()
+        try:
+            task = self._task_from_payload(name, task_payload)
+            budget = TaskBudget.from_json(budget_payload) \
+                if isinstance(budget_payload, dict) else TaskBudget()
+        except (ValueError, DatasetError, TrainingError) as exc:
+            raise SPARQLMLError(f"invalid TrainGML payload: {exc}") from None
         task_flat = {self._normalise_key(k): v for k, v in task_payload.items()}
         method = flat.get("gmlmethod") or task_flat.get("gmlmethod")
         return TrainGMLRequest(name=name, task=task, budget=budget,

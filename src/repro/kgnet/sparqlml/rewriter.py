@@ -47,10 +47,7 @@ from repro.sparql.ast import (
 )
 from repro.sparql.serializer import serialize_select
 
-__all__ = ["UDF_GET_NODE_CLASS", "UDF_GET_NODE_CLASSES", "UDF_GET_KEY_VALUE",
-           "UDF_GET_LINK_PRED",
-           "UDF_GET_TOPK_LINKS", "UDF_GET_SIMILAR", "RewrittenQuery",
-           "SPARQLMLRewriter"]
+__all__ = ["RewrittenQuery", "SPARQLMLRewriter"]
 
 # Names of the UDFs as they appear in rewritten queries (Virtuoso-style).
 UDF_GET_NODE_CLASS = "sql:UDFS.getNodeClass"

@@ -17,7 +17,6 @@ from repro.rdf.terms import (
     IRI,
     BNode,
     Literal,
-    Quad,
     Term,
     Triple,
     Variable,
@@ -27,13 +26,10 @@ from repro.rdf.terms import (
 )
 from repro.rdf.namespace import (
     DBLP,
-    DEFAULT_PREFIXES,
     KGNET,
     Namespace,
     NamespaceManager,
-    OWL,
     RDF,
-    RDFS,
     SCHEMA,
     XSD,
     YAGO,
@@ -50,13 +46,12 @@ from repro.rdf.io import (
     serialize_ntriples,
     serialize_turtle,
 )
-from repro.rdf.stats import GraphStatistics, compute_statistics, format_table
+from repro.rdf.stats import compute_statistics, format_table
 
 __all__ = [
     "IRI",
     "BNode",
     "Literal",
-    "Quad",
     "Term",
     "Triple",
     "Variable",
@@ -66,14 +61,11 @@ __all__ = [
     "Namespace",
     "NamespaceManager",
     "RDF",
-    "RDFS",
     "XSD",
-    "OWL",
     "KGNET",
     "DBLP",
     "YAGO",
     "SCHEMA",
-    "DEFAULT_PREFIXES",
     "TermDictionary",
     "Graph",
     "GraphSnapshot",
@@ -86,7 +78,6 @@ __all__ = [
     "serialize_ntriples",
     "load_graph",
     "dump_graph",
-    "GraphStatistics",
     "compute_statistics",
     "format_table",
 ]

@@ -24,9 +24,9 @@ from repro.exceptions import RDFError
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import UNKNOWN, ChangeLog, Graph, GraphSnapshot, _NO_MATCH
 from repro.rdf.namespace import NamespaceManager
-from repro.rdf.terms import IRI, Quad, Term, Triple
+from repro.rdf.terms import IRI, Term, Triple
 
-__all__ = ["Dataset", "DatasetSnapshot", "UnionGraphView"]
+__all__ = ["Dataset", "DatasetSnapshot"]
 
 
 class UnionGraphView:
@@ -501,31 +501,6 @@ class Dataset:
 
     def named_graphs(self) -> Iterator[Graph]:
         yield from list(self._named.values())
-
-    # ------------------------------------------------------------------
-    # Quad-level access
-    # ------------------------------------------------------------------
-    def quads(self) -> Iterator[Quad]:
-        for triple in self._default:
-            yield Quad(*triple, graph=None)
-        for identifier, graph in list(self._named.items()):
-            for triple in graph:
-                yield Quad(*triple, graph=identifier)
-
-    def union_graph(self) -> Graph:
-        """Materialise the union of the default and all named graphs.
-
-        The union shares the dataset's dictionary, so the merge runs in id
-        space (no term re-validation or re-interning).  Each graph is pinned
-        while merging, so the result is consistent under concurrent writers
-        (see :meth:`snapshot` for the cached, dataset-consistent variant the
-        endpoint uses).
-        """
-        union = Graph(namespaces=self.namespaces.copy(),
-                      dictionary=self._dictionary)
-        for graph in self.graphs():
-            union.add_all(graph)
-        return union
 
     def __len__(self) -> int:
         return sum(len(graph) for graph in self.graphs())

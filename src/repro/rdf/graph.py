@@ -861,14 +861,14 @@ class Graph:
         return len(self._pos)
 
     def distinct_subject_count(self, predicate: object = None) -> int:
-        """Term-level :meth:`distinct_subjects_ids` (stats/reporting path)."""
+        """Term-level :meth:`distinct_subjects_ids`."""
         if predicate is None:
             return len(self._spo)
         pid = self.encode_term(predicate)
         return self._ps_counts.get(pid, 0) if pid is not None else 0
 
     def distinct_object_count(self, predicate: object = None) -> int:
-        """Term-level :meth:`distinct_objects_ids` (stats/reporting path)."""
+        """Term-level :meth:`distinct_objects_ids`."""
         if predicate is None:
             return len(self._osp)
         pid = self.encode_term(predicate)
@@ -876,19 +876,6 @@ class Graph:
             return 0
         by_obj = self._pos.get(pid)
         return len(by_obj) if by_obj else 0
-
-    def predicate_cardinality(self, predicate: object) -> int:
-        """Number of triples using ``predicate`` (maintained incrementally)."""
-        term = _as_term(predicate, allow_none=True)
-        if term is None:
-            return self._size
-        pid = self._dict.lookup(term)
-        return self._p_counts.get(pid, 0) if pid is not None else 0
-
-    def predicate_cardinalities(self) -> Dict[Term, int]:
-        """Triple counts per predicate term (decoded view of the stats)."""
-        decode = self._dict.decode
-        return {decode(pid): count for pid, count in self._p_counts.items()}
 
     def count(self, subject: Optional[object] = None,
               predicate: Optional[object] = None,

@@ -22,14 +22,11 @@ __all__ = [
     "Namespace",
     "NamespaceManager",
     "RDF",
-    "RDFS",
     "XSD",
-    "OWL",
     "KGNET",
     "DBLP",
     "YAGO",
     "SCHEMA",
-    "DEFAULT_PREFIXES",
 ]
 
 
@@ -165,12 +162,6 @@ class NamespaceManager:
         if not local or any(ch in local for ch in "/#?"):
             return None
         return f"{prefix}:{local}"
-
-    def sparql_preamble(self) -> str:
-        """Render the bindings as SPARQL ``PREFIX`` declarations."""
-        return "\n".join(
-            f"PREFIX {prefix}: <{base}>" for prefix, base in self.prefixes()
-        )
 
     def copy(self) -> "NamespaceManager":
         clone = NamespaceManager(include_defaults=False)

@@ -15,8 +15,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Term, RDF_TYPE
 
-__all__ = ["GraphStatistics", "compute_statistics", "planner_statistics",
-           "format_table"]
+__all__ = ["compute_statistics", "format_table"]
 
 
 @dataclass
@@ -100,31 +99,6 @@ def compute_statistics(graph: Graph) -> GraphStatistics:
         max_out_degree=max(out_degree.values()) if out_degree else 0,
     )
     return stats
-
-
-def planner_statistics(graph: Graph) -> Dict[str, object]:
-    """The cost-based optimizer's view of a graph, decoded for reporting.
-
-    Everything here is read straight off the incrementally maintained
-    counters and index shapes — no scan.  ``predicates`` maps each predicate
-    IRI to its triple count plus the distinct-subject/object counts the
-    selectivity estimator divides by (see ``repro.sparql.optimizer``).
-    """
-    per_predicate: Dict[str, Dict[str, int]] = {}
-    for p, triples in graph.predicate_cardinalities().items():
-        name = p.value if isinstance(p, IRI) else p.n3()
-        per_predicate[name] = {
-            "triples": triples,
-            "distinct_subjects": graph.distinct_subject_count(p),
-            "distinct_objects": graph.distinct_object_count(p),
-        }
-    return {
-        "num_triples": len(graph),
-        "distinct_subjects": graph.distinct_subjects_ids(),
-        "distinct_predicates": graph.distinct_predicates_ids(),
-        "distinct_objects": graph.distinct_objects_ids(),
-        "predicates": per_predicate,
-    }
 
 
 def format_table(rows: List[Dict[str, object]], headers: Optional[List[str]] = None,

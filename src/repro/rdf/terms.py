@@ -21,7 +21,6 @@ __all__ = [
     "BNode",
     "Variable",
     "Triple",
-    "Quad",
     "XSD_STRING",
     "XSD_INTEGER",
     "XSD_DECIMAL",
@@ -403,18 +402,6 @@ class Triple(NamedTuple):
         for term in self:
             if isinstance(term, Variable):
                 yield term
-
-
-class Quad(NamedTuple):
-    """A triple together with the named graph it belongs to."""
-
-    subject: TermOrVariable
-    predicate: TermOrVariable
-    object: TermOrVariable
-    graph: Optional[IRI]
-
-    def triple(self) -> Triple:
-        return Triple(self.subject, self.predicate, self.object)
 
 
 def term_from_python(value: object) -> Term:

@@ -47,7 +47,10 @@ __all__ = ["ReplicaEngine"]
 
 #: Local checkpoint once the replica's WAL grows past this (bounds replay
 #: time after a follower restart; replicas keep no segments of their own).
-DEFAULT_CHECKPOINT_WAL_BYTES = 8 * 1024 * 1024
+CHECKPOINT_WAL_BYTES = 8 * 1024 * 1024
+
+#: Seconds the replica waits on one request to its primary.
+CLIENT_TIMEOUT = 30.0
 
 
 class ReplicaEngine:
@@ -55,19 +58,16 @@ class ReplicaEngine:
 
     def __init__(self, directory: str, primary_url: str,
                  poll_interval: float = 0.1,
-                 fsync: bool = False,
-                 checkpoint_wal_bytes: int = DEFAULT_CHECKPOINT_WAL_BYTES,
-                 client_timeout: float = 30.0) -> None:
+                 fsync: bool = False) -> None:
         self.directory = directory
         self.primary_url = primary_url
         self.poll_interval = poll_interval
-        self.checkpoint_wal_bytes = checkpoint_wal_bytes
         #: Followers default to fsync=False: a lost local commit is always
         #: recoverable from the primary, so follower durability buys little
         #: and costs one fsync per shipped transaction.
         self.storage = StorageEngine(directory, fsync=fsync,
                                      retain_segments=0)
-        self.client = RemoteClient(primary_url, timeout=client_timeout)
+        self.client = RemoteClient(primary_url, timeout=CLIENT_TIMEOUT)
         self.platform: Optional[KGNet] = None
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -160,7 +160,7 @@ class ReplicaEngine:
             self._last_progress = now
         self.last_error = None
         if (applied and self.storage.stats()["wal"]["size_bytes"]
-                > self.checkpoint_wal_bytes):
+                > CHECKPOINT_WAL_BYTES):
             # Compact the local log so a restart replays hours, not days.
             self.storage.checkpoint()
         return applied

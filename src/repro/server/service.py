@@ -95,9 +95,6 @@ __all__ = [
     "ServiceRequest",
     "ServiceResponse",
     "ServiceHandler",
-    "SPARQL_PATH",
-    "ENVELOPE_PATH",
-    "REPLICATION_PATH",
 ]
 
 SPARQL_PATH = "/sparql"

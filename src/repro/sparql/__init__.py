@@ -23,7 +23,7 @@ from repro.sparql.paths import (
 from repro.sparql.serializer import serialize_path, serialize_query
 from repro.sparql.evaluator import QueryEvaluator
 from repro.sparql.plan import QueryPlan
-from repro.sparql.optimizer import estimate_pattern_cardinality, reorder_patterns
+from repro.sparql.optimizer import reorder_patterns
 from repro.sparql.execution import ExecutionContext, StreamingResult
 from repro.sparql.reference import ReferenceQueryEvaluator
 from repro.sparql.functions import (
@@ -36,7 +36,7 @@ from repro.sparql.functions import (
     evaluate_expression,
 )
 from repro.sparql.results import ResultSet, Solution
-from repro.sparql.endpoint import PlanCache, QueryStatistics, SPARQLEndpoint
+from repro.sparql.endpoint import PlanCache, SPARQLEndpoint
 
 __all__ = [
     "Token",
@@ -66,7 +66,6 @@ __all__ = [
     "ExecutionContext",
     "StreamingResult",
     "ReferenceQueryEvaluator",
-    "estimate_pattern_cardinality",
     "reorder_patterns",
     "EvaluationContext",
     "OpaqueValue",
@@ -78,6 +77,5 @@ __all__ = [
     "ResultSet",
     "Solution",
     "PlanCache",
-    "QueryStatistics",
     "SPARQLEndpoint",
 ]

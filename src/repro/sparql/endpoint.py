@@ -62,7 +62,7 @@ from repro.sparql.parser import SPARQLParser
 from repro.sparql.plan import QueryPlan, render
 from repro.sparql.results import ResultSet
 
-__all__ = ["QueryStatistics", "PlanCache", "ResultCache", "SPARQLEndpoint"]
+__all__ = ["PlanCache", "ResultCache", "SPARQLEndpoint"]
 
 
 @dataclass
@@ -144,18 +144,16 @@ class ResultCache(EpochLRU):
     entry is re-stamped and served.  A step the log no longer holds, an
     unlogged step, a footprint of ``None`` (every SPARQL-ML answer) or a
     graph create / drop drops the entry, so a mutation can never leak a
-    stale answer.  Entries above ``max_entry_bytes`` are not cached (a giant
-    dump would evict the whole working set for one client); ``max_bytes``
-    bounds the total held memory.
+    stale answer.  Entries above ``max_entry_bytes`` (1 MiB) are not cached
+    (a giant dump would evict the whole working set for one client); at most
+    256 entries and 32 MiB are held in all.
     """
 
-    def __init__(self, dataset: Dataset, maxsize: int = 256,
-                 max_entry_bytes: int = 1 << 20,
-                 max_bytes: int = 32 << 20) -> None:
-        super().__init__(maxsize, max_bytes=max_bytes,
-                         revalidate=self._untouched)
+    max_entry_bytes = 1 << 20
+
+    def __init__(self, dataset: Dataset) -> None:
+        super().__init__(256, max_bytes=32 << 20, revalidate=self._untouched)
         self.dataset = dataset
-        self.max_entry_bytes = max_entry_bytes
 
     def lookup(self, key: Tuple, epoch) -> object:
         """The answer stored under ``key`` if still current, else None."""
@@ -412,20 +410,6 @@ class SPARQLEndpoint:
                                    default_graph_iris=default_graph_iris,
                                    named_graph_iris=named_graph_iris,
                                    context=context))
-
-    def execute_stream(self, text: str,
-                       default_graph_iris: Optional[List[Union[str, IRI]]] = None,
-                       context: Optional[ExecutionContext] = None,
-                       on_stats: Optional[Callable[[QueryStatistics], None]] = None,
-                       named_graph_iris: Optional[List[Union[str, IRI]]] = None):
-        """:meth:`start` a *query* and leave its SELECT stream unconsumed.
-
-        Updates are rejected with :class:`~repro.exceptions.QueryError`.
-        """
-        return self.start(text, require="query",
-                          default_graph_iris=default_graph_iris,
-                          named_graph_iris=named_graph_iris,
-                          context=context, on_stats=on_stats)
 
     def _record(self, statistics: QueryStatistics,
                 on_stats: Optional[Callable[[QueryStatistics], None]] = None

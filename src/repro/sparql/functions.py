@@ -59,7 +59,6 @@ __all__ = [
     "walk_expression",
     "aggregate_variable",
     "effective_boolean_value",
-    "term_to_number",
     "TRUE",
     "FALSE",
 ]

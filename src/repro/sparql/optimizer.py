@@ -61,7 +61,6 @@ from repro.sparql.paths import path_link_iris, rewrite_path_pattern
 from repro.sparql.serializer import serialize_path, serialize_term
 
 __all__ = [
-    "estimate_pattern_cardinality",
     "estimate_element_cardinality",
     "reorder_patterns",
     "reorder_group_elements",

@@ -15,33 +15,23 @@ instead of buffering the full serialization.
 
 from repro.sparql.results.core import ResultSet, Solution
 from repro.sparql.results.serialize import (
-    GRAPH_MEDIA_TYPES,
     MEDIA_CSV,
     MEDIA_JSON,
-    MEDIA_NTRIPLES,
     MEDIA_TSV,
-    MEDIA_TURTLE,
     MEDIA_XML,
-    RESULT_MEDIA_TYPES,
     NotAcceptable,
     negotiate_media_type,
-    parse_accept,
     serialize_result,
 )
 
 __all__ = [
     "ResultSet",
     "Solution",
-    "GRAPH_MEDIA_TYPES",
     "MEDIA_CSV",
     "MEDIA_JSON",
-    "MEDIA_NTRIPLES",
     "MEDIA_TSV",
-    "MEDIA_TURTLE",
     "MEDIA_XML",
-    "RESULT_MEDIA_TYPES",
     "NotAcceptable",
     "negotiate_media_type",
-    "parse_accept",
     "serialize_result",
 ]

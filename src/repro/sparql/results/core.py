@@ -106,15 +106,6 @@ class ResultSet:
         var = Variable(name)
         return [sol.get(var) for sol in self.solutions]
 
-    def distinct_values(self, name: str) -> List[Term]:
-        seen: List[Term] = []
-        seen_set = set()
-        for term in self.column(name):
-            if term is not None and term not in seen_set:
-                seen_set.add(term)
-                seen.append(term)
-        return seen
-
     def to_table(self, max_rows: Optional[int] = None) -> str:
         """Render the result set as an aligned text table for demos/examples."""
         headers = [f"?{var.name}" for var in self.variables]

@@ -53,17 +53,10 @@ __all__ = [
     "MEDIA_XML",
     "MEDIA_CSV",
     "MEDIA_TSV",
-    "MEDIA_NTRIPLES",
-    "MEDIA_TURTLE",
-    "RESULT_MEDIA_TYPES",
-    "BOOLEAN_MEDIA_TYPES",
-    "GRAPH_MEDIA_TYPES",
     "NotAcceptable",
-    "parse_accept",
     "negotiate",
     "negotiate_media_type",
     "require_acceptable",
-    "binding_json",
     "envelope_rows",
     "serialize_result",
 ]

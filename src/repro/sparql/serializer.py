@@ -52,7 +52,6 @@ __all__ = [
     "serialize_term",
     "serialize_expression",
     "serialize_path",
-    "serialize_group",
     "serialize_select",
     "serialize_query",
 ]

@@ -14,7 +14,7 @@ from typing import List
 
 from repro.exceptions import ParseError
 
-__all__ = ["Token", "tokenize", "KEYWORDS"]
+__all__ = ["Token", "tokenize"]
 
 #: Keywords recognised case-insensitively.  Stored upper-case.
 KEYWORDS = {

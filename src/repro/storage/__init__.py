@@ -27,10 +27,9 @@ from repro.storage.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.storage.engine import JournalledLock, StorageEngine
+from repro.storage.engine import StorageEngine
 from repro.storage.wal import (
     Transaction,
-    WalOp,
     WriteAheadLog,
     scan_transactions,
     truncate_torn_tail,
@@ -39,10 +38,8 @@ from repro.storage.wal import (
 __all__ = [
     "BulkLoadReport",
     "CheckpointInfo",
-    "JournalledLock",
     "StorageEngine",
     "Transaction",
-    "WalOp",
     "WriteAheadLog",
     "scan_transactions",
     "truncate_torn_tail",

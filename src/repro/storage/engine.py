@@ -66,7 +66,7 @@ from repro.storage.wal import (
     truncate_torn_tail,
 )
 
-__all__ = ["JournalledLock", "StorageEngine"]
+__all__ = ["StorageEngine"]
 
 CHECKPOINT_NAME = "checkpoint.kgck"
 WAL_NAME = "wal.log"

@@ -59,7 +59,7 @@ from repro.storage.format import (
     iter_frames_file,
 )
 
-__all__ = ["Transaction", "WalOp", "WriteAheadLog", "scan_transactions",
+__all__ = ["Transaction", "WriteAheadLog", "scan_transactions",
            "truncate_torn_tail"]
 
 #: Record kinds (first payload byte).  Append-only.

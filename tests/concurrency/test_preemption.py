@@ -202,7 +202,7 @@ class TestEvaluatorPreemption:
         endpoint = SPARQLEndpoint()
         for i in range(25):
             endpoint.graph.add(IRI(f"{EX}s{i}"), IRI(f"{EX}p"), Literal(str(i)))
-        stream = endpoint.execute_stream("SELECT ?s WHERE { ?s ?p ?o }")
+        stream = endpoint.start("SELECT ?s WHERE { ?s ?p ?o }", require="query")
         assert isinstance(stream, StreamingResult)
         result = stream.materialize()
         assert len(result) == 25
@@ -218,7 +218,7 @@ class TestQueryScheduler:
                   query: str, timeout=None, cancel=None):
         context = scheduler.context(timeout=timeout, cancel=cancel)
         return scheduler.run(
-            lambda: endpoint.execute_stream(query, context=context), context)
+            lambda: endpoint.start(query, require="query", context=context), context)
 
     def endpoint(self, n: int = 120) -> SPARQLEndpoint:
         endpoint = SPARQLEndpoint()

@@ -25,18 +25,13 @@ class TestKGBuilder:
         builder = KGBuilder(DBLP, seed=0)
         entity = builder.new_entity("Publication", "publication")
         assert builder.graph.rdf_type(entity) == DBLP["Publication"]
-        assert builder.entities_of("Publication") == [entity]
+        assert list(builder.graph.subjects(RDF_TYPE, DBLP["Publication"])) == [entity]
 
     def test_entity_ids_are_sequential(self):
         builder = KGBuilder(DBLP, seed=0)
         first = builder.new_entity("Venue", "venue")
         second = builder.new_entity("Venue", "venue")
         assert first.value.endswith("/0") and second.value.endswith("/1")
-
-    def test_link_many_requires_objects(self):
-        builder = KGBuilder(DBLP, seed=0)
-        with pytest.raises(DatasetError):
-            builder.link_many([DBLP["a"]], DBLP["p"], [])
 
     def test_zipf_choice_skews_towards_head(self):
         builder = KGBuilder(DBLP, seed=0)

@@ -6,16 +6,20 @@ import itertools
 
 import pytest
 
-from repro.datasets import (
-    StreamingKGConfig,
-    materialize_synthetic_kg,
-    stream_synthetic_kg,
-)
+from repro.datasets import StreamingKGConfig, stream_synthetic_kg
 from repro.exceptions import DatasetError
+from repro.rdf.graph import Graph
 from repro.rdf.terms import RDF_TYPE
+from repro.storage.bulkload import stream_load_triples
 
 
 SMALL = StreamingKGConfig(num_triples=20_000, batch_size=1_000)
+
+
+def materialize(config):
+    graph = Graph()
+    stream_load_triples(graph, stream_synthetic_kg(config))
+    return graph
 
 
 class TestStreamingGenerator:
@@ -41,7 +45,7 @@ class TestStreamingGenerator:
         assert len(prefix) == 100
 
     def test_rare_type_cardinality_is_exact(self):
-        graph = materialize_synthetic_kg(SMALL)
+        graph = materialize(SMALL)
         rare = list(graph.subjects(RDF_TYPE, SMALL.rare_type))
         assert len(rare) == SMALL.rare_type_cardinality
         # RareType members are the hub entities — every one participates in
@@ -52,14 +56,14 @@ class TestStreamingGenerator:
             for member in rare)
 
     def test_predicate_frequencies_are_zipf_skewed(self):
-        graph = materialize_synthetic_kg(SMALL)
+        graph = materialize(SMALL)
         popular = sum(1 for _ in graph.triples(None, SMALL.predicate(0), None))
         unpopular = sum(1 for _ in graph.triples(None,
                                                  SMALL.predicate(12), None))
         assert popular > 20 * max(unpopular, 1)
 
     def test_every_entity_is_typed(self):
-        graph = materialize_synthetic_kg(SMALL)
+        graph = materialize(SMALL)
         typed = {s for s in graph.subjects(RDF_TYPE, None)}
         # Phase 1 types min(num_entities, num_triples) entities.
         assert len(typed) >= min(SMALL.num_entities, 1024)

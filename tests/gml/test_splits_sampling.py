@@ -7,9 +7,7 @@ from repro.exceptions import DatasetError, SamplingError
 from repro.gml.splits import SplitFractions, community_split, random_split, split_masks
 from repro.gml.sampling import (
     EdgeSubKGSampler,
-    GraphSAINTEdgeSampler,
     GraphSAINTNodeSampler,
-    GraphSAINTRandomWalkSampler,
     NegativeSampler,
     ShadowKHopSampler,
     TripleBatchSampler,
@@ -97,25 +95,24 @@ class TestGraphSaintSamplers:
             # Node mapping points back into the full graph.
             assert batch.node_mapping.max() < graph_data.num_nodes
 
-    def test_edge_sampler_keeps_endpoints(self, graph_data):
-        sampler = GraphSAINTEdgeSampler(graph_data, batch_size=30, num_batches=2, seed=0)
-        batch = sampler.sample()
-        assert batch.num_nodes > 0
-        assert batch.num_edges > 0
-
-    def test_random_walk_sampler(self, graph_data):
-        sampler = GraphSAINTRandomWalkSampler(graph_data, batch_size=30, num_batches=2,
-                                              walk_length=2, seed=0)
-        batch = sampler.sample()
-        assert batch.num_nodes > 0
-        assert sampler.sampling_cost_per_batch() > 0
-
     def test_invalid_configuration(self, graph_data):
         with pytest.raises(SamplingError):
             GraphSAINTNodeSampler(graph_data, batch_size=0, num_batches=1)
-        with pytest.raises(SamplingError):
-            GraphSAINTRandomWalkSampler(graph_data, batch_size=10, num_batches=1,
-                                        walk_length=0)
+
+    def test_node_sampler_keeps_edge_endpoints(self, graph_data):
+        sampler = GraphSAINTNodeSampler(graph_data, batch_size=60, num_batches=1, seed=2)
+        batch = sampler.sample()
+        assert batch.num_edges > 0
+        kept = set(batch.node_mapping.tolist())
+        src, dst = graph_data.edge_index
+        induced = sorted((int(s), int(d), int(t))
+                         for s, d, t in zip(src, dst, graph_data.edge_type)
+                         if int(s) in kept and int(d) in kept)
+        local_src, local_dst = batch.data.edge_index
+        mapped = sorted(zip(batch.node_mapping[local_src].tolist(),
+                            batch.node_mapping[local_dst].tolist(),
+                            batch.data.edge_type.tolist()))
+        assert mapped == induced
 
     def test_subgraph_labels_match_full_graph(self, graph_data):
         sampler = GraphSAINTNodeSampler(graph_data, batch_size=50, num_batches=1, seed=1)
@@ -155,8 +152,6 @@ class TestSamplerIndexKernels:
     def test_offsets_and_degrees_equal_add_at(self, graph_data):
         src, dst = graph_data.edge_index
         n = graph_data.num_nodes
-        walk = GraphSAINTRandomWalkSampler(graph_data, batch_size=30, num_batches=1)
-        assert np.array_equal(walk._offsets, reference_offsets(n, src))
         shadow = ShadowKHopSampler(graph_data, batch_size=8, num_batches=1)
         assert np.array_equal(shadow._offsets,
                               reference_offsets(n, np.concatenate([src, dst])))
@@ -200,10 +195,13 @@ class TestShadowAndNeighborSamplers:
             seen.update(batch.node_mapping[batch.root_nodes].tolist())
         assert len(seen) > len(targets) // 2
 
-    def test_shadow_estimated_size_bounded(self, graph_data):
-        sampler = ShadowKHopSampler(graph_data, batch_size=4, num_batches=1,
-                                    depth=2, neighbors_per_hop=3)
-        assert sampler.estimated_subgraph_nodes() <= graph_data.num_nodes
+    def test_shadow_subgraph_size_bounded(self, graph_data):
+        sampler = ShadowKHopSampler(graph_data, batch_size=4, num_batches=3,
+                                    depth=2, neighbors_per_hop=3, seed=0)
+        for batch in sampler:
+            roots = batch.root_nodes.shape[0]
+            # Each of the two hops adds at most three new nodes per frontier node.
+            assert batch.num_nodes <= min(graph_data.num_nodes, roots * (1 + 3 + 9))
 
     def test_invalid_shadow_configuration(self, graph_data):
         with pytest.raises(SamplingError):

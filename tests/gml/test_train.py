@@ -13,6 +13,7 @@ import pytest
 from repro.exceptions import BudgetExceededError, TrainingError
 from repro.gml.data import GraphData
 from repro.gml.kge import DistMult, MorsE
+from repro.gml.kge.base import ranking_metrics
 from repro.gml.nn import RGCN
 from repro.gml.sampling import GraphSAINTNodeSampler, ShadowKHopSampler
 from repro.gml.train import (
@@ -26,12 +27,8 @@ from repro.gml.train import (
     TaskBudget,
     accuracy,
     classification_report,
-    confusion_matrix,
-    f1_score,
-    hits_at_k,
-    mean_reciprocal_rank,
-    parse_budget,
 )
+from repro.gml.train.metrics import confusion_matrix, f1_score
 
 
 class TestMetrics:
@@ -59,9 +56,10 @@ class TestMetrics:
 
     def test_ranking_metrics(self):
         ranks = np.array([1, 5, 20])
-        assert mean_reciprocal_rank(ranks) == pytest.approx((1 + 0.2 + 0.05) / 3)
-        assert hits_at_k(ranks, 10) == pytest.approx(2 / 3)
-        assert hits_at_k(np.array([]), 10) == 0.0
+        metrics = ranking_metrics(ranks)
+        assert metrics["mrr"] == pytest.approx((1 + 0.2 + 0.05) / 3)
+        assert metrics["hits@10"] == pytest.approx(2 / 3)
+        assert ranking_metrics(np.array([]))["hits@10"] == 0.0
 
 
 class TestTaskBudget:
@@ -83,8 +81,8 @@ class TestTaskBudget:
         assert budget.max_memory_bytes == 1024
         assert budget.max_time_seconds == 60
 
-    def test_parse_budget_none(self):
-        budget = parse_budget(None)
+    def test_default_budget_is_unconstrained(self):
+        budget = TaskBudget()
         assert budget.allows_memory(1e18) and budget.allows_time(1e9)
 
     def test_unknown_priority_rejected(self):

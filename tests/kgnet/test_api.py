@@ -20,14 +20,24 @@ from repro.kgnet.api import (
     APIClient,
     APIRequest,
     APIResponse,
-    ERROR_CODES,
     error_code,
     error_payload,
     exception_from_payload,
 )
+from repro.kgnet.api.errors import ERROR_CODES
 from repro.rdf import DBLP, RDF_TYPE
 from repro.rdf.io import serialize_ntriples
-from tests.kgnet.test_sparqlml import FIG2_SELECT, FIG9_DELETE
+from repro.server.service import ServiceHandler, ServiceRequest
+from tests.kgnet.test_sparqlml import FIG2_SELECT, FIG8_INSERT, FIG9_DELETE
+
+
+def post(platform, op, **params):
+    """One op over the service layer: ``(HTTP status, error code or None)``."""
+    response = ServiceHandler(platform.api).handle(ServiceRequest(
+        "POST", f"/kgnet/v1/{op}", {"Content-Type": "application/json"},
+        json.dumps(params).encode("utf-8")))
+    error = json.loads(response.read_body()).get("error")
+    return response.status, error and error["code"]
 
 
 def _all_exception_classes():
@@ -229,8 +239,14 @@ class TestRouterDispatch:
         ("sparqlml_select", {"query": FIG2_SELECT, "objective": {"bogus": 1}}),
         ("sparqlml_select", {"query": FIG2_SELECT,
                              "objective": {"minimise": "inference_time"}}),
+        ("train", {"budget": {"MaxMemory": "lots"}}),
+        ("train", {"budget": {"priority": "Fast"}}),
+        ("train", {"task": {"task_type": "nope"}}),
+        ("train", {"task": {"task_type": "node_classification"}}),
     ], ids=["meta_sampling-unknown-field", "meta_sampling-wrong-type",
-            "objective-unknown-field", "objective-minimise"])
+            "objective-unknown-field", "objective-minimise",
+            "budget-bad-quantity", "budget-unknown-priority",
+            "task-unknown-type", "task-missing-target"])
     def test_malformed_config_object_is_a_bad_request(self, fresh_platform,
                                                       paper_venue_task, op, params):
         if op == "train":
@@ -239,6 +255,21 @@ class TestRouterDispatch:
         assert not response.ok
         assert response.error["code"] == "BAD_REQUEST"
         assert isinstance(response.attachment, BadRequestError)
+        if op == "train":
+            assert post(fresh_platform, op, **params) == (400, "BAD_REQUEST")
+
+    @pytest.mark.parametrize("old,new", [
+        ("MaxMemory:50GB", "MaxMemory:lots"),
+        ("Priority:ModelScore", "Priority:Fast"),
+        ("TargetNode: dblp:Publication,", ""),
+    ], ids=["budget-bad-quantity", "budget-unknown-priority",
+            "task-missing-target"])
+    def test_malformed_train_insert_is_a_sparqlml_error(self, fresh_platform,
+                                                        old, new):
+        assert old in FIG8_INSERT
+        query = FIG8_INSERT.replace(old, new)
+        assert post(fresh_platform, "sparqlml", query=query) == (400, "SPARQLML_ERROR")
+        assert fresh_platform.list_models() == []
 
     def test_select_pagination_cursors(self, fresh_platform):
         result = fresh_platform.api.dispatch(APIRequest(
@@ -320,6 +351,15 @@ class TestBatchedInference:
     def test_unknown_model_raises_model_not_found(self, fresh_platform):
         with pytest.raises(ModelNotFoundError):
             fresh_platform.infer_batch("https://www.kgnet.com/model/nope", ["x"])
+
+    @pytest.mark.parametrize("mode", ["bogus", 5, ["class"]],
+                             ids=["unknown", "number", "list"])
+    def test_unknown_mode_is_a_bad_request(self, trained_platform, mode):
+        model = trained_platform.list_models()[0]
+        before = trained_platform.http_calls
+        assert post(trained_platform, "infer_batch", model_uri=model.uri.value,
+                    inputs=["urn:x"], mode=mode) == (400, "BAD_REQUEST")
+        assert trained_platform.http_calls == before
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ from repro.kgnet import (
     StoredModel,
     TrainingManagerConfig,
 )
-from repro.kgnet.gmlaas.embedding_store import FlatIndex, IVFIndex
+from repro.kgnet.gmlaas.embedding_store import FlatIndex
 from repro.kgnet.gmlaas.training_manager import GMLTrainingManager
 from repro.rdf import DBLP, IRI
+from benchmarks.ivf_index import IVFIndex
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import KGMetaError
+from repro.exceptions import ModelNotFoundError
 from repro.gml.tasks import TaskSpec, TaskType
 from repro.kgnet import KGMetaGovernor, ModelMetadata
 from repro.kgnet.kgmeta import ontology as O
@@ -86,7 +86,7 @@ class TestGovernorRegistration:
         assert uri1 != uri2
 
     def test_describe_unknown_model_raises(self, governor):
-        with pytest.raises(KGMetaError):
+        with pytest.raises(ModelNotFoundError):
             governor.describe(IRI("https://www.kgnet.com/model/none"))
 
     def test_metadata_as_dict(self, governor, paper_venue_task):
@@ -149,7 +149,7 @@ class TestGovernorDeletion:
         removed = governor.delete_model(uri)
         assert removed > 0
         assert governor.find_models(O.NODE_CLASSIFIER) == []
-        with pytest.raises(KGMetaError):
+        with pytest.raises(ModelNotFoundError):
             governor.describe(uri)
 
     def test_delete_models_by_constraints(self, governor, paper_venue_task):
@@ -158,7 +158,9 @@ class TestGovernorDeletion:
         governor.register_model(paper_venue_task,
                                 make_metadata(governor, paper_venue_task,
                                               method="graph_saint"))
-        deleted = governor.delete_models(O.NODE_CLASSIFIER, {
+        matching = governor.find_models(O.NODE_CLASSIFIER, {
             O.TARGET_NODE: paper_venue_task.target_node_type})
-        assert len(deleted) == 2
+        for metadata in matching:
+            governor.delete_model(metadata.uri)
+        assert len(matching) == 2
         assert len(governor) == 0

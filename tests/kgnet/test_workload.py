@@ -4,8 +4,9 @@ import pytest
 
 from repro.exceptions import SPARQLMLError
 from repro.gml.tasks import TaskType
-from repro.kgnet import KGNet, SPARQLMLWorkloadGenerator, run_workload
+from repro.kgnet import KGNet
 from repro.kgnet.sparqlml.parser import SPARQLMLParser
+from benchmarks.sparqlml_workload import SPARQLMLWorkloadGenerator, run_workload
 
 
 @pytest.fixture(scope="module")

@@ -84,13 +84,12 @@ class TestEncodedGraph:
         graph.add(iri("s1"), iri("p"), iri("o1"))
         graph.add(iri("s2"), iri("p"), iri("o2"))
         graph.add(iri("s1"), iri("q"), Literal("x"))
-        assert graph.predicate_cardinality(iri("p")) == 2
-        assert graph.predicate_cardinality(iri("q")) == 1
-        assert graph.predicate_cardinality(iri("ghost")) == 0
+        assert graph.count(None, iri("p"), None) == 2
+        assert graph.count(None, iri("q"), None) == 1
+        assert graph.count(None, iri("ghost"), None) == 0
         graph.remove(iri("s1"), iri("p"), None)
-        assert graph.predicate_cardinality(iri("p")) == 1
-        cards = graph.predicate_cardinalities()
-        assert cards[iri("p")] == 1 and cards[iri("q")] == 1
+        assert graph.count(None, iri("p"), None) == 1
+        assert graph.count(None, iri("q"), None) == 1
 
     def test_id_space_agrees_with_term_space(self):
         graph = Graph()
@@ -106,15 +105,12 @@ class TestEncodedGraph:
         assert set(graph.object_ids(sid, pid)) == {
             graph.encode_term(iri("o1")), graph.encode_term(iri("o2"))}
 
-    def test_dataset_graphs_share_dictionary_and_merge_fast(self):
+    def test_dataset_graphs_share_dictionary(self):
         dataset = Dataset()
         dataset.default_graph.add(iri("s"), iri("p"), iri("o"))
         named = dataset.graph(EX + "g")
         named.add(iri("s2"), iri("p"), iri("o"))
         assert named.dictionary is dataset.default_graph.dictionary
-        union = dataset.union_graph()
-        assert len(union) == 2
-        assert union.dictionary is named.dictionary
 
     def test_dataset_epoch_token_changes_on_any_mutation(self):
         dataset = Dataset()

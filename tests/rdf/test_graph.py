@@ -206,15 +206,17 @@ class TestDataset:
         ds = Dataset()
         ds.default_graph.add_all(graph)
         ds.graph("https://x.org/meta").add(DBLP["m"], DBLP["p"], DBLP["o"])
-        union = ds.union_graph()
+        union = ds.snapshot().union()
         assert len(union) == len(graph) + 1
+        assert Triple(DBLP["m"], DBLP["p"], DBLP["o"]) in union
 
     def test_quads_report_graph(self):
         ds = Dataset()
         ds.default_graph.add(DBLP["a"], DBLP["p"], DBLP["b"])
         ds.graph("https://x.org/g").add(DBLP["c"], DBLP["p"], DBLP["d"])
-        graphs = {quad.graph for quad in ds.quads()}
-        assert None in graphs and IRI("https://x.org/g") in graphs
+        graphs = {(triple.subject, snapshot.identifier)
+                  for snapshot in ds.snapshot().graphs() for triple in snapshot}
+        assert graphs == {(DBLP["a"], None), (DBLP["c"], IRI("https://x.org/g"))}
 
     def test_contains_searches_all_graphs(self):
         ds = Dataset()

@@ -86,10 +86,6 @@ class TestNamespaceManager:
         manager = NamespaceManager()
         assert manager.shrink(IRI("https://www.dblp.org/a/b/c")) is None
 
-    def test_sparql_preamble_contains_bindings(self):
-        preamble = NamespaceManager().sparql_preamble()
-        assert "PREFIX dblp: <https://www.dblp.org/>" in preamble
-
     def test_copy_is_independent(self):
         manager = NamespaceManager()
         clone = manager.copy()

@@ -23,7 +23,7 @@ from urllib.parse import quote
 
 import pytest
 
-from repro.exceptions import KGMetaError, ParseError
+from repro.exceptions import ModelNotFoundError, ParseError
 from repro.kgnet import KGNet
 from repro.kgnet.api import APIClient
 from repro.rdf import IRI, Literal, Triple
@@ -253,7 +253,7 @@ class TestClientParity:
         client = paired_client
         with pytest.raises(ParseError):
             client.sparql("SELECT ?x WHERE {")
-        with pytest.raises(KGMetaError):
+        with pytest.raises(ModelNotFoundError):
             client.call("describe_model",
                         model_uri="http://kgnet/model/missing")
 

@@ -446,7 +446,7 @@ class TestIdKeyedSerializers:
         for i in range(400):                      # several 256-row batches
             endpoint.graph.add(e(f"x{i}"), e("num"), Literal(i % 9))
         streamed = b"".join(serialize_result(
-            endpoint.execute_stream(P + text), media))
+            endpoint.start(P + text, require="query"), media))
         result = endpoint.select(P + text)
         from_ids = b"".join(serialize_result(result, media))
         decoded = ResultSet(result.variables, list(result.solutions))
@@ -460,7 +460,7 @@ class TestIdKeyedSerializers:
         endpoint = SPARQLEndpoint()
         for i in range(1000):
             endpoint.graph.add(e(f"x{i}"), e("num"), Literal(i))
-        stream = endpoint.execute_stream(P + "SELECT ?s ?n WHERE { ?s ex:num ?n }")
+        stream = endpoint.start(P + "SELECT ?s ?n WHERE { ?s ex:num ?n }", require="query")
         fragments = list(serialize_result(stream, MEDIA_CSV))
         rows_per_fragment = [fragment.count(b"\r\n") for fragment in fragments[1:]]
         assert sum(rows_per_fragment) == 1000

@@ -110,7 +110,7 @@ class TestBoundedHistory:
             if i % 3 == 0:
                 endpoint.select(QUERY)
             elif i % 3 == 1:
-                endpoint.execute_stream(QUERY).materialize()
+                endpoint.start(QUERY, require="query").materialize()
             else:
                 endpoint.update(f"INSERT DATA {{ <{EX}h{i}> <{EX}q> {i} . }}")
         assert len(endpoint.history) == bound

@@ -82,7 +82,7 @@ def make_result(endpoint: SPARQLEndpoint, text: str, kind: str):
     if kind == "solutions":
         decoded = endpoint.query(text)
         return ResultSet(decoded.variables, list(decoded.solutions))
-    return endpoint.execute_stream(text)
+    return endpoint.start(text, require="query")
 
 
 def write(form: str, result, cell_by_cell: bool = False) -> bytes:

@@ -154,7 +154,6 @@ class TestEndpoint:
                                  "SELECT ?p ?t WHERE { ?p dblp:title ?t . } ORDER BY ?t")
         assert len(result.rows()) == 2
         assert len(result.column("t")) == 2
-        assert len(result.distinct_values("t")) == 2
         table = result.to_table()
         assert "?t" in table and "Graph Machine Learning" in table
         python_rows = result.to_python()

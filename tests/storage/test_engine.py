@@ -9,7 +9,8 @@ import pytest
 from repro import KGNet, StorageEngine
 from repro.exceptions import RDFError, StorageError
 from repro.rdf import Dataset, Graph, IRI, Literal, Triple
-from repro.storage import JournalledLock, stream_load, stream_load_triples
+from repro.storage import stream_load, stream_load_triples
+from repro.storage.engine import JournalledLock
 from repro.storage.wal import WriteAheadLog
 
 EX = "http://example.org/engine/"

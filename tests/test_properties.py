@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.gml.autograd import Parameter, Tensor, cross_entropy, softmax
 from repro.gml.splits import SplitFractions, random_split, split_masks
-from repro.gml.train.metrics import accuracy, f1_score, hits_at_k, mean_reciprocal_rank
+from repro.gml.kge.base import ranking_metrics
+from repro.gml.train.metrics import accuracy, f1_score
 from repro.kgnet.gmlaas.embedding_store import FlatIndex
 from repro.kgnet.sparqlml.optimizer import SPARQLMLOptimizer
 from repro.rdf import Graph, IRI, Literal, Triple, Variable, parse_ntriples, serialize_ntriples
@@ -276,9 +277,9 @@ class TestMetricProperties:
     @given(st.lists(st.integers(1, 10_000), min_size=1, max_size=60))
     def test_ranking_metrics_bounded_and_monotone(self, ranks):
         ranks = np.asarray(ranks)
-        mrr = mean_reciprocal_rank(ranks)
-        assert 0.0 < mrr <= 1.0
-        assert hits_at_k(ranks, 1) <= hits_at_k(ranks, 10) <= hits_at_k(ranks, 100)
+        metrics = ranking_metrics(ranks, ks=(1, 10, 100))
+        assert 0.0 < metrics["mrr"] <= 1.0
+        assert metrics["hits@1"] <= metrics["hits@10"] <= metrics["hits@100"]
 
 
 # ---------------------------------------------------------------------------
