@@ -221,7 +221,7 @@ class ModelSelectionError(PlatformError):
 
 
 class InferenceError(PlatformError):
-    """The GML inference manager failed to produce predictions."""
+    """GMLaaS inference failed to produce predictions."""
     code = "INFERENCE_ERROR"
 
 

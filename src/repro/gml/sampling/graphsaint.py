@@ -23,10 +23,12 @@ __all__ = ["GraphSAINTNodeSampler"]
 class GraphSAINTNodeSampler(SubgraphSampler):
     """Sample nodes with probability proportional to (degree + 1)."""
 
+    #: Subgraphs drawn up front to estimate the loss normalisation.
+    warmup_samples = 10
+
     def __init__(self, data: GraphData, batch_size: int, num_batches: int,
-                 seed: int = 0, warmup_samples: int = 10) -> None:
+                 seed: int = 0) -> None:
         super().__init__(data, batch_size, num_batches, seed=seed)
-        self.warmup_samples = max(1, warmup_samples)
         self._node_counts: Optional[np.ndarray] = None
         self._total_samples = 0
         degree = np.bincount(self.data.edge_index.reshape(-1),

@@ -4,7 +4,8 @@ A SPARQL-ML ``INSERT`` (TrainGML) request carries a *task budget* — maximum
 memory, maximum time and an optimisation priority (paper Fig 8).  The
 :class:`TaskBudget` models that JSON object; :class:`ResourceMonitor`
 measures what a training run actually used (wall-clock, plus the Python heap
-of its first epoch via ``tracemalloc``) and enforces the budget when asked to.
+of its first epoch via ``tracemalloc``) and raises when the budget is blown;
+the trainers check it between epochs and stop a run early.
 """
 
 from __future__ import annotations
@@ -87,13 +88,11 @@ class ResourceUsage:
 
     elapsed_seconds: float = 0.0
     peak_memory_bytes: int = 0
-    estimated_memory_bytes: int = 0
 
     def as_dict(self) -> Dict[str, float]:
         return {
             "elapsed_seconds": round(self.elapsed_seconds, 6),
             "peak_memory_bytes": int(self.peak_memory_bytes),
-            "estimated_memory_bytes": int(self.estimated_memory_bytes),
         }
 
 
@@ -114,10 +113,8 @@ class ResourceMonitor:
     what another thread allocates while a probe runs is counted in it.
     """
 
-    def __init__(self, budget: Optional[TaskBudget] = None,
-                 enforce: bool = False) -> None:
+    def __init__(self, budget: Optional[TaskBudget] = None) -> None:
         self.budget = budget or TaskBudget()
-        self.enforce = enforce
         self.usage = ResourceUsage()
         self._start_time = 0.0
         self._probing = False
@@ -156,16 +153,14 @@ class ResourceMonitor:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.usage.elapsed_seconds = time.perf_counter() - self._start_time
         self.end_probe()
-        if self.enforce and exc_type is None:
-            self.check(final=True)
 
     # -- explicit checks (called between epochs) ------------------------------
     def elapsed(self) -> float:
         return time.perf_counter() - self._start_time
 
-    def check(self, final: bool = False) -> None:
+    def check(self) -> None:
         """Raise :class:`BudgetExceededError` when the budget is blown."""
-        elapsed = self.usage.elapsed_seconds if final else self.elapsed()
+        elapsed = self.elapsed()
         if not self.budget.allows_time(elapsed):
             raise BudgetExceededError(
                 f"training exceeded the time budget "

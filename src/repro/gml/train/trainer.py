@@ -13,9 +13,10 @@ Three trainers cover the paper's method families:
   model's own ``tail_scores`` — the entry GMLaaS inference ranks with too.
 
 Every trainer measures elapsed time and peak memory with
-:class:`~repro.gml.train.budget.ResourceMonitor` and can enforce a
-:class:`~repro.gml.train.budget.TaskBudget`, because those numbers are what
-the paper's evaluation (Figs 13-15) reports.
+:class:`~repro.gml.train.budget.ResourceMonitor`, because those numbers are
+what the paper's evaluation (Figs 13-15) reports, and checks its
+:class:`~repro.gml.train.budget.TaskBudget` between epochs: a run that
+exceeds the budget stops early.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from repro.gml.sampling.negative import (
     TripleBatchSampler,
 )
 from repro.gml.train.budget import ResourceMonitor, ResourceUsage, TaskBudget
-from repro.gml.train.estimator import METHOD_PROFILES, MethodCostEstimator
 from repro.gml.train.metrics import accuracy, classification_report
 
 __all__ = [
@@ -99,13 +99,12 @@ class _BaseTrainer:
     history_every = 5
 
     def __init__(self, model, data, epochs: int, method_name: str,
-                 budget: Optional[TaskBudget], enforce_budget: bool) -> None:
+                 budget: Optional[TaskBudget]) -> None:
         self.model = model
         self.data = data
         self.epochs = epochs
         self.method_name = method_name
         self.budget = budget or TaskBudget()
-        self.enforce_budget = enforce_budget
 
     def train(self) -> TrainingResult:
         history: List[Dict[str, float]] = []
@@ -140,10 +139,8 @@ class _BaseTrainer:
 
     def _check_budget(self, monitor: ResourceMonitor) -> bool:
         """Return True when training should stop (budget exhausted); the
-        first call of a run ends the monitor's memory probe, enforced or not."""
+        first call of a run ends the monitor's memory probe."""
         monitor.end_probe()
-        if not self.enforce_budget:
-            return False
         try:
             monitor.check()
         except BudgetExceededError:
@@ -156,14 +153,15 @@ class _NodeClassificationTrainer(_BaseTrainer):
 
     #: Largest global gradient norm a step applies.
     grad_clip = 5.0
+    #: The optimizer's L2 penalty on the parameters.
+    weight_decay = 5e-4
 
     def __init__(self, model: NodeClassifier, data: GraphData, epochs: int,
-                 learning_rate: float, weight_decay: float,
-                 budget: Optional[TaskBudget], enforce_budget: bool,
+                 learning_rate: float, budget: Optional[TaskBudget],
                  method_name: str) -> None:
-        super().__init__(model, data, epochs, method_name, budget, enforce_budget)
+        super().__init__(model, data, epochs, method_name, budget)
         self.optimizer: Optimizer = Adam(model.parameters(), lr=learning_rate,
-                                         weight_decay=weight_decay)
+                                         weight_decay=self.weight_decay)
 
     def _step(self, data: GraphData, nodes: np.ndarray,
               weight: Optional[np.ndarray] = None) -> float:
@@ -206,23 +204,12 @@ class FullBatchNodeClassificationTrainer(_NodeClassificationTrainer):
 
     def __init__(self, model: NodeClassifier, data: GraphData,
                  epochs: int = 40, learning_rate: float = 0.01,
-                 weight_decay: float = 5e-4,
                  budget: Optional[TaskBudget] = None,
-                 enforce_budget: bool = False,
                  method_name: str = "rgcn") -> None:
-        super().__init__(model, data, epochs, learning_rate, weight_decay,
-                         budget, enforce_budget, method_name)
+        super().__init__(model, data, epochs, learning_rate, budget, method_name)
         if data.labeled_nodes().size == 0:
             raise TrainingError("dataset has no labelled nodes")
         self._train_nodes = np.flatnonzero(data.train_mask)
-
-    def train(self) -> TrainingResult:
-        result = super().train()
-        if self.method_name in METHOD_PROFILES:
-            estimate = MethodCostEstimator(hidden_dim=64).estimate(
-                self.method_name, self.data, epochs=self.epochs)
-            result.usage.estimated_memory_bytes = int(estimate.memory_bytes)
-        return result
 
     def _train_epoch(self, epoch: int) -> float:
         self.model.train()
@@ -234,12 +221,10 @@ class SamplingNodeClassificationTrainer(_NodeClassificationTrainer):
 
     def __init__(self, model: NodeClassifier, data: GraphData,
                  sampler: SubgraphSampler, epochs: int = 20,
-                 learning_rate: float = 0.01, weight_decay: float = 5e-4,
+                 learning_rate: float = 0.01,
                  budget: Optional[TaskBudget] = None,
-                 enforce_budget: bool = False,
                  method_name: str = "graph_saint") -> None:
-        super().__init__(model, data, epochs, learning_rate, weight_decay,
-                         budget, enforce_budget, method_name)
+        super().__init__(model, data, epochs, learning_rate, budget, method_name)
         self.sampler = sampler
 
     def _train_epoch(self, epoch: int) -> float:
@@ -267,9 +252,8 @@ class _LinkPredictionTrainer(_BaseTrainer):
     task_type = "link_prediction"
 
     def __init__(self, model, data: TriplesData, epochs: int, learning_rate: float,
-                 budget: Optional[TaskBudget], enforce_budget: bool,
-                 method_name: str) -> None:
-        super().__init__(model, data, epochs, method_name, budget, enforce_budget)
+                 budget: Optional[TaskBudget], method_name: str) -> None:
+        super().__init__(model, data, epochs, method_name, budget)
         self.optimizer: Optimizer = Adam(model.parameters(), lr=learning_rate)
 
     def _step(self, loss: Tensor) -> float:
@@ -297,10 +281,8 @@ class KGETrainer(_LinkPredictionTrainer):
     def __init__(self, model: KGEModel, data: TriplesData, epochs: int = 50,
                  batch_size: int = 1024, num_negatives: int = 8,
                  learning_rate: float = 0.05, budget: Optional[TaskBudget] = None,
-                 enforce_budget: bool = False, method_name: str = "kge",
-                 seed: int = 0) -> None:
-        super().__init__(model, data, epochs, learning_rate, budget,
-                         enforce_budget, method_name)
+                 method_name: str = "kge", seed: int = 0) -> None:
+        super().__init__(model, data, epochs, learning_rate, budget, method_name)
         self.batch_sampler = TripleBatchSampler(
             data, batch_size=batch_size, num_negatives=num_negatives, seed=seed)
 
@@ -317,10 +299,9 @@ class MorsETrainer(_LinkPredictionTrainer):
     def __init__(self, model: MorsE, data: TriplesData, epochs: int = 20,
                  triples_per_subkg: int = 2000, subkgs_per_epoch: int = 4,
                  num_negatives: int = 8, learning_rate: float = 0.05,
-                 budget: Optional[TaskBudget] = None, enforce_budget: bool = False,
+                 budget: Optional[TaskBudget] = None,
                  method_name: str = "morse", seed: int = 0) -> None:
-        super().__init__(model, data, epochs, learning_rate, budget,
-                         enforce_budget, method_name)
+        super().__init__(model, data, epochs, learning_rate, budget, method_name)
         self.subkg_sampler = EdgeSubKGSampler(
             data, triples_per_subkg=triples_per_subkg,
             num_subkgs=subkgs_per_epoch, seed=seed)

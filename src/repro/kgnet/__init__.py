@@ -8,7 +8,6 @@ from repro.kgnet.meta_sampler import (
 from repro.kgnet.kgmeta import KGMetaGovernor, ModelMetadata, ontology
 from repro.kgnet.gmlaas import (
     GMLaaS,
-    GMLInferenceManager,
     GMLTrainingManager,
     MethodSelection,
     MethodSelector,
@@ -54,7 +53,6 @@ __all__ = [
     "ModelMetadata",
     "ontology",
     "GMLaaS",
-    "GMLInferenceManager",
     "GMLTrainingManager",
     "MethodSelection",
     "MethodSelector",

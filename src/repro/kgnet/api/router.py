@@ -756,7 +756,7 @@ class APIRouter:
                 f"{mode!r}")
         predictions = self.gmlaas.infer_batch(model_uri, inputs, k=k, mode=mode)
         page, cursor = self._paginate(predictions, params.get("page_size"))
-        # The batch is one GMLInferenceManager.infer: one GMLaaS call.
+        # The batch is one GMLaaS.infer: one GMLaaS call.
         result = {"model_uri": model_uri, "total": len(predictions),
                   "predictions": page, "next_cursor": cursor,
                   "http_calls": 1}

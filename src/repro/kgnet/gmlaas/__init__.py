@@ -1,7 +1,6 @@
-"""GML-as-a-Service: training manager, model store, embedding indexes, inference."""
+"""GML-as-a-Service: training manager, method selector, model store, embedding index."""
 
 from repro.kgnet.gmlaas.embedding_store import FlatIndex
-from repro.kgnet.gmlaas.inference_manager import GMLInferenceManager
 from repro.kgnet.gmlaas.method_selector import MethodSelection, MethodSelector
 from repro.kgnet.gmlaas.model_store import ModelStore, StoredModel
 from repro.kgnet.gmlaas.service import GMLaaS, TrainResponse
@@ -12,7 +11,6 @@ from repro.kgnet.gmlaas.training_manager import (
 
 __all__ = [
     "FlatIndex",
-    "GMLInferenceManager",
     "MethodSelection",
     "MethodSelector",
     "ModelStore",

@@ -3,9 +3,9 @@
 The paper's GMLaaS keeps trained embeddings in a FAISS index "for fast
 similarity search by storing, indexing, and searching embeddings" (§IV-A).
 Here a similarity model's index lives with the model itself, in its
-:class:`~repro.kgnet.gmlaas.model_store.StoredModel` artefacts, built by the
-inference manager on first use, as a :class:`FlatIndex`: exact
-brute-force search (FAISS ``IndexFlat``).
+:class:`~repro.kgnet.gmlaas.model_store.StoredModel` artefacts, built by
+:meth:`~repro.kgnet.gmlaas.service.GMLaaS.infer` on first use, as a
+:class:`FlatIndex`: exact brute-force search (FAISS ``IndexFlat``).
 """
 
 from __future__ import annotations
@@ -26,13 +26,10 @@ def _normalise(matrix: np.ndarray) -> np.ndarray:
 
 
 class FlatIndex:
-    """Exact (brute force) cosine / L2 nearest-neighbour index."""
+    """Exact (brute force) cosine nearest-neighbour index."""
 
-    def __init__(self, dim: int, metric: str = "cosine") -> None:
-        if metric not in ("cosine", "l2"):
-            raise PlatformError(f"unknown metric {metric!r}")
+    def __init__(self, dim: int) -> None:
         self.dim = dim
-        self.metric = metric
         self._vectors = np.zeros((0, dim), dtype=np.float64)
 
     def __len__(self) -> int:
@@ -47,12 +44,7 @@ class FlatIndex:
         queries = np.asarray(queries, dtype=np.float64).reshape(-1, self.dim)
         if len(self) == 0:
             raise PlatformError("search on an empty index")
-        if self.metric == "cosine":
-            scores = _normalise(queries) @ _normalise(self._vectors).T
-        else:
-            # Negative squared L2 so that higher is always better.
-            diff = queries[:, None, :] - self._vectors[None, :, :]
-            scores = -np.square(diff).sum(axis=-1)
+        scores = _normalise(queries) @ _normalise(self._vectors).T
         k = min(k, len(self))
         indices = np.argsort(-scores, axis=1)[:, :k]
         top_scores = np.take_along_axis(scores, indices, axis=1)

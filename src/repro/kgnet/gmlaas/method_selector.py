@@ -68,8 +68,7 @@ class MethodSelector:
 
     def select(self, task_type: str, data: Union[GraphData, TriplesData],
                budget: Optional[TaskBudget] = None,
-               candidate_methods: Optional[Sequence[str]] = None,
-               epochs: Optional[int] = None) -> MethodSelection:
+               candidate_methods: Optional[Sequence[str]] = None) -> MethodSelection:
         """Pick a method for ``task_type`` trained on ``data`` under ``budget``."""
         budget = budget or TaskBudget()
         methods = list(candidate_methods) if candidate_methods else \
@@ -80,7 +79,7 @@ class MethodSelector:
         if unknown:
             raise ModelSelectionError(f"unknown GML methods: {unknown}")
 
-        estimates = [self.estimator.estimate(method, data, epochs=epochs)
+        estimates = [self.estimator.estimate(method, data)
                      for method in methods]
         feasible = [estimate for estimate in estimates
                     if budget.allows_memory(estimate.memory_bytes)
@@ -91,8 +90,8 @@ class MethodSelector:
             chosen = self._optimise(feasible, objective)
             within_budget = True
         else:
-            # Fall back to the least memory-hungry candidate; the training
-            # manager will still enforce the budget at run time.
+            # Fall back to the least memory-hungry candidate; its trainer
+            # still checks the budget between epochs and stops early.
             chosen = min(estimates, key=lambda e: (e.memory_bytes, e.time_seconds))
             within_budget = False
         return MethodSelection(method=chosen.method, estimate=chosen,

@@ -6,13 +6,15 @@ manager runs the end-to-end pipeline:
 1. **Dataset transformation** — RDF triples to sparse matrices
    (:class:`~repro.gml.transform.RDFGraphTransformer`), with literal /
    label-edge removal and the train/valid/test split.
-2. **Optimal method selection** — cost-estimate every applicable method and
-   choose one under the task budget
-   (:class:`~repro.kgnet.gmlaas.method_selector.MethodSelector`).
+2. **Optimal method selection** — cost-estimate every applicable method at
+   the dimensions this manager trains with, and choose one under the task
+   budget (:class:`~repro.kgnet.gmlaas.method_selector.MethodSelector`).
+   The chosen method's estimate is the one the TrainGML report carries.
 3. **Training** — build the model and the matching trainer (full-batch,
    GraphSAINT/ShaDow mini-batch, KGE or MorsE) and train it, tracking time
-   and memory.
-4. **Artefact preparation** — produce everything the inference manager needs
+   and memory; the trainer checks the budget between epochs and stops a
+   run that exceeds it.
+4. **Artefact preparation** — produce everything GMLaaS inference needs
    (prediction dictionaries, entity embeddings and names).
 """
 
@@ -35,6 +37,7 @@ from repro.gml.tasks import TaskSpec, TaskType
 from repro.gml.train import (
     FullBatchNodeClassificationTrainer,
     KGETrainer,
+    MethodCostEstimator,
     MorsETrainer,
     SamplingNodeClassificationTrainer,
     TaskBudget,
@@ -65,7 +68,6 @@ class TrainingManagerConfig:
     num_negatives: int = 8
     split_strategy: str = "random"
     seed: int = 0
-    enforce_budget: bool = False
 
 
 @dataclass
@@ -78,21 +80,16 @@ class TrainingOutcome:
     transform_report: TransformReport
     artifacts: Dict[str, object] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "task": self.task.as_dict(),
-            "selection": self.selection.as_dict(),
-            "transform": self.transform_report.as_dict(),
-            "result": self.result.as_dict(),
-        }
-
 
 class GMLTrainingManager:
     """Automates GML training for one task on one (sub)graph."""
 
     def __init__(self, config: Optional[TrainingManagerConfig] = None) -> None:
         self.config = config or TrainingManagerConfig()
-        self.selector = MethodSelector()
+        self.selector = MethodSelector(MethodCostEstimator(
+            hidden_dim=self.config.hidden_dim, num_layers=self.config.num_layers,
+            embedding_dim=self.config.embedding_dim,
+            num_negatives=self.config.num_negatives))
 
     # ------------------------------------------------------------------
     # Entry point
@@ -162,7 +159,7 @@ class GMLTrainingManager:
             trainer = FullBatchNodeClassificationTrainer(
                 model, data, epochs=config.epochs_full_batch,
                 learning_rate=config.learning_rate, budget=budget,
-                enforce_budget=config.enforce_budget, method_name=method)
+                method_name=method)
             return trainer.train()
         if method == "graph_saint":
             sampler = GraphSAINTNodeSampler(
@@ -177,7 +174,7 @@ class GMLTrainingManager:
         trainer = SamplingNodeClassificationTrainer(
             model, data, sampler, epochs=config.epochs_sampling,
             learning_rate=config.learning_rate, budget=budget,
-            enforce_budget=config.enforce_budget, method_name=method)
+            method_name=method)
         return trainer.train()
 
     def _train_link_predictor(self, method: str, data: TriplesData,
@@ -190,8 +187,7 @@ class GMLTrainingManager:
                 model, data, epochs=max(5, config.epochs_kge // 2),
                 triples_per_subkg=min(2000, max(100, data.num_triples // 2)),
                 subkgs_per_epoch=3, num_negatives=config.num_negatives,
-                budget=budget, enforce_budget=config.enforce_budget,
-                method_name=method, seed=config.seed)
+                budget=budget, method_name=method, seed=config.seed)
             return trainer.train()
         kge_classes = {"transe": TransE, "distmult": DistMult,
                        "complex": ComplEx, "rotate": RotatE}
@@ -202,8 +198,7 @@ class GMLTrainingManager:
         trainer = KGETrainer(
             model, data, epochs=config.epochs_kge,
             batch_size=config.kge_batch_size, num_negatives=config.num_negatives,
-            budget=budget, enforce_budget=config.enforce_budget,
-            method_name=method, seed=config.seed)
+            budget=budget, method_name=method, seed=config.seed)
         return trainer.train()
 
     # ------------------------------------------------------------------

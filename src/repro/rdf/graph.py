@@ -860,23 +860,6 @@ class Graph:
         """Number of distinct predicates (the POS key count)."""
         return len(self._pos)
 
-    def distinct_subject_count(self, predicate: object = None) -> int:
-        """Term-level :meth:`distinct_subjects_ids`."""
-        if predicate is None:
-            return len(self._spo)
-        pid = self.encode_term(predicate)
-        return self._ps_counts.get(pid, 0) if pid is not None else 0
-
-    def distinct_object_count(self, predicate: object = None) -> int:
-        """Term-level :meth:`distinct_objects_ids`."""
-        if predicate is None:
-            return len(self._osp)
-        pid = self.encode_term(predicate)
-        if pid is None:
-            return 0
-        by_obj = self._pos.get(pid)
-        return len(by_obj) if by_obj else 0
-
     def count(self, subject: Optional[object] = None,
               predicate: Optional[object] = None,
               obj: Optional[object] = None) -> int:

@@ -102,7 +102,7 @@ class TestCounterContention:
             uri=model_uri, task_type=TaskType.NODE_CLASSIFICATION,
             method="mlp", model=None,
             artifacts={"prediction_map": {EX + "n1": "A", EX + "n2": "B"}}))
-        manager = platform.gmlaas.inference_manager
+        manager = platform.gmlaas
 
         def worker():
             for _ in range(PER_THREAD // 4):
@@ -226,7 +226,7 @@ class TestConcurrentDispatch:
 
         One unknown entity used to abort the whole batched similarity call,
         failing every batch neighbour that succeeds alone; every prediction
-        now goes through ``GMLInferenceManager.infer``, where an unknown
+        now goes through ``GMLaaS.infer``, where an unknown
         input gets an empty ranking on every mode.
         """
         import numpy as np
@@ -254,7 +254,7 @@ class TestConcurrentDispatch:
         one GMLaaS call they made, not the growth of the service-wide
         counter while they ran."""
         platform, model_uri = self._platform_with_classifier()
-        platform.gmlaas.inference_manager.call_latency_seconds = 0.2
+        platform.gmlaas.call_latency_seconds = 0.2
         barrier = threading.Barrier(2)
         reported: List[int] = []
 

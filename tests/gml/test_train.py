@@ -109,8 +109,9 @@ class TestResourceMonitor:
     def test_enforced_time_budget_raises(self):
         budget = TaskBudget(max_time_seconds=0.001)
         with pytest.raises(BudgetExceededError):
-            with ResourceMonitor(budget, enforce=True):
+            with ResourceMonitor(budget) as monitor:
                 time.sleep(0.05)
+                monitor.check()
 
     def test_check_inside_block(self):
         budget = TaskBudget(max_time_seconds=0.001)
@@ -341,8 +342,7 @@ class TestTrainers:
                      num_bases=4, seed=0)
         budget = TaskBudget(max_time_seconds=1e-6)
         trainer = FullBatchNodeClassificationTrainer(
-            model, data, epochs=50, budget=budget, enforce_budget=True,
-            method_name="rgcn")
+            model, data, epochs=50, budget=budget, method_name="rgcn")
         result = trainer.train()
         assert result.stopped_early
 
@@ -499,9 +499,9 @@ class TestMemoryProbe:
         raised = []
         check = ResourceMonitor.check
 
-        def recording(self, final=False):
+        def recording(self):
             try:
-                check(self, final)
+                check(self)
             except BudgetExceededError as error:
                 raised.append(error)
                 raise
@@ -509,8 +509,7 @@ class TestMemoryProbe:
         monkeypatch.setattr(ResourceMonitor, "check", recording)
         trainer = tiny_trainer("T4-rgcn-on-full-graph", dblp_nc_data[0],
                                dblp_lp_data[0], epochs=10,
-                               budget=TaskBudget(max_memory_bytes=64 * 1024),
-                               enforce_budget=True)
+                               budget=TaskBudget(max_memory_bytes=64 * 1024))
         result = trainer.train()
         assert result.stopped_early
         assert [entry["epoch"] for entry in result.history] == [0]

@@ -45,12 +45,6 @@ class TestEmbeddingStore:
         scores, indices = index.search(vectors[:3], k=1)
         assert indices.reshape(-1).tolist() == [0, 1, 2]
 
-    def test_flat_index_l2_metric(self):
-        index = FlatIndex(dim=2, metric="l2")
-        index.add(np.array([[0.0, 0.0], [10.0, 10.0]]))
-        _, indices = index.search(np.array([[1.0, 1.0]]), k=1)
-        assert indices[0, 0] == 0
-
     def test_flat_index_empty_search_raises(self):
         with pytest.raises(PlatformError):
             FlatIndex(dim=4).search(np.zeros((1, 4)))
@@ -89,7 +83,7 @@ class TestEmbeddingStore:
         service = self._service(keys, vectors)
         stored = service.model_store.get(self.URI)
         assert stored.artifact("similarity_index") is None
-        results = service.infer_similar_entities(self.URI, keys[0], k=3)
+        results = service.infer(self.URI, [keys[0]], "similar", 3)[0]
         assert [result["rank"] for result in results] == [0, 1, 2]
         index, rows = stored.artifact("similarity_index")
         assert len(index) == len(keys) and rows[keys[7]] == 7
@@ -97,13 +91,13 @@ class TestEmbeddingStore:
         assert [keys[int(at)] for at in found[0][1:]] == [
             result["entity"] for result in results]
         # Built once: a second search reuses the same index.
-        service.infer_similar_entities(self.URI, keys[1], k=3)
+        service.infer(self.URI, [keys[1]], "similar", 3)
         assert stored.artifact("similarity_index")[0] is index
 
     def test_store_similar_to_excludes_self(self):
         keys, vectors = self._vectors()
         service = self._service(keys, vectors)
-        results = service.infer_similar_entities(self.URI, keys[5], k=4)
+        results = service.infer(self.URI, [keys[5]], "similar", 4)[0]
         assert len(results) == 4
         assert all(result["entity"] != keys[5] for result in results)
         assert results[0]["score"] >= results[-1]["score"]
@@ -112,25 +106,25 @@ class TestEmbeddingStore:
         keys, vectors = self._vectors()
         service = self._service(keys, vectors)
         with pytest.raises(ModelNotFoundError):
-            service.infer_similar_entities("https://www.kgnet.com/model/none", keys[0])
-        assert service.infer_similar_entities(self.URI, "unknown-key") == []
+            service.infer("https://www.kgnet.com/model/none", [keys[0]], "similar")
+        assert service.infer(self.URI, ["unknown-key"], "similar")[0] == []
         service.model_store.add(StoredModel(
             uri=IRI(self.URI + "/bare"), task_type=TaskType.ENTITY_SIMILARITY,
             method="distmult", model=None))
         with pytest.raises(InferenceError):
-            service.infer_similar_entities(self.URI + "/bare", keys[0])
+            service.infer(self.URI + "/bare", [keys[0]], "similar")
 
     def test_store_drop_collection(self):
         keys, vectors = self._vectors()
         service = self._service(keys, vectors)
         stored = service.model_store.get(self.URI)
-        service.infer_similar_entities(self.URI, keys[0], k=3)
+        service.infer(self.URI, [keys[0]], "similar", 3)
         assert stored.artifact("similarity_index") is not None
         assert service.delete_model(self.URI) is True
         assert service.delete_model(self.URI) is False
         assert service.list_models() == []
         with pytest.raises(ModelNotFoundError):
-            service.infer_similar_entities(self.URI, keys[0])
+            service.infer(self.URI, [keys[0]], "similar")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +245,8 @@ class TestTrainingManager:
         prediction_map = outcome.artifacts["prediction_map"]
         sample_value = next(iter(prediction_map.values()))
         assert sample_value in outcome.artifacts["class_names"]
-        assert "result" in outcome.as_dict()
+        assert outcome.selection.estimate.method == "rgcn"
+        assert outcome.selection.estimate.memory_bytes > 0
 
     def test_link_prediction_outcome(self, dblp_graph, author_affiliation_task):
         manager = GMLTrainingManager(QUICK)
@@ -318,7 +313,7 @@ class TestGMLaaSService:
         service.train(dblp_graph, author_affiliation_task, uri, method="morse")
         stored = service.model_store.get(uri)
         entity = stored.artifact("entity_names")[0]
-        similar = service.infer_similar_entities(uri, entity, k=5)
+        similar = service.infer(uri, [entity], "similar", 5)[0]
         assert len(similar) == 5
         assert all(result["entity"] != entity for result in similar)
 
@@ -349,14 +344,14 @@ SIMILARITY_DIGEST = "95ef23ef5160fb49072faf82832bf63934f6e994f92ad90a011f962b29e
 def test_similarity_answers_are_pinned(dblp_graph):
     """Similarity inference answers exactly what it did when each model's
     embeddings sat in a separate URI-keyed store: every entity name plus one
-    unknown name through ``infer_batch``, and a prefix through
-    ``infer_similar_entities``."""
+    unknown name through ``infer_batch``, and a prefix through one
+    ``infer`` call each."""
     service = GMLaaS(config=QUICK)
     uri = IRI("https://www.kgnet.com/model/test/sim-pin")
     service.train(dblp_graph, dblp_author_similarity_task(), uri, method="distmult")
     names = service.model_store.get(uri).artifact("entity_names")
     batch = service.infer_batch(uri, list(names) + ["https://www.dblp.org/nobody"],
                                 k=7, mode="similar")
-    singles = [service.infer_similar_entities(uri, name, k=3) for name in names[:40]]
+    singles = [service.infer(uri, [name], "similar", 3)[0] for name in names[:40]]
     digest = hashlib.sha256(json.dumps([batch, singles]).encode()).hexdigest()
     assert digest == SIMILARITY_DIGEST

@@ -305,7 +305,7 @@ class TestPlansAndCallCounts:
     def test_concurrent_selects_report_their_own_calls(self, platform):
         text = PREFIXES + BENCHMARK_CLASSES["nc_all"]
         targets = platform.graph.count(None, RDF_TYPE, DBLP["Publication"])
-        manager = platform.gmlaas.inference_manager
+        manager = platform.gmlaas
         manager.call_latency_seconds = 0.0005     # keep per_instance in flight
         reports = {"per_instance": [], "dictionary": []}
         errors = []
@@ -352,7 +352,7 @@ class TestPlansAndCallCounts:
         """A typed 504 inside twice the deadline, most calls never made."""
         text = PREFIXES + BENCHMARK_CLASSES["nc_all"]
         targets = platform.graph.count(None, RDF_TYPE, DBLP["Publication"])
-        manager = platform.gmlaas.inference_manager
+        manager = platform.gmlaas
         manager.call_latency_seconds = 0.02       # 100 targets: 2 s undisturbed
         deadline = 0.25
         assert targets * manager.call_latency_seconds > 4 * deadline
@@ -418,7 +418,7 @@ class TestBatchedLinkPrediction:
         batch = platform.gmlaas.infer_batch(uri, sources, k=k, mode="links")
         assert [record["input"] for record in batch] == sources
         assert batch[17]["output"] == []
-        manager = platform.gmlaas.inference_manager
+        manager = platform.gmlaas
         for source, record in zip(sources, batch):
             alone = manager.infer(uri, [source], "links", k)[0]
             assert alone == record["output"]          # entities, ranks, scores

@@ -1,7 +1,7 @@
-"""Every prediction goes through one route: ``GMLInferenceManager.infer``.
+"""Every prediction goes through one route: ``GMLaaS.infer``.
 
 The ``infer_node_class`` / ``infer_links`` / ``infer_similar`` /
-``infer_batch`` ops, the ``GMLaaS`` facade and the SPARQL-ML UDFs all reach
+``infer_batch`` ops, the ``GMLaaS.infer_*`` methods and the SPARQL-ML UDFs all reach
 a model through that one call, so they agree by construction: an input the
 model does not know is ``None`` / ``[]`` on every op (it used to be a 500 on
 ``infer_similar`` alone), a model of the wrong kind is ``INFERENCE_ERROR``,
@@ -19,7 +19,7 @@ import pytest
 from repro.gml.kge import DistMult
 from repro.gml.tasks import TaskType
 from repro.kgnet import KGNet
-from repro.kgnet.gmlaas.inference_manager import GMLInferenceManager
+from repro.kgnet.gmlaas import GMLaaS
 from repro.kgnet.gmlaas.model_store import StoredModel
 from repro.rdf import IRI
 from repro.server.service import ServiceHandler, ServiceRequest
@@ -74,9 +74,14 @@ def post(platform, op: str, **params):
 
 
 def test_the_manager_has_two_prediction_routes():
-    public = {name for name in vars(GMLInferenceManager)
-              if not name.startswith("_")}
-    assert public == {"infer", "get_node_class_dictionary", "reset_counters"}
+    """``infer`` and the Fig 12 dictionary; the other ``infer_*`` methods
+    are forms of ``infer``, and nothing else of GMLaaS predicts."""
+    public = {name for name in vars(GMLaaS) if not name.startswith("_")}
+    assert {name for name in public if name.startswith("infer")} == {
+        "infer", "infer_node_class_dictionary", "infer_node_class",
+        "infer_links", "infer_batch"}
+    assert public - {name for name in public if name.startswith("infer")} == {
+        "train", "delete_model", "has_model", "list_models"}
 
 
 @pytest.mark.parametrize("op", sorted(SINGLE_OPS))
@@ -156,6 +161,6 @@ def test_alone_equals_inside_a_batch_of_256(platform, kind):
         elif kind == "links":
             alone = gmlaas.infer_links(MODELS[kind], value, k=5)
         else:
-            alone = gmlaas.infer_similar_entities(MODELS[kind], value, k=5)
+            alone = gmlaas.infer(MODELS[kind], [value], "similar", 5)[0]
         assert alone == record["output"]
     assert batch[17]["output"] == (None if kind == "class" else [])

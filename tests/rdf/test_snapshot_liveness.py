@@ -51,6 +51,18 @@ def _counts(expected) -> Counter:
     return counts
 
 
+def _distincts(graph, predicate=None):
+    """(distinct subjects, distinct objects) of ``predicate``, or overall,
+    from the id-level counters; a predicate the graph never stored has
+    none (``encode_term``'s ``None`` would select every triple instead)."""
+    if predicate is None:
+        return graph.distinct_subjects_ids(), graph.distinct_objects_ids()
+    pid = graph.encode_term(predicate)
+    if pid is None:
+        return 0, 0
+    return graph.distinct_subjects_ids(pid), graph.distinct_objects_ids(pid)
+
+
 def assert_holds(graph, expected) -> None:
     """``graph`` (live or pinned) answers exactly what ``expected`` holds."""
     expected = set(expected)
@@ -69,12 +81,11 @@ def assert_holds(graph, expected) -> None:
                 assert graph.count(s, p, o) == want, (s, p, o)
                 assert graph.estimate_cardinality(s, p, o) == want
     for p in PREDICATES:
-        assert graph.distinct_subject_count(p) == len(
-            {s for s, q, _ in expected if q == p})
-        assert graph.distinct_object_count(p) == len(
-            {o for _, q, o in expected if q == p})
-    assert graph.distinct_subject_count() == len({s for s, _, _ in expected})
-    assert graph.distinct_object_count() == len({o for _, _, o in expected})
+        assert _distincts(graph, p) == (
+            len({s for s, q, _ in expected if q == p}),
+            len({o for _, q, o in expected if q == p}))
+    assert _distincts(graph) == (len({s for s, _, _ in expected}),
+                                 len({o for _, _, o in expected}))
 
 
 _SETTINGS = settings(max_examples=40, stateful_step_count=30, deadline=None,

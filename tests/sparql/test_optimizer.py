@@ -89,6 +89,18 @@ def skewed_graph() -> Graph:
 # Statistics maintenance
 # ---------------------------------------------------------------------------
 
+def _distincts(graph, predicate=None):
+    """(distinct subjects, distinct objects) of ``predicate``, or overall,
+    from the id-level counters; a predicate the graph never stored has
+    none (``encode_term``'s ``None`` would select every triple instead)."""
+    if predicate is None:
+        return graph.distinct_subjects_ids(), graph.distinct_objects_ids()
+    pid = graph.encode_term(predicate)
+    if pid is None:
+        return 0, 0
+    return graph.distinct_subjects_ids(pid), graph.distinct_objects_ids(pid)
+
+
 class TestDistinctStatistics:
     def _truth(self, graph: Graph, predicate: IRI):
         subjects = {s for s, p, o in graph if p == predicate}
@@ -100,14 +112,12 @@ class TestDistinctStatistics:
         link = iri("link")
         for i in range(6):
             g.add(iri(f"s{i % 3}"), link, iri(f"o{i % 2}"))
-        assert (g.distinct_subject_count(link),
-                g.distinct_object_count(link)) == self._truth(g, link)
+        assert _distincts(g, link) == self._truth(g, link)
         g.remove(iri("s0"), link, None)
-        assert (g.distinct_subject_count(link),
-                g.distinct_object_count(link)) == self._truth(g, link)
+        assert _distincts(g, link) == self._truth(g, link)
         g.remove(None, link, None)
-        assert g.distinct_subject_count(link) == 0
-        assert g.distinct_object_count(link) == 0
+        assert _distincts(g, link) == (0, 0)
+        assert _distincts(g, iri("never-stored")) == (0, 0)
 
     def test_counts_track_bulk_ingest(self):
         from repro.storage.bulkload import stream_load_triples
@@ -116,15 +126,13 @@ class TestDistinctStatistics:
                    for i in range(40)]
         stream_load_triples(g, triples, batch_size=7)
         for p in (iri("p0"), iri("p1")):
-            assert (g.distinct_subject_count(p),
-                    g.distinct_object_count(p)) == self._truth(g, p)
+            assert _distincts(g, p) == self._truth(g, p)
         assert g.distinct_predicates_ids() == 2
 
     def test_global_distincts(self, skewed_graph):
         subjects = {s for s, _, _ in skewed_graph}
         objects = {o for _, _, o in skewed_graph}
-        assert skewed_graph.distinct_subject_count() == len(subjects)
-        assert skewed_graph.distinct_object_count() == len(objects)
+        assert _distincts(skewed_graph) == (len(subjects), len(objects))
 
     def test_epoch_advances_with_mutations(self):
         g = Graph()
@@ -155,7 +163,7 @@ class TestEstimator:
         seeded = estimate_pattern_cardinality(skewed_graph, pattern,
                                               bound={var("x")})
         assert seeded == pytest.approx(
-            free / skewed_graph.distinct_subject_count(iri("link")))
+            free / _distincts(skewed_graph, iri("link"))[0])
         both = estimate_pattern_cardinality(
             skewed_graph, pattern, bound={var("x"), var("y")})
         assert both < seeded < free

@@ -1,5 +1,6 @@
 """Every name a module of ``repro`` exports in ``__all__`` resolves, and
-something other than the tests uses it."""
+something other than the tests uses it; so does every public method of a
+``repro`` class."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
 import repro
@@ -91,3 +93,61 @@ def test_every_exported_name_is_used_outside_the_tests():
                                for path in words if path not in skip))
     assert [name for name in unused if name not in TEST_ONLY_EXPORTS] == []
     assert [name for name in TEST_ONLY_EXPORTS if name not in home] == []
+
+
+#: Public methods of ``repro`` classes that only the tests call, kept on
+#: purpose: ``Class.method`` -> why.
+TEST_ONLY_MEMBERS = {
+    "Module.state_dict": "the weights a durable model file (ROADMAP 2(b)) "
+                         "will be written from",
+    "Module.load_state_dict": "the inverse of state_dict, which a durable "
+                              "model file (ROADMAP 2(b)) will be read through",
+    "Module.num_parameters": "a model's weight count, part of the Module API",
+    "Module.parameter_bytes": "a model's weight bytes, what the estimator's "
+                              "weight term prices (ROADMAP 5(a))",
+    "Dataset.has_graph": "the named-graph membership test of the dataset API",
+    "DatasetSnapshot.has_graph": "the same membership test on a pinned dataset",
+    "GraphStatistics.top_edge_types": "the k most frequent edge types of a "
+                                      "KG's statistics",
+    "GraphStatistics.top_node_types": "the k most frequent node types of a "
+                                      "KG's statistics",
+    "Token.is_keyword": "the tokenizer's keyword test, which its own tests use",
+    "KGNet.predict_node_class": "the facade's single-node prediction, the "
+                                "partner of its predict_links",
+    "KGNet.train_sparqlml": "the facade's TrainGML from a SPARQL-ML INSERT "
+                            "text (paper Fig 8)",
+    "KGNet.api_metrics": "the per-route service counters the README documents",
+}
+
+_DEF_LINE = re.compile(r"\s*(?:async\s+)?def\s+(\w+)")
+
+
+def test_every_public_member_is_used_outside_the_tests():
+    """A public method defined in a ``repro`` class body is named in some .py
+    file under src/, examples/ or benchmarks/ other than on a line that
+    defines a method of that name; else it belongs to the tests, or
+    nowhere."""
+    root = Path(repro.__file__).resolve().parents[2]
+    sources = [path.read_text(encoding="utf-8")
+               for folder in ("src", "examples", "benchmarks")
+               for path in (root / folder).rglob("*.py")]
+    uses = Counter()
+    for text in sources:
+        for line in text.splitlines():
+            defined = _DEF_LINE.match(line)
+            words = re.findall(r"\w+", line)
+            if defined:
+                words.remove(defined.group(1))
+            uses.update(words)
+    members = []
+    for path in (root / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                members += [f"{node.name}.{item.name}" for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("_")]
+    assert len(members) > 500
+    unused = sorted(member for member in set(members)
+                    if not uses[member.rsplit(".", 1)[1]])
+    assert [member for member in unused if member not in TEST_ONLY_MEMBERS] == []
+    assert [member for member in TEST_ONLY_MEMBERS if member not in unused] == []
