@@ -9,6 +9,7 @@ from repro.gml.train.estimator import (
     METHOD_PROFILES,
     CostEstimate,
     MethodCostEstimator,
+    sampling_plan,
 )
 from repro.gml.train.metrics import (
     accuracy,
@@ -29,6 +30,7 @@ __all__ = [
     "METHOD_PROFILES",
     "CostEstimate",
     "MethodCostEstimator",
+    "sampling_plan",
     "accuracy",
     "classification_report",
     "FullBatchNodeClassificationTrainer",

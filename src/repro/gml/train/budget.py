@@ -89,12 +89,6 @@ class ResourceUsage:
     elapsed_seconds: float = 0.0
     peak_memory_bytes: int = 0
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "elapsed_seconds": round(self.elapsed_seconds, 6),
-            "peak_memory_bytes": int(self.peak_memory_bytes),
-        }
-
 
 class ResourceMonitor:
     """Context manager measuring wall-clock time and the Python heap a run needs.

@@ -12,12 +12,13 @@ absolute predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.exceptions import TrainingError
 from repro.gml.data import GraphData, TriplesData
 
-__all__ = ["CostEstimate", "MethodCostEstimator", "METHOD_PROFILES"]
+__all__ = ["CostEstimate", "MethodCostEstimator", "METHOD_PROFILES",
+           "sampling_plan"]
 
 _FLOAT_BYTES = 8
 #: Throughput constant translating "floating point operations" into seconds.
@@ -57,7 +58,7 @@ METHOD_PROFILES: Dict[str, MethodProfile] = {
     "graph_saint": MethodProfile(
         name="graph_saint", family="gnn_sampling", relation_aware=True,
         sampler="graphsaint", supported_tasks=("node_classification",),
-        accuracy_prior=0.82, default_epochs=20, default_batch_size=512),
+        accuracy_prior=0.82, default_epochs=20),
     "shadow_saint": MethodProfile(
         name="shadow_saint", family="gnn_sampling", relation_aware=True,
         sampler="shadow", supported_tasks=("node_classification",),
@@ -85,6 +86,25 @@ METHOD_PROFILES: Dict[str, MethodProfile] = {
 }
 
 
+def sampling_plan(method: str, data: GraphData,
+                  batch_size: Optional[int] = None) -> Tuple[int, int]:
+    """``(batch size, batches per epoch)`` of ``method``'s sampler on ``data``.
+
+    GraphSAINT draws ``batch_size`` nodes (the profile's 256 by default; at
+    most half the graph, at least 8) six times an epoch; ShaDow expands
+    ``batch_size`` roots (64 by default; at most a quarter of the labelled
+    nodes, at least 4) four times.  The training manager builds its sampler
+    from this plan and the estimator prices it.
+    """
+    profile = METHOD_PROFILES[method]
+    batch_size = batch_size or profile.default_batch_size
+    if profile.sampler == "shadow":
+        return min(batch_size, max(4, int(data.labeled_nodes().size) // 4)), 4
+    if profile.sampler == "graphsaint":
+        return min(batch_size, max(8, data.num_nodes // 2)), 6
+    raise TrainingError(f"GML method {method!r} does not train on a node sampler")
+
+
 @dataclass
 class CostEstimate:
     """Estimated training cost for one (method, dataset) pair."""
@@ -94,15 +114,6 @@ class CostEstimate:
     time_seconds: float
     accuracy_prior: float
     details: Dict[str, float] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "method": self.method,
-            "memory_bytes": round(self.memory_bytes),
-            "time_seconds": round(self.time_seconds, 4),
-            "accuracy_prior": self.accuracy_prior,
-            **{f"detail_{k}": round(v, 4) for k, v in self.details.items()},
-        }
 
 
 class MethodCostEstimator:
@@ -146,15 +157,15 @@ class MethodCostEstimator:
             batches_per_epoch = 1
             sampling_cost = 0.0
         else:
+            batch, batches_per_epoch = sampling_plan(profile.name, data,
+                                                     batch_size)
             if profile.sampler == "shadow":
-                # Bounded per-root expansion (depth 2, fanout 10 by default).
-                working_nodes = min(nodes, batch_size * 40)
+                # Bounded per-root expansion (depth 2, fanout 10).
+                working_nodes = min(nodes, batch * 40)
             else:
-                working_nodes = min(nodes, batch_size)
+                working_nodes = min(nodes, batch)
             density = edges / max(1, nodes)
             working_edges = max(1, int(working_nodes * density))
-            labeled = max(1, int(data.labeled_nodes().size))
-            batches_per_epoch = max(1, labeled // max(1, batch_size))
             sampling_cost = working_nodes * batches_per_epoch * 1e-6
 
         # Memory: features + activations per layer + adjacency structure(s)

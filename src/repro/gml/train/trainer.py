@@ -71,25 +71,6 @@ class TrainingResult:
     model: object = None
     stopped_early: bool = False
 
-    @property
-    def score(self) -> float:
-        """The headline metric (accuracy for NC, Hits@10 for LP)."""
-        for key in ("accuracy", "hits@10", "mrr", "f1_macro"):
-            if key in self.metrics:
-                return float(self.metrics[key])
-        return 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "method": self.method,
-            "task_type": self.task_type,
-            "num_epochs": self.num_epochs,
-            "stopped_early": self.stopped_early,
-            "inference_seconds": round(self.inference_seconds, 6),
-            **{f"metric_{k}": round(float(v), 6) for k, v in self.metrics.items()},
-            **self.usage.as_dict(),
-        }
-
 
 class _BaseTrainer:
     """The training loop every method shares: epochs, history, budget, report."""

@@ -20,11 +20,10 @@ so a model can still be produced, and flags the violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.exceptions import ModelSelectionError
 from repro.gml.data import GraphData, TriplesData
-from repro.gml.tasks import TaskType
 from repro.gml.train.budget import TaskBudget
 from repro.gml.train.estimator import (
     METHOD_PROFILES,
@@ -44,16 +43,6 @@ class MethodSelection:
     within_budget: bool
     objective: str
     candidates: List[CostEstimate] = field(default_factory=list)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "method": self.method,
-            "within_budget": self.within_budget,
-            "objective": self.objective,
-            "estimated_memory_bytes": round(self.estimate.memory_bytes),
-            "estimated_time_seconds": round(self.estimate.time_seconds, 4),
-            "num_candidates": len(self.candidates),
-        }
 
 
 class MethodSelector:

@@ -42,6 +42,7 @@ from repro.gml.train import (
     SamplingNodeClassificationTrainer,
     TaskBudget,
     TrainingResult,
+    sampling_plan,
 )
 from repro.gml.transform import RDFGraphTransformer, TransformReport
 from repro.kgnet.gmlaas.method_selector import MethodSelection, MethodSelector
@@ -63,7 +64,6 @@ class TrainingManagerConfig:
     epochs_sampling: int = 15
     epochs_kge: int = 30
     learning_rate: float = 0.02
-    batch_size: int = 256
     kge_batch_size: int = 512
     num_negatives: int = 8
     split_strategy: str = "random"
@@ -162,13 +162,14 @@ class GMLTrainingManager:
                 method_name=method)
             return trainer.train()
         if method == "graph_saint":
+            batch_size, num_batches = sampling_plan(method, data)
             sampler = GraphSAINTNodeSampler(
-                data, batch_size=min(config.batch_size, max(8, data.num_nodes // 2)),
-                num_batches=6, seed=seed)
+                data, batch_size=batch_size, num_batches=num_batches, seed=seed)
         elif method == "shadow_saint":
+            batch_size, num_batches = sampling_plan(method, data)
             sampler = ShadowKHopSampler(
-                data, batch_size=min(64, max(4, data.labeled_nodes().size // 4)),
-                num_batches=4, depth=2, neighbors_per_hop=10, seed=seed)
+                data, batch_size=batch_size, num_batches=num_batches, depth=2,
+                neighbors_per_hop=10, seed=seed)
         else:
             raise TrainingError(f"method {method!r} does not support node classification")
         trainer = SamplingNodeClassificationTrainer(

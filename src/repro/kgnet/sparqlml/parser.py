@@ -53,18 +53,6 @@ class UserDefinedPredicate:
     object_variable: Optional[Variable] = None
     top_k: Optional[int] = None
 
-    def describe(self) -> Dict[str, object]:
-        return {
-            "variable": self.variable.n3(),
-            "model_class": self.model_class.value,
-            "task_type": self.task_type,
-            "constraints": {p.value: (v.n3() if isinstance(v, Term) else str(v))
-                            for p, v in self.constraints.items()},
-            "subject_variable": self.subject_variable.n3() if self.subject_variable else None,
-            "object_variable": self.object_variable.n3() if self.object_variable else None,
-            "top_k": self.top_k,
-        }
-
 
 @dataclass
 class TrainGMLRequest:

@@ -132,9 +132,6 @@ class ReplicaSetClient:
         return self._read(lambda client: client.protocol_select(
             query, accept=accept))
 
-    def ask(self, query: str) -> bool:
-        return self._read(lambda client: client.protocol_ask(query))
-
     def _read(self, call):
         with self._lock:
             min_seq = self.last_write_seq

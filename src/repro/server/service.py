@@ -57,6 +57,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
                     NamedTuple, Optional, Tuple, Union)
 from urllib.parse import unquote, unquote_plus, urlsplit
@@ -83,7 +84,6 @@ from repro.sparql.endpoint import ResultCache
 from repro.sparql.footprint import IdPattern
 from repro.sparql.results.serialize import (
     ALL_MEDIA_TYPES,
-    MEDIA_JSON,
     negotiate_media_type,
     require_acceptable,
     serialize_result,
@@ -201,9 +201,14 @@ class ServiceRequest:
         #: Percent-decoded path, without the query string (a client may
         #: legally encode any path character; routing must not care).
         self.path: str = unquote(split.path) or "/"
-        #: Query-string parameters, each name mapped to its value list.
-        self.query_params: Dict[str, List[str]] = _parse_query_string(
-            split.query)
+        #: The query string as it arrived, still percent-encoded.
+        self.query_string: str = split.query
+
+    @cached_property
+    def query_params(self) -> Dict[str, List[str]]:
+        """Query-string parameters, each name mapped to its value list;
+        decoded on first use (a result-cache hit never decodes them)."""
+        return _parse_query_string(self.query_string)
 
     def header(self, name: str, default: Optional[str] = None) -> Optional[str]:
         return self.headers.get(name.lower(), default)
@@ -341,6 +346,20 @@ class ServiceHandler:
         method = "GET" if request.method == "HEAD" else request.method
         if method not in ("GET", "POST"):
             return self._method_not_allowed(request, allow="GET, HEAD, POST")
+        content_type = request.content_type() if method == "POST" else None
+        slot = None
+        if method == "GET" or content_type in (MEDIA_FORM, MEDIA_SPARQL_QUERY):
+            # The request as it arrived is the key, looked up before
+            # anything is decoded: equal bytes take the same path below, so
+            # a stored answer is what that path would return.  The method
+            # is part of it because a GET ignores the body a POST reads.
+            hit, slot = self._cached(
+                "sparql", (method, request.query_string,
+                           request.header("content-type"), request.body,
+                           request.header("accept")),
+                request.header("cache-control"), _serve_body)
+            if hit is not None:
+                return hit
         params = {name: list(values)
                   for name, values in request.query_params.items()}
         query: Optional[str] = None
@@ -351,7 +370,6 @@ class ServiceHandler:
                 raise BadRequestError(
                     "SPARQL updates must use POST (protocol §2.2)")
         else:
-            content_type = request.content_type()
             if content_type == MEDIA_FORM:
                 body_params = _parse_query_string(_decode_utf8(request.body))
                 for name, values in body_params.items():
@@ -402,11 +420,10 @@ class ServiceHandler:
             return self._dispatch_update(update, timeout=timeout,
                                          cancel_event=request.cancel_event)
         return self._dispatch_query(query, default_graphs,
-                                    request.header("accept"),
+                                    request.header("accept"), slot,
                                     named_graphs=named_graphs,
                                     timeout=timeout,
-                                    cancel_event=request.cancel_event,
-                                    cache_control=request.header("cache-control"))
+                                    cancel_event=request.cancel_event)
 
     @staticmethod
     def _single(params: Dict[str, List[str]], name: str) -> str:
@@ -419,25 +436,18 @@ class ServiceHandler:
     def _dispatch_query(self, query: str,
                         default_graphs: Optional[List[str]],
                         accept: Optional[str],
+                        slot: Optional[_CacheSlot],
                         named_graphs: Optional[List[str]] = None,
                         timeout: Optional[str] = None,
-                        cancel_event: Optional[object] = None,
-                        cache_control: Optional[str] = None) -> ServiceResponse:
+                        cancel_event: Optional[object] = None) -> ServiceResponse:
+        """Answer a protocol query the result cache missed; ``slot`` (None
+        under ``no-store``) stores a completed body under the request's key."""
         if accept is not None:
             # Hopeless Accept header: refuse BEFORE evaluating — a client
             # polling with the wrong Accept must cost a 406, not a full
             # query execution per request.  (The exact per-result-kind
             # negotiation still runs on the result below.)
             require_acceptable(accept, ALL_MEDIA_TYPES)
-        # Keys carry the raw Accept header (same header → same negotiated
-        # format; a finer key than the media type, never a wrong body) and
-        # the graph sets; a hit is the complete pre-encoded body.
-        hit, slot = self._cached(
-            "sparql", (query, frozenset(default_graphs or ()),
-                       frozenset(named_graphs or ()), accept or ""),
-            cache_control, _serve_body)
-        if hit is not None:
-            return hit
         api_params: Dict[str, object] = {"query": query, "require": "query",
                                          "stream": True}
         if default_graphs:
@@ -497,13 +507,18 @@ class ServiceHandler:
         stores this request's answer — and ``(None, None)`` when the request
         opted out with ``Cache-Control: no-store``.
 
-        The key is ``op``, the prefix-table version and ``key`` (the
-        request's parameters).  The dataset epoch — with ``models``, paired
-        with the GMLaaS model-store generation — is read here, *before*
-        dispatch: the answer is stored under it even when computed at a
-        later one, so whatever changed since is checked on the next lookup.
-        A hit is ``serve(answer, started)`` marked ``X-KGNet-Result-Cache:
-        hit``, counted on the route's metrics as one successful call.
+        The key is ``op``, the prefix-table version and ``key``: for
+        ``/sparql``, the request as it arrived (method, raw query string,
+        ``Content-Type``, raw body, ``Accept``), so a hit decodes nothing
+        and two encodings of one text are two entries; for an envelope op,
+        its params as sorted JSON (its body carries a per-request
+        ``request_id``, so its raw bytes never repeat).  The dataset epoch
+        — with ``models``, paired with the GMLaaS model-store generation —
+        is read here, *before* dispatch: the answer is stored under it even
+        when computed at a later one, so whatever changed since is checked
+        on the next lookup.  A hit is ``serve(answer, started)`` marked
+        ``X-KGNet-Result-Cache: hit``, counted on the route's metrics as one
+        successful call.
         """
         if cache_control is not None and "no-store" in cache_control.lower():
             return None, None

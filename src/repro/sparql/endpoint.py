@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Callable, Deque, Dict, FrozenSet, List, NamedTuple,
                     Optional, Tuple, Union)
 
@@ -50,7 +50,7 @@ from repro.rdf.dataset import Dataset
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import NamespaceManager
-from repro.rdf.terms import IRI, Triple
+from repro.rdf.terms import IRI
 from repro.sparql.ast import (AskQuery, ConstructQuery, ModifyUpdate, Query,
                               SelectQuery, Update)
 from repro.sparql.cache import EpochLRU
@@ -129,8 +129,9 @@ class ResultCache(EpochLRU):
     The HTTP service reads through it for two routes: a SPARQL protocol
     query stores its complete pre-encoded body, a SPARQL-ML SELECT its
     report's result projection (the envelope around it is per request).
-    Keys name the route, every request parameter and the prefix-table
-    version (:attr:`NamespaceManager.version
+    Keys name the route, the request (a protocol query's bytes as they
+    arrived, a SPARQL-ML SELECT's params) and the prefix-table version
+    (:attr:`NamespaceManager.version
     <repro.rdf.namespace.NamespaceManager.version>`) the text is read under,
     so a rebound prefix is a different key.
 
@@ -517,12 +518,6 @@ class SPARQLEndpoint:
             raise QueryError("query did not produce a SELECT result set")
         return result
 
-    def ask(self, text: str, **kwargs) -> bool:
-        result = self.query(text, **kwargs)
-        if isinstance(result, bool):
-            return result
-        raise QueryError("query did not produce an ASK result")
-
     def update(self, text: str) -> int:
         """Parse and apply a SPARQL UPDATE request; returns affected triples."""
         return self.start(text, require="update")
@@ -650,13 +645,6 @@ class SPARQLEndpoint:
         info = dict(self.plan_cache.stats())
         info["pattern_lookups"] = self.total_pattern_lookups
         return info
-
-    def reset_counters(self) -> None:
-        self.plan_cache.reset_counters()
-        self.result_cache.reset_counters()
-        with self._stats_lock:
-            self.history.clear()
-            self.total_pattern_lookups = 0
 
     def __repr__(self) -> str:
         return (f"<SPARQLEndpoint default={len(self.graph)} triples, "

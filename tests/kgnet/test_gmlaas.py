@@ -217,13 +217,6 @@ class TestMethodSelector:
             MethodSelector().select(TaskType.NODE_CLASSIFICATION, dblp_nc_data[0],
                                     candidate_methods=["alexnet"])
 
-    def test_selection_as_dict(self, dblp_nc_data):
-        selection = MethodSelector().select(TaskType.NODE_CLASSIFICATION,
-                                            dblp_nc_data[0])
-        payload = selection.as_dict()
-        assert payload["method"] == selection.method
-        assert payload["num_candidates"] == len(selection.candidates)
-
 
 # ---------------------------------------------------------------------------
 # Training manager + GMLaaS service + inference manager

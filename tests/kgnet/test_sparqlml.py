@@ -108,7 +108,6 @@ class TestSelectParsing:
         assert udp.constraints[O.NODE_LABEL] == DBLP["publishedIn"]
         assert udp.subject_variable.name == "paper"
         assert udp.object_variable.name == "venue"
-        assert udp.describe()["task_type"] == TaskType.NODE_CLASSIFICATION
 
     def test_fig10_link_predictor_with_topk(self, parser):
         _, predicates = parser.parse_select(FIG10_LINK_SELECT)

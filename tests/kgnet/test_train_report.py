@@ -2,7 +2,8 @@
 
 * ``training.estimated_memory_bytes`` is the method selector's estimate for
   the trained method, made at the dimensions the training manager trains
-  with: one estimate per run, for every method.
+  with: one estimate per run, for every method.  A mini-batch method is
+  priced at the batch its sampler draws.
 * The request's budget holds at run time: the trainer checks it between
   epochs, and ``training.stopped_early`` says when it cut the run short.
 
@@ -22,6 +23,7 @@ from repro.datasets import (
     generate_dblp_kg,
 )
 from repro.kgnet import KGNet, TrainingManagerConfig
+from repro.kgnet.gmlaas import training_manager
 from repro.server.service import ServiceHandler, ServiceRequest
 
 CONFIG = TrainingManagerConfig(feature_dim=16, hidden_dim=16, embedding_dim=16,
@@ -86,6 +88,31 @@ def test_the_report_carries_the_estimate_of_the_selection(platform, monkeypatch,
     assert (estimator.hidden_dim, estimator.num_layers, estimator.embedding_dim,
             estimator.num_negatives) == (CONFIG.hidden_dim, CONFIG.num_layers,
                                          CONFIG.embedding_dim, CONFIG.num_negatives)
+
+
+@pytest.mark.parametrize("method, nodes_per_root", [("graph_saint", 1),
+                                                    ("shadow_saint", 40)])
+def test_the_estimate_prices_the_batch_the_manager_trains(platform, monkeypatch,
+                                                          method, nodes_per_root):
+    """GraphSAINT's working set is its sampled batch, ShaDow's its roots'
+    bounded expansion, both drawn as often per epoch as the manager draws."""
+    samplers = []
+    for name in ("GraphSAINTNodeSampler", "ShadowKHopSampler"):
+        sampler_class = getattr(training_manager, name)
+        monkeypatch.setattr(
+            training_manager, name,
+            lambda *args, _class=sampler_class, **kwargs:
+                samplers.append(_class(*args, **kwargs)) or samplers[-1])
+    outcomes = recorded_outcomes(platform, monkeypatch)
+    status, envelope = post(platform, "train", task=dblp_paper_venue_task().as_dict(),
+                            method=method, name=f"batch_{method}")
+    assert status == 200, envelope["error"]
+    [outcome], [sampler] = outcomes, samplers
+    details = outcome.selection.estimate.details
+    assert details["working_nodes"] == min(sampler.data.num_nodes,
+                                           sampler.batch_size * nodes_per_root)
+    assert details["batches_per_epoch"] == sampler.num_batches
+    assert sampler.batch_size < sampler.data.num_nodes
 
 
 def venue_insert(name: str, budget: str = "") -> str:

@@ -58,10 +58,6 @@ class StubClient:
             raise error
         return [{"s": {"type": "uri", "value": "http://ok"}}]
 
-    def protocol_ask(self, query):
-        self.protocol_select(query)
-        return True
-
     def replication_status(self):
         return {"applied_seq": 0}
 

@@ -129,10 +129,10 @@ class TestOptionalUnionMinus:
 
 class TestAskConstruct:
     def test_ask_true(self, endpoint):
-        assert endpoint.ask(PREFIXES + "ASK { ?p a dblp:Publication . }") is True
+        assert endpoint.query(PREFIXES + "ASK { ?p a dblp:Publication . }") is True
 
     def test_ask_false(self, endpoint):
-        assert endpoint.ask(PREFIXES + "ASK { ?p a dblp:Venue . }") is False
+        assert endpoint.query(PREFIXES + "ASK { ?p a dblp:Venue . }") is False
 
     def test_construct_builds_graph(self, endpoint):
         graph = endpoint.query(PREFIXES + """

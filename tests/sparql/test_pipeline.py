@@ -83,7 +83,7 @@ class TestPlanCache:
         endpoint = build_endpoint()
         endpoint.select(QUERY)
         endpoint.select(QUERY)
-        endpoint.reset_counters()
+        endpoint.plan_cache.reset_counters()
         stats = endpoint.plan_cache.stats()
         assert stats["hits"] == 0 and stats["misses"] == 0
         assert stats["size"] == 1
@@ -120,8 +120,6 @@ class TestBoundedHistory:
         assert endpoint.last_statistics() is endpoint.history[-1]
         assert endpoint.thread_statistics() is endpoint.history[-1]
         assert endpoint.last_statistics().kind == "SELECT"
-        endpoint.reset_counters()
-        assert len(endpoint.history) == 0 and endpoint.last_statistics() is None
 
 
 class TestShortCircuit:
@@ -136,7 +134,7 @@ class TestShortCircuit:
 
     def test_ask_stops_at_first_witness(self):
         endpoint = build_endpoint(rows=200)
-        assert endpoint.ask(f"ASK {{ ?s {PRED} ?o . }}") is True
+        assert endpoint.query(f"ASK {{ ?s {PRED} ?o . }}") is True
         # One scan start, not one per row.
         assert endpoint.history[-1].pattern_lookups <= 2
 

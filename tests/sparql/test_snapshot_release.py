@@ -99,7 +99,7 @@ class TestEndpoint:
                                                               no_gc):
         endpoint.execute(READS["select"])
         assert not _copies(endpoint, lambda: endpoint.execute(READS["modify"]))
-        assert endpoint.ask(f"ASK {{ <{EX}4> <{EX}p> <{EX}50> }}")
+        assert endpoint.query(f"ASK {{ <{EX}4> <{EX}p> <{EX}50> }}") is True
 
     def test_data_updates_pin_nothing(self, endpoint, no_gc):
         for text in (f"INSERT DATA {{ <{EX}a> <{EX}p> <{EX}b> }}",

@@ -127,16 +127,10 @@ class TestEndpoint:
         with pytest.raises(QueryError):
             endpoint.select(PREFIXES + "ASK { ?s ?p ?o . }")
 
-    def test_ask_raises_on_select(self, endpoint):
-        with pytest.raises(QueryError):
-            endpoint.ask("SELECT ?s WHERE { ?s ?p ?o . }")
-
-    def test_history_and_reset(self, endpoint):
+    def test_history(self, endpoint):
         endpoint.select("SELECT ?s WHERE { ?s ?p ?o . }")
         assert endpoint.last_statistics().kind == "SELECT"
         assert endpoint.last_statistics().num_results == len(endpoint.graph)
-        endpoint.reset_counters()
-        assert endpoint.last_statistics() is None
 
     def test_udf_call_counting(self, endpoint):
         """A UDF in the projection runs once per solution row."""
