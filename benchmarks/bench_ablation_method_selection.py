@@ -5,7 +5,9 @@ and picks the near-optimal one within the TrainGML budget.  This benchmark
 sweeps budgets and checks the selector's decisions: an unconstrained budget
 picks the highest-prior method, tight memory budgets exclude full-batch RGCN,
 and a "Time" priority picks the fastest estimated method.  It also measures
-the cost of selection itself (it must be negligible next to training).
+the cost of selection itself (it must be negligible next to training).  The
+selector is the benchmark platform's own, so it prices the plans that
+platform trains.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ import pytest
 from harness import bench_training_config, save_report
 from repro.datasets import dblp_paper_venue_task
 from repro.gml.tasks import TaskType
-from repro.gml.train import MethodCostEstimator, TaskBudget
+from repro.gml.train import TaskBudget
 from repro.gml.transform import RDFGraphTransformer
-from repro.kgnet import MethodSelector
 
 _ROWS = []
 
@@ -42,8 +43,9 @@ BUDGETS = [
 
 @pytest.mark.benchmark(group="ablation-method-selection")
 @pytest.mark.parametrize("name,budget", BUDGETS, ids=[b[0] for b in BUDGETS])
-def test_method_selection_under_budget(benchmark, nc_data, name, budget):
-    selector = MethodSelector(MethodCostEstimator(hidden_dim=24))
+def test_method_selection_under_budget(benchmark, nc_data, dblp_platform, name,
+                                       budget):
+    selector = dblp_platform.gmlaas.training_manager.selector
     if name == "tight memory":
         rgcn_estimate = selector.estimator.estimate("rgcn", nc_data)
         budget = TaskBudget(max_memory_bytes=rgcn_estimate.memory_bytes * 0.9)
@@ -87,7 +89,7 @@ def test_method_selection_under_budget(benchmark, nc_data, name, budget):
 def test_estimator_orders_methods_like_measurements(benchmark, nc_data, dblp_platform):
     """The cost model must reproduce the measured full-KG ordering: RGCN uses
     the most memory among the three NC methods (paper Fig 13C)."""
-    estimator = MethodCostEstimator(hidden_dim=24)
+    estimator = dblp_platform.gmlaas.training_manager.selector.estimator
 
     def estimate_all():
         return {m: estimator.estimate(m, nc_data) for m in

@@ -5,7 +5,8 @@ priority; the GML optimizer estimates each method's cost from the sparse-
 matrix sizes and picks the near-optimal method within the budget.  This
 example sweeps budgets on the DBLP paper-venue task and shows
 
-* which method the selector picks per budget and why (the cost estimates),
+* which method the selector picks per budget and why (the cost estimates of
+  the plans the platform trains: epochs, batches per epoch, batch size),
 * that the chosen method is then actually trained and registered,
 * what happens when no method fits (the selector falls back and flags it).
 
@@ -13,19 +14,24 @@ Run:  python examples/budget_aware_automl.py
 """
 
 from repro.datasets import DBLPConfig, dblp_paper_venue_task, generate_dblp_kg
-from repro.gml.train import MethodCostEstimator, TaskBudget
+from repro.gml.train import TaskBudget
 from repro.gml.transform import RDFGraphTransformer
-from repro.kgnet import KGNet, MethodSelector, MetaSampler, MetaSamplingConfig
+from repro.kgnet import KGNet, MetaSampler, MetaSamplingConfig
 from repro.rdf.stats import format_table
 
 
 def main() -> None:
     graph = generate_dblp_kg(DBLPConfig(scale=0.3, seed=7))
     task = dblp_paper_venue_task()
+    # The selector of the training manager that trains below: it prices each
+    # method's plan at that manager's config.
+    platform = KGNet()
+    manager = platform.gmlaas.training_manager
+    selector = manager.selector
 
     # The selector works on the meta-sampled subgraph, exactly like the platform.
     subgraph, sampling = MetaSampler(MetaSamplingConfig(1, 1)).extract(graph, task)
-    transformer = RDFGraphTransformer(feature_dim=24)
+    transformer = RDFGraphTransformer(feature_dim=manager.config.feature_dim)
     data, _ = transformer.to_node_classification_data(
         subgraph, task.target_node_type, task.label_predicate)
     print(f"Task-specific subgraph: {sampling.num_subgraph_triples} of "
@@ -33,12 +39,14 @@ def main() -> None:
           f"{data.num_relations} relations")
 
     # --- cost estimates per method -------------------------------------------
-    estimator = MethodCostEstimator(hidden_dim=24)
     rows = []
     for method in ("rgcn", "gcn", "gat", "graph_saint", "shadow_saint"):
-        estimate = estimator.estimate(method, data)
+        estimate = selector.estimator.estimate(method, data)
         rows.append({
             "method": method,
+            "epochs": int(estimate.details["epochs"]),
+            "batches/epoch": int(estimate.details["batches_per_epoch"]),
+            "batch_size": int(estimate.details["batch_size"]),
             "est_memory_MB": round(estimate.memory_bytes / 1e6, 2),
             "est_time_s": round(estimate.time_seconds, 2),
             "accuracy_prior": estimate.accuracy_prior,
@@ -47,8 +55,7 @@ def main() -> None:
                                            "Method Selection')"))
 
     # --- what gets selected under different budgets ---------------------------
-    selector = MethodSelector(estimator)
-    rgcn_memory = estimator.estimate("rgcn", data).memory_bytes
+    rgcn_memory = selector.estimator.estimate("rgcn", data).memory_bytes
     budgets = [
         ("unconstrained / ModelScore", TaskBudget()),
         ("priority = Time", TaskBudget(priority="Time")),
@@ -66,7 +73,6 @@ def main() -> None:
     print("\n" + format_table(selection_rows, title="Selector decisions per budget"))
 
     # --- end to end: the platform trains whatever the selector picked ---------
-    platform = KGNet()
     platform.load_graph(graph)
     report = platform.train_task(task, budget=TaskBudget(max_memory_bytes=512 * 1024 ** 2,
                                                          max_time_seconds=300,

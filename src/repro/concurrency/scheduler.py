@@ -42,7 +42,6 @@ from typing import Callable, Dict, Optional
 
 from repro.exceptions import (
     QueryCancelled,
-    QueryInterrupted,
     QueryTimeout,
     ServerOverloaded,
 )

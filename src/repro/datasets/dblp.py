@@ -16,9 +16,7 @@ shape at laptop scale:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
-
-import numpy as np
+from typing import List
 
 from repro.datasets.generator import GeneratorConfig, KGBuilder
 from repro.gml.tasks import TaskSpec, TaskType

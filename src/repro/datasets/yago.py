@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from repro.datasets.generator import GeneratorConfig, KGBuilder
 from repro.gml.tasks import TaskSpec, TaskType
 from repro.rdf.graph import Graph

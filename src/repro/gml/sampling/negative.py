@@ -20,7 +20,7 @@ __all__ = ["TripleBatchSampler", "NegativeSampler", "EdgeSubKGSampler"]
 class NegativeSampler:
     """Corrupt heads or tails of positive triples uniformly at random."""
 
-    def __init__(self, num_entities: int, num_negatives: int = 8,
+    def __init__(self, num_entities: int, num_negatives: int,
                  seed: int = 0) -> None:
         if num_negatives < 1:
             raise SamplingError("num_negatives must be >= 1")
@@ -43,8 +43,8 @@ class NegativeSampler:
 class TripleBatchSampler:
     """Iterate over shuffled mini-batches of positive triples with negatives."""
 
-    def __init__(self, data: TriplesData, batch_size: int = 512,
-                 num_negatives: int = 8, split: str = "train", seed: int = 0) -> None:
+    def __init__(self, data: TriplesData, batch_size: int, num_negatives: int,
+                 split: str = "train", seed: int = 0) -> None:
         if batch_size < 1:
             raise SamplingError("batch_size must be >= 1")
         self.data = data
@@ -75,8 +75,8 @@ class EdgeSubKGSampler:
     (inductive) representations from relation structure alone.
     """
 
-    def __init__(self, data: TriplesData, triples_per_subkg: int = 2000,
-                 num_subkgs: int = 10, seed: int = 0) -> None:
+    def __init__(self, data: TriplesData, triples_per_subkg: int,
+                 num_subkgs: int, seed: int = 0) -> None:
         if triples_per_subkg < 1 or num_subkgs < 1:
             raise SamplingError("triples_per_subkg and num_subkgs must be >= 1")
         self.data = data

@@ -1,15 +1,9 @@
-"""Training utilities: budgets, cost estimators, metrics and trainers."""
+"""Training utilities: budgets, metrics and trainers."""
 
 from repro.gml.train.budget import (
     ResourceMonitor,
     ResourceUsage,
     TaskBudget,
-)
-from repro.gml.train.estimator import (
-    METHOD_PROFILES,
-    CostEstimate,
-    MethodCostEstimator,
-    sampling_plan,
 )
 from repro.gml.train.metrics import (
     accuracy,
@@ -27,10 +21,6 @@ __all__ = [
     "ResourceMonitor",
     "ResourceUsage",
     "TaskBudget",
-    "METHOD_PROFILES",
-    "CostEstimate",
-    "MethodCostEstimator",
-    "sampling_plan",
     "accuracy",
     "classification_report",
     "FullBatchNodeClassificationTrainer",

@@ -183,9 +183,8 @@ class _NodeClassificationTrainer(_BaseTrainer):
 class FullBatchNodeClassificationTrainer(_NodeClassificationTrainer):
     """Full-graph training of a :class:`NodeClassifier` (RGCN / GCN / GAT)."""
 
-    def __init__(self, model: NodeClassifier, data: GraphData,
-                 epochs: int = 40, learning_rate: float = 0.01,
-                 budget: Optional[TaskBudget] = None,
+    def __init__(self, model: NodeClassifier, data: GraphData, epochs: int,
+                 learning_rate: float, budget: Optional[TaskBudget] = None,
                  method_name: str = "rgcn") -> None:
         super().__init__(model, data, epochs, learning_rate, budget, method_name)
         if data.labeled_nodes().size == 0:
@@ -201,8 +200,7 @@ class SamplingNodeClassificationTrainer(_NodeClassificationTrainer):
     """Mini-batch training over sampled subgraphs (GraphSAINT / ShaDow)."""
 
     def __init__(self, model: NodeClassifier, data: GraphData,
-                 sampler: SubgraphSampler, epochs: int = 20,
-                 learning_rate: float = 0.01,
+                 sampler: SubgraphSampler, epochs: int, learning_rate: float,
                  budget: Optional[TaskBudget] = None,
                  method_name: str = "graph_saint") -> None:
         super().__init__(model, data, epochs, learning_rate, budget, method_name)
@@ -259,9 +257,9 @@ class KGETrainer(_LinkPredictionTrainer):
 
     history_every = 10
 
-    def __init__(self, model: KGEModel, data: TriplesData, epochs: int = 50,
-                 batch_size: int = 1024, num_negatives: int = 8,
-                 learning_rate: float = 0.05, budget: Optional[TaskBudget] = None,
+    def __init__(self, model: KGEModel, data: TriplesData, epochs: int,
+                 batch_size: int, num_negatives: int, learning_rate: float,
+                 budget: Optional[TaskBudget] = None,
                  method_name: str = "kge", seed: int = 0) -> None:
         super().__init__(model, data, epochs, learning_rate, budget, method_name)
         self.batch_sampler = TripleBatchSampler(
@@ -277,9 +275,9 @@ class KGETrainer(_LinkPredictionTrainer):
 class MorsETrainer(_LinkPredictionTrainer):
     """Meta-training of the inductive MorsE model over sampled sub-KGs."""
 
-    def __init__(self, model: MorsE, data: TriplesData, epochs: int = 20,
-                 triples_per_subkg: int = 2000, subkgs_per_epoch: int = 4,
-                 num_negatives: int = 8, learning_rate: float = 0.05,
+    def __init__(self, model: MorsE, data: TriplesData, epochs: int,
+                 triples_per_subkg: int, subkgs_per_epoch: int,
+                 num_negatives: int, learning_rate: float,
                  budget: Optional[TaskBudget] = None,
                  method_name: str = "morse", seed: int = 0) -> None:
         super().__init__(model, data, epochs, learning_rate, budget, method_name)

@@ -16,8 +16,7 @@ works unchanged over a socket.
 
 from __future__ import annotations
 
-import json
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.kgnet.api.envelopes import APIRequest, APIResponse
 from repro.kgnet.api.router import APIRouter

@@ -6,14 +6,15 @@ manager runs the end-to-end pipeline:
 1. **Dataset transformation** — RDF triples to sparse matrices
    (:class:`~repro.gml.transform.RDFGraphTransformer`), with literal /
    label-edge removal and the train/valid/test split.
-2. **Optimal method selection** — cost-estimate every applicable method at
-   the dimensions this manager trains with, and choose one under the task
+2. **Optimal method selection** — cost-estimate every applicable method's
+   training plan at this manager's config, and choose one under the task
    budget (:class:`~repro.kgnet.gmlaas.method_selector.MethodSelector`).
    The chosen method's estimate is the one the TrainGML report carries.
-3. **Training** — build the model and the matching trainer (full-batch,
-   GraphSAINT/ShaDow mini-batch, KGE or MorsE) and train it, tracking time
-   and memory; the trainer checks the budget between epochs and stops a
-   run that exceeds it.
+3. **Training** — build the chosen method's model and trainer (full-batch,
+   GraphSAINT/ShaDow mini-batch, KGE or MorsE) from its entry in
+   :data:`~repro.kgnet.gmlaas.method_selector.GML_METHODS`, the plan the
+   estimate priced, and train it, tracking time and memory; the trainer
+   checks the budget between epochs and stops a run that exceeds it.
 4. **Artefact preparation** — produce everything GMLaaS inference needs
    (prediction dictionaries, entity embeddings and names).
 """
@@ -27,25 +28,14 @@ import numpy as np
 
 from repro.exceptions import TrainingError
 from repro.gml.data import GraphData, TriplesData
-from repro.gml.kge import ComplEx, DistMult, MorsE, RotatE, TransE
-from repro.gml.nn import GAT, GCN, RGCN
-from repro.gml.sampling import (
-    GraphSAINTNodeSampler,
-    ShadowKHopSampler,
-)
 from repro.gml.tasks import TaskSpec, TaskType
-from repro.gml.train import (
-    FullBatchNodeClassificationTrainer,
-    KGETrainer,
-    MethodCostEstimator,
-    MorsETrainer,
-    SamplingNodeClassificationTrainer,
-    TaskBudget,
-    TrainingResult,
-    sampling_plan,
-)
+from repro.gml.train import TaskBudget, TrainingResult
 from repro.gml.transform import RDFGraphTransformer, TransformReport
-from repro.kgnet.gmlaas.method_selector import MethodSelection, MethodSelector
+from repro.kgnet.gmlaas.method_selector import (
+    GML_METHODS,
+    MethodSelection,
+    MethodSelector,
+)
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Literal
 
@@ -54,18 +44,18 @@ __all__ = ["TrainingManagerConfig", "GMLTrainingManager"]
 
 @dataclass
 class TrainingManagerConfig:
-    """Hyper-parameters of the automated pipeline."""
+    """Hyper-parameters of the automated pipeline; ``GML_METHODS`` derives
+    each method's training plan from them."""
 
     feature_dim: int = 32
     hidden_dim: int = 32
     embedding_dim: int = 32
-    num_layers: int = 2
     epochs_full_batch: int = 30
     epochs_sampling: int = 15
     epochs_kge: int = 30
+    #: Adam's step for the GNN methods (RGCN, GCN, GAT, GraphSAINT, ShaDow);
+    #: KGE and MorsE train at ``LINK_PREDICTION_LEARNING_RATE``.
     learning_rate: float = 0.02
-    kge_batch_size: int = 512
-    num_negatives: int = 8
     split_strategy: str = "random"
     seed: int = 0
 
@@ -86,10 +76,7 @@ class GMLTrainingManager:
 
     def __init__(self, config: Optional[TrainingManagerConfig] = None) -> None:
         self.config = config or TrainingManagerConfig()
-        self.selector = MethodSelector(MethodCostEstimator(
-            hidden_dim=self.config.hidden_dim, num_layers=self.config.num_layers,
-            embedding_dim=self.config.embedding_dim,
-            num_negatives=self.config.num_negatives))
+        self.selector = MethodSelector(self.config)
 
     # ------------------------------------------------------------------
     # Entry point
@@ -122,85 +109,11 @@ class GMLTrainingManager:
             task.task_type, data, budget=budget,
             candidate_methods=[method] if method is not None else None)
 
-        result = self._run_trainer(selection.method, task, data, budget)
+        result = GML_METHODS[selection.method].trainer(self.config, data,
+                                                       budget).train()
         artifacts = self._build_artifacts(task, data, result)
         return TrainingOutcome(task=task, result=result, selection=selection,
                                transform_report=report, artifacts=artifacts)
-
-    # ------------------------------------------------------------------
-    # Trainer construction
-    # ------------------------------------------------------------------
-    def _run_trainer(self, method: str, task: TaskSpec, data,
-                     budget: TaskBudget) -> TrainingResult:
-        if task.task_type == TaskType.NODE_CLASSIFICATION:
-            if not isinstance(data, GraphData):
-                raise TrainingError("node classification requires GraphData")
-            return self._train_node_classifier(method, data, budget)
-        if not isinstance(data, TriplesData):
-            raise TrainingError("link prediction requires TriplesData")
-        return self._train_link_predictor(method, data, budget)
-
-    def _train_node_classifier(self, method: str, data: GraphData,
-                               budget: TaskBudget) -> TrainingResult:
-        config = self.config
-        seed = config.seed
-        if method == "gcn":
-            model = GCN(data.feature_dim, config.hidden_dim, data.num_classes,
-                        num_layers=config.num_layers, seed=seed)
-        elif method == "gat":
-            model = GAT(data.feature_dim, config.hidden_dim, data.num_classes,
-                        num_layers=config.num_layers, seed=seed)
-        else:
-            model = RGCN(data.feature_dim, config.hidden_dim, data.num_classes,
-                         data.num_relations, num_layers=config.num_layers,
-                         num_bases=8, seed=seed)
-
-        if method in ("rgcn", "gcn", "gat"):
-            trainer = FullBatchNodeClassificationTrainer(
-                model, data, epochs=config.epochs_full_batch,
-                learning_rate=config.learning_rate, budget=budget,
-                method_name=method)
-            return trainer.train()
-        if method == "graph_saint":
-            batch_size, num_batches = sampling_plan(method, data)
-            sampler = GraphSAINTNodeSampler(
-                data, batch_size=batch_size, num_batches=num_batches, seed=seed)
-        elif method == "shadow_saint":
-            batch_size, num_batches = sampling_plan(method, data)
-            sampler = ShadowKHopSampler(
-                data, batch_size=batch_size, num_batches=num_batches, depth=2,
-                neighbors_per_hop=10, seed=seed)
-        else:
-            raise TrainingError(f"method {method!r} does not support node classification")
-        trainer = SamplingNodeClassificationTrainer(
-            model, data, sampler, epochs=config.epochs_sampling,
-            learning_rate=config.learning_rate, budget=budget,
-            method_name=method)
-        return trainer.train()
-
-    def _train_link_predictor(self, method: str, data: TriplesData,
-                              budget: TaskBudget) -> TrainingResult:
-        config = self.config
-        if method == "morse":
-            model = MorsE(data.num_relations, dim=config.embedding_dim,
-                          seed=config.seed)
-            trainer = MorsETrainer(
-                model, data, epochs=max(5, config.epochs_kge // 2),
-                triples_per_subkg=min(2000, max(100, data.num_triples // 2)),
-                subkgs_per_epoch=3, num_negatives=config.num_negatives,
-                budget=budget, method_name=method, seed=config.seed)
-            return trainer.train()
-        kge_classes = {"transe": TransE, "distmult": DistMult,
-                       "complex": ComplEx, "rotate": RotatE}
-        if method not in kge_classes:
-            raise TrainingError(f"method {method!r} does not support link prediction")
-        model = kge_classes[method](data.num_entities, data.num_relations,
-                                    dim=config.embedding_dim, seed=config.seed)
-        trainer = KGETrainer(
-            model, data, epochs=config.epochs_kge,
-            batch_size=config.kge_batch_size, num_negatives=config.num_negatives,
-            budget=budget, method_name=method, seed=config.seed)
-        return trainer.train()
 
     # ------------------------------------------------------------------
     # Inference artefacts

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.exceptions import ModelNotFoundError
 from repro.gml.tasks import TaskSpec, TaskType

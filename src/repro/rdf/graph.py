@@ -68,7 +68,6 @@ from repro.rdf.dictionary import TermDictionary
 from repro.rdf.namespace import NamespaceManager
 from repro.rdf.terms import (
     IRI,
-    BNode,
     Literal,
     Term,
     Triple,

@@ -45,7 +45,6 @@ from repro.rdf.terms import (
     RDF_REST,
     RDF_TYPE,
     XSD_BOOLEAN,
-    XSD_DECIMAL,
     XSD_DOUBLE,
     XSD_INTEGER,
 )

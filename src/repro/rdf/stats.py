@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.rdf.graph import Graph
-from repro.rdf.terms import IRI, Literal, Term, RDF_TYPE
+from repro.rdf.terms import IRI, Literal, RDF_TYPE
 
 __all__ = ["compute_statistics", "format_table"]
 

@@ -23,7 +23,6 @@ __all__ = [
     "Triple",
     "XSD_STRING",
     "XSD_INTEGER",
-    "XSD_DECIMAL",
     "XSD_DOUBLE",
     "XSD_BOOLEAN",
     "RDF_TYPE",

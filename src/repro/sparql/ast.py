@@ -9,9 +9,9 @@ rewriter can pattern-match and rebuild them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.rdf.terms import IRI, Literal, Term, Triple, Variable
+from repro.rdf.terms import IRI, Term, Triple, Variable
 
 __all__ = [
     "Expression",

@@ -31,7 +31,6 @@ from repro.rdf.terms import (
     XSD_BOOLEAN,
     XSD_DOUBLE,
     XSD_INTEGER,
-    XSD_STRING,
 )
 from repro.sparql.ast import (
     Aggregate,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import FrozenSet, List, Tuple, Union
+from typing import FrozenSet, List, Tuple
 
 from repro.rdf.terms import Term, Variable
 from repro.sparql.ast import (

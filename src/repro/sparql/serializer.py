@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.exceptions import QueryError
-from repro.rdf.terms import Term, Variable
+from repro.rdf.terms import Term
 from repro.sparql.ast import (
     Aggregate,
     AlternativePath,
@@ -34,7 +34,6 @@ from repro.sparql.ast import (
     MulPath,
     NegatedPath,
     OptionalPattern,
-    OrderCondition,
     PathExpr,
     PathPattern,
     SelectItem,

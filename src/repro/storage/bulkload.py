@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional, TextIO, Union
+from typing import Iterable, TextIO, Union
 
 from repro.exceptions import RDFError
 from repro.rdf.graph import Graph

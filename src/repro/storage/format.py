@@ -23,7 +23,7 @@ import io
 import os
 import struct
 import zlib
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.exceptions import StorageError
 from repro.rdf.terms import (

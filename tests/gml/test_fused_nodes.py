@@ -286,7 +286,8 @@ def trainer_for(shape, nc_data, lp_data, epochs, **options):
     if shape == "T3-morse-transe":
         return MorsETrainer(MorsE(lp_data.num_relations, dim=16, decoder="transe", seed=0),
                             lp_data, epochs=epochs, triples_per_subkg=300,
-                            subkgs_per_epoch=3, **options)
+                            subkgs_per_epoch=3, num_negatives=8, learning_rate=0.05,
+                            **options)
     return tiny_trainer(shape, nc_data, lp_data, epochs, **options)
 
 

@@ -261,6 +261,6 @@ class TestTripleSamplers:
         with pytest.raises(SamplingError):
             NegativeSampler(10, num_negatives=0)
         with pytest.raises(SamplingError):
-            TripleBatchSampler(data, batch_size=0)
+            TripleBatchSampler(data, batch_size=0, num_negatives=8)
         with pytest.raises(SamplingError):
-            EdgeSubKGSampler(data, triples_per_subkg=0)
+            EdgeSubKGSampler(data, triples_per_subkg=0, num_subkgs=10)

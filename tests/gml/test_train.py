@@ -1,4 +1,4 @@
-"""Unit tests for metrics, budgets, cost estimators and the trainers."""
+"""Unit tests for metrics, budgets and the trainers."""
 
 import gc
 import sys
@@ -17,10 +17,8 @@ from repro.gml.kge.base import ranking_metrics
 from repro.gml.nn import RGCN
 from repro.gml.sampling import GraphSAINTNodeSampler, ShadowKHopSampler
 from repro.gml.train import (
-    METHOD_PROFILES,
     FullBatchNodeClassificationTrainer,
     KGETrainer,
-    MethodCostEstimator,
     MorsETrainer,
     ResourceMonitor,
     SamplingNodeClassificationTrainer,
@@ -225,47 +223,6 @@ class TestResourceMonitor:
         assert not tracemalloc.is_tracing()
 
 
-class TestMethodCostEstimator:
-    def test_estimates_for_all_profiles(self, dblp_nc_data, dblp_lp_data):
-        estimator = MethodCostEstimator()
-        nc_data, lp_data = dblp_nc_data[0], dblp_lp_data[0]
-        for name, profile in METHOD_PROFILES.items():
-            data = nc_data if "node_classification" in profile.supported_tasks else lp_data
-            estimate = estimator.estimate(name, data)
-            assert estimate.memory_bytes > 0
-            assert estimate.time_seconds > 0
-            assert estimate.method == name
-
-    def test_full_batch_needs_more_memory_than_sampling(self, dblp_nc_data):
-        estimator = MethodCostEstimator()
-        data = dblp_nc_data[0]
-        rgcn = estimator.estimate("rgcn", data)
-        saint = estimator.estimate("graph_saint", data,
-                                   batch_size=max(8, data.num_nodes // 8))
-        assert rgcn.memory_bytes > saint.memory_bytes
-
-    def test_morse_needs_less_memory_than_transductive_kge(self, dblp_lp_data):
-        estimator = MethodCostEstimator()
-        data = dblp_lp_data[0]
-        morse = estimator.estimate("morse", data)
-        complex_est = estimator.estimate("complex", data)
-        assert morse.memory_bytes < complex_est.memory_bytes
-
-    def test_smaller_graph_costs_less(self, dblp_nc_data):
-        estimator = MethodCostEstimator()
-        data = dblp_nc_data[0]
-        sub, _ = data.subgraph(np.arange(data.num_nodes // 3))
-        for method in ("rgcn", "graph_saint", "shadow_saint"):
-            assert estimator.estimate(method, sub).memory_bytes <= \
-                estimator.estimate(method, data).memory_bytes
-            assert estimator.estimate(method, sub).time_seconds <= \
-                estimator.estimate(method, data).time_seconds
-
-    def test_unknown_method_raises(self, dblp_nc_data):
-        with pytest.raises(TrainingError):
-            MethodCostEstimator().estimate("no_such_method", dblp_nc_data[0])
-
-
 class TestTrainers:
     def test_full_batch_trainer(self, dblp_nc_data):
         data = dblp_nc_data[0]
@@ -299,6 +256,7 @@ class TestTrainers:
                      num_bases=4, seed=0)
         sampler = GraphSAINTNodeSampler(data, batch_size=60, num_batches=2, seed=0)
         trainer = SamplingNodeClassificationTrainer(model, data, sampler, epochs=4,
+                                                    learning_rate=0.01,
                                                     method_name="graph_saint")
         result = trainer.train()
         assert result.method == "graph_saint"
@@ -311,6 +269,7 @@ class TestTrainers:
         sampler = ShadowKHopSampler(data, batch_size=16, num_batches=2, depth=2,
                                     neighbors_per_hop=5, seed=0)
         trainer = SamplingNodeClassificationTrainer(model, data, sampler, epochs=4,
+                                                    learning_rate=0.01,
                                                     method_name="shadow_saint")
         result = trainer.train()
         assert result.metrics["accuracy"] >= 0.0
@@ -327,7 +286,8 @@ class TestTrainers:
             test_mask=np.zeros(data.num_nodes, bool))
         model = RGCN(data.feature_dim, 8, data.num_classes, data.num_relations)
         with pytest.raises(TrainingError):
-            FullBatchNodeClassificationTrainer(model, unlabelled)
+            FullBatchNodeClassificationTrainer(model, unlabelled, epochs=40,
+                                               learning_rate=0.01)
 
     def test_budget_enforcement_stops_training(self, dblp_nc_data):
         data = dblp_nc_data[0]
@@ -335,15 +295,16 @@ class TestTrainers:
                      num_bases=4, seed=0)
         budget = TaskBudget(max_time_seconds=1e-6)
         trainer = FullBatchNodeClassificationTrainer(
-            model, data, epochs=50, budget=budget, method_name="rgcn")
+            model, data, epochs=50, learning_rate=0.01, budget=budget,
+            method_name="rgcn")
         result = trainer.train()
         assert result.stopped_early
 
     def test_kge_trainer(self, dblp_lp_data):
         data = dblp_lp_data[0]
         model = DistMult(data.num_entities, data.num_relations, dim=16, seed=0)
-        trainer = KGETrainer(model, data, epochs=3, batch_size=256,
-                             method_name="distmult", seed=0)
+        trainer = KGETrainer(model, data, epochs=3, batch_size=256, num_negatives=8,
+                             learning_rate=0.05, method_name="distmult", seed=0)
         result = trainer.train()
         assert result.task_type == "link_prediction"
         assert "hits@10" in result.metrics
@@ -353,7 +314,8 @@ class TestTrainers:
         data = dblp_lp_data[0]
         model = MorsE(data.num_relations, dim=16, seed=0)
         trainer = MorsETrainer(model, data, epochs=4, triples_per_subkg=300,
-                               subkgs_per_epoch=2, seed=0)
+                               subkgs_per_epoch=2, num_negatives=8,
+                               learning_rate=0.05, seed=0)
         result = trainer.train()
         assert result.method == "morse"
         assert "hits@10" in result.metrics
@@ -363,7 +325,8 @@ class TestTrainers:
         data = dblp_lp_data[0]
         model = MorsE(data.num_relations, dim=24, seed=0)
         trainer = MorsETrainer(model, data, epochs=10, triples_per_subkg=600,
-                               subkgs_per_epoch=3, seed=0)
+                               subkgs_per_epoch=3, num_negatives=8,
+                               learning_rate=0.05, seed=0)
         result = trainer.train()
         random_hits = 10.0 / data.num_entities
         assert result.metrics["hits@10"] > random_hits * 2
@@ -380,27 +343,29 @@ def tiny_trainer(shape, nc_data, lp_data, epochs, **options):
         sampler = GraphSAINTNodeSampler(nc_data, batch_size=nc_data.num_nodes // 2,
                                         num_batches=6, seed=0)
         return SamplingNodeClassificationTrainer(
-            rgcn_for(nc_data), nc_data, sampler, epochs=epochs, **options)
+            rgcn_for(nc_data), nc_data, sampler, epochs=epochs, learning_rate=0.01,
+            **options)
     if shape == "T2-rgcn-on-subgraph":
         sub = nc_data.subgraph(np.arange(nc_data.num_nodes // 2))[0]
         return FullBatchNodeClassificationTrainer(rgcn_for(sub), sub, epochs=epochs,
-                                                  **options)
+                                                  learning_rate=0.01, **options)
     if shape == "T3-morse":
         return MorsETrainer(MorsE(lp_data.num_relations, dim=16, seed=0), lp_data,
                             epochs=epochs, triples_per_subkg=300, subkgs_per_epoch=3,
-                            **options)
+                            num_negatives=8, learning_rate=0.05, **options)
     if shape == "T4-rgcn-on-full-graph":
         return FullBatchNodeClassificationTrainer(rgcn_for(nc_data), nc_data,
-                                                  epochs=epochs, **options)
+                                                  epochs=epochs, learning_rate=0.01,
+                                                  **options)
     if shape == "shadow_saint":
         sampler = ShadowKHopSampler(nc_data, batch_size=16, num_batches=3, seed=0)
         return SamplingNodeClassificationTrainer(
-            rgcn_for(nc_data), nc_data, sampler, epochs=epochs,
+            rgcn_for(nc_data), nc_data, sampler, epochs=epochs, learning_rate=0.01,
             method_name="shadow_saint", **options)
     assert shape == "distmult"
     return KGETrainer(DistMult(lp_data.num_entities, lp_data.num_relations, dim=16,
                                seed=0), lp_data, epochs=epochs, batch_size=512,
-                      **options)
+                      num_negatives=8, learning_rate=0.05, **options)
 
 
 BENCHMARK_SHAPES = ["T1-graph_saint", "T2-rgcn-on-subgraph", "T3-morse",

@@ -1,5 +1,6 @@
 """Unit tests for GMLaaS: stores, method selector, training and inference managers."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -23,6 +24,7 @@ from repro.kgnet import (
     TrainingManagerConfig,
 )
 from repro.kgnet.gmlaas.embedding_store import FlatIndex
+from repro.kgnet.gmlaas.method_selector import GML_METHODS, MethodCostEstimator
 from repro.kgnet.gmlaas.training_manager import GMLTrainingManager
 from repro.rdf import DBLP, IRI
 from benchmarks.ivf_index import IVFIndex
@@ -164,12 +166,74 @@ class TestModelStore:
 
 
 # ---------------------------------------------------------------------------
-# Method selector
+# Cost estimator and method selector
 # ---------------------------------------------------------------------------
+
+#: The config a training manager trains with when given none.
+DEFAULT = TrainingManagerConfig()
+
+
+class TestMethodCostEstimator:
+    def test_estimates_for_all_methods(self, dblp_nc_data, dblp_lp_data):
+        estimator = MethodCostEstimator(DEFAULT)
+        nc_data, lp_data = dblp_nc_data[0], dblp_lp_data[0]
+        for name, method in GML_METHODS.items():
+            data = nc_data if TaskType.NODE_CLASSIFICATION in method.tasks else lp_data
+            estimate = estimator.estimate(name, data)
+            assert estimate.memory_bytes > 0
+            assert estimate.time_seconds > 0
+            assert estimate.method == name
+
+    def test_full_batch_needs_more_memory_than_sampling(self, dblp_nc_data):
+        estimator = MethodCostEstimator(DEFAULT)
+        data = dblp_nc_data[0]
+        rgcn = estimator.estimate("rgcn", data)
+        saint = estimator.estimate("graph_saint", data)
+        assert saint.details["working_nodes"] < data.num_nodes
+        assert rgcn.memory_bytes > saint.memory_bytes
+
+    def test_morse_prices_no_entity_table(self, dblp_lp_data):
+        """MorsE keeps relation tables only and composes the entities of one
+        sub-KG, so more entities over the same triples leave its estimate
+        flat once they outnumber a sub-KG's, while a transductive KGE pays a
+        row per entity: with enough entities MorsE needs less memory."""
+        estimator = MethodCostEstimator(DEFAULT)
+        data = dblp_lp_data[0]
+        larger = dataclasses.replace(data, num_entities=data.num_entities * 100)
+        morse, complex_est = (estimator.estimate(method, larger).memory_bytes
+                              for method in ("morse", "complex"))
+        wider = dataclasses.replace(data, num_entities=data.num_entities * 200)
+        assert estimator.estimate("morse", wider).memory_bytes == morse
+        assert estimator.estimate("complex", wider).memory_bytes > complex_est
+        assert morse < complex_est
+
+    def test_smaller_graph_costs_less(self, dblp_nc_data):
+        estimator = MethodCostEstimator(DEFAULT)
+        data = dblp_nc_data[0]
+        sub, _ = data.subgraph(np.arange(data.num_nodes // 3))
+        for method in ("rgcn", "graph_saint", "shadow_saint"):
+            assert estimator.estimate(method, sub).memory_bytes <= \
+                estimator.estimate(method, data).memory_bytes
+            assert estimator.estimate(method, sub).time_seconds <= \
+                estimator.estimate(method, data).time_seconds
+
+    def test_prices_at_the_config(self, dblp_nc_data):
+        """A wider model or more epochs costs more: the estimate reads the
+        config the manager trains with."""
+        data = dblp_nc_data[0]
+        narrow = MethodCostEstimator(DEFAULT).estimate("rgcn", data)
+        wide = MethodCostEstimator(TrainingManagerConfig(hidden_dim=64)).estimate(
+            "rgcn", data)
+        longer = MethodCostEstimator(TrainingManagerConfig(epochs_full_batch=60)).estimate(
+            "rgcn", data)
+        assert wide.memory_bytes > narrow.memory_bytes
+        assert longer.time_seconds == pytest.approx(2 * narrow.time_seconds)
+        assert longer.memory_bytes == narrow.memory_bytes
+
 
 class TestMethodSelector:
     def test_applicable_methods_by_task(self):
-        selector = MethodSelector()
+        selector = MethodSelector(DEFAULT)
         nc_methods = selector.applicable_methods(TaskType.NODE_CLASSIFICATION)
         lp_methods = selector.applicable_methods(TaskType.LINK_PREDICTION)
         assert "rgcn" in nc_methods and "graph_saint" in nc_methods
@@ -177,8 +241,8 @@ class TestMethodSelector:
         assert "rgcn" not in lp_methods
 
     def test_select_prefers_high_prior_unconstrained(self, dblp_nc_data):
-        selection = MethodSelector().select(TaskType.NODE_CLASSIFICATION,
-                                            dblp_nc_data[0])
+        selection = MethodSelector(DEFAULT).select(TaskType.NODE_CLASSIFICATION,
+                                                   dblp_nc_data[0])
         assert selection.method == "shadow_saint"  # highest accuracy prior
         assert selection.within_budget
         assert selection.objective == "ModelScore"
@@ -186,7 +250,7 @@ class TestMethodSelector:
 
     def test_memory_budget_excludes_full_batch(self, dblp_nc_data):
         data = dblp_nc_data[0]
-        selector = MethodSelector()
+        selector = MethodSelector(DEFAULT)
         rgcn_estimate = selector.estimator.estimate("rgcn", data)
         budget = TaskBudget(max_memory_bytes=rgcn_estimate.memory_bytes * 0.9,
                             priority="ModelScore")
@@ -195,27 +259,40 @@ class TestMethodSelector:
 
     def test_time_priority_picks_fastest(self, dblp_nc_data):
         budget = TaskBudget(priority="Time")
-        selection = MethodSelector().select(TaskType.NODE_CLASSIFICATION,
-                                            dblp_nc_data[0], budget=budget)
+        selection = MethodSelector(DEFAULT).select(TaskType.NODE_CLASSIFICATION,
+                                                   dblp_nc_data[0], budget=budget)
         estimates = {e.method: e.time_seconds for e in selection.candidates}
         assert selection.estimate.time_seconds == min(estimates.values())
 
     def test_infeasible_budget_falls_back(self, dblp_nc_data):
         budget = TaskBudget(max_memory_bytes=1.0)
-        selection = MethodSelector().select(TaskType.NODE_CLASSIFICATION,
-                                            dblp_nc_data[0], budget=budget)
+        selection = MethodSelector(DEFAULT).select(TaskType.NODE_CLASSIFICATION,
+                                                   dblp_nc_data[0], budget=budget)
         assert not selection.within_budget
 
     def test_candidate_restriction(self, dblp_nc_data):
-        selection = MethodSelector().select(TaskType.NODE_CLASSIFICATION,
-                                            dblp_nc_data[0],
-                                            candidate_methods=["gcn"])
+        selection = MethodSelector(DEFAULT).select(TaskType.NODE_CLASSIFICATION,
+                                                   dblp_nc_data[0],
+                                                   candidate_methods=["gcn"])
         assert selection.method == "gcn"
 
     def test_unknown_candidate_rejected(self, dblp_nc_data):
         with pytest.raises(ModelSelectionError):
-            MethodSelector().select(TaskType.NODE_CLASSIFICATION, dblp_nc_data[0],
-                                    candidate_methods=["alexnet"])
+            MethodSelector(DEFAULT).select(TaskType.NODE_CLASSIFICATION, dblp_nc_data[0],
+                                           candidate_methods=["alexnet"])
+
+    @pytest.mark.parametrize("task_type, method", [
+        (TaskType.NODE_CLASSIFICATION, "morse"),
+        (TaskType.LINK_PREDICTION, "rgcn"),
+        (TaskType.ENTITY_SIMILARITY, "graph_saint"),
+    ])
+    def test_a_method_of_the_other_data_kind_is_rejected(self, dblp_nc_data,
+                                                         dblp_lp_data, task_type,
+                                                         method):
+        data = dblp_nc_data[0] if task_type == TaskType.NODE_CLASSIFICATION \
+            else dblp_lp_data[0]
+        with pytest.raises(ModelSelectionError, match="do not support"):
+            MethodSelector(DEFAULT).select(task_type, data, candidate_methods=[method])
 
 
 # ---------------------------------------------------------------------------

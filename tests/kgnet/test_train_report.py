@@ -1,9 +1,10 @@
 """A TrainGML report prices, bounds and reports the run it describes.
 
 * ``training.estimated_memory_bytes`` is the method selector's estimate for
-  the trained method, made at the dimensions the training manager trains
-  with: one estimate per run, for every method.  A mini-batch method is
-  priced at the batch its sampler draws.
+  the trained method, made at the config the training manager trains with:
+  one estimate per run, for every method.  The estimate prices the plan the
+  built trainer runs: its epochs, batches per epoch and batch or sub-KG
+  size.
 * The request's budget holds at run time: the trainer checks it between
   epochs, and ``training.stopped_early`` says when it cut the run short.
 
@@ -22,8 +23,14 @@ from repro.datasets import (
     dblp_paper_venue_task,
     generate_dblp_kg,
 )
+from repro.gml.train import (
+    FullBatchNodeClassificationTrainer,
+    KGETrainer,
+    MorsETrainer,
+    SamplingNodeClassificationTrainer,
+)
 from repro.kgnet import KGNet, TrainingManagerConfig
-from repro.kgnet.gmlaas import training_manager
+from repro.kgnet.gmlaas.method_selector import GML_METHODS, GMLMethod
 from repro.server.service import ServiceHandler, ServiceRequest
 
 CONFIG = TrainingManagerConfig(feature_dim=16, hidden_dim=16, embedding_dim=16,
@@ -69,50 +76,86 @@ def recorded_outcomes(platform, monkeypatch) -> list:
     return outcomes
 
 
+NODE_METHODS = ("rgcn", "gcn", "gat", "graph_saint", "shadow_saint")
+
+
+def train_task(method: str):
+    return dblp_paper_venue_task() if method in NODE_METHODS \
+        else dblp_author_affiliation_task()
+
+
 @pytest.mark.parametrize("method", ["rgcn", "graph_saint", "shadow_saint",
                                     "transe", "morse"])
 def test_the_report_carries_the_estimate_of_the_selection(platform, monkeypatch,
                                                           method):
     outcomes = recorded_outcomes(platform, monkeypatch)
-    task = (dblp_paper_venue_task() if method in ("rgcn", "graph_saint", "shadow_saint")
-            else dblp_author_affiliation_task())
-    status, envelope = post(platform, "train", task=task.as_dict(), method=method,
-                            name=f"estimate_{method}")
+    status, envelope = post(platform, "train", task=train_task(method).as_dict(),
+                            method=method, name=f"estimate_{method}")
     assert status == 200, envelope["error"]
     estimated = envelope["result"]["training"]["estimated_memory_bytes"]
     assert estimated > 0
     [outcome] = outcomes
     assert outcome.selection.method == method
     assert estimated == int(outcome.selection.estimate.memory_bytes)
-    estimator = platform.gmlaas.training_manager.selector.estimator
-    assert (estimator.hidden_dim, estimator.num_layers, estimator.embedding_dim,
-            estimator.num_negatives) == (CONFIG.hidden_dim, CONFIG.num_layers,
-                                         CONFIG.embedding_dim, CONFIG.num_negatives)
+    manager = platform.gmlaas.training_manager
+    assert manager.selector.estimator.config is manager.config
 
 
-@pytest.mark.parametrize("method, nodes_per_root", [("graph_saint", 1),
-                                                    ("shadow_saint", 40)])
+def what_it_runs(trainer) -> dict:
+    """Epochs, batches per epoch, batch or sub-KG size, negatives and
+    learning rate of a built trainer, read off the trainer and its sampler."""
+    if isinstance(trainer, FullBatchNodeClassificationTrainer):
+        batches, size, negatives = 1, trainer.data.num_nodes, 0
+    elif isinstance(trainer, SamplingNodeClassificationTrainer):
+        batches, size, negatives = (len(trainer.sampler), trainer.sampler.batch_size, 0)
+    elif isinstance(trainer, KGETrainer):
+        sampler = trainer.batch_sampler
+        batches, size = len(sampler), sampler.batch_size
+        negatives = sampler.negative_sampler.num_negatives
+    else:
+        assert isinstance(trainer, MorsETrainer)
+        sampler = trainer.subkg_sampler
+        batches, size = len(sampler), sampler.triples_per_subkg
+        negatives = trainer.num_negatives
+    return {"epochs": trainer.epochs, "batches_per_epoch": batches,
+            "batch_size": size, "num_negatives": negatives,
+            "learning_rate": trainer.optimizer.lr}
+
+
+@pytest.mark.parametrize("method", list(GML_METHODS))
 def test_the_estimate_prices_the_batch_the_manager_trains(platform, monkeypatch,
-                                                          method, nodes_per_root):
-    """GraphSAINT's working set is its sampled batch, ShaDow's its roots'
-    bounded expansion, both drawn as often per epoch as the manager draws."""
-    samplers = []
-    for name in ("GraphSAINTNodeSampler", "ShadowKHopSampler"):
-        sampler_class = getattr(training_manager, name)
-        monkeypatch.setattr(
-            training_manager, name,
-            lambda *args, _class=sampler_class, **kwargs:
-                samplers.append(_class(*args, **kwargs)) or samplers[-1])
+                                                          method):
+    """The selection's estimate prices the run the built trainer makes: as many
+    epochs, as many batches an epoch, each as large; and the plan the
+    estimator read names the trainer's negatives and learning rate."""
+    assert len(GML_METHODS) == 10
+    trainers = []
+    build = GMLMethod.trainer
+
+    def recording(self, *args):
+        trainers.append(build(self, *args))
+        return trainers[-1]
+
+    monkeypatch.setattr(GMLMethod, "trainer", recording)
     outcomes = recorded_outcomes(platform, monkeypatch)
-    status, envelope = post(platform, "train", task=dblp_paper_venue_task().as_dict(),
+    status, envelope = post(platform, "train", task=train_task(method).as_dict(),
                             method=method, name=f"batch_{method}")
     assert status == 200, envelope["error"]
-    [outcome], [sampler] = outcomes, samplers
+    [outcome], [trainer] = outcomes, trainers
+    runs = what_it_runs(trainer)
     details = outcome.selection.estimate.details
-    assert details["working_nodes"] == min(sampler.data.num_nodes,
-                                           sampler.batch_size * nodes_per_root)
-    assert details["batches_per_epoch"] == sampler.num_batches
-    assert sampler.batch_size < sampler.data.num_nodes
+    assert {key: details[key] for key in ("epochs", "batches_per_epoch", "batch_size")} \
+        == {key: runs[key] for key in ("epochs", "batches_per_epoch", "batch_size")}
+    plan = GML_METHODS[method].plan(CONFIG, trainer.data)
+    assert (plan.num_negatives, plan.learning_rate) == (runs["num_negatives"],
+                                                        runs["learning_rate"])
+    if method in ("graph_saint", "shadow_saint"):
+        # GraphSAINT's working set is its sampled batch, ShaDow's its roots'
+        # bounded expansion.
+        nodes_per_root = 40 if method == "shadow_saint" else 1
+        assert details["working_nodes"] == min(trainer.data.num_nodes,
+                                               runs["batch_size"] * nodes_per_root)
+        assert runs["batch_size"] < trainer.data.num_nodes
 
 
 def venue_insert(name: str, budget: str = "") -> str:
