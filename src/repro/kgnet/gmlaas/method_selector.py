@@ -146,19 +146,110 @@ def _morse_trainer(model, data: TriplesData, plan: TrainingPlan,
                         method_name=method, seed=seed)
 
 
+_FLOAT_BYTES = 8
+#: Throughput constant translating "floating point operations" into seconds.
+#: Calibrated for the pure-numpy engine; only relative values matter.
+_SECONDS_PER_FLOP = 5e-9
+
+
+def _price_nodes(config: TrainingManagerConfig, family: _Family,
+                 method: GMLMethod, data: GraphData,
+                 plan: TrainingPlan) -> Tuple[float, float, Dict[str, float]]:
+    """Node classification: memory, seconds and the working set."""
+    nodes, edges = data.num_nodes, max(1, data.num_edges)
+    feature_dim = data.feature_dim
+    hidden = config.hidden_dim
+    relations = data.num_relations if method.relation_aware else 1
+
+    if family.nodes_per_item:
+        working_nodes = min(nodes, plan.batch_size * family.nodes_per_item)
+        density = edges / max(1, nodes)
+        working_edges = max(1, int(working_nodes * density))
+        sampling_cost = working_nodes * plan.batches_per_epoch * 1e-6
+    else:
+        working_nodes = nodes
+        working_edges = edges
+        sampling_cost = 0.0
+
+    # Memory: features + activations per layer + adjacency structure(s)
+    # (one matrix per relation for relation-aware methods) + weights.
+    activation_bytes = working_nodes * (feature_dim + hidden * NUM_LAYERS) * _FLOAT_BYTES
+    adjacency_bytes = working_edges * 3 * _FLOAT_BYTES * relations
+    weight_bytes = (feature_dim * hidden + hidden * hidden * (NUM_LAYERS - 1)
+                    + hidden * max(1, data.num_classes)) * _FLOAT_BYTES * max(1, min(relations, 8))
+    # Backpropagation roughly doubles the live activations.
+    memory = 2.0 * activation_bytes + adjacency_bytes + weight_bytes
+
+    # Time: per batch, aggregation touches every edge once per layer and
+    # the dense transforms are nodes x feature x hidden.
+    flops_per_batch = (working_edges * hidden * NUM_LAYERS * relations
+                       + working_nodes * feature_dim * hidden
+                       + working_nodes * hidden * hidden * (NUM_LAYERS - 1))
+    seconds = (flops_per_batch * plan.batches_per_epoch * _SECONDS_PER_FLOP
+               + sampling_cost) * plan.epochs
+    return memory, seconds, {"working_nodes": float(working_nodes),
+                             "working_edges": float(working_edges),
+                             "relations": float(relations)}
+
+
+def _price_links(config: TrainingManagerConfig, family: _Family,
+                 method: GMLMethod, data: TriplesData,
+                 plan: TrainingPlan) -> Tuple[float, float, Dict[str, float]]:
+    """Link prediction: memory, seconds and the dataset's sizes.
+
+    A step scores ``batch_size x (1 + negatives)`` triples at the method's
+    ``scored_floats`` and ``scored_flops`` per embedding dimension; the
+    tables count twice and the entity rows (a table's, or those a sub-KG
+    composes) once more.
+    """
+    entities = data.num_entities
+    relations = data.num_relations
+    triples = max(1, data.num_triples)
+    dim = config.embedding_dim
+    working_triples = min(triples, plan.batch_size)
+
+    if family.entity_table:
+        table_bytes = (entities + relations) * dim * _FLOAT_BYTES
+        working_entities = entities
+    else:
+        # Relation-level tables only; entity embeddings are composed on
+        # the fly from the sampled sub-KG.
+        table_bytes = (3 * relations) * dim * _FLOAT_BYTES
+        working_entities = min(entities, working_triples * 2)
+    scored = working_triples * (1 + plan.num_negatives)
+    memory = (2.0 * table_bytes + scored * dim * method.scored_floats * _FLOAT_BYTES
+              + working_entities * dim * _FLOAT_BYTES)
+    seconds = (scored * dim * method.scored_flops * plan.batches_per_epoch
+               * plan.epochs * _SECONDS_PER_FLOP)
+    return memory, seconds, {"entities": float(entities),
+                             "relations": float(relations),
+                             "triples": float(triples)}
+
+
 class _Family(NamedTuple):
-    """How the methods of one family train: their plan and their trainer."""
+    """How the methods of one family train, and what the estimator prices
+    that run by."""
 
     plan: Callable[..., TrainingPlan]
     trainer: Callable[..., object]
+    #: ``_price_nodes`` or ``_price_links``.
+    price: Callable[..., Tuple[float, float, Dict[str, float]]]
+    #: Graph nodes one batch item brings into the working set: a sampled
+    #: node, or a ShaDow root's bounded expansion (``ShadowKHopSampler``'s
+    #: depth 2, fanout 10); 0 when every step sees the whole graph.
+    nodes_per_item: int = 0
+    #: Whether the model keeps a row per entity (MorsE does not).
+    entity_table: bool = True
 
 
 _FAMILIES: Dict[str, _Family] = {
-    "full_batch": _Family(_full_batch_plan, _full_batch_trainer),
-    "graphsaint": _Family(_graphsaint_plan, _sampling_trainer(GraphSAINTNodeSampler)),
-    "shadow": _Family(_shadow_plan, _sampling_trainer(ShadowKHopSampler)),
-    "kge": _Family(_kge_plan, _kge_trainer),
-    "morse": _Family(_morse_plan, _morse_trainer),
+    "full_batch": _Family(_full_batch_plan, _full_batch_trainer, _price_nodes),
+    "graphsaint": _Family(_graphsaint_plan, _sampling_trainer(GraphSAINTNodeSampler),
+                          _price_nodes, nodes_per_item=1),
+    "shadow": _Family(_shadow_plan, _sampling_trainer(ShadowKHopSampler),
+                      _price_nodes, nodes_per_item=40),
+    "kge": _Family(_kge_plan, _kge_trainer, _price_links),
+    "morse": _Family(_morse_plan, _morse_trainer, _price_links, entity_table=False),
 }
 
 
@@ -195,7 +286,8 @@ class GMLMethod:
     """One GML method: what the selector ranks it by and how it trains."""
 
     name: str
-    #: A key of ``_FAMILIES``: the plan and the trainer the method runs.
+    #: A key of ``_FAMILIES``: the plan the method runs, its trainer and how
+    #: that run is priced.
     family: str
     tasks: Tuple[str, ...]
     #: Prior on relative accuracy (it breaks ties when the budget allows
@@ -205,6 +297,16 @@ class GMLMethod:
     model: Callable
     #: Whether message passing keeps one weight per relation.
     relation_aware: bool = True
+    #: Link predictors: what one scored triple costs a training step per
+    #: embedding dimension, in floats live through the backward pass and in
+    #: floating point operations (MorsE's entity composition included).
+    #: Fitted to the traced first-epoch peak and the epoch time of each
+    #: method on DBLP author-affiliation (scale 0.25 seed 3 and 1.0 seed 7,
+    #: dimension 16 to 64): the floats put every estimate within 6 % of its
+    #: peak (also at scale 0.5 seed 11), the operations are the median of
+    #: noisier timings.
+    scored_floats: float = 0.0
+    scored_flops: float = 0.0
 
     def plan(self, config: TrainingManagerConfig,
              data: Union[GraphData, TriplesData]) -> TrainingPlan:
@@ -227,21 +329,17 @@ GML_METHODS: Dict[str, GMLMethod] = {method.name: method for method in (
     GMLMethod("gat", "full_batch", _NODES, 0.75, _gat, relation_aware=False),
     GMLMethod("graph_saint", "graphsaint", _NODES, 0.82, _rgcn),
     GMLMethod("shadow_saint", "shadow", _NODES, 0.85, _rgcn),
-    GMLMethod("morse", "morse", (TaskType.LINK_PREDICTION,), 0.80, _morse),
-    GMLMethod("complex", "kge", _LINKS, 0.70, _transductive(ComplEx)),
-    GMLMethod("transe", "kge", _LINKS, 0.60, _transductive(TransE)),
-    GMLMethod("distmult", "kge", _LINKS, 0.65, _transductive(DistMult)),
-    GMLMethod("rotate", "kge", _LINKS, 0.68, _transductive(RotatE)),
+    GMLMethod("morse", "morse", (TaskType.LINK_PREDICTION,), 0.80, _morse,
+              scored_floats=5.8, scored_flops=4.5),
+    GMLMethod("complex", "kge", _LINKS, 0.70, _transductive(ComplEx),
+              scored_floats=10.3, scored_flops=15.0),
+    GMLMethod("transe", "kge", _LINKS, 0.60, _transductive(TransE),
+              scored_floats=12.2, scored_flops=8.0),
+    GMLMethod("distmult", "kge", _LINKS, 0.65, _transductive(DistMult),
+              scored_floats=7.8, scored_flops=6.5),
+    GMLMethod("rotate", "kge", _LINKS, 0.68, _transductive(RotatE),
+              scored_floats=14.5, scored_flops=18.0),
 )}
-
-
-_FLOAT_BYTES = 8
-#: Throughput constant translating "floating point operations" into seconds.
-#: Calibrated for the pure-numpy engine; only relative values matter.
-_SECONDS_PER_FLOP = 5e-9
-#: Nodes a ShaDow root's bounded expansion holds (``ShadowKHopSampler``'s
-#: depth 2, fanout 10).
-_SHADOW_NODES_PER_ROOT = 40
 
 
 @dataclass
@@ -264,82 +362,16 @@ class MethodCostEstimator:
 
     def estimate(self, method: str,
                  data: Union[GraphData, TriplesData]) -> CostEstimate:
-        entry = GML_METHODS[method]
-        plan = entry.plan(self.config, data)
-        price = self._price_gnn if isinstance(data, GraphData) else self._price_kge
-        memory, seconds, details = price(entry, data, plan)
+        entry = GML_METHODS.get(method)
+        if entry is None:
+            raise ModelSelectionError(f"unknown GML method {method!r}")
+        family = _FAMILIES[entry.family]
+        plan = family.plan(self.config, data)
+        memory, seconds, details = family.price(self.config, family, entry, data, plan)
         details.update(epochs=float(plan.epochs), batch_size=float(plan.batch_size),
                        batches_per_epoch=float(plan.batches_per_epoch))
         return CostEstimate(entry.name, float(memory), float(seconds),
                             entry.accuracy_prior, details)
-
-    def _price_gnn(self, entry: GMLMethod, data: GraphData,
-                   plan: TrainingPlan) -> Tuple[float, float, Dict[str, float]]:
-        """Node classification: memory, seconds and the working set."""
-        nodes, edges = data.num_nodes, max(1, data.num_edges)
-        feature_dim = data.feature_dim
-        hidden = self.config.hidden_dim
-        relations = data.num_relations if entry.relation_aware else 1
-
-        if entry.family == "full_batch":
-            working_nodes = nodes
-            working_edges = edges
-            sampling_cost = 0.0
-        else:
-            per_root = _SHADOW_NODES_PER_ROOT if entry.family == "shadow" else 1
-            working_nodes = min(nodes, plan.batch_size * per_root)
-            density = edges / max(1, nodes)
-            working_edges = max(1, int(working_nodes * density))
-            sampling_cost = working_nodes * plan.batches_per_epoch * 1e-6
-
-        # Memory: features + activations per layer + adjacency structure(s)
-        # (one matrix per relation for relation-aware methods) + weights.
-        activation_bytes = working_nodes * (feature_dim + hidden * NUM_LAYERS) * _FLOAT_BYTES
-        adjacency_bytes = working_edges * 3 * _FLOAT_BYTES * relations
-        weight_bytes = (feature_dim * hidden + hidden * hidden * (NUM_LAYERS - 1)
-                        + hidden * max(1, data.num_classes)) * _FLOAT_BYTES * max(1, min(relations, 8))
-        # Backpropagation roughly doubles the live activations.
-        memory = 2.0 * activation_bytes + adjacency_bytes + weight_bytes
-
-        # Time: per batch, aggregation touches every edge once per layer and
-        # the dense transforms are nodes x feature x hidden.
-        flops_per_batch = (working_edges * hidden * NUM_LAYERS * relations
-                           + working_nodes * feature_dim * hidden
-                           + working_nodes * hidden * hidden * (NUM_LAYERS - 1))
-        seconds = (flops_per_batch * plan.batches_per_epoch * _SECONDS_PER_FLOP
-                   + sampling_cost) * plan.epochs
-        return memory, seconds, {"working_nodes": float(working_nodes),
-                                 "working_edges": float(working_edges),
-                                 "relations": float(relations)}
-
-    def _price_kge(self, entry: GMLMethod, data: TriplesData,
-                   plan: TrainingPlan) -> Tuple[float, float, Dict[str, float]]:
-        """Link prediction: memory, seconds and the dataset's sizes."""
-        entities = data.num_entities
-        relations = data.num_relations
-        triples = max(1, data.num_triples)
-        dim = self.config.embedding_dim
-        working_triples = min(triples, plan.batch_size)
-
-        if entry.family == "morse":
-            # MorsE keeps only relation-level tables; entity embeddings are
-            # composed on the fly from sampled sub-KGs.
-            table_bytes = (3 * relations) * dim * _FLOAT_BYTES
-            working_entities = min(entities, working_triples * 2)
-        else:
-            table_bytes = (entities + relations) * dim * _FLOAT_BYTES
-            working_entities = entities
-        scored = working_triples * (1 + plan.num_negatives)
-        batch_bytes = scored * 3 * dim * _FLOAT_BYTES
-        memory = 2.0 * table_bytes + batch_bytes + working_entities * dim * _FLOAT_BYTES
-
-        flops_per_batch = scored * dim * 6
-        if entry.family == "morse":
-            flops_per_batch += working_triples * dim * 4  # entity composition
-        seconds = flops_per_batch * plan.batches_per_epoch * plan.epochs * _SECONDS_PER_FLOP
-        return memory, seconds, {"entities": float(entities),
-                                 "relations": float(relations),
-                                 "triples": float(triples)}
 
 
 @dataclass
@@ -376,10 +408,7 @@ class MethodSelector:
         unknown = [m for m in methods if m not in GML_METHODS]
         if unknown:
             raise ModelSelectionError(f"unknown GML methods: {unknown}")
-        # A node classifier trains on a graph, every other method on triples.
-        node_task = task_type == TaskType.NODE_CLASSIFICATION
-        misfits = [m for m in methods
-                   if (TaskType.NODE_CLASSIFICATION in GML_METHODS[m].tasks) != node_task]
+        misfits = [m for m in methods if task_type not in GML_METHODS[m].tasks]
         if misfits:
             raise ModelSelectionError(
                 f"GML methods {misfits} do not support task {task_type!r}")

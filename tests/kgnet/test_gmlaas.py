@@ -207,6 +207,27 @@ class TestMethodCostEstimator:
         assert estimator.estimate("complex", wider).memory_bytes > complex_est
         assert morse < complex_est
 
+    def test_morse_needs_less_memory_than_transductive_kge(self, dblp_lp_data):
+        estimator = MethodCostEstimator(DEFAULT)
+        data = dblp_lp_data[0]
+        morse = estimator.estimate("morse", data)
+        complex_est = estimator.estimate("complex", data)
+        assert morse.memory_bytes < complex_est.memory_bytes
+
+    def test_link_predictors_are_priced_in_the_order_of_their_peaks(self, dblp_lp_data):
+        """Each link predictor's memory estimate ranks where the traced
+        first-epoch peak of the run it prices ranks."""
+        config = TrainingManagerConfig(epochs_kge=1)
+        estimator = MethodCostEstimator(config)
+        data = dblp_lp_data[0]
+        methods = [name for name, method in GML_METHODS.items()
+                   if TaskType.LINK_PREDICTION in method.tasks]
+        estimated = {name: estimator.estimate(name, data).memory_bytes
+                     for name in methods}
+        peaks = {name: GML_METHODS[name].trainer(config, data, TaskBudget())
+                 .train().usage.peak_memory_bytes for name in methods}
+        assert sorted(methods, key=estimated.get) == sorted(methods, key=peaks.get)
+
     def test_smaller_graph_costs_less(self, dblp_nc_data):
         estimator = MethodCostEstimator(DEFAULT)
         data = dblp_nc_data[0]
@@ -216,6 +237,10 @@ class TestMethodCostEstimator:
                 estimator.estimate(method, data).memory_bytes
             assert estimator.estimate(method, sub).time_seconds <= \
                 estimator.estimate(method, data).time_seconds
+
+    def test_unknown_method_raises(self, dblp_nc_data):
+        with pytest.raises(ModelSelectionError):
+            MethodCostEstimator(DEFAULT).estimate("no_such_method", dblp_nc_data[0])
 
     def test_prices_at_the_config(self, dblp_nc_data):
         """A wider model or more epochs costs more: the estimate reads the
@@ -285,10 +310,10 @@ class TestMethodSelector:
         (TaskType.NODE_CLASSIFICATION, "morse"),
         (TaskType.LINK_PREDICTION, "rgcn"),
         (TaskType.ENTITY_SIMILARITY, "graph_saint"),
+        (TaskType.ENTITY_SIMILARITY, "morse"),
     ])
-    def test_a_method_of_the_other_data_kind_is_rejected(self, dblp_nc_data,
-                                                         dblp_lp_data, task_type,
-                                                         method):
+    def test_a_method_that_does_not_serve_the_task_is_rejected(
+            self, dblp_nc_data, dblp_lp_data, task_type, method):
         data = dblp_nc_data[0] if task_type == TaskType.NODE_CLASSIFICATION \
             else dblp_lp_data[0]
         with pytest.raises(ModelSelectionError, match="do not support"):
