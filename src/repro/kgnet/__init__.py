@@ -12,7 +12,6 @@ from repro.kgnet.gmlaas import (
     MethodSelection,
     MethodSelector,
     ModelStore,
-    StoredModel,
     TrainingManagerConfig,
     TrainResponse,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "MethodSelection",
     "MethodSelector",
     "ModelStore",
-    "StoredModel",
     "TrainingManagerConfig",
     "TrainResponse",
     "DeleteReport",

@@ -45,6 +45,7 @@ from repro.sparql.execution import ExecutionContext, StreamingResult
 from repro.gml.tasks import TaskSpec
 from repro.gml.train.budget import TaskBudget
 from repro.kgnet.api.envelopes import API_VERSION, APIRequest, APIResponse, RawJSON
+from repro.kgnet.gmlaas.model_store import ARTEFACT_OF_MODE
 from repro.kgnet.gmlaas.service import GMLaaS
 from repro.kgnet.kgmeta.governor import KGMetaGovernor
 from repro.kgnet.meta_sampler import MetaSamplingConfig
@@ -737,8 +738,7 @@ class APIRouter:
         model_uri = _as_iri_text(_require(params, "model_uri"), "model_uri")
         value = _as_iri_text(_require(params, name), name)
         k = self._coerce_k(params)
-        ranked = self.gmlaas.infer_batch(model_uri, [value], k=k,
-                                         mode=mode)[0]["output"]
+        ranked = self.gmlaas.infer(model_uri, [value], mode, k)[0]
         return {"model_uri": model_uri, name: value, "k": k,
                 "output": ranked}, ranked
 
@@ -750,10 +750,10 @@ class APIRouter:
         inputs = [_as_iri_text(item, "inputs[]") for item in inputs]
         k = self._coerce_k(params)
         mode = params.get("mode")
-        if mode not in (None, "class", "links", "similar"):
+        if mode not in (None, *ARTEFACT_OF_MODE):
             raise BadRequestError(
-                "'mode' must be 'class', 'links' or 'similar', got "
-                f"{mode!r}")
+                f"'mode' must be one of {', '.join(map(repr, ARTEFACT_OF_MODE))}, "
+                f"got {mode!r}")
         predictions = self.gmlaas.infer_batch(model_uri, inputs, k=k, mode=mode)
         page, cursor = self._paginate(predictions, params.get("page_size"))
         # The batch is one GMLaaS.infer: one GMLaaS call.

@@ -2,7 +2,7 @@
 
 from repro.kgnet.gmlaas.embedding_store import FlatIndex
 from repro.kgnet.gmlaas.method_selector import MethodSelection, MethodSelector
-from repro.kgnet.gmlaas.model_store import ModelStore, StoredModel
+from repro.kgnet.gmlaas.model_store import ModelStore
 from repro.kgnet.gmlaas.service import GMLaaS, TrainResponse
 from repro.kgnet.gmlaas.training_manager import (
     GMLTrainingManager,
@@ -14,7 +14,6 @@ __all__ = [
     "MethodSelection",
     "MethodSelector",
     "ModelStore",
-    "StoredModel",
     "GMLaaS",
     "TrainResponse",
     "GMLTrainingManager",

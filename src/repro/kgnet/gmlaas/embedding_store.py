@@ -2,10 +2,10 @@
 
 The paper's GMLaaS keeps trained embeddings in a FAISS index "for fast
 similarity search by storing, indexing, and searching embeddings" (§IV-A).
-Here a similarity model's index lives with the model itself, in its
-:class:`~repro.kgnet.gmlaas.model_store.StoredModel` artefacts, built by
-:meth:`~repro.kgnet.gmlaas.service.GMLaaS.infer` on first use, as a
-:class:`FlatIndex`: exact brute-force search (FAISS ``IndexFlat``).
+Here a model's index lives with the model itself: its
+:class:`~repro.kgnet.gmlaas.model_store.SimilarityArtefact` builds it the
+first time inference searches the embeddings, as a :class:`FlatIndex`:
+exact brute-force search (FAISS ``IndexFlat``).
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The paper's GMLaaS trains models on request and serves their predictions to
 the RDF engine's UDFs over HTTP (§IV-A).  :class:`GMLaaS` is that one
 component: the training manager trains, the model store keeps what was
 trained, and GMLaaS answers predictions from it.  The model store is the one
-registry keyed by model URI: everything inference needs, a similarity
-model's embedding index included, lives in the stored model.
+registry keyed by model URI, one typed artefact per model holding exactly
+what inference reads (:mod:`repro.kgnet.gmlaas.model_store`).
 
 GMLaaS has two prediction routes, each one "HTTP call" (so the query-plan
 experiments can report call counts): :meth:`GMLaaS.infer`, the predictions
@@ -14,7 +14,7 @@ the ``infer`` plan node with a batch — and
 :meth:`GMLaaS.infer_node_class_dictionary`, the whole node -> class
 dictionary of the Fig 12 plan.  Both take plain strings/URIs in and return
 JSON-serialisable Python structures.  GMLaaS holds no scoring of its own: a
-link is ranked by the stored model's ``tail_scores``
+link is ranked by the artefact's scorer's ``tail_scores``
 (:mod:`repro.gml.kge.base`), the one kernel the model's training evaluation
 ranked with too.
 """
@@ -23,16 +23,20 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import InferenceError
-from repro.gml.tasks import TaskSpec, TaskType
+from repro.gml.tasks import TaskSpec
 from repro.gml.train.budget import TaskBudget
-from repro.kgnet.gmlaas.embedding_store import FlatIndex
-from repro.kgnet.gmlaas.model_store import ModelStore, StoredModel
+from repro.kgnet.gmlaas.model_store import (
+    ARTEFACT_OF_MODE,
+    LinkArtefact,
+    ModelStore,
+    SimilarityArtefact,
+)
 from repro.kgnet.gmlaas.training_manager import (
     GMLTrainingManager,
     TrainingManagerConfig,
@@ -41,15 +45,6 @@ from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI
 
 __all__ = ["TrainResponse", "GMLaaS"]
-
-#: The prediction a model answers when the caller names no ``mode``.
-_MODE_OF_TASK = {TaskType.NODE_CLASSIFICATION: "class",
-                 TaskType.LINK_PREDICTION: "links",
-                 TaskType.ENTITY_SIMILARITY: "similar"}
-
-
-def _text(value) -> str:
-    return value.value if isinstance(value, IRI) else str(value)
 
 
 @dataclass
@@ -70,33 +65,24 @@ class TrainResponse:
     estimated_memory_bytes: int
     inference_seconds: float
     within_budget: bool
-    transform: Dict[str, object] = field(default_factory=dict)
-    stopped_early: bool = False
+    transform: Dict[str, object]
+    stopped_early: bool
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "model_uri": self.model_uri,
-            "method": self.method,
-            "task_type": self.task_type,
-            "metrics": {k: round(float(v), 6) for k, v in self.metrics.items()},
-            "elapsed_seconds": round(self.elapsed_seconds, 6),
-            "peak_memory_bytes": self.peak_memory_bytes,
-            "estimated_memory_bytes": self.estimated_memory_bytes,
-            "inference_seconds": round(self.inference_seconds, 6),
-            "within_budget": self.within_budget,
-            "transform": self.transform,
-            "stopped_early": self.stopped_early,
-        }
+        payload = asdict(self)
+        payload["metrics"] = {k: round(float(v), 6) for k, v in self.metrics.items()}
+        for name in ("elapsed_seconds", "inference_seconds"):
+            payload[name] = round(payload[name], 6)
+        return payload
 
 
 class GMLaaS:
     """The GML-as-a-service component: training and the inference endpoint.
 
     Safe to call from many serving threads: the HTTP-call counter is
-    lock-protected (bare ``+=`` would lose updates under contention), and
-    the per-model artefact reads are lookups into the stored model; the one
-    artefact written here, a similarity model's index, is set once with
-    ``dict.setdefault``.
+    lock-protected (bare ``+=`` would lose updates under contention), and a
+    stored artefact is frozen; the one thing derived from it at inference,
+    a similarity model's index, is stored once with ``dict.setdefault``.
     """
 
     def __init__(self, config: Optional[TrainingManagerConfig] = None) -> None:
@@ -122,13 +108,7 @@ class GMLaaS:
         outcome = self.training_manager.train(graph, task, budget=budget,
                                               method=method)
         result = outcome.result
-        self.model_store.add(StoredModel(
-            uri=model_uri,
-            task_type=task.task_type,
-            method=result.method,
-            model=result.model,
-            artifacts=outcome.artifacts,
-        ))
+        self.model_store.add(model_uri, outcome.artefact)
         return TrainResponse(
             model_uri=model_uri.value,
             method=result.method,
@@ -152,33 +132,40 @@ class GMLaaS:
         if self.call_latency_seconds > 0.0:
             time.sleep(self.call_latency_seconds)
 
+    def _artefact(self, model_uri, mode: Optional[str]):
+        """One HTTP call's artefact, and ``mode`` or else its default."""
+        key = str(model_uri)
+        self._record_call()
+        artefact = self.model_store.get(key)
+        if mode is None:
+            mode = artefact.default_mode
+        if not isinstance(artefact, ARTEFACT_OF_MODE.get(mode, ())):
+            raise InferenceError(
+                f"cannot infer with model {key!r} "
+                f"({type(artefact).__name__}, mode={mode!r})")
+        return artefact, mode
+
     def infer(self, model_uri, inputs: Sequence, mode: Optional[str] = None,
               k: int = 10) -> List[object]:
         """Predictions for ``inputs`` in one HTTP call, in input order.
 
         ``mode`` is ``"class"`` (the predicted class, a string), ``"links"``
         (the ``k`` best destinations of a source) or ``"similar"`` (the ``k``
-        entities nearest in embedding space); omitted, it follows the model's
-        task type.  A ranking is a list of ``{"entity", "score", "rank"}``,
-        best first.  An input the model does not know gets ``None`` for a
-        class and ``[]`` for a ranking; a model that cannot answer ``mode``
-        raises :class:`~repro.exceptions.InferenceError` for the whole call.
+        entities nearest in embedding space); omitted, it is the default of
+        the model's artefact type.  A ranking is a list of ``{"entity",
+        "score", "rank"}``, best first, and empty for ``k <= 0``.  An input
+        the model does not know gets ``None`` for a class and ``[]`` for a
+        ranking; a model that cannot answer ``mode`` raises
+        :class:`~repro.exceptions.InferenceError` for the whole call.
         """
-        key = _text(model_uri)
-        self._record_call()
-        stored = self.model_store.get(key)
-        if mode is None:
-            mode = _MODE_OF_TASK.get(stored.task_type)
-        inputs = [_text(value) for value in inputs]
+        k = max(0, k)
+        artefact, mode = self._artefact(model_uri, mode)
+        inputs = list(map(str, inputs))
         if mode == "class":
-            return list(map(self._prediction_map(stored, key).get, inputs))
+            return list(map(artefact.prediction_map.get, inputs))
         if mode == "links":
-            return self._links_for(stored, key, inputs, k)
-        if mode == "similar":
-            return self._similar_for(stored, key, inputs, k)
-        raise InferenceError(
-            f"cannot infer with model {key!r} "
-            f"(task_type={stored.task_type!r}, mode={mode!r})")
+            return self._links_for(artefact, inputs, k)
+        return self._similar_for(artefact, inputs, k)
 
     def infer_node_class_dictionary(self, model_uri,
                                     node_iris: Optional[List[str]] = None) -> Dict[str, str]:
@@ -187,9 +174,7 @@ class GMLaaS:
         This is the inner sub-select of the paper's Fig 12 plan: one call
         returns the whole dictionary and the outer query looks values up.
         """
-        key = _text(model_uri)
-        self._record_call()
-        prediction_map = self._prediction_map(self.model_store.get(key), key)
+        prediction_map = self._artefact(model_uri, "class")[0].prediction_map
         if node_iris is None:
             return dict(prediction_map)
         return {node: prediction_map[node] for node in map(str, node_iris)
@@ -208,83 +193,53 @@ class GMLaaS:
                     mode: Optional[str] = None) -> List[Dict[str, object]]:
         """:meth:`infer` as one ``{"input": ..., "output": ...}`` record per
         input, in input order."""
-        inputs = [_text(value) for value in inputs]
+        inputs = list(map(str, inputs))
         return [{"input": value, "output": output} for value, output in zip(
             inputs, self.infer(model_uri, inputs, mode, k))]
 
     # ------------------------------------------------------------------
-    # Node classification
+    # Rankings
     # ------------------------------------------------------------------
     @staticmethod
-    def _prediction_map(stored: StoredModel, key: str) -> Dict[str, str]:
-        if stored.task_type != TaskType.NODE_CLASSIFICATION:
-            raise InferenceError(f"model {key!r} is not a node classifier")
-        return stored.artifact("prediction_map", {})
-
-    # ------------------------------------------------------------------
-    # Link prediction
-    # ------------------------------------------------------------------
-    def _links_for(self, stored: StoredModel, key: str, sources: List[str],
+    def _links_for(artefact: LinkArtefact, sources: List[str],
                    k: int) -> List[List[Dict[str, object]]]:
         """Per source, its ``k`` best candidate tails, best first.
 
-        All sources the model knows are scored in one call of the model's
-        own ``tail_scores``; equal scores rank by candidate index (a stable
+        All sources the model knows are scored in one call of the scorer's
+        ``tail_scores``; equal scores rank by candidate index (a stable
         sort), and a source's scores do not depend on what it is batched
         with.
         """
-        if stored.task_type != TaskType.LINK_PREDICTION:
-            raise InferenceError(f"model {key!r} is not a link predictor")
-        entity_index: Dict[str, int] = stored.artifact("entity_index", {})
-        embeddings: np.ndarray = stored.artifact("entity_embeddings")
-        candidates: np.ndarray = stored.artifact("candidate_tails")
-        entity_names: List[str] = stored.artifact("entity_names", [])
-        target_relation: int = stored.artifact("target_relation", 0)
         results: List[List[Dict[str, object]]] = [[] for _ in sources]
-        if embeddings is None or candidates is None:
-            return results
-        source_ids = list(map(entity_index.get, sources))
+        source_ids = list(map(artefact.rows.get, sources))
         known = [index for index, source_id in enumerate(source_ids)
                  if source_id is not None]
         if not known:
             return results
-        scores = stored.model.tail_scores(
-            embeddings, [source_ids[index] for index in known],
-            target_relation, candidates)
-        order = np.argsort(-scores, axis=1, kind="stable")[:, :max(0, k)]
+        candidates = artefact.candidate_tails
+        scores = artefact.scorer.tail_scores(
+            artefact.entity_embeddings, [source_ids[index] for index in known],
+            artefact.target_relation, candidates)
+        order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
         best = np.take_along_axis(scores, order, axis=1).tolist()
         tails = candidates[order].tolist()
+        names = artefact.entity_names
         for index, row_tails, row_scores in zip(known, tails, best):
             results[index] = [
-                {"entity": entity_names[tail], "score": score, "rank": rank}
+                {"entity": names[tail], "score": score, "rank": rank}
                 for rank, (tail, score) in enumerate(zip(row_tails, row_scores))]
         return results
 
-    # ------------------------------------------------------------------
-    # Entity similarity
-    # ------------------------------------------------------------------
-    def _similar_for(self, stored: StoredModel, key: str, entities: List[str],
+    @staticmethod
+    def _similar_for(artefact: SimilarityArtefact, entities: List[str],
                      k: int) -> List[List[Dict[str, object]]]:
         """Per entity, the ``k`` nearest other entities of the model's
-        embeddings, best first.
-
-        The index is built on first use and kept in the model's own
-        artefacts, so it goes when the model goes.
-        """
-        names = stored.artifact("entity_names", [])
-        embeddings = stored.artifact("entity_embeddings")
-        if embeddings is None or not len(names):
-            raise InferenceError(f"model {key!r} has no entity embeddings")
-        indexed = stored.artifact("similarity_index")
-        if indexed is None:
-            index = FlatIndex(embeddings.shape[1])
-            index.add(embeddings)
-            indexed = stored.artifacts.setdefault("similarity_index", (
-                index, {name: row for row, name in enumerate(names)}))
-        index, rows = indexed
+        embeddings, best first."""
+        names, embeddings = artefact.entity_names, artefact.entity_embeddings
+        index = artefact.similarity_index
         results = []
         for entity in entities:
-            row = rows.get(entity)
+            row = artefact.rows.get(entity)
             if row is None:
                 results.append([])
                 continue

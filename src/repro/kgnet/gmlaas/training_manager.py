@@ -15,14 +15,17 @@ manager runs the end-to-end pipeline:
    :data:`~repro.kgnet.gmlaas.method_selector.GML_METHODS`, the plan the
    estimate priced, and train it, tracking time and memory; the trainer
    checks the budget between epochs and stops a run that exceeds it.
-4. **Artefact preparation** — produce everything GMLaaS inference needs
-   (prediction dictionaries, entity embeddings and names).
+4. **Artefact preparation** — build the task's artefact
+   (:mod:`~repro.kgnet.gmlaas.model_store`), exactly what inference reads.
+
+One table, ``_TASKS``, says per task how the KG becomes training data and
+which artefact the trained model becomes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +38,12 @@ from repro.kgnet.gmlaas.method_selector import (
     GML_METHODS,
     MethodSelection,
     MethodSelector,
+)
+from repro.kgnet.gmlaas.model_store import (
+    Artefact,
+    LinkArtefact,
+    NodeClassArtefact,
+    SimilarityArtefact,
 )
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Literal
@@ -60,15 +69,48 @@ class TrainingManagerConfig:
     seed: int = 0
 
 
+def _node_class_artefact(task: TaskSpec, data: GraphData, model) -> NodeClassArtefact:
+    target_type = task.target_node_type.value if task.target_node_type else None
+    if data.node_types is not None and target_type in data.node_type_names:
+        type_id = data.node_type_names.index(target_type)
+        target_nodes = np.flatnonzero(data.node_types == type_id)
+    else:
+        target_nodes = data.labeled_nodes()
+    predictions = model.predict(data, target_nodes)
+    return NodeClassArtefact(prediction_map={
+        data.node_names[int(node)]: data.class_names[int(label)]
+        for node, label in zip(target_nodes, predictions)
+        if data.node_names and int(label) < len(data.class_names)
+    })
+
+
+def _similarity_artefact(task: TaskSpec, data: TriplesData,
+                         model) -> SimilarityArtefact:
+    return SimilarityArtefact(
+        entity_names=list(data.entity_names),
+        entity_embeddings=model.entity_vectors(data.split("train"), data.num_entities))
+
+
+def _link_artefact(task: TaskSpec, data: TriplesData, model) -> LinkArtefact:
+    target_relation = data.target_relation if data.target_relation is not None else 0
+    return LinkArtefact(
+        entity_names=list(data.entity_names),
+        entity_embeddings=model.entity_vectors(data.split("train"), data.num_entities),
+        # Candidate tails: entities observed as objects of the target relation.
+        candidate_tails=np.unique(
+            data.triples[data.triples[:, 1] == target_relation, 2]),
+        target_relation=int(target_relation),
+        scorer=model)
+
+
 @dataclass
 class TrainingOutcome:
     """Everything the platform learns from one training run."""
 
-    task: TaskSpec
     result: TrainingResult
     selection: MethodSelection
     transform_report: TransformReport
-    artifacts: Dict[str, object] = field(default_factory=dict)
+    artefact: Artefact
 
 
 class GMLTrainingManager:
@@ -91,19 +133,8 @@ class GMLTrainingManager:
             split_strategy=self.config.split_strategy,
             seed=self.config.seed)
 
-        if task.task_type == TaskType.NODE_CLASSIFICATION:
-            data, report = transformer.to_node_classification_data(
-                graph, task.target_node_type, task.label_predicate)
-        elif task.task_type == TaskType.LINK_PREDICTION:
-            data, report = transformer.to_link_prediction_data(
-                graph, task.target_predicate)
-        elif task.task_type == TaskType.ENTITY_SIMILARITY:
-            # Entity similarity trains a KGE model over the whole subgraph;
-            # there is no held-out edge set, so reuse the LP transformation
-            # with the most frequent predicate as a pseudo target.
-            data, report = self._entity_similarity_data(transformer, graph)
-        else:  # pragma: no cover - TaskSpec already validates
-            raise TrainingError(f"unsupported task type {task.task_type!r}")
+        transform, build_artefact = _TASKS[task.task_type]
+        data, report = transform(transformer, graph, task)
 
         selection = self.selector.select(
             task.task_type, data, budget=budget,
@@ -111,69 +142,18 @@ class GMLTrainingManager:
 
         result = GML_METHODS[selection.method].trainer(self.config, data,
                                                        budget).train()
-        artifacts = self._build_artifacts(task, data, result)
-        return TrainingOutcome(task=task, result=result, selection=selection,
-                               transform_report=report, artifacts=artifacts)
+        return TrainingOutcome(result=result, selection=selection,
+                               transform_report=report,
+                               artefact=build_artefact(task, data, result.model))
 
     # ------------------------------------------------------------------
-    # Inference artefacts
-    # ------------------------------------------------------------------
-    def _build_artifacts(self, task: TaskSpec, data,
-                         result: TrainingResult) -> Dict[str, object]:
-        if task.task_type == TaskType.NODE_CLASSIFICATION:
-            return self._node_classification_artifacts(task, data, result)
-        if task.task_type == TaskType.LINK_PREDICTION:
-            return self._link_prediction_artifacts(data, result)
-        return self._entity_similarity_artifacts(data, result)
-
-    def _node_classification_artifacts(self, task: TaskSpec, data: GraphData,
-                                       result: TrainingResult) -> Dict[str, object]:
-        model = result.model
-        target_type = task.target_node_type.value if task.target_node_type else None
-        if data.node_types is not None and target_type in data.node_type_names:
-            type_id = data.node_type_names.index(target_type)
-            target_nodes = np.flatnonzero(data.node_types == type_id)
-        else:
-            target_nodes = data.labeled_nodes()
-        predictions = model.predict(data, target_nodes)
-        prediction_map = {
-            data.node_names[int(node)]: data.class_names[int(label)]
-            for node, label in zip(target_nodes, predictions)
-            if data.node_names and int(label) < len(data.class_names)
-        }
-        return {
-            "prediction_map": prediction_map,
-            "class_names": list(data.class_names),
-            "num_predictions": len(prediction_map),
-        }
-
-    def _link_prediction_artifacts(self, data: TriplesData,
-                                   result: TrainingResult) -> Dict[str, object]:
-        target_relation = data.target_relation if data.target_relation is not None else 0
-        # Candidate tails: entities observed as objects of the target relation.
-        candidate_tails = np.unique(data.triples[data.triples[:, 1] == target_relation, 2])
-        return {
-            "entity_names": list(data.entity_names),
-            "entity_index": {name: i for i, name in enumerate(data.entity_names)},
-            "entity_embeddings": result.model.entity_vectors(data.split("train"),
-                                                             data.num_entities),
-            "target_relation": int(target_relation),
-            "candidate_tails": candidate_tails,
-        }
-
-    def _entity_similarity_artifacts(self, data: TriplesData,
-                                     result: TrainingResult) -> Dict[str, object]:
-        return {
-            "entity_names": list(data.entity_names),
-            "entity_embeddings": result.model.entity_vectors(data.split("train"),
-                                                             data.num_entities),
-        }
-
-    # ------------------------------------------------------------------
-    def _entity_similarity_data(self, transformer: RDFGraphTransformer,
+    @staticmethod
+    def _entity_similarity_data(transformer: RDFGraphTransformer,
                                 graph: Graph) -> Tuple[TriplesData, TransformReport]:
-        """Pick the most frequent predicate as the pseudo link-prediction target
-        (the first one seen on a tie)."""
+        """Entity similarity trains a KGE model over the whole subgraph;
+        there is no held-out edge set, so it reuses the LP transformation
+        with the most frequent predicate as a pseudo target (the first one
+        seen on a tie)."""
         decode = graph.decode_id
         counts: Dict[int, int] = {}
         for _, p, o in graph.triples_ids():
@@ -183,3 +163,21 @@ class GMLTrainingManager:
             raise TrainingError("graph has no structural triples for similarity training")
         target_predicate = decode(max(counts, key=counts.__getitem__))
         return transformer.to_link_prediction_data(graph, target_predicate)
+
+
+#: Per task type: ``transform(transformer, graph, task) -> (data, report)``,
+#: and ``artefact(task, data, trained model)``, what inference will read.
+_TASKS: Dict[str, Tuple[Callable, Callable[..., Artefact]]] = {
+    TaskType.NODE_CLASSIFICATION: (
+        lambda transformer, graph, task: transformer.to_node_classification_data(
+            graph, task.target_node_type, task.label_predicate),
+        _node_class_artefact),
+    TaskType.LINK_PREDICTION: (
+        lambda transformer, graph, task: transformer.to_link_prediction_data(
+            graph, task.target_predicate),
+        _link_artefact),
+    TaskType.ENTITY_SIMILARITY: (
+        lambda transformer, graph, task: GMLTrainingManager._entity_similarity_data(
+            transformer, graph),
+        _similarity_artefact),
+}

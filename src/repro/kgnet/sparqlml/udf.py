@@ -21,23 +21,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import UDFError
 from repro.kgnet.gmlaas.service import GMLaaS
-from repro.rdf.terms import IRI, Literal, Term
+from repro.rdf.terms import Literal
 from repro.sparql.endpoint import SPARQLEndpoint
 from repro.sparql.functions import BatchResolver, OpaqueValue
 
 __all__ = ["register_udfs"]
 
 Resolved = Tuple[List[object], int]
-
-
-def _as_string(term) -> str:
-    if isinstance(term, IRI):
-        return term.value
-    if isinstance(term, Literal):
-        return term.lexical
-    if isinstance(term, Term):
-        return term.n3()
-    return str(term)
 
 
 def _as_int(term, default: int = 10) -> int:
@@ -63,15 +53,14 @@ def _ranked_route(gmlaas: GMLaaS, mode: str, default_k: int,
             if (args[0], args[2:]) != shared:  # model and k: constants, as a rule
                 shared = (args[0], args[2:])
                 k = _as_int(args[2], default_k) if len(args) > 2 else default_k
-                group = groups.setdefault((_as_string(args[0]), k), [])
+                group = groups.setdefault((str(args[0]), k), [])
             group.append(index)
         outputs: List[object] = [None] * len(inputs)
         for (model_uri, k), members in groups.items():
-            records = gmlaas.infer_batch(
-                model_uri, [_as_string(inputs[index][1]) for index in members],
-                k=k, mode=mode)
-            for index, record in zip(members, records):
-                outputs[index] = pick(record["output"])
+            ranked = gmlaas.infer(
+                model_uri, [inputs[index][1] for index in members], mode, k)
+            for index, ranking in zip(members, ranked):
+                outputs[index] = pick(ranking)
         return outputs, len(groups)
 
     return resolve
@@ -92,7 +81,7 @@ def register_udfs(endpoint: SPARQLEndpoint, gmlaas: GMLaaS) -> None:
         """``sql:UDFS.getNodeClass(model, node)`` — the predicted class of
         one node, one HTTP call per node (the Fig 11 plan); a node the model
         has no prediction for has no class."""
-        return [gmlaas.infer_node_class(_as_string(model), _as_string(node))
+        return [gmlaas.infer_node_class(model, node)
                 for model, node in inputs], len(inputs)
 
     def node_classes(inputs: List[tuple]) -> Resolved:
@@ -102,10 +91,10 @@ def register_udfs(endpoint: SPARQLEndpoint, gmlaas: GMLaaS) -> None:
         looked up per row by ``getKeyValue``."""
         outputs = []
         for model, *nodes in inputs:
-            wanted = [part.strip() for part in _as_string(nodes[0]).split(",")
+            wanted = [part.strip() for part in str(nodes[0]).split(",")
                       if part.strip()] if nodes else None
             outputs.append(gmlaas.infer_node_class_dictionary(
-                _as_string(model), wanted))
+                str(model), wanted))
         return outputs, len(inputs)
 
     def key_value(inputs: List[tuple]) -> Resolved:
@@ -120,7 +109,7 @@ def register_udfs(endpoint: SPARQLEndpoint, gmlaas: GMLaaS) -> None:
                     raise UDFError("getKeyValue expects the dictionary "
                                    "produced by getNodeClasses")
                 lookup = dictionary.get
-            outputs.append(lookup(_as_string(key)))
+            outputs.append(lookup(str(key)))
         return outputs, 0
 
     for name, resolve, limit in (

@@ -14,10 +14,9 @@ from typing import List
 import pytest
 
 from repro.concurrency import WorkerPool
-from repro.gml.tasks import TaskType
 from repro.kgnet import KGNet
 from repro.kgnet.api.envelopes import APIRequest
-from repro.kgnet.gmlaas.model_store import StoredModel
+from repro.kgnet.gmlaas.model_store import NodeClassArtefact, SimilarityArtefact
 from repro.rdf import Graph, IRI, Literal, TermDictionary
 from repro.sparql import SPARQLEndpoint
 from repro.sparql.endpoint import PlanCache
@@ -98,10 +97,8 @@ class TestCounterContention:
     def test_inference_http_call_counter_is_exact(self):
         platform = KGNet()
         model_uri = IRI(EX + "model/clf")
-        platform.gmlaas.model_store.add(StoredModel(
-            uri=model_uri, task_type=TaskType.NODE_CLASSIFICATION,
-            method="mlp", model=None,
-            artifacts={"prediction_map": {EX + "n1": "A", EX + "n2": "B"}}))
+        platform.gmlaas.model_store.add(model_uri, NodeClassArtefact(
+            prediction_map={EX + "n1": "A", EX + "n2": "B"}))
         manager = platform.gmlaas
 
         def worker():
@@ -178,11 +175,9 @@ class TestConcurrentDispatch:
         platform = KGNet()
         platform.load_graph(self._tiny_graph())
         model_uri = IRI(EX + "model/clf")
-        platform.gmlaas.model_store.add(StoredModel(
-            uri=model_uri, task_type=TaskType.NODE_CLASSIFICATION,
-            method="mlp", model=None,
-            artifacts={"prediction_map": {
-                EX + f"n{i}": ("A" if i % 2 else "B") for i in range(32)}}))
+        platform.gmlaas.model_store.add(model_uri, NodeClassArtefact(
+            prediction_map={
+                EX + f"n{i}": ("A" if i % 2 else "B") for i in range(32)}))
         return platform, model_uri
 
     @staticmethod
@@ -233,11 +228,8 @@ class TestConcurrentDispatch:
         platform = KGNet()
         model_uri = IRI(EX + "model/sim")
         names = [EX + f"e{i}" for i in range(4)]
-        platform.gmlaas.model_store.add(StoredModel(
-            uri=model_uri, task_type=TaskType.ENTITY_SIMILARITY,
-            method="kge", model=None,
-            artifacts={"entity_embeddings": np.eye(4, dtype=float),
-                       "entity_names": names}))
+        platform.gmlaas.model_store.add(model_uri, SimilarityArtefact(
+            entity_embeddings=np.eye(4, dtype=float), entity_names=names))
         entities = [names[0], EX + "unknown", names[1]]
         response = platform.api.dispatch(APIRequest(op="infer_batch", params={
             "model_uri": model_uri.value, "inputs": entities, "k": 2}))

@@ -371,6 +371,6 @@ class TestStepBuffers:
                                            meta_sampling="d2h1")
         stored = fresh_platform.gmlaas.model_store.get(report.model_uri)
         gc.collect()
-        assert isinstance(stored.model, MorsE)
+        assert isinstance(stored.scorer, MorsE)
         assert recorded_buffers
         assert all(ref() is None for ref in recorded_buffers)

@@ -17,6 +17,7 @@ MorsE):
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import weakref
@@ -27,6 +28,7 @@ import pytest
 from repro.datasets import DBLPConfig, dblp_author_affiliation_task, generate_dblp_kg
 from repro.kgnet import KGNet, TrainingManagerConfig
 from repro.kgnet.api.envelopes import APIRequest
+from repro.kgnet.gmlaas.model_store import LinkArtefact
 from repro.kgnet.gmlaas.service import GMLaaS
 from repro.kgnet.gmlaas.training_manager import TrainingOutcome
 from repro.rdf import IRI
@@ -89,24 +91,22 @@ def served(dblp_graph):
     return gmlaas, responses
 
 
-def lp_artifacts(gmlaas: GMLaaS, family: str):
-    stored = gmlaas.model_store.get(model_uri(family))
-    return stored.model, {name: stored.artifact(name) for name in (
-        "entity_names", "entity_index", "entity_embeddings", "candidate_tails",
-        "target_relation")}
+def lp_artefact(gmlaas: GMLaaS, family: str) -> LinkArtefact:
+    return gmlaas.model_store.get(model_uri(family))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_links_are_the_models_own_top_k(served, family):
     gmlaas, _ = served
-    model, artifacts = lp_artifacts(gmlaas, family)
-    names, candidates = artifacts["entity_names"], artifacts["candidate_tails"]
+    artefact = lp_artefact(gmlaas, family)
+    model = artefact.scorer
+    names, candidates = artefact.entity_names, artefact.candidate_tails
     sources = [name for name in names if "/person/" in name][:20]
     assert len(sources) == 20
     for source in sources:
-        scores = model.tail_scores(artifacts["entity_embeddings"],
-                                   [artifacts["entity_index"][source]],
-                                   artifacts["target_relation"], candidates)[0]
+        scores = model.tail_scores(artefact.entity_embeddings,
+                                   [artefact.rows[source]],
+                                   artefact.target_relation, candidates)[0]
         order = np.argsort(-scores, kind="stable")[:5]
         assert gmlaas.infer_links(model_uri(family), source, k=5) == [
             {"entity": names[candidates[index]], "score": float(scores[index]),
@@ -116,8 +116,9 @@ def test_links_are_the_models_own_top_k(served, family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_a_source_scores_alike_alone_and_in_a_batch_of_256(served, family):
     gmlaas, _ = served
-    model, artifacts = lp_artifacts(gmlaas, family)
-    vectors, relation = artifacts["entity_embeddings"], artifacts["target_relation"]
+    artefact = lp_artefact(gmlaas, family)
+    model = artefact.scorer
+    vectors, relation = artefact.entity_embeddings, artefact.target_relation
     heads = np.arange(0, 256 * 7, 7) % vectors.shape[0]
     every_entity = np.arange(vectors.shape[0])     # several blocks per batch
     batch = model.tail_scores(vectors, heads, relation, every_entity)
@@ -125,8 +126,8 @@ def test_a_source_scores_alike_alone_and_in_a_batch_of_256(served, family):
         alone = model.tail_scores(vectors, [head], relation, every_entity)
         assert alone.tobytes() == row.tobytes()
     uri = model_uri(family)
-    sources = [artifacts["entity_names"][head] for head in heads]
-    k = len(artifacts["candidate_tails"])
+    sources = [artefact.entity_names[head] for head in heads]
+    k = len(artefact.candidate_tails)
     records = gmlaas.infer_batch(uri, sources, k=k, mode="links")
     for source, record in zip(sources, records):
         assert gmlaas.infer_links(uri, source, k=k) == record["output"]
@@ -190,6 +191,8 @@ def test_gmlaas_keeps_no_training_outcome(dblp_graph):
     assert len(outcomes) == 1 and outcomes[0]() is None
     assert "data" not in TrainingOutcome.__dataclass_fields__
     assert not hasattr(gmlaas, "outcomes")
-    assert set(gmlaas.model_store.get(uri).artifacts) == {
-        "entity_names", "entity_index", "entity_embeddings", "candidate_tails",
-        "target_relation"}
+    artefact = gmlaas.model_store.get(uri)
+    assert type(artefact) is LinkArtefact
+    assert {field.name for field in dataclasses.fields(artefact)} == {
+        "entity_names", "entity_embeddings", "candidate_tails",
+        "target_relation", "scorer"}

@@ -14,14 +14,20 @@ from repro.exceptions import (
     ModelSelectionError,
     PlatformError,
 )
+from repro.gml.kge import DistMult
 from repro.gml.tasks import TaskSpec, TaskType
 from repro.gml.train import TaskBudget
 from repro.kgnet import (
     GMLaaS,
+    KGNet,
     MethodSelector,
     ModelStore,
-    StoredModel,
     TrainingManagerConfig,
+)
+from repro.kgnet.gmlaas.model_store import (
+    LinkArtefact,
+    NodeClassArtefact,
+    SimilarityArtefact,
 )
 from repro.kgnet.gmlaas.embedding_store import FlatIndex
 from repro.kgnet.gmlaas.method_selector import GML_METHODS, MethodCostEstimator
@@ -68,33 +74,31 @@ class TestEmbeddingStore:
         scores, indices = ivf.search(vectors[:2], k=5)
         assert indices.shape == (2, 5)
 
-    # A similarity model keeps the index of its embeddings in its own
-    # artefacts; these drive it through GMLaaS on a hand-stored model.
+    # A similarity model keeps the index of its embeddings with its own
+    # artefact; these drive it through GMLaaS on a hand-stored model.
     URI = "https://www.kgnet.com/model/test/index"
 
     def _service(self, keys, vectors):
         service = GMLaaS(config=QUICK)
-        service.model_store.add(StoredModel(
-            uri=IRI(self.URI), task_type=TaskType.ENTITY_SIMILARITY,
-            method="distmult", model=None,
-            artifacts={"entity_names": keys, "entity_embeddings": vectors}))
+        service.model_store.add(IRI(self.URI), SimilarityArtefact(
+            entity_names=keys, entity_embeddings=vectors))
         return service
 
     def test_store_create_and_search(self):
         keys, vectors = self._vectors()
         service = self._service(keys, vectors)
         stored = service.model_store.get(self.URI)
-        assert stored.artifact("similarity_index") is None
+        assert "_similarity_index" not in vars(stored)     # built on first use
         results = service.infer(self.URI, [keys[0]], "similar", 3)[0]
         assert [result["rank"] for result in results] == [0, 1, 2]
-        index, rows = stored.artifact("similarity_index")
-        assert len(index) == len(keys) and rows[keys[7]] == 7
+        index = stored.similarity_index
+        assert len(index) == len(keys) and stored.rows[keys[7]] == 7
         _, found = index.search(vectors[0], k=4)
         assert [keys[int(at)] for at in found[0][1:]] == [
             result["entity"] for result in results]
         # Built once: a second search reuses the same index.
         service.infer(self.URI, [keys[1]], "similar", 3)
-        assert stored.artifact("similarity_index")[0] is index
+        assert stored.similarity_index is index
 
     def test_store_similar_to_excludes_self(self):
         keys, vectors = self._vectors()
@@ -110,18 +114,16 @@ class TestEmbeddingStore:
         with pytest.raises(ModelNotFoundError):
             service.infer("https://www.kgnet.com/model/none", [keys[0]], "similar")
         assert service.infer(self.URI, ["unknown-key"], "similar")[0] == []
-        service.model_store.add(StoredModel(
-            uri=IRI(self.URI + "/bare"), task_type=TaskType.ENTITY_SIMILARITY,
-            method="distmult", model=None))
-        with pytest.raises(InferenceError):
-            service.infer(self.URI + "/bare", [keys[0]], "similar")
+        # A model without its embeddings cannot be stored: it fails to build.
+        with pytest.raises(TypeError):
+            SimilarityArtefact()
 
     def test_store_drop_collection(self):
         keys, vectors = self._vectors()
         service = self._service(keys, vectors)
         stored = service.model_store.get(self.URI)
         service.infer(self.URI, [keys[0]], "similar", 3)
-        assert stored.artifact("similarity_index") is not None
+        assert "_similarity_index" in vars(stored)
         assert service.delete_model(self.URI) is True
         assert service.delete_model(self.URI) is False
         assert service.list_models() == []
@@ -134,19 +136,18 @@ class TestEmbeddingStore:
 # ---------------------------------------------------------------------------
 
 class TestModelStore:
-    def _stored(self, uri="https://www.kgnet.com/model/x"):
-        return StoredModel(uri=IRI(uri), task_type=TaskType.NODE_CLASSIFICATION,
-                           method="rgcn", model={"weights": [1, 2, 3]},
-                           artifacts={"prediction_map": {"a": "b"}})
+    URI = IRI("https://www.kgnet.com/model/x")
 
     def test_add_get_contains(self):
         store = ModelStore()
-        stored = self._stored()
-        store.add(stored)
-        assert store.get(stored.uri) is stored
-        assert store.get(stored.uri.value) is stored
-        assert stored.uri in store
+        stored = NodeClassArtefact(prediction_map={"a": "b"})
+        store.add(self.URI, stored)
+        assert store.get(self.URI) is stored
+        assert store.get(self.URI.value) is stored
+        assert self.URI in store
         assert len(store) == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stored.prediction_map = {}
 
     def test_get_missing_raises(self):
         with pytest.raises(ModelNotFoundError):
@@ -154,15 +155,90 @@ class TestModelStore:
 
     def test_remove(self):
         store = ModelStore()
-        stored = self._stored()
-        store.add(stored)
-        assert store.remove(stored.uri) is True
-        assert store.remove(stored.uri) is False
+        store.add(self.URI, NodeClassArtefact(prediction_map={"a": "b"}))
+        assert store.remove(self.URI) is True
+        assert store.remove(self.URI) is False
 
-    def test_artifact_accessor(self):
-        stored = self._stored()
-        assert stored.artifact("prediction_map") == {"a": "b"}
-        assert stored.artifact("missing", 42) == 42
+
+# ---------------------------------------------------------------------------
+# Model artefacts: a missing or empty field fails at construction
+# ---------------------------------------------------------------------------
+
+NAMES = [f"urn:e{i}" for i in range(20)]
+VECTORS = np.random.default_rng(0).normal(size=(len(NAMES), 4))
+
+
+def link_fields(**changed):
+    fields = {"entity_names": NAMES, "entity_embeddings": VECTORS,
+              "candidate_tails": np.arange(0, len(NAMES), 2),
+              "target_relation": 0,
+              "scorer": DistMult(len(NAMES), 1, dim=4, seed=0)}
+    fields.update(changed)
+    return fields
+
+
+def without(name):
+    return {field: value for field, value in link_fields().items() if field != name}
+
+
+@pytest.mark.parametrize("build, error", [
+    # A required field left out: the dataclass refuses the call.
+    (lambda: NodeClassArtefact(), TypeError),
+    (lambda: SimilarityArtefact(entity_names=NAMES), TypeError),
+    (lambda: LinkArtefact(**without("scorer")), TypeError),
+    (lambda: LinkArtefact(**without("candidate_tails")), TypeError),
+    # A field given but empty, absent or of the wrong shape: the artefact does.
+    (lambda: NodeClassArtefact(prediction_map={}), InferenceError),
+    (lambda: NodeClassArtefact(prediction_map=None), InferenceError),
+    (lambda: SimilarityArtefact(entity_names=[], entity_embeddings=VECTORS[:0]),
+     InferenceError),
+    (lambda: SimilarityArtefact(entity_names=NAMES, entity_embeddings=None),
+     InferenceError),
+    (lambda: SimilarityArtefact(entity_names=NAMES, entity_embeddings=VECTORS[:5]),
+     InferenceError),
+    (lambda: SimilarityArtefact(entity_names=NAMES, entity_embeddings=VECTORS[0]),
+     InferenceError),
+    (lambda: LinkArtefact(**link_fields(candidate_tails=np.arange(0))), InferenceError),
+    (lambda: LinkArtefact(**link_fields(candidate_tails=None)), InferenceError),
+    (lambda: LinkArtefact(**link_fields(candidate_tails=np.array([0, len(NAMES)]))),
+     InferenceError),
+    (lambda: LinkArtefact(**link_fields(target_relation=None)), InferenceError),
+    (lambda: LinkArtefact(**link_fields(target_relation=-1)), InferenceError),
+    (lambda: LinkArtefact(**link_fields(scorer=None)), InferenceError),
+    (lambda: LinkArtefact(**link_fields(entity_embeddings=VECTORS[:5])), InferenceError),
+])
+def test_an_artefact_without_a_required_field_is_refused(build, error):
+    """A model whose map is missing used to be stored and answer ``None`` for
+    every node; now it cannot be built."""
+    with pytest.raises(error):
+        build()
+
+
+# ---------------------------------------------------------------------------
+# A ranking of k <= 0 is empty, on both ranked modes and every route
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def ranked_platform():
+    platform = KGNet()
+    platform.gmlaas.model_store.add("urn:links", LinkArtefact(**link_fields()))
+    platform.gmlaas.model_store.add("urn:similar", SimilarityArtefact(
+        entity_names=NAMES, entity_embeddings=VECTORS))
+    return platform
+
+
+@pytest.mark.parametrize("mode, udf", [("links", "getTopKLinks"),
+                                       ("similar", "getSimilarEntities")])
+@pytest.mark.parametrize("k", [-3, 0])
+def test_a_ranking_of_k_at_most_zero_is_empty(ranked_platform, mode, udf, k):
+    """A negative ``k`` on the similarity route used to return almost every
+    entity (``search(k + 1)`` then ``[:k]``)."""
+    gmlaas, uri = ranked_platform.gmlaas, f"urn:{mode}"
+    assert len(gmlaas.infer(uri, ["urn:e1"], mode, 3)[0]) == 3
+    assert gmlaas.infer(uri, ["urn:e1", "urn:nobody"], mode, k) == [[], []]
+    query = ("SELECT ?s WHERE { BIND(sql:UDFS.%s(<%s>, <urn:e1>, %d) AS ?s) }")
+    assert ranked_platform.endpoint.query(query % (udf, uri, 3)).to_python()[0]["s"]
+    assert ranked_platform.endpoint.query(query % (udf, uri, k)).to_python() == [{}]
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +412,10 @@ class TestTrainingManager:
         assert outcome.result.method == "rgcn"
         assert outcome.selection.method == "rgcn"
         assert outcome.transform_report.num_labeled_nodes > 0
-        assert outcome.artifacts["num_predictions"] > 0
-        prediction_map = outcome.artifacts["prediction_map"]
-        sample_value = next(iter(prediction_map.values()))
-        assert sample_value in outcome.artifacts["class_names"]
+        assert type(outcome.artefact) is NodeClassArtefact
+        prediction_map = outcome.artefact.prediction_map
+        assert all(value.startswith(DBLP["venue/"].value)
+                   for value in prediction_map.values())
         assert outcome.selection.estimate.method == "rgcn"
         assert outcome.selection.estimate.memory_bytes > 0
 
@@ -347,16 +423,19 @@ class TestTrainingManager:
         manager = GMLTrainingManager(QUICK)
         outcome = manager.train(dblp_graph, author_affiliation_task, method="morse")
         assert outcome.result.task_type == TaskType.LINK_PREDICTION
-        artifacts = outcome.artifacts
-        assert artifacts["entity_embeddings"].shape[0] == len(artifacts["entity_names"])
-        assert artifacts["candidate_tails"].size > 0
+        artefact = outcome.artefact
+        assert type(artefact) is LinkArtefact
+        assert artefact.entity_embeddings.shape[0] == len(artefact.entity_names)
+        assert artefact.candidate_tails.size > 0
+        assert artefact.scorer is outcome.result.model
 
     def test_entity_similarity_outcome(self, dblp_graph):
         task = TaskSpec(task_type=TaskType.ENTITY_SIMILARITY,
                         entity_node_type=DBLP["Person"])
         manager = GMLTrainingManager(QUICK)
         outcome = manager.train(dblp_graph, task, method="distmult")
-        assert outcome.artifacts["entity_embeddings"].shape[0] > 0
+        assert type(outcome.artefact) is SimilarityArtefact
+        assert outcome.artefact.entity_embeddings.shape[0] > 0
 
     def test_budget_is_threaded_through(self, dblp_graph, paper_venue_task):
         manager = GMLTrainingManager(QUICK)
@@ -384,7 +463,7 @@ class TestGMLaaSService:
         uri = IRI("https://www.kgnet.com/model/test/nc2")
         service.train(dblp_graph, paper_venue_task, uri, method="rgcn")
         stored = service.model_store.get(uri)
-        node, predicted = next(iter(stored.artifact("prediction_map").items()))
+        node, predicted = next(iter(stored.prediction_map.items()))
         assert service.infer_node_class(uri, node) == predicted
         dictionary = service.infer_node_class_dictionary(uri)
         assert dictionary[node] == predicted
@@ -396,7 +475,7 @@ class TestGMLaaSService:
         uri = IRI("https://www.kgnet.com/model/test/lp")
         service.train(dblp_graph, author_affiliation_task, uri, method="morse")
         stored = service.model_store.get(uri)
-        author = next(name for name in stored.artifact("entity_names")
+        author = next(name for name in stored.entity_names
                       if "person" in name)
         links = service.infer_links(uri, author, k=3)
         assert 0 < len(links) <= 3
@@ -407,7 +486,7 @@ class TestGMLaaSService:
         uri = IRI("https://www.kgnet.com/model/test/sim")
         service.train(dblp_graph, author_affiliation_task, uri, method="morse")
         stored = service.model_store.get(uri)
-        entity = stored.artifact("entity_names")[0]
+        entity = stored.entity_names[0]
         similar = service.infer(uri, [entity], "similar", 5)[0]
         assert len(similar) == 5
         assert all(result["entity"] != entity for result in similar)
@@ -444,7 +523,7 @@ def test_similarity_answers_are_pinned(dblp_graph):
     service = GMLaaS(config=QUICK)
     uri = IRI("https://www.kgnet.com/model/test/sim-pin")
     service.train(dblp_graph, dblp_author_similarity_task(), uri, method="distmult")
-    names = service.model_store.get(uri).artifact("entity_names")
+    names = service.model_store.get(uri).entity_names
     batch = service.infer_batch(uri, list(names) + ["https://www.dblp.org/nobody"],
                                 k=7, mode="similar")
     singles = [service.infer(uri, [name], "similar", 3)[0] for name in names[:40]]

@@ -19,6 +19,7 @@ Four things are pinned here:
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import os
 import threading
@@ -39,7 +40,6 @@ from repro.exceptions import ModelNotFoundError
 from repro.gml.tasks import TaskType
 from repro.kgnet import KGNet, TrainingManagerConfig
 from repro.kgnet.api.envelopes import APIRequest
-from repro.kgnet.gmlaas.model_store import StoredModel
 from repro.rdf import DBLP, IRI, RDF_TYPE
 from repro.server.service import ServiceHandler, ServiceRequest
 from repro.sparql.parser import parse_query
@@ -393,28 +393,26 @@ class TestBatchedLinkPrediction:
         trained = next(m for m in platform.list_models()
                        if m.task_type == TaskType.LINK_PREDICTION)
         stored = platform.gmlaas.model_store.get(trained.uri)
-        artifacts = dict(stored.artifacts)
-        embeddings = artifacts["entity_embeddings"].copy()
-        candidates = artifacts["candidate_tails"]
+        embeddings = stored.entity_embeddings.copy()
+        candidates = stored.candidate_tails
         assert len(candidates) >= 4
         embeddings[candidates[3]] = embeddings[candidates[0]]
         embeddings[candidates[2]] = embeddings[candidates[1]]
-        artifacts["entity_embeddings"] = embeddings
-        model = copy.copy(stored.model)
+        model = copy.copy(stored.scorer)
         model.decoder = request.param
         uri = IRI(f"https://www.kgnet.com/model/tied/{request.param}")
-        platform.gmlaas.model_store.add(StoredModel(
-            uri=uri, task_type=stored.task_type, method=stored.method,
-            model=model, artifacts=artifacts))
-        yield uri.value, artifacts
+        artefact = dataclasses.replace(stored, entity_embeddings=embeddings,
+                                       scorer=model)
+        platform.gmlaas.model_store.add(uri, artefact)
+        yield uri.value, artefact
         platform.gmlaas.delete_model(uri)
 
     def test_alone_equals_inside_a_batch_of_256(self, platform, tied_model):
-        uri, artifacts = tied_model
-        names = artifacts["entity_names"]
+        uri, artefact = tied_model
+        names = artefact.entity_names
         sources = [names[i % len(names)] for i in range(0, 256 * 3, 3)]
         sources[17] = "https://www.dblp.org/person/nobody"
-        k = len(artifacts["candidate_tails"])
+        k = len(artefact.candidate_tails)
         batch = platform.gmlaas.infer_batch(uri, sources, k=k, mode="links")
         assert [record["input"] for record in batch] == sources
         assert batch[17]["output"] == []
@@ -429,8 +427,8 @@ class TestBatchedLinkPrediction:
             [r["output"][:3] for r in batch[:40]]
 
     def test_ties_rank_by_candidate_index(self, platform, tied_model):
-        uri, artifacts = tied_model
-        names, candidates = artifacts["entity_names"], artifacts["candidate_tails"]
+        uri, artefact = tied_model
+        names, candidates = artefact.entity_names, artefact.candidate_tails
         position = {names[tail]: index for index, tail in enumerate(candidates)}
         k = len(candidates)
         checked = 0
@@ -453,7 +451,7 @@ class TestBatchedLinkPrediction:
             {node: everything[node] for node in some[:5]}
         stored = platform.gmlaas.model_store.get(model.uri)
         everything["urn:mine"] = "urn:x"              # a copy, not the artefact
-        assert "urn:mine" not in stored.artifact("prediction_map")
+        assert "urn:mine" not in stored.prediction_map
 
 
 # ---------------------------------------------------------------------------
@@ -550,20 +548,23 @@ def test_lp_training_is_independent_of_the_hash_seed(tmp_path):
         "    feature_dim=16, hidden_dim=16, embedding_dim=16, epochs_kge=4,\n"
         "    epochs_sampling=3, seed=0))\n"
         "platform.load_graph(generate_dblp_kg(DBLPConfig(scale=0.25, seed=3)))\n"
+        "manager = platform.gmlaas.training_manager\n"
+        "train, outcomes = manager.train, []\n"
+        "manager.train = lambda *a, **kw: outcomes.append(train(*a, **kw)) or outcomes[-1]\n"
         "report = platform.train_task(dblp_author_affiliation_task(), method='morse')\n"
         "stored = platform.gmlaas.model_store.get(report.model_uri)\n"
-        "embeddings = np.ascontiguousarray(stored.artifact('entity_embeddings'))\n"
+        "embeddings = np.ascontiguousarray(stored.entity_embeddings)\n"
         "nc = platform.train_task(dblp_paper_venue_task(), method='graph_saint')\n"
         "classifier = platform.gmlaas.model_store.get(nc.model_uri)\n"
         "weights = hashlib.sha256()\n"
-        "for parameter in classifier.model.parameters():\n"
+        "for parameter in outcomes[-1].result.model.parameters():\n"
         "    weights.update(np.ascontiguousarray(parameter.data).tobytes())\n"
         "print(json.dumps({'metrics': report.metrics,\n"
-        "    'entities': hashlib.sha256('|'.join(stored.artifact('entity_names'))"
+        "    'entities': hashlib.sha256('|'.join(stored.entity_names)"
         ".encode()).hexdigest(),\n"
         "    'embeddings': hashlib.sha256(embeddings.tobytes()).hexdigest(),\n"
         "    'nc_metrics': nc.metrics, 'nc_weights': weights.hexdigest(),\n"
-        "    'nc_predictions': list(classifier.artifact('prediction_map').items())},\n"
+        "    'nc_predictions': list(classifier.prediction_map.items())},\n"
         "    sort_keys=True))\n")
     source = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     outputs = []

@@ -17,10 +17,13 @@ import numpy as np
 import pytest
 
 from repro.gml.kge import DistMult
-from repro.gml.tasks import TaskType
 from repro.kgnet import KGNet
 from repro.kgnet.gmlaas import GMLaaS
-from repro.kgnet.gmlaas.model_store import StoredModel
+from repro.kgnet.gmlaas.model_store import (
+    LinkArtefact,
+    NodeClassArtefact,
+    SimilarityArtefact,
+)
 from repro.rdf import IRI
 from repro.server.service import ServiceHandler, ServiceRequest
 
@@ -46,22 +49,16 @@ def platform():
     rng = np.random.default_rng(7)
     embeddings = rng.normal(size=(len(NAMES), 8))
     store = platform.gmlaas.model_store
-    store.add(StoredModel(
-        uri=IRI(MODELS["class"]), task_type=TaskType.NODE_CLASSIFICATION,
-        method="mlp", model=None,
-        artifacts={"prediction_map": {name: f"{EX}class/{index % 3}"
-                                      for index, name in enumerate(NAMES)}}))
-    store.add(StoredModel(
-        uri=IRI(MODELS["links"]), task_type=TaskType.LINK_PREDICTION,
-        method="distmult", model=DistMult(len(NAMES), 1, dim=8, seed=7),
-        artifacts={"entity_index": {name: index for index, name in enumerate(NAMES)},
-                   "entity_embeddings": embeddings,
-                   "candidate_tails": np.arange(0, len(NAMES), 7),
-                   "entity_names": NAMES, "target_relation": 0}))
-    store.add(StoredModel(
-        uri=IRI(MODELS["similar"]), task_type=TaskType.ENTITY_SIMILARITY,
-        method="kge", model=None,
-        artifacts={"entity_embeddings": embeddings, "entity_names": NAMES}))
+    store.add(IRI(MODELS["class"]), NodeClassArtefact(
+        prediction_map={name: f"{EX}class/{index % 3}"
+                        for index, name in enumerate(NAMES)}))
+    store.add(IRI(MODELS["links"]), LinkArtefact(
+        scorer=DistMult(len(NAMES), 1, dim=8, seed=7),
+        entity_embeddings=embeddings,
+        candidate_tails=np.arange(0, len(NAMES), 7),
+        entity_names=NAMES, target_relation=0))
+    store.add(IRI(MODELS["similar"]), SimilarityArtefact(
+        entity_embeddings=embeddings, entity_names=NAMES))
     return platform
 
 

@@ -29,10 +29,9 @@ import threading
 import pytest
 
 from repro.datasets import dblp_paper_venue_task
-from repro.gml.tasks import TaskType
 from repro.kgnet import KGNet
 from repro.kgnet.api.envelopes import API_VERSION, APIRequest
-from repro.kgnet.gmlaas.model_store import StoredModel
+from repro.kgnet.gmlaas.model_store import NodeClassArtefact
 from repro.kgnet.kgmeta import ontology as O
 from repro.kgnet.kgmeta.governor import ModelMetadata
 from repro.rdf import DBLP, IRI, RDF_TYPE
@@ -69,13 +68,11 @@ class Served:
                                              DBLP["Publication"])
         self.model = self.add_model(accuracy=0.8, shift=0)
 
-    def stored(self, uri: IRI, shift: int) -> StoredModel:
+    def stored(self, shift: int) -> NodeClassArtefact:
         """A classifier predicting venue ``(i + shift) % 3`` for paper i."""
-        return StoredModel(
-            uri=uri, task_type=TaskType.NODE_CLASSIFICATION, method="mlp",
-            model=None, artifacts={"prediction_map": {
-                paper(index).value: DBLP[f"venue/{(index + shift) % 3}"].value
-                for index in range(PAPERS)}})
+        return NodeClassArtefact(prediction_map={
+            paper(index).value: DBLP[f"venue/{(index + shift) % 3}"].value
+            for index in range(PAPERS)})
 
     def register(self, uri: IRI, accuracy: float, method: str) -> None:
         """The KGMeta write a TrainGML request ends with."""
@@ -89,7 +86,7 @@ class Served:
     def add_model(self, accuracy: float, shift: int,
                   method: str = "rgcn") -> IRI:
         uri = self.platform.governor.mint_model_uri(TASK, method)
-        self.platform.gmlaas.model_store.add(self.stored(uri, shift))
+        self.platform.gmlaas.model_store.add(uri, self.stored(shift))
         self.register(uri, accuracy, method)
         return uri
 
@@ -199,7 +196,7 @@ def sparqlml_delete(served: Served) -> None:
 
 def model_store_add(served: Served) -> None:
     # The same URI retrained behind KGMeta's back.
-    served.platform.gmlaas.model_store.add(served.stored(served.model, shift=1))
+    served.platform.gmlaas.model_store.add(served.model, served.stored(shift=1))
 
 
 def model_store_remove(served: Served) -> None:
@@ -219,7 +216,7 @@ def test_a_change_makes_the_next_request_a_miss_with_the_fresh_answer(
     # but not yet in KGMeta, is what a registration makes the choice.
     served.add_model(accuracy=0.5, shift=2, method="gcn")
     served.better = served.platform.governor.mint_model_uri(TASK, "graphsaint")
-    served.platform.gmlaas.model_store.add(served.stored(served.better, 1))
+    served.platform.gmlaas.model_store.add(served.better, served.stored(1))
     _, _, before = served.post(NC_ALL)
     assert served.post(NC_ALL)[1]
     epoch = served.platform.endpoint.dataset.epoch()

@@ -250,3 +250,39 @@ def test_no_module_imports_what_it_does_not_use():
         if names:
             unused[str(path.relative_to(root))] = names
     assert unused == {}
+
+
+#: Values a caller can set without editing code, over ``src/repro``: every
+#: function parameter with a default and every ``@dataclass`` field with a
+#: default.  A change that adds one raises this number and says why in
+#: CHANGES.md; a change that removes one lowers it.
+SETTABLE_VALUES = 673
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _settable_values(tree: ast.Module) -> int:
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(default is not None for default in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(item, ast.AnnAssign) and item.value is not None
+                         and "ClassVar" not in ast.unparse(item.annotation)
+                         for item in node.body)
+    return count
+
+
+def test_settable_values_do_not_grow():
+    """The simplicity rule "no new knobs", held in tier-1: the settable
+    values of ``src/repro`` are exactly ``SETTABLE_VALUES``."""
+    root = Path(repro.__file__).resolve().parent
+    assert sum(_settable_values(ast.parse(path.read_text(encoding="utf-8")))
+               for path in root.rglob("*.py")) == SETTABLE_VALUES
