@@ -210,14 +210,13 @@ class QueryScheduler:
                  quantum_rows: Optional[int] = 512,
                  quantum_seconds: Optional[float] = 0.02,
                  max_pending: Optional[int] = None,
-                 name: str = "kgnet-sched",
                  gil_switch_interval: Optional[float] = 0.001) -> None:
         # Each admitted query occupies one queue slot per slice; the load
         # bound lives in the AdmissionController, so the queue is sized
         # generously.  A full queue sheds (see _enqueue) — never blocks.
         self._pool = WorkerPool(max_workers,
                                 max_pending=max_pending if max_pending is not None else 1024,
-                                name=name)
+                                name="kgnet-sched")
         # Iterator-level slicing cannot fix GIL scheduling: a compute-bound
         # lane holds the interpreter for sys.getswitchinterval() at a time
         # (5ms default), and measured cheap-query p99 under an adversarial

@@ -15,7 +15,6 @@ shape at laptop scale:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.datasets.generator import GeneratorConfig, KGBuilder
@@ -28,29 +27,8 @@ __all__ = ["DBLPConfig", "generate_dblp_kg", "dblp_paper_venue_task",
            "dblp_author_affiliation_task", "dblp_author_similarity_task"]
 
 
-@dataclass
 class DBLPConfig(GeneratorConfig):
-    """Instance counts for the DBLP-like generator (before ``scale``)."""
-
-    num_papers: int = 400
-    num_authors: int = 200
-    num_venues: int = 8
-    num_affiliations: int = 24
-    num_keywords: int = 60
-    num_communities: int = 8
-    num_publishers: int = 20
-    num_series: int = 10
-    num_projects: int = 120
-    num_awards: int = 40
-    authors_per_paper: float = 2.5
-    keywords_per_paper: float = 2.0
-    citations_per_paper: float = 2.0
-    #: Probability that an author's affiliation matches their community's
-    #: dominant affiliation (signal for the link-prediction task).
-    affiliation_coherence: float = 0.8
-    #: Probability a paper's venue matches its community's venue
-    #: (signal for the node-classification task).
-    venue_coherence: float = 0.85
+    """Seed and scale of the DBLP-like generator."""
 
 
 def generate_dblp_kg(config: DBLPConfig = None) -> Graph:
@@ -59,12 +37,13 @@ def generate_dblp_kg(config: DBLPConfig = None) -> Graph:
     builder = KGBuilder(DBLP, seed=config.seed)
     rng = builder.rng
 
-    num_papers = config.scaled(config.num_papers)
-    num_authors = config.scaled(config.num_authors, minimum=10)
-    num_venues = config.scaled(config.num_venues, minimum=3)
-    num_affiliations = config.scaled(config.num_affiliations, minimum=4)
-    num_keywords = config.scaled(config.num_keywords, minimum=10)
-    num_communities = max(2, min(config.num_communities, num_venues))
+    # Instance counts at scale 1.0.
+    num_papers = config.scaled(400)
+    num_authors = config.scaled(200, minimum=10)
+    num_venues = config.scaled(8, minimum=3)
+    num_affiliations = config.scaled(24, minimum=4)
+    num_keywords = config.scaled(60, minimum=10)
+    num_communities = max(2, min(8, num_venues))
 
     # ------------------------------------------------------------------
     # Core entities
@@ -106,7 +85,9 @@ def generate_dblp_kg(config: DBLPConfig = None) -> Graph:
     # ------------------------------------------------------------------
     for author in authors:
         community = community_of_author[author]
-        if rng.random() < config.affiliation_coherence:
+        # An author's affiliation is mostly their community's: the signal
+        # for the link-prediction task.
+        if rng.random() < 0.8:
             affiliation = community_affiliation[community]
         else:
             affiliation = builder.choice(affiliations)
@@ -128,14 +109,15 @@ def generate_dblp_kg(config: DBLPConfig = None) -> Graph:
     for paper in papers:
         community = int(rng.integers(num_communities))
         papers_by_community[community].append(paper)
-        # Venue label — mostly the community's venue, sometimes noise.
-        if rng.random() < config.venue_coherence:
+        # Venue label — mostly the community's venue, sometimes noise (the
+        # signal for the node-classification task).
+        if rng.random() < 0.85:
             venue = builder.choice(venues_by_community[community])
         else:
             venue = builder.choice(venues)
         builder.add(paper, DBLP["publishedIn"], venue)
 
-        num_paper_authors = builder.poisson(config.authors_per_paper, minimum=1)
+        num_paper_authors = builder.poisson(2.5, minimum=1)
         community_authors = authors_by_community[community]
         for _ in range(num_paper_authors):
             if rng.random() < 0.85:
@@ -144,7 +126,7 @@ def generate_dblp_kg(config: DBLPConfig = None) -> Graph:
                 author = builder.choice(authors)
             builder.add(paper, DBLP["authoredBy"], author)
 
-        num_paper_keywords = builder.poisson(config.keywords_per_paper, minimum=1)
+        num_paper_keywords = builder.poisson(2.0, minimum=1)
         community_keywords = keywords_by_community[community]
         for _ in range(num_paper_keywords):
             if rng.random() < 0.8:
@@ -163,7 +145,7 @@ def generate_dblp_kg(config: DBLPConfig = None) -> Graph:
     # Citations: mostly within the same community.
     for community, community_papers in enumerate(papers_by_community):
         for paper in community_papers:
-            for _ in range(builder.poisson(config.citations_per_paper)):
+            for _ in range(builder.poisson(2.0)):
                 if rng.random() < 0.8 and len(community_papers) > 1:
                     cited = builder.choice(community_papers)
                 else:
@@ -176,13 +158,13 @@ def generate_dblp_kg(config: DBLPConfig = None) -> Graph:
     # ------------------------------------------------------------------
     if config.include_irrelevant_structure:
         publishers = [builder.new_entity("Publisher", "publisher")
-                      for _ in range(config.scaled(config.num_publishers, minimum=2))]
+                      for _ in range(config.scaled(20, minimum=2))]
         series = [builder.new_entity("Series", "series")
-                  for _ in range(config.scaled(config.num_series, minimum=2))]
+                  for _ in range(config.scaled(10, minimum=2))]
         projects = [builder.new_entity("Project", "project")
-                    for _ in range(config.scaled(config.num_projects, minimum=2))]
+                    for _ in range(config.scaled(120, minimum=2))]
         awards = [builder.new_entity("Award", "award")
-                  for _ in range(config.scaled(config.num_awards, minimum=2))]
+                  for _ in range(config.scaled(40, minimum=2))]
         editors = [builder.new_entity("Editor", "editor")
                    for _ in range(config.scaled(40, minimum=2))]
         countries = [builder.new_entity("Country", "country")

@@ -14,7 +14,7 @@ heterogeneity, not on absolute size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence
+from typing import ClassVar, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -80,10 +80,11 @@ class KGBuilder:
         index = self.rng.choice(len(items), p=p)
         return items[int(index)]
 
-    def zipf_choice(self, items: Sequence, exponent: float = 1.1):
-        """Skewed (Zipf-like) draw — real KGs have heavy-tailed degree laws."""
+    def zipf_choice(self, items: Sequence):
+        """Skewed (Zipf-like, exponent 1.1) draw — real KGs have heavy-tailed
+        degree laws."""
         ranks = np.arange(1, len(items) + 1, dtype=np.float64)
-        weights = ranks ** (-exponent)
+        weights = ranks ** -1.1
         weights /= weights.sum()
         return self.choice(items, p=weights)
 
@@ -127,16 +128,16 @@ class StreamingKGConfig:
 
     seed: int = 7
     num_triples: int = 10_000_000
-    num_predicates: int = 24
-    num_types: int = 12
+    num_predicates: ClassVar[int] = 24
+    num_types: ClassVar[int] = 12
     #: Skew of the entity in-degree / predicate-frequency laws (must be >1
     #: for the bounded inverse-transform draw).
     zipf_exponent: float = 2.0
     #: Entities additionally typed ``RareType`` (the selective anchor).
-    rare_type_cardinality: int = 20
+    rare_type_cardinality: ClassVar[int] = 20
     #: Triples sampled per numpy batch (the only transient allocation).
     batch_size: int = 100_000
-    base_iri: str = "https://repro.example/skg/"
+    base_iri: ClassVar[str] = "https://repro.example/skg/"
 
     def __post_init__(self) -> None:
         if self.num_triples <= 0:

@@ -11,7 +11,6 @@ should prune.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.datasets.generator import GeneratorConfig, KGBuilder
@@ -22,24 +21,13 @@ from repro.rdf.terms import IRI
 
 __all__ = ["YAGOConfig", "generate_yago_kg", "yago_place_country_task"]
 
+#: Probability a place's neighbours / inhabitants share its country (the
+#: structural signal the classifier exploits).
+_COUNTRY_COHERENCE = 0.85
 
-@dataclass
+
 class YAGOConfig(GeneratorConfig):
-    """Instance counts for the YAGO-4-like generator (before ``scale``)."""
-
-    num_places: int = 400
-    num_countries: int = 10
-    num_people: int = 200
-    num_organizations: int = 60
-    num_events: int = 150
-    num_creative_works: int = 250
-    num_products: int = 120
-    num_taxa: int = 80
-    neighbors_per_place: float = 2.0
-    people_per_place: float = 1.0
-    #: Probability a place's neighbours / inhabitants share its country
-    #: (the structural signal the classifier exploits).
-    country_coherence: float = 0.85
+    """Seed and scale of the YAGO-4-like generator."""
 
 
 def generate_yago_kg(config: YAGOConfig = None) -> Graph:
@@ -48,10 +36,11 @@ def generate_yago_kg(config: YAGOConfig = None) -> Graph:
     builder = KGBuilder(YAGO, seed=config.seed + 1)
     rng = builder.rng
 
-    num_places = config.scaled(config.num_places, minimum=20)
-    num_countries = config.scaled(config.num_countries, minimum=3)
-    num_people = config.scaled(config.num_people, minimum=10)
-    num_organizations = config.scaled(config.num_organizations, minimum=5)
+    # Instance counts at scale 1.0.
+    num_places = config.scaled(400, minimum=20)
+    num_countries = config.scaled(10, minimum=3)
+    num_people = config.scaled(200, minimum=10)
+    num_organizations = config.scaled(60, minimum=5)
 
     countries = [builder.new_entity("Country", "country")
                  for _ in range(num_countries)]
@@ -76,8 +65,8 @@ def generate_yago_kg(config: YAGOConfig = None) -> Graph:
     # Structural signal 1: neighbouring places are (mostly) in the same country.
     for place in places:
         country_index = country_of_place[place]
-        for _ in range(builder.poisson(config.neighbors_per_place, minimum=1)):
-            if rng.random() < config.country_coherence and len(places_by_country[country_index]) > 1:
+        for _ in range(builder.poisson(2.0, minimum=1)):
+            if rng.random() < _COUNTRY_COHERENCE and len(places_by_country[country_index]) > 1:
                 neighbor = builder.choice(places_by_country[country_index])
             else:
                 neighbor = builder.choice(places)
@@ -90,7 +79,7 @@ def generate_yago_kg(config: YAGOConfig = None) -> Graph:
         place = builder.choice(places)
         country_index = country_of_place[place]
         builder.add(person, SCHEMA["birthPlace"], place)
-        if rng.random() < config.country_coherence:
+        if rng.random() < _COUNTRY_COHERENCE:
             builder.add(person, SCHEMA["nationality"], countries[country_index])
         else:
             builder.add(person, SCHEMA["nationality"], builder.choice(countries))
@@ -115,13 +104,13 @@ def generate_yago_kg(config: YAGOConfig = None) -> Graph:
     # ------------------------------------------------------------------
     if config.include_irrelevant_structure:
         creative_works = [builder.new_entity("CreativeWork", "work")
-                          for _ in range(config.scaled(config.num_creative_works, minimum=5))]
+                          for _ in range(config.scaled(250, minimum=5))]
         events = [builder.new_entity("Event", "event")
-                  for _ in range(config.scaled(config.num_events, minimum=5))]
+                  for _ in range(config.scaled(150, minimum=5))]
         products = [builder.new_entity("Product", "product")
-                    for _ in range(config.scaled(config.num_products, minimum=3))]
+                    for _ in range(config.scaled(120, minimum=3))]
         taxa = [builder.new_entity("Taxon", "taxon")
-                for _ in range(config.scaled(config.num_taxa, minimum=3))]
+                for _ in range(config.scaled(80, minimum=3))]
         genres = [builder.new_entity("Genre", "genre")
                   for _ in range(config.scaled(12, minimum=3))]
         languages = [builder.new_entity("Language", "language")

@@ -252,6 +252,15 @@ class BadRequestError(APIError):
     http_status = 400
 
 
+def integer_parameter(value: object, name: str) -> int:
+    """``int(value)``: the one rule for an integer request parameter, on
+    every route; a value it refuses is a :class:`BadRequestError`."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise BadRequestError(f"{name!r} must be an integer, got {value!r}")
+
+
 class UnknownOperationError(APIError):
     """The requested operation is not registered with the API router."""
     code = "UNKNOWN_OPERATION"

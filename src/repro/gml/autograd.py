@@ -341,9 +341,9 @@ class Tensor:
 
         return Tensor._result(out_data, (self,), backward)
 
-    def mean(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
+    def mean(self, axis: Optional[int] = None) -> "Tensor":
         count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        return self.sum(axis=axis) * (1.0 / count)
 
     # -- element-wise functions -------------------------------------------------------
     def relu(self) -> "Tensor":
@@ -555,10 +555,9 @@ class Embedding:
 
     def __init__(self, num_embeddings: int, dim: int,
                  rng: Optional[np.random.Generator] = None,
-                 scale: Optional[float] = None, name: str = "embedding") -> None:
+                 name: str = "embedding") -> None:
         rng = rng or np.random.default_rng(0)
-        if scale is None:
-            scale = 6.0 / np.sqrt(dim)
+        scale = 6.0 / np.sqrt(dim)
         data = rng.uniform(-scale, scale, size=(num_embeddings, dim))
         self.weight = Parameter(data, name=name)
         self.num_embeddings = num_embeddings

@@ -53,12 +53,15 @@ def score_in_blocks(score_block: Callable[[slice], np.ndarray], num_heads: int,
 class KGEModel(Module):
     """Entity/relation embedding tables plus an abstract scoring function."""
 
-    #: Set by subclasses whose embeddings are split into (real, imaginary).
+    #: Set by subclasses whose embeddings are split into (real, imaginary)
+    #: halves; their ``dim`` is rounded up to an even width.
     complex_embeddings = False
 
     def __init__(self, num_entities: int, num_relations: int, dim: int = 64,
                  seed: int = 0) -> None:
         super().__init__()
+        if self.complex_embeddings:
+            dim += dim % 2
         if dim < 2:
             raise TrainingError("embedding dimension must be >= 2")
         self.num_entities = num_entities
@@ -79,6 +82,11 @@ class KGEModel(Module):
         relations = self.relation_embeddings(triples[:, 1])
         tails = self.entity_embeddings(triples[:, 2])
         return heads, relations, tails
+
+    def _split(self, embedding: Tensor):
+        """The (real, imaginary) halves of complex embeddings."""
+        half = self.dim // 2
+        return embedding[..., :half], embedding[..., half:]
 
     def score(self, heads: Tensor, relations: Tensor, tails: Tensor) -> Tensor:
         """Triple plausibility scores (higher = better) of broadcastable

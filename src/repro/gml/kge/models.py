@@ -18,21 +18,17 @@ __all__ = ["TransE", "DistMult", "ComplEx", "RotatE"]
 
 
 class TransE(KGEModel):
-    """Translation model: score = gamma - || h + r - t ||."""
+    """Translation model: score = gamma - || h + r - t ||_1."""
 
     def __init__(self, num_entities: int, num_relations: int, dim: int = 64,
-                 margin: float = 6.0, norm: int = 1, seed: int = 0) -> None:
+                 margin: float = 6.0, seed: int = 0) -> None:
         super().__init__(num_entities, num_relations, dim, seed=seed)
         self.margin = margin
-        self.norm = norm
 
     def score(self, heads: Tensor, relations: Tensor, tails: Tensor) -> Tensor:
         difference = heads + relations - tails
-        if self.norm == 1:
-            # |x| = relu(x) + relu(-x) keeps the graph differentiable.
-            distance = (difference.relu() + (-difference).relu()).sum(axis=-1)
-        else:
-            distance = (difference * difference).sum(axis=-1) ** 0.5
+        # L1 distance; |x| = relu(x) + relu(-x) keeps the graph differentiable.
+        distance = (difference.relu() + (-difference).relu()).sum(axis=-1)
         return Tensor(np.full(distance.shape, self.margin)) - distance
 
 
@@ -52,16 +48,6 @@ class ComplEx(KGEModel):
     """
 
     complex_embeddings = True
-
-    def __init__(self, num_entities: int, num_relations: int, dim: int = 64,
-                 seed: int = 0) -> None:
-        if dim % 2:
-            dim += 1
-        super().__init__(num_entities, num_relations, dim, seed=seed)
-        self.half = dim // 2
-
-    def _split(self, embedding: Tensor):
-        return embedding[..., : self.half], embedding[..., self.half:]
 
     def score(self, heads: Tensor, relations: Tensor, tails: Tensor) -> Tensor:
         h_re, h_im = self._split(heads)
@@ -85,17 +71,7 @@ class RotatE(KGEModel):
     """
 
     complex_embeddings = True
-
-    def __init__(self, num_entities: int, num_relations: int, dim: int = 64,
-                 margin: float = 9.0, seed: int = 0) -> None:
-        if dim % 2:
-            dim += 1
-        super().__init__(num_entities, num_relations, dim, seed=seed)
-        self.half = dim // 2
-        self.margin = margin
-
-    def _split(self, embedding: Tensor):
-        return embedding[..., : self.half], embedding[..., self.half:]
+    margin = 9.0
 
     def score(self, heads: Tensor, relations: Tensor, tails: Tensor) -> Tensor:
         h_re, h_im = self._split(heads)

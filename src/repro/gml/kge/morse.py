@@ -61,15 +61,17 @@ def _take(source: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
 class MorsE(Module):
     """Inductive KGE with structure-derived entity embeddings."""
 
+    #: The ``transe`` decoder's margin.
+    margin = 6.0
+
     def __init__(self, num_relations: int, dim: int = 64, decoder: str = "distmult",
-                 margin: float = 6.0, seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         super().__init__()
         if decoder not in ("distmult", "transe"):
             raise TrainingError(f"unknown MorsE decoder {decoder!r}")
         self.num_relations = num_relations
         self.dim = dim
         self.decoder = decoder
-        self.margin = margin
         rng = np.random.default_rng(seed)
         #: One initialisation vector per (relation, direction): index r is the
         #: outgoing direction, index num_relations + r the incoming direction.

@@ -7,12 +7,12 @@ import numpy as np
 __all__ = ["xavier_uniform", "zeros_init"]
 
 
-def xavier_uniform(shape, gain: float = 1.0, seed: int = 0) -> np.ndarray:
+def xavier_uniform(shape, seed: int = 0) -> np.ndarray:
     """Glorot & Bengio (2010) uniform initialisation."""
     rng = np.random.default_rng(seed)
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
+    fan_in = shape[0]
     fan_out = shape[-1]
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -38,21 +38,17 @@ def _summed(total: Optional[np.ndarray], term: np.ndarray) -> np.ndarray:
 class GCNConv(Module):
     """Graph convolution: ``H' = A_hat (H W) + b`` with normalised adjacency."""
 
-    def __init__(self, in_features: int, out_features: int, bias: bool = True,
-                 seed: int = 0) -> None:
+    def __init__(self, in_features: int, out_features: int, seed: int = 0) -> None:
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(xavier_uniform((in_features, out_features), seed=seed),
                                 name="gcn.weight")
-        self.bias = Parameter(zeros_init((out_features,)), name="gcn.bias") if bias else None
+        self.bias = Parameter(zeros_init((out_features,)), name="gcn.bias")
 
     def forward(self, adjacency: sp.spmatrix, x: Tensor) -> Tensor:
         support = x @ self.weight
-        out = spmm(adjacency, support)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return spmm(adjacency, support) + self.bias
 
 
 class RGCNConv(Module):
@@ -151,8 +147,7 @@ class GATConv(Module):
 
     negative_slope = 0.2
 
-    def __init__(self, in_features: int, out_features: int,
-                 bias: bool = True, seed: int = 0) -> None:
+    def __init__(self, in_features: int, out_features: int, seed: int = 0) -> None:
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
@@ -162,7 +157,7 @@ class GATConv(Module):
                                   name="gat.attn_src")
         self.attn_dst = Parameter(xavier_uniform((out_features, 1), seed=seed + 2),
                                   name="gat.attn_dst")
-        self.bias = Parameter(zeros_init((out_features,)), name="gat.bias") if bias else None
+        self.bias = Parameter(zeros_init((out_features,)), name="gat.bias")
 
     def forward(self, edge_index: np.ndarray, num_nodes: int, x: Tensor) -> Tensor:
         edge_index = np.asarray(edge_index, dtype=np.int64).reshape(2, -1)
@@ -195,7 +190,4 @@ class GATConv(Module):
         alpha = exp_logits / (denom_per_edge + 1e-12)          # (E, 1)
 
         messages = gather_rows(h, src) * alpha                 # (E, F')
-        out = spmm(incidence, messages)                        # (N, F')
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return spmm(incidence, messages) + self.bias           # (N, F')

@@ -26,6 +26,9 @@ __all__ = ["NodeClassifier", "GCN", "RGCN", "GAT"]
 class NodeClassifier(Module):
     """Base class: logits for every node of a :class:`GraphData`."""
 
+    #: Dropout probability between layers while training.
+    dropout_p = 0.3
+
     def forward(self, data: GraphData, features: Optional[Tensor] = None) -> Tensor:
         raise NotImplementedError
 
@@ -43,11 +46,10 @@ class GCN(NodeClassifier):
     """Multi-layer graph convolutional network (relation-agnostic)."""
 
     def __init__(self, in_features: int, hidden_features: int, num_classes: int,
-                 num_layers: int = 2, dropout_p: float = 0.3, seed: int = 0) -> None:
+                 num_layers: int = 2, seed: int = 0) -> None:
         super().__init__()
         if num_layers < 1:
             raise TrainingError("GCN needs at least one layer")
-        self.dropout_p = dropout_p
         self._rng = np.random.default_rng(seed)
         dims = [in_features] + [hidden_features] * (num_layers - 1) + [num_classes]
         self.layers = [GCNConv(dims[i], dims[i + 1], seed=seed + i)
@@ -69,11 +71,10 @@ class RGCN(NodeClassifier):
 
     def __init__(self, in_features: int, hidden_features: int, num_classes: int,
                  num_relations: int, num_layers: int = 2, num_bases: Optional[int] = None,
-                 dropout_p: float = 0.3, seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         super().__init__()
         if num_layers < 1:
             raise TrainingError("RGCN needs at least one layer")
-        self.dropout_p = dropout_p
         self.num_relations = num_relations
         self._rng = np.random.default_rng(seed)
         dims = [in_features] + [hidden_features] * (num_layers - 1) + [num_classes]
@@ -100,11 +101,10 @@ class GAT(NodeClassifier):
     """Graph attention network (single head per layer)."""
 
     def __init__(self, in_features: int, hidden_features: int, num_classes: int,
-                 num_layers: int = 2, dropout_p: float = 0.3, seed: int = 0) -> None:
+                 num_layers: int = 2, seed: int = 0) -> None:
         super().__init__()
         if num_layers < 1:
             raise TrainingError("GAT needs at least one layer")
-        self.dropout_p = dropout_p
         self._rng = np.random.default_rng(seed)
         dims = [in_features] + [hidden_features] * (num_layers - 1) + [num_classes]
         self.layers = [GATConv(dims[i], dims[i + 1], seed=seed + i)

@@ -51,11 +51,11 @@ class Adam(Optimizer):
 
     beta1 = 0.9
     beta2 = 0.999
+    eps = 1e-8
 
     def __init__(self, parameters: List[Parameter], lr: float = 0.01,
-                 eps: float = 1e-8, weight_decay: float = 0.0) -> None:
+                 weight_decay: float = 0.0) -> None:
         super().__init__(parameters, lr)
-        self.eps = eps
         self.weight_decay = weight_decay
         #: First and second moments per parameter, made by the first
         #: ``zero_grad`` (before the first forward, so a run's first step

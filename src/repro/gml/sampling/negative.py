@@ -41,19 +41,19 @@ class NegativeSampler:
 
 
 class TripleBatchSampler:
-    """Iterate over shuffled mini-batches of positive triples with negatives."""
+    """Iterate over shuffled mini-batches of positive training triples with
+    negatives."""
 
     def __init__(self, data: TriplesData, batch_size: int, num_negatives: int,
-                 split: str = "train", seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         if batch_size < 1:
             raise SamplingError("batch_size must be >= 1")
         self.data = data
         self.batch_size = batch_size
-        self.split = split
         self.rng = np.random.default_rng(seed)
         self.negative_sampler = NegativeSampler(
             data.num_entities, num_negatives=num_negatives, seed=seed)
-        self._triples = data.split(split)
+        self._triples = data.split("train")
 
     def __len__(self) -> int:
         return int(np.ceil(self._triples.shape[0] / self.batch_size))

@@ -9,7 +9,7 @@ union of their shadow subgraphs.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -21,11 +21,11 @@ __all__ = ["ShadowKHopSampler"]
 
 
 class ShadowKHopSampler(SubgraphSampler):
-    """Bounded k-hop ego-subgraph sampler around target (root) nodes."""
+    """Bounded k-hop ego-subgraph sampler around target (root) nodes: the
+    labelled nodes, or every node when none is labelled."""
 
     def __init__(self, data: GraphData, batch_size: int, num_batches: int,
-                 depth: int = 2, neighbors_per_hop: int = 10,
-                 target_nodes: Optional[np.ndarray] = None, seed: int = 0) -> None:
+                 depth: int = 2, neighbors_per_hop: int = 10, seed: int = 0) -> None:
         super().__init__(data, batch_size, num_batches, seed=seed)
         if depth < 1:
             raise SamplingError("depth must be >= 1")
@@ -33,10 +33,9 @@ class ShadowKHopSampler(SubgraphSampler):
             raise SamplingError("neighbors_per_hop must be >= 1")
         self.depth = depth
         self.neighbors_per_hop = neighbors_per_hop
-        if target_nodes is None:
-            target_nodes = data.labeled_nodes()
-            if target_nodes.size == 0:
-                target_nodes = np.arange(data.num_nodes)
+        target_nodes = data.labeled_nodes()
+        if target_nodes.size == 0:
+            target_nodes = np.arange(data.num_nodes)
         self.target_nodes = np.asarray(target_nodes, dtype=np.int64)
         # Bidirectional CSR adjacency for neighbour expansion.
         src = np.concatenate([data.edge_index[0], data.edge_index[1]])

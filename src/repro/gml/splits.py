@@ -41,14 +41,13 @@ class SplitFractions:
 
 
 def random_split(candidate_nodes: np.ndarray,
-                 fractions: Optional[SplitFractions] = None,
                  seed: int = 0) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uniformly random split of ``candidate_nodes``."""
-    fractions = fractions or SplitFractions()
+    """Uniformly random split of ``candidate_nodes`` at the default
+    :class:`SplitFractions`."""
     candidates = np.asarray(candidate_nodes, dtype=np.int64)
     rng = np.random.default_rng(seed)
     permuted = rng.permutation(candidates)
-    n_train, n_valid, _ = fractions.counts(permuted.shape[0])
+    n_train, n_valid, _ = SplitFractions().counts(permuted.shape[0])
     return (permuted[:n_train],
             permuted[n_train:n_train + n_valid],
             permuted[n_train + n_valid:])

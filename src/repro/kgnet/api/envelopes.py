@@ -217,11 +217,9 @@ class APIResponse:
                    result=result, meta=dict(meta or {}), attachment=attachment)
 
     @classmethod
-    def failure(cls, request: APIRequest, error: BaseException,
-                meta: Optional[Dict[str, object]] = None) -> "APIResponse":
+    def failure(cls, request: APIRequest, error: BaseException) -> "APIResponse":
         return cls(ok=False, op=request.op, request_id=request.request_id,
-                   error=error_payload(error), meta=dict(meta or {}),
-                   attachment=error)
+                   error=error_payload(error), attachment=error)
 
     def _document(self, result: Optional[Dict[str, object]]) -> Dict[str, object]:
         return {

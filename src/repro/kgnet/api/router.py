@@ -40,6 +40,7 @@ from repro.exceptions import (
     ServerOverloaded,
     TrainingError,
     UnknownOperationError,
+    integer_parameter,
 )
 from repro.sparql.execution import ExecutionContext, StreamingResult
 from repro.gml.tasks import TaskSpec
@@ -476,10 +477,7 @@ class APIRouter:
 
     @staticmethod
     def _coerce_positive_int(value: object, name: str) -> int:
-        try:
-            number = int(value)
-        except (TypeError, ValueError, OverflowError):
-            raise BadRequestError(f"{name!r} must be an integer, got {value!r}")
+        number = integer_parameter(value, name)
         if number <= 0:
             raise BadRequestError(f"{name!r} must be positive")
         return number

@@ -30,6 +30,7 @@ class FlatIndex:
 
     def __init__(self, dim: int) -> None:
         self.dim = dim
+        #: The added vectors, each scaled to unit length once, when added.
         self._vectors = np.zeros((0, dim), dtype=np.float64)
 
     def __len__(self) -> int:
@@ -37,14 +38,14 @@ class FlatIndex:
 
     def add(self, vectors: np.ndarray) -> None:
         vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, self.dim)
-        self._vectors = np.concatenate([self._vectors, vectors], axis=0)
+        self._vectors = np.concatenate([self._vectors, _normalise(vectors)], axis=0)
 
     def search(self, queries: np.ndarray, k: int = 10) -> Tuple[np.ndarray, np.ndarray]:
         """Return (scores, indices) of the top-k neighbours per query row."""
         queries = np.asarray(queries, dtype=np.float64).reshape(-1, self.dim)
         if len(self) == 0:
             raise PlatformError("search on an empty index")
-        scores = _normalise(queries) @ _normalise(self._vectors).T
+        scores = _normalise(queries) @ self._vectors.T
         k = min(k, len(self))
         indices = np.argsort(-scores, axis=1)[:, :k]
         top_scores = np.take_along_axis(scores, indices, axis=1)

@@ -163,18 +163,20 @@ class KGMetaGovernor:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def _literal_float(self, subject: IRI, predicate: IRI, default: float = 0.0) -> float:
+    def _literal_float(self, subject: IRI, predicate: IRI) -> float:
+        """The numeric literal at ``(subject, predicate)``; 0.0 when there
+        is none or it does not parse."""
         value = self.graph.value(subject=subject, predicate=predicate)
         if isinstance(value, Literal):
             try:
                 return float(value.lexical)
             except ValueError:
-                return default
-        return default
+                return 0.0
+        return 0.0
 
-    def _literal_str(self, subject: IRI, predicate: IRI, default: str = "") -> str:
+    def _literal_str(self, subject: IRI, predicate: IRI) -> str:
         value = self.graph.value(subject=subject, predicate=predicate)
-        return value.lexical if isinstance(value, Literal) else default
+        return value.lexical if isinstance(value, Literal) else ""
 
     def _iri(self, subject: IRI, predicate: IRI) -> Optional[IRI]:
         value = self.graph.value(subject=subject, predicate=predicate)

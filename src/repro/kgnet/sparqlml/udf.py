@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.exceptions import UDFError
+from repro.exceptions import UDFError, integer_parameter
 from repro.kgnet.gmlaas.service import GMLaaS
 from repro.rdf.terms import Literal
 from repro.sparql.endpoint import SPARQLEndpoint
@@ -30,13 +30,11 @@ __all__ = ["register_udfs"]
 Resolved = Tuple[List[object], int]
 
 
-def _as_int(term, default: int = 10) -> int:
-    try:
-        if isinstance(term, Literal):
-            return int(float(term.lexical))
-        return int(term)
-    except (TypeError, ValueError):
-        return default
+def _k(term) -> int:
+    """A call's ``k`` by the ``infer_*`` ops' integer rule, so a malformed
+    one is a :class:`~repro.exceptions.BadRequestError` on both routes."""
+    return integer_parameter(
+        term.to_python() if isinstance(term, Literal) else term, "k")
 
 
 def _ranked_route(gmlaas: GMLaaS, mode: str, default_k: int,
@@ -52,7 +50,7 @@ def _ranked_route(gmlaas: GMLaaS, mode: str, default_k: int,
         for index, args in enumerate(inputs):
             if (args[0], args[2:]) != shared:  # model and k: constants, as a rule
                 shared = (args[0], args[2:])
-                k = _as_int(args[2], default_k) if len(args) > 2 else default_k
+                k = _k(args[2]) if len(args) > 2 else default_k
                 group = groups.setdefault((str(args[0]), k), [])
             group.append(index)
         outputs: List[object] = [None] * len(inputs)

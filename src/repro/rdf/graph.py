@@ -892,9 +892,8 @@ class Graph:
                 seen.add(si)
                 yield decode(si)
 
-    def predicates(self, subject: Optional[object] = None,
-                   obj: Optional[object] = None) -> Iterator[Term]:
-        pattern = self._encode_pattern(subject, None, obj)
+    def predicates(self, subject: Optional[object] = None) -> Iterator[Term]:
+        pattern = self._encode_pattern(subject, None, None)
         if pattern is _NO_MATCH:
             return
         seen: Set[int] = set()

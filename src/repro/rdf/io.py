@@ -184,10 +184,10 @@ def _tokenize(source: Union[str, Iterable[str]]) -> Iterator[_Token]:
         yield _Token(kind, value, line)
 
 
-def _iter_chunks(source: TextIO, chunk_size: int = _CHUNK_SIZE) -> Iterator[str]:
-    """Drain a file-like object in fixed-size chunks."""
+def _iter_chunks(source: TextIO) -> Iterator[str]:
+    """Drain a file-like object in :data:`_CHUNK_SIZE` chunks."""
     while True:
-        chunk = source.read(chunk_size)
+        chunk = source.read(_CHUNK_SIZE)
         if not chunk:
             return
         yield chunk
@@ -498,10 +498,9 @@ def _as_chunk_source(source: Union[str, TextIO]) -> Union[str, Iterator[str]]:
     return source
 
 
-def parse_turtle(text: Union[str, TextIO],
-                 graph: Optional[Graph] = None) -> Graph:
-    """Parse Turtle-lite ``text`` (a string or file-like) into ``graph``."""
-    graph = graph if graph is not None else Graph()
+def parse_turtle(text: Union[str, TextIO]) -> Graph:
+    """Parse Turtle-lite ``text`` (a string or file-like) into a new graph."""
+    graph = Graph()
     parser = _TurtleParser(_as_chunk_source(text), namespaces=graph.namespaces)
     graph.add_all(parser.parse())
     return graph
@@ -523,9 +522,10 @@ def iter_turtle(text: Union[str, TextIO],
     return parser.parse()
 
 
-def parse_ntriples(text: str, graph: Optional[Graph] = None) -> Graph:
-    """Parse N-Triples ``text``; identical to :func:`parse_turtle`."""
-    return parse_turtle(text, graph=graph)
+def parse_ntriples(text: str) -> Graph:
+    """Parse N-Triples ``text`` into a new graph; identical to
+    :func:`parse_turtle`."""
+    return parse_turtle(text)
 
 
 def serialize_ntriples(graph: Iterable[Triple]) -> str:
@@ -559,16 +559,16 @@ def serialize_turtle(graph: Graph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def load_graph(source: Union[str, TextIO], graph: Optional[Graph] = None) -> Graph:
-    """Load a graph from a file path or file-like object.
+def load_graph(source: Union[str, TextIO]) -> Graph:
+    """Load a new graph from a file path or file-like object.
 
     Either way the serialized text streams through the chunked tokenizer —
     the document is never held in memory whole.
     """
     if hasattr(source, "read"):
-        return parse_turtle(source, graph=graph)
+        return parse_turtle(source)
     with open(source, "r", encoding="utf-8") as handle:
-        return parse_turtle(handle, graph=graph)
+        return parse_turtle(handle)
 
 
 def dump_graph(graph: Graph, destination: Union[str, TextIO],

@@ -97,15 +97,11 @@ DEFAULT_PREFIXES: Dict[str, str] = {
 class NamespaceManager:
     """Bidirectional prefix <-> namespace registry."""
 
-    def __init__(self, bindings: Optional[Dict[str, str]] = None,
-                 include_defaults: bool = True) -> None:
+    def __init__(self, include_defaults: bool = True) -> None:
         self._prefix_to_ns: Dict[str, str] = {}
         self._version = 0
         if include_defaults:
             for prefix, base in DEFAULT_PREFIXES.items():
-                self.bind(prefix, base)
-        if bindings:
-            for prefix, base in bindings.items():
                 self.bind(prefix, base)
 
     def bind(self, prefix: str, base: str) -> None:

@@ -44,7 +44,6 @@ from repro.sparql.results.serialize import MEDIA_JSON
 
 __all__ = ["RemoteClient"]
 
-_FORM = "application/x-www-form-urlencoded"
 
 
 def _error_from(status: int, body: Union[str, bytes], what: str) -> BaseException:
@@ -267,15 +266,11 @@ class RemoteClient(APIClient):
     # ------------------------------------------------------------------
     def protocol_query(self, query: str, accept: str = MEDIA_JSON,
                        default_graph_uris: Optional[List[str]] = None,
-                       method: str = "GET",
                        timeout: Optional[float] = None,
                        extra_headers: Optional[Dict[str, str]] = None,
                        ) -> Tuple[int, str, str]:
-        """Run ``query`` through ``/sparql``; returns (status, type, body).
-
-        ``method="GET"`` sends ``?query=``; ``method="POST"`` sends a direct
-        ``application/sparql-query`` body (dataset URIs then travel in the
-        query string, as the protocol prescribes).  ``timeout`` is the
+        """Run ``query`` through a ``GET /sparql?query=``; returns (status,
+        type, body).  ``timeout`` is the
         *server-side* execution deadline in seconds (the ``timeout=``
         protocol parameter, capped by the server's configured maximum); a
         query that exceeds it comes back as HTTP 504 with a
@@ -283,29 +278,16 @@ class RemoteClient(APIClient):
         (e.g. ``{"Cache-Control": "no-store"}`` to bypass the server's
         result cache).
         """
-        pairs = [("default-graph-uri", uri)
-                 for uri in (default_graph_uris or [])]
+        pairs = [("query", query)]
+        pairs += [("default-graph-uri", uri) for uri in (default_graph_uris or [])]
         if timeout is not None:
             pairs.append(("timeout", f"{timeout:g}"))
-        if method.upper() == "GET":
-            pairs.insert(0, ("query", query))
-            target = "/sparql?" + "&".join(
-                f"{name}={quote(value, safe='')}" for name, value in pairs)
-            request_headers = {"Accept": accept}
-            request_headers.update(extra_headers or {})
-            status, headers, body = self._request(
-                "GET", target, headers=request_headers)
-        else:
-            target = "/sparql"
-            if pairs:
-                target += "?" + "&".join(
-                    f"{name}={quote(value, safe='')}" for name, value in pairs)
-            request_headers = {"Accept": accept,
-                               "Content-Type": "application/sparql-query"}
-            request_headers.update(extra_headers or {})
-            status, headers, body = self._request(
-                "POST", target, body=query.encode("utf-8"),
-                headers=request_headers)
+        target = "/sparql?" + "&".join(
+            f"{name}={quote(value, safe='')}" for name, value in pairs)
+        request_headers = {"Accept": accept}
+        request_headers.update(extra_headers or {})
+        status, headers, body = self._request(
+            "GET", target, headers=request_headers)
         content_type = headers.get("content-type", "").split(";", 1)[0].strip()
         return status, content_type, body.decode("utf-8")
 
@@ -349,18 +331,11 @@ class RemoteClient(APIClient):
             raise _error_from(status, body, "SPARQL protocol ASK")
         return parse_ask(body, content_type)
 
-    def protocol_update(self, update: str,
-                        via_form: bool = False) -> Dict[str, object]:
+    def protocol_update(self, update: str) -> Dict[str, object]:
         """Apply ``update`` via POST; returns the response envelope dict."""
-        if via_form:
-            body = "update=" + quote(update, safe="")
-            status, _, text = self._request(
-                "POST", "/sparql", body=body.encode("utf-8"),
-                headers={"Content-Type": _FORM})
-        else:
-            status, _, text = self._request(
-                "POST", "/sparql", body=update.encode("utf-8"),
-                headers={"Content-Type": "application/sparql-update"})
+        status, _, text = self._request(
+            "POST", "/sparql", body=update.encode("utf-8"),
+            headers={"Content-Type": "application/sparql-update"})
         try:
             payload = json.loads(text)
         except ValueError:

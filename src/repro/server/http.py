@@ -282,23 +282,16 @@ def _close(sock: socket.socket) -> None:
 class KGNetHTTPServer:
     """The platform's HTTP front door, worker-pool threaded.
 
-    Construct it over an :class:`~repro.kgnet.api.router.APIRouter` (or a
-    ready :class:`ServiceHandler`), then :meth:`start` a background accept
+    Construct it over an :class:`~repro.kgnet.api.router.APIRouter`, then :meth:`start` a background accept
     thread (``with server.start(): ...``) or own one with
     :meth:`serve_forever`.  Port 0 binds an ephemeral port: see
     :attr:`base_url`.
     """
 
-    def __init__(self, address: Tuple[str, int],
-                 router: Optional[APIRouter] = None,
-                 service: Optional[ServiceHandler] = None,
+    def __init__(self, address: Tuple[str, int], router: APIRouter,
                  max_workers: int = 8,
                  connection_timeout: float = CONNECTION_TIMEOUT_SECONDS) -> None:
-        if service is None:
-            if router is None:
-                raise ValueError("KGNetHTTPServer needs a router or a service")
-            service = ServiceHandler(router)
-        self.service = service
+        self.service = ServiceHandler(router)
         #: Read/write timeout per connection: a slowloris sender or a
         #: reader that stops draining a stream frees its worker slot.
         self.connection_timeout = connection_timeout
@@ -443,10 +436,10 @@ class KGNetHTTPServer:
             host = f"[{host}]"
         return f"http://{host}:{port}"
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
+    def serve_forever(self) -> None:
         """Accept connections until :meth:`stop`, which shuts the listener
-        down to wake ``accept``; ``poll_interval`` is the fallback."""
-        self.socket.settimeout(poll_interval)
+        down to wake ``accept``; a 0.5 s accept timeout is the fallback."""
+        self.socket.settimeout(0.5)
         while not self._stopping:
             try:
                 sock, _ = self.socket.accept()

@@ -210,8 +210,8 @@ class ServiceRequest:
         decoded on first use (a result-cache hit never decodes them)."""
         return _parse_query_string(self.query_string)
 
-    def header(self, name: str, default: Optional[str] = None) -> Optional[str]:
-        return self.headers.get(name.lower(), default)
+    def header(self, name: str) -> Optional[str]:
+        return self.headers.get(name.lower())
 
     def content_type(self) -> Optional[str]:
         """The media type of the body, without parameters, lower-cased."""
@@ -251,28 +251,24 @@ class ServiceResponse:
         self.body = b"".join(self.body)
         return self.body
 
-    def header(self, name: str, default: Optional[str] = None) -> Optional[str]:
+    def header(self, name: str) -> Optional[str]:
         wanted = name.lower()
         for key, value in self.headers:
             if key.lower() == wanted:
                 return value
-        return default
+        return None
 
     # -- constructors -------------------------------------------------------
     @classmethod
-    def json(cls, payload: object, status: int = 200,
-             headers: Optional[List[Tuple[str, str]]] = None) -> "ServiceResponse":
+    def json(cls, payload: object, status: int = 200) -> "ServiceResponse":
         body = json.dumps(payload).encode("utf-8")
-        all_headers = [_JSON_CONTENT_TYPE]
-        all_headers.extend(headers or [])
-        return cls(status=status, headers=all_headers, body=body)
+        return cls(status=status, headers=[_JSON_CONTENT_TYPE], body=body)
 
     @classmethod
-    def stream(cls, fragments: Iterable[bytes], content_type: str,
-               status: int = 200) -> "ServiceResponse":
+    def stream(cls, fragments: Iterable[bytes], content_type: str) -> "ServiceResponse":
         # Writers yield pre-encoded bytes; the transport writes each
         # fragment straight to the socket with no second str→bytes copy.
-        return cls(status=status,
+        return cls(status=200,
                    headers=[("Content-Type",
                              f"{content_type}; charset=utf-8")],
                    body=iter(fragments))

@@ -49,7 +49,6 @@ from repro.exceptions import QueryError
 from repro.rdf.dataset import Dataset
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import NamespaceManager
 from repro.rdf.terms import IRI
 from repro.sparql.ast import (AskQuery, ConstructQuery, ModifyUpdate, Query,
                               SelectQuery, Update)
@@ -199,12 +198,11 @@ class SPARQLEndpoint:
     HISTORY_LIMIT = 1024
 
     def __init__(self, dataset: Optional[Dataset] = None,
-                 namespaces: Optional[NamespaceManager] = None,
                  optimize_joins: bool = True) -> None:
         # `dataset or ...` would discard an *empty* dataset (len() == 0 is
         # falsy) — fatal for the storage engine, which hands over a freshly
         # recovered, possibly empty dataset whose identity must be kept.
-        self.dataset = dataset if dataset is not None else Dataset(namespaces=namespaces)
+        self.dataset = dataset if dataset is not None else Dataset()
         self.namespaces = self.dataset.namespaces
         self.udfs = UDFRegistry()
         self.optimize_joins = optimize_joins
@@ -397,20 +395,15 @@ class SPARQLEndpoint:
         """:meth:`prepare` ``text`` (same options) and start it right here."""
         return self.prepare(text, **options)[1]()
 
-    def execute(self, text: str,
-                default_graph_iris: Optional[List[Union[str, IRI]]] = None,
-                require: Optional[str] = None,
-                context: Optional[ExecutionContext] = None,
-                named_graph_iris: Optional[List[Union[str, IRI]]] = None):
-        """:meth:`start` a query *or* an update and run it to completion.
+    def execute(self, text: str, require: Optional[str] = None,
+                context: Optional[ExecutionContext] = None):
+        """:meth:`start` a query *or* an update on the default dataset and
+        run it to completion.
 
         SELECT / ASK / CONSTRUCT requests return their evaluation result,
         update requests the number of affected triples.
         """
-        return _drained(self.start(text, require=require,
-                                   default_graph_iris=default_graph_iris,
-                                   named_graph_iris=named_graph_iris,
-                                   context=context))
+        return _drained(self.start(text, require=require, context=context))
 
     def _record(self, statistics: QueryStatistics,
                 on_stats: Optional[Callable[[QueryStatistics], None]] = None

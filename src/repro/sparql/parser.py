@@ -117,8 +117,8 @@ class SPARQLParser:
             raise self._error(f"expected {value!r}, got {token.value!r}", token)
         return token
 
-    def _at_punct(self, value: str, offset: int = 0) -> bool:
-        token = self._peek(offset)
+    def _at_punct(self, value: str) -> bool:
+        token = self._peek()
         return token.kind in ("PUNCT", "OP") and token.value == value
 
     def _at_keyword(self, *names: str, offset: int = 0) -> bool:
@@ -934,10 +934,9 @@ def parse_query(text: str, namespaces: Optional[NamespaceManager] = None) -> Que
     return SPARQLParser(text, namespaces=namespaces).parse_query()
 
 
-def parse_update(text: str,
-                 namespaces: Optional[NamespaceManager] = None) -> List[Update]:
+def parse_update(text: str) -> List[Update]:
     """Parse a SPARQL UPDATE request into a list of update operations."""
-    return SPARQLParser(text, namespaces=namespaces).parse_update()
+    return SPARQLParser(text).parse_update()
 
 
 def parse(text: str,

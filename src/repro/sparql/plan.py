@@ -445,8 +445,11 @@ class Plan(NamedTuple):
     infer: Tuple[Node, ...] = ()
 
 
-def _frozen(bound, unseeded=frozenset()) -> frozenset:
-    return frozenset(bound) if bound else unseeded
+_UNSEEDED: frozenset = frozenset()
+
+
+def _frozen(bound) -> frozenset:
+    return frozenset(bound) if bound else _UNSEEDED
 
 
 def build(scope, graph: Graph, optimize_joins: bool = True,

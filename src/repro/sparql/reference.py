@@ -113,11 +113,9 @@ def _reference_reorder(graph: Graph,
 class ReferenceQueryEvaluator:
     """The seed evaluator: list-of-Solutions materialized after each pattern."""
 
-    def __init__(self, graph: Graph, udfs: Optional[UDFRegistry] = None,
-                 optimize_joins: bool = True) -> None:
+    def __init__(self, graph: Graph, udfs: Optional[UDFRegistry] = None) -> None:
         self.graph = graph
         self.udfs = udfs or UDFRegistry()
-        self.optimize_joins = optimize_joins
         self.context = EvaluationContext(udfs=self.udfs,
                                          exists_evaluator=self._evaluate_exists)
         self.pattern_lookups = 0
@@ -210,10 +208,7 @@ class ReferenceQueryEvaluator:
         return solutions
 
     def _evaluate_bgp(self, bgp: BGP, solutions: List[Solution]) -> List[Solution]:
-        patterns = list(bgp.triples)
-        if self.optimize_joins:
-            patterns = _reference_reorder(self.graph, patterns)
-        for pattern in patterns:
+        for pattern in _reference_reorder(self.graph, list(bgp.triples)):
             solutions = self._join_pattern(pattern, solutions)
             if not solutions:
                 break
@@ -549,8 +544,9 @@ class ReferenceQueryEvaluator:
         for index in reversed(range(len(query.order_by))):
             condition = query.order_by[index]
             if condition.descending:
-                def single_key(solution: Solution, _c=condition):
-                    value = evaluate_expression(_c.expression, solution, self.context)
+                def single_key(solution: Solution):
+                    value = evaluate_expression(condition.expression, solution,
+                                                self.context)
                     if value is None:
                         return (0, "")
                     if isinstance(value, Literal) and value.is_numeric():

@@ -46,7 +46,6 @@ except ImportError:  # pragma: no cover - POSIX
 from repro.exceptions import StorageError, WalTruncatedError
 from repro.rdf.dataset import Dataset
 from repro.rdf.graph import Graph
-from repro.rdf.namespace import NamespaceManager
 from repro.rdf.terms import IRI
 from repro.storage.bulkload import (
     DEFAULT_BATCH_SIZE,
@@ -164,9 +163,8 @@ class JournalledLock:
 class StorageEngine:
     """Durable, recoverable storage for one RDF dataset."""
 
-    def __init__(self, directory: str,
-                 namespaces: Optional[NamespaceManager] = None,
-                 fsync: bool = True, retain_segments: int = 8) -> None:
+    def __init__(self, directory: str, fsync: bool = True,
+                 retain_segments: int = 8) -> None:
         self.directory = directory
         self.checkpoint_path = os.path.join(directory, CHECKPOINT_NAME)
         self.wal_path = os.path.join(directory, WAL_NAME)
@@ -177,7 +175,6 @@ class StorageEngine:
         self.archive = WalArchive(os.path.join(directory, SEGMENTS_DIR),
                                   retain=retain_segments, fsync=fsync)
         self._lock_file = None
-        self._namespaces = namespaces
         self._fsync = fsync
         self._dataset: Optional[Dataset] = None
         self._wal: Optional[WriteAheadLog] = None
@@ -234,7 +231,7 @@ class StorageEngine:
                 self.checkpoint_path, lock=lock)
             self.last_checkpoint = info
         else:
-            dataset = Dataset(namespaces=self._namespaces, lock=lock)
+            dataset = Dataset(lock=lock)
 
         # Replay the committed suffix.  The journal is NOT attached yet:
         # replayed operations must not be re-logged.

@@ -241,10 +241,9 @@ def _iter_frames_stream(handle, size: int):
         offset = end
 
 
-def iter_frames(data: bytes, offset: int = 0):
+def iter_frames(data: bytes):
     """Yield ``(payload, end_offset)`` for every intact frame in ``data``."""
     handle = io.BytesIO(data)
-    handle.seek(offset)
     return _iter_frames_stream(handle, len(data))
 
 

@@ -241,6 +241,25 @@ def test_a_ranking_of_k_at_most_zero_is_empty(ranked_platform, mode, udf, k):
     assert ranked_platform.endpoint.query(query % (udf, uri, k)).to_python() == [{}]
 
 
+@pytest.mark.parametrize("mode, udf, name", [("links", "getTopKLinks", "source"),
+                                             ("similar", "getSimilarEntities", "entity")])
+@pytest.mark.parametrize("bad_k", ['"abc"', "<urn:k>"])
+def test_a_malformed_k_is_a_bad_request_on_both_routes(ranked_platform, mode,
+                                                       udf, name, bad_k):
+    """The UDFs used to read a non-numeric ``k`` as the default and answer
+    10 entities, where the ``infer_*`` ops answer 400."""
+    query = ("SELECT ?s WHERE { BIND(sql:UDFS.%s(<urn:%s>, <urn:e1>, %s) AS ?s) }"
+             % (udf, mode, bad_k))
+    requests = [{"op": "sparql", "params": {"query": query}},
+                {"op": f"infer_{mode}",
+                 "params": {"model_uri": f"urn:{mode}", name: "urn:e1", "k": "abc"}}]
+    for request in requests:
+        response = ranked_platform.api.dispatch(request)
+        assert not response.ok
+        assert response.error["code"] == "BAD_REQUEST"
+        assert "'k'" in response.error["message"]
+
+
 # ---------------------------------------------------------------------------
 # Cost estimator and method selector
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def test_no_module_imports_what_it_does_not_use():
 #: function parameter with a default and every ``@dataclass`` field with a
 #: default.  A change that adds one raises this number and says why in
 #: CHANGES.md; a change that removes one lowers it.
-SETTABLE_VALUES = 673
+SETTABLE_VALUES = 593
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -286,3 +286,243 @@ def test_settable_values_do_not_grow():
     root = Path(repro.__file__).resolve().parent
     assert sum(_settable_values(ast.parse(path.read_text(encoding="utf-8")))
                for path in root.rglob("*.py")) == SETTABLE_VALUES
+
+
+#: Settable values (see ``SETTABLE_VALUES``) that no call under src/,
+#: tests/, benchmarks/ or examples/ passes, kept on purpose:
+#: ``callable(param)`` -> why.  A key that is a bare class name covers
+#: every field of that class.
+UNSET_SETTINGS = {
+    "QueryInterrupted": "an interrupt's `details`: the context assigns "
+                        "them, and `exception_from_payload` passes them "
+                        "back from a wire payload as `cls(message, **fields)`",
+    "TransE(seed)": "set by `method_selector._transductive`, whose "
+                    "`model_class(..., seed=config.seed)` the name match "
+                    "cannot resolve",
+    "ResourceUsage": "what a training run measured: state, not a setting",
+    "TransformReport": "a transform's report, filled in as it runs",
+    "MetaSamplingReport": "a meta-sampling run's report, filled in as it runs",
+    "RouteMetrics": "per-route counters, state the router updates",
+    "UserDefinedPredicate": "a SPARQL-ML AST node, filled in by the parser",
+    "SelectQuery": "a SPARQL AST node, filled in by the parser",
+    "ConstructQuery": "a SPARQL AST node, filled in by the parser",
+    "ServiceResponse(stream_error)": "state: the streaming guard assigns it "
+                                     "when a body is cut mid-transfer",
+    "APIClient.load_graph(graph_iri)": "the `load` op's `graph_iri` envelope "
+                                       "field, which the router takes from "
+                                       "any client",
+    "APIClient.infer_similar(k)": "the `infer_similar` op's `k` envelope field",
+    "APIClient.next_page(page_size)": "the `next_page` op's `page_size` "
+                                      "envelope field",
+    "KGNet.load_graph(graph_iri)": "the `load` op's `graph_iri` envelope field, "
+                                   "from the in-process facade",
+    "KGNet.train_task(name)": "the `train` op's `name` envelope field, from "
+                              "the in-process facade",
+    "RemoteClient.protocol_select(default_graph_uris)": "the SPARQL protocol's "
+                                                        "`default-graph-uri` "
+                                                        "parameter",
+    "ReplicaEngine(fsync)": "a durability setting of a deployment",
+    "main(argv)": "the replica CLI's entry point; `None` reads `sys.argv`",
+}
+
+_ALL = -1  # a call whose ``*args`` / ``**kwargs`` may set anything
+
+
+def _signature(node) -> tuple:
+    """``(positional names, keyword-only names, {name: line} of those
+    with a default)`` of a ``def``."""
+    args = node.args
+    positional = [arg.arg for arg in args.posonlyargs + args.args]
+    keyword_only = [arg.arg for arg in args.kwonlyargs]
+    defaulted = {arg.arg: default.lineno for arg, default in zip(
+        (args.posonlyargs + args.args)[len(positional) - len(args.defaults):],
+        args.defaults)}
+    defaulted.update((arg.arg, default.lineno)
+                     for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                     if default is not None)
+    return positional, keyword_only, defaulted
+
+
+def _is_field(item) -> bool:
+    """An annotated class-body name that the dataclass ``__init__`` takes."""
+    if not isinstance(item, ast.AnnAssign) or not isinstance(item.target, ast.Name):
+        return False
+    if "ClassVar" in ast.unparse(item.annotation):
+        return False
+    value = item.value
+    return not (isinstance(value, ast.Call) and getattr(value.func, "id", getattr(
+        value.func, "attr", None)) == "field" and any(
+            keyword.arg == "init" and getattr(keyword.value, "value", True) is False
+            for keyword in value.keywords))
+
+
+class _Definitions(ast.NodeVisitor):
+    """Every settable value of ``src/repro``, and every class's bases and
+    constructor parameters."""
+
+    def __init__(self) -> None:
+        self.settings = []  # (callable, name it is called by, param, where)
+        self.functions = {}  # name -> [(positional names, keyword-only names)]
+        self.bases = {}  # class -> set of base names
+        self.inits = {}  # class -> [(param, owning class)], if it has its own
+        self.fields = {}  # dataclass -> [(field, owning class)]
+        self.path = None
+        self._scope = []
+
+    def visit_ClassDef(self, node) -> None:
+        self.bases.setdefault(node.name, set()).update(
+            base.id if isinstance(base, ast.Name) else base.attr
+            for base in node.bases if isinstance(base, (ast.Name, ast.Attribute)))
+        if _is_dataclass(node):
+            fields = self.fields.setdefault(node.name, [])
+            for item in node.body:
+                if _is_field(item):
+                    fields.append((item.target.id, node.name))
+                    if item.value is not None:
+                        self.settings.append((f"{node.name}({item.target.id})",
+                                              node.name, item.target.id,
+                                              f"{self.path}:{item.lineno}"))
+        self._scope.append(node)
+        self.generic_visit(node)
+        self._scope.pop()
+
+    def visit_FunctionDef(self, node) -> None:
+        positional, keyword_only, defaulted = _signature(node)
+        owner = self._scope[-1] if self._scope else None
+        decorators = {getattr(d, "id", None) for d in node.decorator_list}
+        if isinstance(owner, ast.ClassDef) and "staticmethod" not in decorators:
+            positional = positional[1:]
+        if isinstance(owner, ast.ClassDef) and node.name == "__init__":
+            self.inits.setdefault(owner.name, []).extend(
+                (param, owner.name) for param in positional + keyword_only)
+            label, key = owner.name, owner.name
+        else:
+            label = ".".join([scope.name for scope in self._scope] + [node.name])
+            key = node.name
+            self.functions.setdefault(node.name, []).append((positional, keyword_only))
+        self.settings += [(f"{label}({param})", key, param, f"{self.path}:{line}")
+                          for param, line in defaulted.items()]
+        self._scope.append(node)
+        self.generic_visit(node)
+        self._scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def constructor(self, cls: str, seen=()) -> list:
+        """``[(param, owning class)]`` that calling ``cls`` takes, in order:
+        its own ``__init__``, else its dataclass fields after its bases',
+        else its first known base's."""
+        if cls in self.inits:
+            return self.inits[cls]
+        known = [base for base in sorted(self.bases.get(cls, ()))
+                 if base in self.bases and base not in seen]
+        inherited = self.constructor(known[0], seen + (cls,)) if known else []
+        if cls in self.fields:
+            own = [name for name, _ in self.fields[cls]]
+            return ([item for item in inherited if item[0] not in own]
+                    + self.fields[cls])
+        return inherited
+
+
+class _Calls(ast.NodeVisitor):
+    """What the calls of one file set: ``by_name`` maps a callable's name,
+    ``by_class`` a class's name, to ``(positional count, keywords)``
+    pairs (``_ALL`` where ``*args`` / ``**kwargs`` may set anything)."""
+
+    def __init__(self, classes, by_name, by_class) -> None:
+        self.classes, self.by_name, self.by_class = classes, by_name, by_class
+        self._classes = []
+
+    def visit_ClassDef(self, node) -> None:
+        self._classes.append(node.name)
+        self.generic_visit(node)
+        self._classes.pop()
+
+    def visit_Call(self, node) -> None:
+        func, args = node.func, list(node.args)
+        name = getattr(func, "id", getattr(func, "attr", None))
+        if name == "partial" and args:  # functools.partial(f, *args, **kwargs)
+            func, args = args[0], args[1:]
+            name = getattr(func, "id", getattr(func, "attr", None))
+        positional = _ALL if any(isinstance(arg, ast.Starred) for arg in args) else len(args)
+        keywords = {keyword.arg for keyword in node.keywords}
+        if None in keywords:
+            positional = keywords = _ALL
+        setter = (positional, keywords)
+        here = self._classes[-1] if self._classes else None
+        if isinstance(func, ast.Attribute) and func.attr == "__init__":
+            if isinstance(func.value, ast.Call) and getattr(func.value.func, "id", None) == "super":
+                for base in self.classes.bases.get(here, ()):
+                    self.by_class.setdefault(base, []).append(setter)
+            elif getattr(func.value, "id", None) in self.classes.bases:
+                self.by_class.setdefault(func.value.id, []).append(
+                    (positional if positional == _ALL else positional - 1, keywords))
+        elif name in self.classes.bases:
+            self.by_class.setdefault(name, []).append(setter)
+        elif here and (name == "cls" or (isinstance(func, ast.Call)
+                                         and getattr(func.func, "id", None) == "type")):
+            self.by_class.setdefault(here, []).append(setter)
+        elif name == "replace" and keywords is not _ALL:  # dataclasses.replace
+            for cls in self.classes.fields:
+                self.by_class.setdefault(cls, []).append((0, keywords))
+        elif name is not None:
+            self.by_name.setdefault(name, []).append(setter)
+        self.generic_visit(node)
+
+
+def _sets(setters, params, param) -> bool:
+    """Whether one of ``setters`` sets ``param`` of a callable that takes
+    ``params`` positionally."""
+    index = params.index(param) if param in params else None
+    return any(keywords is _ALL or param in keywords
+               or (index is not None and (positional is _ALL or index < positional))
+               for positional, keywords in setters)
+
+
+def _unset_settings(root: Path) -> list:
+    """``(key, "path:line key")`` for every settable value of ``src/repro``
+    (a parameter with a default, or a dataclass field with one that its
+    ``__init__`` takes) that no call under src/, tests/, benchmarks/ or
+    examples/ passes by keyword, by position or through ``*args`` /
+    ``**kwargs``.  Calls match a callable by name; a class's call, a
+    ``super().__init__`` or a ``Base.__init__`` sets the parameters of the
+    constructor that class resolves to (:meth:`_Definitions.constructor`)."""
+    definitions = _Definitions()
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        definitions.path = path.relative_to(root).as_posix()
+        definitions.visit(ast.parse(path.read_text(encoding="utf-8")))
+    by_name, by_class = {}, {}
+    for folder in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((root / folder).rglob("*.py")):
+            _Calls(definitions, by_name, by_class).visit(
+                ast.parse(path.read_text(encoding="utf-8")))
+    set_on_class = set()
+    for cls, setters in by_class.items():
+        params = definitions.constructor(cls)
+        names = [param for param, _ in params]
+        set_on_class.update((owner, param) for param, owner in params
+                            if _sets(setters, names, param))
+    unset = []
+    for key, name, param, where in definitions.settings:
+        if name in definitions.bases:
+            done = (name, param) in set_on_class
+        else:
+            done = any(_sets(by_name.get(name, ()), positional, param)
+                       for positional, _ in definitions.functions.get(name, ()))
+        if not done:
+            unset.append((key, f"{where} {key}"))
+    assert len(definitions.settings) > 500
+    return unset
+
+
+def test_every_setting_is_set_somewhere():
+    """The simplicity rule "a value with one use is a constant", held in
+    tier-1: every settable value of ``src/repro`` is passed by some call in
+    the repository (:func:`_unset_settings`), or ``UNSET_SETTINGS`` says why
+    it stays."""
+    unset = _unset_settings(Path(repro.__file__).resolve().parents[2])
+    offenders = [where for key, where in unset
+                 if key not in UNSET_SETTINGS and key.split("(")[0] not in UNSET_SETTINGS]
+    assert not offenders, "settings no call passes:\n" + "\n".join(offenders)
+    covered = {key for key, _ in unset} | {key.split("(")[0] for key, _ in unset}
+    assert sorted(set(UNSET_SETTINGS) - covered) == []
