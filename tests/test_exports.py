@@ -325,7 +325,7 @@ UNSET_SETTINGS = {
     "main(argv)": "the replica CLI's entry point; `None` reads `sys.argv`",
 }
 
-_ALL = -1  # a call whose ``*args`` / ``**kwargs`` may set anything
+_ALL = None  # a call whose ``*args`` / ``**kwargs`` may set anything
 
 
 def _signature(node) -> tuple:
@@ -456,7 +456,7 @@ class _Calls(ast.NodeVisitor):
                     self.by_class.setdefault(base, []).append(setter)
             elif getattr(func.value, "id", None) in self.classes.bases:
                 self.by_class.setdefault(func.value.id, []).append(
-                    (positional if positional == _ALL else positional - 1, keywords))
+                    (positional if positional is _ALL else positional - 1, keywords))
         elif name in self.classes.bases:
             self.by_class.setdefault(name, []).append(setter)
         elif here and (name == "cls" or (isinstance(func, ast.Call)
