@@ -90,6 +90,18 @@ def _freed_graph(grad: np.ndarray) -> None:
     raise AutogradError("backward() through a graph that has already been freed")
 
 
+def _owned_bytes(node: "Tensor") -> int:
+    """The bytes of a tape node's own data: none for a parameter (the run
+    counts those itself) or a view of another array."""
+    data = node.data
+    return 0 if node.requires_grad or data.base is not None else data.nbytes
+
+
+def _index_dtype(largest: int) -> type:
+    """int32 when it holds ``largest``: scipy scans and copies int64 indices."""
+    return np.int32 if largest < 2 ** 31 else np.int64
+
+
 def _scatter(shape: Tuple[int, ...], index, grad: np.ndarray) -> np.ndarray:
     """Gradient of ``source[index]``: ``grad`` summed into zeros of ``shape``,
     repeated positions accumulating in index order.
@@ -102,8 +114,9 @@ def _scatter(shape: Tuple[int, ...], index, grad: np.ndarray) -> np.ndarray:
     if isinstance(index, np.ndarray) and index.ndim == 1 and \
             index.dtype.kind in "iu" and (index.size == 0 or index.min() >= 0):
         rows = index.shape[0]
-        selector = sp.csc_matrix((np.ones(rows), index, np.arange(rows + 1)),
-                                 shape=(shape[0], rows))
+        ids = _index_dtype(max(shape[0], rows))
+        selector = sp.csc_matrix((np.ones(rows), index.astype(ids),
+                                  np.arange(rows + 1, dtype=ids)), shape=(shape[0], rows))
         return (selector @ grad.reshape(rows, int(np.prod(shape[1:])))).reshape(shape)
     if all(isinstance(part, (int, np.integer, slice, type(Ellipsis)))
            for part in (index if isinstance(index, tuple) else (index,))):
@@ -171,13 +184,17 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         self.grad = grad.copy() if self.grad is None else self.grad + grad
 
-    def backward(self, grad: Optional[np.ndarray] = None) -> None:
+    def backward(self, grad: Optional[np.ndarray] = None) -> int:
         """Run reverse-mode differentiation from this tensor.
 
         The graph is freed as it is walked (``retain_graph=False``): a visited
         node drops its children and its closure, so a step's activations die
         by reference count, and a second ``backward()`` through the same
         graph raises :class:`AutogradError`.
+
+        Returns the most bytes the walk held at once (a few additions per
+        node, nothing per allocation): each node's own data until it is
+        visited and each gradient until it is handed on.
         """
         if grad is None:
             if self.data.size != 1:
@@ -199,6 +216,8 @@ class Tensor:
                 topo.append(node)
                 stack.pop()
         grads = {id(self): np.asarray(grad, dtype=np.float64)}
+        held = grads[id(self)].nbytes + sum(_owned_bytes(node) for node in topo)
+        peak = held
         while topo:
             node = topo.pop()
             node_grad = grads.pop(id(node), None)
@@ -209,16 +228,19 @@ class Tensor:
                 continue
             if node.requires_grad:
                 node._accumulate(node_grad)
-            if backward_fn is None:
-                continue
-            child_grads = backward_fn(node_grad)
-            if child_grads is None:
-                continue
-            for child, child_grad in zip(children, child_grads):
+            child_grads = None if backward_fn is None else backward_fn(node_grad)
+            for child, child_grad in zip(children, child_grads or ()):
                 if child_grad is None or not child.tracked:
                     continue
                 existing = grads.get(id(child))
-                grads[id(child)] = child_grad if existing is None else existing + child_grad
+                if existing is None:
+                    held += child_grad.nbytes
+                    grads[id(child)] = child_grad
+                else:
+                    grads[id(child)] = existing + child_grad
+            peak = max(peak, held)
+            held -= node_grad.nbytes + _owned_bytes(node)
+        return peak
 
     # -- helpers to build result tensors ---------------------------------------
     @staticmethod

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from repro.exceptions import DatasetError
+from repro.gml.autograd import _index_dtype
 
 __all__ = ["GraphData", "TriplesData", "xavier_features"]
 
@@ -137,7 +138,9 @@ class GraphData:
             degree = np.bincount(row, minlength=num_groups * n).astype(np.float64)
             degree[degree == 0] = 1.0
             values = values * (1.0 / degree)[rows]
-        indptr = np.searchsorted(rows, np.arange(num_groups * n + 1))
+        ids = _index_dtype(max(n, keys.shape[0]))
+        columns = columns.astype(ids)
+        indptr = np.searchsorted(rows, np.arange(num_groups * n + 1)).astype(ids)
         bounds = indptr[np.arange(num_groups + 1) * n]
         return [sp.csr_matrix((values[lo:hi], columns[lo:hi],
                                indptr[g * n:(g + 1) * n + 1] - lo), shape=(n, n))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -57,34 +57,38 @@ class Adam(Optimizer):
                  weight_decay: float = 0.0) -> None:
         super().__init__(parameters, lr)
         self.weight_decay = weight_decay
-        #: First and second moments per parameter, made by the first
-        #: ``zero_grad`` (before the first forward, so a run's first step
-        #: already holds them) and updated in place.
-        self._moments: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
+        #: Each parameter's start and end with the parameters laid end to
+        #: end; the first and second moments are laid out the same way.
+        self._bounds = np.cumsum([0] + [p.data.size for p in self.parameters]).tolist()
+        self._m, self._v = np.zeros(self._bounds[-1]), np.zeros(self._bounds[-1])
         self._step = 0
-
-    def zero_grad(self) -> None:
-        super().zero_grad()
-        self._state()
-
-    def _state(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        if self._moments is None:
-            self._moments = [(np.zeros_like(parameter.data), np.zeros_like(parameter.data))
-                             for parameter in self.parameters]
-        return self._moments
 
     def step(self) -> None:
         self._step += 1
-        for parameter, (m, v) in zip(self.parameters, self._state()):
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
-            m *= self.beta1
-            m += (1 - self.beta1) * grad
-            v *= self.beta2
-            v += (1 - self.beta2) * grad ** 2
-            m_hat = m / (1 - self.beta1 ** self._step)
-            v_hat = v / (1 - self.beta2 ** self._step)
-            parameter.data = parameter.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        if all(parameter.grad is not None for parameter in self.parameters):
+            self._update(self.parameters, self._m, self._v, self._bounds)
+            return
+        for parameter, start, end in zip(self.parameters, self._bounds, self._bounds[1:]):
+            if parameter.grad is not None:
+                self._update([parameter], self._m[start:end], self._v[start:end],
+                             [0, end - start])
+
+    def _update(self, parameters: List[Parameter], m: np.ndarray, v: np.ndarray,
+                bounds: List[int]) -> None:
+        """Adam on ``parameters`` laid end to end at ``bounds``, whose moments
+        are ``m`` and ``v``: every operation is element-wise, so each element
+        gets the bits a per-parameter update gives it.  Each parameter's new
+        data is a view of the result."""
+        grad = np.concatenate([parameter.grad.reshape(-1) for parameter in parameters])
+        data = np.concatenate([parameter.data.reshape(-1) for parameter in parameters])
+        if self.weight_decay:
+            grad = grad + self.weight_decay * data
+        m *= self.beta1
+        m += (1 - self.beta1) * grad
+        v *= self.beta2
+        v += (1 - self.beta2) * grad ** 2
+        m_hat = m / (1 - self.beta1 ** self._step)
+        v_hat = v / (1 - self.beta2 ** self._step)
+        data = data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for parameter, start, end in zip(parameters, bounds, bounds[1:]):
+            parameter.data = data[start:end].reshape(parameter.data.shape)

@@ -30,13 +30,12 @@ class NegativeSampler:
 
     def corrupt(self, triples: np.ndarray) -> np.ndarray:
         """Return ``(len(triples) * num_negatives, 3)`` corrupted triples."""
-        positives = np.repeat(triples, self.num_negatives, axis=0)
-        negatives = positives.copy()
+        negatives = np.repeat(triples, self.num_negatives, axis=0)
         random_entities = self.rng.integers(0, self.num_entities,
                                             size=negatives.shape[0])
         corrupt_head = self.rng.random(negatives.shape[0]) < 0.5
-        negatives[corrupt_head, 0] = random_entities[corrupt_head]
-        negatives[~corrupt_head, 2] = random_entities[~corrupt_head]
+        np.copyto(negatives[:, 0], random_entities, where=corrupt_head)
+        np.copyto(negatives[:, 2], random_entities, where=~corrupt_head)
         return negatives
 
 

@@ -1,28 +1,23 @@
-"""Task budgets and resource monitoring.
+"""Task budgets and the ledger of a training run.
 
 A SPARQL-ML ``INSERT`` (TrainGML) request carries a *task budget* — maximum
 memory, maximum time and an optimisation priority (paper Fig 8).  The
-:class:`TaskBudget` models that JSON object; :class:`ResourceMonitor`
-measures what a training run actually used (wall-clock, plus the Python heap
-of its first epoch via ``tracemalloc``) and raises when the budget is blown;
-the trainers check it between epochs and stop a run early.
+:class:`TaskBudget` models that JSON object; :class:`ResourceMonitor` is one
+run's clock and memory ledger: the trainer books the bytes each step holds,
+counted from the arrays themselves, and checks the budget against the
+ledger's peak and the clock after every epoch, stopping a run early when
+it is blown.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-import tracemalloc
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
 from repro.exceptions import BudgetExceededError, TrainingError
 
 __all__ = ["TaskBudget", "ResourceUsage", "ResourceMonitor"]
-
-#: ``tracemalloc`` has one peak per process: only one monitor probes at a time.
-_PROBE_LOCK = threading.Lock()
-_probe_thread: Optional[int] = None  # the thread whose monitor holds the lock
 
 _SIZE_SUFFIXES = {"b": 1, "kb": 1024, "mb": 1024 ** 2, "gb": 1024 ** 3, "tb": 1024 ** 4}
 _TIME_SUFFIXES = {"s": 1.0, "sec": 1.0, "m": 60.0, "min": 60.0, "h": 3600.0, "hr": 3600.0}
@@ -83,70 +78,44 @@ class TaskBudget:
 
 @dataclass
 class ResourceUsage:
-    """What a training run measured; ``peak_memory_bytes`` is the traced
-    Python-heap peak of its first epoch (see :class:`ResourceMonitor`)."""
+    """What a training run measured: its wall-clock seconds, and
+    ``peak_memory_bytes``, the largest step its ledger booked (see
+    :class:`ResourceMonitor`)."""
 
     elapsed_seconds: float = 0.0
     peak_memory_bytes: int = 0
 
 
 class ResourceMonitor:
-    """Context manager measuring wall-clock time and the Python heap a run needs.
+    """The clock and the memory ledger of one training run.
 
-    ``usage.peak_memory_bytes`` is the ``tracemalloc`` peak of a *probe* that
-    runs from ``__enter__`` to :meth:`end_probe` (the trainers call it at the
-    first epoch's budget check, ``__exit__`` if nobody did): model and
-    optimizer state, every batch of one epoch, the first validation pass.  A
-    step frees its tape by reference count, so that footprint is stationary
-    and tracing the later epochs would only double their cost.
-
-    ``tracemalloc`` is process-global: probes take turns (one lock, held for
-    the probe only, so concurrent trainings run their first epochs one after
-    the other), a monitor nested in a probe of its own thread reports that
-    outer probe's peak, a trace the monitor did not start is left running, and
-    what another thread allocates while a probe runs is counted in it.
+    The trainer owns one monitor per run and books each optimisation step
+    in it (:meth:`book`): the bytes of the arrays the step holds at its
+    peak -- the parameters with their gradients and Adam's two moments, the
+    batch, the tape ``Tensor.backward`` walks (node data and the gradients
+    it produces) and the method's step buffers.  ``usage.peak_memory_bytes``
+    is the largest step booked.  It is a sum of array sizes, so a run
+    reports the same peak on every machine and beside any other run; the
+    temporaries numpy makes inside one op, arrays only a backward closure
+    holds and evaluation passes are not in it.  Nothing is traced, and no
+    state is shared between monitors.
     """
 
     def __init__(self, budget: Optional[TaskBudget] = None) -> None:
         self.budget = budget or TaskBudget()
         self.usage = ResourceUsage()
         self._start_time = 0.0
-        self._probing = False
 
     def __enter__(self) -> "ResourceMonitor":
-        global _probe_thread
-        self._nested = _probe_thread == threading.get_ident()
-        if not self._nested:
-            _PROBE_LOCK.acquire()
-            _probe_thread = threading.get_ident()
-            self._tracing_started_here = not tracemalloc.is_tracing()
-            if self._tracing_started_here:
-                tracemalloc.start()
-            else:
-                tracemalloc.reset_peak()
-        self._probing = True
         self._start_time = time.perf_counter()
         return self
 
-    def end_probe(self) -> None:
-        """Record the traced peak and stop tracing; later calls do nothing."""
-        global _probe_thread
-        if not self._probing:
-            return
-        self._probing = False
-        self.usage.peak_memory_bytes = int(tracemalloc.get_traced_memory()[1])
-        if self._nested:
-            return
-        try:
-            if self._tracing_started_here:
-                tracemalloc.stop()
-        finally:
-            _probe_thread = None
-            _PROBE_LOCK.release()
-
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.usage.elapsed_seconds = time.perf_counter() - self._start_time
-        self.end_probe()
+        self.usage.elapsed_seconds = self.elapsed()
+
+    def book(self, step_bytes: int) -> None:
+        """Book one step that held ``step_bytes`` at its peak."""
+        self.usage.peak_memory_bytes = max(self.usage.peak_memory_bytes, step_bytes)
 
     # -- explicit checks (called between epochs) ------------------------------
     def elapsed(self) -> float:
@@ -154,17 +123,12 @@ class ResourceMonitor:
 
     def check(self) -> None:
         """Raise :class:`BudgetExceededError` when the budget is blown."""
-        elapsed = self.elapsed()
+        elapsed, peak = self.elapsed(), self.usage.peak_memory_bytes
         if not self.budget.allows_time(elapsed):
-            raise BudgetExceededError(
-                f"training exceeded the time budget "
-                f"({elapsed:.2f}s > {self.budget.max_time_seconds:.2f}s)",
-                elapsed_seconds=elapsed,
-                peak_memory_bytes=self.usage.peak_memory_bytes)
-        peak = tracemalloc.get_traced_memory()[1] if self._probing \
-            else self.usage.peak_memory_bytes
-        if not self.budget.allows_memory(float(peak)):
-            raise BudgetExceededError(
-                f"training exceeded the memory budget "
-                f"({peak} B > {self.budget.max_memory_bytes:.0f} B)",
-                elapsed_seconds=elapsed, peak_memory_bytes=int(peak))
+            blown = f"time budget ({elapsed:.2f}s > {self.budget.max_time_seconds:.2f}s)"
+        elif not self.budget.allows_memory(float(peak)):
+            blown = f"memory budget ({peak} B > {self.budget.max_memory_bytes:.0f} B)"
+        else:
+            return
+        raise BudgetExceededError(f"training exceeded the {blown}",
+                                  elapsed_seconds=elapsed, peak_memory_bytes=peak)

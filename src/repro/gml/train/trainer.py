@@ -14,9 +14,11 @@ Three trainers cover the paper's method families:
 
 Every trainer measures elapsed time and peak memory with
 :class:`~repro.gml.train.budget.ResourceMonitor`, because those numbers are
-what the paper's evaluation (Figs 13-15) reports, and checks its
-:class:`~repro.gml.train.budget.TaskBudget` between epochs: a run that
-exceeds the budget stops early.
+what the paper's evaluation (Figs 13-15) reports: the run owns the monitor,
+hands it down to every step, and each step books the bytes it held in its
+ledger.  The trainer checks its :class:`~repro.gml.train.budget.TaskBudget`
+against that ledger after every epoch: a run that exceeds the budget stops
+early.
 """
 
 from __future__ import annotations
@@ -92,11 +94,13 @@ class _BaseTrainer:
         stopped_early = False
         with ResourceMonitor(self.budget) as monitor:
             for epoch in range(self.epochs):
-                loss = self._train_epoch(epoch)
+                loss = self._train_epoch(epoch, monitor)
                 if epoch % self.history_every == 0 or epoch == self.epochs - 1:
                     history.append({"epoch": epoch, "loss": loss,
                                     **self._epoch_metrics()})
-                if self._check_budget(monitor):
+                try:
+                    monitor.check()
+                except BudgetExceededError:
                     stopped_early = True
                     break
         metrics, inference_seconds = self._final_metrics()
@@ -106,8 +110,9 @@ class _BaseTrainer:
             history=history, inference_seconds=inference_seconds,
             model=self.model, stopped_early=stopped_early)
 
-    def _train_epoch(self, epoch: int) -> float:
-        """Run one epoch of optimisation; returns its mean loss."""
+    def _train_epoch(self, epoch: int, ledger: ResourceMonitor) -> float:
+        """Run one epoch of optimisation, booking each step in ``ledger``;
+        returns its mean loss."""
         raise NotImplementedError
 
     def _epoch_metrics(self) -> Dict[str, float]:
@@ -118,15 +123,11 @@ class _BaseTrainer:
         """Test metrics of the trained model and the seconds inference took."""
         raise NotImplementedError
 
-    def _check_budget(self, monitor: ResourceMonitor) -> bool:
-        """Return True when training should stop (budget exhausted); the
-        first call of a run ends the monitor's memory probe."""
-        monitor.end_probe()
-        try:
-            monitor.check()
-        except BudgetExceededError:
-            return True
-        return False
+    def _book(self, ledger: ResourceMonitor, tape_bytes: int, batch_bytes: int) -> None:
+        """Book one step: the weights four times (the parameters, their
+        gradients and Adam's two moments), the batch and the tape."""
+        weights = sum(parameter.data.nbytes for parameter in self.optimizer.parameters)
+        ledger.book(4 * weights + batch_bytes + tape_bytes)
 
 
 class _NodeClassificationTrainer(_BaseTrainer):
@@ -144,13 +145,14 @@ class _NodeClassificationTrainer(_BaseTrainer):
         self.optimizer: Optimizer = Adam(model.parameters(), lr=learning_rate,
                                          weight_decay=self.weight_decay)
 
-    def _step(self, data: GraphData, nodes: np.ndarray,
+    def _step(self, ledger: ResourceMonitor, data: GraphData, nodes: np.ndarray,
               weight: Optional[np.ndarray] = None) -> float:
-        """One optimisation step on the labelled ``nodes`` of ``data``."""
+        """One optimisation step on the labelled ``nodes`` of ``data``; the
+        batch's features are a leaf of the tape, so the tape counts them."""
         self.optimizer.zero_grad()
         logits = self.model.forward(data)
         loss = cross_entropy(logits[nodes], data.labels[nodes], weight=weight)
-        loss.backward()
+        self._book(ledger, loss.backward(), 0)
         clip_grad_norm(self.optimizer.parameters, self.grad_clip)
         self.optimizer.step()
         return float(loss.item())
@@ -191,9 +193,9 @@ class FullBatchNodeClassificationTrainer(_NodeClassificationTrainer):
             raise TrainingError("dataset has no labelled nodes")
         self._train_nodes = np.flatnonzero(data.train_mask)
 
-    def _train_epoch(self, epoch: int) -> float:
+    def _train_epoch(self, epoch: int, ledger: ResourceMonitor) -> float:
         self.model.train()
-        return self._step(self.data, self._train_nodes)
+        return self._step(ledger, self.data, self._train_nodes)
 
 
 class SamplingNodeClassificationTrainer(_NodeClassificationTrainer):
@@ -206,7 +208,7 @@ class SamplingNodeClassificationTrainer(_NodeClassificationTrainer):
         super().__init__(model, data, epochs, learning_rate, budget, method_name)
         self.sampler = sampler
 
-    def _train_epoch(self, epoch: int) -> float:
+    def _train_epoch(self, epoch: int, ledger: ResourceMonitor) -> float:
         self.model.train()
         losses = []
         for batch in self.sampler:
@@ -221,7 +223,7 @@ class SamplingNodeClassificationTrainer(_NodeClassificationTrainer):
             weight = None
             if batch.node_weight is not None:
                 weight = batch.node_weight[candidates]
-            losses.append(self._step(sub, candidates, weight))
+            losses.append(self._step(ledger, sub, candidates, weight))
         return sum(losses) / max(1, len(losses))
 
 
@@ -235,10 +237,11 @@ class _LinkPredictionTrainer(_BaseTrainer):
         super().__init__(model, data, epochs, method_name, budget)
         self.optimizer: Optimizer = Adam(model.parameters(), lr=learning_rate)
 
-    def _step(self, loss: Tensor) -> float:
-        """One optimisation step down the gradient of ``loss``."""
+    def _step(self, ledger: ResourceMonitor, loss: Tensor, batch_bytes: int) -> float:
+        """One optimisation step down the gradient of ``loss``, which a
+        batch of ``batch_bytes`` built."""
         self.optimizer.zero_grad()
-        loss.backward()
+        self._book(ledger, loss.backward(), batch_bytes)
         self.optimizer.step()
         return float(loss.item())
 
@@ -265,10 +268,11 @@ class KGETrainer(_LinkPredictionTrainer):
         self.batch_sampler = TripleBatchSampler(
             data, batch_size=batch_size, num_negatives=num_negatives, seed=seed)
 
-    def _train_epoch(self, epoch: int) -> float:
+    def _train_epoch(self, epoch: int, ledger: ResourceMonitor) -> float:
         losses = []
         for positives, negatives in self.batch_sampler:
-            losses.append(self._step(self.model.loss(positives, negatives)))
+            losses.append(self._step(ledger, self.model.loss(positives, negatives),
+                                     positives.nbytes + negatives.nbytes))
         return sum(losses) / max(1, len(losses))
 
 
@@ -296,7 +300,7 @@ class MorsETrainer(_LinkPredictionTrainer):
         finally:
             self._step_buffers = None
 
-    def _train_epoch(self, epoch: int) -> float:
+    def _train_epoch(self, epoch: int, ledger: ResourceMonitor) -> float:
         losses = []
         for local_triples, _, num_local in self.subkg_sampler:
             negative_sampler = NegativeSampler(
@@ -305,6 +309,10 @@ class MorsETrainer(_LinkPredictionTrainer):
             negatives = negative_sampler.corrupt(local_triples)
             entity_embeddings = self.model.compose_entity_embeddings(
                 local_triples, num_local)
-            losses.append(self._step(self.model.loss(
-                entity_embeddings, local_triples, negatives, self._step_buffers)))
+            loss = self.model.loss(entity_embeddings, local_triples, negatives,
+                                   self._step_buffers)
+            buffer_bytes = sum(array.nbytes for site in self._step_buffers.values()
+                               for array in site.values())
+            losses.append(self._step(ledger, loss, local_triples.nbytes
+                                     + negatives.nbytes + buffer_bytes))
         return sum(losses) / max(1, len(losses))

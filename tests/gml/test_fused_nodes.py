@@ -10,6 +10,7 @@ training run; the last tests pin that those never cross runs or outlive them.
 """
 
 import gc
+import os
 import sys
 import threading
 import weakref
@@ -34,6 +35,10 @@ from repro.gml.sampling.negative import NegativeSampler
 from repro.gml.train import MorsETrainer
 from tests.gml.test_autograd import check_gradient
 from tests.gml.test_train import ALL_SHAPES, tiny_trainer
+
+#: Repetitions of the concurrent-training test (the stress job sets
+#: ``KGNET_STRESS=1``).
+STRESS_REPEATS = 4 if os.environ.get("KGNET_STRESS") else 1
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +296,20 @@ def trainer_for(shape, nc_data, lp_data, epochs, **options):
     return tiny_trainer(shape, nc_data, lp_data, epochs, **options)
 
 
-def run(trainer):
+def outcome(result):
     """Parameter bytes, history and metrics of one training run."""
-    result = trainer.train()
     return ([parameter.data.tobytes() for parameter in result.model.parameters()],
             result.history, result.metrics)
+
+
+def run(trainer):
+    return outcome(trainer.train())
+
+
+def run_and_peak(trainer):
+    """:func:`run`'s outcome and the peak the run's ledger booked."""
+    result = trainer.train()
+    return outcome(result), result.usage.peak_memory_bytes
 
 
 class TestTrainingRuns:
@@ -310,22 +324,27 @@ class TestTrainingRuns:
         composed = run(trainer_for(shape, dblp_nc_data[0], dblp_lp_data[0], epochs=3))
         assert fused == composed
 
+    @pytest.mark.concurrency
+    @pytest.mark.parametrize("repeat", range(STRESS_REPEATS))
     @pytest.mark.parametrize("shapes", [
         (("T3-morse", {}), ("T3-morse", {"seed": 1}), ("T3-morse", {"seed": 2})),
         (("T1-graph_saint", {}), ("T3-morse", {}), ("T2-rgcn-on-subgraph", {})),
     ], ids=["morse-morse-morse", "saint-morse-rgcn"])
-    def test_concurrent_runs_equal_runs_alone(self, shapes, dblp_nc_data, dblp_lp_data):
+    def test_concurrent_runs_equal_runs_alone(self, shapes, repeat, dblp_nc_data,
+                                              dblp_lp_data):
         """Runs on more threads than cores, switching often, end exactly as
-        each run alone: no step buffer and no gradient mode is shared."""
+        each run alone and report the peak they report alone: no step
+        buffer, gradient mode or memory ledger is shared."""
         def trainer(index):
             shape, options = shapes[index]
             return trainer_for(shape, dblp_nc_data[0], dblp_lp_data[0], epochs=6, **options)
 
-        alone = [run(trainer(index)) for index in range(len(shapes))]
+        alone = [run_and_peak(trainer(index)) for index in range(len(shapes))]
         together = [None] * len(shapes)
         trainers = [trainer(index) for index in range(len(shapes))]
-        threads = [threading.Thread(target=lambda i=i: together.__setitem__(i, run(trainers[i])))
-                   for i in range(len(shapes))]
+        threads = [threading.Thread(
+            target=lambda i=i: together.__setitem__(i, run_and_peak(trainers[i])))
+            for i in range(len(shapes))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

@@ -193,6 +193,39 @@ class TestOptimizers:
         optimizer.step()
         assert (np.abs(parameter.data) < 10).all()
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_adam_updates_each_parameter_as_alone(self, weight_decay):
+        """Adam runs on the parameters laid end to end; every element ends
+        with the bits of a per-parameter update, also on steps where some
+        parameter has no gradient."""
+        rng = np.random.default_rng(0)
+        shapes = [(3, 4), (5,), (2, 2, 2)]
+        parameters = [Parameter(rng.standard_normal(shape)) for shape in shapes]
+        expected = [parameter.data.copy() for parameter in parameters]
+        moments = [(np.zeros(shape), np.zeros(shape)) for shape in shapes]
+        optimizer = Adam(parameters, lr=0.05, weight_decay=weight_decay)
+        for step in range(1, 5):
+            optimizer.zero_grad()
+            for index, parameter in enumerate(parameters):
+                if step == 3 and index == 1:
+                    continue
+                grad = rng.standard_normal(parameter.data.shape)
+                parameter.grad = grad
+                if weight_decay:
+                    grad = grad + weight_decay * expected[index]
+                m, v = moments[index]
+                m *= Adam.beta1
+                m += (1 - Adam.beta1) * grad
+                v *= Adam.beta2
+                v += (1 - Adam.beta2) * grad ** 2
+                m_hat = m / (1 - Adam.beta1 ** step)
+                v_hat = v / (1 - Adam.beta2 ** step)
+                expected[index] = expected[index] - 0.05 * m_hat / (np.sqrt(v_hat) + Adam.eps)
+            optimizer.step()
+            for parameter, data in zip(parameters, expected):
+                assert parameter.data.shape == data.shape
+                assert parameter.data.tobytes() == data.tobytes()
+
     def test_invalid_configuration(self):
         with pytest.raises(TrainingError):
             Adam([], lr=0.1)

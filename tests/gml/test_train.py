@@ -1,8 +1,6 @@
 """Unit tests for metrics, budgets and the trainers."""
 
 import gc
-import sys
-import threading
 import time
 import tracemalloc
 import weakref
@@ -97,12 +95,13 @@ class TestTaskBudget:
 
 
 class TestResourceMonitor:
-    def test_measures_time_and_memory(self):
+    def test_measures_time_and_keeps_the_largest_step(self):
         with ResourceMonitor() as monitor:
-            _ = np.zeros((200, 200))
+            for step_bytes in (300, 500, 200):
+                monitor.book(step_bytes)
             time.sleep(0.01)
         assert monitor.usage.elapsed_seconds >= 0.01
-        assert monitor.usage.peak_memory_bytes > 0
+        assert monitor.usage.peak_memory_bytes == 500
 
     def test_enforced_time_budget_raises(self):
         budget = TaskBudget(max_time_seconds=0.001)
@@ -118,109 +117,14 @@ class TestResourceMonitor:
             with pytest.raises(BudgetExceededError):
                 monitor.check()
 
-
-    def test_exception_inside_block_ends_the_probe(self):
-        with pytest.raises(RuntimeError):
-            with ResourceMonitor() as monitor:
-                _ = np.zeros((200, 200))
-                raise RuntimeError("training failed")
-        assert not tracemalloc.is_tracing()
-        assert monitor.usage.peak_memory_bytes >= 200 * 200 * 8
-        # ... and releases the probe lock: another thread can probe.
-        other = threading.Thread(target=lambda: ResourceMonitor().__enter__().end_probe())
-        other.start()
-        other.join(timeout=10)
-        assert not other.is_alive()
-
-    def test_end_probe_freezes_the_peak(self):
-        with ResourceMonitor(TaskBudget(max_memory_bytes=10 ** 6)) as monitor:
-            _ = np.zeros(1000)
-            monitor.end_probe()
-            assert not tracemalloc.is_tracing()
-            peak = monitor.usage.peak_memory_bytes
-            assert peak >= 8000
-            _ = np.zeros((1000, 1000))          # 8 MB the probe no longer sees
+    def test_memory_budget_is_checked_against_the_ledger(self):
+        with ResourceMonitor(TaskBudget(max_memory_bytes=1000)) as monitor:
+            monitor.book(1000)
             monitor.check()
-        assert monitor.usage.peak_memory_bytes == peak
-
-    def test_foreign_trace_is_left_running(self):
-        tracemalloc.start()
-        try:
-            with ResourceMonitor() as monitor:
-                _ = np.zeros((200, 200))
-            assert tracemalloc.is_tracing()
-            assert monitor.usage.peak_memory_bytes > 0
-        finally:
-            tracemalloc.stop()
-
-    def test_nested_monitor_reports_the_outer_probe(self):
-        """A monitor inside a probe of its own thread neither waits for the
-        lock nor resets the peak under the outer monitor."""
-        with ResourceMonitor() as outer:
-            _ = np.zeros((400, 400))
-            del _
-            with ResourceMonitor() as inner:
-                _ = np.zeros(1000)
-            assert tracemalloc.is_tracing()         # the outer probe goes on
-            assert inner.usage.peak_memory_bytes >= 400 * 400 * 8
-        assert outer.usage.peak_memory_bytes >= 400 * 400 * 8
-        assert not tracemalloc.is_tracing()
-        with ResourceMonitor() as again:            # the lock was released once
-            _ = np.zeros(1000)
-        assert 8000 <= again.usage.peak_memory_bytes < 400 * 400 * 8
-
-    def test_probes_of_two_threads_take_turns(self):
-        """The first monitor used to stop the trace under the second, which
-        then reported 0 bytes: the probe lock makes them take turns."""
-        short_inside, long_inside = threading.Event(), threading.Event()
-        peaks = {}
-
-        def short_run():
-            with ResourceMonitor() as monitor:
-                _ = np.zeros((300, 300))
-                short_inside.set()
-                long_inside.wait(timeout=0.3)   # times out: the other probe waits
-            peaks["short"] = monitor.usage.peak_memory_bytes
-
-        def long_run():
-            short_inside.wait(timeout=10)
-            with ResourceMonitor() as monitor:
-                long_inside.set()
-                _ = np.zeros((300, 300))
-                time.sleep(0.05)
-            peaks["long"] = monitor.usage.peak_memory_bytes
-
-        threads = [threading.Thread(target=short_run), threading.Thread(target=long_run)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in threads)
-        assert peaks["short"] >= 300 * 300 * 8 and peaks["long"] >= 300 * 300 * 8
-        assert not tracemalloc.is_tracing()
-
-    def test_many_threads_never_report_zero(self):
-        peaks = []
-
-        def run():
-            for _ in range(20):
-                with ResourceMonitor() as monitor:
-                    _ = np.zeros(4096)
-                peaks.append(monitor.usage.peak_memory_bytes)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=run) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(peaks) == 160 and min(peaks) >= 4096 * 8
-        assert not tracemalloc.is_tracing()
+            monitor.book(1001)
+            with pytest.raises(BudgetExceededError) as raised:
+                monitor.check()
+        assert raised.value.peak_memory_bytes == 1001
 
 
 class TestTrainers:
@@ -406,30 +310,48 @@ class TestTrainingTape:
         assert unreachable == 0
 
 
-class TestMemoryProbe:
+#: The ledger's peak over the whole-run peak a trace the test started sees,
+#: per benchmark shape (measured 0.47-0.49, 0.78, 0.94 and 0.72): the ledger
+#: counts the arrays a step holds, not the temporaries numpy makes inside one
+#: op, the masks only a backward closure holds or the validation passes --
+#: T1's peak is its validation pass over the whole graph.
+LEDGER_OVER_TRACED = {"T1-graph_saint": (0.4, 0.6), "T2-rgcn-on-subgraph": (0.65, 0.9),
+                      "T3-morse": (0.9, 1.05), "T4-rgcn-on-full-graph": (0.65, 0.85)}
+
+
+class TestMemoryLedger:
     @pytest.mark.parametrize("shape", ALL_SHAPES)
-    def test_traces_the_first_epoch_only(self, shape, dblp_nc_data, dblp_lp_data):
-        trainer = tiny_trainer(shape, dblp_nc_data[0], dblp_lp_data[0], epochs=4)
-        train_epoch = trainer._train_epoch
-        tracing = []
+    def test_every_step_of_every_epoch_is_booked(self, shape, dblp_nc_data, dblp_lp_data,
+                                                 monkeypatch):
+        booked, steps = [], []
+        book = ResourceMonitor.book
 
-        def recording(epoch):
-            tracing.append(tracemalloc.is_tracing())
-            return train_epoch(epoch)
+        def booking(monitor, step_bytes):
+            booked.append(step_bytes)
+            book(monitor, step_bytes)
 
-        trainer._train_epoch = recording
+        monkeypatch.setattr(ResourceMonitor, "book", booking)
+        trainer = tiny_trainer(shape, dblp_nc_data[0], dblp_lp_data[0], epochs=3)
+        step = trainer._step
+
+        def stepping(*args):
+            steps.append(args)
+            return step(*args)
+
+        trainer._step = stepping
         result = trainer.train()
-        assert tracing == [True, False, False, False]
-        assert not tracemalloc.is_tracing()
-        assert result.usage.peak_memory_bytes > 0
+        assert len(booked) == len(steps) >= 3
+        assert result.usage.peak_memory_bytes == max(booked) > 0
 
     @pytest.mark.parametrize("shape", BENCHMARK_SHAPES)
-    def test_first_epoch_peak_stands_for_the_whole_run(self, shape, dblp_nc_data,
-                                                       dblp_lp_data):
-        """With a trace the test started, the monitor leaves tracing on, so the
-        whole run's traced peak can be read beside the probe's."""
-        tolerance = 0.15 if shape == "T1-graph_saint" else 0.10
-        trainer = tiny_trainer(shape, dblp_nc_data[0], dblp_lp_data[0], epochs=8)
+    def test_ledger_is_within_a_stated_factor_of_the_traced_peak(self, shape, dblp_nc_data,
+                                                                 dblp_lp_data):
+        """``tracemalloc`` as the oracle: the whole run's traced peak, read
+        before the final metrics.  A first, untraced run builds the data's
+        adjacency caches, which would otherwise land in whichever traced run
+        comes first."""
+        trainer = tiny_trainer(shape, dblp_nc_data[0], dblp_lp_data[0], epochs=4)
+        trainer.train()
         final_metrics = trainer._final_metrics
         whole_run = []
 
@@ -441,16 +363,28 @@ class TestMemoryProbe:
         tracemalloc.start()
         try:
             result = trainer.train()
-            assert tracemalloc.is_tracing()
         finally:
             tracemalloc.stop()
-        reported = result.usage.peak_memory_bytes
-        assert (1.0 - tolerance) * whole_run[0] <= reported <= whole_run[0]
+        low, high = LEDGER_OVER_TRACED[shape]
+        assert low * whole_run[0] <= result.usage.peak_memory_bytes <= high * whole_run[0]
 
-    def test_repeated_runs_report_the_same_peak(self, dblp_nc_data, dblp_lp_data):
-        peaks = [tiny_trainer("T3-morse", dblp_nc_data[0], dblp_lp_data[0], epochs=3)
-                 .train().usage.peak_memory_bytes for _ in range(3)]
-        assert max(peaks) <= 1.02 * min(peaks)
+    @pytest.mark.parametrize("shape", ALL_SHAPES)
+    def test_repeated_runs_report_the_same_peak(self, shape, dblp_nc_data, dblp_lp_data):
+        peaks = {tiny_trainer(shape, dblp_nc_data[0], dblp_lp_data[0], epochs=3)
+                 .train().usage.peak_memory_bytes for _ in range(3)}
+        assert len(peaks) == 1
+
+    def test_training_leaves_a_callers_trace_alone(self, dblp_nc_data, dblp_lp_data):
+        tracemalloc.start()
+        try:
+            block = np.ones(1_000_000)              # an 8 MB peak, freed
+            del block
+            tiny_trainer("T2-rgcn-on-subgraph", dblp_nc_data[0], dblp_lp_data[0],
+                         epochs=2).train()
+            assert tracemalloc.is_tracing()
+            assert tracemalloc.get_traced_memory()[1] >= 8_000_000
+        finally:
+            tracemalloc.stop()
 
     def test_memory_budget_blown_in_the_first_epoch_stops_training(
             self, dblp_nc_data, dblp_lp_data, monkeypatch):
@@ -473,4 +407,3 @@ class TestMemoryProbe:
         assert [entry["epoch"] for entry in result.history] == [0]
         assert len(raised) == 1
         assert raised[0].peak_memory_bytes == result.usage.peak_memory_bytes > 64 * 1024
-        assert not tracemalloc.is_tracing()

@@ -169,8 +169,9 @@ def venue_insert(name: str, budget: str = "") -> str:
 
 
 def test_a_budget_the_first_epoch_exceeds_stops_the_run(monkeypatch):
-    """``MaxMemory: 1``: the first epoch's traced peak is more than one byte,
-    so the run stops after epoch 0 and the report says so."""
+    """``MaxMemory: 1``: the first epoch's steps book more than one byte in
+    the run's memory ledger, so the run stops after epoch 0 and the report
+    says so."""
     platform = fresh_platform()
     outcomes = recorded_outcomes(platform, monkeypatch)
     status, envelope = post(platform, "sparqlml", query=venue_insert(
