@@ -17,10 +17,12 @@ Gradients are accumulated with standard reverse-mode topological traversal.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
 from scipy import sparse as sp
+from scipy.sparse import _sparsetools
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import AutogradError, ShapeError
@@ -91,15 +93,9 @@ def _freed_graph(grad: np.ndarray) -> None:
 
 
 def _owned_bytes(node: "Tensor") -> int:
-    """The bytes of a tape node's own data: none for a parameter (the run
-    counts those itself) or a view of another array."""
+    """A tape node's own data bytes: none for a view or a parameter (the run books those)."""
     data = node.data
     return 0 if node.requires_grad or data.base is not None else data.nbytes
-
-
-def _index_dtype(largest: int) -> type:
-    """int32 when it holds ``largest``: scipy scans and copies int64 indices."""
-    return np.int32 if largest < 2 ** 31 else np.int64
 
 
 def _scatter(shape: Tuple[int, ...], index, grad: np.ndarray) -> np.ndarray:
@@ -114,16 +110,17 @@ def _scatter(shape: Tuple[int, ...], index, grad: np.ndarray) -> np.ndarray:
     if isinstance(index, np.ndarray) and index.ndim == 1 and \
             index.dtype.kind in "iu" and (index.size == 0 or index.min() >= 0):
         rows = index.shape[0]
-        ids = _index_dtype(max(shape[0], rows))
-        selector = sp.csc_matrix((np.ones(rows), index.astype(ids),
-                                  np.arange(rows + 1, dtype=ids)), shape=(shape[0], rows))
-        return (selector @ grad.reshape(rows, int(np.prod(shape[1:])))).reshape(shape)
+        out = np.zeros((shape[0], math.prod(shape[1:])))
+        _sparsetools.csc_matvecs(shape[0], rows, out.shape[1], np.arange(rows + 1),
+                                 index.astype(np.int64, copy=False), np.ones(rows),
+                                 grad.ravel(), out.ravel())
+        return out.reshape(shape)
     if all(isinstance(part, (int, np.integer, slice, type(Ellipsis)))
            for part in (index if isinstance(index, tuple) else (index,))):
         full = np.zeros(shape)
         full[index] = grad
         return full
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     positions = np.arange(size).reshape(shape)[index].reshape(-1)
     return np.bincount(positions, weights=np.asarray(grad).reshape(-1),
                        minlength=size).reshape(shape)
@@ -433,28 +430,31 @@ def spmm(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
 
     The sparse matrix carries no gradient; the gradient w.r.t. ``dense`` is
     ``A.T @ grad``.  This is the message-passing primitive used by every GNN
-    layer in the framework.  The matrix is a constant: its transpose is built
-    by the first backward pass that needs it and kept on the matrix, so a
-    cached adjacency is transposed once, not once per layer per step.
+    layer in the framework.
     """
     if not sp.issparse(matrix):
         raise AutogradError("spmm expects a scipy sparse matrix")
     csr = matrix.tocsr()
-    out_data = csr @ dense.data
+    out_data = sparse_product(csr, dense.data, transposed=False)
 
     def backward(grad: np.ndarray):
-        return (spmm_transpose(csr) @ grad,)
+        return (sparse_product(csr, grad, transposed=True),)
 
     return Tensor._result(out_data, (dense,), backward)
 
 
-def spmm_transpose(csr: sp.csr_matrix) -> sp.spmatrix:
-    """``csr.T``, built by the first backward pass that needs it and kept on
-    the (constant) matrix as ``_spmm_transpose``."""
-    transposed = getattr(csr, "_spmm_transpose", None)
-    if transposed is None:
-        transposed = csr._spmm_transpose = csr.T
-    return transposed
+def sparse_product(csr: sp.csr_matrix, dense: np.ndarray, transposed: bool) -> np.ndarray:
+    """``csr @ dense``, or ``csr.T @ dense`` (CSR arrays read as CSC), by the
+    kernel scipy's product runs: its bits, without the per-call work and
+    transposed matrix that cost more than a training step's small products."""
+    rows, cols = csr.shape[::-1] if transposed else csr.shape
+    if dense.shape[0] != cols:
+        raise ShapeError(f"sparse product shape mismatch: {(rows, cols)} @ {dense.shape}")
+    out = np.zeros((rows,) + dense.shape[1:])
+    kernel = _sparsetools.csc_matvecs if transposed else _sparsetools.csr_matvecs
+    kernel(rows, cols, math.prod(dense.shape[1:]), csr.indptr, csr.indices, csr.data,
+           dense.ravel(), out.ravel())
+    return out
 
 
 def gather_rows(source: Tensor, indices: np.ndarray) -> Tensor:

@@ -15,7 +15,6 @@ import numpy as np
 from scipy import sparse as sp
 
 from repro.exceptions import DatasetError
-from repro.gml.autograd import _index_dtype
 
 __all__ = ["GraphData", "TriplesData", "xavier_features"]
 
@@ -138,7 +137,8 @@ class GraphData:
             degree = np.bincount(row, minlength=num_groups * n).astype(np.float64)
             degree[degree == 0] = 1.0
             values = values * (1.0 / degree)[rows]
-        ids = _index_dtype(max(n, keys.shape[0]))
+        # int32 when it fits: scipy scans and copies int64 index arrays.
+        ids = np.int32 if max(n, keys.shape[0]) < 2 ** 31 else np.int64
         columns = columns.astype(ids)
         indptr = np.searchsorted(rows, np.arange(num_groups * n + 1)).astype(ids)
         bounds = indptr[np.arange(num_groups + 1) * n]

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from repro.exceptions import ShapeError
-from repro.gml.autograd import Parameter, Tensor, gather_rows, spmm, spmm_transpose
+from repro.gml.autograd import Parameter, Tensor, gather_rows, sparse_product, spmm
 from repro.gml.nn.init import xavier_uniform, zeros_init
 from repro.gml.nn.module import Module
 
@@ -109,7 +109,7 @@ class RGCNConv(Module):
             csr = adjacency.tocsr()
             row = coefficients[relation].reshape(1, self.num_bases)
             weight = (row @ bases_flat).reshape(self.in_features, self.out_features)
-            out += csr @ (inputs @ weight)
+            out += sparse_product(csr, inputs @ weight, transposed=False)
             relations.append((relation, csr, row, weight))
         children = (x, self.self_weight, self.bases, self.coefficients)
         has_bias = self.bias is not None
@@ -121,7 +121,7 @@ class RGCNConv(Module):
         def backward(grad: np.ndarray):
             grad_x = grad_bases = grad_coefficients = None
             for relation, csr, row, weight in reversed(relations):
-                grad_support = spmm_transpose(csr) @ grad
+                grad_support = sparse_product(csr, grad, transposed=True)
                 if wants_x:
                     grad_x = _summed(grad_x, grad_support @ weight.T)
                 grad_weight = (inputs.T @ grad_support).reshape(1, -1)

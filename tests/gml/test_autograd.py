@@ -21,6 +21,7 @@ from repro.gml.autograd import (
     log_softmax,
     no_grad,
     softmax,
+    sparse_product,
     spmm,
     stack,
 )
@@ -321,7 +322,9 @@ class TestScatterGradient:
 
 
 class TestSpmmTranspose:
-    def test_matrix_is_transposed_once(self, rng_local, monkeypatch):
+    def test_backward_builds_no_transpose(self, rng_local, monkeypatch):
+        """``A.T @ grad`` reads A's CSR arrays as CSC: no transposed matrix
+        is built, and the gradient has the bits of scipy's product."""
         adjacency = sp.random(6, 6, density=0.4, format="csr",
                               random_state=np.random.RandomState(0))
         calls = []
@@ -329,14 +332,29 @@ class TestSpmmTranspose:
         monkeypatch.setattr(sp.csr_matrix, "transpose",
                             lambda self, *a, **k: calls.append(1) or transpose(self, *a, **k))
         p = Parameter(rng_local.normal(size=(6, 3)))
-        for _ in range(3):
-            spmm(adjacency, spmm(adjacency, p)).sum().backward()
-        assert len(calls) == 1
-        monkeypatch.undo()
-        p.zero_grad()
         spmm(adjacency, spmm(adjacency, p)).sum().backward()
-        assert np.array_equal(p.grad, adjacency.T @ (adjacency.T @ np.ones((6, 3))))
+        assert calls == []
+        monkeypatch.undo()
+        expected = adjacency.T @ (adjacency.T @ np.ones((6, 3)))
+        assert p.grad.tobytes() == expected.tobytes()
+        p.zero_grad()
         check_gradient(lambda: (spmm(adjacency, spmm(adjacency, p)) ** 2).sum(), p)
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("width", [1, 3, 17])
+    def test_sparse_product_has_the_bits_of_scipys(self, index_dtype, width):
+        rng = np.random.default_rng(width)
+        matrix = sp.random(40, 25, density=0.2, format="csr", random_state=1)
+        matrix = sp.csr_matrix((matrix.data, matrix.indices.astype(index_dtype),
+                                matrix.indptr.astype(index_dtype)), shape=matrix.shape)
+        for transposed, dense in ((False, rng.standard_normal((25, width))),
+                                  (True, rng.standard_normal((40, width)).T.copy().T)):
+            expected = (matrix.T if transposed else matrix) @ dense
+            got = sparse_product(matrix, dense, transposed=transposed)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            with pytest.raises(ShapeError):
+                sparse_product(matrix, dense[1:], transposed=transposed)
 
 
 class TestTape:
