@@ -17,7 +17,7 @@ import pytest
 from harness import bench_training_config, save_report
 from repro.datasets import dblp_paper_venue_task
 from repro.gml.tasks import TaskType
-from repro.gml.train import TaskBudget
+from repro.gml.train.budget import TaskBudget
 from repro.gml.transform import RDFGraphTransformer
 
 _ROWS = []

@@ -14,7 +14,7 @@ Run:  python examples/budget_aware_automl.py
 """
 
 from repro.datasets import DBLPConfig, dblp_paper_venue_task, generate_dblp_kg
-from repro.gml.train import TaskBudget
+from repro.gml.train.budget import TaskBudget
 from repro.gml.transform import RDFGraphTransformer
 from repro.kgnet import KGNet, MetaSampler, MetaSamplingConfig
 from repro.rdf.stats import format_table

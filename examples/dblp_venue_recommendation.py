@@ -17,7 +17,7 @@ Run:  python examples/dblp_venue_recommendation.py
 """
 
 from repro.datasets import DBLPConfig, dblp_paper_venue_task, generate_dblp_kg
-from repro.gml.train import TaskBudget
+from repro.gml.train.budget import TaskBudget
 from repro.kgnet import KGNet, ModelSelectionObjective
 
 VENUE_QUERY = """

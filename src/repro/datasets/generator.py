@@ -106,7 +106,8 @@ class StreamingKGConfig:
     Unlike :class:`KGBuilder` (which accumulates a :class:`Graph` in
     memory), :func:`stream_synthetic_kg` yields triples one batch at a time
     — at the default ``num_triples`` of 10M, nothing but the current batch
-    is ever materialised, so the generator feeds
+    is ever materialised (each entity's IRI is built once per batch and
+    shared by that batch's triples), so the generator feeds
     :func:`repro.storage.bulkload.stream_load_triples` (or a serializer) at
     any scale the indexes themselves fit.
 
@@ -187,6 +188,10 @@ def stream_synthetic_kg(config: Optional[StreamingKGConfig] = None,
     The stream may contain a (tiny) fraction of duplicate link triples —
     loading through a set-semantics :class:`Graph` drops them, which is why
     loaders report ``triples_seen`` vs ``triples_added`` separately.
+
+    Each entity's :class:`IRI` is built once per batch: a batch's triples
+    share one object per distinct entity, so a caller that keeps the triples
+    holds each term once per batch, not once per occurrence.
     """
     config = config or StreamingKGConfig()
     rng = np.random.default_rng(config.seed)
@@ -228,7 +233,11 @@ def stream_synthetic_kg(config: Optional[StreamingKGConfig] = None,
                                 p=rank_weights)
         objects = _bounded_zipf(rng, config.zipf_exponent, size,
                                 num_entities) - 1
-        for si, pi, oi in zip(subjects, predicates, objects):
-            yield Triple(IRI(f"{base}e{si}"), predicate_iris[pi],
-                         IRI(f"{base}e{oi}"))
+        indexes, positions = np.unique(np.concatenate((subjects, objects)),
+                                       return_inverse=True)
+        entities = [IRI(f"{base}e{index}") for index in indexes.tolist()]
+        positions = positions.tolist()
+        for si, pi, oi in zip(positions[:size], predicates.tolist(),
+                              positions[size:]):
+            yield Triple(entities[si], predicate_iris[pi], entities[oi])
         remaining -= size

@@ -33,28 +33,26 @@ class Module:
 
     # -- parameter management --------------------------------------------------
     def parameters(self) -> List[Parameter]:
+        """Every parameter reachable from the attributes, each once, in
+        depth-first order.  The walk keeps its own stack: a recursive
+        closure refers to itself and would leave a cycle per call."""
         parameters: List[Parameter] = []
         seen = set()
-
-        def collect(obj) -> None:
+        stack = list(reversed(vars(self).values()))
+        while stack:
+            obj = stack.pop()
             if isinstance(obj, Parameter):
                 if id(obj) not in seen:
                     seen.add(id(obj))
                     parameters.append(obj)
             elif isinstance(obj, Embedding):
-                collect(obj.weight)
+                stack.append(obj.weight)
             elif isinstance(obj, Module):
-                for value in vars(obj).values():
-                    collect(value)
+                stack.extend(reversed(vars(obj).values()))
             elif isinstance(obj, (list, tuple)):
-                for item in obj:
-                    collect(item)
+                stack.extend(reversed(obj))
             elif isinstance(obj, dict):
-                for item in obj.values():
-                    collect(item)
-
-        for value in vars(self).values():
-            collect(value)
+                stack.extend(reversed(obj.values()))
         return parameters
 
     def num_parameters(self) -> int:

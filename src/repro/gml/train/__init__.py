@@ -1,31 +1,4 @@
-"""Training utilities: budgets, metrics and trainers."""
-
-from repro.gml.train.budget import (
-    ResourceMonitor,
-    ResourceUsage,
-    TaskBudget,
-)
-from repro.gml.train.metrics import (
-    accuracy,
-    classification_report,
-)
-from repro.gml.train.trainer import (
-    FullBatchNodeClassificationTrainer,
-    KGETrainer,
-    MorsETrainer,
-    SamplingNodeClassificationTrainer,
-    TrainingResult,
-)
-
-__all__ = [
-    "ResourceMonitor",
-    "ResourceUsage",
-    "TaskBudget",
-    "accuracy",
-    "classification_report",
-    "FullBatchNodeClassificationTrainer",
-    "KGETrainer",
-    "MorsETrainer",
-    "SamplingNodeClassificationTrainer",
-    "TrainingResult",
-]
+"""Training utilities: :mod:`~repro.gml.train.budget` (budgets and the run
+ledger, free of numpy), :mod:`~repro.gml.train.metrics` and
+:mod:`~repro.gml.train.trainer`.  Nothing is re-exported, so reading a
+budget loads no trainer."""

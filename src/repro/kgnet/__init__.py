@@ -9,8 +9,6 @@ from repro.kgnet.kgmeta import KGMetaGovernor, ModelMetadata, ontology
 from repro.kgnet.gmlaas import (
     GMLaaS,
     GMLTrainingManager,
-    MethodSelection,
-    MethodSelector,
     ModelStore,
     TrainingManagerConfig,
     TrainResponse,
@@ -53,8 +51,6 @@ __all__ = [
     "ontology",
     "GMLaaS",
     "GMLTrainingManager",
-    "MethodSelection",
-    "MethodSelector",
     "ModelStore",
     "TrainingManagerConfig",
     "TrainResponse",

@@ -1,7 +1,10 @@
-"""GML-as-a-Service: training manager, method selector, model store, embedding index."""
+"""GML-as-a-Service: training manager, model store, embedding index.
+
+The method selector (:mod:`repro.kgnet.gmlaas.method_selector`) and the
+model and trainer modules it builds from load on the first TrainGML, not
+with this package."""
 
 from repro.kgnet.gmlaas.embedding_store import FlatIndex
-from repro.kgnet.gmlaas.method_selector import MethodSelection, MethodSelector
 from repro.kgnet.gmlaas.model_store import ModelStore
 from repro.kgnet.gmlaas.service import GMLaaS, TrainResponse
 from repro.kgnet.gmlaas.training_manager import (
@@ -11,8 +14,6 @@ from repro.kgnet.gmlaas.training_manager import (
 
 __all__ = [
     "FlatIndex",
-    "MethodSelection",
-    "MethodSelector",
     "ModelStore",
     "GMLaaS",
     "TrainResponse",

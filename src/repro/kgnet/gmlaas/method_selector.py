@@ -39,9 +39,10 @@ from repro.gml.kge import ComplEx, DistMult, MorsE, RotatE, TransE
 from repro.gml.nn import GAT, GCN, RGCN
 from repro.gml.sampling import GraphSAINTNodeSampler, ShadowKHopSampler
 from repro.gml.tasks import TaskType
-from repro.gml.train import (FullBatchNodeClassificationTrainer, KGETrainer,
-                              MorsETrainer, SamplingNodeClassificationTrainer,
-                              TaskBudget)
+from repro.gml.train.budget import TaskBudget
+from repro.gml.train.trainer import (FullBatchNodeClassificationTrainer,
+                                     KGETrainer, MorsETrainer,
+                                     SamplingNodeClassificationTrainer)
 
 if TYPE_CHECKING:
     from repro.kgnet.gmlaas.training_manager import TrainingManagerConfig

@@ -20,25 +20,24 @@ manager runs the end-to-end pipeline:
 
 One table, ``_TASKS``, says per task how the KG becomes training data and
 which artefact the trained model becomes.
+
+Building a manager loads no model: the transformer, the method selector and
+every model and trainer module (and scipy with them) are imported by the
+first :meth:`GMLTrainingManager.train` or :attr:`GMLTrainingManager.selector`
+read, so a server that never trains never loads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import TrainingError
-from repro.gml.data import GraphData, TriplesData
 from repro.gml.tasks import TaskSpec, TaskType
-from repro.gml.train import TaskBudget, TrainingResult
-from repro.gml.transform import RDFGraphTransformer, TransformReport
-from repro.kgnet.gmlaas.method_selector import (
-    GML_METHODS,
-    MethodSelection,
-    MethodSelector,
-)
+from repro.gml.train.budget import TaskBudget
 from repro.kgnet.gmlaas.model_store import (
     Artefact,
     LinkArtefact,
@@ -47,6 +46,12 @@ from repro.kgnet.gmlaas.model_store import (
 )
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Literal
+
+if TYPE_CHECKING:
+    from repro.gml.data import GraphData, TriplesData
+    from repro.gml.train.trainer import TrainingResult
+    from repro.gml.transform import RDFGraphTransformer, TransformReport
+    from repro.kgnet.gmlaas.method_selector import MethodSelection, MethodSelector
 
 __all__ = ["TrainingManagerConfig", "GMLTrainingManager"]
 
@@ -118,7 +123,12 @@ class GMLTrainingManager:
 
     def __init__(self, config: Optional[TrainingManagerConfig] = None) -> None:
         self.config = config or TrainingManagerConfig()
-        self.selector = MethodSelector(self.config)
+
+    @cached_property
+    def selector(self) -> MethodSelector:
+        """The method selector at this manager's config, built on first use."""
+        from repro.kgnet.gmlaas.method_selector import MethodSelector
+        return MethodSelector(self.config)
 
     # ------------------------------------------------------------------
     # Entry point
@@ -127,6 +137,9 @@ class GMLTrainingManager:
               budget: Optional[TaskBudget] = None,
               method: Optional[str] = None) -> TrainingOutcome:
         """Run the full pipeline; returns the training outcome."""
+        from repro.gml.transform import RDFGraphTransformer
+        from repro.kgnet.gmlaas.method_selector import GML_METHODS
+
         budget = budget or TaskBudget()
         transformer = RDFGraphTransformer(
             feature_dim=self.config.feature_dim,

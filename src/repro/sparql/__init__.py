@@ -1,4 +1,9 @@
-"""SPARQL engine substrate (parser, evaluator, endpoint, UDF registry)."""
+"""SPARQL engine substrate (parser, evaluator, endpoint, UDF registry).
+
+``ReferenceQueryEvaluator``, the differential oracle the tests and benchmark
+workloads check answers against, is no production path: it loads on first
+access of the name, so a server never imports it.
+"""
 
 from repro.sparql.tokenizer import Token, tokenize
 from repro.sparql.parser import SPARQLParser, parse, parse_query, parse_update
@@ -25,7 +30,6 @@ from repro.sparql.evaluator import QueryEvaluator
 from repro.sparql.plan import QueryPlan
 from repro.sparql.optimizer import reorder_patterns
 from repro.sparql.execution import ExecutionContext, StreamingResult
-from repro.sparql.reference import ReferenceQueryEvaluator
 from repro.sparql.functions import (
     EvaluationContext,
     OpaqueValue,
@@ -37,6 +41,13 @@ from repro.sparql.functions import (
 )
 from repro.sparql.results import ResultSet, Solution
 from repro.sparql.endpoint import PlanCache, SPARQLEndpoint
+
+
+def __getattr__(name: str):
+    if name == "ReferenceQueryEvaluator":
+        from repro.sparql.reference import ReferenceQueryEvaluator
+        return ReferenceQueryEvaluator
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Token",

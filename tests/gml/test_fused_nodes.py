@@ -32,7 +32,7 @@ from repro.gml.kge import base as kge_base
 from repro.gml.kge import morse as kge_morse
 from repro.gml.nn import RGCNConv
 from repro.gml.sampling.negative import NegativeSampler
-from repro.gml.train import MorsETrainer
+from repro.gml.train.trainer import MorsETrainer
 from tests.gml.test_autograd import check_gradient
 from tests.gml.test_train import ALL_SHAPES, tiny_trainer
 

@@ -1,5 +1,7 @@
 """Unit tests for GNN layers, models, modules and optimizers."""
 
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -75,11 +77,32 @@ class TestModule:
                 self.inner = GCNConv(3, 2)
                 self.items = [GCNConv(2, 2), GCNConv(2, 1)]
                 self.table = {"x": Parameter(np.zeros(3))}
+                self.again = self.inner
 
         wrapper = Wrapper()
         assert len(wrapper.parameters()) == 2 + 2 + 2 + 1
+        # Depth-first in attribute order; a shared module counts once.
+        expected = (wrapper.inner.parameters() + wrapper.items[0].parameters()
+                    + wrapper.items[1].parameters() + [wrapper.table["x"]])
+        assert [id(p) for p in wrapper.parameters()] == [id(p) for p in expected]
         assert wrapper.num_parameters() > 0
         assert wrapper.parameter_bytes() == sum(p.data.nbytes for p in wrapper.parameters())
+
+    def test_parameter_walks_leave_nothing_for_the_collector(self):
+        """With the collector off, counting a model's parameters leaves no
+        reference cycle behind."""
+        model = RGCN(4, 8, 3, num_relations=3, num_bases=2)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                model.parameters()
+                model.parameter_bytes()
+                model.num_parameters()
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
 
     def test_train_eval_propagates(self):
         model = GCN(4, 8, 2)

@@ -14,17 +14,19 @@ from repro.gml.kge import DistMult, MorsE
 from repro.gml.kge.base import ranking_metrics
 from repro.gml.nn import RGCN
 from repro.gml.sampling import GraphSAINTNodeSampler, ShadowKHopSampler
-from repro.gml.train import (
+from repro.gml.train.budget import ResourceMonitor, TaskBudget
+from repro.gml.train.metrics import (
+    accuracy,
+    classification_report,
+    confusion_matrix,
+    f1_score,
+)
+from repro.gml.train.trainer import (
     FullBatchNodeClassificationTrainer,
     KGETrainer,
     MorsETrainer,
-    ResourceMonitor,
     SamplingNodeClassificationTrainer,
-    TaskBudget,
-    accuracy,
-    classification_report,
 )
-from repro.gml.train.metrics import confusion_matrix, f1_score
 
 
 class TestMetrics:

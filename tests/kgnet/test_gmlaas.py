@@ -16,11 +16,10 @@ from repro.exceptions import (
 )
 from repro.gml.kge import DistMult
 from repro.gml.tasks import TaskSpec, TaskType
-from repro.gml.train import TaskBudget
+from repro.gml.train.budget import TaskBudget
 from repro.kgnet import (
     GMLaaS,
     KGNet,
-    MethodSelector,
     ModelStore,
     TrainingManagerConfig,
 )
@@ -30,7 +29,11 @@ from repro.kgnet.gmlaas.model_store import (
     SimilarityArtefact,
 )
 from repro.kgnet.gmlaas.embedding_store import FlatIndex
-from repro.kgnet.gmlaas.method_selector import GML_METHODS, MethodCostEstimator
+from repro.kgnet.gmlaas.method_selector import (
+    GML_METHODS,
+    MethodCostEstimator,
+    MethodSelector,
+)
 from repro.kgnet.gmlaas.training_manager import GMLTrainingManager
 from repro.rdf import DBLP, IRI
 from benchmarks.ivf_index import IVFIndex

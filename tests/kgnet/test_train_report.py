@@ -23,7 +23,7 @@ from repro.datasets import (
     dblp_paper_venue_task,
     generate_dblp_kg,
 )
-from repro.gml.train import (
+from repro.gml.train.trainer import (
     FullBatchNodeClassificationTrainer,
     KGETrainer,
     MorsETrainer,
