@@ -1,16 +1,21 @@
 """Ablation E7 — automatic GML method selection under a task budget.
 
-Paper §IV-A: the GML optimizer estimates memory and training time per method
-and picks the near-optimal one within the TrainGML budget.  This benchmark
-sweeps budgets and checks the selector's decisions: an unconstrained budget
-picks the highest-prior method, tight memory budgets exclude full-batch RGCN,
-and a "Time" priority picks the fastest estimated method.  It also measures
-the cost of selection itself (it must be negligible next to training).  The
-selector is the benchmark platform's own, so it prices the plans that
-platform trains.
+Paper §IV-A: the GML optimizer prices memory and training time per method
+and picks the near-optimal one within the TrainGML budget.  The selector
+prices a method by running the first epoch of the trainer that would train
+it: memory is that epoch's ledger peak, time its wall clock times the plan's
+epochs.  This benchmark sweeps budgets and checks the selector's decisions
+against those probes: an unconstrained budget picks the highest-prior
+method, a tight memory budget (under RGCN's price) picks the highest-prior
+method whose probe fits, and a "Time" or "Memory" priority picks the
+cheapest probe.  It also records what selection costs: the first epochs of
+every candidate, of which the chosen run keeps its own.  The selector is
+the benchmark platform's own, so it prices the plans that platform trains.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -36,7 +41,7 @@ BUDGETS = [
     ("unconstrained", TaskBudget()),
     ("time priority", TaskBudget(priority="Time")),
     ("memory priority", TaskBudget(priority="Memory")),
-    ("tight memory", None),   # filled in at run time (90% of RGCN's estimate)
+    ("tight memory", None),   # filled in at run time (90% of RGCN's price)
     ("infeasible", TaskBudget(max_memory_bytes=1.0)),
 ]
 
@@ -49,10 +54,15 @@ def test_method_selection_under_budget(benchmark, nc_data, dblp_platform, name,
     if name == "tight memory":
         rgcn_estimate = selector.estimator.estimate("rgcn", nc_data)
         budget = TaskBudget(max_memory_bytes=rgcn_estimate.memory_bytes * 0.9)
+    seconds = []
 
-    selection = benchmark.pedantic(
-        selector.select, args=(TaskType.NODE_CLASSIFICATION, nc_data),
-        kwargs={"budget": budget}, rounds=3, iterations=1)
+    def select():
+        started = time.perf_counter()
+        selection = selector.select(TaskType.NODE_CLASSIFICATION, nc_data, budget=budget)
+        seconds.append(time.perf_counter() - started)
+        return selection
+
+    selection = benchmark.pedantic(select, rounds=3, iterations=1)
 
     if name == "unconstrained":
         assert selection.method == "shadow_saint"
@@ -64,6 +74,9 @@ def test_method_selection_under_budget(benchmark, nc_data, dblp_platform, name,
         smallest = min(selection.candidates, key=lambda e: e.memory_bytes)
         assert selection.method == smallest.method
     elif name == "tight memory":
+        fits = [e for e in selection.candidates
+                if e.memory_bytes <= budget.max_memory_bytes]
+        assert selection.method == max(fits, key=lambda e: e.accuracy_prior).method
         assert selection.method != "rgcn"
         assert selection.within_budget
     else:  # infeasible
@@ -75,20 +88,23 @@ def test_method_selection_under_budget(benchmark, nc_data, dblp_platform, name,
         "within_budget": selection.within_budget,
         "est_memory_mb": round(selection.estimate.memory_bytes / 1e6, 2),
         "est_time_s": round(selection.estimate.time_seconds, 3),
+        "select_s": round(min(seconds), 3),
     })
     if name == BUDGETS[-1][0]:
         save_report(
             "ablation_method_selection",
             "Automatic GML method selection under task budgets (paper §IV-A)",
             _ROWS,
-            notes=["Selection is estimate-driven and costs microseconds, so it adds "
-                   "nothing to the training budget."])
+            notes=["select_s is the first epochs of all five node classifiers; "
+                   "the chosen method's run carries on from its own, so a "
+                   "TrainGML that leaves the method to the selector pays only "
+                   "the other four."])
 
 
 @pytest.mark.benchmark(group="ablation-method-selection")
 def test_estimator_orders_methods_like_measurements(benchmark, nc_data, dblp_platform):
-    """The cost model must reproduce the measured full-KG ordering: RGCN uses
-    the most memory among the three NC methods (paper Fig 13C)."""
+    """The probes reproduce the measured full-KG ordering: RGCN uses the most
+    memory among the three NC methods (paper Fig 13C)."""
     estimator = dblp_platform.gmlaas.training_manager.selector.estimator
 
     def estimate_all():

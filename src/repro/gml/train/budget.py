@@ -11,6 +11,8 @@ it is blown.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional
@@ -23,13 +25,12 @@ _SIZE_SUFFIXES = {"b": 1, "kb": 1024, "mb": 1024 ** 2, "gb": 1024 ** 3, "tb": 10
 _TIME_SUFFIXES = {"s": 1.0, "sec": 1.0, "m": 60.0, "min": 60.0, "h": 3600.0, "hr": 3600.0}
 
 
-def _parse_quantity(value, suffixes: Dict[str, float]) -> Optional[float]:
-    """Parse ``"50GB"`` / ``"30min"`` / ``2048`` / None into bytes or seconds."""
-    if value is None:
-        return None
-    if isinstance(value, (int, float)):
-        return float(value)
-    text = str(value).strip().lower().replace(" ", "")
+def _parse_quantity(value, suffixes: Dict[str, float]):
+    """Parse ``"50GB"`` / ``"30min"`` into bytes or seconds; anything but a
+    string is left for :class:`TaskBudget` to accept or refuse."""
+    if not isinstance(value, str):
+        return value
+    text = value.strip().lower().replace(" ", "")
     for suffix in sorted(suffixes, key=len, reverse=True):
         if text.endswith(suffix):
             return float(text[: -len(suffix)]) * suffixes[suffix]
@@ -41,8 +42,10 @@ class TaskBudget:
     """Memory / time budget plus the optimisation priority.
 
     ``priority`` is one of ``"ModelScore"`` (maximise expected accuracy within
-    the budget) or ``"Time"`` (minimise expected training time among methods
-    that fit the budget), mirroring the paper's Fig 8 JSON.
+    the budget), ``"Time"`` (minimise expected training time among methods
+    that fit the budget) or ``"Memory"`` (minimise expected memory among
+    methods that fit the time budget), mirroring the paper's Fig 8 JSON.  A
+    limit is ``None`` (no limit) or a non-negative number.
     """
 
     max_memory_bytes: Optional[float] = None
@@ -52,6 +55,15 @@ class TaskBudget:
     def __post_init__(self) -> None:
         if self.priority not in ("ModelScore", "Time", "Memory"):
             raise TrainingError(f"unknown budget priority {self.priority!r}")
+        for name in ("max_memory_bytes", "max_time_seconds"):
+            limit = getattr(self, name)
+            if limit is None:
+                continue
+            if isinstance(limit, bool) or not isinstance(limit, numbers.Real) \
+                    or math.isnan(limit) or limit < 0:
+                raise TrainingError(
+                    f"budget {name} must be a non-negative number, not {limit!r}")
+            setattr(self, name, float(limit))
 
     @classmethod
     def from_json(cls, payload: Dict[str, object]) -> "TaskBudget":
@@ -89,29 +101,32 @@ class ResourceUsage:
 class ResourceMonitor:
     """The clock and the memory ledger of one training run.
 
-    The trainer owns one monitor per run and books each optimisation step
-    in it (:meth:`book`): the bytes of the arrays the step holds at its
-    peak -- the parameters with their gradients and Adam's two moments, the
-    batch, the tape ``Tensor.backward`` walks (node data and the gradients
-    it produces) and the method's step buffers.  ``usage.peak_memory_bytes``
-    is the largest step booked.  It is a sum of array sizes, so a run
-    reports the same peak on every machine and beside any other run; the
-    temporaries numpy makes inside one op, arrays only a backward closure
-    holds and evaluation passes are not in it.  Nothing is traced, and no
-    state is shared between monitors.
+    The clock runs only inside ``with monitor:`` blocks -- the trainer
+    enters one per epoch -- so ``usage.elapsed_seconds`` counts the run's
+    own epochs and nothing done between them.  The trainer books each
+    optimisation step in the ledger (:meth:`book`): the bytes of the arrays
+    the step holds at its peak -- the parameters with their gradients and
+    Adam's two moments, the batch, the tape ``Tensor.backward`` walks (node
+    data and the gradients it produces) and the method's step buffers.
+    ``usage.peak_memory_bytes`` is the largest step booked.  It is a sum of
+    array sizes, so a run reports the same peak on every machine and beside
+    any other run; the temporaries numpy makes inside one op, arrays only a
+    backward closure holds and evaluation passes are not in it.  Nothing is
+    traced, and no state is shared between monitors.
     """
 
     def __init__(self, budget: Optional[TaskBudget] = None) -> None:
         self.budget = budget or TaskBudget()
         self.usage = ResourceUsage()
-        self._start_time = 0.0
+        self._entered_at: Optional[float] = None
 
     def __enter__(self) -> "ResourceMonitor":
-        self._start_time = time.perf_counter()
+        self._entered_at = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.usage.elapsed_seconds = self.elapsed()
+        self._entered_at = None
 
     def book(self, step_bytes: int) -> None:
         """Book one step that held ``step_bytes`` at its peak."""
@@ -119,7 +134,10 @@ class ResourceMonitor:
 
     # -- explicit checks (called between epochs) ------------------------------
     def elapsed(self) -> float:
-        return time.perf_counter() - self._start_time
+        """Seconds on the clock: the blocks left so far and the open one."""
+        if self._entered_at is None:
+            return self.usage.elapsed_seconds
+        return self.usage.elapsed_seconds + time.perf_counter() - self._entered_at
 
     def check(self) -> None:
         """Raise :class:`BudgetExceededError` when the budget is blown."""

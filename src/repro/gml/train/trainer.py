@@ -14,9 +14,9 @@ Three trainers cover the paper's method families:
 
 Every trainer measures elapsed time and peak memory with
 :class:`~repro.gml.train.budget.ResourceMonitor`, because those numbers are
-what the paper's evaluation (Figs 13-15) reports: the run owns the monitor,
-hands it down to every step, and each step books the bytes it held in its
-ledger.  The trainer checks its :class:`~repro.gml.train.budget.TaskBudget`
+what the paper's evaluation (Figs 13-15) reports: the trainer owns its run's
+monitor, hands it down to every step, and each step books the bytes it held
+in its ledger.  The trainer checks its :class:`~repro.gml.train.budget.TaskBudget`
 against that ledger after every epoch: a run that exceeds the budget stops
 early.
 """
@@ -75,7 +75,13 @@ class TrainingResult:
 
 
 class _BaseTrainer:
-    """The training loop every method shares: epochs, history, budget, report."""
+    """The training loop every method shares: epochs, history, budget, report.
+
+    A run is the trainer's own: its monitor, its history, the epochs it has
+    run and whether the budget stopped it live on the trainer, so
+    :meth:`run_epoch` can run the first epoch alone (the method selector
+    prices a method that way) and :meth:`train` carries on from there.
+    """
 
     task_type = "node_classification"
     #: Every ``history_every``-th epoch (and the last) gets a history entry.
@@ -88,27 +94,40 @@ class _BaseTrainer:
         self.epochs = epochs
         self.method_name = method_name
         self.budget = budget or TaskBudget()
+        self.monitor = ResourceMonitor(self.budget)
+        self.history: List[Dict[str, float]] = []
+        self.epochs_run = 0
+        self.stopped_early = False
+
+    @property
+    def finished(self) -> bool:
+        return self.stopped_early or self.epochs_run >= self.epochs
+
+    def run_epoch(self) -> None:
+        """Run the next epoch on the run's clock, book its steps in the
+        run's ledger, record its history entry and check the budget."""
+        epoch = self.epochs_run
+        with self.monitor:
+            loss = self._train_epoch(epoch, self.monitor)
+            if epoch % self.history_every == 0 or epoch == self.epochs - 1:
+                self.history.append({"epoch": epoch, "loss": loss,
+                                     **self._epoch_metrics()})
+            self.epochs_run += 1
+            try:
+                self.monitor.check()
+            except BudgetExceededError:
+                self.stopped_early = True
 
     def train(self) -> TrainingResult:
-        history: List[Dict[str, float]] = []
-        stopped_early = False
-        with ResourceMonitor(self.budget) as monitor:
-            for epoch in range(self.epochs):
-                loss = self._train_epoch(epoch, monitor)
-                if epoch % self.history_every == 0 or epoch == self.epochs - 1:
-                    history.append({"epoch": epoch, "loss": loss,
-                                    **self._epoch_metrics()})
-                try:
-                    monitor.check()
-                except BudgetExceededError:
-                    stopped_early = True
-                    break
+        """Run the epochs left, then test the trained model."""
+        while not self.finished:
+            self.run_epoch()
         metrics, inference_seconds = self._final_metrics()
         return TrainingResult(
             method=self.method_name, task_type=self.task_type,
-            metrics=metrics, usage=monitor.usage, num_epochs=self.epochs,
-            history=history, inference_seconds=inference_seconds,
-            model=self.model, stopped_early=stopped_early)
+            metrics=metrics, usage=self.monitor.usage, num_epochs=self.epochs,
+            history=self.history, inference_seconds=inference_seconds,
+            model=self.model, stopped_early=self.stopped_early)
 
     def _train_epoch(self, epoch: int, ledger: ResourceMonitor) -> float:
         """Run one epoch of optimisation, booking each step in ``ledger``;
@@ -290,15 +309,8 @@ class MorsETrainer(_LinkPredictionTrainer):
             num_subkgs=subkgs_per_epoch, seed=seed)
         self.negative_sampler_seed = seed
         self.num_negatives = num_negatives
-        #: The scoring arrays of one ``train()`` call, reused by every step.
-        self._step_buffers: Optional[Dict[str, Dict[str, np.ndarray]]] = None
-
-    def train(self) -> TrainingResult:
-        self._step_buffers = {}
-        try:
-            return super().train()
-        finally:
-            self._step_buffers = None
+        #: The scoring arrays of the run, reused by every step.
+        self._step_buffers: Dict[str, Dict[str, np.ndarray]] = {}
 
     def _train_epoch(self, epoch: int, ledger: ResourceMonitor) -> float:
         losses = []

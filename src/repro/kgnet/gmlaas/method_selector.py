@@ -6,16 +6,19 @@ family, the tasks it serves, its accuracy prior, the model it builds and the
 plan its trainer runs (epochs, batch or sub-KG size, batches per epoch,
 negatives, learning rate), derived from the
 :class:`~repro.kgnet.gmlaas.training_manager.TrainingManagerConfig` it trains
-with.  The training manager builds every model and trainer from the entry,
-and :class:`MethodCostEstimator` prices the entry's plan at the same config,
-so an estimate describes the run that follows it.
+with.
 
-The estimator follows the paper: *"We estimate the required memory for each
-method based on the size and the number of generated sparse-matrices, as
-well as the training time based on the matrix dimensions and feature
-aggregation approach"*.  The numbers rank candidate methods under a budget;
-they are not absolute predictions.  With a handful of candidates the
-paper's small integer program is solved exactly by enumeration:
+:class:`MethodCostEstimator` prices a method by running it: it builds the
+trainer the training manager would train with and runs that trainer's first
+epoch into the run's own memory ledger and clock.  The memory price is the
+epoch's ledger peak; the time price is the epoch's wall clock times the
+plan's epochs, the clock the trainer checks ``max_time_seconds`` against.
+A full-batch or KGE epoch books what every later epoch books; a sampled
+method (GraphSAINT, ShaDow, MorsE) draws new batches each epoch, so a later
+draw can book a little more than the first.  The chosen method's trainer
+carries on from its second epoch, so selection adds no work to the run it
+picks.  With a handful of candidates the paper's small integer program is
+solved exactly by enumeration:
 
 * ``Priority = ModelScore``: maximise the expected accuracy prior subject to
   the memory and time budgets,
@@ -45,6 +48,7 @@ from repro.gml.train.trainer import (FullBatchNodeClassificationTrainer,
                                      SamplingNodeClassificationTrainer)
 
 if TYPE_CHECKING:
+    from repro.gml.train.trainer import _BaseTrainer
     from repro.kgnet.gmlaas.training_manager import TrainingManagerConfig
 
 __all__ = ["GML_METHODS", "MethodSelection", "MethodSelector"]
@@ -147,110 +151,19 @@ def _morse_trainer(model, data: TriplesData, plan: TrainingPlan,
                         method_name=method, seed=seed)
 
 
-_FLOAT_BYTES = 8
-#: Throughput constant translating "floating point operations" into seconds.
-#: Calibrated for the pure-numpy engine; only relative values matter.
-_SECONDS_PER_FLOP = 5e-9
-
-
-def _price_nodes(config: TrainingManagerConfig, family: _Family,
-                 method: GMLMethod, data: GraphData,
-                 plan: TrainingPlan) -> Tuple[float, float, Dict[str, float]]:
-    """Node classification: memory, seconds and the working set."""
-    nodes, edges = data.num_nodes, max(1, data.num_edges)
-    feature_dim = data.feature_dim
-    hidden = config.hidden_dim
-    relations = data.num_relations if method.relation_aware else 1
-
-    if family.nodes_per_item:
-        working_nodes = min(nodes, plan.batch_size * family.nodes_per_item)
-        density = edges / max(1, nodes)
-        working_edges = max(1, int(working_nodes * density))
-        sampling_cost = working_nodes * plan.batches_per_epoch * 1e-6
-    else:
-        working_nodes = nodes
-        working_edges = edges
-        sampling_cost = 0.0
-
-    # Memory: features + activations per layer + adjacency structure(s)
-    # (one matrix per relation for relation-aware methods) + weights.
-    activation_bytes = working_nodes * (feature_dim + hidden * NUM_LAYERS) * _FLOAT_BYTES
-    adjacency_bytes = working_edges * 3 * _FLOAT_BYTES * relations
-    weight_bytes = (feature_dim * hidden + hidden * hidden * (NUM_LAYERS - 1)
-                    + hidden * max(1, data.num_classes)) * _FLOAT_BYTES * max(1, min(relations, 8))
-    # Backpropagation roughly doubles the live activations.
-    memory = 2.0 * activation_bytes + adjacency_bytes + weight_bytes
-
-    # Time: per batch, aggregation touches every edge once per layer and
-    # the dense transforms are nodes x feature x hidden.
-    flops_per_batch = (working_edges * hidden * NUM_LAYERS * relations
-                       + working_nodes * feature_dim * hidden
-                       + working_nodes * hidden * hidden * (NUM_LAYERS - 1))
-    seconds = (flops_per_batch * plan.batches_per_epoch * _SECONDS_PER_FLOP
-               + sampling_cost) * plan.epochs
-    return memory, seconds, {"working_nodes": float(working_nodes),
-                             "working_edges": float(working_edges),
-                             "relations": float(relations)}
-
-
-def _price_links(config: TrainingManagerConfig, family: _Family,
-                 method: GMLMethod, data: TriplesData,
-                 plan: TrainingPlan) -> Tuple[float, float, Dict[str, float]]:
-    """Link prediction: memory, seconds and the dataset's sizes.
-
-    A step scores ``batch_size x (1 + negatives)`` triples at the method's
-    ``scored_floats`` and ``scored_flops`` per embedding dimension; the
-    tables count twice and the entity rows (a table's, or those a sub-KG
-    composes) once more.
-    """
-    entities = data.num_entities
-    relations = data.num_relations
-    triples = max(1, data.num_triples)
-    dim = config.embedding_dim
-    working_triples = min(triples, plan.batch_size)
-
-    if family.entity_table:
-        table_bytes = (entities + relations) * dim * _FLOAT_BYTES
-        working_entities = entities
-    else:
-        # Relation-level tables only; entity embeddings are composed on
-        # the fly from the sampled sub-KG.
-        table_bytes = (3 * relations) * dim * _FLOAT_BYTES
-        working_entities = min(entities, working_triples * 2)
-    scored = working_triples * (1 + plan.num_negatives)
-    memory = (2.0 * table_bytes + scored * dim * method.scored_floats * _FLOAT_BYTES
-              + working_entities * dim * _FLOAT_BYTES)
-    seconds = (scored * dim * method.scored_flops * plan.batches_per_epoch
-               * plan.epochs * _SECONDS_PER_FLOP)
-    return memory, seconds, {"entities": float(entities),
-                             "relations": float(relations),
-                             "triples": float(triples)}
-
-
 class _Family(NamedTuple):
-    """How the methods of one family train, and what the estimator prices
-    that run by."""
+    """How the methods of one family train: the plan and the trainer."""
 
     plan: Callable[..., TrainingPlan]
     trainer: Callable[..., object]
-    #: ``_price_nodes`` or ``_price_links``.
-    price: Callable[..., Tuple[float, float, Dict[str, float]]]
-    #: Graph nodes one batch item brings into the working set: a sampled
-    #: node, or a ShaDow root's bounded expansion (``ShadowKHopSampler``'s
-    #: depth 2, fanout 10); 0 when every step sees the whole graph.
-    nodes_per_item: int = 0
-    #: Whether the model keeps a row per entity (MorsE does not).
-    entity_table: bool = True
 
 
 _FAMILIES: Dict[str, _Family] = {
-    "full_batch": _Family(_full_batch_plan, _full_batch_trainer, _price_nodes),
-    "graphsaint": _Family(_graphsaint_plan, _sampling_trainer(GraphSAINTNodeSampler),
-                          _price_nodes, nodes_per_item=1),
-    "shadow": _Family(_shadow_plan, _sampling_trainer(ShadowKHopSampler),
-                      _price_nodes, nodes_per_item=40),
-    "kge": _Family(_kge_plan, _kge_trainer, _price_links),
-    "morse": _Family(_morse_plan, _morse_trainer, _price_links, entity_table=False),
+    "full_batch": _Family(_full_batch_plan, _full_batch_trainer),
+    "graphsaint": _Family(_graphsaint_plan, _sampling_trainer(GraphSAINTNodeSampler)),
+    "shadow": _Family(_shadow_plan, _sampling_trainer(ShadowKHopSampler)),
+    "kge": _Family(_kge_plan, _kge_trainer),
+    "morse": _Family(_morse_plan, _morse_trainer),
 }
 
 
@@ -287,8 +200,7 @@ class GMLMethod:
     """One GML method: what the selector ranks it by and how it trains."""
 
     name: str
-    #: A key of ``_FAMILIES``: the plan the method runs, its trainer and how
-    #: that run is priced.
+    #: A key of ``_FAMILIES``: the plan the method runs and its trainer.
     family: str
     tasks: Tuple[str, ...]
     #: Prior on relative accuracy (it breaks ties when the budget allows
@@ -296,18 +208,6 @@ class GMLMethod:
     accuracy_prior: float
     #: ``model(config, data)`` builds the untrained model.
     model: Callable
-    #: Whether message passing keeps one weight per relation.
-    relation_aware: bool = True
-    #: Link predictors: what one scored triple costs a training step per
-    #: embedding dimension, in floats live through the backward pass and in
-    #: floating point operations (MorsE's entity composition included).
-    #: Fitted to the peak the run's memory ledger books and to the epoch
-    #: time of each method on DBLP author-affiliation (scale 0.25 seed 3,
-    #: 1.0 seed 7 and 0.5 seed 11, dimension 16 to 64): the floats are the
-    #: median of the nine exact fits and put every estimate within 3 % of
-    #: its ledger peak; the operations are the median of noisier timings.
-    scored_floats: float = 0.0
-    scored_flops: float = 0.0
 
     def plan(self, config: TrainingManagerConfig,
              data: Union[GraphData, TriplesData]) -> TrainingPlan:
@@ -326,53 +226,59 @@ _LINKS = (TaskType.LINK_PREDICTION, TaskType.ENTITY_SIMILARITY)
 
 GML_METHODS: Dict[str, GMLMethod] = {method.name: method for method in (
     GMLMethod("rgcn", "full_batch", _NODES, 0.80, _rgcn),
-    GMLMethod("gcn", "full_batch", _NODES, 0.72, _gcn, relation_aware=False),
-    GMLMethod("gat", "full_batch", _NODES, 0.75, _gat, relation_aware=False),
+    GMLMethod("gcn", "full_batch", _NODES, 0.72, _gcn),
+    GMLMethod("gat", "full_batch", _NODES, 0.75, _gat),
     GMLMethod("graph_saint", "graphsaint", _NODES, 0.82, _rgcn),
     GMLMethod("shadow_saint", "shadow", _NODES, 0.85, _rgcn),
-    GMLMethod("morse", "morse", (TaskType.LINK_PREDICTION,), 0.80, _morse,
-              scored_floats=5.6, scored_flops=4.5),
-    GMLMethod("complex", "kge", _LINKS, 0.70, _transductive(ComplEx),
-              scored_floats=9.5, scored_flops=15.0),
-    GMLMethod("transe", "kge", _LINKS, 0.60, _transductive(TransE),
-              scored_floats=12.0, scored_flops=8.0),
-    GMLMethod("distmult", "kge", _LINKS, 0.65, _transductive(DistMult),
-              scored_floats=7.9, scored_flops=6.5),
-    GMLMethod("rotate", "kge", _LINKS, 0.68, _transductive(RotatE),
-              scored_floats=14.2, scored_flops=18.0),
+    GMLMethod("morse", "morse", (TaskType.LINK_PREDICTION,), 0.80, _morse),
+    GMLMethod("complex", "kge", _LINKS, 0.70, _transductive(ComplEx)),
+    GMLMethod("transe", "kge", _LINKS, 0.60, _transductive(TransE)),
+    GMLMethod("distmult", "kge", _LINKS, 0.65, _transductive(DistMult)),
+    GMLMethod("rotate", "kge", _LINKS, 0.68, _transductive(RotatE)),
 )}
 
 
 @dataclass
 class CostEstimate:
-    """Estimated training cost for one (method, dataset) pair."""
+    """What one method's first epoch on a dataset booked, and its plan."""
 
     method: str
+    #: The first epoch's ledger peak.
     memory_bytes: float
+    #: The first epoch's wall clock times the plan's epochs.
     time_seconds: float
     accuracy_prior: float
-    details: Dict[str, float] = field(default_factory=dict)
+    #: The plan's epochs, batch size and batches per epoch.
+    details: Dict[str, float]
+    #: The trainer that ran the first epoch, ready to run the rest; the
+    #: selector keeps only the chosen method's.
+    trainer: Optional[_BaseTrainer]
 
 
 class MethodCostEstimator:
-    """Prices a method's training plan, at the config it trains with, on a
-    dataset."""
+    """Prices a method by running the first epoch of the trainer that trains
+    it, at the config it trains with, on a dataset."""
 
     def __init__(self, config: TrainingManagerConfig) -> None:
         self.config = config
 
-    def estimate(self, method: str,
-                 data: Union[GraphData, TriplesData]) -> CostEstimate:
+    def estimate(self, method: str, data: Union[GraphData, TriplesData],
+                 budget: Optional[TaskBudget] = None) -> CostEstimate:
+        """Build ``method``'s trainer under ``budget`` and run its first epoch."""
         entry = GML_METHODS.get(method)
         if entry is None:
             raise ModelSelectionError(f"unknown GML method {method!r}")
-        family = _FAMILIES[entry.family]
-        plan = family.plan(self.config, data)
-        memory, seconds, details = family.price(self.config, family, entry, data, plan)
-        details.update(epochs=float(plan.epochs), batch_size=float(plan.batch_size),
-                       batches_per_epoch=float(plan.batches_per_epoch))
-        return CostEstimate(entry.name, float(memory), float(seconds),
-                            entry.accuracy_prior, details)
+        plan = entry.plan(self.config, data)
+        trainer = entry.trainer(self.config, data, budget or TaskBudget())
+        if not trainer.finished:
+            trainer.run_epoch()
+        usage = trainer.monitor.usage
+        return CostEstimate(
+            entry.name, float(usage.peak_memory_bytes),
+            usage.elapsed_seconds * plan.epochs, entry.accuracy_prior,
+            {"epochs": float(plan.epochs), "batch_size": float(plan.batch_size),
+             "batches_per_epoch": float(plan.batches_per_epoch)},
+            trainer)
 
 
 @dataclass
@@ -388,7 +294,7 @@ class MethodSelection:
 
 class MethodSelector:
     """Chooses the near-optimal GML method for a task under a budget, pricing
-    each candidate at the config it would train with."""
+    each candidate by the first epoch of the trainer it would train with."""
 
     def __init__(self, config: TrainingManagerConfig) -> None:
         self.estimator = MethodCostEstimator(config)
@@ -414,7 +320,7 @@ class MethodSelector:
             raise ModelSelectionError(
                 f"GML methods {misfits} do not support task {task_type!r}")
 
-        estimates = [self.estimator.estimate(method, data)
+        estimates = [self.estimator.estimate(method, data, budget)
                      for method in methods]
         feasible = [estimate for estimate in estimates
                     if budget.allows_memory(estimate.memory_bytes)
@@ -429,6 +335,9 @@ class MethodSelector:
             # still checks the budget between epochs and stops early.
             chosen = min(estimates, key=lambda e: (e.memory_bytes, e.time_seconds))
             within_budget = False
+        for estimate in estimates:
+            if estimate is not chosen:
+                estimate.trainer = None
         return MethodSelection(method=chosen.method, estimate=chosen,
                                within_budget=within_budget, objective=objective,
                                candidates=sorted(estimates,

@@ -51,9 +51,11 @@ __all__ = ["TrainResponse", "GMLaaS"]
 class TrainResponse:
     """JSON-style response of a ``/train`` request.
 
-    ``estimated_memory_bytes`` is the method selector's estimate for the
-    trained method at the training manager's dimensions; ``stopped_early``
-    says the budget cut the run short between epochs.
+    ``estimated_memory_bytes`` is the method selector's price for the
+    trained method: the memory ledger's peak over the run's first epoch,
+    which the selector ran to price it (``peak_memory_bytes`` is the whole
+    run's).  ``stopped_early`` says the budget cut the run short between
+    epochs.
     """
 
     model_uri: str

@@ -6,15 +6,16 @@ manager runs the end-to-end pipeline:
 1. **Dataset transformation** — RDF triples to sparse matrices
    (:class:`~repro.gml.transform.RDFGraphTransformer`), with literal /
    label-edge removal and the train/valid/test split.
-2. **Optimal method selection** — cost-estimate every applicable method's
-   training plan at this manager's config, and choose one under the task
-   budget (:class:`~repro.kgnet.gmlaas.method_selector.MethodSelector`).
-   The chosen method's estimate is the one the TrainGML report carries.
-3. **Training** — build the chosen method's model and trainer (full-batch,
-   GraphSAINT/ShaDow mini-batch, KGE or MorsE) from its entry in
-   :data:`~repro.kgnet.gmlaas.method_selector.GML_METHODS`, the plan the
-   estimate priced, and train it, tracking time and memory; the trainer
-   checks the budget between epochs and stops a run that exceeds it.
+2. **Optimal method selection** — price every applicable method by running
+   the first epoch of its trainer at this manager's config, and choose one
+   under the task budget
+   (:class:`~repro.kgnet.gmlaas.method_selector.MethodSelector`).  The
+   chosen method's estimate is the one the TrainGML report carries.
+3. **Training** — the chosen method's trainer, built from its entry in
+   :data:`~repro.kgnet.gmlaas.method_selector.GML_METHODS` (full-batch,
+   GraphSAINT/ShaDow mini-batch, KGE or MorsE), carries on from its second
+   epoch, tracking time and memory; it checks the budget between epochs and
+   stops a run that exceeds it.
 4. **Artefact preparation** — build the task's artefact
    (:mod:`~repro.kgnet.gmlaas.model_store`), exactly what inference reads.
 
@@ -138,7 +139,6 @@ class GMLTrainingManager:
               method: Optional[str] = None) -> TrainingOutcome:
         """Run the full pipeline; returns the training outcome."""
         from repro.gml.transform import RDFGraphTransformer
-        from repro.kgnet.gmlaas.method_selector import GML_METHODS
 
         budget = budget or TaskBudget()
         transformer = RDFGraphTransformer(
@@ -153,8 +153,10 @@ class GMLTrainingManager:
             task.task_type, data, budget=budget,
             candidate_methods=[method] if method is not None else None)
 
-        result = GML_METHODS[selection.method].trainer(self.config, data,
-                                                       budget).train()
+        result = selection.estimate.trainer.train()
+        # The run is over: its optimizer state and step buffers go before
+        # the artefact is built.
+        selection.estimate.trainer = None
         return TrainingOutcome(result=result, selection=selection,
                                transform_report=report,
                                artefact=build_artefact(task, data, result.model))

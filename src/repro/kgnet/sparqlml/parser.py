@@ -187,11 +187,12 @@ class SPARQLMLParser:
         task_payload = flat.get("gmltask") or flat.get("task") or {}
         if not isinstance(task_payload, dict):
             raise SPARQLMLError("TrainGML payload is missing the GML-Task object")
-        budget_payload = flat.get("taskbudget") or flat.get("budget") or {}
+        budget_payload = flat.get("taskbudget", flat.get("budget", {}))
+        if not isinstance(budget_payload, dict):
+            raise SPARQLMLError("TrainGML's Task Budget must be an object")
         try:
             task = self._task_from_payload(name, task_payload)
-            budget = TaskBudget.from_json(budget_payload) \
-                if isinstance(budget_payload, dict) else TaskBudget()
+            budget = TaskBudget.from_json(budget_payload)
         except (ValueError, DatasetError, TrainingError) as exc:
             raise SPARQLMLError(f"invalid TrainGML payload: {exc}") from None
         task_flat = {self._normalise_key(k): v for k, v in task_payload.items()}

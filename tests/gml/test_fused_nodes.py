@@ -375,15 +375,20 @@ def recorded_buffers(monkeypatch):
 
 
 class TestStepBuffers:
-    def test_no_buffer_outlives_its_run(self, recorded_buffers, dblp_nc_data, dblp_lp_data):
-        """With the trainer and the trained model still alive, every buffer
-        the run used is gone."""
+    def test_no_buffer_outlives_its_trainer(self, recorded_buffers, dblp_nc_data,
+                                            dblp_lp_data):
+        """The buffers live as long as the trainer that runs the epochs, so
+        an epoch runs outside ``train()`` too; with the trainer gone and the
+        trained model still alive, every buffer the run used is gone."""
         trainer = tiny_trainer("T3-morse", dblp_nc_data[0], dblp_lp_data[0], epochs=2)
-        result = trainer.train()
-        gc.collect()
+        trainer.run_epoch()
         assert recorded_buffers
+        assert all(ref() is not None for ref in recorded_buffers)
+        result = trainer.train()
+        del trainer
+        gc.collect()
         assert all(ref() is None for ref in recorded_buffers)
-        assert result.model is trainer.model
+        assert result.model is not None
 
     def test_a_stored_traingml_model_holds_no_buffer(self, recorded_buffers, fresh_platform):
         report = fresh_platform.train_task(dblp_author_affiliation_task(), method="morse",

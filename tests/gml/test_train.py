@@ -87,6 +87,24 @@ class TestTaskBudget:
         with pytest.raises(TrainingError):
             TaskBudget(priority="Everything")
 
+    @pytest.mark.parametrize("payload", [
+        {"MaxMemory": "-5GB"}, {"MaxMemory": -1}, {"MaxTime": "-30min"},
+        {"MaxMemory": "nan"}, {"MaxTime": float("nan")},
+        {"MaxMemory": True}, {"MaxTime": False}, {"MaxMemory": [1]},
+    ], ids=["negative-size", "negative-bytes", "negative-time", "nan-size",
+            "nan-seconds", "true-memory", "false-time", "list"])
+    def test_nonsense_limits_are_refused(self, payload):
+        """A negative or NaN limit would make every method infeasible, and a
+        boolean is no quantity (``True`` would be a 1-byte budget)."""
+        with pytest.raises(TrainingError, match="non-negative number"):
+            TaskBudget.from_json(payload)
+
+    def test_limits_are_floats_and_zero_is_a_limit(self):
+        budget = TaskBudget(max_memory_bytes=0, max_time_seconds=np.int64(5))
+        assert (budget.max_memory_bytes, budget.max_time_seconds) == (0.0, 5.0)
+        assert type(budget.max_time_seconds) is float
+        assert not budget.allows_memory(1)
+
     def test_allows(self):
         budget = TaskBudget(max_memory_bytes=100, max_time_seconds=10)
         assert budget.allows_memory(50) and not budget.allows_memory(200)
@@ -104,6 +122,15 @@ class TestResourceMonitor:
             time.sleep(0.01)
         assert monitor.usage.elapsed_seconds >= 0.01
         assert monitor.usage.peak_memory_bytes == 500
+
+    def test_the_clock_runs_only_inside_its_blocks(self):
+        """A run's seconds are its epochs' own, not the time between them."""
+        monitor = ResourceMonitor()
+        for _ in range(2):
+            with monitor:
+                time.sleep(0.01)
+            time.sleep(0.2)
+        assert 0.02 <= monitor.usage.elapsed_seconds == monitor.elapsed() < 0.2
 
     def test_enforced_time_budget_raises(self):
         budget = TaskBudget(max_time_seconds=0.001)
@@ -349,11 +376,12 @@ class TestMemoryLedger:
     def test_ledger_is_within_a_stated_factor_of_the_traced_peak(self, shape, dblp_nc_data,
                                                                  dblp_lp_data):
         """``tracemalloc`` as the oracle: the whole run's traced peak, read
-        before the final metrics.  A first, untraced run builds the data's
-        adjacency caches, which would otherwise land in whichever traced run
-        comes first."""
+        before the final metrics.  The data's adjacency caches are built
+        before the trace, or they would land in whichever traced run comes
+        first."""
         trainer = tiny_trainer(shape, dblp_nc_data[0], dblp_lp_data[0], epochs=4)
-        trainer.train()
+        if isinstance(trainer.data, GraphData):
+            trainer.data.cached_relation_adjacencies()
         final_metrics = trainer._final_metrics
         whole_run = []
 
@@ -409,3 +437,23 @@ class TestMemoryLedger:
         assert [entry["epoch"] for entry in result.history] == [0]
         assert len(raised) == 1
         assert raised[0].peak_memory_bytes == result.usage.peak_memory_bytes > 64 * 1024
+
+
+class TestResumedRuns:
+    @pytest.mark.parametrize("shape", ALL_SHAPES)
+    def test_a_run_resumed_after_its_first_epoch_is_the_same_run(self, shape, dblp_nc_data,
+                                                                 dblp_lp_data):
+        """The method selector runs a trainer's first epoch alone and the
+        run carries on from the second: the same weights, history, metrics
+        and ledger peak as a run made in one go."""
+        whole = tiny_trainer(shape, dblp_nc_data[0], dblp_lp_data[0], epochs=3).train()
+        trainer = tiny_trainer(shape, dblp_nc_data[0], dblp_lp_data[0], epochs=3)
+        trainer.run_epoch()
+        assert (trainer.epochs_run, trainer.finished) == (1, False)
+        assert [entry["epoch"] for entry in trainer.history] == [0]
+        resumed = trainer.train()
+        assert trainer.finished
+        assert [p.data.tobytes() for p in resumed.model.parameters()] == \
+            [p.data.tobytes() for p in whole.model.parameters()]
+        assert (resumed.history, resumed.metrics, resumed.usage.peak_memory_bytes) == \
+            (whole.history, whole.metrics, whole.usage.peak_memory_bytes)

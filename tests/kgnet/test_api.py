@@ -240,13 +240,16 @@ class TestRouterDispatch:
         ("sparqlml_select", {"query": FIG2_SELECT,
                              "objective": {"minimise": "inference_time"}}),
         ("train", {"budget": {"MaxMemory": "lots"}}),
+        ("train", {"budget": {"MaxMemory": "-5GB"}}),
+        ("train", {"budget": {"MaxMemory": "nan"}}),
+        ("train", {"budget": {"MaxMemory": True}}),
         ("train", {"budget": {"priority": "Fast"}}),
         ("train", {"task": {"task_type": "nope"}}),
         ("train", {"task": {"task_type": "node_classification"}}),
     ], ids=["meta_sampling-unknown-field", "meta_sampling-wrong-type",
             "objective-unknown-field", "objective-minimise",
-            "budget-bad-quantity", "budget-unknown-priority",
-            "task-unknown-type", "task-missing-target"])
+            "budget-bad-quantity", "budget-negative", "budget-nan", "budget-boolean",
+            "budget-unknown-priority", "task-unknown-type", "task-missing-target"])
     def test_malformed_config_object_is_a_bad_request(self, fresh_platform,
                                                       paper_venue_task, op, params):
         if op == "train":
@@ -260,10 +263,15 @@ class TestRouterDispatch:
 
     @pytest.mark.parametrize("old,new", [
         ("MaxMemory:50GB", "MaxMemory:lots"),
+        ("MaxMemory:50GB", "MaxMemory:'-5GB'"),
+        ("MaxMemory:50GB", "MaxMemory:'nan'"),
         ("Priority:ModelScore", "Priority:Fast"),
         ("TargetNode: dblp:Publication,", ""),
-    ], ids=["budget-bad-quantity", "budget-unknown-priority",
-            "task-missing-target"])
+        ("{ MaxMemory:50GB, MaxTime:1h, Priority:ModelScore}", "8GB"),
+        ("{ MaxMemory:50GB, MaxTime:1h, Priority:ModelScore}", "[1]"),
+    ], ids=["budget-bad-quantity", "budget-negative", "budget-nan",
+            "budget-unknown-priority", "task-missing-target", "budget-not-an-object",
+            "budget-a-list"])
     def test_malformed_train_insert_is_a_sparqlml_error(self, fresh_platform,
                                                         old, new):
         assert old in FIG8_INSERT

@@ -256,7 +256,7 @@ def test_no_module_imports_what_it_does_not_use():
 #: function parameter with a default and every ``@dataclass`` field with a
 #: default.  A change that adds one raises this number and says why in
 #: CHANGES.md; a change that removes one lowers it.
-SETTABLE_VALUES = 593
+SETTABLE_VALUES = 590
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
