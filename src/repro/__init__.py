@@ -40,9 +40,21 @@ from repro.kgnet.kgmeta.governor import ModelMetadata
 from repro.kgnet.meta_sampler import MetaSamplingConfig
 from repro.kgnet.platform import KGNet
 from repro.kgnet.sparqlml.service import DeleteReport, SelectReport, TrainReport
-from repro.replication import ReplicaEngine, ReplicaSetClient
-from repro.server import KGNetHTTPServer, RemoteClient, serve
+from repro.server import KGNetHTTPServer, serve
 from repro.storage import StorageEngine
+
+
+def __getattr__(name: str):
+    # The clients load the HTTP-client stack (http.client, ssl, email),
+    # which a serving process never needs: resolved on first access.
+    if name == "RemoteClient":
+        from repro.server.client import RemoteClient
+        return RemoteClient
+    if name in ("ReplicaEngine", "ReplicaSetClient"):
+        from repro import replication
+        return getattr(replication, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "API_VERSION",

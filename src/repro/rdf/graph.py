@@ -5,9 +5,12 @@ The :class:`Graph` interns every term through a
 (SPO, POS, OSP) over dense integer ids, so every triple-pattern access path
 is answered without scanning the whole store and every join the SPARQL
 evaluator performs runs over machine integers instead of full term objects.
-This is the data structure the SPARQL evaluator (``repro.sparql``) runs
-against and it plays the role that OpenLink Virtuoso plays in the paper: the
-RDF engine hosting the knowledge graph and the KGMeta graph.
+Each index maps a first id to a dict from a second id to a *leaf*: the bare
+``int`` when one third id completes the pair (most leaves of a real KG),
+else a ``set`` of them.  This is the data structure the SPARQL evaluator
+(``repro.sparql``) runs against and it plays the role that OpenLink Virtuoso
+plays in the paper: the RDF engine hosting the knowledge graph and the
+KGMeta graph.
 
 The public API stays term-based — encoding happens at the mutation boundary
 and ids are decoded lazily on iteration — while the id-space access methods
@@ -39,13 +42,14 @@ The graph serves *concurrent* readers and writers with snapshot isolation:
   copy-on-write: the first mutation after a snapshot was pinned shallow-
   copies the three top-level index dicts (O(#distinct keys) pointer
   copies) only while a reader still holds that snapshot, and each inner
-  bucket (per-subject predicate map, per-pattern id set) is copied only
-  when a write actually touches it while it is still shared with a live
-  snapshot.  Liveness is read off weak references, after the write has
-  dropped the per-epoch snapshot caches (they are stale once it commits,
-  and are no reader), so a snapshot no query holds any more costs the
-  next write nothing.  Ownership is tracked by container identity in
-  ``_fresh``, so consecutive writes between snapshots stay in-place O(1).
+  bucket (per-subject predicate map, set leaf) is copied only when a write
+  actually touches it while it is still shared with a live snapshot; a
+  bare-id leaf is immutable and needs no copy.  Liveness is read off weak
+  references, after the write has dropped the per-epoch snapshot caches
+  (they are stale once it commits, and are no reader), so a snapshot no
+  query holds any more costs the next write nothing.  Ownership is tracked
+  by container identity in ``_fresh``, so consecutive writes between
+  snapshots stay in-place O(1).
   The epoch bump at the end of each mutation is the commit point readers
   key on.
 * The :class:`~repro.rdf.dictionary.TermDictionary` is append-only and ids
@@ -61,7 +65,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Set, Tuple, Union
 
 from repro.exceptions import RDFError
 from repro.rdf.dictionary import TermDictionary
@@ -80,8 +84,13 @@ __all__ = ["ChangeLog", "Graph", "GraphSnapshot", "UNKNOWN"]
 
 _Pattern = Tuple[Optional[Term], Optional[Term], Optional[Term]]
 
-#: Nested index shape: first-component id -> second id -> set of third ids.
-_Index = Dict[int, Dict[int, Set[int]]]
+#: A leaf of an index: the third ids completing a (first, second) pair.  One
+#: id is held bare, most leaves of a real KG hold one, and a set costs ~200
+#: bytes more; a second id promotes the leaf to a set, which stays a set.
+_Leaf = Union[int, Set[int]]
+
+#: Nested index shape: first-component id -> second id -> leaf.
+_Index = Dict[int, Dict[int, _Leaf]]
 
 #: What a change-log step records when it cannot say which triples changed.
 UNKNOWN = None
@@ -306,7 +315,8 @@ class Graph:
         shallow-copied (pointer copies only) so it keeps observing exactly
         the state it pinned, and the bucket-ownership set is reset: inner
         buckets stay shared until a write touches them, at which point
-        :meth:`_owned_dict` / :meth:`_owned_set` copy just that bucket.
+        :meth:`_owned_dict` / :meth:`_add_leaf` / :meth:`_discard_leaf` copy
+        just that bucket.
         When nothing holds it, the write mutates in place; ``_fresh`` then
         stays as it is, since an older snapshot still held may share inner
         buckets outside it — until no such snapshot is left either.
@@ -355,17 +365,45 @@ class Graph:
             self._fresh.add(id(bucket))
         return bucket
 
-    def _owned_set(self, bucket: Dict[int, Set[int]], key: int) -> Set[int]:
-        """The id-set for ``key``, copied first if a snapshot shares it."""
-        ids = bucket.get(key)
-        if ids is None:
-            ids = bucket[key] = set()
-            if self._fresh is not None:
-                self._fresh.add(id(ids))
-        elif self._fresh is not None and id(ids) not in self._fresh:
+    def _owned_leaf(self, bucket: Dict[int, _Leaf], key: int,
+                    ids: Set[int]) -> Set[int]:
+        """The set leaf ``ids`` under ``key``, copied first if a snapshot
+        shares it."""
+        if self._fresh is not None and id(ids) not in self._fresh:
             ids = bucket[key] = set(ids)
             self._fresh.add(id(ids))
         return ids
+
+    def _add_leaf(self, bucket: Dict[int, _Leaf], key: int, value: int) -> bool:
+        """Add ``value`` to the leaf under ``key``; True when the key is new.
+
+        A new leaf is the bare id, and a second id promotes it to
+        ``{first, second}`` — the set ``set()`` plus two adds would build.
+        """
+        ids = bucket.get(key)
+        if ids is None:
+            bucket[key] = value
+            return True
+        if ids.__class__ is int:
+            ids = bucket[key] = {ids, value}
+            if self._fresh is not None:
+                self._fresh.add(id(ids))
+        else:
+            self._owned_leaf(bucket, key, ids).add(value)
+        return False
+
+    def _discard_leaf(self, bucket: Dict[int, _Leaf], key: int,
+                      value: int) -> bool:
+        """Drop the stored ``value`` from the leaf under ``key``; True when
+        the leaf is gone with it.  A set leaf left with one id stays a set."""
+        ids = bucket[key]
+        if ids.__class__ is not int:
+            ids = self._owned_leaf(bucket, key, ids)
+            ids.discard(value)
+            if ids:
+                return False
+        del bucket[key]
+        return True
 
     # ------------------------------------------------------------------
     # Mutation
@@ -423,20 +461,14 @@ class Graph:
         """
         # Duplicate probe against the (possibly still shared) bucket first:
         # a no-op add must not copy anything.
-        if not known_new:
-            by_pred = self._spo.get(si)
-            if by_pred is not None:
-                objects = by_pred.get(pi)
-                if objects is not None and oi in objects:
-                    return False
-        objects = self._owned_set(self._owned_dict(self._spo, si), pi)
-        if not objects:
+        if not known_new and self.contains_ids(si, pi, oi):
+            return False
+        if self._add_leaf(self._owned_dict(self._spo, si), pi, oi):
             # First (subject, predicate) pairing: a new distinct subject
             # under this predicate.
             self._ps_counts[pi] = self._ps_counts.get(pi, 0) + 1
-        objects.add(oi)
-        self._owned_set(self._owned_dict(self._pos, pi), oi).add(si)
-        self._owned_set(self._owned_dict(self._osp, oi), si).add(pi)
+        self._add_leaf(self._owned_dict(self._pos, pi), oi, si)
+        self._add_leaf(self._owned_dict(self._osp, oi), si, pi)
         self._size += 1
         for counts, key in ((self._s_counts, si), (self._p_counts, pi),
                             (self._o_counts, oi)):
@@ -508,7 +540,7 @@ class Graph:
 
         Every container is owned (``_fresh is None``), so the copy-on-write
         helpers reduce to plain dict probes — inlined here because this loop
-        carries checkpoint restore and million-triple bulk loads.
+        carries million-triple bulk loads.
         """
         spo, pos, osp = self._spo, self._pos, self._osp
         s_counts, p_counts, o_counts = (self._s_counts, self._p_counts,
@@ -518,31 +550,43 @@ class Graph:
         for si, pi, oi in id_triples:
             by_pred = spo.get(si)
             if by_pred is None:
-                by_pred = spo[si] = {}
-                objects = by_pred[pi] = set()
+                spo[si] = {pi: oi}
                 ps_counts[pi] = ps_counts.get(pi, 0) + 1
             else:
                 objects = by_pred.get(pi)
                 if objects is None:
-                    objects = by_pred[pi] = set()
+                    by_pred[pi] = oi
                     ps_counts[pi] = ps_counts.get(pi, 0) + 1
+                elif objects.__class__ is int:
+                    if objects == oi:
+                        continue
+                    by_pred[pi] = {objects, oi}
                 elif oi in objects:
                     continue
-            objects.add(oi)
+                else:
+                    objects.add(oi)
             by_obj = pos.get(pi)
             if by_obj is None:
-                by_obj = pos[pi] = {}
-            subjects = by_obj.get(oi)
-            if subjects is None:
-                subjects = by_obj[oi] = set()
-            subjects.add(si)
+                pos[pi] = {oi: si}
+            else:
+                subjects = by_obj.get(oi)
+                if subjects is None:
+                    by_obj[oi] = si
+                elif subjects.__class__ is int:
+                    by_obj[oi] = {subjects, si}
+                else:
+                    subjects.add(si)
             by_subj = osp.get(oi)
             if by_subj is None:
-                by_subj = osp[oi] = {}
-            preds = by_subj.get(si)
-            if preds is None:
-                preds = by_subj[si] = set()
-            preds.add(pi)
+                osp[oi] = {si: pi}
+            else:
+                preds = by_subj.get(si)
+                if preds is None:
+                    by_subj[si] = pi
+                elif preds.__class__ is int:
+                    by_subj[si] = {preds, pi}
+                else:
+                    preds.add(pi)
             added += 1
             s_counts[si] = s_counts.get(si, 0) + 1
             p_counts[pi] = p_counts.get(pi, 0) + 1
@@ -579,11 +623,9 @@ class Graph:
 
     def _merge_encoded(self, other: "Graph") -> int:
         added = 0
-        for si, by_pred in other._spo.items():
-            for pi, objects in by_pred.items():
-                for oi in objects:
-                    if self._add_ids(si, pi, oi):
-                        added += 1
+        for si, pi, oi in other.triples_ids():
+            if self._add_ids(si, pi, oi):
+                added += 1
         return added
 
     def remove(self, subject: object = None, predicate: object = None,
@@ -613,9 +655,7 @@ class Graph:
             # the live indexes.
             self._journal.log_remove(self.identifier, si, pi, oi)
         by_pred = self._owned_dict(self._spo, si)
-        self._owned_set(by_pred, pi).discard(oi)
-        if not by_pred[pi]:
-            del by_pred[pi]
+        if self._discard_leaf(by_pred, pi, oi):
             remaining = self._ps_counts[pi] - 1
             if remaining:
                 self._ps_counts[pi] = remaining
@@ -624,15 +664,11 @@ class Graph:
         if not by_pred:
             del self._spo[si]
         by_obj = self._owned_dict(self._pos, pi)
-        self._owned_set(by_obj, oi).discard(si)
-        if not by_obj[oi]:
-            del by_obj[oi]
+        self._discard_leaf(by_obj, oi, si)
         if not by_obj:
             del self._pos[pi]
         by_subj = self._owned_dict(self._osp, oi)
-        self._owned_set(by_subj, si).discard(pi)
-        if not by_subj[si]:
-            del by_subj[si]
+        self._discard_leaf(by_subj, si, pi)
         if not by_subj:
             del self._osp[oi]
         self._size -= 1
@@ -681,11 +717,7 @@ class Graph:
         oi = lookup(triple[2])
         if oi is None:
             return False
-        by_pred = self._spo.get(si)
-        if by_pred is None:
-            return False
-        objects = by_pred.get(pi)
-        return objects is not None and oi in objects
+        return self.contains_ids(si, pi, oi)
 
     def __iter__(self) -> Iterator[Triple]:
         return self.triples(None, None, None)
@@ -734,32 +766,45 @@ class Graph:
                 return
             if p is not None:
                 objects = by_pred.get(p)
-                if not objects:
+                if objects is None:
                     return
-                if o is not None:
-                    if o in objects:
-                        yield (s, p, o)
-                    return
-                for oi in objects:
-                    yield (s, p, oi)
+                if objects.__class__ is int:
+                    if o is None or o == objects:
+                        yield (s, p, objects)
+                elif o is None:
+                    for oi in objects:
+                        yield (s, p, oi)
+                elif o in objects:
+                    yield (s, p, o)
                 return
             for pi, objects in by_pred.items():
-                if o is not None:
-                    if o in objects:
-                        yield (s, pi, o)
-                    continue
-                for oi in objects:
-                    yield (s, pi, oi)
+                if objects.__class__ is int:
+                    if o is None or o == objects:
+                        yield (s, pi, objects)
+                elif o is None:
+                    for oi in objects:
+                        yield (s, pi, oi)
+                elif o in objects:
+                    yield (s, pi, o)
             return
         if p is not None:
             by_obj = self._pos.get(p)
             if not by_obj:
                 return
             if o is not None:
-                for si in by_obj.get(o, ()):
+                subjects = by_obj.get(o)
+                if subjects is None:
+                    return
+                if subjects.__class__ is int:
+                    yield (subjects, p, o)
+                    return
+                for si in subjects:
                     yield (si, p, o)
                 return
             for oi, subjects in by_obj.items():
+                if subjects.__class__ is int:
+                    yield (subjects, p, oi)
+                    continue
                 for si in subjects:
                     yield (si, p, oi)
             return
@@ -768,35 +813,45 @@ class Graph:
             if not by_subj:
                 return
             for si, preds in by_subj.items():
+                if preds.__class__ is int:
+                    yield (si, preds, o)
+                    continue
                 for pi in preds:
                     yield (si, pi, o)
             return
         for si, by_pred in self._spo.items():
             for pi, objects in by_pred.items():
+                if objects.__class__ is int:
+                    yield (si, pi, objects)
+                    continue
                 for oi in objects:
                     yield (si, pi, oi)
 
-    # Direct slot iterators: the set of ids completing a 2/3-bound pattern.
-    # These feed the innermost level of the evaluator's join pipeline, where
-    # per-element tuple allocation would dominate; callers must not mutate
-    # the returned sets.
+    # Direct slot iterators: the ids completing a 2/3-bound pattern.  These
+    # feed the innermost level of the evaluator's join pipeline, where
+    # per-element tuple allocation would dominate; a set leaf is handed out
+    # as it is stored, so callers must not mutate it, and a bare-id leaf as
+    # a one-id tuple.
     def object_ids(self, s: int, p: int):
         by_pred = self._spo.get(s)
         if by_pred is None:
             return ()
-        return by_pred.get(p, ())
+        objects = by_pred.get(p, ())
+        return (objects,) if objects.__class__ is int else objects
 
     def subject_ids(self, p: int, o: int):
         by_obj = self._pos.get(p)
         if by_obj is None:
             return ()
-        return by_obj.get(o, ())
+        subjects = by_obj.get(o, ())
+        return (subjects,) if subjects.__class__ is int else subjects
 
     def predicate_ids(self, s: int, o: int):
         by_subj = self._osp.get(o)
         if by_subj is None:
             return ()
-        return by_subj.get(s, ())
+        preds = by_subj.get(s, ())
+        return (preds,) if preds.__class__ is int else preds
 
     def contains_ids(self, si: int, pi: int, oi: int) -> bool:
         """Membership test for a fully-constant id triple (O(1))."""
@@ -804,6 +859,8 @@ class Graph:
         if by_pred is None:
             return False
         objects = by_pred.get(pi)
+        if objects.__class__ is int:
+            return objects == oi
         return objects is not None and oi in objects
 
     def count_ids(self, s: Optional[int] = None, p: Optional[int] = None,
@@ -818,20 +875,12 @@ class Graph:
         if o is not None and s is None and p is None:
             return self._o_counts.get(o, 0)
         if s is not None and p is not None and o is None:
-            by_pred = self._spo.get(s)
-            objects = by_pred.get(p) if by_pred else None
-            return len(objects) if objects else 0
+            return len(self.object_ids(s, p))
         if p is not None and o is not None and s is None:
-            by_obj = self._pos.get(p)
-            subjects = by_obj.get(o) if by_obj else None
-            return len(subjects) if subjects else 0
+            return len(self.subject_ids(p, o))
         if s is not None and o is not None and p is None:
-            by_subj = self._osp.get(o)
-            preds = by_subj.get(s) if by_subj else None
-            return len(preds) if preds else 0
-        by_pred = self._spo.get(s)
-        objects = by_pred.get(p) if by_pred else None
-        return 1 if objects and o in objects else 0
+            return len(self.predicate_ids(s, o))
+        return 1 if self.contains_ids(s, p, o) else 0
 
     # ``count_ids`` answers every pattern shape from maintained counters or a
     # single O(1) index probe, so the estimate *is* the exact count.

@@ -22,7 +22,17 @@ followers, a follower is eventually consistent, and consistency guarantees
 stronger than that live in the client router, not the server.
 """
 
-from repro.replication.client_router import ReplicaSetClient
-from repro.replication.replica import ReplicaEngine
+
+def __getattr__(name: str):
+    # Both load the HTTP client (a replica pulls frames through one), which
+    # importing ``repro`` must not drag into a serving process.
+    if name == "ReplicaSetClient":
+        from repro.replication.client_router import ReplicaSetClient
+        return ReplicaSetClient
+    if name == "ReplicaEngine":
+        from repro.replication.replica import ReplicaEngine
+        return ReplicaEngine
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = ["ReplicaEngine", "ReplicaSetClient"]

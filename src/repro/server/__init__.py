@@ -26,7 +26,6 @@ metrics, plan caching and storage admin routes apply to network traffic
 unchanged.
 """
 
-from repro.server.client import RemoteClient
 from repro.server.http import KGNetHTTPServer, serve
 from repro.server.service import (
     HTTP_STATUS_BY_CODE,
@@ -35,6 +34,14 @@ from repro.server.service import (
     ServiceResponse,
     http_status_for_error,
 )
+
+
+def __getattr__(name: str):
+    # The client loads http.client, which a serving process never needs.
+    if name == "RemoteClient":
+        from repro.server.client import RemoteClient
+        return RemoteClient
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "HTTP_STATUS_BY_CODE",

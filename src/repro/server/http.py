@@ -22,7 +22,6 @@ import sys
 import threading
 import time
 import traceback
-from email.utils import formatdate
 from http import HTTPStatus
 from typing import Dict, List, Optional, Tuple
 
@@ -103,6 +102,19 @@ class _DisconnectProbe:
         return self.gone
 
 
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def _imf_fixdate(seconds: float) -> str:
+    """``seconds`` since the epoch as an HTTP date (RFC 9110 IMF-fixdate),
+    with the English names ``strftime`` would localise."""
+    t = time.gmtime(seconds)
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} "
+            f"{t.tm_year:04d} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+
+
 # Status line, Server and Date, pre-formatted per status per whole second
 # (the tuple swap is atomic under the GIL; a race formats one twice).
 _prefixes: Tuple[int, Dict[int, str]] = (-1, {})
@@ -120,7 +132,7 @@ def _head(status: int, headers: List[Tuple[str, str]]) -> str:
     if prefix is None:
         prefix = by_status[status] = (
             f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
-            f"Server: {_SERVER}\r\nDate: {formatdate(now, usegmt=True)}\r\n")
+            f"Server: {_SERVER}\r\nDate: {_imf_fixdate(now)}\r\n")
     return prefix + "".join(f"{name}: {value}\r\n" for name, value in headers)
 
 

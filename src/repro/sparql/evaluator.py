@@ -419,9 +419,10 @@ class QueryEvaluator:
             """A level's single-slot candidate ids, narrowed by its folds.
 
             One ``set & set`` per folded pattern replaces one index probe
-            per candidate per pattern inside the join loop.  Intersection
-            allocates a fresh set every time — the stored index sets the
-            graph hands out are never mutated.  Interruption cost is
+            per candidate per pattern inside the join loop; a one-id side
+            is one membership probe.  Intersection allocates a fresh set
+            every time — the stored index sets the graph hands out are
+            never mutated.  Interruption cost is
             charged batch-at-a-time: one checkpoint call carries the whole
             intersection's work amount.
             """
@@ -436,7 +437,12 @@ class QueryEvaluator:
                 if not probe:
                     return ()
                 checkpoint(min(len(values), len(probe)))
-                values = values & probe
+                if values.__class__ is tuple:  # a bare-id leaf: (id,)
+                    values = values if values[0] in probe else ()
+                elif probe.__class__ is tuple:
+                    values = probe if probe[0] in values else ()
+                else:
+                    values = values & probe
             return values
 
         def grounded(level: int, s, p, o) -> bool:

@@ -38,8 +38,6 @@ import weakref
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
-from xml.sax.saxutils import escape as _xml_escape
-from xml.sax.saxutils import quoteattr as _xml_attr
 
 from repro.exceptions import NotAcceptable, QueryError
 from repro.rdf.graph import Graph
@@ -256,6 +254,26 @@ def binding_json(term: Term) -> dict:
 #: client's XML parser reject the whole response, so they degrade to
 #: U+FFFD in this one format (JSON/CSV/TSV represent them losslessly).
 _XML_UNREPRESENTABLE = re.compile(r"[\x00-\x08\x0B\x0C\x0E-\x1F]")
+
+
+def _xml_escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as entity references, as
+    ``xml.sax.saxutils.escape`` writes them (which would import
+    ``urllib.request`` and the HTTP client stack into a server)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _xml_attr(text: str) -> str:
+    """``text`` as a quoted attribute value, as ``xml.sax.saxutils.quoteattr``
+    writes it: escaped, with ``\\n``, ``\\r`` and ``\\t`` as character
+    references, in single quotes when it holds ``"`` but no ``'``."""
+    text = (_xml_escape(text).replace("\n", "&#10;").replace("\r", "&#13;")
+            .replace("\t", "&#9;"))
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 def _xml_text(text: str) -> str:

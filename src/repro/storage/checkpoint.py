@@ -134,11 +134,12 @@ def _encode_graph(buffer: bytearray, graph: Graph) -> Tuple[int, int, int]:
     """Append one graph section; returns (triples, raw_bytes, stored_bytes).
 
     The section body is a *data-only* pickle of the graph's three id-space
-    indexes plus the maintained cardinality counters — nested dicts / sets
-    of ints, nothing else.  Pickling them costs one C-level traversal at
-    checkpoint time and, far more importantly, restoring them is one
-    C-level :func:`pickle.load` instead of ~3 Python-level index insertions
-    per triple (see :func:`_decode_graph_state` for why that is safe).
+    indexes plus the maintained cardinality counters — nested dicts of
+    ints and sets of ints, nothing else.  Pickling them costs one C-level
+    traversal at checkpoint time and, far more importantly, restoring them
+    is one C-level :func:`pickle.load` instead of ~3 Python-level index
+    insertions per triple (see :func:`_decode_graph_state` for why that is
+    safe).
     """
     if graph.identifier is None:
         buffer.append(0)

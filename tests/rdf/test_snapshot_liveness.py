@@ -6,8 +6,11 @@ bucket-ownership set decides which inner buckets older, still-held
 snapshots share.  These state machines interleave pins, holds, releases
 and every kind of write, on a :class:`Graph` and on a :class:`Dataset`, and
 check after each step that every held snapshot still answers exactly what
-it pinned — triples, ``len``, counts, estimates and distinct counts — and
-that the live store equals a plain reference set.
+it pinned — triples, ``len``, counts, estimates and distinct counts, in term
+space and in id space — and that the live store equals a plain reference
+set.  Two rules grow one index leaf from none to one id (the bare ``int``)
+to two (a ``set``) and shrink it back, so both leaf forms and both
+transitions meet pinned snapshots.
 """
 
 from __future__ import annotations
@@ -86,7 +89,40 @@ def assert_holds(graph, expected) -> None:
             len({o for _, q, o in expected if q == p}))
     assert _distincts(graph) == (len({s for s, _, _ in expected}),
                                  len({o for _, _, o in expected}))
+    assert_ids_hold(graph, expected)
 
+
+def assert_ids_hold(graph, expected) -> None:
+    """The id-space readers of ``graph`` answer what ``expected`` holds:
+    every ``triples_ids`` shape, ``count_ids``, ``contains_ids`` and the
+    slot iterators, over every interned term of the vocabulary."""
+    encode = graph.encode_term
+    ids = {(encode(s), encode(p), encode(o)) for s, p, o in expected}
+    vocab = [[None] + [i for i in map(encode, terms) if i is not None]
+             for terms in (SUBJECTS, PREDICATES, OBJECTS)]
+    slots = (graph.subject_ids, graph.predicate_ids, graph.object_ids)
+    for s in vocab[0]:
+        for p in vocab[1]:
+            for o in vocab[2]:
+                pattern = (s, p, o)
+                want = {t for t in ids if _matches(t, pattern)}
+                got = list(graph.triples_ids(s, p, o))
+                assert len(got) == len(want) and set(got) == want, pattern
+                assert graph.count_ids(s, p, o) == len(want), pattern
+                unbound = [i for i, bound in enumerate(pattern) if bound is None]
+                if not unbound:
+                    assert graph.contains_ids(s, p, o) == bool(want)
+                elif len(unbound) == 1:
+                    (position,) = unbound
+                    key = [bound for bound in pattern if bound is not None]
+                    slot = list(slots[position](*key))
+                    assert len(slot) == len(want) and set(slot) == {
+                        t[position] for t in want}, pattern
+
+
+#: Per index, the two positions keying a leaf and the one it completes.
+LEAVES = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+VOCABULARY = (SUBJECTS, PREDICATES, OBJECTS)
 
 _SETTINGS = settings(max_examples=40, stateful_step_count=30, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -132,6 +168,45 @@ class GraphMachine(RuleBasedStateMachine):
     def add_all(self, batch):
         assert self.graph.add_all(batch) == len(set(batch) - self.model)
         self.model.update(batch)
+
+    def _leaf(self, data):
+        """A drawn index leaf: (its two keying positions and terms, the
+        position it completes, the terms it holds now)."""
+        first, second, third = data.draw(st.sampled_from(LEAVES))
+        key = {position: data.draw(st.sampled_from(VOCABULARY[position]))
+               for position in (first, second)}
+        held = [t[third] for t in self.model
+                if all(t[position] == term for position, term in key.items())]
+        return key, third, held
+
+    def _pin_first(self, data):
+        if data.draw(st.booleans()):
+            self.pin_and_hold()
+
+    @rule(data=st.data())
+    def grow_a_leaf(self, data):
+        """One more id in a leaf: none -> a bare id -> a set."""
+        key, third, held = self._leaf(data)
+        if len(held) >= 2:
+            return
+        choices = [term for term in VOCABULARY[third] if term not in held]
+        key[third] = data.draw(st.sampled_from(choices))
+        triple = Triple(key[0], key[1], key[2])
+        self._pin_first(data)
+        assert self.graph.add(triple)
+        self.model.add(triple)
+
+    @rule(data=st.data())
+    def shrink_a_leaf(self, data):
+        """One id fewer in a leaf: a set -> one id -> none."""
+        key, third, held = self._leaf(data)
+        if not held:
+            return
+        key[third] = data.draw(st.sampled_from(held))
+        triple = Triple(key[0], key[1], key[2])
+        self._pin_first(data)
+        assert self.graph.remove(triple) == 1
+        self.model.discard(triple)
 
     @rule()
     def add_all_self(self):

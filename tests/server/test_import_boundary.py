@@ -1,7 +1,7 @@
 """What a server imports: building a platform, loading triples and serving
 SPARQL queries, updates and a SPARQL-ML SELECT load neither scipy, nor a
-model or trainer module, nor the differential oracle; the first TrainGML
-loads the GML stack.
+model or trainer module, nor the differential oracle, nor the HTTP-client
+stack; the first TrainGML loads the GML stack.
 
 Each side runs in a fresh interpreter, since this process has long since
 imported everything."""
@@ -28,12 +28,18 @@ TRAINING_ONLY = [
 ]
 #: The differential oracle, which only tests and benchmark workloads load.
 ORACLE = "repro.sparql.reference"
+#: What a client (RemoteClient, ReplicaSetClient, a replica) loads and a
+#: server never needs: the HTTP client, TLS, mail headers, ``urllib.request``
+#: and the XML result parser.
+CLIENT_ONLY = ["http.client", "ssl", "email", "urllib.request", "xml.sax",
+               "xml.etree"]
 
 SOURCE = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 #: argv: a storage directory, then the JSON list of modules to report.
+#: The requests go over raw sockets, since ``http.client`` is watched too.
 SERVE_WITHOUT_SCIPY = """
-import http.client, json, sys
+import json, socket, sys
 from urllib.parse import quote
 
 
@@ -54,14 +60,21 @@ platform = KGNet(storage=StorageEngine(sys.argv[1]))
 config = StreamingKGConfig(seed=7, num_triples=3_000)
 report = stream_load_triples(platform.endpoint.graph, stream_synthetic_kg(config))
 server = serve(platform.api)
-connection = http.client.HTTPConnection(*server.server_address, timeout=30)
 
 
-def request(method, path, body=None, headers={}):
-    connection.request(method, path, body=body, headers=headers)
-    response = connection.getresponse()
-    return [response.status, response.getheader("X-KGNet-Result-Cache"),
-            json.loads(response.read() or "null")]
+def request(method, path, body="", headers={}):
+    # One HTTP/1.0 exchange: the server answers and closes.
+    lines = [f"{method} {path} HTTP/1.0", "Host: localhost",
+             f"Content-Length: {len(body.encode())}"]
+    lines += [f"{name}: {value}" for name, value in headers.items()]
+    with socket.create_connection(server.server_address, timeout=30) as sock:
+        sock.sendall(("\\r\\n".join(lines) + "\\r\\n\\r\\n" + body).encode())
+        reply = b"".join(iter(lambda: sock.recv(65536), b""))
+    head, _, payload = reply.partition(b"\\r\\n\\r\\n")
+    status, *fields = head.decode("latin-1").split("\\r\\n")
+    fields = dict(field.split(": ", 1) for field in fields)
+    return [int(status.split()[1]), fields.get("X-KGNet-Result-Cache"),
+            json.loads(payload or "null")]
 
 
 hub, rare = config.entity(0).n3(), config.rare_type.n3()
@@ -78,11 +91,16 @@ answers = {
                         json.dumps({"query": sparqlml}),
                         {"Content-Type": "application/json"}),
 }
-connection.close()
 server.stop()
+modules = [name for name in json.loads(sys.argv[2]) if name in sys.modules]
+
+from repro import ReplicaEngine, ReplicaSetClient, RemoteClient
+from repro.server import RemoteClient as ServerRemoteClient
+
+clients = [ReplicaEngine.__name__, ReplicaSetClient.__name__,
+           RemoteClient.__name__, ServerRemoteClient is RemoteClient]
 print(json.dumps({"loaded": report.triples_added, "answers": answers,
-                  "modules": [name for name in json.loads(sys.argv[2])
-                              if name in sys.modules]}))
+                  "modules": modules, "clients": clients}))
 """
 
 #: argv: the JSON list of modules to report, before and after one TrainGML.
@@ -113,9 +131,9 @@ def _run(script: str, *args: str) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def test_a_server_answers_without_scipy_or_a_model_module(tmp_path):
+def test_a_server_answers_without_scipy_a_model_module_or_a_client(tmp_path):
     out = _run(SERVE_WITHOUT_SCIPY, str(tmp_path / "store"),
-               json.dumps(TRAINING_ONLY + [ORACLE]))
+               json.dumps(TRAINING_ONLY + [ORACLE] + CLIENT_ONLY))
     answers = out["answers"]
     assert out["loaded"] > 2_000
     status, cached, body = answers["select"]
@@ -127,6 +145,8 @@ def test_a_server_answers_without_scipy_or_a_model_module(tmp_path):
     assert (status, cached) == (404, None)
     assert envelope["error"]["code"] == "MODEL_NOT_FOUND"
     assert out["modules"] == []
+    assert out["clients"] == ["ReplicaEngine", "ReplicaSetClient", "RemoteClient",
+                              True]
 
 
 def test_the_first_traingml_loads_the_gml_stack():
