@@ -6,28 +6,35 @@ is pure-Python, :class:`Tensor` provides the minimal set of differentiable
 operations the GNN layers and KGE models need:
 
 * element-wise arithmetic with broadcasting,
-* dense ``matmul`` and *sparse* ``spmm`` (a constant ``scipy.sparse`` matrix
+* dense ``matmul`` and *sparse* ``spmm`` (a constant :class:`CSR` matrix
   times a dense tensor — the workhorse of message passing),
 * activations (ReLU, sigmoid, tanh, leaky ReLU), softmax / log-softmax,
 * reductions (sum, mean), indexing (gather rows), concatenation, dropout,
 * an :class:`Embedding` table with scatter-add gradients.
 
 Gradients are accumulated with standard reverse-mode topological traversal.
+
+The sparse products and the row scatter run scipy's compiled kernels,
+``scipy/sparse/_sparsetools``, loaded on their own: training builds no
+``scipy.sparse`` object, so it never imports that package.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 import threading
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import sparse as sp
-from scipy.sparse import _sparsetools
-from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import AutogradError, ShapeError
 
 __all__ = [
+    "CSR",
     "Tensor",
     "Parameter",
     "no_grad",
@@ -43,6 +50,53 @@ __all__ = [
 ]
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernels, ``scipy/sparse/_sparsetools``, as
+    the module of that canonical name -- the one ``scipy.sparse`` imports,
+    when it is loaded already.  ``import scipy.sparse`` runs ~280 modules
+    for the two products training calls; ``find_spec`` of the top-level
+    package executes nothing."""
+    name = "scipy.sparse._sparsetools"
+    module = sys.modules.get(name)
+    if module is None:
+        package = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        finder = FileFinder(os.path.join(package, "sparse"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module
+
+
+_sparsetools = _load_sparsetools()
+
+
+class CSR(NamedTuple):
+    """A constant sparse matrix in compressed-row form: the arrays a
+    ``scipy.sparse.csr_matrix`` holds, none of its checks or methods.
+    ``indices`` and ``indptr`` share one integer dtype."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: Tuple[int, int]
+    nnz: int
+
+    @classmethod
+    def incidence(cls, rows: np.ndarray, num_rows: int, normalize: bool) -> "CSR":
+        """The ``(num_rows, len(rows))`` matrix with one entry per column ``j``,
+        in row ``rows[j]``: 1, or ``1 / (entries in its row)`` when
+        ``normalize``.  A stable counting sort of the columns by row is the
+        layout ``coo_matrix((data, (rows, columns))).tocsr()`` builds."""
+        counts = np.bincount(rows, minlength=num_rows)
+        columns = np.argsort(rows, kind="stable")
+        data = 1.0 / np.maximum(counts, 1)[rows[columns]] if normalize \
+            else np.ones(rows.shape[0])
+        return cls(data, columns, np.concatenate([[0], np.cumsum(counts)]),
+                   (num_rows, rows.shape[0]), rows.shape[0])
 
 
 class _GradMode(threading.local):
@@ -98,23 +152,33 @@ def _owned_bytes(node: "Tensor") -> int:
     return 0 if node.requires_grad or data.base is not None else data.nbytes
 
 
+def scatter_rows(out: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> None:
+    """Add row ``j`` of ``grad`` to row ``rows[j]`` of the contiguous ``out``,
+    in ``j`` order: one product with the sparse matrix holding a single one
+    per column, so a row's sum over several calls is the sum of one call
+    over the rows concatenated."""
+    if not out.flags.c_contiguous:
+        raise ShapeError("scatter_rows writes into a C-contiguous array only")
+    count = rows.shape[0]
+    _sparsetools.csc_matvecs(out.shape[0], count, math.prod(out.shape[1:]),
+                             np.arange(count + 1), rows.astype(np.int64, copy=False),
+                             np.ones(count), grad.ravel(), out.ravel())
+
+
 def _scatter(shape: Tuple[int, ...], index, grad: np.ndarray) -> np.ndarray:
     """Gradient of ``source[index]``: ``grad`` summed into zeros of ``shape``,
     repeated positions accumulating in index order.
 
     A row gather (1-D non-negative integers, the embedding lookup) is one
-    product with the sparse matrix holding a single one per column; a basic
-    index (ints, slices and ``...``) repeats no position, so it is one
-    assignment; any other index goes through the flat positions it selects.
+    :func:`scatter_rows`; a basic index (ints, slices and ``...``) repeats
+    no position, so it is one assignment; any other index goes through the
+    flat positions it selects.
     """
     if isinstance(index, np.ndarray) and index.ndim == 1 and \
             index.dtype.kind in "iu" and (index.size == 0 or index.min() >= 0):
-        rows = index.shape[0]
-        out = np.zeros((shape[0], math.prod(shape[1:])))
-        _sparsetools.csc_matvecs(shape[0], rows, out.shape[1], np.arange(rows + 1),
-                                 index.astype(np.int64, copy=False), np.ones(rows),
-                                 grad.ravel(), out.ravel())
-        return out.reshape(shape)
+        out = np.zeros(shape)
+        scatter_rows(out, index, grad)
+        return out
     if all(isinstance(part, (int, np.integer, slice, type(Ellipsis)))
            for part in (index if isinstance(index, tuple) else (index,))):
         full = np.zeros(shape)
@@ -425,25 +489,24 @@ class Parameter(Tensor):
 # Free functions
 # ---------------------------------------------------------------------------
 
-def spmm(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
+def spmm(matrix: CSR, dense: Tensor) -> Tensor:
     """Multiply a constant sparse matrix by a dense tensor (A @ X).
 
     The sparse matrix carries no gradient; the gradient w.r.t. ``dense`` is
     ``A.T @ grad``.  This is the message-passing primitive used by every GNN
     layer in the framework.
     """
-    if not sp.issparse(matrix):
-        raise AutogradError("spmm expects a scipy sparse matrix")
-    csr = matrix.tocsr()
-    out_data = sparse_product(csr, dense.data, transposed=False)
+    if not isinstance(matrix, CSR):
+        raise AutogradError("spmm expects a CSR matrix")
+    out_data = sparse_product(matrix, dense.data, transposed=False)
 
     def backward(grad: np.ndarray):
-        return (sparse_product(csr, grad, transposed=True),)
+        return (sparse_product(matrix, grad, transposed=True),)
 
     return Tensor._result(out_data, (dense,), backward)
 
 
-def sparse_product(csr: sp.csr_matrix, dense: np.ndarray, transposed: bool) -> np.ndarray:
+def sparse_product(csr: CSR, dense: np.ndarray, transposed: bool) -> np.ndarray:
     """``csr @ dense``, or ``csr.T @ dense`` (CSR arrays read as CSC), by the
     kernel scipy's product runs: its bits, without the per-call work and
     transposed matrix that cost more than a training step's small products."""

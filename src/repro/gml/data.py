@@ -2,8 +2,9 @@
 
 These classes are the sparse-matrix representation the paper's *Dataset
 Transformer* produces (Fig 6): a homogeneous-index, heterogeneous-typed graph
-(:class:`GraphData`) for node classification with GNNs, and a triple-factored
-view (:class:`TriplesData`) for KGE-based link prediction.
+(:class:`GraphData`) for node classification with GNNs, whose adjacencies are
+:class:`~repro.gml.autograd.CSR` matrices, and a triple-factored view
+(:class:`TriplesData`) for KGE-based link prediction.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse as sp
 
 from repro.exceptions import DatasetError
+from repro.gml.autograd import CSR
 
 __all__ = ["GraphData", "TriplesData", "xavier_features"]
 
@@ -86,7 +87,7 @@ class GraphData:
     # Sparse adjacency construction
     # ------------------------------------------------------------------
     def adjacency(self, relation: Optional[int] = None, add_self_loops: bool = True,
-                  normalize: bool = True, symmetric: bool = True) -> sp.csr_matrix:
+                  normalize: bool = True, symmetric: bool = True) -> CSR:
         """Build a (normalised) sparse adjacency matrix.
 
         ``relation`` restricts the edges to one relation type (used by RGCN);
@@ -103,14 +104,14 @@ class GraphData:
 
     def relation_adjacencies(self, add_self_loops: bool = False,
                              normalize: bool = True,
-                             symmetric: bool = True) -> List[sp.csr_matrix]:
+                             symmetric: bool = True) -> List[CSR]:
         """One adjacency matrix per relation (RGCN message passing)."""
         return self._adjacencies(*self.edge_index, self.edge_type, self.num_relations,
                                  add_self_loops, normalize, symmetric)
 
     def _adjacencies(self, src: np.ndarray, dst: np.ndarray, group: np.ndarray,
                      num_groups: int, add_self_loops: bool, normalize: bool,
-                     symmetric: bool) -> List[sp.csr_matrix]:
+                     symmetric: bool) -> List[CSR]:
         """``num_groups`` adjacency matrices from one sort of (group, dst, src) keys.
 
         Entry (dst, src) of a matrix counts that group's src -> dst edges; a
@@ -137,26 +138,26 @@ class GraphData:
             degree = np.bincount(row, minlength=num_groups * n).astype(np.float64)
             degree[degree == 0] = 1.0
             values = values * (1.0 / degree)[rows]
-        # int32 when it fits: scipy scans and copies int64 index arrays.
+        # int32 when it fits: half the index bytes.
         ids = np.int32 if max(n, keys.shape[0]) < 2 ** 31 else np.int64
         columns = columns.astype(ids)
         indptr = np.searchsorted(rows, np.arange(num_groups * n + 1)).astype(ids)
         bounds = indptr[np.arange(num_groups + 1) * n]
-        return [sp.csr_matrix((values[lo:hi], columns[lo:hi],
-                               indptr[g * n:(g + 1) * n + 1] - lo), shape=(n, n))
+        return [CSR(values[lo:hi], columns[lo:hi], indptr[g * n:(g + 1) * n + 1] - lo,
+                    (n, n), int(hi - lo))
                 for g, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
 
     # Cached variants: adjacency construction is the dominant per-forward cost
     # for full-batch training, so models memoise it on the data object itself
     # (the cache dies with the GraphData, which matters for sampled batches).
-    def cached_adjacency(self) -> sp.csr_matrix:
+    def cached_adjacency(self) -> CSR:
         cache = getattr(self, "_adjacency_cache", None)
         if cache is None:
             cache = self.adjacency()
             object.__setattr__(self, "_adjacency_cache", cache)
         return cache
 
-    def cached_relation_adjacencies(self) -> List[sp.csr_matrix]:
+    def cached_relation_adjacencies(self) -> List[CSR]:
         cache = getattr(self, "_relation_adjacency_cache", None)
         if cache is None:
             cache = self.relation_adjacencies()

@@ -19,18 +19,18 @@ The reproduction keeps the two MorsE ingredients that matter here:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse as sp
 
 from repro.exceptions import TrainingError
 from repro.gml.autograd import (
+    CSR,
     Embedding,
     Tensor,
-    _scatter,
     binary_cross_entropy_with_logits,
     no_grad,
+    scatter_rows,
     spmm,
 )
 from repro.gml.kge.base import score_in_blocks
@@ -38,17 +38,23 @@ from repro.gml.nn.module import Module
 
 __all__ = ["MorsE"]
 
+#: Elements of one scratch array of :meth:`MorsE.score`: a block of rows
+#: (1,024 at dim 32) is scored, and re-scored in the backward pass, at once.
+BLOCK_ELEMENTS = 2 ** 15
+#: The scratch arrays of one block.
+_SCRATCH = ("heads", "relations", "tails", "combined", "spare")
 
-def _buffer(buffers: Optional[Dict[str, np.ndarray]], name: str,
-            shape: Tuple[int, int]) -> np.ndarray:
-    """``buffers[name]``, replaced by a new array when its shape differs; a
-    new array every call when there are no buffers."""
-    if buffers is None:
-        return np.empty(shape)
-    array = buffers.get(name)
-    if array is None or array.shape != shape:
-        array = buffers[name] = np.empty(shape)
-    return array
+
+def _scratch(buffers: Dict[str, np.ndarray], rows: int, dim: int) -> List[np.ndarray]:
+    """The five ``(rows, dim)`` arrays of one block: leading rows of the
+    arrays in ``buffers``, which grow to the largest block asked for."""
+    arrays = []
+    for name in _SCRATCH:
+        array = buffers.get(name)
+        if array is None or array.shape[0] < rows or array.shape[1] != dim:
+            array = buffers[name] = np.empty((rows, dim))
+        arrays.append(array[:rows])
+    return arrays
 
 
 def _take(source: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -85,7 +91,7 @@ class MorsE(Module):
     # Entity embedding composition
     # ------------------------------------------------------------------
     def entity_incidence(self, triples: np.ndarray,
-                         num_entities: int) -> Tuple[sp.csr_matrix, np.ndarray]:
+                         num_entities: int) -> Tuple[CSR, np.ndarray]:
         """Build the (num_entities x num_incident) incidence matrix.
 
         Each incident edge contributes one row-lookup into
@@ -97,14 +103,7 @@ class MorsE(Module):
         heads, relations, tails = triples[:, 0], triples[:, 1], triples[:, 2]
         entity_of_slot = np.concatenate([heads, tails])
         init_index = np.concatenate([relations, relations + self.num_relations])
-        counts = np.bincount(entity_of_slot, minlength=num_entities)
-        # One entry per column: sorting the slots by entity is the CSR layout.
-        slots = np.argsort(entity_of_slot, kind="stable")
-        weights = 1.0 / np.maximum(counts, 1)[entity_of_slot[slots]]
-        incidence = sp.csr_matrix(
-            (weights, slots, np.concatenate([[0], np.cumsum(counts)])),
-            shape=(num_entities, entity_of_slot.shape[0]))
-        return incidence, init_index
+        return CSR.incidence(entity_of_slot, num_entities, normalize=True), init_index
 
     def compose_entity_embeddings(self, triples: np.ndarray,
                                   num_entities: int) -> Tensor:
@@ -125,65 +124,87 @@ class MorsE(Module):
         relations' and the heads', so the entity gradient is summed tails
         before heads, in the order and with the bits of the same score built
         from gathers and element-wise ops (the reference in
-        ``tests/gml/test_fused_nodes.py``).  ``buffers`` keeps the call's
-        ``(n, dim)`` arrays from one step to the next: a training run owns one
-        dict per call site (a step's shapes do not change); without it every
-        array is new.
+        ``tests/gml/test_fused_nodes.py``).
+
+        Both passes run in blocks of :data:`BLOCK_ELEMENTS` ``// dim`` rows:
+        the forward gathers a block's heads, relations and tails and writes
+        its scores; the backward gathers and recomputes it again and adds
+        its terms to the three scatters, in row order (recomputation instead
+        of storage, Chen et al. 2016).  So a call holds one block of
+        ``(rows, dim)`` arrays, whatever the batch.  ``buffers`` keeps those
+        arrays from one call to the next: a training run owns one dict;
+        without it the call keeps its own.
         """
+        buffers = {} if buffers is None else buffers
         triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-        heads, relations, tails = triples[:, 0], triples[:, 1], triples[:, 2]
-        relation_table = self.relation_embeddings.weight
-        entity_shape, relation_shape = entity_embeddings.shape, relation_table.shape
-        shape = (triples.shape[0], entity_shape[1])
-        h = _take(entity_embeddings.data, heads, _buffer(buffers, "heads", shape))
-        r = _take(relation_table.data, relations, _buffer(buffers, "relations", shape))
-        t = _take(entity_embeddings.data, tails, _buffer(buffers, "tails", shape))
-        combined = _buffer(buffers, "combined", shape)
-        spare = _buffer(buffers, "spare", shape)
-        if self.decoder == "distmult":
-            np.multiply(h, r, out=combined)
-            scores = np.multiply(combined, t, out=spare).sum(axis=1)
+        entities, relation_table = entity_embeddings.data, self.relation_embeddings.weight
+        relation_data = relation_table.data
+        count, dim = triples.shape[0], entities.shape[1]
+        block = max(1, BLOCK_ELEMENTS // dim)
+        distmult = self.decoder == "distmult"
 
-            def backward(grad: np.ndarray):
-                column = grad[:, None]
-                grad_tails = _scatter(entity_shape, tails,
-                                      np.multiply(combined, column, out=combined))
-                grad_combined = np.multiply(t, column, out=spare)
-                grad_heads = _scatter(entity_shape, heads,
-                                      np.multiply(grad_combined, r, out=combined))
-                grad_relations = _scatter(relation_shape, relations,
-                                          np.multiply(grad_combined, h, out=spare))
-                return grad_tails, grad_relations, grad_heads
-        else:
-            difference = np.subtract(np.add(h, r, out=combined), t, out=combined)
-            scores = self.margin - np.abs(difference, out=spare).sum(axis=1)
+        def blocks():
+            """Each block's rows and triples, its gathered heads, relations
+            and tails, their ``h * r`` (distmult) or ``h + r - t`` (transe)
+            and a spare array of their shape."""
+            scratch = _scratch(buffers, min(count, block), dim)
+            for start in range(0, count, block):
+                rows = slice(start, start + block)
+                part = triples[rows]
+                h, r, t, combined, spare = (array[:part.shape[0]] for array in scratch)
+                _take(entities, part[:, 0], h)
+                _take(relation_data, part[:, 1], r)
+                _take(entities, part[:, 2], t)
+                if distmult:
+                    np.multiply(h, r, out=combined)
+                else:
+                    np.subtract(np.add(h, r, out=combined), t, out=combined)
+                yield rows, part, h, r, t, combined, spare
 
-            def backward(grad: np.ndarray):
-                # |d| back-propagates as relu(d) + relu(-d): -(g [d < 0]) + g [d > 0].
-                column = -grad[:, None]
-                grad_difference = np.multiply(np.less(difference, 0.0), column, out=spare)
-                np.negative(grad_difference, out=grad_difference)
-                grad_difference += np.multiply(np.greater(difference, 0.0), column,
-                                               out=difference)
-                grad_tails = _scatter(entity_shape, tails,
-                                      np.negative(grad_difference, out=difference))
-                return (grad_tails, _scatter(relation_shape, relations, grad_difference),
-                        _scatter(entity_shape, heads, grad_difference))
+        scores = np.empty(count)
+        for rows, _, _, _, t, combined, spare in blocks():
+            if distmult:
+                np.multiply(combined, t, out=spare).sum(axis=1, out=scores[rows])
+            else:
+                np.abs(combined, out=spare).sum(axis=1, out=scores[rows])
+        if not distmult:
+            np.subtract(self.margin, scores, out=scores)
+
+        def backward(grad: np.ndarray):
+            grad_tails, grad_heads = np.zeros(entities.shape), np.zeros(entities.shape)
+            grad_relations = np.zeros(relation_data.shape)
+            for rows, part, h, r, t, combined, spare in blocks():
+                heads, relations, tails = part[:, 0], part[:, 1], part[:, 2]
+                if distmult:
+                    column = grad[rows, None]
+                    scatter_rows(grad_tails, tails, np.multiply(combined, column, out=combined))
+                    grad_combined = np.multiply(t, column, out=spare)
+                    scatter_rows(grad_heads, heads, np.multiply(grad_combined, r, out=combined))
+                    scatter_rows(grad_relations, relations,
+                                 np.multiply(grad_combined, h, out=spare))
+                else:
+                    # |d| back-propagates as relu(d) + relu(-d): -(g [d < 0]) + g [d > 0].
+                    column, difference = -grad[rows, None], combined
+                    grad_difference = np.multiply(np.less(difference, 0.0), column, out=spare)
+                    np.negative(grad_difference, out=grad_difference)
+                    grad_difference += np.multiply(np.greater(difference, 0.0), column,
+                                                   out=difference)
+                    scatter_rows(grad_tails, tails,
+                                 np.negative(grad_difference, out=difference))
+                    scatter_rows(grad_relations, relations, grad_difference)
+                    scatter_rows(grad_heads, heads, grad_difference)
+            return grad_tails, grad_relations, grad_heads
 
         return Tensor._result(scores, (entity_embeddings, relation_table, entity_embeddings),
                               backward)
 
     def loss(self, entity_embeddings: Tensor, positives: np.ndarray,
              negatives: np.ndarray,
-             buffers: Optional[Dict[str, Dict[str, np.ndarray]]] = None) -> Tensor:
+             buffers: Optional[Dict[str, np.ndarray]] = None) -> Tensor:
         """BCE of the positives' and the negatives' scores; ``buffers`` is a
-        training run's dict, in which each of the two calls keeps its own."""
-        positive_buffers = negative_buffers = None
-        if buffers is not None:
-            positive_buffers = buffers.setdefault("positives", {})
-            negative_buffers = buffers.setdefault("negatives", {})
-        positive_scores = self.score(entity_embeddings, positives, positive_buffers)
-        negative_scores = self.score(entity_embeddings, negatives, negative_buffers)
+        training run's dict, which both calls share."""
+        positive_scores = self.score(entity_embeddings, positives, buffers)
+        negative_scores = self.score(entity_embeddings, negatives, buffers)
         return binary_cross_entropy_with_logits(
             positive_scores, np.ones(positive_scores.shape[0])) + \
             binary_cross_entropy_with_logits(

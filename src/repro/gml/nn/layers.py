@@ -7,9 +7,9 @@ Layers implemented (paper Fig 5 taxonomy):
   (Schlichtkrull et al., the paper's full-batch baseline),
 * :class:`GATConv` — attentional aggregation (Velickovic et al.).
 
-All layers consume pre-built ``scipy.sparse`` adjacency matrices (produced by
-:meth:`repro.gml.data.GraphData.adjacency`), matching the "sparse matrices"
-stage of the pipeline in paper Fig 6.
+All layers consume pre-built :class:`~repro.gml.autograd.CSR` adjacency
+matrices (produced by :meth:`repro.gml.data.GraphData.adjacency`), matching
+the "sparse matrices" stage of the pipeline in paper Fig 6.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse as sp
 
 from repro.exceptions import ShapeError
-from repro.gml.autograd import Parameter, Tensor, gather_rows, sparse_product, spmm
+from repro.gml.autograd import CSR, Parameter, Tensor, gather_rows, sparse_product, spmm
 from repro.gml.nn.init import xavier_uniform, zeros_init
 from repro.gml.nn.module import Module
 
@@ -46,7 +45,7 @@ class GCNConv(Module):
                                 name="gcn.weight")
         self.bias = Parameter(zeros_init((out_features,)), name="gcn.bias")
 
-    def forward(self, adjacency: sp.spmatrix, x: Tensor) -> Tensor:
+    def forward(self, adjacency: CSR, x: Tensor) -> Tensor:
         support = x @ self.weight
         return spmm(adjacency, support) + self.bias
 
@@ -81,7 +80,7 @@ class RGCNConv(Module):
             name="rgcn.self_weight")
         self.bias = Parameter(zeros_init((out_features,)), name="rgcn.bias") if bias else None
 
-    def forward(self, relation_adjacencies: Sequence[sp.spmatrix], x: Tensor) -> Tensor:
+    def forward(self, relation_adjacencies: Sequence[CSR], x: Tensor) -> Tensor:
         """``x W_self + sum_r A_r (x W_r) + b`` as one autograd node.
 
         ``W_r`` is ``coefficients[r] @ bases`` and relations without edges are
@@ -106,11 +105,10 @@ class RGCNConv(Module):
         for relation, adjacency in enumerate(relation_adjacencies):
             if adjacency.nnz == 0:
                 continue
-            csr = adjacency.tocsr()
             row = coefficients[relation].reshape(1, self.num_bases)
             weight = (row @ bases_flat).reshape(self.in_features, self.out_features)
-            out += sparse_product(csr, inputs @ weight, transposed=False)
-            relations.append((relation, csr, row, weight))
+            out += sparse_product(adjacency, inputs @ weight, transposed=False)
+            relations.append((relation, adjacency, row, weight))
         children = (x, self.self_weight, self.bases, self.coefficients)
         has_bias = self.bias is not None
         if has_bias:
@@ -120,8 +118,8 @@ class RGCNConv(Module):
 
         def backward(grad: np.ndarray):
             grad_x = grad_bases = grad_coefficients = None
-            for relation, csr, row, weight in reversed(relations):
-                grad_support = sparse_product(csr, grad, transposed=True)
+            for relation, adjacency, row, weight in reversed(relations):
+                grad_support = sparse_product(adjacency, grad, transposed=True)
                 if wants_x:
                     grad_x = _summed(grad_x, grad_support @ weight.T)
                 grad_weight = (inputs.T @ grad_support).reshape(1, -1)
@@ -182,9 +180,7 @@ class GATConv(Module):
         exp_logits = (edge_logits - stabiliser).exp()          # (E, 1)
 
         # Segment sums via the destination incidence matrix (N x E).
-        incidence = sp.coo_matrix(
-            (np.ones(num_edges), (dst, np.arange(num_edges))),
-            shape=(num_nodes, num_edges)).tocsr()
+        incidence = CSR.incidence(dst, num_nodes, normalize=False)
         denom = spmm(incidence, exp_logits)                    # (N, 1)
         denom_per_edge = gather_rows(denom, dst)               # (E, 1)
         alpha = exp_logits / (denom_per_edge + 1e-12)          # (E, 1)

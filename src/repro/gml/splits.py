@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy import sparse as sp
 
 from repro.exceptions import DatasetError
 
@@ -64,7 +63,9 @@ def community_split(candidate_nodes: np.ndarray,
     the requested fractions are met.  This keeps communities intact, which is
     the property the paper's community-based strategy is after.
     """
-    # scipy.sparse.csgraph pulls in scipy.linalg; only this split needs it.
+    # scipy.sparse (and csgraph, which pulls in scipy.linalg): only this
+    # split needs them.
+    from scipy import sparse as sp
     from scipy.sparse import csgraph
 
     fractions = fractions or SplitFractions()

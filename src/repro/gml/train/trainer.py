@@ -310,7 +310,7 @@ class MorsETrainer(_LinkPredictionTrainer):
         self.negative_sampler_seed = seed
         self.num_negatives = num_negatives
         #: The scoring arrays of the run, reused by every step.
-        self._step_buffers: Dict[str, Dict[str, np.ndarray]] = {}
+        self._step_buffers: Dict[str, np.ndarray] = {}
 
     def _train_epoch(self, epoch: int, ledger: ResourceMonitor) -> float:
         losses = []
@@ -323,8 +323,7 @@ class MorsETrainer(_LinkPredictionTrainer):
                 local_triples, num_local)
             loss = self.model.loss(entity_embeddings, local_triples, negatives,
                                    self._step_buffers)
-            buffer_bytes = sum(array.nbytes for site in self._step_buffers.values()
-                               for array in site.values())
+            buffer_bytes = sum(array.nbytes for array in self._step_buffers.values())
             losses.append(self._step(ledger, loss, local_triples.nbytes
                                      + negatives.nbytes + buffer_bytes))
         return sum(losses) / max(1, len(losses))

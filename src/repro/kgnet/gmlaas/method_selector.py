@@ -292,6 +292,20 @@ class MethodSelection:
     candidates: List[CostEstimate] = field(default_factory=list)
 
 
+#: Per priority, the key an estimate ranks by (lower is better): the least
+#: time, the least memory, or the highest accuracy prior (ties to the less
+#: time, then the less memory).
+_OBJECTIVES: Dict[str, Callable[[CostEstimate], tuple]] = {
+    "Time": lambda e: (e.time_seconds, -e.accuracy_prior),
+    "Memory": lambda e: (e.memory_bytes, -e.accuracy_prior),
+    "ModelScore": lambda e: (-e.accuracy_prior, e.time_seconds, e.memory_bytes),
+}
+
+
+def _least_memory(estimate: CostEstimate) -> tuple:
+    return estimate.memory_bytes, estimate.time_seconds
+
+
 class MethodSelector:
     """Chooses the near-optimal GML method for a task under a budget, pricing
     each candidate by the first epoch of the trainer it would train with."""
@@ -320,36 +334,33 @@ class MethodSelector:
             raise ModelSelectionError(
                 f"GML methods {misfits} do not support task {task_type!r}")
 
-        estimates = [self.estimator.estimate(method, data, budget)
-                     for method in methods]
-        feasible = [estimate for estimate in estimates
-                    if budget.allows_memory(estimate.memory_bytes)
-                    and budget.allows_time(estimate.time_seconds)]
-
+        # One pass in candidate order keeps the best feasible estimate and
+        # the least-memory fallback so far (ties keep the earlier one, as
+        # ``min`` does); a beaten one's trainer goes at once, so at most two
+        # trainers live beside the one being priced.
         objective = budget.priority
-        if feasible:
-            chosen = self._optimise(feasible, objective)
-            within_budget = True
-        else:
-            # Fall back to the least memory-hungry candidate; its trainer
-            # still checks the budget between epochs and stops early.
-            chosen = min(estimates, key=lambda e: (e.memory_bytes, e.time_seconds))
-            within_budget = False
-        for estimate in estimates:
-            if estimate is not chosen:
-                estimate.trainer = None
+        rank = _OBJECTIVES[objective]
+        estimates: List[CostEstimate] = []
+        best = fallback = None
+        for method in methods:
+            estimate = self.estimator.estimate(method, data, budget)
+            estimates.append(estimate)
+            kept = [best, fallback]
+            if budget.allows_memory(estimate.memory_bytes) and \
+                    budget.allows_time(estimate.time_seconds) and \
+                    (best is None or rank(estimate) < rank(best)):
+                best = estimate
+            if fallback is None or _least_memory(estimate) < _least_memory(fallback):
+                fallback = estimate
+            for loser in kept + [estimate]:
+                if loser is not None and loser is not best and loser is not fallback:
+                    loser.trainer = None
+        chosen, within_budget = (best, True) if best is not None else (fallback, False)
+        if fallback is not chosen:
+            # Fall back to the least memory-hungry candidate only when none
+            # fits; its trainer still checks the budget between epochs.
+            fallback.trainer = None
         return MethodSelection(method=chosen.method, estimate=chosen,
                                within_budget=within_budget, objective=objective,
                                candidates=sorted(estimates,
                                                  key=lambda e: -e.accuracy_prior))
-
-    @staticmethod
-    def _optimise(candidates: List[CostEstimate], objective: str) -> CostEstimate:
-        """Exact solution of the one-of-N selection problem."""
-        if objective == "Time":
-            return min(candidates, key=lambda e: (e.time_seconds, -e.accuracy_prior))
-        if objective == "Memory":
-            return min(candidates, key=lambda e: (e.memory_bytes, -e.accuracy_prior))
-        # ModelScore: maximise prior accuracy, break ties by time then memory.
-        return max(candidates,
-                   key=lambda e: (e.accuracy_prior, -e.time_seconds, -e.memory_bytes))

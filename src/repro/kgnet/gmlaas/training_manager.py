@@ -23,9 +23,10 @@ One table, ``_TASKS``, says per task how the KG becomes training data and
 which artefact the trained model becomes.
 
 Building a manager loads no model: the transformer, the method selector and
-every model and trainer module (and scipy with them) are imported by the
-first :meth:`GMLTrainingManager.train` or :attr:`GMLTrainingManager.selector`
-read, so a server that never trains never loads them.
+every model and trainer module (and scipy's sparse kernels with them) are
+imported by the first :meth:`GMLTrainingManager.train` or
+:attr:`GMLTrainingManager.selector` read, so a server that never trains never
+loads them.
 """
 
 from __future__ import annotations

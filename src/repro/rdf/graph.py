@@ -86,7 +86,8 @@ _Pattern = Tuple[Optional[Term], Optional[Term], Optional[Term]]
 
 #: A leaf of an index: the third ids completing a (first, second) pair.  One
 #: id is held bare, most leaves of a real KG hold one, and a set costs ~200
-#: bytes more; a second id promotes the leaf to a set, which stays a set.
+#: bytes more; a second id promotes the leaf to a set, and a set shrunk to one
+#: id holds it bare again.
 _Leaf = Union[int, Set[int]]
 
 #: Nested index shape: first-component id -> second id -> leaf.
@@ -395,12 +396,16 @@ class Graph:
     def _discard_leaf(self, bucket: Dict[int, _Leaf], key: int,
                       value: int) -> bool:
         """Drop the stored ``value`` from the leaf under ``key``; True when
-        the leaf is gone with it.  A set leaf left with one id stays a set."""
+        the leaf is gone with it.  A set leaf left with one id holds the bare
+        id again, and the set (which a snapshot may share) is left as it is."""
         ids = bucket[key]
         if ids.__class__ is not int:
-            ids = self._owned_leaf(bucket, key, ids)
-            ids.discard(value)
-            if ids:
+            if len(ids) > 2:
+                self._owned_leaf(bucket, key, ids).discard(value)
+                return False
+            if len(ids) == 2:
+                first, second = ids
+                bucket[key] = second if first == value else first
                 return False
         del bucket[key]
         return True

@@ -10,6 +10,7 @@ import weakref
 
 from repro.exceptions import AutogradError, ShapeError
 from repro.gml.autograd import (
+    CSR,
     Embedding,
     Parameter,
     Tensor,
@@ -25,6 +26,17 @@ from repro.gml.autograd import (
     spmm,
     stack,
 )
+
+
+def to_csr(matrix):
+    """A scipy sparse matrix as the engine's :class:`CSR` (the same arrays)."""
+    matrix = matrix.tocsr()
+    return CSR(matrix.data, matrix.indices, matrix.indptr, matrix.shape, matrix.nnz)
+
+
+def to_scipy(csr):
+    """A :class:`CSR` as a scipy ``csr_matrix``, for scipy's methods."""
+    return sp.csr_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape)
 
 
 def numeric_gradient(fn, parameter, eps=1e-6):
@@ -145,8 +157,8 @@ class TestGradients:
         check_gradient(lambda: ((x @ p) ** 2).sum(), p)
 
     def test_spmm(self, rng_local):
-        adjacency = sp.random(6, 6, density=0.4, format="csr",
-                              random_state=np.random.RandomState(0))
+        adjacency = to_csr(sp.random(6, 6, density=0.4, format="csr",
+                                     random_state=np.random.RandomState(0)))
         p = Parameter(rng_local.normal(size=(6, 3)) * 0.3)
         check_gradient(lambda: (spmm(adjacency, p) ** 2).sum(), p)
 
@@ -332,13 +344,14 @@ class TestSpmmTranspose:
         monkeypatch.setattr(sp.csr_matrix, "transpose",
                             lambda self, *a, **k: calls.append(1) or transpose(self, *a, **k))
         p = Parameter(rng_local.normal(size=(6, 3)))
-        spmm(adjacency, spmm(adjacency, p)).sum().backward()
+        csr = to_csr(adjacency)
+        spmm(csr, spmm(csr, p)).sum().backward()
         assert calls == []
         monkeypatch.undo()
         expected = adjacency.T @ (adjacency.T @ np.ones((6, 3)))
         assert p.grad.tobytes() == expected.tobytes()
         p.zero_grad()
-        check_gradient(lambda: (spmm(adjacency, spmm(adjacency, p)) ** 2).sum(), p)
+        check_gradient(lambda: (spmm(csr, spmm(csr, p)) ** 2).sum(), p)
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("width", [1, 3, 17])
@@ -350,11 +363,11 @@ class TestSpmmTranspose:
         for transposed, dense in ((False, rng.standard_normal((25, width))),
                                   (True, rng.standard_normal((40, width)).T.copy().T)):
             expected = (matrix.T if transposed else matrix) @ dense
-            got = sparse_product(matrix, dense, transposed=transposed)
+            got = sparse_product(to_csr(matrix), dense, transposed=transposed)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
             with pytest.raises(ShapeError):
-                sparse_product(matrix, dense[1:], transposed=transposed)
+                sparse_product(to_csr(matrix), dense[1:], transposed=transposed)
 
 
 class TestTape:

@@ -11,6 +11,7 @@ from repro.gml.data import GraphData, TriplesData, xavier_features
 from repro.gml.splits import SplitFractions
 from repro.gml.transform import RDFGraphTransformer
 from repro.rdf import DBLP, Graph, Literal, RDF_TYPE
+from tests.gml.test_autograd import to_scipy
 
 
 def small_graph_data(num_nodes=6, num_relations=2, num_classes=2, seed=0):
@@ -134,16 +135,16 @@ class TestGraphData:
 
     def test_adjacency_row_normalised(self):
         data = small_graph_data()
-        adjacency = data.adjacency()
+        adjacency = to_scipy(data.adjacency())
         sums = np.asarray(adjacency.sum(axis=1)).reshape(-1)
         assert np.allclose(sums, 1.0)
 
     def test_adjacency_symmetric_includes_reverse(self):
         data = small_graph_data()
-        directed = data.adjacency(symmetric=False, add_self_loops=False,
-                                  normalize=False)
-        symmetric = data.adjacency(symmetric=True, add_self_loops=False,
-                                   normalize=False)
+        directed = to_scipy(data.adjacency(symmetric=False, add_self_loops=False,
+                                           normalize=False))
+        symmetric = to_scipy(data.adjacency(symmetric=True, add_self_loops=False,
+                                            normalize=False))
         assert symmetric.nnz >= directed.nnz
         assert symmetric[1, 0] > 0 and symmetric[0, 1] > 0
 

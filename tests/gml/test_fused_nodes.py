@@ -5,8 +5,9 @@ are each one autograd node with a written-out backward.  The per-op
 compositions they replaced live on here, as references only: every forward
 value and every gradient must equal theirs to the bit, and whole training runs
 with the references patched in must end in the same parameters, histories and
-metrics.  ``MorsE.score`` keeps its ``(n, dim)`` arrays in buffers owned by one
-training run; the last tests pin that those never cross runs or outlive them.
+metrics.  ``MorsE.score`` keeps one block's ``(rows, dim)`` arrays in buffers
+owned by one training run; the last tests pin that those never cross runs or
+outlive them.
 """
 
 import gc
@@ -33,7 +34,7 @@ from repro.gml.kge import morse as kge_morse
 from repro.gml.nn import RGCNConv
 from repro.gml.sampling.negative import NegativeSampler
 from repro.gml.train.trainer import MorsETrainer
-from tests.gml.test_autograd import check_gradient
+from tests.gml.test_autograd import check_gradient, to_csr
 from tests.gml.test_train import ALL_SHAPES, tiny_trainer
 
 #: Repetitions of the concurrent-training test (the stress job sets
@@ -131,8 +132,8 @@ def rgcn_case(case, inputs):
     """A layer, its adjacencies, the leaves to differentiate and an ``x`` maker."""
     densities, num_bases, bias = RGCN_CASES[case]
     rng = np.random.default_rng(3)
-    adjacencies = [sp.random(9, 9, density=density, format="csr",
-                             random_state=np.random.RandomState(index))
+    adjacencies = [to_csr(sp.random(9, 9, density=density, format="csr",
+                                    random_state=np.random.RandomState(index)))
                    for index, density in enumerate(densities)]
     layer = RGCNConv(4, 3, num_relations=len(densities), num_bases=num_bases,
                      bias=bias, seed=1)
@@ -221,6 +222,10 @@ class TestBinaryCrossEntropyNode:
 # MorsE.score
 # ---------------------------------------------------------------------------
 
+#: Batch sizes around the rows ``B`` of one scoring block.
+BATCH_SIZES = {"0": lambda b: 0, "1": lambda b: 1, "B-1": lambda b: b - 1,
+               "B": lambda b: b, "B+1": lambda b: b + 1, "3B+7": lambda b: 3 * b + 7}
+
 #: Repeated heads, tails and whole triples.
 MORSE_TRIPLES = np.array([[0, 1, 2], [0, 2, 2], [3, 0, 0], [3, 1, 5],
                           [0, 1, 2], [5, 2, 3], [2, 0, 2]])
@@ -247,25 +252,38 @@ class TestMorsEScoreNode:
         assert_same_gradients(gradients_of(parameters, (out * upstream).sum()),
                               gradients_of(parameters, (reference * upstream).sum()))
 
-    @pytest.mark.parametrize("num_negatives", [1, 3])
+    @pytest.mark.parametrize("batch", sorted(BATCH_SIZES))
     @pytest.mark.parametrize("decoder", ["distmult", "transe"])
-    def test_buffered_steps_equal_the_composition(self, decoder, num_negatives):
-        """Steps reusing one run's buffers, the negatives' as many as the
-        positives' when ``num_negatives == 1``: each step's loss and
-        gradients are the composition's, through the composed entities."""
+    def test_buffered_steps_equal_the_composition(self, decoder, batch):
+        """Steps reusing one run's buffers -- a batch of ``batch`` triples
+        (B rows fill one block), a loss over seven positives and their 21
+        negatives, the batch again -- score and differentiate as the
+        composition does, through the composed entities."""
+        model, negatives = morse_case(decoder, 3)
+        size = BATCH_SIZES[batch](kge_morse.BLOCK_ELEMENTS // model.dim)
+        rng = np.random.default_rng(size)
+        triples = np.stack([rng.integers(0, NUM_ENTITIES, size), rng.integers(0, 3, size),
+                            rng.integers(0, NUM_ENTITIES, size)], axis=1)
+        upstream = Tensor(rng.normal(size=size))
+        parameters = model.parameters()
         buffers = {}
-        for epoch in range(3):
-            model, negatives = morse_case(decoder, num_negatives, epoch)
-            parameters = model.parameters()
-            fused = model.loss(model.compose_entity_embeddings(MORSE_TRIPLES, NUM_ENTITIES),
-                               MORSE_TRIPLES, negatives, buffers)
-            composed = reference_morse_loss(
-                model, model.compose_entity_embeddings(MORSE_TRIPLES, NUM_ENTITIES),
-                MORSE_TRIPLES, negatives)
+
+        def entities():
+            return model.compose_entity_embeddings(MORSE_TRIPLES, NUM_ENTITIES)
+
+        for step in ("batch", "loss", "batch"):
+            if step == "loss":
+                fused = model.loss(entities(), MORSE_TRIPLES, negatives, buffers)
+                composed = reference_morse_loss(model, entities(), MORSE_TRIPLES, negatives)
+            else:
+                fused = model.score(entities(), triples, buffers)
+                composed = reference_morse_score(model, entities(), triples)
+                assert same_bits(fused.data, composed.data)
+                fused, composed = (fused * upstream).sum(), (composed * upstream).sum()
             assert same_bits(fused.data, composed.data)
             assert_same_gradients(gradients_of(parameters, fused),
                                   gradients_of(parameters, composed))
-        assert sorted(buffers) == ["negatives", "positives"]
+        assert sorted(buffers) == sorted(kge_morse._SCRATCH)
 
     @pytest.mark.parametrize("decoder", ["distmult", "transe"])
     def test_gradient_check(self, decoder):
@@ -366,8 +384,7 @@ def recorded_buffers(monkeypatch):
 
     def recording(self, entity_embeddings, positives, negatives, buffers=None):
         out = loss(self, entity_embeddings, positives, negatives, buffers)
-        refs.extend(weakref.ref(array) for site in (buffers or {}).values()
-                    for array in site.values())
+        refs.extend(weakref.ref(array) for array in (buffers or {}).values())
         return out
 
     monkeypatch.setattr(MorsE, "loss", recording)

@@ -20,12 +20,13 @@ from repro.gml.nn import (
     clip_grad_norm,
     xavier_uniform,
 )
+from tests.gml.test_autograd import to_csr
 from tests.gml.test_data_transform import small_graph_data
 
 
 class TestLayers:
     def test_gcn_conv_aggregates_neighbors(self):
-        adjacency = sp.csr_matrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
+        adjacency = to_csr(sp.csr_matrix(np.array([[0.5, 0.5], [0.0, 1.0]])))
         layer = GCNConv(2, 2)
         out = layer(adjacency, Tensor(np.eye(2)))
         assert out.shape == (2, 2)
@@ -33,12 +34,12 @@ class TestLayers:
     def test_gcn_conv_shape_mismatch(self):
         layer = GCNConv(4, 3)
         with pytest.raises(ShapeError):
-            layer(sp.eye(5, format="csr"), Tensor(np.ones((5, 6))))
+            layer(to_csr(sp.eye(5, format="csr")), Tensor(np.ones((5, 6))))
 
     def test_rgcn_conv_requires_matching_relations(self):
         layer = RGCNConv(3, 2, num_relations=2)
         with pytest.raises(ShapeError):
-            layer([sp.eye(4, format="csr")], Tensor(np.ones((4, 3))))
+            layer([to_csr(sp.eye(4, format="csr"))], Tensor(np.ones((4, 3))))
 
     def test_rgcn_basis_decomposition_bounds_parameters(self):
         many = RGCNConv(8, 8, num_relations=40, num_bases=4)

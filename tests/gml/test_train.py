@@ -1,6 +1,7 @@
 """Unit tests for metrics, budgets and the trainers."""
 
 import gc
+import importlib
 import time
 import tracemalloc
 import weakref
@@ -10,10 +11,11 @@ import pytest
 
 from repro.exceptions import BudgetExceededError, TrainingError
 from repro.gml.data import GraphData
-from repro.gml.kge import DistMult, MorsE
+from repro.gml.kge import DistMult, MorsE, morse
 from repro.gml.kge.base import ranking_metrics
 from repro.gml.nn import RGCN
 from repro.gml.sampling import GraphSAINTNodeSampler, ShadowKHopSampler
+from repro.gml.sampling.negative import EdgeSubKGSampler
 from repro.gml.train.budget import ResourceMonitor, TaskBudget
 from repro.gml.train.metrics import (
     accuracy,
@@ -376,9 +378,11 @@ class TestMemoryLedger:
     def test_ledger_is_within_a_stated_factor_of_the_traced_peak(self, shape, dblp_nc_data,
                                                                  dblp_lp_data):
         """``tracemalloc`` as the oracle: the whole run's traced peak, read
-        before the final metrics.  The data's adjacency caches are built
+        before the final metrics.  The data's adjacency caches are built,
+        and ``numpy.ma`` (which the first ``np.unique`` imports) is loaded,
         before the trace, or they would land in whichever traced run comes
         first."""
+        importlib.import_module("numpy.ma")
         trainer = tiny_trainer(shape, dblp_nc_data[0], dblp_lp_data[0], epochs=4)
         if isinstance(trainer.data, GraphData):
             trainer.data.cached_relation_adjacencies()
@@ -397,6 +401,25 @@ class TestMemoryLedger:
             tracemalloc.stop()
         low, high = LEDGER_OVER_TRACED[shape]
         assert low * whole_run[0] <= result.usage.peak_memory_bytes <= high * whole_run[0]
+
+    def test_a_morse_peak_stops_growing_with_its_negatives_past_one_block(
+            self, dblp_lp_data):
+        """MorsE scores one block of rows at a time, so negatives past a
+        block add their triples and scores to a step's peak, not scoring
+        arrays: less than one ``dim``-wide row of floats per extra negative
+        (five such rows before the blocks)."""
+        data = dblp_lp_data[0]
+        peaks, rows = [], []
+        for num_negatives in (8, 16):
+            trainer = MorsETrainer(MorsE(data.num_relations, dim=16, seed=0), data,
+                                   epochs=2, triples_per_subkg=300, subkgs_per_epoch=3,
+                                   num_negatives=num_negatives, learning_rate=0.05)
+            draws = EdgeSubKGSampler(data, triples_per_subkg=300, num_subkgs=3, seed=0)
+            rows.append(num_negatives * max(triples.shape[0] for triples, _, _ in draws))
+            peaks.append(trainer.train().usage.peak_memory_bytes)
+        block = morse.BLOCK_ELEMENTS // 16
+        assert block < rows[0] < rows[1]
+        assert 0 < peaks[1] - peaks[0] < (rows[1] - rows[0]) * 16 * 8
 
     @pytest.mark.parametrize("shape", ALL_SHAPES)
     def test_repeated_runs_report_the_same_peak(self, shape, dblp_nc_data, dblp_lp_data):

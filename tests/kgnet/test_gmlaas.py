@@ -1,8 +1,10 @@
 """Unit tests for GMLaaS: stores, method selector, training and inference managers."""
 
 import dataclasses
+import gc
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -278,6 +280,21 @@ def test_a_malformed_k_is_a_bad_request_on_both_routes(ranked_platform, mode,
 DEFAULT = TrainingManagerConfig()
 
 
+def pick_of_all_estimates(estimates, budget):
+    """The pick of a ``min`` / ``max`` over every estimate at once (first
+    wins a tie): the selection rule the one-pass selector must keep."""
+    feasible = [e for e in estimates if budget.allows_memory(e.memory_bytes)
+                and budget.allows_time(e.time_seconds)]
+    if not feasible:
+        return min(estimates, key=lambda e: (e.memory_bytes, e.time_seconds))
+    if budget.priority == "Time":
+        return min(feasible, key=lambda e: (e.time_seconds, -e.accuracy_prior))
+    if budget.priority == "Memory":
+        return min(feasible, key=lambda e: (e.memory_bytes, -e.accuracy_prior))
+    return max(feasible, key=lambda e: (e.accuracy_prior, -e.time_seconds,
+                                        -e.memory_bytes))
+
+
 class TestMethodCostEstimator:
     def test_estimates_for_all_methods(self, dblp_nc_data, dblp_lp_data):
         estimator = MethodCostEstimator(DEFAULT)
@@ -457,6 +474,44 @@ class TestMethodSelector:
         assert [estimate.method for estimate in selection.candidates
                 if estimate.trainer is not None] == [selection.method]
         assert selection.estimate.trainer.epochs_run == 1
+
+    @pytest.mark.parametrize("tight", [False, True], ids=["loose", "tight"])
+    @pytest.mark.parametrize("priority", ["ModelScore", "Time", "Memory"])
+    def test_at_most_two_candidate_trainers_live_at_once(self, dblp_lp_data, priority,
+                                                         tight):
+        """While a candidate is priced, only the best feasible one and the
+        least-memory fallback so far keep their trainers; the pick is the
+        one a ``min`` / ``max`` over all estimates makes.  The tight budget
+        admits the cheaper half of the link predictors' memory prices."""
+        data = dblp_lp_data[0]
+        methods = MethodSelector(DEFAULT).applicable_methods(TaskType.LINK_PREDICTION)
+        budget = TaskBudget(priority=priority)
+        if tight:
+            prices = sorted(MethodCostEstimator(DEFAULT).estimate(m, data).memory_bytes
+                            for m in methods)
+            budget = TaskBudget(max_memory_bytes=prices[len(prices) // 2],
+                                priority=priority)
+        selector = MethodSelector(DEFAULT)
+        estimate = selector.estimator.estimate
+        estimates, trainers, alive = [], [], []
+
+        def probing(method, *args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in trainers))
+            estimates.append(estimate(method, *args))
+            trainers.append(weakref.ref(estimates[-1].trainer))
+            return estimates[-1]
+
+        selector.estimator.estimate = probing
+        selection = selector.select(TaskType.LINK_PREDICTION, data, budget=budget)
+        gc.collect()
+        assert len(estimates) == len(methods) == 5
+        assert max(alive) <= 2 and alive[:2] == [0, 1]
+        assert [ref() for ref in trainers if ref() is not None] == \
+            [selection.estimate.trainer]
+        assert selection.estimate is pick_of_all_estimates(estimates, budget)
+        assert selection.within_budget == (budget.allows_memory(
+            selection.estimate.memory_bytes))
 
     @pytest.mark.parametrize("task_type, method", [
         (TaskType.NODE_CLASSIFICATION, "morse"),

@@ -61,7 +61,7 @@ def test_a_leaf_grows_to_a_set_and_shrinks_back_to_nothing():
     assert graph.object_ids(s, p) is promoted
     assert held.object_ids(s, p) == (first,)
     graph.remove(_triple(0, 0, 2))
-    assert graph._spo[s][p] == {first}
+    assert graph._spo[s][p].__class__ is int and graph._spo[s][p] == first
     graph.remove(_triple(0, 0, 1))
     assert s not in graph._spo and p not in graph._pos and first not in graph._osp
     assert graph.object_ids(s, p) == () and graph.count_ids(s, p) == 0
@@ -73,10 +73,15 @@ def test_a_checkpoint_of_both_leaf_forms_restores_the_same_indexes(tmp_path):
     graph = dataset.default_graph
     graph.add_all([_triple(s, p, o) for s in range(4) for p in range(2)
                    for o in range(s + 1)])
-    # A set leaf shrunk back to one id stays a set; the copy must say so.
+    # A set leaf shrunk back to one id holds the bare id again: 4 -> 1.
     graph.remove(_triple(3, 1, 0))
     graph.remove(_triple(3, 1, 1))
     graph.remove(_triple(3, 1, 2))
+    s, p, o = graph._encode_pattern(*_triple(3, 1, 3))
+    assert graph._spo[s][p].__class__ is int and graph._spo[s][p] == o
+    # The set leaf the copy must keep is a two-id one: s1 p0 -> {o0, o1}.
+    s, p, _ = graph._encode_pattern(*_triple(1, 0, 0))
+    assert graph._spo[s][p].__class__ is set and len(graph._spo[s][p]) == 2
     forms = {leaf.__class__ for leaf in _leaves(graph)}
     assert forms == {int, set}
     path = os.path.join(str(tmp_path), "c.kgck")

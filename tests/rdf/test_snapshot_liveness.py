@@ -9,8 +9,8 @@ check after each step that every held snapshot still answers exactly what
 it pinned — triples, ``len``, counts, estimates and distinct counts, in term
 space and in id space — and that the live store equals a plain reference
 set.  Two rules grow one index leaf from none to one id (the bare ``int``)
-to two (a ``set``) and shrink it back, so both leaf forms and both
-transitions meet pinned snapshots.
+to two (a ``set``) and shrink it back (a set left with one id holds it bare
+again), so both leaf forms and both transitions meet pinned snapshots.
 """
 
 from __future__ import annotations
@@ -198,15 +198,22 @@ class GraphMachine(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def shrink_a_leaf(self, data):
-        """One id fewer in a leaf: a set -> one id -> none."""
+        """One id fewer in a leaf: a set -> one id, held bare again -> none."""
         key, third, held = self._leaf(data)
         if not held:
             return
+        first, second = key
         key[third] = data.draw(st.sampled_from(held))
         triple = Triple(key[0], key[1], key[2])
         self._pin_first(data)
         assert self.graph.remove(triple) == 1
         self.model.discard(triple)
+        if len(held) == 2:
+            (left,) = set(held) - {key[third]}
+            index = (self.graph._spo, self.graph._pos, self.graph._osp)[first]
+            leaf = index[self.graph.encode_term(key[first])][
+                self.graph.encode_term(key[second])]
+            assert leaf.__class__ is int and leaf == self.graph.encode_term(left)
 
     @rule()
     def add_all_self(self):
